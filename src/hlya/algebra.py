@@ -22,17 +22,59 @@ from .exactlin import ONE, ZERO, Matrix, rat
 Vec = tuple[Fraction, ...]
 SVec = dict[int, Fraction]
 
-# Axioms, by the numbering used throughout this package:
-#   1: alpha([xy]) = [alpha(x) alpha(y)]
-#   2: alpha({xyz}) = {alpha(x) alpha(y) alpha(z)}
-#   3: [xx] = 0
-#   4: {xxy} = 0
-#   5: cyclic_{x,y,z} ([[xy] alpha(z)] + {xyz}) = 0
-#   6: cyclic_{x,y,z} {[xy] alpha(z) alpha(u)} = 0
-#   7: {alpha(x) alpha(y) [uv]} = [{xyu} alpha^2(v)] + [alpha^2(u) {xyv}]
-#   8: {a2(u) a2(v) {xyz}} = {{uvx} a2(y) a2(z)} + {a2(x) {uvy} a2(z)}
-#                            + {a2(x) a2(y) {uvz}}
-AXIOM_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
+# Each identity is a list of signed terms in a binary map f, a ternary map g
+# and the twist alpha, evaluated on slot variables x_0, x_1, ...  A term is
+# (sign, map, args) with map "f", "g" or "alpha"; an argument (k, s) is
+# alpha^k(x_s), and an argument ("f", s, t) or ("g", s, t, r) is a nested
+# bracket on plain slot variables.  With f = [.,.] and g = {.,.,.}, and
+# x, y, z, u, v for x_0 .. x_4:
+#   1: alpha([xy]) - [alpha(x) alpha(y)]
+#   2: alpha({xyz}) - {alpha(x) alpha(y) alpha(z)}
+#   3: [xy] + [yx]                      (polarized [xx] = 0)
+#   4: {xyz} + {yxz}                    (polarized {xxz} = 0)
+#   5: cyclic_{x,y,z} ([[xy] alpha(z)] + {xyz})
+#   6: cyclic_{x,y,z} {[xy] alpha(z) alpha(u)}
+#   7: {alpha(x) alpha(y) [zu]} - [{xyz} a2(u)] - [a2(z) {xyu}]
+#   8: {a2(x) a2(y) {zuv}} - {{xyz} a2(u) a2(v)} - {a2(z) {xyu} a2(v)}
+#                          - {a2(z) a2(u) {xyv}}
+# where a2 = alpha^2.  A Hom-Lie-Yamaguti algebra makes all eight vanish.
+# Substituting series f = sum_i f_i t^i and g = sum_i g_i t^i gives the
+# deformation equations as the t^n coefficients; at n = 1 around the base
+# they are the degree-2 coboundary operators (see :mod:`hlya.coboundary`).
+
+_P, _M = ONE, -ONE
+
+
+def _cyclic(terms) -> tuple:
+    """The terms summed over the three rotations of slots 0, 1, 2."""
+    rot = lambda s, r: (s + r) % 3 if s < 3 else s
+    return tuple(
+        (sign, outer, tuple((arg[0], *(rot(s, r) for s in arg[1:])) for arg in args))
+        for r in range(3)
+        for sign, outer, args in terms
+    )
+
+
+IDENTITIES = {  # id -> (arity, terms)
+    1: (2, ((_P, "alpha", (("f", 0, 1),)), (_M, "f", ((1, 0), (1, 1))))),
+    2: (3, ((_P, "alpha", (("g", 0, 1, 2),)), (_M, "g", ((1, 0), (1, 1), (1, 2))))),
+    3: (2, ((_P, "f", ((0, 0), (0, 1))), (_P, "f", ((0, 1), (0, 0))))),
+    4: (3, ((_P, "g", ((0, 0), (0, 1), (0, 2))), (_P, "g", ((0, 1), (0, 0), (0, 2))))),
+    5: (3, _cyclic(((_P, "f", (("f", 0, 1), (1, 2))), (_P, "g", ((0, 0), (0, 1), (0, 2)))))),
+    6: (4, _cyclic(((_P, "g", (("f", 0, 1), (1, 2), (1, 3))),))),
+    7: (4, (
+        (_P, "g", ((1, 0), (1, 1), ("f", 2, 3))),
+        (_M, "f", (("g", 0, 1, 2), (2, 3))),
+        (_M, "f", ((2, 2), ("g", 0, 1, 3))),
+    )),
+    8: (5, (
+        (_P, "g", ((2, 0), (2, 1), ("g", 2, 3, 4))),
+        (_M, "g", (("g", 0, 1, 2), (2, 3), (2, 4))),
+        (_M, "g", ((2, 2), ("g", 0, 1, 3), (2, 4))),
+        (_M, "g", ((2, 2), (2, 3), ("g", 0, 1, 4))),
+    )),
+}
+AXIOM_IDS = tuple(IDENTITIES)
 
 
 def _vec(values: Sequence) -> Vec:
@@ -179,41 +221,51 @@ def alpha_power_columns(a: Algebra, k: int) -> tuple:
     return tuple(cols)
 
 
-def apply_alpha(a: Algebra, sv: SVec, k: int = 1) -> SVec:
-    if k == 0:
-        return dict(sv)
-    cols = alpha_power_columns(a, k)
-    acc: SVec = {}
-    for i, c in sv.items():
-        svec_add(acc, cols[i], c)
-    return acc
+class _Ops:
+    """One algebra's bracket and alpha contractions on sparse vectors.
 
+    ``A[k]`` holds the columns of alpha^k (k < 5), so ``A[0]`` is the
+    standard basis.  The bracket tables are held directly, which keeps cache
+    lookups (they hash the whole algebra) out of per-tuple inner loops.
+    """
 
-def binary_sv(a: Algebra, x: SVec, y: SVec) -> SVec:
-    table = _binary_table(a)
-    acc: SVec = {}
-    for i, cx in x.items():
-        for j, cy in y.items():
-            sv = table.get((i, j))
-            if sv:
-                svec_add(acc, sv, cx * cy)
-    return acc
+    def __init__(self, a: Algebra):
+        self.a = a
+        self.A = tuple(alpha_power_columns(a, k) for k in range(5))
+        self.e = self.A[0]
+        self._btab = _binary_table(a)
+        self._ttab = _ternary_table(a)
 
+    def al(self, k: int, sv: SVec) -> SVec:
+        if k == 0:
+            return sv
+        acc: SVec = {}
+        cols = self.A[k]
+        for i, c in sv.items():
+            svec_add(acc, cols[i], c)
+        return acc
 
-def ternary_sv(a: Algebra, x: SVec, y: SVec, z: SVec) -> SVec:
-    table = _ternary_table(a)
-    acc: SVec = {}
-    for i, cx in x.items():
-        for j, cy in y.items():
-            for k, cz in z.items():
-                sv = table.get((i, j, k))
+    def br(self, x: SVec, y: SVec) -> SVec:
+        table = self._btab
+        acc: SVec = {}
+        for i, cx in x.items():
+            for j, cy in y.items():
+                sv = table.get((i, j))
                 if sv:
-                    svec_add(acc, sv, cx * cy * cz)
-    return acc
+                    svec_add(acc, sv, cx * cy)
+        return acc
 
-
-def basis_sv(i: int) -> SVec:
-    return {i: ONE}
+    def tr(self, x: SVec, y: SVec, z: SVec) -> SVec:
+        table = self._ttab
+        acc: SVec = {}
+        for i, cx in x.items():
+            for j, cy in y.items():
+                cxy = cx * cy
+                for k, cz in z.items():
+                    sv = table.get((i, j, k))
+                    if sv:
+                        svec_add(acc, sv, cxy * cz)
+        return acc
 
 
 # --- public evaluation ----------------------------------------------------
@@ -227,14 +279,73 @@ def _check_vec(a: Algebra, v: Sequence) -> SVec:
 
 def eval_binary(a: Algebra, x: Sequence, y: Sequence) -> Vec:
     """[x, y] by bilinear contraction against the binary tensor."""
-    return to_dense(binary_sv(a, _check_vec(a, x), _check_vec(a, y)), a.dim)
+    return to_dense(_Ops(a).br(_check_vec(a, x), _check_vec(a, y)), a.dim)
 
 
 def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
     """{x, y, z} by trilinear contraction against the ternary tensor."""
     return to_dense(
-        ternary_sv(a, _check_vec(a, x), _check_vec(a, y), _check_vec(a, z)), a.dim
+        _Ops(a).tr(_check_vec(a, x), _check_vec(a, y), _check_vec(a, z)), a.dim
     )
+
+
+# --- evaluating the identities ---------------------------------------------
+
+
+def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> Callable[[tuple], SVec]:
+    """The t^n coefficient of identity k, as a function of a 0-based basis tuple.
+
+    ``fs[i]`` and ``gs[i]`` evaluate the t^i coefficients of f and g on
+    sparse arguments; None marks a zero coefficient, and the terms it would
+    contribute are skipped.  A term with a nested bracket contributes the
+    convolution sum over i + j = n of outer_i(..., inner_j(...), ...).
+    """
+    series = {"f": fs, "g": gs, "alpha": (lambda x: ops.al(1, x),)}
+    A, e = ops.A, ops.e
+    compiled = []
+    for sign, outer, args in IDENTITIES[k][1]:
+        outs = series[outer]
+        plain = [arg for arg in args if not isinstance(arg[0], str)]
+        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+        if pos is None:
+            slots = None
+            pairs = [(outs[n], None)] if n < len(outs) and outs[n] is not None else []
+        else:
+            slots = args[pos][1:]
+            ins = series[args[pos][0]]
+            pairs = [
+                (outs[i], ins[n - i])
+                for i in range(min(n + 1, len(outs)))
+                if n - i < len(ins) and outs[i] is not None and ins[n - i] is not None
+            ]
+        if pairs:
+            compiled.append((sign, plain, pos, slots, pairs))
+
+    def value(idx: tuple) -> SVec:
+        acc: SVec = {}
+        for sign, plain, pos, slots, pairs in compiled:
+            vals = [A[p][idx[s]] for p, s in plain]
+            if pos is None:
+                svec_add(acc, pairs[0][0](*vals), sign)
+                continue
+            inner_args = [e[idx[s]] for s in slots]
+            for outer, inner in pairs:
+                v = inner(*inner_args)
+                if v:
+                    svec_add(acc, outer(*vals[:pos], v, *vals[pos:]), sign)
+        return acc
+
+    return value
+
+
+def first_failure(ops: _Ops, k: int, n: int, fs, gs) -> tuple | None:
+    """First basis tuple (1-based, lexicographic order) at which the t^n
+    coefficient of identity k is nonzero; None when it vanishes throughout."""
+    value = identity_values(ops, k, n, fs, gs)
+    for idx in itertools.product(range(ops.a.dim), repeat=IDENTITIES[k][0]):
+        if value(idx):
+            return tuple(i + 1 for i in idx)
+    return None
 
 
 # --- axiom checking -------------------------------------------------------
@@ -255,88 +366,19 @@ class AxiomReport:
         return [k for k in AXIOM_IDS if not self.passed[k]]
 
 
-def _cyc3(fn: Callable, x, y, z) -> SVec:
-    acc: SVec = {}
-    for t in ((x, y, z), (y, z, x), (z, x, y)):
-        svec_add(acc, fn(*t))
-    return acc
-
-
 def check_axioms(a: Algebra) -> AxiomReport:
     """Evaluate the eight defining identities on every basis tuple.
 
     Multilinearity makes basis checks sufficient.  Failures are recorded,
     never raised.
     """
-    d = a.dim
-    passed = {k: True for k in AXIOM_IDS}
+    ops = _Ops(a)
     counter: dict = {}
-    e = [basis_sv(i) for i in range(d)]
-
-    def al(sv, k=1):
-        return apply_alpha(a, sv, k)
-
-    def br(x, y):
-        return binary_sv(a, x, y)
-
-    def tr(x, y, z):
-        return ternary_sv(a, x, y, z)
-
-    def record(axiom, idx, residual):
-        if residual and passed[axiom]:
-            passed[axiom] = False
-            counter[axiom] = tuple(i + 1 for i in idx)
-
-    for i, j in itertools.product(range(d), repeat=2):
-        record(1, (i, j), _sub(al(br(e[i], e[j])), br(al(e[i]), al(e[j]))))
-    for idx in itertools.product(range(d), repeat=3):
-        i, j, k = idx
-        record(2, idx, _sub(al(tr(e[i], e[j], e[k])), tr(al(e[i]), al(e[j]), al(e[k]))))
-    for i in range(d):
-        record(3, (i, i), br(e[i], e[i]))
-        for j in range(d):
-            record(3, (i, j), _sub(br(e[i], e[j]), _neg(br(e[j], e[i]))))
-            for k in range(d):
-                record(4, (i, i, j), tr(e[i], e[i], e[j]))
-                record(4, (i, j, k), _sub(tr(e[i], e[j], e[k]), _neg(tr(e[j], e[i], e[k]))))
-    for idx in itertools.product(range(d), repeat=3):
-        i, j, k = idx
-        res = _cyc3(lambda x, y, z: _addsv(br(br(x, y), al(z)), tr(x, y, z)), e[i], e[j], e[k])
-        record(5, idx, res)
-    for idx in itertools.product(range(d), repeat=4):
-        i, j, k, u = idx
-        res = _cyc3(lambda x, y, z: tr(br(x, y), al(z), al(e[u])), e[i], e[j], e[k])
-        record(6, idx, res)
-    for idx in itertools.product(range(d), repeat=4):
-        x, y, u, v = (e[i] for i in idx)
-        lhs = tr(al(x), al(y), br(u, v))
-        rhs = _addsv(br(tr(x, y, u), al(v, 2)), br(al(u, 2), tr(x, y, v)))
-        record(7, idx, _sub(lhs, rhs))
-    for idx in itertools.product(range(d), repeat=5):
-        u, v, x, y, z = (e[i] for i in idx)
-        lhs = tr(al(u, 2), al(v, 2), tr(x, y, z))
-        rhs: SVec = {}
-        svec_add(rhs, tr(tr(u, v, x), al(y, 2), al(z, 2)))
-        svec_add(rhs, tr(al(x, 2), tr(u, v, y), al(z, 2)))
-        svec_add(rhs, tr(al(x, 2), al(y, 2), tr(u, v, z)))
-        record(8, idx, _sub(lhs, rhs))
-    return AxiomReport(passed, counter)
-
-
-def _neg(sv: SVec) -> SVec:
-    return {i: -x for i, x in sv.items()}
-
-
-def _sub(x: SVec, y: SVec) -> SVec:
-    acc = dict(x)
-    svec_add(acc, y, -ONE)
-    return acc
-
-
-def _addsv(x: SVec, y: SVec) -> SVec:
-    acc = dict(x)
-    svec_add(acc, y)
-    return acc
+    for k in AXIOM_IDS:
+        witness = first_failure(ops, k, 0, (ops.br,), (ops.tr,))
+        if witness is not None:
+            counter[k] = witness
+    return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)
 
 
 # --- constructors ---------------------------------------------------------
@@ -368,19 +410,10 @@ def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
     lie = make_algebra(dim, bracket, _zero_ternary(dim), [[int(i == j) for j in range(dim)] for i in range(dim)])
+    ops = _Ops(lie)
+    e = ops.e
     t = [
-        [
-            [
-                list(
-                    to_dense(
-                        binary_sv(lie, binary_sv(lie, basis_sv(i), basis_sv(j)), basis_sv(k)),
-                        dim,
-                    )
-                )
-                for k in range(dim)
-            ]
-            for j in range(dim)
-        ]
+        [[list(to_dense(ops.br(ops.br(e[i], e[j]), e[k]), dim)) for k in range(dim)] for j in range(dim)]
         for i in range(dim)
     ]
     a = make_algebra(dim, bracket, t, lie.alpha, name)
@@ -402,16 +435,13 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
             svec_add(acc, cols[i], c)
         return acc
 
-    e = [basis_sv(i) for i in range(a.dim)]
+    ops = _Ops(a)
+    e = ops.e
     for i, j in itertools.product(range(a.dim), repeat=2):
-        if _sub(bv(binary_sv(a, e[i], e[j])), binary_sv(a, bv(e[i]), bv(e[j]))):
+        if bv(ops.br(e[i], e[j])) != ops.br(bv(e[i]), bv(e[j])):
             return False
-    for idx in itertools.product(range(a.dim), repeat=3):
-        i, j, k = idx
-        if _sub(
-            bv(ternary_sv(a, e[i], e[j], e[k])),
-            ternary_sv(a, bv(e[i]), bv(e[j]), bv(e[k])),
-        ):
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        if bv(ops.tr(e[i], e[j], e[k])) != ops.tr(bv(e[i]), bv(e[j]), bv(e[k])):
             return False
     return True
 

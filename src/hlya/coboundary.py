@@ -14,6 +14,14 @@ Levels and their (domain -> codomain) pairs:
     d2     : C2 x C3   -> C3 x W4   (W4: alternating in the leading pair only)
     delta3 : C4 x C5   -> C6 x C7
 
+The degree-2 operators are not written out here: they are the
+linearisation of the defining identities (:data:`hlya.algebra.IDENTITIES`)
+at the base brackets.  Deforming the brackets to (f0 + t f, g0 + t g), the
+t^1 coefficients of identities 7 and 8 are the two components of delta2,
+and those of identities 5 and 6 are the two components of d2; so
+(f, g) is a first-order deformation exactly when it lies in both kernels.
+delta1 and delta3 keep their explicit formulas.
+
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so columns are assembled from (f, 0) and (0, g)
 separately and rely on linearity in the pair.
@@ -25,15 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    Algebra,
-    SVec,
-    _binary_table,
-    _ternary_table,
-    alpha_power_columns,
-    svec_add,
-    to_dense,
-)
+from .algebra import Algebra, SVec, _Ops, identity_values, svec_add, to_dense
 from .cochain import Cochain, CochainSpace, build_cochain_space
 from .exactlin import Matrix, ONE
 
@@ -100,63 +100,11 @@ def _acc(*signed_terms) -> SVec:
     return acc
 
 
-def _cyc3_idx(fn, i, j, k) -> SVec:
-    acc: SVec = {}
-    for t in ((i, j, k), (j, k, i), (k, i, j)):
-        svec_add(acc, fn(*t))
-    return acc
-
-
-class _Ops:
-    """Per-algebra shortcuts: alpha-power basis columns and bracket closures."""
-
-    def __init__(self, a: Algebra):
-        self.a = a
-        self.e = alpha_power_columns(a, 0)
-        self.A = {k: alpha_power_columns(a, k) for k in range(5)}
-        # bracket tables held directly: keeps cache lookups (which hash the
-        # whole algebra) out of the per-tuple inner loops
-        self._btab = _binary_table(a)
-        self._ttab = _ternary_table(a)
-
-    def al(self, k: int, sv: SVec) -> SVec:
-        if k == 0:
-            return sv
-        acc: SVec = {}
-        cols = self.A[k]
-        for i, c in sv.items():
-            svec_add(acc, cols[i], c)
-        return acc
-
-    def br(self, x: SVec, y: SVec) -> SVec:
-        table = self._btab
-        acc: SVec = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                sv = table.get((i, j))
-                if sv:
-                    svec_add(acc, sv, cx * cy)
-        return acc
-
-    def tr(self, x: SVec, y: SVec, z: SVec) -> SVec:
-        table = self._ttab
-        acc: SVec = {}
-        for i, cx in x.items():
-            cxi = cx
-            for j, cy in y.items():
-                cxy = cxi * cy
-                for k, cz in z.items():
-                    sv = table.get((i, j, k))
-                    if sv:
-                        svec_add(acc, sv, cxy * cz)
-        return acc
-
-
 # --- operator formulas, tabulated on basis tuples -------------------------
 
 
 def _delta1_tables(ops: _Ops, h: Cochain):
-    a, e = ops.a, ops.e
+    e = ops.e
     br, tr = ops.br, ops.tr
 
     def hv(sv: SVec) -> SVec:
@@ -178,69 +126,21 @@ def _delta1_tables(ops: _Ops, h: Cochain):
     return [comp_I, comp_II]
 
 
-def _delta2_tables(ops: _Ops, f: Cochain, g: Cochain):
-    a, e = ops.a, ops.e
-    al, br, tr = ops.al, ops.br, ops.tr
-    fv = lambda x, y: f.eval_sv([x, y])
-    gv = lambda x, y, z: g.eval_sv([x, y, z])
-
-    def comp_I(idx):
-        x, y, z, u = (e[i] for i in idx)
-        return _acc(
-            (ONE, tr(al(1, x), al(1, y), fv(z, u))),
-            (_MINUS, fv(tr(x, y, z), al(2, u))),
-            (_MINUS, fv(al(2, z), tr(x, y, u))),
-            (ONE, gv(al(1, x), al(1, y), br(z, u))),
-            (_MINUS, br(al(2, z), gv(x, y, u))),
-            (_MINUS, br(gv(x, y, z), al(2, u))),
-        )
-
-    def comp_II(idx):
-        x, y, u, v, w = (e[i] for i in idx)
-        return _acc(
-            (ONE, tr(al(2, x), al(2, y), gv(u, v, w))),
-            (_MINUS, tr(gv(x, y, u), al(2, v), al(2, w))),
-            (_MINUS, tr(al(2, u), gv(x, y, v), al(2, w))),
-            (_MINUS, tr(al(2, u), al(2, v), gv(x, y, w))),
-            (ONE, gv(al(2, x), al(2, y), tr(u, v, w))),
-            (_MINUS, gv(tr(x, y, u), al(2, v), al(2, w))),
-            (_MINUS, gv(al(2, u), tr(x, y, v), al(2, w))),
-            (_MINUS, gv(al(2, u), al(2, v), tr(x, y, w))),
-        )
-
-    return [comp_I, comp_II]
+def series_term(c: Cochain):
+    """c as one coefficient of a bracket series for identity_values: an
+    evaluator on sparse arguments, or None when c vanishes."""
+    return None if c.is_zero() else (lambda *args: c.eval_sv(args))
 
 
-def _d2_tables(ops: _Ops, f: Cochain, g: Cochain):
-    a, e = ops.a, ops.e
-    al, br, tr = ops.al, ops.br, ops.tr
-    fv = lambda x, y: f.eval_sv([x, y])
-    gv = lambda x, y, z: g.eval_sv([x, y, z])
+def _linearised(ids):
+    """Tables of the t^1 coefficients of identities ``ids`` at the base
+    brackets deformed by (t f, t g)."""
 
-    def comp_I(idx):
-        def term(i, j, k):
-            x, y, z = e[i], e[j], e[k]
-            return _acc(
-                (ONE, br(fv(x, y), al(1, z))),
-                (ONE, fv(br(x, y), al(1, z))),
-                (ONE, gv(x, y, z)),
-            )
+    def tables(ops: _Ops, f: Cochain, g: Cochain):
+        fs, gs = (ops.br, series_term(f)), (ops.tr, series_term(g))
+        return [identity_values(ops, k, 1, fs, gs) for k in ids]
 
-        return _cyc3_idx(term, *idx)
-
-    def comp_II(idx):
-        u = e[idx[3]]
-
-        def term(i, j, k):
-            x, y, z = e[i], e[j], e[k]
-            return _acc(
-                (ONE, tr(fv(x, y), al(1, z), al(1, u))),
-                (ONE, gv(br(x, y), al(1, z), al(1, u))),
-            )
-
-        return _cyc3_idx(term, *idx[:3])
-
-    return [comp_I, comp_II]
+    return tables
 
 
 def _hat_args(base: list, k: int, i: int, replacement: SVec) -> list:
@@ -257,19 +157,17 @@ def _hat_args(base: list, k: int, i: int, replacement: SVec) -> list:
     ]
 
 
-def _double_sum(arity: int, k_range, fn, order: str = "ki") -> SVec:
-    """sum_k sum_{i=2k+1}^{arity} (-1)^k fn(k, i), in either nesting order."""
+def _double_sum(arity: int, k_range, fn) -> SVec:
+    """sum_k sum_{i=2k+1}^{arity} (-1)^k fn(k, i)."""
     acc: SVec = {}
-    pairs = [(k, i) for k in k_range for i in range(2 * k + 1, arity + 1)]
-    if order == "ik":
-        pairs.sort(key=lambda t: (t[1], t[0]))
-    for k, i in pairs:
-        svec_add(acc, fn(k, i), ONE if k % 2 == 0 else _MINUS)
+    for k in k_range:
+        for i in range(2 * k + 1, arity + 1):
+            svec_add(acc, fn(k, i), ONE if k % 2 == 0 else _MINUS)
     return acc
 
 
-def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain, sum_order: str = "ki"):
-    a, e = ops.a, ops.e
+def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain):
+    e = ops.e
     al, br, tr = ops.al, ops.br, ops.tr
     fv = lambda args: f.eval_sv(args)
     gv = lambda args: g.eval_sv(args)
@@ -286,7 +184,7 @@ def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain, sum_order: str = "ki"):
         return _acc(
             (ONE, tr(a3[0], a3[1], fv([x[2], x[3], x[4], x[5]]))),
             (_MINUS, tr(a3[2], a3[3], fv([x[0], x[1], x[4], x[5]]))),
-            (ONE, _double_sum(6, (1, 2), hat_term, sum_order)),
+            (ONE, _double_sum(6, (1, 2), hat_term)),
             (_MINUS, gv([al(1, x[0]), al(1, x[1]), al(1, x[2]), al(1, x[3]), br(x[4], x[5])])),
             (ONE, br(al(4, x[4]), gv([x[0], x[1], x[2], x[3], x[5]]))),
             (ONE, br(gv([x[0], x[1], x[2], x[3], x[4]]), al(4, x[5]))),
@@ -309,7 +207,7 @@ def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain, sum_order: str = "ki"):
             (ONE, pair_term(1)),
             (_MINUS, pair_term(2)),
             (ONE, pair_term(3)),
-            (ONE, _double_sum(7, (1, 2, 3), hat_term, sum_order)),
+            (ONE, _double_sum(7, (1, 2, 3), hat_term)),
             (ONE, tr(gv([x[0], x[1], x[2], x[3], x[4]]), a4[5], a4[6])),
             (_MINUS, tr(gv([x[0], x[1], x[2], x[3], x[5]]), a4[4], a4[6])),
         )
@@ -320,61 +218,65 @@ def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain, sum_order: str = "ki"):
 
 # --- assembly -------------------------------------------------------------
 
+# level -> (name, domain arities, codomain (arity, pairs), formula tables)
+_LEVELS = {
+    "1": ("delta1", (1,), ((2, None), (3, None)), _delta1_tables),
+    "2": ("delta2", (2, 3), ((4, None), (5, None)), _linearised((7, 8))),
+    "d2": ("d2", (2, 3), ((3, None), (4, 1)), _linearised((5, 6))),
+    "3": ("delta3", (4, 5), ((6, None), (7, None)), _delta3_tables),
+}
 
-def _assemble(level, a, domain, codomain, fns_for) -> CoboundaryMap:
-    columns = []
+
+def _space(a: Algebra, arity: int, pairs: int | None) -> CochainSpace:
+    # build_cochain_space caches by call form: (a, n) and (a, n, None) would
+    # build the same space twice
+    if pairs is None:
+        return build_cochain_space(a, arity)
+    return build_cochain_space(a, arity, pairs=pairs)
+
+
+def _basis_inputs(a: Algebra, domain):
+    """Each domain basis cochain in its own block, zero in the others."""
+    zeros = [Cochain.zero(s.arity, a.dim) for s in domain]
     for comp, space in enumerate(domain):
         for basis_cochain in space.basis_cochains:
-            col = []
-            for target, fn in zip(codomain, fns_for(comp, basis_cochain)):
-                reduced = _reduced_tabulation(target, fn)
-                col.extend(target.coords_from_reduced(reduced))
-            columns.append(col)
+            yield zeros[:comp] + [basis_cochain] + zeros[comp + 1 :]
+
+
+def _assemble(a: Algebra, level: str) -> CoboundaryMap:
+    name, domain_arities, codomain_shapes, tables = _LEVELS[level]
+    ops = _Ops(a)
+    domain = [build_cochain_space(a, n) for n in domain_arities]
+    codomain = [_space(a, n, pairs) for n, pairs in codomain_shapes]
+    columns = []
+    for cochains in _basis_inputs(a, domain):
+        col = []
+        for target, fn in zip(codomain, tables(ops, *cochains)):
+            col.extend(target.coords_from_reduced(_reduced_tabulation(target, fn)))
+        columns.append(col)
     rows = sum(s.dim for s in codomain)
     if columns and rows:
         matrix = Matrix.from_columns(columns, rows=rows)
     else:
         matrix = Matrix.zeros(rows, len(columns))
-    return CoboundaryMap(level, tuple(domain), tuple(codomain), matrix)
-
-
-def _spaces(a: Algebra, *arities) -> list[CochainSpace]:
-    return [build_cochain_space(a, n) for n in arities]
+    return CoboundaryMap(name, tuple(domain), tuple(codomain), matrix)
 
 
 @lru_cache(maxsize=None)
 def delta1(a: Algebra) -> CoboundaryMap:
     """f in C1 to (the pair of) its binary and ternary Leibniz defects."""
-    ops = _Ops(a)
-    (c1,) = _spaces(a, 1)
-    codomain = _spaces(a, 2, 3)
-    return _assemble("delta1", a, [c1], codomain, lambda comp, h: _delta1_tables(ops, h))
-
-
-def _paired_tables(make_tables, f_zero: Cochain, g_zero: Cochain):
-    def tables_for(comp, basis_cochain):
-        if comp == 0:
-            return make_tables(basis_cochain, g_zero)
-        return make_tables(f_zero, basis_cochain)
-
-    return tables_for
+    return _assemble(a, "1")
 
 
 @lru_cache(maxsize=None)
 def delta2(a: Algebra) -> CoboundaryMap:
-    ops = _Ops(a)
-    domain = _spaces(a, 2, 3)
-    codomain = _spaces(a, 4, 5)
-    f0, g0 = Cochain.zero(2, a.dim), Cochain.zero(3, a.dim)
-    return _assemble(
-        "delta2", a, domain, codomain,
-        _paired_tables(lambda f, g: _delta2_tables(ops, f, g), f0, g0),
-    )
+    """The t^1 coefficients of identities 7 and 8 around the base."""
+    return _assemble(a, "2")
 
 
 @lru_cache(maxsize=None)
 def d2(a: Algebra) -> CoboundaryMap:
-    """The auxiliary degree-2 operator built from the two cyclic identities.
+    """The t^1 coefficients of the two cyclic identities 5 and 6.
 
     Its first component lands in the full 3-cochain space (the cyclic sum
     cancels on the leading diagonal and equivariance is inherited).  The
@@ -386,26 +288,12 @@ def d2(a: Algebra) -> CoboundaryMap:
     space.  Kernel computations are unaffected: vanishing of the tabulated
     formula is the same condition in either coordinate system.
     """
-    ops = _Ops(a)
-    domain = _spaces(a, 2, 3)
-    codomain = [build_cochain_space(a, 3), build_cochain_space(a, 4, pairs=1)]
-    f0, g0 = Cochain.zero(2, a.dim), Cochain.zero(3, a.dim)
-    return _assemble(
-        "d2", a, domain, codomain,
-        _paired_tables(lambda f, g: _d2_tables(ops, f, g), f0, g0),
-    )
+    return _assemble(a, "d2")
 
 
 @lru_cache(maxsize=None)
 def delta3(a: Algebra) -> CoboundaryMap:
-    ops = _Ops(a)
-    domain = _spaces(a, 4, 5)
-    codomain = _spaces(a, 6, 7)
-    f0, g0 = Cochain.zero(4, a.dim), Cochain.zero(5, a.dim)
-    return _assemble(
-        "delta3", a, domain, codomain,
-        _paired_tables(lambda f, g: _delta3_tables(ops, f, g), f0, g0),
-    )
+    return _assemble(a, "3")
 
 
 OPERATORS = {"1": delta1, "2": delta2, "d2": d2, "3": delta3}
@@ -420,42 +308,30 @@ def operator_by_level(a: Algebra, level: str) -> CoboundaryMap:
 # --- direct formula application (used by tests and the deformation code) --
 
 
-def apply_delta2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
-    """(delta2_I(f,g), delta2_II(g)) as cochains, straight from the formulas."""
-    fn_I, fn_II = _delta2_tables(_Ops(a), f, g)
-    c4, c5 = _spaces(a, 4, 5)
-    return (
-        c4.cochain_from_table(_tabulate(a, 4, fn_I))[0],
-        c5.cochain_from_table(_tabulate(a, 5, fn_II))[0],
-    )
-
-
-def apply_d2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
-    fn_I, fn_II = _d2_tables(_Ops(a), f, g)
-    c3 = build_cochain_space(a, 3)
-    w4 = build_cochain_space(a, 4, pairs=1)
-    return (
-        c3.cochain_from_table(_tabulate(a, 3, fn_I))[0],
-        w4.cochain_from_table(_tabulate(a, 4, fn_II))[0],
+def _apply(a: Algebra, level: str, *cochains) -> tuple[Cochain, Cochain]:
+    """The operator's two components as cochains, tabulated on all tuples."""
+    _, _, codomain_shapes, tables = _LEVELS[level]
+    return tuple(
+        _space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
+        for (n, pairs), fn in zip(codomain_shapes, tables(_Ops(a), *cochains))
     )
 
 
 def apply_delta1_single(a: Algebra, h: Cochain) -> tuple[Cochain, Cochain]:
-    fn_I, fn_II = _delta1_tables(_Ops(a), h)
-    c2, c3 = _spaces(a, 2, 3)
-    return (
-        c2.cochain_from_table(_tabulate(a, 2, fn_I))[0],
-        c3.cochain_from_table(_tabulate(a, 3, fn_II))[0],
-    )
+    return _apply(a, "1", h)
 
 
-def apply_delta3_pair(a: Algebra, f: Cochain, g: Cochain, sum_order: str = "ki") -> tuple[Cochain, Cochain]:
-    fn_I, fn_II = _delta3_tables(_Ops(a), f, g, sum_order)
-    c6, c7 = _spaces(a, 6, 7)
-    return (
-        c6.cochain_from_table(_tabulate(a, 6, fn_I))[0],
-        c7.cochain_from_table(_tabulate(a, 7, fn_II))[0],
-    )
+def apply_delta2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
+    """(delta2_I(f,g), delta2_II(g)) as cochains, straight from the formulas."""
+    return _apply(a, "2", f, g)
+
+
+def apply_d2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
+    return _apply(a, "d2", f, g)
+
+
+def apply_delta3_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
+    return _apply(a, "3", f, g)
 
 
 def verify_well_definedness(a: Algebra, level: str) -> int:
@@ -468,23 +344,8 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     cochains audited.
     """
     op = operator_by_level(a, level)
-    appliers = {
-        "1": lambda h: apply_delta1_single(a, h),
-        "2": lambda f, g: apply_delta2_pair(a, f, g),
-        "d2": lambda f, g: apply_d2_pair(a, f, g),
-        "3": lambda f, g: apply_delta3_pair(a, f, g),
-    }
     audited = 0
-    if level == "1":
-        for h in op.domain[0].basis_cochains:
-            appliers[level](h)
-            audited += 1
-        return audited
-    zeros = [Cochain.zero(s.arity, a.dim) for s in op.domain]
-    for comp, space in enumerate(op.domain):
-        for basis_cochain in space.basis_cochains:
-            pair = list(zeros)
-            pair[comp] = basis_cochain
-            appliers[level](*pair)
-            audited += 1
+    for cochains in _basis_inputs(a, op.domain):
+        _apply(a, level, *cochains)
+        audited += 1
     return audited

@@ -3,7 +3,14 @@
 A deformation of order N deforms both brackets by cochain-valued
 coefficients (f_i, g_i), i = 0..N, with (f_0, g_0) the base structure; the
 eight order-by-order deformation equations express that the deformed
-structure satisfies the defining identities through t^N.  Gauges are
+structure satisfies the defining identities through t^N.  They are not
+written out here: equation k at order n is the t^n coefficient of identity
+k of :data:`hlya.algebra.IDENTITIES` with the series f = sum f_i t^i and
+g = sum g_i t^i substituted.  At n = 1 that coefficient is linear in
+(f_1, g_1), which is why the infinitesimal of a deformation is a cocycle of
+delta2 and d2.  The obstruction pair is minus the t^2 coefficient of
+identities 7 and 8 with (f_1, g_1) and no second-order term, so a
+second-order term must solve delta2(f_2, g_2) = +(F, G).  Gauges are
 truncated invertible series of linear maps with identity constant term,
 each coefficient commuting with alpha; they act on deformations by
 f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
@@ -16,8 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Algebra, SVec, basis_sv, svec_add, to_dense, to_svec
-from .coboundary import _Ops, apply_delta2_pair, delta2, delta3
+from .algebra import (
+    IDENTITIES,
+    Algebra,
+    SVec,
+    _Ops,
+    first_failure,
+    identity_values,
+    svec_add,
+    to_dense,
+    to_svec,
+)
+from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3, series_term
 from .cochain import Cochain, build_cochain_space
 from .cohomology import cochain_to_matrix, is_coboundary_2, is_cocycle_2
 from .errors import (
@@ -27,10 +44,9 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Matrix, ONE
+from .exactlin import Matrix
 
 DEFAULT_ORDER = 4
-EQUATIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 @lru_cache(maxsize=None)
@@ -115,105 +131,10 @@ def first_order_deformation(a: Algebra, f1: Cochain, g1: Cochain, order: int = 1
 # --- the deformation equations --------------------------------------------
 
 
-def _equation_failures(base: Algebra, f_seq, g_seq, n: int, eqs=EQUATIONS) -> dict:
-    """First failing basis tuple (1-based) per equation id, None when it holds."""
-    ops = _Ops(base)
-    d = base.dim
-    e = [basis_sv(i) for i in range(d)]
-    al, br, tr = ops.al, ops.br, ops.tr
-    fs = [c.eval_sv for c in f_seq]
-    gs = [c.eval_sv for c in g_seq]
-    fn, gn = fs[n], gs[n]
-    out: dict = {}
-
-    def sub(x: SVec, y: SVec) -> SVec:
-        acc = dict(x)
-        svec_add(acc, y, -ONE)
-        return acc
-
-    def first_fail(arity, residual):
-        for idx in itertools.product(range(d), repeat=arity):
-            if residual(idx):
-                return tuple(i + 1 for i in idx)
-        return None
-
-    for eq in eqs:
-        if eq == 1:
-            out[eq] = first_fail(
-                2, lambda t: sub(al(1, fn([e[t[0]], e[t[1]]])), fn([al(1, e[t[0]]), al(1, e[t[1]])]))
-            )
-        elif eq == 2:
-            out[eq] = first_fail(
-                3,
-                lambda t: sub(
-                    al(1, gn([e[i] for i in t])), gn([al(1, e[i]) for i in t])
-                ),
-            )
-        elif eq == 3:
-            out[eq] = first_fail(2, lambda t: sub(fn([e[t[0]], e[t[1]]]), _neg(fn([e[t[1]], e[t[0]]]))))
-        elif eq == 4:
-            out[eq] = first_fail(
-                3, lambda t: sub(gn([e[t[0]], e[t[1]], e[t[2]]]), _neg(gn([e[t[1]], e[t[0]], e[t[2]]])))
-            )
-        elif eq == 5:
-
-            def res5(t):
-                acc: SVec = {}
-                for x, y, z in _rotations(t):
-                    for i in range(n + 1):
-                        svec_add(acc, fs[i]([fs[n - i]([e[x], e[y]]), al(1, e[z])]))
-                    svec_add(acc, gn([e[x], e[y], e[z]]))
-                return acc
-
-            out[eq] = first_fail(3, res5)
-        elif eq == 6:
-
-            def res6(t):
-                acc: SVec = {}
-                u = e[t[3]]
-                for x, y, z in _rotations(t[:3]):
-                    for i in range(n + 1):
-                        svec_add(acc, gs[i]([fs[n - i]([e[x], e[y]]), al(1, e[z]), al(1, u)]))
-                return acc
-
-            out[eq] = first_fail(4, res6)
-        elif eq == 7:
-
-            def res7(t):
-                x, y, z, u = (e[i] for i in t)
-                acc: SVec = {}
-                for i in range(n + 1):
-                    j = n - i
-                    svec_add(acc, gs[i]([al(1, x), al(1, y), fs[j]([z, u])]))
-                    svec_add(acc, fs[i]([gs[j]([x, y, z]), al(2, u)]), -ONE)
-                    svec_add(acc, fs[i]([al(2, z), gs[j]([x, y, u])]), -ONE)
-                return acc
-
-            out[eq] = first_fail(4, res7)
-        elif eq == 8:
-
-            def res8(t):
-                u, v, x, y, z = (e[i] for i in t)
-                acc: SVec = {}
-                for i in range(n + 1):
-                    j = n - i
-                    svec_add(acc, gs[i]([al(2, u), al(2, v), gs[j]([x, y, z])]))
-                    svec_add(acc, gs[i]([gs[j]([u, v, x]), al(2, y), al(2, z)]), -ONE)
-                    svec_add(acc, gs[i]([al(2, x), gs[j]([u, v, y]), al(2, z)]), -ONE)
-                    svec_add(acc, gs[i]([al(2, x), al(2, y), gs[j]([u, v, z])]), -ONE)
-                return acc
-
-            out[eq] = first_fail(5, res8)
-    return out
-
-
-def _rotations(t):
-    a, b, c = t
-    return ((a, b, c), (b, c, a), (c, a, b))
-
-
-def _neg(sv: SVec) -> SVec:
-    return {i: -x for i, x in sv.items()}
+def _series(ops: _Ops, f_higher, g_higher) -> tuple:
+    """Bracket series for identity_values: the base brackets, then the given
+    coefficients of t, t^2, ...; missing higher coefficients count as zero."""
+    return (ops.br, *map(series_term, f_higher)), (ops.tr, *map(series_term, g_higher))
 
 
 @dataclass(frozen=True)
@@ -239,11 +160,12 @@ def verify_deformation(d: Deformation) -> DeformationReport:
 
     Order 0 reproduces the base axioms verbatim.
     """
+    ops = _Ops(d.base)
+    fs, gs = _series(ops, d.f_seq[1:], d.g_seq[1:])
     failures = {}
     for n in range(d.order + 1):
-        per_eq = _equation_failures(d.base, d.f_seq, d.g_seq, n)
-        for eq, fail in per_eq.items():
-            failures[(eq, n)] = fail
+        for eq in IDENTITIES:
+            failures[(eq, n)] = first_failure(ops, eq, n, fs, gs)
     return DeformationReport(d.order, failures)
 
 
@@ -404,7 +326,7 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     dim = base.dim
     phi_cols = [_mat_cols(m) for m in p.phi]
     psi_cols = [_mat_cols(m) for m in inverse_gauge(p).phi]
-    e = [basis_sv(i) for i in range(dim)]
+    e = _Ops(base).e
 
     f_out, g_out = [], []
     for n in range(order + 1):
@@ -518,32 +440,16 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     """
     if not is_cocycle_2(a, f1, g1):
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
+    # minus the t^2 coefficients of identities 7 and 8, with no f2, g2
     ops = _Ops(a)
-    al = ops.al
-    d = a.dim
-    e = [basis_sv(i) for i in range(d)]
-    fv = lambda x, y: f1.eval_sv([x, y])
-    gv = lambda x, y, z: g1.eval_sv([x, y, z])
-
-    f_table = {}
-    for idx in itertools.product(range(d), repeat=4):
-        x, y, z, u = (e[i] for i in idx)
-        acc: SVec = {}
-        svec_add(acc, fv(gv(x, y, z), al(2, u)))
-        svec_add(acc, fv(al(2, z), gv(x, y, u)))
-        svec_add(acc, gv(al(1, x), al(1, y), fv(z, u)), -ONE)
-        if acc:
-            f_table[idx] = to_dense(acc, d)
-    g_table = {}
-    for idx in itertools.product(range(d), repeat=5):
-        u, v, x, y, z = (e[i] for i in idx)
-        acc = {}
-        svec_add(acc, gv(gv(u, v, x), al(2, y), al(2, z)))
-        svec_add(acc, gv(al(2, x), gv(u, v, y), al(2, z)))
-        svec_add(acc, gv(al(2, x), al(2, y), gv(u, v, z)))
-        svec_add(acc, gv(al(2, u), al(2, v), gv(x, y, z)), -ONE)
-        if acc:
-            g_table[idx] = to_dense(acc, d)
+    fs, gs = _series(ops, (f1,), (g1,))
+    tables = []
+    for k in (7, 8):
+        value = identity_values(ops, k, 2, fs, gs)
+        tables.append(
+            _tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()})
+        )
+    f_table, g_table = tables
 
     c4 = build_cochain_space(a, 4)
     c5 = build_cochain_space(a, 5)
@@ -581,10 +487,9 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    f_seq = (bracket_cochain(a), f1, f2)
-    g_seq = (ternary_cochain(a), g1, g2)
-    failures = _equation_failures(a, f_seq, g_seq, 2, eqs=(5, 6, 7, 8))
-    return ProbeReport(failures)
+    ops = _Ops(a)
+    fs, gs = _series(ops, (f1, f2), (g1, g2))
+    return ProbeReport({eq: first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
 
 
 def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Algebra, alpha_power_columns, basis_sv, binary_sv, ternary_sv
+from .algebra import Algebra, _Ops, alpha_power_columns
 from .errors import ClosureViolationError, PreconditionError
 from .exactlin import Matrix, Subspace, ZERO, kernel_basis, solve
 
@@ -47,6 +47,7 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
         raise PreconditionError("twist exponent must be nonnegative")
     d = a.dim
     n = d * d
+    ops = _Ops(a)
     ak = alpha_power_columns(a, k)
     rows = []
 
@@ -64,19 +65,18 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     # binary Leibniz: D([e_i e_j]) - [a^k(e_i) D(e_j)] - [D(e_i) a^k(e_j)] = 0
     for i in range(d):
         for j in range(i + 1, d):
-            rows.extend(
-                _linear_rows_binary(a, ak, i, j)
-            )
+            rows.extend(_linear_rows_binary(ops, ak, i, j))
 
     # ternary Leibniz on basis triples (first two slots antisymmetric, but
     # the full range is cheap and avoids a case analysis)
     for idx in itertools.product(range(d), repeat=3):
-        rows.extend(_linear_rows_ternary(a, ak, *idx))
+        rows.extend(_linear_rows_ternary(ops, ak, *idx))
 
     return DerivationSpace(k, kernel_basis(Matrix(rows) if rows else Matrix.zeros(0, n)))
 
 
-def _linear_rows_binary(a: Algebra, ak, i, j):
+def _linear_rows_binary(ops: _Ops, ak, i, j):
+    a, e = ops.a, ops.e
     d = a.dim
     n = d * d
     rows = [[ZERO] * n for _ in range(d)]
@@ -88,19 +88,20 @@ def _linear_rows_binary(a: Algebra, ak, i, j):
     # [a^k(e_i), D(e_j)]: D(e_j) = sum_m D[m][j] e_m
     for p, cp in ak[i].items():
         for m in range(d):
-            vec = binary_sv(a, {p: cp}, basis_sv(m))
+            vec = ops.br({p: cp}, e[m])
             for l, c in vec.items():
                 rows[l][m * d + j] -= c
     # [D(e_i), a^k(e_j)]
     for q, cq in ak[j].items():
         for m in range(d):
-            vec = binary_sv(a, basis_sv(m), {q: cq})
+            vec = ops.br(e[m], {q: cq})
             for l, c in vec.items():
                 rows[l][m * d + i] -= c
     return rows
 
 
-def _linear_rows_ternary(a: Algebra, ak, i, j, k):
+def _linear_rows_ternary(ops: _Ops, ak, i, j, k):
+    a, e = ops.a, ops.e
     d = a.dim
     n = d * d
     rows = [[ZERO] * n for _ in range(d)]
@@ -113,8 +114,8 @@ def _linear_rows_ternary(a: Algebra, ak, i, j, k):
         fixed = [ak[s] for s in slots]
         for m in range(d):
             args = list(fixed)
-            args[touched] = basis_sv(m)
-            vec = ternary_sv(a, *args)
+            args[touched] = e[m]
+            vec = ops.tr(*args)
             for l, c in vec.items():
                 rows[l][m * d + slots[touched]] -= c
     return rows

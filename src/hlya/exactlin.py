@@ -130,6 +130,8 @@ class Matrix:
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
         raise DimMismatchError("column counts disagree")
+    if not top.rows + bottom.rows:
+        return Matrix.zeros(0, top.cols)  # Matrix([]) would lose the columns
     return Matrix(top.data + bottom.data)
 
 

@@ -9,7 +9,6 @@ from hlya.coboundary import (
     apply_d2_pair,
     apply_delta1_single,
     apply_delta2_pair,
-    apply_delta3_pair,
     d2,
     delta1,
     delta2,
@@ -83,18 +82,6 @@ def test_matrix_agrees_with_direct_formula(e1):
         out_f, out_g = apply_delta2_pair(e1, f, g)
         expected = delta2(e1).matrix.apply(coords)
         assert c4.coords(out_f) + c5.coords(out_g) == expected
-
-
-def test_double_sum_order_is_immaterial(e1):
-    # the hat sums of the top operator commute; both nesting orders agree
-    rng = random.Random(5)
-    c4 = build_cochain_space(e1, 4)
-    c5 = build_cochain_space(e1, 5)
-    f = c4.from_coords([rat(rng.randint(-2, 2)) for _ in range(c4.dim)])
-    g = c5.from_coords([rat(rng.randint(-2, 2)) for _ in range(c5.dim)])
-    assert apply_delta3_pair(e1, f, g, sum_order="ki") == apply_delta3_pair(
-        e1, f, g, sum_order="ik"
-    )
 
 
 def test_hat_args_surgery():

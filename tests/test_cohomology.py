@@ -2,7 +2,7 @@
 
 import random
 
-from hlya.algebra import make_algebra
+from hlya.algebra import from_lie_algebra, make_algebra
 from hlya.coboundary import apply_delta1_single
 from hlya.cochain import build_cochain_space
 from hlya.cohomology import (
@@ -40,6 +40,20 @@ def test_bundled_dimension_table(e1, e2, e3):
     }
     for a in (e1, e2, e3):
         assert cohomology_report(a).dims() == expected[a.name], a.name
+
+
+def test_empty_degree_two_codomains():
+    # Heisenberg [e1,e2] = e3 twisted by diag(2, 3, 6): C2 is 1-dimensional
+    # and every higher cochain space is 0, so both blocks of [delta2; d2]
+    # have no rows and Z2 x Z3 is all of C2 x C3
+    z = [0, 0, 0]
+    bracket = [[z, [0, 0, 1], z], [[0, 0, -1], z, z], [z, z, z]]
+    a = from_lie_algebra(bracket, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+    assert [build_cochain_space(a, n).dim for n in range(1, 8)] == [3, 1, 0, 0, 0, 0, 0]
+    dims = cohomology_report(a).dims()
+    assert dims["z2z3"] == 1
+    assert dims["h2h3"] == dims["z2z3"] - dims["b2b3"]
+    assert dims["h4h5"] == dims["z4z5"] - dims["b4b5"]
 
 
 def test_h1_equals_untwisted_derivations(bundled):

@@ -97,6 +97,8 @@ def test_empty_shapes_survive():
     assert m.cols == 5
     assert kernel_basis(m).dim == 5
     assert m.apply([rat(0)] * 5) == []
+    stacked = vstack(m, Matrix.zeros(0, 5))
+    assert (stacked.rows, stacked.cols) == (0, 5)
 
 
 _small = st.integers(min_value=-5, max_value=5)
