@@ -79,6 +79,7 @@ from .errors import (
     NotInZ2Z3Error,
     NotMorphismError,
     PreconditionError,
+    ShapeMismatchError,
     TheoremViolationError,
 )
 from .exactlin import Matrix, Subspace, image_basis, kernel_basis, rank, rat, rat_str, rref, solve

@@ -1,11 +1,15 @@
 """The four coboundary operators, materialized as exact matrices.
 
-Each operator acts between (pairs of) cochain spaces and is assembled
-column by column: every basis cochain of the domain is pushed through the
-defining formula, tabulated on the codomain's representative tuples, and
-expressed in the codomain basis (with the equivariance residual checked
-during coordinate extraction).  :func:`verify_well_definedness` performs
-the slower full-tabulation audit of the alternating-pair conditions.
+Each operator acts between (pairs of) cochain spaces.  Its formula is
+linear in the domain cochains, so it is evaluated once per codomain
+representative tuple on *generic* domain cochains, whose table entries
+are unknowns; the values are linear forms in those unknowns.  Applying
+the forms to each domain basis vector gives every column of the matrix,
+and each column is expressed in the codomain basis, with the
+equivariance residual checked during coordinate extraction.
+:func:`verify_well_definedness` is the full-tabulation audit: the same
+linear forms taken on *all* tuples, with every basis cochain's image
+checked against the alternating-pair and equivariance conditions.
 
 Levels and their (domain -> codomain) pairs:
 
@@ -23,8 +27,9 @@ and those of identities 5 and 6 are the two components of d2; so
 delta1 and delta3 keep their explicit formulas.
 
 The first component of delta2 and both components of d2 and delta3 couple
-the two domain blocks, so columns are assembled from (f, 0) and (0, g)
-separately and rely on linearity in the pair.
+the two domain blocks, so the generic pair carries one set of unknowns per
+block and each basis vector lives in one block: columns are the images of
+(f, 0) and (0, g) and rely on linearity in the pair.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 
 from .algebra import Algebra, SVec, _Ops, identity_values, svec_add, to_dense
 from .cochain import Cochain, CochainSpace, build_cochain_space
-from .exactlin import Matrix, ONE
+from .exactlin import Matrix, ONE, ZERO
 
 _MINUS = -ONE
 
@@ -75,22 +80,6 @@ def _tabulate(a: Algebra, arity: int, fn) -> dict:
         if sv:
             table[idx] = to_dense(sv, d)
     return table
-
-
-def _reduced_tabulation(space, fn) -> list:
-    """Evaluate fn only on the representative tuples of the target space.
-
-    The alternating conditions make the remaining tuples redundant for
-    coordinates; :func:`verify_well_definedness` is the place where the full
-    tabulation is checked against them.
-    """
-    d = space.algebra.dim
-    reduced = [ONE * 0] * space.reduced_dim
-    for pos, idx in enumerate(space.rep_tuples):
-        sv = fn(idx)
-        for k, x in sv.items():
-            reduced[pos * d + k] = x
-    return reduced
 
 
 def _acc(*signed_terms) -> SVec:
@@ -235,25 +224,123 @@ def _space(a: Algebra, arity: int, pairs: int | None) -> CochainSpace:
     return build_cochain_space(a, arity, pairs=pairs)
 
 
-def _basis_inputs(a: Algebra, domain):
-    """Each domain basis cochain in its own block, zero in the others."""
-    zeros = [Cochain.zero(s.arity, a.dim) for s in domain]
-    for comp, space in enumerate(domain):
-        for basis_cochain in space.basis_cochains:
-            yield zeros[:comp] + [basis_cochain] + zeros[comp + 1 :]
+class _Form:
+    """A linear form in the unknown reduced coordinates of generic cochains.
+
+    It is the value type of a formula evaluated on generic cochains: the
+    formulas add forms, scale them by rationals and test them for zero,
+    and never multiply two of them, because each is linear in its
+    cochains.  ``terms`` maps an unknown to its nonzero coefficient.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        if not isinstance(other, _Form):
+            if other:
+                raise TypeError("a linear form plus a nonzero constant")
+            return self
+        terms = dict(self.terms)
+        for u, c in other.terms.items():
+            v = terms.get(u, ZERO) + c
+            if v:
+                terms[u] = v
+            else:
+                del terms[u]
+        return _Form(terms)
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        if isinstance(c, _Form):
+            raise TypeError("a product of two linear forms")
+        return _Form({u: x * c for u, x in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def _generic_inputs(domain) -> tuple[list, list]:
+    """Generic cochains of the domain blocks and the domain basis over them.
+
+    Block b's reduced coordinate i is the unknown ``offset_b + i``, where
+    ``offset_b`` is the reduced dimension of the blocks before b.  The
+    generic cochain takes the value of each coordinate that some basis
+    cochain uses, with the pair signs of :meth:`CochainSpace.from_reduced`;
+    a block of dimension 0 is the zero cochain.  The basis comes back as
+    sparse vectors over the unknowns, block by block.
+    """
+    cochains, basis = [], []
+    offset = 0
+    for space in domain:
+        d = space.algebra.dim
+        forms = {
+            i: _Form({offset + i: ONE}) for col in space._basis_cols for i in col
+        }
+        table = {}
+        for pos, variants in enumerate(space._pair_orbits()):
+            value = tuple(forms.get(pos * d + k, ZERO) for k in range(d))
+            if any(value):
+                negated = tuple(_MINUS * x for x in value)
+                for tup, sign in variants:
+                    table[tup] = value if sign == 1 else negated
+        cochains.append(Cochain(space.arity, d, table))
+        basis.extend({offset + i: x for i, x in col.items()} for col in space._basis_cols)
+        offset += space.reduced_dim
+    return cochains, basis
+
+
+def _images(tuples, fn, basis, d):
+    """fn, evaluated once per tuple on generic cochains, then on each basis
+    vector: one sparse table {tuple position: value vector} per vector."""
+    if not basis:
+        return
+    linear = {}  # unknown -> [(tuple position, output index, coefficient)]
+    for pos, idx in enumerate(tuples):
+        for k, form in fn(idx).items():
+            for u, c in form.terms.items():
+                linear.setdefault(u, []).append((pos, k, c))
+    for vec in basis:
+        image = {}
+        for u, x in vec.items():
+            for pos, k, c in linear.get(u, ()):
+                value = image.get(pos)
+                if value is None:
+                    value = image[pos] = [ZERO] * d
+                value[k] += x * c
+        yield image
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
+    """The operator's matrix, linearised once per representative tuple.
+
+    Each formula runs once per representative tuple of each codomain
+    block, on generic domain cochains; the linear forms it returns give
+    every column at once.  Coordinates are read off by
+    ``coords_from_reduced``, whose residual check raises NotACochainError
+    on an image that violates alpha-equivariance.  Pair alternation is
+    not seen here: only representative tuples are evaluated.
+    """
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
-    ops = _Ops(a)
+    d = a.dim
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [_space(a, n, pairs) for n, pairs in codomain_shapes]
-    columns = []
-    for cochains in _basis_inputs(a, domain):
-        col = []
-        for target, fn in zip(codomain, tables(ops, *cochains)):
-            col.extend(target.coords_from_reduced(_reduced_tabulation(target, fn)))
-        columns.append(col)
+    cochains, basis = _generic_inputs(domain)
+    blocks = []
+    for target, fn in zip(codomain, tables(_Ops(a), *cochains)):
+        coords = []
+        for image in _images(target.rep_tuples, fn, basis, d):
+            reduced = [ZERO] * target.reduced_dim
+            for pos, value in image.items():
+                reduced[pos * d : (pos + 1) * d] = value
+            coords.append(target.coords_from_reduced(reduced))
+        blocks.append(coords)
+    columns = [first + second for first, second in zip(*blocks)]
     rows = sum(s.dim for s in codomain)
     if columns and rows:
         matrix = Matrix.from_columns(columns, rows=rows)
@@ -337,15 +424,20 @@ def apply_delta3_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Coch
 def verify_well_definedness(a: Algebra, level: str) -> int:
     """Full-tabulation audit of one operator on every domain basis cochain.
 
-    Unlike the fast representative-tuple assembly, this evaluates the
-    defining formula on *all* basis tuples and checks the image against the
-    codomain cochain conditions (alternating pairs + equivariance), raising
-    NotACochainError on any violation.  Returns the number of basis
-    cochains audited.
+    Unlike the matrix assembly, which reads only representative tuples,
+    this tabulates each basis cochain's image on *all* basis tuples and
+    passes the table to ``cochain_from_table``, which checks the codomain
+    conditions (alternating pairs + equivariance) and raises
+    NotACochainError on any violation.  The formula runs once per tuple,
+    on generic cochains, and the tables are its linear forms evaluated at
+    each basis cochain.  Returns the number of basis cochains audited.
     """
     op = operator_by_level(a, level)
-    audited = 0
-    for cochains in _basis_inputs(a, op.domain):
-        _apply(a, level, *cochains)
-        audited += 1
-    return audited
+    _, _, codomain_shapes, tables = _LEVELS[level]
+    cochains, basis = _generic_inputs(op.domain)
+    for (n, pairs), fn in zip(codomain_shapes, tables(_Ops(a), *cochains)):
+        space = _space(a, n, pairs)
+        tuples = list(itertools.product(range(a.dim), repeat=n))
+        for image in _images(tuples, fn, basis, a.dim):
+            space.cochain_from_table({tuples[pos]: value for pos, value in image.items()})
+    return len(basis)

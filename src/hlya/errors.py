@@ -55,6 +55,10 @@ class NotACochainError(TheoremViolationError):
     """A tabulated map violates the cochain conditions it must satisfy."""
 
 
+class ShapeMismatchError(TheoremViolationError):
+    """Matrices or subspaces the program built itself have incompatible shapes."""
+
+
 class NotContainedError(TheoremViolationError):
     """A coboundary space escaped its cocycle space."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimMismatchError, NotContainedError
+from .errors import DimMismatchError, NotContainedError, ShapeMismatchError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,11 +60,11 @@ class Matrix:
         columns = [list(c) for c in columns]
         if rows is None:
             if not columns:
-                raise DimMismatchError("cannot infer row count from no columns")
+                raise ShapeMismatchError("cannot infer row count from no columns")
             rows = len(columns[0])
         for c in columns:
             if len(c) != rows:
-                raise DimMismatchError("column length mismatch")
+                raise ShapeMismatchError("column length mismatch")
         return cls([[columns[j][i] for j in range(len(columns))] for i in range(rows)])
 
     def column(self, j: int) -> list[Fraction]:
@@ -129,7 +129,7 @@ class Matrix:
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
-        raise DimMismatchError("column counts disagree")
+        raise ShapeMismatchError("column counts disagree")
     if not top.rows + bottom.rows:
         return Matrix.zeros(0, top.cols)  # Matrix([]) would lose the columns
     return Matrix(top.data + bottom.data)
@@ -252,7 +252,7 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
 def quotient_dim(z: Subspace, b: Subspace) -> int:
     """dim(z/b); raises NotContainedError unless span(b) is inside span(z)."""
     if z.ambient_dim != b.ambient_dim:
-        raise DimMismatchError("subspaces of different ambient spaces")
+        raise ShapeMismatchError("subspaces of different ambient spaces")
     for j in range(b.dim):
         if not z.contains(b.basis.column(j)):
             raise NotContainedError(

@@ -1,9 +1,11 @@
 """Cohomology dimensions, membership tests, and basis independence."""
 
+import os
 import random
 
-from hlya.algebra import from_lie_algebra, make_algebra
-from hlya.coboundary import apply_delta1_single
+from hlya import serialize
+from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
+from hlya.coboundary import apply_delta1_single, delta2, delta3
 from hlya.cochain import build_cochain_space
 from hlya.cohomology import (
     cochain_to_matrix,
@@ -40,6 +42,23 @@ def test_bundled_dimension_table(e1, e2, e3):
     }
     for a in (e1, e2, e3):
         assert cohomology_report(a).dims() == expected[a.name], a.name
+
+
+def test_gl2_golden_dimension_table():
+    # the first dim-4 golden: gl2 = sl2 + a central element on (h, e, f, c)
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "e4_gl2.json")
+    a = serialize.load_algebra(path)
+    bracket = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, value in ((0, 1, [0, 2, 0, 0]), (0, 2, [0, 0, -2, 0]), (1, 2, [1, 0, 0, 0])):
+        bracket[i][j] = value
+        bracket[j][i] = [-x for x in value]
+    assert a == from_lya_standard(bracket)
+    report = cohomology_report(a)
+    assert report.dims() == {
+        "h1": 4, "z2z3": 13, "b2b3": 12, "h2h3": 1, "z4z5": 105, "b4b5": 105, "h4h5": 0,
+    }
+    assert delta3(a).matrix.matmul(delta2(a).matrix).is_zero()
+    assert report.h1.dim == derivation_space(a, 0).dim
 
 
 def test_empty_degree_two_codomains():

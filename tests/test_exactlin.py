@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlya.errors import NotContainedError
+from hlya.errors import (
+    InputError,
+    NotContainedError,
+    ShapeMismatchError,
+    TheoremViolationError,
+)
 from hlya.exactlin import (
     Matrix,
     Subspace,
@@ -89,6 +94,21 @@ def test_vstack_and_matmul_shapes():
     bottom = Matrix([[2, 3]])
     assert vstack(top, bottom).rows == 3
     assert top.matmul(Matrix([[1], [2]])).column(0) == [rat(1), rat(2)]
+
+
+def test_internal_shape_mismatches_are_theorem_violations():
+    # these shapes come from the program, never from user input, so a
+    # mismatch is a fault in the program rather than invalid input
+    for call in (
+        lambda: vstack(Matrix([[1, 2]]), Matrix([[1, 2, 3]])),
+        lambda: Matrix.from_columns([[1, 2], [3]], rows=2),
+        lambda: Matrix.from_columns([]),
+        lambda: quotient_dim(Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]])),
+    ):
+        with pytest.raises(ShapeMismatchError) as info:
+            call()
+        assert isinstance(info.value, TheoremViolationError)
+        assert not isinstance(info.value, InputError)
 
 
 def test_empty_shapes_survive():

@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from hlya import serialize
+from hlya import cohomology, serialize
 from hlya.algebra import check_axioms
-from hlya.cli import EXIT_INPUT, EXIT_OK, main
+from hlya.cli import EXIT_INPUT, EXIT_OK, EXIT_THEOREM, main
+from hlya.coboundary import CoboundaryMap, d2
 from hlya.cochain import Cochain
 from hlya.deformation import (
     identity_gauge,
@@ -15,7 +16,7 @@ from hlya.deformation import (
     random_gauge,
     verify_deformation,
 )
-from hlya.exactlin import rat
+from hlya.exactlin import Matrix, rat
 from hlya.serialize import ParseError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -136,6 +137,17 @@ def test_cli_input_errors(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = _run(capsys, "check", str(bad))
     assert code == EXIT_INPUT
+
+
+def test_cli_internal_shape_fault_exits_3(monkeypatch, capsys, e1):
+    # a [delta2; d2] stack whose blocks disagree in width is a program
+    # fault, so it must exit as a theorem violation, not as invalid input
+    op = d2(e1)
+    broken = CoboundaryMap(op.level, op.domain, op.codomain, Matrix.zeros(op.matrix.rows, 1))
+    monkeypatch.setattr(cohomology, "d2", lambda a: broken)
+    monkeypatch.setattr(cohomology, "h2h3", cohomology.h2h3.__wrapped__)
+    code, _, err = _run(capsys, "cohomology", _golden("e1_aff1.json"))
+    assert code == EXIT_THEOREM and "theorem violation:" in err
 
 
 def test_cli_cohomology_and_table_format(capsys):
