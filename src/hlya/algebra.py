@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
@@ -42,7 +44,7 @@ SVec = dict[int, Fraction]
 # deformation equations as the t^n coefficients; at n = 1 around the base
 # they are the degree-2 coboundary operators (see :mod:`hlya.coboundary`).
 
-_P, _M = ONE, -ONE
+_P, _M = 1, -1
 
 
 def _cyclic(terms) -> tuple:
@@ -183,6 +185,101 @@ def svec_add(acc: SVec, sv: SVec, coef: Fraction = ONE) -> None:
             acc.pop(i, None)
 
 
+# --- integer tables -------------------------------------------------------
+
+
+class IntTable:
+    """A multilinear map on basis tuples, as integer numerators over one denominator.
+
+    ``entries`` maps a basis-index tuple to a sparse vector {output index:
+    numerator}, and the map's value there is numerator / ``den``.  A linear
+    map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A
+    numerator may also be a linear form (:class:`hlya.coboundary._Form`):
+    the operations below only ever multiply numerators by integers and add
+    them.  An empty table is the zero map and is false.
+    """
+
+    __slots__ = ("den", "entries")
+
+    def __init__(self, den: int, entries: dict):
+        self.den = den
+        self.entries = {key: vec for key, vec in entries.items() if vec}
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def fractions(self, dim: int) -> dict:
+        """The values as dense Fraction vectors (a Cochain table)."""
+        den = self.den
+        return {
+            key: tuple(Fraction(vec.get(k, 0), den) for k in range(dim))
+            for key, vec in self.entries.items()
+        }
+
+
+def _pruned(vec: dict) -> dict:
+    return {k: x for k, x in vec.items() if x}
+
+
+def int_table(table: dict) -> IntTable:
+    """A table of dense value vectors (Fractions, or linear forms, which
+    count as numerators over 1) over the lcm of its denominators."""
+    den = 1
+    for vec in table.values():
+        for x in vec:
+            if x:
+                den = lcm(den, x.denominator)
+    return IntTable(
+        den,
+        {
+            key: {k: x.numerator * (den // x.denominator) for k, x in enumerate(vec) if x}
+            for key, vec in table.items()
+        },
+    )
+
+
+def compose_slot(t: IntTable, slot: int, m: IntTable) -> IntTable:
+    """t with the linear map m applied to argument ``slot``: t(.., m e_j, ..)."""
+    rows: dict = {}  # i -> {j: coefficient of e_i in m e_j}
+    for (j,), col in m.entries.items():
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    out: dict = {}
+    for key, vec in t.entries.items():
+        for j, c in rows.get(key[slot], {}).items():
+            acc = out.setdefault(key[:slot] + (j,) + key[slot + 1 :], {})
+            for k, x in vec.items():
+                acc[k] = acc.get(k, 0) + c * x
+    return IntTable(t.den * m.den, {key: _pruned(vec) for key, vec in out.items()})
+
+
+def compose_out(m: IntTable, t: IntTable) -> IntTable:
+    """The linear map m applied to every value of t."""
+    cols = m.entries
+    out = {}
+    for key, vec in t.entries.items():
+        acc: dict = {}
+        for k, x in vec.items():
+            for i, c in cols.get((k,), {}).items():
+                acc[i] = acc.get(i, 0) + c * x
+        out[key] = _pruned(acc)
+    return IntTable(m.den * t.den, out)
+
+
+def table_sum(tables) -> IntTable:
+    """The sum of tables, over the lcm of their denominators."""
+    tables = list(tables)
+    den = lcm(*(t.den for t in tables))
+    out: dict = {}
+    for t in tables:
+        w = den // t.den
+        for key, vec in t.entries.items():
+            acc = out.setdefault(key, {})
+            for k, x in vec.items():
+                acc[k] = acc.get(k, 0) + w * x
+    return IntTable(den, {key: _pruned(vec) for key, vec in out.items()})
+
+
 @lru_cache(maxsize=None)
 def _binary_table(a: Algebra) -> dict:
     table = {}
@@ -227,6 +324,8 @@ class _Ops:
     ``A[k]`` holds the columns of alpha^k (k < 5), so ``A[0]`` is the
     standard basis.  The bracket tables are held directly, which keeps cache
     lookups (they hash the whole algebra) out of per-tuple inner loops.
+    :func:`identity_values` reads the same data as integer tables
+    (``brackets``, ``alpha_tables``), built on first use.
     """
 
     def __init__(self, a: Algebra):
@@ -235,6 +334,25 @@ class _Ops:
         self.e = self.A[0]
         self._btab = _binary_table(a)
         self._ttab = _ternary_table(a)
+
+    @cached_property
+    def brackets(self) -> tuple[IntTable, IntTable]:
+        """The base brackets as integer tables, the t^0 terms of every series."""
+        a, d = self.a, self.a.dim
+        pairs = itertools.product(range(d), repeat=2)
+        triples = itertools.product(range(d), repeat=3)
+        return (
+            int_table({(i, j): a.binary[i][j] for i, j in pairs}),
+            int_table({(i, j, k): a.ternary[i][j][k] for i, j, k in triples}),
+        )
+
+    @cached_property
+    def alpha_tables(self) -> tuple[IntTable, ...]:
+        """alpha^k (k < 5) as integer tables of arity 1."""
+        d = self.a.dim
+        return tuple(
+            int_table({(j,): to_dense(col, d) for j, col in enumerate(cols)}) for cols in self.A
+        )
 
     def al(self, k: int, sv: SVec) -> SVec:
         if k == 0:
@@ -292,56 +410,118 @@ def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
 # --- evaluating the identities ---------------------------------------------
 
 
-def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> Callable[[tuple], SVec]:
-    """The t^n coefficient of identity k, as a function of a 0-based basis tuple.
+def bracket_series(ops: _Ops, f_higher=(), g_higher=()) -> tuple[tuple, tuple]:
+    """The series f and g for :func:`identity_values`: the base brackets,
+    then the given cochains as the coefficients of t, t^2, ..."""
+    f0, g0 = ops.brackets
+    fs = (f0, *(int_table(c.table) for c in f_higher))
+    return fs, (g0, *(int_table(c.table) for c in g_higher))
 
-    ``fs[i]`` and ``gs[i]`` evaluate the t^i coefficients of f and g on
-    sparse arguments; None marks a zero coefficient, and the terms it would
-    contribute are skipped.  A term with a nested bracket contributes the
-    convolution sum over i + j = n of outer_i(..., inner_j(...), ...).
+
+def _getter(positions) -> Callable[[tuple], object]:
+    """Reads a tuple at ``positions``; the same key for table and basis tuple."""
+    return itemgetter(*positions) if positions else (lambda idx: ())
+
+
+def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[int, dict]:
+    """t with alpha^powers[q] applied to argument q, and its denominator.
+
+    Without a nested bracket (``pos`` None) the entries stay keyed by the
+    argument tuple.  Otherwise they are grouped as {key of the other
+    arguments: {index m of argument pos: value}}.
     """
-    series = {"f": fs, "g": gs, "alpha": (lambda x: ops.al(1, x),)}
-    A, e = ops.A, ops.e
-    compiled = []
+    for q, p in enumerate(powers):
+        if p:
+            t = compose_slot(t, q, ops.alpha_tables[p])
+    if pos is None:
+        return t.den, t.entries
+    key = _getter([q for q in range(len(powers)) if q != pos])
+    grouped: dict = {}
+    for args, vec in t.entries.items():
+        grouped.setdefault(key(args), {})[args[pos]] = vec
+    return t.den, grouped
+
+
+def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
+    """The t^n coefficient of identity k in integers: (numerators, L).
+
+    ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
+    :class:`IntTable` (see :func:`bracket_series`); empty ones contribute
+    nothing and are skipped.  Each (term, coefficient pair) is one outer
+    table, twisted once by the alpha powers of its plain arguments, and at
+    most one inner table: a term with a nested bracket contributes the
+    convolution sum over i + j = n of outer_i(..., inner_j(...), ...).  L is
+    the lcm of the terms' denominators and each term carries the integer
+    weight sign * L / denominator, so ``numerators(idx)`` maps each output
+    index to L times the coefficient at a 0-based basis tuple, zeros
+    dropped.  Callers that keep the values divide by L (:func:`divided`).
+    """
+    series = {"f": fs, "g": gs, "alpha": (ops.alpha_tables[1],)}
+    twisted: dict = {}
+    terms = []
     for sign, outer, args in IDENTITIES[k][1]:
         outs = series[outer]
-        plain = [arg for arg in args if not isinstance(arg[0], str)]
         pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+        powers = tuple(0 if m == pos else arg[0] for m, arg in enumerate(args))
+        plain = [arg[1] for m, arg in enumerate(args) if m != pos]
         if pos is None:
-            slots = None
-            pairs = [(outs[n], None)] if n < len(outs) and outs[n] is not None else []
+            pairs = [(n, None)] if n < len(outs) and outs[n] else []
+            inner_key = None
         else:
-            slots = args[pos][1:]
             ins = series[args[pos][0]]
             pairs = [
-                (outs[i], ins[n - i])
+                (i, ins[n - i])
                 for i in range(min(n + 1, len(outs)))
-                if n - i < len(ins) and outs[i] is not None and ins[n - i] is not None
+                if n - i < len(ins) and outs[i] and ins[n - i]
             ]
-        if pairs:
-            compiled.append((sign, plain, pos, slots, pairs))
+            inner_key = _getter(args[pos][1:])
+        for i, inner in pairs:
+            cache_key = (outer, i, powers, pos)
+            if cache_key not in twisted:
+                twisted[cache_key] = _twisted(ops, outs[i], powers, pos)
+            den, table = twisted[cache_key]
+            if inner is not None:
+                den *= inner.den
+            terms.append((sign, den, _getter(plain), table, inner_key, inner and inner.entries))
+    common = lcm(*(term[1] for term in terms))
+    compiled = [(sign * (common // den), *rest) for sign, den, *rest in terms]
 
-    def value(idx: tuple) -> SVec:
-        acc: SVec = {}
-        for sign, plain, pos, slots, pairs in compiled:
-            vals = [A[p][idx[s]] for p, s in plain]
-            if pos is None:
-                svec_add(acc, pairs[0][0](*vals), sign)
+    def value(idx: tuple) -> dict:
+        acc: dict = {}
+        for w, key, table, inner_key, inner in compiled:
+            if inner is None:
+                vec = table.get(key(idx))
+                if vec:
+                    for j, x in vec.items():
+                        acc[j] = acc.get(j, 0) + w * x
                 continue
-            inner_args = [e[idx[s]] for s in slots]
-            for outer, inner in pairs:
-                v = inner(*inner_args)
-                if v:
-                    svec_add(acc, outer(*vals[:pos], v, *vals[pos:]), sign)
-        return acc
+            iv = inner.get(inner_key(idx))
+            if not iv:
+                continue
+            outer = table.get(key(idx))
+            if not outer:
+                continue
+            for m, c in iv.items():
+                vec = outer.get(m)
+                if vec:
+                    wc = w * c
+                    for j, x in vec.items():
+                        acc[j] = acc.get(j, 0) + wc * x
+        return _pruned(acc)
 
-    return value
+    return value, common
+
+
+def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
+    """Exact values from kernel numerators: value(idx) / den."""
+    inv = Fraction(1, den)
+    return lambda idx: {j: x * inv for j, x in value(idx).items()}
 
 
 def first_failure(ops: _Ops, k: int, n: int, fs, gs) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
     coefficient of identity k is nonzero; None when it vanishes throughout."""
-    value = identity_values(ops, k, n, fs, gs)
+    value, _ = identity_values(ops, k, n, fs, gs)
     for idx in itertools.product(range(ops.a.dim), repeat=IDENTITIES[k][0]):
         if value(idx):
             return tuple(i + 1 for i in idx)
@@ -373,9 +553,10 @@ def check_axioms(a: Algebra) -> AxiomReport:
     never raised.
     """
     ops = _Ops(a)
+    fs, gs = bracket_series(ops)
     counter: dict = {}
     for k in AXIOM_IDS:
-        witness = first_failure(ops, k, 0, (ops.br,), (ops.tr,))
+        witness = first_failure(ops, k, 0, fs, gs)
         if witness is not None:
             counter[k] = witness
     return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)

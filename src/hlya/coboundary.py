@@ -38,7 +38,16 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Algebra, SVec, _Ops, identity_values, svec_add, to_dense
+from .algebra import (
+    Algebra,
+    SVec,
+    _Ops,
+    bracket_series,
+    divided,
+    identity_values,
+    svec_add,
+    to_dense,
+)
 from .cochain import Cochain, CochainSpace, build_cochain_space
 from .exactlin import Matrix, ONE, ZERO
 
@@ -115,19 +124,13 @@ def _delta1_tables(ops: _Ops, h: Cochain):
     return [comp_I, comp_II]
 
 
-def series_term(c: Cochain):
-    """c as one coefficient of a bracket series for identity_values: an
-    evaluator on sparse arguments, or None when c vanishes."""
-    return None if c.is_zero() else (lambda *args: c.eval_sv(args))
-
-
 def _linearised(ids):
     """Tables of the t^1 coefficients of identities ``ids`` at the base
     brackets deformed by (t f, t g)."""
 
     def tables(ops: _Ops, f: Cochain, g: Cochain):
-        fs, gs = (ops.br, series_term(f)), (ops.tr, series_term(g))
-        return [identity_values(ops, k, 1, fs, gs) for k in ids]
+        fs, gs = bracket_series(ops, (f,), (g,))
+        return [divided(*identity_values(ops, k, 1, fs, gs)) for k in ids]
 
     return tables
 
@@ -230,10 +233,17 @@ class _Form:
     It is the value type of a formula evaluated on generic cochains: the
     formulas add forms, scale them by rationals and test them for zero,
     and never multiply two of them, because each is linear in its
-    cochains.  ``terms`` maps an unknown to its nonzero coefficient.
+    cochains.  ``terms`` maps an unknown to its nonzero coefficient.  In
+    the integer tables of :mod:`hlya.algebra` a form is a numerator over
+    the denominator 1.
     """
 
     __slots__ = ("terms",)
+    denominator = 1
+
+    @property
+    def numerator(self):
+        return self
 
     def __init__(self, terms: dict):
         self.terms = terms

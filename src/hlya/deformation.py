@@ -26,15 +26,17 @@ from functools import lru_cache
 from .algebra import (
     IDENTITIES,
     Algebra,
-    SVec,
     _Ops,
+    bracket_series,
+    compose_out,
+    compose_slot,
+    divided,
     first_failure,
     identity_values,
-    svec_add,
-    to_dense,
-    to_svec,
+    int_table,
+    table_sum,
 )
-from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3, series_term
+from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3
 from .cochain import Cochain, build_cochain_space
 from .cohomology import cochain_to_matrix, is_coboundary_2, is_cocycle_2
 from .errors import (
@@ -131,12 +133,6 @@ def first_order_deformation(a: Algebra, f1: Cochain, g1: Cochain, order: int = 1
 # --- the deformation equations --------------------------------------------
 
 
-def _series(ops: _Ops, f_higher, g_higher) -> tuple:
-    """Bracket series for identity_values: the base brackets, then the given
-    coefficients of t, t^2, ...; missing higher coefficients count as zero."""
-    return (ops.br, *map(series_term, f_higher)), (ops.tr, *map(series_term, g_higher))
-
-
 @dataclass(frozen=True)
 class DeformationReport:
     """(equation, order) -> None when it holds, else first failing tuple."""
@@ -161,7 +157,7 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     Order 0 reproduces the base axioms verbatim.
     """
     ops = _Ops(d.base)
-    fs, gs = _series(ops, d.f_seq[1:], d.g_seq[1:])
+    fs, gs = bracket_series(ops, d.f_seq[1:], d.g_seq[1:])
     failures = {}
     for n in range(d.order + 1):
         for eq in IDENTITIES:
@@ -305,65 +301,43 @@ def inverse_gauge(p: Gauge) -> Gauge:
     return Gauge(p.base, p.order, psi)
 
 
-def _mat_cols(m: Matrix):
-    return [to_svec(m.column(j)) for j in range(m.cols)]
-
-
-def _apply_cols(cols, sv: SVec) -> SVec:
-    acc: SVec = {}
-    for i, c in sv.items():
-        svec_add(acc, cols[i], c)
-    return acc
+def _matrix_table(m: Matrix):
+    """m as an integer table of arity 1: entry (j,) is column j."""
+    return int_table({(j,): m.column(j) for j in range(m.cols)})
 
 
 def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
-    """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by coefficient."""
+    """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by coefficient.
+
+    Phi acts one argument slot at a time: a pass over slot s replaces the
+    series T by T'_m = sum_{c+j=m} T_j(.., phi_c ., ..), truncated at the
+    order, and a last pass applies Psi = Phi^{-1} to the values.  The
+    series are integer tables; Fractions are built for the result only.
+    """
     if d.base != p.base:
         raise BaseMismatchError("deformation and gauge live over different bases")
     if d.order != p.order:
         raise BaseMismatchError("deformation and gauge have different truncation orders")
     base, order = d.base, d.order
-    dim = base.dim
-    phi_cols = [_mat_cols(m) for m in p.phi]
-    psi_cols = [_mat_cols(m) for m in inverse_gauge(p).phi]
-    e = _Ops(base).e
+    phi = [_matrix_table(m) for m in p.phi]
+    psi = [_matrix_table(m) for m in inverse_gauge(p).phi]
 
-    f_out, g_out = [], []
-    for n in range(order + 1):
-        f_table = {}
-        for i, j in itertools.product(range(dim), repeat=2):
-            acc: SVec = {}
-            for b in range(n + 1):
-                for c in range(n + 1 - b):
-                    for ee in range(n + 1 - b - c):
-                        aa = n - b - c - ee
-                        inner = d.f_seq[b].eval_sv(
-                            [_apply_cols(phi_cols[c], e[i]), _apply_cols(phi_cols[ee], e[j])]
-                        )
-                        svec_add(acc, _apply_cols(psi_cols[aa], inner))
-            if acc:
-                f_table[(i, j)] = to_dense(acc, dim)
-        g_table = {}
-        for idx in itertools.product(range(dim), repeat=3):
-            acc = {}
-            for b in range(n + 1):
-                for c in range(n + 1 - b):
-                    for ee in range(n + 1 - b - c):
-                        for hh in range(n + 1 - b - c - ee):
-                            aa = n - b - c - ee - hh
-                            inner = d.g_seq[b].eval_sv(
-                                [
-                                    _apply_cols(phi_cols[c], e[idx[0]]),
-                                    _apply_cols(phi_cols[ee], e[idx[1]]),
-                                    _apply_cols(phi_cols[hh], e[idx[2]]),
-                                ]
-                            )
-                            svec_add(acc, _apply_cols(psi_cols[aa], inner))
-            if acc:
-                g_table[idx] = to_dense(acc, dim)
-        f_out.append(Cochain(2, dim, f_table))
-        g_out.append(Cochain(3, dim, g_table))
-    return Deformation(base, order, f_out, g_out)
+    def convolve(series, maps, compose) -> list:
+        return [
+            table_sum(
+                compose(series[j], maps[m - j]) for j in range(m + 1) if series[j] and maps[m - j]
+            )
+            for m in range(order + 1)
+        ]
+
+    def transform(seq, arity: int) -> list:
+        series = [int_table(c.table) for c in seq]
+        for slot in range(arity):
+            series = convolve(series, phi, lambda t, m: compose_slot(t, slot, m))
+        series = convolve(series, psi, lambda t, m: compose_out(m, t))
+        return [Cochain(arity, base.dim, t.fractions(base.dim)) for t in series]
+
+    return Deformation(base, order, transform(d.f_seq, 2), transform(d.g_seq, 3))
 
 
 def verify_equivalence(d1: Deformation, d2: Deformation, p: Gauge) -> bool:
@@ -417,7 +391,8 @@ def trivialize(d: Deformation) -> TrivializeResult:
             raise NotCocycleError(f"gauge step at order {r} broke the deformation equations")
         if not current.f_seq[r].is_zero() or not current.g_seq[r].is_zero():
             raise NotCocycleError(f"gauge step failed to clear order {r}")
-    assert current.is_null()
+    if not current.is_null():
+        raise NotCocycleError("gauge steps left a nonzero coefficient behind")
     return TrivializeResult(total)
 
 
@@ -442,13 +417,11 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
     # minus the t^2 coefficients of identities 7 and 8, with no f2, g2
     ops = _Ops(a)
-    fs, gs = _series(ops, (f1,), (g1,))
+    fs, gs = bracket_series(ops, (f1,), (g1,))
     tables = []
     for k in (7, 8):
-        value = identity_values(ops, k, 2, fs, gs)
-        tables.append(
-            _tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()})
-        )
+        value, den = identity_values(ops, k, 2, fs, gs)
+        tables.append(_tabulate(a, IDENTITIES[k][0], divided(value, -den)))
     f_table, g_table = tables
 
     c4 = build_cochain_space(a, 4)
@@ -488,7 +461,7 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
             "delta2(f2, g2) must equal the obstruction pair"
         )
     ops = _Ops(a)
-    fs, gs = _series(ops, (f1, f2), (g1, g2))
+    fs, gs = bracket_series(ops, (f1, f2), (g1, g2))
     return ProbeReport({eq: first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
 
 

@@ -2,7 +2,9 @@
 
 Everything downstream (cochain spaces, coboundary matrices, cohomology
 dimensions) reduces to kernels, images and solvability questions over Q.
-All arithmetic uses ``fractions.Fraction``; there is no tolerance anywhere.
+Elimination here uses ``fractions.Fraction``; the contraction kernels of
+:mod:`hlya.algebra` work on integer numerators over an explicit common
+denominator.  Both are exact: there are no floats and no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -253,9 +255,14 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
     """dim(z/b); raises NotContainedError unless span(b) is inside span(z)."""
     if z.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("subspaces of different ambient spaces")
-    for j in range(b.dim):
-        if not z.contains(b.basis.column(j)):
+    if b.dim:
+        # z's basis is independent, so its columns are the first pivots of
+        # [z | b]; a pivot in b's block is the first b vector outside span(z)
+        stacked = Matrix([zr + br for zr, br in zip(z.basis.data, b.basis.data)])
+        _, pivots = rref(stacked)
+        outside = [p - z.dim for p in pivots if p >= z.dim]
+        if outside:
             raise NotContainedError(
-                f"basis vector {j} of the smaller space is outside the larger one"
+                f"basis vector {outside[0]} of the smaller space is outside the larger one"
             )
     return z.dim - b.dim

@@ -28,8 +28,10 @@ from hlya.deformation import (
     verify_deformation,
     verify_equivalence,
 )
+from hlya import deformation
 from hlya.errors import (
     BaseMismatchError,
+    NotCocycleError,
     NotInZ2Z3Error,
     PreconditionError,
 )
@@ -180,6 +182,29 @@ def test_trivialize_requires_valid_deformation(e1):
     else:  # pragma: no cover - the draw happened to satisfy the equations
         trivialize(broken)
     assert verify_deformation(d).ok or True
+
+
+def test_trivialize_raises_when_a_coefficient_survives(monkeypatch, e3):
+    # the order-2 gauge step brings the order-1 coefficient back as the base
+    # bracket: (f0, f0, 0) is a valid deformation, since e3's ternary bracket
+    # is zero, and the step still clears order 2, so only the final check
+    # that every coefficient is gone can see it
+    d = apply_gauge(null_deformation(e3, 2), random_gauge(e3, 2, random.Random(31)))
+    real_apply_gauge = deformation.apply_gauge
+    late_steps = []
+
+    def leaky(current, step):
+        out = real_apply_gauge(current, step)
+        if not step.phi[1].is_zero():
+            return out
+        late_steps.append(step)
+        f_seq = (out.f_seq[0], bracket_cochain(e3), out.f_seq[2])
+        return Deformation(e3, 2, f_seq, out.g_seq)
+
+    monkeypatch.setattr(deformation, "apply_gauge", leaky)
+    with pytest.raises(NotCocycleError, match="nonzero coefficient"):
+        trivialize(d)
+    assert late_steps
 
 
 # --- obstructions ----------------------------------------------------------

@@ -89,6 +89,18 @@ def test_quotient_dim_and_containment_guard():
         quotient_dim(z, outside)
 
 
+def test_quotient_dim_names_first_vector_outside():
+    z = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    # canonical basis of b: e1 + e2 (inside z), then e3 and e4 (outside)
+    b = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert b.basis.column(0) == [1, 1, 0, 0]
+    with pytest.raises(NotContainedError, match="basis vector 1 "):
+        quotient_dim(z, b)
+    with pytest.raises(NotContainedError, match="basis vector 0 "):
+        quotient_dim(Subspace(4, [[0, 0, 0, 1]]), Subspace(4, [[0, 1, 0, 0]]))
+    assert quotient_dim(Subspace(4, []), Subspace(4, [])) == 0
+
+
 def test_vstack_and_matmul_shapes():
     top = Matrix([[1, 0], [0, 1]])
     bottom = Matrix([[2, 3]])
