@@ -354,15 +354,6 @@ class _Ops:
             int_table({(j,): to_dense(col, d) for j, col in enumerate(cols)}) for cols in self.A
         )
 
-    def al(self, k: int, sv: SVec) -> SVec:
-        if k == 0:
-            return sv
-        acc: SVec = {}
-        cols = self.A[k]
-        for i, c in sv.items():
-            svec_add(acc, cols[i], c)
-        return acc
-
     def br(self, x: SVec, y: SVec) -> SVec:
         table = self._btab
         acc: SVec = {}
@@ -423,6 +414,15 @@ def _getter(positions) -> Callable[[tuple], object]:
     return itemgetter(*positions) if positions else (lambda idx: ())
 
 
+def _key_getter(positions) -> Callable[[tuple], tuple]:
+    """Reads a tuple at ``positions`` as a table key: always a tuple, so a
+    table of arity 1 is read at ``(j,)`` and not at ``j``."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda idx: (idx[p],)
+    return _getter(positions)
+
+
 def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[int, dict]:
     """t with alpha^powers[q] applied to argument q, and its denominator.
 
@@ -442,49 +442,40 @@ def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[in
     return t.den, grouped
 
 
-def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
-    """The t^n coefficient of identity k in integers: (numerators, L).
+def contract(ops: _Ops, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
+    """A signed sum of table contractions in integers: (numerators, L).
 
-    ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
-    :class:`IntTable` (see :func:`bracket_series`); empty ones contribute
-    nothing and are skipped.  Each (term, coefficient pair) is one outer
-    table, twisted once by the alpha powers of its plain arguments, and at
-    most one inner table: a term with a nested bracket contributes the
-    convolution sum over i + j = n of outer_i(..., inner_j(...), ...).  L is
-    the lcm of the terms' denominators and each term carries the integer
-    weight sign * L / denominator, so ``numerators(idx)`` maps each output
-    index to L times the coefficient at a 0-based basis tuple, zeros
-    dropped.  Callers that keep the values divide by L (:func:`divided`).
+    ``terms`` are (sign, outer, args) in the language of :data:`IDENTITIES`:
+    ``outer`` names a table of ``tables`` (an :class:`IntTable` each), an
+    argument (p, s) is alpha^p(x_s), and at most one argument per term is
+    a nested table on plain slot variables, (name, s, t, ...).  A name that
+    ``tables`` lacks, or maps to an empty table, is the zero map: its terms
+    are dropped.  Each (outer, alpha powers) is twisted once; L is the lcm
+    of the terms' denominators and each term carries the integer weight
+    sign * L / denominator, so ``numerators(idx)`` maps each output index to
+    L times the sum at a 0-based basis tuple, zeros dropped.  Callers that
+    keep the values divide by L (:func:`divided`).
     """
-    series = {"f": fs, "g": gs, "alpha": (ops.alpha_tables[1],)}
     twisted: dict = {}
-    terms = []
-    for sign, outer, args in IDENTITIES[k][1]:
-        outs = series[outer]
-        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+    compiled = []
+    for sign, outer, args in terms:
+        pos = next((m for m, arg in enumerate(args) if not isinstance(arg[0], int)), None)
+        inner = None if pos is None else tables.get(args[pos][0])
+        if not tables.get(outer) or (pos is not None and not inner):
+            continue
         powers = tuple(0 if m == pos else arg[0] for m, arg in enumerate(args))
         plain = [arg[1] for m, arg in enumerate(args) if m != pos]
-        if pos is None:
-            pairs = [(n, None)] if n < len(outs) and outs[n] else []
-            inner_key = None
+        cache_key = (outer, powers, pos)
+        if cache_key not in twisted:
+            twisted[cache_key] = _twisted(ops, tables[outer], powers, pos)
+        den, table = twisted[cache_key]
+        if inner is None:
+            compiled.append((sign, den, _key_getter(plain), table, None, None))
         else:
-            ins = series[args[pos][0]]
-            pairs = [
-                (i, ins[n - i])
-                for i in range(min(n + 1, len(outs)))
-                if n - i < len(ins) and outs[i] and ins[n - i]
-            ]
-            inner_key = _getter(args[pos][1:])
-        for i, inner in pairs:
-            cache_key = (outer, i, powers, pos)
-            if cache_key not in twisted:
-                twisted[cache_key] = _twisted(ops, outs[i], powers, pos)
-            den, table = twisted[cache_key]
-            if inner is not None:
-                den *= inner.den
-            terms.append((sign, den, _getter(plain), table, inner_key, inner and inner.entries))
-    common = lcm(*(term[1] for term in terms))
-    compiled = [(sign * (common // den), *rest) for sign, den, *rest in terms]
+            inner_key = _key_getter(args[pos][1:])
+            compiled.append((sign, den * inner.den, _getter(plain), table, inner_key, inner.entries))
+    common = lcm(*(term[1] for term in compiled))
+    compiled = [(sign * (common // den), *rest) for sign, den, *rest in compiled]
 
     def value(idx: tuple) -> dict:
         acc: dict = {}
@@ -512,8 +503,37 @@ def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple]
     return value, common
 
 
+def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
+    """The t^n coefficient of identity k in integers: (numerators, L).
+
+    ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
+    :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
+    ("g", i) for :func:`contract`; empty ones contribute nothing.  A term
+    with a nested bracket becomes the convolution sum over i + j = n of
+    outer_i(..., inner_j(...), ...), one contracted term per pair.
+    """
+    series = {"f": fs, "g": gs, "alpha": (ops.alpha_tables[1],)}
+    tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
+    terms = []
+    for sign, outer, args in IDENTITIES[k][1]:
+        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+        if pos is None:
+            terms.append((sign, (outer, n), args))
+            continue
+        name, *slots = args[pos]
+        for i in range(n + 1):
+            nested = ((name, n - i), *slots)
+            terms.append((sign, (outer, i), args[:pos] + (nested,) + args[pos + 1 :]))
+    return contract(ops, tables, terms)
+
+
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
-    """Exact values from kernel numerators: value(idx) / den."""
+    """Exact values from kernel numerators: value(idx) / den.
+
+    With den 1 the numerators are the values and come back unchanged (as
+    Python ints, or integer linear forms)."""
+    if den == 1:
+        return value
     inv = Fraction(1, den)
     return lambda idx: {j: x * inv for j, x in value(idx).items()}
 

@@ -10,30 +10,26 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import check_axioms
-from .coboundary import OPERATORS, operator_by_level
-from .cohomology import cohomology_report
-from .deformation import (
-    DEFAULT_ORDER,
-    infinitesimal,
-    obstruction_pair,
-    second_order_probe,
-    solve_second_order,
-    trivialize,
-    verify_deformation,
-    verify_equivalence,
-)
-from .derivations import DEFAULT_K_MAX, check_der_is_lie, derivation_space
+from . import serialize
 from .errors import InputError, TheoremViolationError
 from .exactlin import rat_str
-from . import serialize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_THEOREM = 3
 
+# Each handler imports the modules it needs, so a command loads only those.
+# The parser therefore spells out these defaults, which tests pin to
+# derivations.DEFAULT_K_MAX, deformation.DEFAULT_ORDER and
+# sorted(coboundary.OPERATORS).
+DEFAULT_K_MAX = 3
+DEFAULT_ORDER = 4
+OPERATOR_LEVELS = ("1", "2", "3", "d2")
+
 
 def _report_check(args) -> dict:
+    from .algebra import check_axioms
+
     a = serialize.load_algebra(args.algebra)
     report = check_axioms(a)
     return {
@@ -47,6 +43,8 @@ def _report_check(args) -> dict:
 
 
 def _report_cohomology(args) -> dict:
+    from .cohomology import cohomology_report
+
     a = serialize.load_algebra(args.algebra)
     report = cohomology_report(a)
     return {
@@ -60,6 +58,8 @@ def _report_cohomology(args) -> dict:
 
 
 def _report_derive(args) -> dict:
+    from .derivations import check_der_is_lie, derivation_space
+
     a = serialize.load_algebra(args.algebra)
     closure = check_der_is_lie(a, args.k_max)
     spaces = {k: derivation_space(a, k) for k in range(args.k_max + 1)}
@@ -90,6 +90,8 @@ def _deformation_report(report) -> dict:
 
 
 def _report_deform_check(args) -> dict:
+    from .deformation import verify_deformation
+
     d = serialize.load_deformation(args.deformation)
     report = verify_deformation(d)
     return {
@@ -101,6 +103,8 @@ def _report_deform_check(args) -> dict:
 
 
 def _report_trivialize(args) -> dict:
+    from .deformation import trivialize
+
     d = serialize.load_deformation(args.deformation)
     result = trivialize(d)
     out = {"command": "trivialize", "base": d.base.name, "order": d.order,
@@ -118,6 +122,8 @@ def _report_trivialize(args) -> dict:
 
 
 def _report_equiv(args) -> dict:
+    from .deformation import verify_equivalence
+
     d1 = serialize.load_deformation(args.deformation)
     d2 = serialize.load_deformation(args.other)
     p = serialize.load_gauge(args.gauge)
@@ -130,6 +136,13 @@ def _report_equiv(args) -> dict:
 
 
 def _report_obstruct(args) -> dict:
+    from .deformation import (
+        infinitesimal,
+        obstruction_pair,
+        second_order_probe,
+        solve_second_order,
+    )
+
     d = serialize.load_deformation(args.deformation)
     f1, g1 = infinitesimal(d)
     pair = obstruction_pair(d.base, f1, g1)
@@ -164,6 +177,8 @@ def _report_obstruct(args) -> dict:
 
 
 def _report_dump_operator(args) -> dict:
+    from .coboundary import operator_by_level
+
     a = serialize.load_algebra(args.algebra)
     op = operator_by_level(a, args.level)
     return {
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(parents=[common], name="dump-operator", help="dump one coboundary operator matrix")
     p.add_argument("algebra")
-    p.add_argument("level", choices=sorted(OPERATORS))
+    p.add_argument("level", choices=OPERATOR_LEVELS)
     p.set_defaults(run=_report_dump_operator)
 
     return parser

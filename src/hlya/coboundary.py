@@ -24,7 +24,10 @@ at the base brackets.  Deforming the brackets to (f0 + t f, g0 + t g), the
 t^1 coefficients of identities 7 and 8 are the two components of delta2,
 and those of identities 5 and 6 are the two components of d2; so
 (f, g) is a first-order deformation exactly when it lies in both kernels.
-delta1 and delta3 keep their explicit formulas.
+delta1 and delta3 are signed-term data in the same language
+(:data:`DELTA1`, :data:`DELTA3`).  All four are evaluated by the one
+integer contraction of :func:`hlya.algebra.contract`, on the base
+brackets and the domain cochains as integer tables.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -40,18 +43,16 @@ from functools import lru_cache
 
 from .algebra import (
     Algebra,
-    SVec,
     _Ops,
     bracket_series,
+    contract,
     divided,
     identity_values,
-    svec_add,
+    int_table,
     to_dense,
 )
 from .cochain import Cochain, CochainSpace, build_cochain_space
-from .exactlin import Matrix, ONE, ZERO
-
-_MINUS = -ONE
+from .exactlin import Matrix, ZERO
 
 
 @dataclass(frozen=True)
@@ -91,37 +92,87 @@ def _tabulate(a: Algebra, arity: int, fn) -> dict:
     return table
 
 
-def _acc(*signed_terms) -> SVec:
-    acc: SVec = {}
-    for sign, sv in signed_terms:
-        svec_add(acc, sv, sign)
-    return acc
+# --- operator formulas, as signed terms ----------------------------------
+#
+# delta1 and delta3 in the language of IDENTITIES (hlya.algebra): "br" and
+# "tr" are the base brackets, "h" the 1-cochain of delta1 and "f", "g" the
+# 4- and 5-cochains of delta3.  With x_0, x_1, ... the slot variables and
+# a^k = alpha^k:
+#   delta1_I(h)(x, y)    = [x h(y)] + [h(x) y] - h([x y])
+#   delta1_II(h)(x, y, z) = {h(x) y z} + {x h(y) z} + {x y h(z)} - h({x y z})
+#   delta3_I(f, g)(x_0 .. x_5)
+#     = {a^3 x_0, a^3 x_1, f(x_2 .. x_5)} - {a^3 x_2, a^3 x_3, f(x_0, x_1, x_4, x_5)}
+#       + hat sum of f
+#       - g(a^1 x_0, a^1 x_1, a^1 x_2, a^1 x_3, [x_4 x_5])
+#       + [a^4 x_4, g(x_0 .. x_3, x_5)] + [g(x_0 .. x_4), a^4 x_5]
+#   delta3_II(f, g)(x_0 .. x_6)
+#     = sum_{k=1}^{3} (-1)^(k+1) {a^4 x_{2k-2}, a^4 x_{2k-1}, g(the other five)}
+#       + hat sum of g
+#       + {g(x_0 .. x_4), a^4 x_5, a^4 x_6} - {g(x_0 .. x_3, x_5), a^4 x_4, a^4 x_6}
 
 
-# --- operator formulas, tabulated on basis tuples -------------------------
+def _hat_terms(name: str, arity: int) -> tuple:
+    """The hat sum of ``name`` over ``arity`` slots (1-based):
+    sum_k sum_{i=2k+1}^{arity} (-1)^k name(a^2 x_1, .., {x_{2k-1} x_{2k} x_i}, ..),
+    with slots 2k-1 and 2k left out, the triple at slot i and alpha^2 on
+    the other slots."""
+    terms = []
+    for k in range(1, (arity - 1) // 2 + 1):
+        pair = (2 * k - 2, 2 * k - 1)
+        for i in range(2 * k, arity):
+            args = tuple(
+                ("tr", *pair, i) if m == i else (2, m) for m in range(arity) if m not in pair
+            )
+            terms.append(((-1) ** k, name, args))
+    return tuple(terms)
 
 
-def _delta1_tables(ops: _Ops, h: Cochain):
-    e = ops.e
-    br, tr = ops.br, ops.tr
+DELTA1 = (
+    (
+        (1, "br", ((0, 0), ("h", 1))),
+        (1, "br", (("h", 0), (0, 1))),
+        (-1, "h", (("br", 0, 1),)),
+    ),
+    (
+        (1, "tr", (("h", 0), (0, 1), (0, 2))),
+        (1, "tr", ((0, 0), ("h", 1), (0, 2))),
+        (1, "tr", ((0, 0), (0, 1), ("h", 2))),
+        (-1, "h", (("tr", 0, 1, 2),)),
+    ),
+)
 
-    def hv(sv: SVec) -> SVec:
-        return h.eval_sv([sv])
+DELTA3 = (
+    (
+        (1, "tr", ((3, 0), (3, 1), ("f", 2, 3, 4, 5))),
+        (-1, "tr", ((3, 2), (3, 3), ("f", 0, 1, 4, 5))),
+        *_hat_terms("f", 6),
+        (-1, "g", ((1, 0), (1, 1), (1, 2), (1, 3), ("br", 4, 5))),
+        (1, "br", ((4, 4), ("g", 0, 1, 2, 3, 5))),
+        (1, "br", (("g", 0, 1, 2, 3, 4), (4, 5))),
+    ),
+    (
+        *(
+            ((-1) ** (m // 2), "tr", ((4, m), (4, m + 1), ("g", *(s for s in range(7) if s not in (m, m + 1)))))
+            for m in (0, 2, 4)
+        ),
+        *_hat_terms("g", 7),
+        (1, "tr", (("g", 0, 1, 2, 3, 4), (4, 5), (4, 6))),
+        (-1, "tr", (("g", 0, 1, 2, 3, 5), (4, 4), (4, 6))),
+    ),
+)
 
-    def comp_I(idx):
-        x, y = e[idx[0]], e[idx[1]]
-        return _acc((ONE, br(x, hv(y))), (ONE, br(hv(x), y)), (_MINUS, hv(br(x, y))))
 
-    def comp_II(idx):
-        x, y, z = (e[i] for i in idx)
-        return _acc(
-            (ONE, tr(hv(x), y, z)),
-            (ONE, tr(x, hv(y), z)),
-            (ONE, tr(x, y, hv(z))),
-            (_MINUS, hv(tr(x, y, z))),
-        )
+def _contracted(components, names):
+    """Tables of the signed-term ``components`` at the base brackets and the
+    domain cochains, bound in order to ``names``."""
 
-    return [comp_I, comp_II]
+    def tables(ops: _Ops, *cochains: Cochain):
+        br, tr = ops.brackets
+        named = {"br": br, "tr": tr}
+        named.update((name, int_table(c.table)) for name, c in zip(names, cochains))
+        return [divided(*contract(ops, named, terms)) for terms in components]
+
+    return tables
 
 
 def _linearised(ids):
@@ -135,87 +186,14 @@ def _linearised(ids):
     return tables
 
 
-def _hat_args(base: list, k: int, i: int, replacement: SVec) -> list:
-    """Argument-list surgery for the hat sums.
-
-    Drops slots 2k-1 and 2k (1-based) from ``base`` and substitutes
-    ``replacement`` at 1-based slot ``i`` of the original numbering.
-    """
-    drop = {2 * k - 2, 2 * k - 1}
-    return [
-        replacement if m == i - 1 else base[m]
-        for m in range(len(base))
-        if m not in drop
-    ]
-
-
-def _double_sum(arity: int, k_range, fn) -> SVec:
-    """sum_k sum_{i=2k+1}^{arity} (-1)^k fn(k, i)."""
-    acc: SVec = {}
-    for k in k_range:
-        for i in range(2 * k + 1, arity + 1):
-            svec_add(acc, fn(k, i), ONE if k % 2 == 0 else _MINUS)
-    return acc
-
-
-def _delta3_tables(ops: _Ops, f: Cochain, g: Cochain):
-    e = ops.e
-    al, br, tr = ops.al, ops.br, ops.tr
-    fv = lambda args: f.eval_sv(args)
-    gv = lambda args: g.eval_sv(args)
-
-    def comp_I(idx):
-        x = [e[i] for i in idx]
-        a2 = [al(2, v) for v in x]
-        a3 = [al(3, v) for v in x]
-
-        def hat_term(k, i):
-            triple = tr(x[2 * k - 2], x[2 * k - 1], x[i - 1])
-            return fv(_hat_args(a2, k, i, triple))
-
-        return _acc(
-            (ONE, tr(a3[0], a3[1], fv([x[2], x[3], x[4], x[5]]))),
-            (_MINUS, tr(a3[2], a3[3], fv([x[0], x[1], x[4], x[5]]))),
-            (ONE, _double_sum(6, (1, 2), hat_term)),
-            (_MINUS, gv([al(1, x[0]), al(1, x[1]), al(1, x[2]), al(1, x[3]), br(x[4], x[5])])),
-            (ONE, br(al(4, x[4]), gv([x[0], x[1], x[2], x[3], x[5]]))),
-            (ONE, br(gv([x[0], x[1], x[2], x[3], x[4]]), al(4, x[5]))),
-        )
-
-    def comp_II(idx):
-        x = [e[i] for i in idx]
-        a2 = [al(2, v) for v in x]
-        a4 = [al(4, v) for v in x]
-
-        def pair_term(k):
-            rest = [x[m] for m in range(7) if m not in (2 * k - 2, 2 * k - 1)]
-            return tr(a4[2 * k - 2], a4[2 * k - 1], gv(rest))
-
-        def hat_term(k, i):
-            triple = tr(x[2 * k - 2], x[2 * k - 1], x[i - 1])
-            return gv(_hat_args(a2, k, i, triple))
-
-        acc = _acc(
-            (ONE, pair_term(1)),
-            (_MINUS, pair_term(2)),
-            (ONE, pair_term(3)),
-            (ONE, _double_sum(7, (1, 2, 3), hat_term)),
-            (ONE, tr(gv([x[0], x[1], x[2], x[3], x[4]]), a4[5], a4[6])),
-            (_MINUS, tr(gv([x[0], x[1], x[2], x[3], x[5]]), a4[4], a4[6])),
-        )
-        return acc
-
-    return [comp_I, comp_II]
-
-
 # --- assembly -------------------------------------------------------------
 
 # level -> (name, domain arities, codomain (arity, pairs), formula tables)
 _LEVELS = {
-    "1": ("delta1", (1,), ((2, None), (3, None)), _delta1_tables),
+    "1": ("delta1", (1,), ((2, None), (3, None)), _contracted(DELTA1, ("h",))),
     "2": ("delta2", (2, 3), ((4, None), (5, None)), _linearised((7, 8))),
     "d2": ("d2", (2, 3), ((3, None), (4, 1)), _linearised((5, 6))),
-    "3": ("delta3", (4, 5), ((6, None), (7, None)), _delta3_tables),
+    "3": ("delta3", (4, 5), ((6, None), (7, None)), _contracted(DELTA3, ("f", "g"))),
 }
 
 
@@ -231,11 +209,12 @@ class _Form:
     """A linear form in the unknown reduced coordinates of generic cochains.
 
     It is the value type of a formula evaluated on generic cochains: the
-    formulas add forms, scale them by rationals and test them for zero,
-    and never multiply two of them, because each is linear in its
-    cochains.  ``terms`` maps an unknown to its nonzero coefficient.  In
-    the integer tables of :mod:`hlya.algebra` a form is a numerator over
-    the denominator 1.
+    formulas add forms, scale them by integers (by rationals only where
+    :func:`hlya.algebra.divided` leaves the integer kernel) and test them
+    for zero, and never multiply two of them, because each is linear in
+    its cochains.  ``terms`` maps an unknown to its nonzero coefficient, a
+    Python int on the generic cochains.  In the integer tables of
+    :mod:`hlya.algebra` a form is a numerator over the denominator 1.
     """
 
     __slots__ = ("terms",)
@@ -255,7 +234,7 @@ class _Form:
             return self
         terms = dict(self.terms)
         for u, c in other.terms.items():
-            v = terms.get(u, ZERO) + c
+            v = terms.get(u, 0) + c
             if v:
                 terms[u] = v
             else:
@@ -270,6 +249,9 @@ class _Form:
         return _Form({u: x * c for u, x in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Form({u: -x for u, x in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -290,13 +272,13 @@ def _generic_inputs(domain) -> tuple[list, list]:
     for space in domain:
         d = space.algebra.dim
         forms = {
-            i: _Form({offset + i: ONE}) for col in space._basis_cols for i in col
+            i: _Form({offset + i: 1}) for col in space._basis_cols for i in col
         }
         table = {}
         for pos, variants in enumerate(space._pair_orbits()):
-            value = tuple(forms.get(pos * d + k, ZERO) for k in range(d))
+            value = tuple(forms.get(pos * d + k, 0) for k in range(d))
             if any(value):
-                negated = tuple(_MINUS * x for x in value)
+                negated = tuple(-x for x in value)
                 for tup, sign in variants:
                     table[tup] = value if sign == 1 else negated
         cochains.append(Cochain(space.arity, d, table))

@@ -79,14 +79,16 @@ class Matrix:
         return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product."""
+        """Matrix-vector product, summed over the nonzero vector entries only."""
         if len(vec) != self.cols:
             raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
         out = [ZERO] * self.rows
         for i, row in enumerate(self.data):
             s = ZERO
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, x in nonzero:
+                a = row[j]
+                if a:
                     s += a * x
             out[i] = s
         return out

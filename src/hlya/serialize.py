@@ -12,12 +12,15 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Algebra, algebra_from_sparse
 from .cochain import Cochain
-from .deformation import Deformation, Gauge, bracket_cochain, ternary_cochain
 from .errors import InputError
 from .exactlin import Matrix, rat, rat_str
+
+if TYPE_CHECKING:  # imported where used: reading an algebra needs no deformation code
+    from .deformation import Deformation, Gauge
 
 
 class ParseError(InputError):
@@ -184,6 +187,8 @@ def deformation_to_obj(d: Deformation, base_ref: str | None = None) -> dict:
 
 
 def deformation_from_obj(obj, path: str = "deformation", base_dir: str | None = None) -> Deformation:
+    from .deformation import Deformation, bracket_cochain, ternary_cochain
+
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     base = _resolve_base(obj, path, base_dir)
@@ -208,6 +213,8 @@ def gauge_to_obj(p: Gauge, base_ref: str | None = None) -> dict:
 
 
 def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gauge:
+    from .deformation import Gauge
+
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     base = _resolve_base(obj, path, base_dir)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hlya.coboundary import (
-    _hat_args,
+    DELTA3,
+    _hat_terms,
     apply_d2_pair,
     apply_delta1_single,
     apply_delta2_pair,
@@ -84,12 +85,38 @@ def test_matrix_agrees_with_direct_formula(e1):
         assert c4.coords(out_f) + c5.coords(out_g) == expected
 
 
+def _hat_term(name, arity, dropped, i):
+    """The hat term of the pair at 0-based slots ``dropped`` with the triple at slot i."""
+    return next(
+        args
+        for sign, outer, args in _hat_terms(name, arity)
+        if any(arg[0] == "tr" and arg[1:] == (*dropped, i) for arg in args)
+    )
+
+
+def _surgery(args, base, replacement):
+    return [replacement if arg[0] == "tr" else base[arg[1]] for arg in args]
+
+
 def test_hat_args_surgery():
     base = ["a", "b", "c", "d", "e", "f"]
-    # drop the first pair, substitute at original slot 5
-    assert _hat_args(base, 1, 5, "X") == ["c", "d", "X", "f"]
+    # drop the first pair, substitute at original slot 5 (1-based)
+    args = _hat_term("f", 6, (0, 1), 4)
+    assert _surgery(args, base, "X") == ["c", "d", "X", "f"]
     # drop the second pair, substitute at original slot 6
-    assert _hat_args(base, 2, 6, "Y") == ["a", "b", "e", "Y"]
+    args = _hat_term("f", 6, (2, 3), 5)
+    assert _surgery(args, base, "Y") == ["a", "b", "e", "Y"]
+    # alpha^2 on every slot but the triple's
+    assert all(arg[0] == 2 for arg in args if arg[0] != "tr")
+
+
+def test_hat_terms_signs_and_count():
+    # sum_k sum_{i=2k+1}^{n} (-1)^k: 4 + 2 terms over 6 slots, 5 + 3 + 1 over 7
+    for name, arity, counts in (("f", 6, {-1: 4, 1: 2}), ("g", 7, {-1: 5 + 1, 1: 3})):
+        terms = _hat_terms(name, arity)
+        assert {sign: sum(1 for t in terms if t[0] == sign) for sign in (-1, 1)} == counts
+        assert all(outer == name and len(args) == arity - 2 for _, outer, args in terms)
+        assert set(terms) <= set(DELTA3[arity - 6])
 
 
 def test_second_cyclic_image_not_alternating_in_trailing_pair(e2):

@@ -155,3 +155,39 @@ def test_solve_result_is_exact_random(rows, coeffs):
     x = solve(m, b)
     assert x is not None
     assert m.apply(x) == b
+
+
+def _dense_apply(m, vec):
+    """The product over every entry, as before zero vector entries were skipped."""
+    out = [rat(0)] * m.rows
+    for i, row in enumerate(m.data):
+        s = rat(0)
+        for a, x in zip(row, vec):
+            if a and x:
+                s += a * x
+        out[i] = s
+    return out
+
+
+# mostly zeros, as the cocycle coordinates and operator matrices are
+_sparse_entry = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.builds(Fraction, _small, st.integers(min_value=1, max_value=4))
+)
+
+
+@st.composite
+def _sparse_system(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    data = draw(st.lists(st.lists(_sparse_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    vec = draw(st.lists(_sparse_entry, min_size=cols, max_size=cols))
+    return Matrix(data), [rat(x) for x in vec]
+
+
+@given(_sparse_system())
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_dense_product(system):
+    m, vec = system
+    out = m.apply(vec)
+    assert out == _dense_apply(m, vec)
+    assert all(isinstance(x, Fraction) for x in out)

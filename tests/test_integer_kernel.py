@@ -2,18 +2,21 @@
 their Fraction predecessors.
 
 The reference functions below are the evaluator that called each bracket
-series coefficient as a function on sparse Fraction vectors, and the gauge
+series coefficient as a function on sparse Fraction vectors, the explicit
+delta1 and delta3 formulas on sparse Fraction vectors, and the gauge
 action that summed psi_a f_b(phi_c x, phi_e y) over every composition of
-the order.  The package evaluates the identities as integer table
-contractions and acts with a gauge one argument slot at a time; both must
-give equal axiom reports, deformation reports, degree-2 images,
-obstruction pairs, probe reports and gauged deformations.
+the order.  The package evaluates the identities and the delta1/delta3
+term data as integer table contractions and acts with a gauge one argument
+slot at a time; both must give equal axiom reports, deformation reports,
+degree-2 images, operator matrices and images, obstruction pairs, probe
+reports and gauged deformations.
 
 The inputs carry real denominators: the sl2 twist diag(1, 3/2, 2/3), an
 sl2 twist whose alpha has denominators 7 and 11 and is not diagonal, the
 Heisenberg algebra with alpha = diag(2, 3, 6), gl2, seeded gauges whose
 entries include halves, and seeded deformations whose coefficients are not
 cocycles, so that first failing tuples are compared as well as passes.
+The delta1/delta3 comparisons add the seed-12345 random corpus.
 """
 
 import itertools
@@ -23,18 +26,21 @@ from fractions import Fraction
 
 import pytest
 
-from hlya import serialize
+from hlya import coboundary, serialize
 from hlya.algebra import (
     IDENTITIES,
     _Ops,
     check_axioms,
+    contract,
+    divided,
     from_lie_algebra,
+    int_table,
     make_algebra,
     svec_add,
     to_dense,
     yau_twist,
 )
-from hlya.coboundary import _LEVELS, _tabulate, d2, delta2
+from hlya.coboundary import _LEVELS, _apply, _assemble, _tabulate, d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.deformation import (
     Deformation,
@@ -50,15 +56,126 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import Matrix, kernel_basis, rat, vstack
-from hlya.samples import sl2
+from hlya.exactlin import ONE, Matrix, kernel_basis, rat, vstack
+from hlya.samples import random_verified_algebras, sl2
 
 # --- the Fraction references -------------------------------------------------
+
+_MINUS = -ONE
+
+
+def al(ops, k, sv):
+    """alpha^k applied to a sparse vector."""
+    if k == 0:
+        return sv
+    acc = {}
+    cols = ops.A[k]
+    for i, c in sv.items():
+        svec_add(acc, cols[i], c)
+    return acc
+
+
+def _acc(*signed_terms):
+    acc = {}
+    for sign, sv in signed_terms:
+        svec_add(acc, sv, sign)
+    return acc
+
+
+def _hat_args(base, k, i, replacement):
+    """Drops slots 2k-1 and 2k (1-based) from ``base`` and substitutes
+    ``replacement`` at 1-based slot ``i`` of the original numbering."""
+    drop = {2 * k - 2, 2 * k - 1}
+    return [replacement if m == i - 1 else base[m] for m in range(len(base)) if m not in drop]
+
+
+def _double_sum(arity, k_range, fn):
+    """sum_k sum_{i=2k+1}^{arity} (-1)^k fn(k, i)."""
+    acc = {}
+    for k in k_range:
+        for i in range(2 * k + 1, arity + 1):
+            svec_add(acc, fn(k, i), ONE if k % 2 == 0 else _MINUS)
+    return acc
+
+
+def _delta1_tables(ops, h):
+    e = ops.e
+    br, tr = ops.br, ops.tr
+
+    def hv(sv):
+        return h.eval_sv([sv])
+
+    def comp_I(idx):
+        x, y = e[idx[0]], e[idx[1]]
+        return _acc((ONE, br(x, hv(y))), (ONE, br(hv(x), y)), (_MINUS, hv(br(x, y))))
+
+    def comp_II(idx):
+        x, y, z = (e[i] for i in idx)
+        return _acc(
+            (ONE, tr(hv(x), y, z)),
+            (ONE, tr(x, hv(y), z)),
+            (ONE, tr(x, y, hv(z))),
+            (_MINUS, hv(tr(x, y, z))),
+        )
+
+    return [comp_I, comp_II]
+
+
+def _delta3_tables(ops, f, g):
+    e = ops.e
+    br, tr = ops.br, ops.tr
+    fv = lambda args: f.eval_sv(args)
+    gv = lambda args: g.eval_sv(args)
+
+    def comp_I(idx):
+        x = [e[i] for i in idx]
+        a2 = [al(ops, 2, v) for v in x]
+        a3 = [al(ops, 3, v) for v in x]
+
+        def hat_term(k, i):
+            triple = tr(x[2 * k - 2], x[2 * k - 1], x[i - 1])
+            return fv(_hat_args(a2, k, i, triple))
+
+        return _acc(
+            (ONE, tr(a3[0], a3[1], fv([x[2], x[3], x[4], x[5]]))),
+            (_MINUS, tr(a3[2], a3[3], fv([x[0], x[1], x[4], x[5]]))),
+            (ONE, _double_sum(6, (1, 2), hat_term)),
+            (_MINUS, gv([al(ops, 1, x[0]), al(ops, 1, x[1]), al(ops, 1, x[2]), al(ops, 1, x[3]), br(x[4], x[5])])),
+            (ONE, br(al(ops, 4, x[4]), gv([x[0], x[1], x[2], x[3], x[5]]))),
+            (ONE, br(gv([x[0], x[1], x[2], x[3], x[4]]), al(ops, 4, x[5]))),
+        )
+
+    def comp_II(idx):
+        x = [e[i] for i in idx]
+        a2 = [al(ops, 2, v) for v in x]
+        a4 = [al(ops, 4, v) for v in x]
+
+        def pair_term(k):
+            rest = [x[m] for m in range(7) if m not in (2 * k - 2, 2 * k - 1)]
+            return tr(a4[2 * k - 2], a4[2 * k - 1], gv(rest))
+
+        def hat_term(k, i):
+            triple = tr(x[2 * k - 2], x[2 * k - 1], x[i - 1])
+            return gv(_hat_args(a2, k, i, triple))
+
+        return _acc(
+            (ONE, pair_term(1)),
+            (_MINUS, pair_term(2)),
+            (ONE, pair_term(3)),
+            (ONE, _double_sum(7, (1, 2, 3), hat_term)),
+            (ONE, tr(gv([x[0], x[1], x[2], x[3], x[4]]), a4[5], a4[6])),
+            (_MINUS, tr(gv([x[0], x[1], x[2], x[3], x[5]]), a4[4], a4[6])),
+        )
+
+    return [comp_I, comp_II]
+
+
+REFERENCE_FORMULAS = {"1": _delta1_tables, "3": _delta3_tables}
 
 
 def reference_identity_values(ops, k, n, fs, gs):
     """The t^n coefficient of identity k; fs[i], gs[i] are callables or None."""
-    series = {"f": fs, "g": gs, "alpha": (lambda x: ops.al(1, x),)}
+    series = {"f": fs, "g": gs, "alpha": (lambda x: al(ops, 1, x),)}
     A, e = ops.A, ops.e
     compiled = []
     for sign, outer, args in IDENTITIES[k][1]:
@@ -327,3 +444,72 @@ def test_obstruction_pairs_and_probes_match_reference(algebras):
             solved_draws += 1
             assert second_order_probe(a, f1, g1, *solved).failures == reference_probe(a, f1, g1, *solved)
     assert solved_draws
+
+
+def _reference(monkeypatch, level, fn, *args):
+    """fn(*args) with the explicit Fraction formula of ``level`` in _LEVELS."""
+    name, domain, codomain, _ = _LEVELS[level]
+    with monkeypatch.context() as patch:
+        patch.setitem(coboundary._LEVELS, level, (name, domain, codomain, REFERENCE_FORMULAS[level]))
+        return fn(*args)
+
+
+def _operator_inputs(algebras):
+    """(algebra, levels whose matrices are compared): gl2's delta3 matrix
+    costs seconds on either path, so gl2 is compared at level 1 and through
+    delta3 images of seeded cochains."""
+    return [(a, ("1",) if a.dim > 3 else ("1", "3")) for a in algebras] + [
+        (a, ("1", "3")) for a in random_verified_algebras(12345, 20)
+    ]
+
+
+def test_delta1_delta3_matrices_match_reference(monkeypatch, algebras):
+    for a, levels in _operator_inputs(algebras):
+        for level in levels:
+            expected = _reference(monkeypatch, level, _assemble, a, level).matrix
+            assert _assemble(a, level).matrix == expected, (a.name, level)
+
+
+def test_delta1_delta3_images_match_reference(monkeypatch, algebras):
+    """Whole tabulations (``_apply``) where the reference's are cheap; at
+    level 3 in dimension 3 and 4 (about a second each on the reference)
+    the formula values on a seeded sample of tuples."""
+    rng = random.Random(4105)
+    nonzero = 0
+    for a, _ in _operator_inputs(algebras):
+        for level, arities in (("1", (1,)), ("3", (4, 5))):
+            cochains = [_random_cochain(a, n, rng) for n in arities]
+            if level == "1" or a.dim == 2:
+                images = _apply(a, level, *cochains)
+                expected = _reference(monkeypatch, level, _apply, a, level, *cochains)
+                assert images == expected, (a.name, level)
+                nonzero += any(not c.is_zero() for c in images)
+                continue
+            ops = _Ops(a)
+            formulas = _LEVELS[level][3](ops, *cochains)
+            references = REFERENCE_FORMULAS[level](ops, *cochains)
+            for (n, _), fn, reference in zip(_LEVELS[level][2], formulas, references):
+                for _ in range(150):
+                    idx = tuple(rng.randrange(a.dim) for _ in range(n))
+                    value = fn(idx)
+                    assert value == reference(idx), (a.name, level, idx)
+                    nonzero += bool(value)
+    assert nonzero
+
+
+def test_contract_reads_arity_one_tables_at_one_tuples(algebras):
+    # an arity-1 table is keyed (j,): read at j, h(x) nested in a bracket,
+    # and h on its own, would both drop every term
+    a = algebras[0]
+    ops = _Ops(a)
+    h = _random_cochain(a, 1, random.Random(4106))
+    tables = {"br": ops.brackets[0], "h": int_table(h.table)}
+    nested = divided(*contract(ops, tables, [(1, "br", ((0, 0), ("h", 1)))]))
+    alone = divided(*contract(ops, tables, [(1, "h", ((2, 1),))]))
+    seen = 0
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        hj = h.eval_sv([ops.e[j]])
+        assert nested((i, j)) == ops.br(ops.e[i], hj)
+        assert alone((i, j)) == h.eval_sv([al(ops, 2, ops.e[j])])
+        seen += bool(nested((i, j))) + bool(alone((i, j)))
+    assert seen

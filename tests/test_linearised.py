@@ -12,9 +12,9 @@ import pytest
 
 from hlya import coboundary
 from hlya.algebra import _Ops, from_lie_algebra
+from hlya.algebra import svec_add
 from hlya.coboundary import (
     _LEVELS,
-    _acc,
     _apply,
     _assemble,
     _space,
@@ -27,6 +27,13 @@ from hlya.exactlin import ONE, ZERO, Matrix
 from hlya.samples import random_verified_algebras
 
 LEVELS = ("1", "2", "d2", "3")
+
+
+def _acc(*signed_terms):
+    acc = {}
+    for sign, sv in signed_terms:
+        svec_add(acc, sv, sign)
+    return acc
 
 
 def _basis_inputs(a, domain):

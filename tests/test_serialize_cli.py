@@ -226,3 +226,51 @@ def test_cli_output_deterministic(tmp_path, capsys):
     for t in (t1, t2):
         assert _run(capsys, "cohomology", "--output", str(t), _golden("e2_sl2.json"))[0] == EXIT_OK
     assert t1.read_bytes() == t2.read_bytes()
+
+
+# --- package and CLI imports ------------------------------------------------
+
+
+def test_cli_defaults_match_the_library():
+    # the parser spells these out so that it imports neither module
+    from hlya import cli, coboundary, deformation, derivations
+
+    args = cli.build_parser().parse_args(["derive", "x.json"])
+    assert (args.k_max, args.order) == (derivations.DEFAULT_K_MAX, deformation.DEFAULT_ORDER)
+    assert (args.k_max, args.order) == (3, 4)
+    assert list(cli.OPERATOR_LEVELS) == sorted(coboundary.OPERATORS) == ["1", "2", "3", "d2"]
+    for level in cli.OPERATOR_LEVELS:
+        assert cli.build_parser().parse_args(["dump-operator", "x.json", level]).level == level
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["dump-operator", "x.json", "5"])
+
+
+def test_cli_cohomology_loads_only_what_it_uses():
+    import subprocess
+    import sys
+
+    code = (
+        "import json, sys\n"
+        "from hlya.cli import main\n"
+        f"assert main(['cohomology', {_golden('e1_aff1.json')!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hlya'))))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    ).stdout
+    loaded = json.loads(out.strip().splitlines()[-1])
+    assert "hlya.cohomology" in loaded
+    for name in ("hlya.deformation", "hlya.derivations", "hlya.samples"):
+        assert name not in loaded
+
+
+def test_every_public_name_resolves():
+    import hlya
+
+    assert len(hlya.__all__) == len(set(hlya.__all__))
+    for name in hlya.__all__:
+        assert getattr(hlya, name) is not None, name
+    with pytest.raises(AttributeError):
+        hlya.no_such_name
