@@ -313,8 +313,8 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
 
     Each formula runs once per representative tuple of each codomain
     block, on generic domain cochains; the linear forms it returns give
-    every column at once.  Coordinates are read off by
-    ``coords_from_reduced``, whose residual check raises NotACochainError
+    every column at once, as sparse vectors.  Coordinates are read off by
+    ``CochainSpace._coords``, whose residual check raises NotACochainError
     on an image that violates alpha-equivariance.  Pair alternation is
     not seen here: only representative tuples are evaluated.
     """
@@ -325,19 +325,19 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     cochains, basis = _generic_inputs(domain)
     blocks = []
     for target, fn in zip(codomain, tables(_Ops(a), *cochains)):
-        coords = []
-        for image in _images(target.rep_tuples, fn, basis, d):
-            reduced = [ZERO] * target.reduced_dim
-            for pos, value in image.items():
-                reduced[pos * d : (pos + 1) * d] = value
-            coords.append(target.coords_from_reduced(reduced))
-        blocks.append(coords)
-    columns = [first + second for first, second in zip(*blocks)]
-    rows = sum(s.dim for s in codomain)
-    if columns and rows:
-        matrix = Matrix.from_columns(columns, rows=rows)
-    else:
-        matrix = Matrix.zeros(rows, len(columns))
+        blocks.append(
+            [
+                target._coords(
+                    {pos * d + k: x for pos, value in image.items() for k, x in enumerate(value) if x}
+                )
+                for image in _images(target.rep_tuples, fn, basis, d)
+            ]
+        )
+    shift = codomain[0].dim
+    columns = [
+        {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
+    ]
+    matrix = Matrix.from_sparse_columns(columns, shift + codomain[1].dim)
     return CoboundaryMap(name, tuple(domain), tuple(codomain), matrix)
 
 

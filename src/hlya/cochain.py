@@ -16,13 +16,14 @@ full multilinear space is available through :meth:`CochainSpace.ambient_subspace
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import Algebra, SVec, Vec, alpha_power_columns, to_dense, to_svec, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ONE, ZERO, Matrix, Subspace, rat
+from .exactlin import ONE, ZERO, Subspace, eliminate, null_vectors, rat
 
 MAX_ARITY = 7
 
@@ -127,61 +128,14 @@ def _canonicalize(idx: tuple, pairs: int) -> tuple[tuple, int]:
     return tuple(lst), sign
 
 
-def _sparse_kernel(rows: Iterable[dict], ncols: int):
-    """RREF of a sparse row system; returns (pivot cols, free cols, basis).
-
-    basis[j] is a sparse column vector spanning the kernel, with a 1 at the
-    j-th free column (so coordinates of any kernel vector are simply its
-    entries at the free columns).
-    """
-    pivot_of: dict[int, dict] = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            piv = pivot_of.get(c)
-            if piv is None:
-                lead = r[c]
-                pivot_of[c] = {cc: v / lead for cc, v in r.items()}
-                break
-            coef = r.pop(c)
-            for cc, v in piv.items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, ZERO) - coef * v
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-    # back-substitute to full reduced form, highest pivot first
-    for c in sorted(pivot_of, reverse=True):
-        row = pivot_of[c]
-        for c2 in [cc for cc in row if cc != c and cc in pivot_of]:
-            coef = row.pop(c2)
-            for cc, v in pivot_of[c2].items():
-                if cc == c2:
-                    continue
-                nv = row.get(cc, ZERO) - coef * v
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    pivots = sorted(pivot_of)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        col = {f: ONE}
-        for c in pivots:
-            v = pivot_of[c].get(f)
-            if v:
-                col[c] = -v
-        basis.append(col)
-    return pivots, free, basis
-
-
 class CochainSpace:
-    """The space of n-cochains of one algebra, with an explicit basis."""
+    """The space of n-cochains of one algebra, with an explicit basis.
+
+    The equivariance rows are reduced by :func:`hlya.exactlin.eliminate`;
+    the basis is the kernel basis of :func:`hlya.exactlin.null_vectors`,
+    so the coordinates of a cochain are its reduced entries at the free
+    columns.
+    """
 
     def __init__(self, algebra: Algebra, arity: int, pairs: int | None = None):
         if not 1 <= arity <= MAX_ARITY:
@@ -201,9 +155,8 @@ class CochainSpace:
         ]
         self.rep_index = {idx: pos for pos, idx in enumerate(self.rep_tuples)}
         self.reduced_dim = len(self.rep_tuples) * d
-        self._pivots, self._free, self._basis_cols = _sparse_kernel(
-            self._equivariance_rows(), self.reduced_dim
-        )
+        self._pivots, reduced = eliminate(self._equivariance_rows())
+        self._free, self._basis_cols = null_vectors(self._pivots, reduced, self.reduced_dim)
         self._orbits = None
         self._basis_cochains = None
         self._ambient = None
@@ -283,13 +236,20 @@ class CochainSpace:
         return self._orbits
 
     def from_reduced(self, vec: Sequence) -> Cochain:
+        return self._from_sparse({i: rat(x) for i, x in enumerate(vec) if x})
+
+    def _from_sparse(self, reduced: dict) -> Cochain:
+        """The cochain of sparse reduced coordinates {position: value}."""
         d = self.algebra.dim
+        values: dict[int, list] = {}
+        for i, x in reduced.items():
+            pos, k = divmod(i, d)
+            values.setdefault(pos, [ZERO] * d)[k] = x
+        orbits = self._pair_orbits()
         table = {}
-        for pos, variants in enumerate(self._pair_orbits()):
-            value = tuple(rat(vec[pos * d + k]) for k in range(d))
-            if not any(value):
-                continue
-            for tup, sign in variants:
+        for pos in sorted(values):
+            value = tuple(values[pos])
+            for tup, sign in orbits[pos]:
                 table[tup] = value if sign == 1 else tuple(-x for x in value)
         return Cochain(self.arity, d, table)
 
@@ -299,29 +259,38 @@ class CochainSpace:
         With check_pairs, verifies the diagonal/antisymmetry condition on
         every tuple and raises NotACochainError on violation.
         """
-        d = self.algebra.dim
         reduced = [ZERO] * self.reduced_dim
-        for pos, idx in enumerate(self.rep_tuples):
-            vec = table.get(idx)
-            if vec:
+        for i, x in self._reduce(table, check_pairs).items():
+            reduced[i] = x
+        return reduced
+
+    def _reduce(self, table: dict, check_pairs: bool = True) -> dict:
+        """:meth:`reduce_table` as a sparse vector {position: nonzero value}."""
+        d = self.algebra.dim
+        index = self.rep_index
+        reduced = {}
+        for idx, vec in table.items():
+            pos = index.get(idx)
+            if pos is not None:
                 for k, x in enumerate(vec):
-                    reduced[pos * d + k] = rat(x)
+                    if x:
+                        reduced[pos * d + k] = rat(x)
         if check_pairs:
             for idx, vec in table.items():
-                if not any(vec):
+                if idx in index or not any(vec):
                     continue
                 can, sign = _canonicalize(idx, self.pairs)
                 if sign == 0:
                     raise NotACochainError(
                         f"nonzero value at diagonal-pair tuple {tuple(i + 1 for i in idx)}"
                     )
-                if can != idx:
-                    pos = self.rep_index[can]
-                    for k, x in enumerate(vec):
-                        if rat(x) != sign * reduced[pos * d + k]:
-                            raise NotACochainError(
-                                f"pair-antisymmetry violated at tuple {tuple(i + 1 for i in idx)}"
-                            )
+                base = index[can] * d
+                for k, x in enumerate(vec):
+                    y = reduced.get(base + k, ZERO)
+                    if x != (y if sign == 1 else -y):
+                        raise NotACochainError(
+                            f"pair-antisymmetry violated at tuple {tuple(i + 1 for i in idx)}"
+                        )
         return reduced
 
     def to_reduced(self, cochain: Cochain) -> list:
@@ -329,35 +298,55 @@ class CochainSpace:
 
     def coords_from_reduced(self, reduced: Sequence) -> list:
         """Coordinates w.r.t. the basis; raises when outside the span."""
-        coords = [rat(reduced[f]) for f in self._free]
-        # residual check doubles as the alpha-equivariance test
-        recon = [ZERO] * self.reduced_dim
-        for x, col in zip(coords, self._basis_cols):
-            if x:
-                for i, v in col.items():
-                    recon[i] += x * v
-        if recon != [rat(x) for x in reduced]:
+        return self._dense(self._coords({i: rat(x) for i, x in enumerate(reduced) if x}))
+
+    def _coords(self, reduced: dict) -> dict:
+        """:meth:`coords_from_reduced` on sparse vectors {position: value}.
+
+        The coordinates are the entries at the free columns.  The vector is
+        in the space iff the basis combination they give is the vector
+        itself; that residual check doubles as the alpha-equivariance test.
+        """
+        free, cols = self._free, self._basis_cols
+        coords, recon = {}, {}
+        for i, x in reduced.items():
+            j = bisect_left(free, i)
+            if j < len(free) and free[j] == i:
+                coords[j] = x
+                for p, v in cols[j].items():
+                    y = recon.get(p)
+                    recon[p] = x * v if y is None else y + x * v
+        for i, x in reduced.items():
+            if recon.pop(i, ZERO) != x:
+                raise NotACochainError("map violates the alpha-equivariance condition")
+        if any(recon.values()):
             raise NotACochainError("map violates the alpha-equivariance condition")
         return coords
 
+    def _dense(self, coords: dict) -> list:
+        out = [ZERO] * self.dim
+        for j, x in coords.items():
+            out[j] = x
+        return out
+
     def coords(self, cochain: Cochain) -> list:
-        return self.coords_from_reduced(self.to_reduced(cochain))
+        return self._dense(self._coords(self._reduce(cochain.table)))
 
     def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
         """Canonical cochain and basis coordinates of a raw tabulation."""
-        reduced = self.reduce_table(table, check_pairs=True)
-        coords = self.coords_from_reduced(reduced)
-        return self.from_reduced(reduced), coords
+        reduced = self._reduce(table)
+        coords = self._coords(reduced)
+        return self._from_sparse(reduced), self._dense(coords)
 
     def from_coords(self, coords: Sequence) -> Cochain:
-        d = self.algebra.dim
-        reduced = [ZERO] * self.reduced_dim
+        reduced: dict = {}
         for x, col in zip(coords, self._basis_cols):
             x = rat(x)
             if x:
                 for i, v in col.items():
-                    reduced[i] += x * v
-        return self.from_reduced(reduced)
+                    y = reduced.get(i)
+                    reduced[i] = x * v if y is None else y + x * v
+        return self._from_sparse(reduced)
 
     def contains(self, cochain: Cochain) -> bool:
         try:
@@ -369,16 +358,8 @@ class CochainSpace:
     @property
     def basis_cochains(self) -> list:
         if self._basis_cochains is None:
-            self._basis_cochains = [
-                self.from_reduced(self._expand_col(col)) for col in self._basis_cols
-            ]
+            self._basis_cochains = [self._from_sparse(col) for col in self._basis_cols]
         return self._basis_cochains
-
-    def _expand_col(self, col: dict) -> list:
-        vec = [ZERO] * self.reduced_dim
-        for i, v in col.items():
-            vec[i] = v
-        return vec
 
     # --- ambient picture --------------------------------------------------
 

@@ -248,13 +248,10 @@ def random_gauge(a: Algebra, order: int, rng) -> Gauge:
     d = a.dim
     phi = [Matrix.identity(d)]
     for _ in range(order):
-        acc = [[Fraction(0)] * d for _ in range(d)]
+        acc = Matrix.zeros(d, d)
         for b in basis:
-            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            for r in range(d):
-                for col in range(d):
-                    acc[r][col] += c * b.data[r][col]
-        phi.append(Matrix(acc))
+            acc = acc.add(b.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
+        phi.append(acc)
     return Gauge(a, order, phi)
 
 
@@ -269,7 +266,7 @@ def single_step_gauge(a: Algebra, order: int, h: Matrix, r: int) -> Gauge:
         raise PreconditionError("step exponent must satisfy 1 <= r <= order")
     zero = Matrix.zeros(a.dim, a.dim)
     phi = [Matrix.identity(a.dim)] + [zero] * order
-    phi[r] = Matrix([[-x for x in row] for row in h.data])
+    phi[r] = h.scale(-1)
     return Gauge(a, order, phi)
 
 
@@ -282,8 +279,7 @@ def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     for n in range(p.order + 1):
         acc = Matrix.zeros(d, d)
         for i in range(n + 1):
-            term = p.phi[i].matmul(q.phi[n - i])
-            acc = Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc.data, term.data)])
+            acc = acc.add(p.phi[i].matmul(q.phi[n - i]))
         phi.append(acc)
     return Gauge(p.base, p.order, phi)
 
@@ -295,9 +291,8 @@ def inverse_gauge(p: Gauge) -> Gauge:
     for n in range(1, p.order + 1):
         acc = Matrix.zeros(d, d)
         for i in range(1, n + 1):
-            term = p.phi[i].matmul(psi[n - i])
-            acc = Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc.data, term.data)])
-        psi.append(Matrix([[-x for x in row] for row in acc.data]))
+            acc = acc.add(p.phi[i].matmul(psi[n - i]))
+        psi.append(acc.scale(-1))
     return Gauge(p.base, p.order, psi)
 
 
@@ -446,13 +441,12 @@ class ProbeReport:
 def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Cochain) -> ProbeReport:
     """Evaluate equations 5'-8' at n = 2 for a candidate second-order term.
 
-    Preconditions (checked): (f1, g1) is a cocycle pair and (f2, g2) kills
-    the obstruction, i.e. delta2 of (f2, g2) equals the obstruction pair.
+    Preconditions (checked): (f1, g1) is a cocycle pair, which
+    :func:`obstruction_pair` checks, and (f2, g2) kills the obstruction,
+    i.e. delta2 of (f2, g2) equals the obstruction pair.
     No outcome is asserted: 7' and 8' are expected to hold, 5' and 6' may
     fail, and the report is the deliverable.
     """
-    if not is_cocycle_2(a, f1, g1):
-        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
     obstruction = obstruction_pair(a, f1, g1)
     d2f, d2g = apply_delta2_pair(a, f2, g2)
     if d2f != obstruction.first or d2g != obstruction.second:

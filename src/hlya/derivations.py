@@ -127,14 +127,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     Raises ClosureViolationError on membership failure, which would
     contradict the closure theorem.
     """
-    comm_data = [
-        [
-            sum(d1.data[i][m] * d2m.data[m][j] - d2m.data[i][m] * d1.data[m][j] for m in range(a.dim))
-            for j in range(a.dim)
-        ]
-        for i in range(a.dim)
-    ]
-    comm = Matrix(comm_data)
+    comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
     target = derivation_space(a, k + s)
     if solve(target.basis.basis, _flatten(comm)) is None:
         raise ClosureViolationError(

@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Everything downstream (cochain spaces, coboundary matrices, cohomology
 dimensions) reduces to kernels, images and solvability questions over Q.
-Elimination here uses ``fractions.Fraction``; the contraction kernels of
-:mod:`hlya.algebra` work on integer numerators over an explicit common
-denominator.  Both are exact: there are no floats and no tolerance anywhere.
+A :class:`Matrix` stores only its nonzero ``fractions.Fraction`` entries,
+row by row, and every kernel, image, rank, containment and solve runs the
+one sparse Gauss-Jordan routine :func:`eliminate`.  The contraction
+kernels of :mod:`hlya.algebra` work on integer numerators over an explicit
+common denominator.  Both are exact: there are no floats and no tolerance
+anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,32 +34,71 @@ def rat_str(value: Fraction) -> str:
     return str(value)
 
 
-class Matrix:
-    """Dense row-major matrix of Fractions.  Immutable by convention."""
+def _sparse(vec: Sequence) -> dict:
+    """{position: Fraction} of the nonzero entries of a dense vector."""
+    return {i: rat(x) for i, x in enumerate(vec) if x}
 
-    __slots__ = ("rows", "cols", "data")
+
+def _transpose(vectors: Sequence[dict], length: int) -> list[dict]:
+    """Sparse rows of the matrix whose columns are ``vectors``, each a
+    sparse vector with ``length`` entries."""
+    out = [{} for _ in range(length)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
+
+
+def _dot(u: dict, v: dict) -> Fraction:
+    if len(v) < len(u):
+        u, v = v, u
+    s = ZERO
+    for j, a in u.items():
+        b = v.get(j)
+        if b is not None:
+            s += a * b
+    return s
+
+
+class Matrix:
+    """Sparse row-major matrix of Fractions.  Immutable.
+
+    Row i is stored as ``{column: value}`` over its nonzero entries, and
+    every operation here works on those.  :attr:`data` is a dense
+    list-of-lists copy, built on each access.  The first :func:`solve`
+    against a matrix keeps its reduction on it, so every later solve is
+    one product.
+    """
+
+    __slots__ = ("rows", "cols", "_rows", "_reduction")
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = [[rat(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for row in self.data:
-            if len(row) != self.cols:
+        rows = [list(row) for row in data]
+        cols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != cols:
                 raise DimMismatchError("ragged rows")
+        self._set([_sparse(row) for row in rows], cols)
+
+    def _set(self, rows: list[dict], cols: int) -> None:
+        self.rows, self.cols = len(rows), cols
+        self._rows = rows
+        self._reduction = None
+
+    @classmethod
+    def _from_rows(cls, rows: list[dict], cols: int) -> "Matrix":
+        """A matrix over sparse rows of nonzero Fractions, taken as they are."""
+        m = cls.__new__(cls)
+        m._set(rows, cols)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.data = [[ZERO] * cols for _ in range(rows)]
-        return m
+        return cls._from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return cls._from_rows([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -67,65 +110,106 @@ class Matrix:
         for c in columns:
             if len(c) != rows:
                 raise ShapeMismatchError("column length mismatch")
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(rows)])
+        return cls.from_sparse_columns([_sparse(c) for c in columns], rows)
+
+    @classmethod
+    def from_sparse_columns(cls, columns: Sequence[dict], rows: int) -> "Matrix":
+        """The rows x len(columns) matrix whose column j is ``columns[j]``,
+        a sparse vector {row: nonzero Fraction}."""
+        return cls._from_rows(_transpose(columns, rows), len(columns))
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        """Dense rows, built on each access; writing to them does not change
+        the matrix."""
+        out = []
+        for row in self._rows:
+            dense = [ZERO] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def entries(self) -> list[tuple[int, int, Fraction]]:
+        """The nonzero entries (i, j, value), in (i, j) order."""
+        return [(i, j, row[j]) for i, row in enumerate(self._rows) for j in sorted(row)]
 
     def column(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row.get(j, ZERO) for row in self._rows]
 
     def columns(self) -> list[list[Fraction]]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._from_rows(_transpose(self._rows, self.cols), self.rows)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product, summed over the nonzero vector entries only."""
+        """Matrix-vector product over the stored entries and the nonzero
+        vector entries."""
         if len(vec) != self.cols:
             raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
-        nonzero = [(j, x) for j, x in enumerate(vec) if x]
-        out = [ZERO] * self.rows
-        for i, row in enumerate(self.data):
-            s = ZERO
-            for j, x in nonzero:
-                a = row[j]
-                if a:
-                    s += a * x
-            out[i] = s
-        return out
+        nonzero = {j: x for j, x in enumerate(vec) if x}
+        return [_dot(row, nonzero) for row in self._rows]
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimMismatchError("inner dimensions disagree")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] += a * b
-        return out
+        out = []
+        for row in self._rows:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other._rows[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix._from_rows(out, other.cols)
 
     __matmul__ = matmul
 
+    def add(self, other: "Matrix") -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimMismatchError("matrix shapes disagree")
+        out = []
+        for row, orow in zip(self._rows, other._rows):
+            acc = dict(row)
+            for j, b in orow.items():
+                x = acc.get(j, ZERO) + b
+                if x:
+                    acc[j] = x
+                else:
+                    acc.pop(j, None)
+            out.append(acc)
+        return Matrix._from_rows(out, self.cols)
+
+    def scale(self, c) -> "Matrix":
+        c = rat(c)
+        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._rows]
+        return Matrix._from_rows(rows, self.cols)
+
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self._rows)
+
+    def _reduced(self) -> tuple[list[int], list[dict]]:
+        """(pivots, E) with E m = RREF(m): E is the right block of the reduced
+        [m | I].  Its rows past len(pivots) span the left kernel of m."""
+        if self._reduction is None:
+            n = self.cols
+            augmented = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
+            pivots, reduced = eliminate(augmented)
+            inverse = [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
+            self._reduction = (pivots[: bisect_left(pivots, n)], inverse)
+        return self._reduction
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -134,67 +218,118 @@ class Matrix:
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
         raise ShapeMismatchError("column counts disagree")
-    if not top.rows + bottom.rows:
-        return Matrix.zeros(0, top.cols)  # Matrix([]) would lose the columns
-    return Matrix(top.data + bottom.data)
+    return Matrix._from_rows(top._rows + bottom._rows, top.cols)
+
+
+def eliminate(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
+    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction}.
+
+    Returns the pivot columns, ascending, and the nonzero rows of the
+    reduced row echelon form in the same order: row r has a 1 at
+    ``pivots[r]`` and no entry at any other pivot column.  The input rows
+    are not changed.  RREF is unique, so the result does not depend on
+    the order of the rows.
+    """
+    pivot_of: dict[int, dict] = {}
+
+    def subtract(r: dict, coef: Fraction, piv: dict, skip: int) -> None:
+        # r -= coef * piv, except at column skip, which the caller clears
+        for cc, v in piv.items():
+            if cc == skip:
+                continue
+            x = r.get(cc)
+            if x is None:
+                r[cc] = -coef * v
+            else:
+                x -= coef * v
+                if x:
+                    r[cc] = x
+                else:
+                    del r[cc]
+
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            piv = pivot_of.get(c)
+            if piv is None:
+                lead = r[c]
+                if lead != 1:
+                    inv = ONE / lead
+                    r = {cc: v * inv for cc, v in r.items()}
+                pivot_of[c] = r
+                break
+            subtract(r, r.pop(c), piv, c)
+    # back-substitute, highest pivot first, so each row subtracted is final
+    pivots = sorted(pivot_of)
+    for c in reversed(pivots):
+        row = pivot_of[c]
+        for c2 in [cc for cc in row if cc != c and cc in pivot_of]:
+            subtract(row, row.pop(c2), pivot_of[c2], c2)
+    return pivots, [pivot_of[c] for c in pivots]
+
+
+def null_vectors(pivots: list[int], reduced: list[dict], ncols: int) -> tuple[list[int], list[dict]]:
+    """Free columns and kernel basis of a system in reduced form.
+
+    ``(pivots, reduced)`` is the result of :func:`eliminate`.  Kernel
+    vector j is sparse, with a 1 at the j-th free column and zeros at the
+    others, so the coordinates of any kernel vector are its entries at the
+    free columns.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    vectors = {f: {f: ONE} for f in free}
+    for p, row in zip(pivots, reduced):
+        for f, v in row.items():
+            if f != p:
+                vectors[f][p] = -v
+    return free, [vectors[f] for f in free]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot columns, exact arithmetic."""
-    data = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if data[i][c]), None)
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = ONE / data[r][c]
-        if inv != 1:
-            data[r] = [x * inv for x in data[r]]
-        for i in range(rows):
-            if i != r and data[i][c]:
-                f = data[i][c]
-                ri, rr = data[i], data[r]
-                for j in range(c, cols):
-                    if rr[j]:
-                        ri[j] -= f * rr[j]
-        pivots.append(c)
-        r += 1
-    return Matrix(data), pivots
+    pivots, reduced = eliminate(m._rows)
+    padding = [{} for _ in range(m.rows - len(reduced))]
+    return Matrix._from_rows(reduced + padding, m.cols), pivots
 
 
 class Subspace:
     """A subspace of Q^n given by a basis of independent columns.
 
-    The stored basis is canonicalized (row echelon over the transpose), so
-    two Subspace objects are equal iff they span the same space.
+    The stored basis is canonicalized (the reduced row echelon form of the
+    spanning vectors, as columns), so two Subspace objects are equal iff
+    they span the same space.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, columns: Iterable[Sequence]):
-        columns = [list(map(rat, c)) for c in columns]
-        for c in columns:
+        vectors = []
+        for c in map(list, columns):
             if len(c) != ambient_dim:
                 raise DimMismatchError("basis vector has wrong length")
-        if columns:
-            reduced, pivots = rref(Matrix(columns))
-            rows = [reduced.data[i] for i in range(len(pivots))]
-        else:
-            rows = []
+            vectors.append(_sparse(c))
+        self._span(ambient_dim, vectors)
+
+    def _span(self, ambient_dim: int, vectors: Iterable[dict]) -> None:
+        _, reduced = eliminate(vectors)
         self.ambient_dim = ambient_dim
-        self.basis = Matrix.from_columns(rows, rows=ambient_dim) if rows else Matrix.zeros(ambient_dim, 0)
+        self.basis = Matrix.from_sparse_columns(reduced, ambient_dim)
+
+    @classmethod
+    def spanned_by(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
+        """The span of sparse vectors {position: nonzero Fraction}."""
+        s = cls.__new__(cls)
+        s._span(ambient_dim, vectors)
+        return s
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
     def contains(self, vec: Sequence) -> bool:
-        return solve(self.basis, [rat(x) for x in vec]) is not None
+        return solve(self.basis, vec) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,44 +347,35 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Basis of the right null space; dim = cols - rank."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            if reduced.data[r][f]:
-                v[p] = -reduced.data[r][f]
-        cols.append(v)
-    return Subspace(m.cols, cols)
+    pivots, reduced = eliminate(m._rows)
+    return Subspace.spanned_by(m.cols, null_vectors(pivots, reduced, m.cols)[1])
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Basis of the column space; dim = rank."""
-    _, pivots = rref(m)
-    return Subspace(m.rows, [m.column(p) for p in pivots])
+    return Subspace.spanned_by(m.rows, _transpose(m._rows, m.cols))
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(eliminate(m._rows)[0])
 
 
 def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
-    """A particular solution of m x = b, or None when b is not in the image."""
-    b = [rat(x) for x in b]
+    """A particular solution of m x = b, or None when b is not in the image.
+
+    Free variables are 0.  The reduction (pivots, E) of m is computed on
+    the first call and kept on m: b is in the image iff the rows of E b
+    past the rank vanish, and x at pivot r is (E b)_r.
+    """
     if len(b) != m.rows:
         raise DimMismatchError("right-hand side has wrong length")
-    aug = Matrix([row + [bv] for row, bv in zip(m.data, b)] if m.rows else [])
-    if m.rows == 0:
-        return [ZERO] * m.cols
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
+    pivots, inverse = m._reduced()
+    b = _sparse(b)
+    if any(_dot(row, b) for row in inverse[len(pivots) :]):
         return None
     x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.data[r][m.cols]
+    for p, row in zip(pivots, inverse):
+        x[p] = _dot(row, b)
     return x
 
 
@@ -260,9 +386,13 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
     if b.dim:
         # z's basis is independent, so its columns are the first pivots of
         # [z | b]; a pivot in b's block is the first b vector outside span(z)
-        stacked = Matrix([zr + br for zr, br in zip(z.basis.data, b.basis.data)])
-        _, pivots = rref(stacked)
-        outside = [p - z.dim for p in pivots if p >= z.dim]
+        shift = z.dim
+        stacked = [
+            {**zr, **{shift + j: x for j, x in br.items()}}
+            for zr, br in zip(z.basis._rows, b.basis._rows)
+        ]
+        pivots, _ = eliminate(stacked)
+        outside = [p - shift for p in pivots if p >= shift]
         if outside:
             raise NotContainedError(
                 f"basis vector {outside[0]} of the smaller space is outside the larger one"

@@ -8,7 +8,6 @@ index order, so identical data yields byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from fractions import Fraction
@@ -240,11 +239,7 @@ def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gau
 
 
 def matrix_to_obj(m: Matrix) -> dict:
-    entries = [
-        [i + 1, j + 1, rat_str(m.data[i][j])]
-        for i, j in itertools.product(range(m.rows), range(m.cols))
-        if m.data[i][j]
-    ]
+    entries = [[i + 1, j + 1, rat_str(x)] for i, j, x in m.entries()]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 

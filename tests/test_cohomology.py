@@ -1,9 +1,13 @@
 """Cohomology dimensions, membership tests, and basis independence."""
 
+import hashlib
 import os
 import random
 
+import pytest
+
 from hlya import serialize
+from hlya.cli import EXIT_OK, main
 from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
 from hlya.coboundary import apply_delta1_single, delta2, delta3
 from hlya.cochain import build_cochain_space
@@ -59,6 +63,21 @@ def test_gl2_golden_dimension_table():
     }
     assert delta3(a).matrix.matmul(delta2(a).matrix).is_zero()
     assert report.h1.dim == derivation_space(a, 0).dim
+
+
+# SHA-256 of the standard output of `hlya <command> data/e4_gl2.json`
+GL2_STDOUT_SHA256 = {
+    ("cohomology",): "44c18853109fc4a09955370e234ab1f45946e0ced00089a9d98bb8f5d7aac617",
+    ("dump-operator", "3"): "129d165f36f6e229379f3a1d6b85f4ea313d22158fae12785a8c038d7f3c624d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GL2_STDOUT_SHA256), ids=" ".join)
+def test_gl2_cli_output_is_pinned(command, capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "e4_gl2.json")
+    assert main([command[0], path, *command[1:]]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GL2_STDOUT_SHA256[command]
 
 
 def test_empty_degree_two_codomains():

@@ -220,6 +220,10 @@ def test_obstruction_requires_cocycle(e1):
             if not is_cocycle_2(e1, f, g):
                 with pytest.raises(NotInZ2Z3Error):
                     obstruction_pair(e1, f, g)
+                with pytest.raises(NotInZ2Z3Error):
+                    solve_second_order(e1, f, g)
+                with pytest.raises(NotInZ2Z3Error):
+                    second_order_probe(e1, f, g, Cochain.zero(2, e1.dim), Cochain.zero(3, e1.dim))
                 return
     raise AssertionError("every basis pair was a cocycle; cannot exercise the guard")
 
