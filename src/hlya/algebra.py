@@ -10,10 +10,11 @@ Lie-Yamaguti algebra.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -96,13 +97,15 @@ class Algebra:
     ternary: tuple  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
     alpha: tuple  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
     name: str = field(default="", compare=False)
+    # data derived from this algebra, filled by @memoised functions
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alpha_matrix(self) -> Matrix:
         return Matrix(self.alpha)
 
     def __hash__(self):
-        # cached: the structure tensors are deeply nested Fraction tuples and
-        # hashing them dominates hot loops that hit lru_cache lookups
+        # cached: the structure tensors are deeply nested Fraction tuples, and
+        # algebras serve as dict and set keys
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.dim, self.binary, self.ternary, self.alpha))
@@ -280,29 +283,28 @@ def table_sum(tables) -> IntTable:
     return IntTable(den, {key: _pruned(vec) for key, vec in out.items()})
 
 
-@lru_cache(maxsize=None)
-def _binary_table(a: Algebra) -> dict:
-    table = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            sv = to_svec(a.binary[i][j])
-            if sv:
-                table[(i, j)] = sv
-    return table
+def memoised(fn):
+    """fn(a, *args), computed once per algebra object and kept in its memo.
+
+    The value lives exactly as long as the algebra.  It is keyed by the
+    function and the arguments in positional form; fn takes no defaults,
+    so each argument list has one key.
+    """
+
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        if kwargs:
+            args = inspect.signature(fn).bind(*args, **kwargs).args
+        key = (fn, *args[1:])
+        memo = args[0]._memo
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return cached
 
 
-@lru_cache(maxsize=None)
-def _ternary_table(a: Algebra) -> dict:
-    table = {}
-    for idx in itertools.product(range(a.dim), repeat=3):
-        i, j, k = idx
-        sv = to_svec(a.ternary[i][j][k])
-        if sv:
-            table[idx] = sv
-    return table
-
-
-@lru_cache(maxsize=None)
+@memoised
 def alpha_power_columns(a: Algebra, k: int) -> tuple:
     """Columns of alpha^k as sparse vectors; alpha^0 = identity."""
     if k == 0:
@@ -318,22 +320,44 @@ def alpha_power_columns(a: Algebra, k: int) -> tuple:
     return tuple(cols)
 
 
+def commutant_rows(a: Algebra) -> list:
+    """D o alpha = alpha o D as rows in the entries of D flattened row-major
+    (D[i][j] at i * d + j), one per entry (i, j):
+    sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
+    d = a.dim
+    rows = []
+    for i, j in itertools.product(range(d), repeat=2):
+        row = [ZERO] * (d * d)
+        for m in range(d):
+            row[i * d + m] += a.alpha[m][j]
+            row[m * d + j] -= a.alpha[i][m]
+        rows.append(row)
+    return rows
+
+
 class _Ops:
     """One algebra's bracket and alpha contractions on sparse vectors.
 
     ``A[k]`` holds the columns of alpha^k (k < 5), so ``A[0]`` is the
-    standard basis.  The bracket tables are held directly, which keeps cache
-    lookups (they hash the whole algebra) out of per-tuple inner loops.
-    :func:`identity_values` reads the same data as integer tables
-    (``brackets``, ``alpha_tables``), built on first use.
+    standard basis, and the bracket tables map basis tuples to sparse
+    values.  :func:`identity_values` reads the same data as integer tables
+    (``brackets``, ``alpha_tables``), built on first use.  The package
+    takes each algebra's one instance from its memo (:func:`ops_of`).
     """
 
     def __init__(self, a: Algebra):
         self.a = a
         self.A = tuple(alpha_power_columns(a, k) for k in range(5))
         self.e = self.A[0]
-        self._btab = _binary_table(a)
-        self._ttab = _ternary_table(a)
+        d = range(a.dim)
+        self._btab = {
+            (i, j): sv for i, j in itertools.product(d, repeat=2) if (sv := to_svec(a.binary[i][j]))
+        }
+        self._ttab = {
+            (i, j, k): sv
+            for i, j, k in itertools.product(d, repeat=3)
+            if (sv := to_svec(a.ternary[i][j][k]))
+        }
 
     @cached_property
     def brackets(self) -> tuple[IntTable, IntTable]:
@@ -377,6 +401,12 @@ class _Ops:
         return acc
 
 
+@memoised
+def ops_of(a: Algebra) -> _Ops:
+    """The algebra's one :class:`_Ops`."""
+    return _Ops(a)
+
+
 # --- public evaluation ----------------------------------------------------
 
 
@@ -388,13 +418,13 @@ def _check_vec(a: Algebra, v: Sequence) -> SVec:
 
 def eval_binary(a: Algebra, x: Sequence, y: Sequence) -> Vec:
     """[x, y] by bilinear contraction against the binary tensor."""
-    return to_dense(_Ops(a).br(_check_vec(a, x), _check_vec(a, y)), a.dim)
+    return to_dense(ops_of(a).br(_check_vec(a, x), _check_vec(a, y)), a.dim)
 
 
 def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
     """{x, y, z} by trilinear contraction against the ternary tensor."""
     return to_dense(
-        _Ops(a).tr(_check_vec(a, x), _check_vec(a, y), _check_vec(a, z)), a.dim
+        ops_of(a).tr(_check_vec(a, x), _check_vec(a, y), _check_vec(a, z)), a.dim
     )
 
 
@@ -572,7 +602,7 @@ def check_axioms(a: Algebra) -> AxiomReport:
     Multilinearity makes basis checks sufficient.  Failures are recorded,
     never raised.
     """
-    ops = _Ops(a)
+    ops = ops_of(a)
     fs, gs = bracket_series(ops)
     counter: dict = {}
     for k in AXIOM_IDS:
@@ -611,7 +641,7 @@ def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
     lie = make_algebra(dim, bracket, _zero_ternary(dim), [[int(i == j) for j in range(dim)] for i in range(dim)])
-    ops = _Ops(lie)
+    ops = ops_of(lie)
     e = ops.e
     t = [
         [[list(to_dense(ops.br(ops.br(e[i], e[j]), e[k]), dim)) for k in range(dim)] for j in range(dim)]
@@ -636,7 +666,7 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
             svec_add(acc, cols[i], c)
         return acc
 
-    ops = _Ops(a)
+    ops = ops_of(a)
     e = ops.e
     for i, j in itertools.product(range(a.dim), repeat=2):
         if bv(ops.br(e[i], e[j])) != ops.br(bv(e[i]), bv(e[j])):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import (
     Algebra,
@@ -49,9 +48,11 @@ from .algebra import (
     divided,
     identity_values,
     int_table,
+    memoised,
+    ops_of,
     to_dense,
 )
-from .cochain import Cochain, CochainSpace, build_cochain_space
+from .cochain import Cochain, build_cochain_space
 from .exactlin import Matrix, ZERO
 
 
@@ -197,14 +198,6 @@ _LEVELS = {
 }
 
 
-def _space(a: Algebra, arity: int, pairs: int | None) -> CochainSpace:
-    # build_cochain_space caches by call form: (a, n) and (a, n, None) would
-    # build the same space twice
-    if pairs is None:
-        return build_cochain_space(a, arity)
-    return build_cochain_space(a, arity, pairs=pairs)
-
-
 class _Form:
     """A linear form in the unknown reduced coordinates of generic cochains.
 
@@ -263,7 +256,7 @@ def _generic_inputs(domain) -> tuple[list, list]:
     Block b's reduced coordinate i is the unknown ``offset_b + i``, where
     ``offset_b`` is the reduced dimension of the blocks before b.  The
     generic cochain takes the value of each coordinate that some basis
-    cochain uses, with the pair signs of :meth:`CochainSpace.from_reduced`;
+    cochain uses, with the pair signs of :meth:`CochainSpace._from_sparse`;
     a block of dimension 0 is the zero cochain.  The basis comes back as
     sparse vectors over the unknowns, block by block.
     """
@@ -275,7 +268,7 @@ def _generic_inputs(domain) -> tuple[list, list]:
             i: _Form({offset + i: 1}) for col in space._basis_cols for i in col
         }
         table = {}
-        for pos, variants in enumerate(space._pair_orbits()):
+        for pos, variants in enumerate(space._orbits):
             value = tuple(forms.get(pos * d + k, 0) for k in range(d))
             if any(value):
                 negated = tuple(-x for x in value)
@@ -321,10 +314,10 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
     d = a.dim
     domain = [build_cochain_space(a, n) for n in domain_arities]
-    codomain = [_space(a, n, pairs) for n, pairs in codomain_shapes]
+    codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     cochains, basis = _generic_inputs(domain)
     blocks = []
-    for target, fn in zip(codomain, tables(_Ops(a), *cochains)):
+    for target, fn in zip(codomain, tables(ops_of(a), *cochains)):
         blocks.append(
             [
                 target._coords(
@@ -341,19 +334,19 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     return CoboundaryMap(name, tuple(domain), tuple(codomain), matrix)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def delta1(a: Algebra) -> CoboundaryMap:
     """f in C1 to (the pair of) its binary and ternary Leibniz defects."""
     return _assemble(a, "1")
 
 
-@lru_cache(maxsize=None)
+@memoised
 def delta2(a: Algebra) -> CoboundaryMap:
     """The t^1 coefficients of identities 7 and 8 around the base."""
     return _assemble(a, "2")
 
 
-@lru_cache(maxsize=None)
+@memoised
 def d2(a: Algebra) -> CoboundaryMap:
     """The t^1 coefficients of the two cyclic identities 5 and 6.
 
@@ -370,7 +363,7 @@ def d2(a: Algebra) -> CoboundaryMap:
     return _assemble(a, "d2")
 
 
-@lru_cache(maxsize=None)
+@memoised
 def delta3(a: Algebra) -> CoboundaryMap:
     return _assemble(a, "3")
 
@@ -391,8 +384,8 @@ def _apply(a: Algebra, level: str, *cochains) -> tuple[Cochain, Cochain]:
     """The operator's two components as cochains, tabulated on all tuples."""
     _, _, codomain_shapes, tables = _LEVELS[level]
     return tuple(
-        _space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
-        for (n, pairs), fn in zip(codomain_shapes, tables(_Ops(a), *cochains))
+        build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
+        for (n, pairs), fn in zip(codomain_shapes, tables(ops_of(a), *cochains))
     )
 
 
@@ -427,8 +420,8 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     op = operator_by_level(a, level)
     _, _, codomain_shapes, tables = _LEVELS[level]
     cochains, basis = _generic_inputs(op.domain)
-    for (n, pairs), fn in zip(codomain_shapes, tables(_Ops(a), *cochains)):
-        space = _space(a, n, pairs)
+    for (n, pairs), fn in zip(codomain_shapes, tables(ops_of(a), *cochains)):
+        space = build_cochain_space(a, n, pairs)
         tuples = list(itertools.product(range(a.dim), repeat=n))
         for image in _images(tuples, fn, basis, a.dim):
             space.cochain_from_table({tuples[pos]: value for pos, value in image.items()})

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
-from .algebra import Algebra, SVec, Vec, alpha_power_columns, to_dense, to_svec, zero_vec
+from .algebra import Algebra, SVec, Vec, alpha_power_columns, memoised, to_dense, to_svec, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Subspace, eliminate, null_vectors, rat
 
@@ -157,9 +157,6 @@ class CochainSpace:
         self.reduced_dim = len(self.rep_tuples) * d
         self._pivots, reduced = eliminate(self._equivariance_rows())
         self._free, self._basis_cols = null_vectors(self._pivots, reduced, self.reduced_dim)
-        self._orbits = None
-        self._basis_cochains = None
-        self._ambient = None
 
     # reduced coordinate layout: (rep position, output index) -> pos * d + k
 
@@ -218,25 +215,22 @@ class CochainSpace:
 
     # --- conversions ------------------------------------------------------
 
-    def _pair_orbits(self):
-        if self._orbits is None:
-            orbits = []
-            for idx in self.rep_tuples:
-                variants = []
-                for swaps in itertools.product((False, True), repeat=self.pairs):
-                    lst = list(idx)
-                    sign = 1
-                    for p, do_swap in enumerate(swaps):
-                        if do_swap:
-                            lst[2 * p], lst[2 * p + 1] = lst[2 * p + 1], lst[2 * p]
-                            sign = -sign
-                    variants.append((tuple(lst), sign))
-                orbits.append(variants)
-            self._orbits = orbits
-        return self._orbits
-
-    def from_reduced(self, vec: Sequence) -> Cochain:
-        return self._from_sparse({i: rat(x) for i, x in enumerate(vec) if x})
+    @cached_property
+    def _orbits(self) -> list:
+        """Per representative tuple, its pair-swapped variants and their signs."""
+        orbits = []
+        for idx in self.rep_tuples:
+            variants = []
+            for swaps in itertools.product((False, True), repeat=self.pairs):
+                lst = list(idx)
+                sign = 1
+                for p, do_swap in enumerate(swaps):
+                    if do_swap:
+                        lst[2 * p], lst[2 * p + 1] = lst[2 * p + 1], lst[2 * p]
+                        sign = -sign
+                variants.append((tuple(lst), sign))
+            orbits.append(variants)
+        return orbits
 
     def _from_sparse(self, reduced: dict) -> Cochain:
         """The cochain of sparse reduced coordinates {position: value}."""
@@ -245,7 +239,7 @@ class CochainSpace:
         for i, x in reduced.items():
             pos, k = divmod(i, d)
             values.setdefault(pos, [ZERO] * d)[k] = x
-        orbits = self._pair_orbits()
+        orbits = self._orbits
         table = {}
         for pos in sorted(values):
             value = tuple(values[pos])
@@ -253,19 +247,13 @@ class CochainSpace:
                 table[tup] = value if sign == 1 else tuple(-x for x in value)
         return Cochain(self.arity, d, table)
 
-    def reduce_table(self, table: dict, check_pairs: bool = True) -> list:
-        """Reduced coordinates of a full tabulation over all basis tuples.
+    def _reduce(self, table: dict) -> dict:
+        """Reduced coordinates of a full tabulation over all basis tuples, as
+        a sparse vector {position: nonzero value}.
 
-        With check_pairs, verifies the diagonal/antisymmetry condition on
-        every tuple and raises NotACochainError on violation.
+        Verifies the diagonal/antisymmetry condition on every tuple and
+        raises NotACochainError on violation.
         """
-        reduced = [ZERO] * self.reduced_dim
-        for i, x in self._reduce(table, check_pairs).items():
-            reduced[i] = x
-        return reduced
-
-    def _reduce(self, table: dict, check_pairs: bool = True) -> dict:
-        """:meth:`reduce_table` as a sparse vector {position: nonzero value}."""
         d = self.algebra.dim
         index = self.rep_index
         reduced = {}
@@ -275,26 +263,22 @@ class CochainSpace:
                 for k, x in enumerate(vec):
                     if x:
                         reduced[pos * d + k] = rat(x)
-        if check_pairs:
-            for idx, vec in table.items():
-                if idx in index or not any(vec):
-                    continue
-                can, sign = _canonicalize(idx, self.pairs)
-                if sign == 0:
+        for idx, vec in table.items():
+            if idx in index or not any(vec):
+                continue
+            can, sign = _canonicalize(idx, self.pairs)
+            if sign == 0:
+                raise NotACochainError(
+                    f"nonzero value at diagonal-pair tuple {tuple(i + 1 for i in idx)}"
+                )
+            base = index[can] * d
+            for k, x in enumerate(vec):
+                y = reduced.get(base + k, ZERO)
+                if x != (y if sign == 1 else -y):
                     raise NotACochainError(
-                        f"nonzero value at diagonal-pair tuple {tuple(i + 1 for i in idx)}"
+                        f"pair-antisymmetry violated at tuple {tuple(i + 1 for i in idx)}"
                     )
-                base = index[can] * d
-                for k, x in enumerate(vec):
-                    y = reduced.get(base + k, ZERO)
-                    if x != (y if sign == 1 else -y):
-                        raise NotACochainError(
-                            f"pair-antisymmetry violated at tuple {tuple(i + 1 for i in idx)}"
-                        )
         return reduced
-
-    def to_reduced(self, cochain: Cochain) -> list:
-        return self.reduce_table(cochain.table, check_pairs=True)
 
     def coords_from_reduced(self, reduced: Sequence) -> list:
         """Coordinates w.r.t. the basis; raises when outside the span."""
@@ -355,11 +339,9 @@ class CochainSpace:
             return False
         return True
 
-    @property
+    @cached_property
     def basis_cochains(self) -> list:
-        if self._basis_cochains is None:
-            self._basis_cochains = [self._from_sparse(col) for col in self._basis_cols]
-        return self._basis_cochains
+        return [self._from_sparse(col) for col in self._basis_cols]
 
     # --- ambient picture --------------------------------------------------
 
@@ -378,19 +360,25 @@ class CochainSpace:
         return flat
 
     def ambient_subspace(self) -> Subspace:
-        if self._ambient is None:
-            cols = [self.ambient_coords(c) for c in self.basis_cochains]
-            self._ambient = Subspace(self.ambient_dim, cols)
         return self._ambient
+
+    @cached_property
+    def _ambient(self) -> Subspace:
+        return Subspace(self.ambient_dim, [self.ambient_coords(c) for c in self.basis_cochains])
 
     def __repr__(self) -> str:
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"
 
 
-@lru_cache(maxsize=None)
 def build_cochain_space(algebra: Algebra, arity: int, pairs: int | None = None) -> CochainSpace:
     """Cochain space; ``pairs`` limits how many leading adjacent pairs carry
-    the alternating condition (default: all of them)."""
+    the alternating condition (default: all of them).  One space per
+    (arity, pairs), kept on the algebra."""
+    return _cochain_space(algebra, arity, arity // 2 if pairs is None else pairs)
+
+
+@memoised
+def _cochain_space(algebra: Algebra, arity: int, pairs: int) -> CochainSpace:
     return CochainSpace(algebra, arity, pairs)
 
 

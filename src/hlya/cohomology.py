@@ -17,9 +17,8 @@ the quotient is therefore a loud internal failure, not a user error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import Algebra
+from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
 from .cochain import Cochain, build_cochain_space
 from .exactlin import Matrix, Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
@@ -53,7 +52,7 @@ class CohomologyReport:
         }
 
 
-@lru_cache(maxsize=None)
+@memoised
 def h1(a: Algebra) -> Subspace:
     """First cohomology = first cocycles: kernel of delta1 in C1 coordinates.
 
@@ -63,7 +62,7 @@ def h1(a: Algebra) -> Subspace:
     return kernel_basis(delta1(a).matrix)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def h2h3(a: Algebra) -> LevelReport:
     stacked = vstack(delta2(a).matrix, d2(a).matrix)
     z = kernel_basis(stacked)
@@ -71,7 +70,7 @@ def h2h3(a: Algebra) -> LevelReport:
     return LevelReport(z, b, quotient_dim(z, b))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def h4h5(a: Algebra) -> LevelReport:
     z = kernel_basis(delta3(a).matrix)
     b = image_basis(delta2(a).matrix)

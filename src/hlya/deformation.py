@@ -21,19 +21,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     IDENTITIES,
     Algebra,
-    _Ops,
     bracket_series,
+    commutant_rows,
     compose_out,
     compose_slot,
     divided,
     first_failure,
     identity_values,
     int_table,
+    memoised,
+    ops_of,
     table_sum,
 )
 from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3
@@ -46,12 +47,12 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Matrix
+from .exactlin import Matrix, kernel_basis
 
 DEFAULT_ORDER = 4
 
 
-@lru_cache(maxsize=None)
+@memoised
 def bracket_cochain(a: Algebra) -> Cochain:
     """The base binary bracket as a 2-cochain."""
     table = {
@@ -62,7 +63,7 @@ def bracket_cochain(a: Algebra) -> Cochain:
     return Cochain(2, a.dim, table)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def ternary_cochain(a: Algebra) -> Cochain:
     """The base ternary bracket as a 3-cochain."""
     table = {
@@ -156,7 +157,7 @@ def verify_deformation(d: Deformation) -> DeformationReport:
 
     Order 0 reproduces the base axioms verbatim.
     """
-    ops = _Ops(d.base)
+    ops = ops_of(d.base)
     fs, gs = bracket_series(ops, d.f_seq[1:], d.g_seq[1:])
     failures = {}
     for n in range(d.order + 1):
@@ -221,20 +222,11 @@ class Gauge:
         return f"Gauge(base={self.base.name}, order={self.order})"
 
 
-@lru_cache(maxsize=None)
+@memoised
 def alpha_commutant_basis(a: Algebra) -> tuple:
     """Basis matrices of {X : X alpha = alpha X}, the legal gauge coefficients."""
-    from .exactlin import ZERO, kernel_basis
-
     d = a.dim
-    rows = []
-    for i, j in itertools.product(range(d), repeat=2):
-        row = [ZERO] * (d * d)
-        for m in range(d):
-            row[i * d + m] += a.alpha[m][j]
-            row[m * d + j] -= a.alpha[i][m]
-        rows.append(row)
-    ker = kernel_basis(Matrix(rows))
+    ker = kernel_basis(Matrix(commutant_rows(a)))
     out = []
     for c in range(ker.dim):
         flat = ker.basis.column(c)
@@ -411,7 +403,7 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     if not is_cocycle_2(a, f1, g1):
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
     # minus the t^2 coefficients of identities 7 and 8, with no f2, g2
-    ops = _Ops(a)
+    ops = ops_of(a)
     fs, gs = bracket_series(ops, (f1,), (g1,))
     tables = []
     for k in (7, 8):
@@ -454,7 +446,7 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    ops = _Ops(a)
+    ops = ops_of(a)
     fs, gs = bracket_series(ops, (f1, f2), (g1, g2))
     return ProbeReport({eq: first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import Algebra, _Ops, alpha_power_columns
+from .algebra import Algebra, _Ops, alpha_power_columns, commutant_rows, memoised, ops_of
 from .errors import ClosureViolationError, PreconditionError
 from .exactlin import Matrix, Subspace, ZERO, kernel_basis, solve
 
@@ -40,27 +39,16 @@ def _flatten(m: Matrix) -> list:
     return [x for row in m.data for x in row]
 
 
-@lru_cache(maxsize=None)
+@memoised
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     """Kernel of the stacked linear system for k-twisted derivations."""
     if k < 0:
         raise PreconditionError("twist exponent must be nonnegative")
     d = a.dim
     n = d * d
-    ops = _Ops(a)
+    ops = ops_of(a)
     ak = alpha_power_columns(a, k)
-    rows = []
-
-    def entry(i, j):
-        return i * d + j
-
-    # D o alpha = alpha o D, entrywise: sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0
-    for i, j in itertools.product(range(d), repeat=2):
-        row = [ZERO] * n
-        for m in range(d):
-            row[entry(i, m)] += a.alpha[m][j]
-            row[entry(m, j)] -= a.alpha[i][m]
-        rows.append(row)
+    rows = commutant_rows(a)
 
     # binary Leibniz: D([e_i e_j]) - [a^k(e_i) D(e_j)] - [D(e_i) a^k(e_j)] = 0
     for i in range(d):

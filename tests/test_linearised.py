@@ -17,7 +17,6 @@ from hlya.coboundary import (
     _LEVELS,
     _apply,
     _assemble,
-    _space,
     operator_by_level,
     verify_well_definedness,
 )
@@ -57,7 +56,7 @@ def columnwise_assemble(a, level):
     _, domain_arities, codomain_shapes, tables = _LEVELS[level]
     ops = _Ops(a)
     domain = [build_cochain_space(a, n) for n in domain_arities]
-    codomain = [_space(a, n, pairs) for n, pairs in codomain_shapes]
+    codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     columns = []
     for cochains in _basis_inputs(a, domain):
         col = []
