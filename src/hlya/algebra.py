@@ -6,6 +6,13 @@ bracket antisymmetric in its first two slots, and a twisting endomorphism
 alpha.  Eight identities (checked by :func:`check_axioms`) make the
 quadruple a Hom-Lie-Yamaguti algebra; with alpha = id it is an ordinary
 Lie-Yamaguti algebra.
+
+Every multilinear evaluation in the package is one contraction of integer
+tables (:class:`IntTable`, :func:`contract`): the brackets and the powers
+of alpha are kept on the algebra as such tables (:func:`brackets`,
+:func:`alpha_table`), and the identities, the coboundary operators, the
+twisted Leibniz rules, bracket and cochain evaluation at vectors and the
+endomorphism test all read them.
 """
 
 from __future__ import annotations
@@ -14,13 +21,13 @@ import inspect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
-from .exactlin import ONE, ZERO, Matrix, rat
+from .exactlin import ZERO, Matrix, rat
 
 Vec = tuple[Fraction, ...]
 SVec = dict[int, Fraction]
@@ -86,6 +93,10 @@ def _vec(values: Sequence) -> Vec:
 
 def zero_vec(dim: int) -> Vec:
     return (ZERO,) * dim
+
+
+def to_dense(sv: SVec, dim: int) -> Vec:
+    return tuple(sv.get(i, ZERO) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -166,26 +177,6 @@ def algebra_from_sparse(dim, binary_entries, ternary_entries, alpha, name="") ->
         t[i][j][k] = list(vec)
         t[j][i][k] = [-rat(x) for x in vec]
     return make_algebra(dim, b, t, alpha, name)
-
-
-# --- sparse evaluation helpers -------------------------------------------
-
-
-def to_svec(vec: Sequence) -> SVec:
-    return {i: rat(x) for i, x in enumerate(vec) if x}
-
-
-def to_dense(sv: SVec, dim: int) -> Vec:
-    return tuple(sv.get(i, ZERO) for i in range(dim))
-
-
-def svec_add(acc: SVec, sv: SVec, coef: Fraction = ONE) -> None:
-    for i, x in sv.items():
-        v = acc.get(i, ZERO) + coef * x
-        if v:
-            acc[i] = v
-        else:
-            acc.pop(i, None)
 
 
 # --- integer tables -------------------------------------------------------
@@ -292,149 +283,81 @@ def memoised(fn):
     """
 
     @wraps(fn)
-    def cached(*args, **kwargs):
+    def cached(a, *args, **kwargs):
         if kwargs:
-            args = inspect.signature(fn).bind(*args, **kwargs).args
-        key = (fn, *args[1:])
-        memo = args[0]._memo
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
+            args = inspect.signature(fn).bind(a, *args, **kwargs).args[1:]
+        key = (fn, *args)
+        try:
+            return a._memo[key]
+        except KeyError:
+            value = a._memo[key] = fn(a, *args)
+            return value
 
     return cached
 
 
 @memoised
-def alpha_power_columns(a: Algebra, k: int) -> tuple:
-    """Columns of alpha^k as sparse vectors; alpha^0 = identity."""
-    if k == 0:
-        return tuple({j: ONE} for j in range(a.dim))
-    prev = alpha_power_columns(a, k - 1)
-    cols = []
-    for j in range(a.dim):
-        acc: SVec = {}
-        for i, c in prev[j].items():
-            # alpha(e_i) = column i of alpha
-            svec_add(acc, {r: a.alpha[r][i] for r in range(a.dim) if a.alpha[r][i]}, c)
-        cols.append(acc)
-    return tuple(cols)
+def brackets(a: Algebra) -> tuple[IntTable, IntTable]:
+    """The base brackets as integer tables, the t^0 terms of every series."""
+    pairs = itertools.product(range(a.dim), repeat=2)
+    triples = itertools.product(range(a.dim), repeat=3)
+    return (
+        int_table({(i, j): a.binary[i][j] for i, j in pairs}),
+        int_table({(i, j, k): a.ternary[i][j][k] for i, j, k in triples}),
+    )
 
 
-def commutant_rows(a: Algebra) -> list:
-    """D o alpha = alpha o D as rows in the entries of D flattened row-major
-    (D[i][j] at i * d + j), one per entry (i, j):
-    sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
-    d = a.dim
-    rows = []
-    for i, j in itertools.product(range(d), repeat=2):
-        row = [ZERO] * (d * d)
-        for m in range(d):
-            row[i * d + m] += a.alpha[m][j]
-            row[m * d + j] -= a.alpha[i][m]
-        rows.append(row)
-    return rows
-
-
-class _Ops:
-    """One algebra's bracket and alpha contractions on sparse vectors.
-
-    ``A[k]`` holds the columns of alpha^k (k < 5), so ``A[0]`` is the
-    standard basis, and the bracket tables map basis tuples to sparse
-    values.  :func:`identity_values` reads the same data as integer tables
-    (``brackets``, ``alpha_tables``), built on first use.  The package
-    takes each algebra's one instance from its memo (:func:`ops_of`).
-    """
-
-    def __init__(self, a: Algebra):
-        self.a = a
-        self.A = tuple(alpha_power_columns(a, k) for k in range(5))
-        self.e = self.A[0]
-        d = range(a.dim)
-        self._btab = {
-            (i, j): sv for i, j in itertools.product(d, repeat=2) if (sv := to_svec(a.binary[i][j]))
-        }
-        self._ttab = {
-            (i, j, k): sv
-            for i, j, k in itertools.product(d, repeat=3)
-            if (sv := to_svec(a.ternary[i][j][k]))
-        }
-
-    @cached_property
-    def brackets(self) -> tuple[IntTable, IntTable]:
-        """The base brackets as integer tables, the t^0 terms of every series."""
-        a, d = self.a, self.a.dim
-        pairs = itertools.product(range(d), repeat=2)
-        triples = itertools.product(range(d), repeat=3)
-        return (
-            int_table({(i, j): a.binary[i][j] for i, j in pairs}),
-            int_table({(i, j, k): a.ternary[i][j][k] for i, j, k in triples}),
-        )
-
-    @cached_property
-    def alpha_tables(self) -> tuple[IntTable, ...]:
-        """alpha^k (k < 5) as integer tables of arity 1."""
-        d = self.a.dim
-        return tuple(
-            int_table({(j,): to_dense(col, d) for j, col in enumerate(cols)}) for cols in self.A
-        )
-
-    def br(self, x: SVec, y: SVec) -> SVec:
-        table = self._btab
-        acc: SVec = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                sv = table.get((i, j))
-                if sv:
-                    svec_add(acc, sv, cx * cy)
-        return acc
-
-    def tr(self, x: SVec, y: SVec, z: SVec) -> SVec:
-        table = self._ttab
-        acc: SVec = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                cxy = cx * cy
-                for k, cz in z.items():
-                    sv = table.get((i, j, k))
-                    if sv:
-                        svec_add(acc, sv, cxy * cz)
-        return acc
+def matrix_table(m: Matrix) -> IntTable:
+    """m as an integer table of arity 1: entry (j,) is column j."""
+    return int_table({(j,): m.column(j) for j in range(m.cols)})
 
 
 @memoised
-def ops_of(a: Algebra) -> _Ops:
-    """The algebra's one :class:`_Ops`."""
-    return _Ops(a)
+def alpha_table(a: Algebra, k: int) -> IntTable:
+    """alpha^k as an integer table of arity 1, for any k >= 0."""
+    power = Matrix.identity(a.dim)
+    for _ in range(k):
+        power = power.matmul(a.alpha_matrix())
+    return matrix_table(power)
+
+
+def evaluate(t: IntTable, dim: int, args: Sequence[Sequence]) -> Vec:
+    """The multilinear map t at the vectors ``args``, one per slot.
+
+    Each vector is a linear map from a line, an integer table of arity 1,
+    applied to its slot; the value is then the entry at (0, ..., 0)."""
+    for slot, v in enumerate(args):
+        t = compose_slot(t, slot, int_table({(0,): tuple(map(rat, v))}))
+    return t.fractions(dim).get((0,) * len(args), zero_vec(dim))
 
 
 # --- public evaluation ----------------------------------------------------
 
 
-def _check_vec(a: Algebra, v: Sequence) -> SVec:
-    if len(v) != a.dim:
-        raise DimMismatchError(f"vector of length {len(v)}, expected {a.dim}")
-    return to_svec(v)
+def _check_vecs(a: Algebra, *vecs: Sequence) -> tuple:
+    for v in vecs:
+        if len(v) != a.dim:
+            raise DimMismatchError(f"vector of length {len(v)}, expected {a.dim}")
+    return vecs
 
 
 def eval_binary(a: Algebra, x: Sequence, y: Sequence) -> Vec:
     """[x, y] by bilinear contraction against the binary tensor."""
-    return to_dense(ops_of(a).br(_check_vec(a, x), _check_vec(a, y)), a.dim)
+    return evaluate(brackets(a)[0], a.dim, _check_vecs(a, x, y))
 
 
 def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
     """{x, y, z} by trilinear contraction against the ternary tensor."""
-    return to_dense(
-        ops_of(a).tr(_check_vec(a, x), _check_vec(a, y), _check_vec(a, z)), a.dim
-    )
+    return evaluate(brackets(a)[1], a.dim, _check_vecs(a, x, y, z))
 
 
 # --- evaluating the identities ---------------------------------------------
 
 
-def bracket_series(ops: _Ops, f_higher=(), g_higher=()) -> tuple[tuple, tuple]:
+def bracket_series(a: Algebra, f_higher=(), g_higher=()) -> tuple[tuple, tuple]:
     """The series f and g for :func:`identity_values`: the base brackets,
     then the given cochains as the coefficients of t, t^2, ..."""
-    f0, g0 = ops.brackets
+    f0, g0 = brackets(a)
     fs = (f0, *(int_table(c.table) for c in f_higher))
     return fs, (g0, *(int_table(c.table) for c in g_higher))
 
@@ -453,7 +376,7 @@ def _key_getter(positions) -> Callable[[tuple], tuple]:
     return _getter(positions)
 
 
-def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[int, dict]:
+def _twisted(a: Algebra, t: IntTable, powers: tuple, pos: int | None) -> tuple[int, dict]:
     """t with alpha^powers[q] applied to argument q, and its denominator.
 
     Without a nested bracket (``pos`` None) the entries stay keyed by the
@@ -462,7 +385,7 @@ def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[in
     """
     for q, p in enumerate(powers):
         if p:
-            t = compose_slot(t, q, ops.alpha_tables[p])
+            t = compose_slot(t, q, alpha_table(a, p))
     if pos is None:
         return t.den, t.entries
     key = _getter([q for q in range(len(powers)) if q != pos])
@@ -472,7 +395,7 @@ def _twisted(ops: _Ops, t: IntTable, powers: tuple, pos: int | None) -> tuple[in
     return t.den, grouped
 
 
-def contract(ops: _Ops, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
+def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
     """A signed sum of table contractions in integers: (numerators, L).
 
     ``terms`` are (sign, outer, args) in the language of :data:`IDENTITIES`:
@@ -497,7 +420,7 @@ def contract(ops: _Ops, tables: dict, terms) -> tuple[Callable[[tuple], dict], i
         plain = [arg[1] for m, arg in enumerate(args) if m != pos]
         cache_key = (outer, powers, pos)
         if cache_key not in twisted:
-            twisted[cache_key] = _twisted(ops, tables[outer], powers, pos)
+            twisted[cache_key] = _twisted(a, tables[outer], powers, pos)
         den, table = twisted[cache_key]
         if inner is None:
             compiled.append((sign, den, _key_getter(plain), table, None, None))
@@ -533,7 +456,7 @@ def contract(ops: _Ops, tables: dict, terms) -> tuple[Callable[[tuple], dict], i
     return value, common
 
 
-def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
+def identity_values(a: Algebra, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
     """The t^n coefficient of identity k in integers: (numerators, L).
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
@@ -542,7 +465,7 @@ def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple]
     with a nested bracket becomes the convolution sum over i + j = n of
     outer_i(..., inner_j(...), ...), one contracted term per pair.
     """
-    series = {"f": fs, "g": gs, "alpha": (ops.alpha_tables[1],)}
+    series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
     tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
     terms = []
     for sign, outer, args in IDENTITIES[k][1]:
@@ -554,7 +477,7 @@ def identity_values(ops: _Ops, k: int, n: int, fs, gs) -> tuple[Callable[[tuple]
         for i in range(n + 1):
             nested = ((name, n - i), *slots)
             terms.append((sign, (outer, i), args[:pos] + (nested,) + args[pos + 1 :]))
-    return contract(ops, tables, terms)
+    return contract(a, tables, terms)
 
 
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
@@ -568,11 +491,11 @@ def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]
     return lambda idx: {j: x * inv for j, x in value(idx).items()}
 
 
-def first_failure(ops: _Ops, k: int, n: int, fs, gs) -> tuple | None:
+def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
     coefficient of identity k is nonzero; None when it vanishes throughout."""
-    value, _ = identity_values(ops, k, n, fs, gs)
-    for idx in itertools.product(range(ops.a.dim), repeat=IDENTITIES[k][0]):
+    value, _ = identity_values(a, k, n, fs, gs)
+    for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k][0]):
         if value(idx):
             return tuple(i + 1 for i in idx)
     return None
@@ -602,11 +525,10 @@ def check_axioms(a: Algebra) -> AxiomReport:
     Multilinearity makes basis checks sufficient.  Failures are recorded,
     never raised.
     """
-    ops = ops_of(a)
-    fs, gs = bracket_series(ops)
+    fs, gs = bracket_series(a)
     counter: dict = {}
     for k in AXIOM_IDS:
-        witness = first_failure(ops, k, 0, fs, gs)
+        witness = first_failure(a, k, 0, fs, gs)
         if witness is not None:
             counter[k] = witness
     return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)
@@ -641,10 +563,9 @@ def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
     lie = make_algebra(dim, bracket, _zero_ternary(dim), [[int(i == j) for j in range(dim)] for i in range(dim)])
-    ops = ops_of(lie)
-    e = ops.e
+    value = divided(*contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),)))
     t = [
-        [[list(to_dense(ops.br(ops.br(e[i], e[j]), e[k]), dim)) for k in range(dim)] for j in range(dim)]
+        [[list(to_dense(value((i, j, k)), dim)) for k in range(dim)] for j in range(dim)]
         for i in range(dim)
     ]
     a = make_algebra(dim, bracket, t, lie.alpha, name)
@@ -658,21 +579,15 @@ def from_lya_standard(bracket, name="") -> Algebra:
 
 def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
     """Does beta preserve both the binary and the ternary bracket?"""
-    cols = [to_svec(beta.column(j)) for j in range(a.dim)]
-
-    def bv(sv: SVec) -> SVec:
-        acc: SVec = {}
-        for i, c in sv.items():
-            svec_add(acc, cols[i], c)
-        return acc
-
-    ops = ops_of(a)
-    e = ops.e
-    for i, j in itertools.product(range(a.dim), repeat=2):
-        if bv(ops.br(e[i], e[j])) != ops.br(bv(e[i]), bv(e[j])):
-            return False
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        if bv(ops.tr(e[i], e[j], e[k])) != ops.tr(bv(e[i]), bv(e[j]), bv(e[k])):
+    d = a.dim
+    if beta.rows != d or beta.cols != d:
+        raise DimMismatchError("the map must be dim x dim")
+    m = matrix_table(beta)
+    for arity, t in zip((2, 3), brackets(a)):
+        moved = t
+        for slot in range(arity):
+            moved = compose_slot(moved, slot, m)
+        if compose_out(m, t).fractions(d) != moved.fractions(d):
             return False
     return True
 

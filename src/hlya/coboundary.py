@@ -25,9 +25,11 @@ t^1 coefficients of identities 7 and 8 are the two components of delta2,
 and those of identities 5 and 6 are the two components of d2; so
 (f, g) is a first-order deformation exactly when it lies in both kernels.
 delta1 and delta3 are signed-term data in the same language
-(:data:`DELTA1`, :data:`DELTA3`).  All four are evaluated by the one
-integer contraction of :func:`hlya.algebra.contract`, on the base
-brackets and the domain cochains as integer tables.
+(:data:`DELTA1`, :data:`DELTA3`); delta1 is the untwisted case of the
+alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
+space of k-twisted derivations (:mod:`hlya.derivations`).  All are
+evaluated by the one integer contraction of :func:`hlya.algebra.contract`,
+on the base brackets and the domain cochains as integer tables.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -42,14 +44,13 @@ from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
-    _Ops,
     bracket_series,
+    brackets,
     contract,
     divided,
     identity_values,
     int_table,
     memoised,
-    ops_of,
     to_dense,
 )
 from .cochain import Cochain, build_cochain_space
@@ -95,12 +96,15 @@ def _tabulate(a: Algebra, arity: int, fn) -> dict:
 
 # --- operator formulas, as signed terms ----------------------------------
 #
-# delta1 and delta3 in the language of IDENTITIES (hlya.algebra): "br" and
-# "tr" are the base brackets, "h" the 1-cochain of delta1 and "f", "g" the
-# 4- and 5-cochains of delta3.  With x_0, x_1, ... the slot variables and
-# a^k = alpha^k:
-#   delta1_I(h)(x, y)    = [x h(y)] + [h(x) y] - h([x y])
-#   delta1_II(h)(x, y, z) = {h(x) y z} + {x h(y) z} + {x y h(z)} - h({x y z})
+# The Leibniz defects and delta3 in the language of IDENTITIES
+# (hlya.algebra): "br" and "tr" are the base brackets, "h" the 1-cochain of
+# the Leibniz rule and "f", "g" the 4- and 5-cochains of delta3.  With
+# x_0, x_1, ... the slot variables and a^k = alpha^k:
+#   leibniz(k)_I(h)(x, y)     = [a^k x, h(y)] + [h(x), a^k y] - h([x y])
+#   leibniz(k)_II(h)(x, y, z) = {h(x), a^k y, a^k z} + {a^k x, h(y), a^k z}
+#                               + {a^k x, a^k y, h(z)} - h({x y z})
+# delta1 is leibniz(0); the k-twisted derivations are the 1-cochains on
+# which leibniz(k) vanishes (hlya.derivations).
 #   delta3_I(f, g)(x_0 .. x_5)
 #     = {a^3 x_0, a^3 x_1, f(x_2 .. x_5)} - {a^3 x_2, a^3 x_3, f(x_0, x_1, x_4, x_5)}
 #       + hat sum of f
@@ -128,19 +132,25 @@ def _hat_terms(name: str, arity: int) -> tuple:
     return tuple(terms)
 
 
-DELTA1 = (
-    (
-        (1, "br", ((0, 0), ("h", 1))),
-        (1, "br", (("h", 0), (0, 1))),
-        (-1, "h", (("br", 0, 1),)),
-    ),
-    (
-        (1, "tr", (("h", 0), (0, 1), (0, 2))),
-        (1, "tr", ((0, 0), ("h", 1), (0, 2))),
-        (1, "tr", ((0, 0), (0, 1), ("h", 2))),
-        (-1, "h", (("tr", 0, 1, 2),)),
-    ),
-)
+def leibniz(k: int) -> tuple:
+    """The alpha^k-twisted Leibniz defects of a 1-cochain "h", binary and
+    ternary, as signed terms."""
+    return (
+        (
+            (1, "br", ((k, 0), ("h", 1))),
+            (1, "br", (("h", 0), (k, 1))),
+            (-1, "h", (("br", 0, 1),)),
+        ),
+        (
+            (1, "tr", (("h", 0), (k, 1), (k, 2))),
+            (1, "tr", ((k, 0), ("h", 1), (k, 2))),
+            (1, "tr", ((k, 0), (k, 1), ("h", 2))),
+            (-1, "h", (("tr", 0, 1, 2),)),
+        ),
+    )
+
+
+DELTA1 = leibniz(0)
 
 DELTA3 = (
     (
@@ -167,11 +177,11 @@ def _contracted(components, names):
     """Tables of the signed-term ``components`` at the base brackets and the
     domain cochains, bound in order to ``names``."""
 
-    def tables(ops: _Ops, *cochains: Cochain):
-        br, tr = ops.brackets
+    def tables(a: Algebra, *cochains: Cochain):
+        br, tr = brackets(a)
         named = {"br": br, "tr": tr}
         named.update((name, int_table(c.table)) for name, c in zip(names, cochains))
-        return [divided(*contract(ops, named, terms)) for terms in components]
+        return [divided(*contract(a, named, terms)) for terms in components]
 
     return tables
 
@@ -180,9 +190,9 @@ def _linearised(ids):
     """Tables of the t^1 coefficients of identities ``ids`` at the base
     brackets deformed by (t f, t g)."""
 
-    def tables(ops: _Ops, f: Cochain, g: Cochain):
-        fs, gs = bracket_series(ops, (f,), (g,))
-        return [divided(*identity_values(ops, k, 1, fs, gs)) for k in ids]
+    def tables(a: Algebra, f: Cochain, g: Cochain):
+        fs, gs = bracket_series(a, (f,), (g,))
+        return [divided(*identity_values(a, k, 1, fs, gs)) for k in ids]
 
     return tables
 
@@ -317,7 +327,7 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     cochains, basis = _generic_inputs(domain)
     blocks = []
-    for target, fn in zip(codomain, tables(ops_of(a), *cochains)):
+    for target, fn in zip(codomain, tables(a, *cochains)):
         blocks.append(
             [
                 target._coords(
@@ -385,7 +395,7 @@ def _apply(a: Algebra, level: str, *cochains) -> tuple[Cochain, Cochain]:
     _, _, codomain_shapes, tables = _LEVELS[level]
     return tuple(
         build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
-        for (n, pairs), fn in zip(codomain_shapes, tables(ops_of(a), *cochains))
+        for (n, pairs), fn in zip(codomain_shapes, tables(a, *cochains))
     )
 
 
@@ -420,7 +430,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     op = operator_by_level(a, level)
     _, _, codomain_shapes, tables = _LEVELS[level]
     cochains, basis = _generic_inputs(op.domain)
-    for (n, pairs), fn in zip(codomain_shapes, tables(ops_of(a), *cochains)):
+    for (n, pairs), fn in zip(codomain_shapes, tables(a, *cochains)):
         space = build_cochain_space(a, n, pairs)
         tuples = list(itertools.product(range(a.dim), repeat=n))
         for image in _images(tuples, fn, basis, a.dim):

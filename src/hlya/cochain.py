@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .algebra import Algebra, SVec, Vec, alpha_power_columns, memoised, to_dense, to_svec, zero_vec
+from .algebra import Algebra, Vec, evaluate, int_table, memoised, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Subspace, eliminate, null_vectors, rat
 
@@ -52,32 +52,14 @@ class Cochain:
     def value(self, idx: tuple) -> Vec:
         return self.table.get(idx, zero_vec(self.dim))
 
-    def eval_sv(self, args: Sequence[SVec]) -> SVec:
-        """Multilinear contraction against sparse argument vectors."""
+    def eval(self, args: Sequence[Sequence]) -> Vec:
+        """Multilinear contraction against dense argument vectors."""
         if len(args) != self.arity:
             raise DimMismatchError(f"expected {self.arity} arguments, got {len(args)}")
-        acc: SVec = {}
-        for combo in itertools.product(*(a.items() for a in args)):
-            vec = self.table.get(tuple(c[0] for c in combo))
-            if vec is None:
-                continue
-            w = ONE
-            for c in combo:
-                w *= c[1]
-            for k, x in enumerate(vec):
-                if x:
-                    v = acc.get(k, ZERO) + w * x
-                    if v:
-                        acc[k] = v
-                    else:
-                        del acc[k]
-        return acc
-
-    def eval(self, args: Sequence[Sequence]) -> Vec:
         for a in args:
             if len(a) != self.dim:
                 raise DimMismatchError("argument vector of wrong length")
-        return to_dense(self.eval_sv([to_svec(a) for a in args]), self.dim)
+        return evaluate(int_table(self.table), self.dim, args)
 
     def scale(self, c: Fraction) -> "Cochain":
         c = rat(c)
@@ -177,7 +159,7 @@ class CochainSpace:
         """
         a = self.algebra
         d = a.dim
-        acols = alpha_power_columns(a, 1)
+        acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
         rows = []
         for pos, idx in enumerate(self.rep_tuples):
             combos: dict[tuple, Fraction] = {}

@@ -26,15 +26,14 @@ from .algebra import (
     IDENTITIES,
     Algebra,
     bracket_series,
-    commutant_rows,
     compose_out,
     compose_slot,
     divided,
     first_failure,
     identity_values,
     int_table,
+    matrix_table,
     memoised,
-    ops_of,
     table_sum,
 )
 from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3
@@ -47,7 +46,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Matrix, kernel_basis
+from .exactlin import ZERO, Matrix, kernel_basis
 
 DEFAULT_ORDER = 4
 
@@ -157,12 +156,11 @@ def verify_deformation(d: Deformation) -> DeformationReport:
 
     Order 0 reproduces the base axioms verbatim.
     """
-    ops = ops_of(d.base)
-    fs, gs = bracket_series(ops, d.f_seq[1:], d.g_seq[1:])
+    fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
     failures = {}
     for n in range(d.order + 1):
         for eq in IDENTITIES:
-            failures[(eq, n)] = first_failure(ops, eq, n, fs, gs)
+            failures[(eq, n)] = first_failure(d.base, eq, n, fs, gs)
     return DeformationReport(d.order, failures)
 
 
@@ -220,6 +218,21 @@ class Gauge:
 
     def __repr__(self) -> str:
         return f"Gauge(base={self.base.name}, order={self.order})"
+
+
+def commutant_rows(a: Algebra) -> list:
+    """D o alpha = alpha o D as rows in the entries of D flattened row-major
+    (D[i][j] at i * d + j), one per entry (i, j):
+    sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
+    d = a.dim
+    rows = []
+    for i, j in itertools.product(range(d), repeat=2):
+        row = [ZERO] * (d * d)
+        for m in range(d):
+            row[i * d + m] += a.alpha[m][j]
+            row[m * d + j] -= a.alpha[i][m]
+        rows.append(row)
+    return rows
 
 
 @memoised
@@ -288,11 +301,6 @@ def inverse_gauge(p: Gauge) -> Gauge:
     return Gauge(p.base, p.order, psi)
 
 
-def _matrix_table(m: Matrix):
-    """m as an integer table of arity 1: entry (j,) is column j."""
-    return int_table({(j,): m.column(j) for j in range(m.cols)})
-
-
 def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by coefficient.
 
@@ -306,8 +314,8 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     if d.order != p.order:
         raise BaseMismatchError("deformation and gauge have different truncation orders")
     base, order = d.base, d.order
-    phi = [_matrix_table(m) for m in p.phi]
-    psi = [_matrix_table(m) for m in inverse_gauge(p).phi]
+    phi = [matrix_table(m) for m in p.phi]
+    psi = [matrix_table(m) for m in inverse_gauge(p).phi]
 
     def convolve(series, maps, compose) -> list:
         return [
@@ -403,11 +411,10 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     if not is_cocycle_2(a, f1, g1):
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
     # minus the t^2 coefficients of identities 7 and 8, with no f2, g2
-    ops = ops_of(a)
-    fs, gs = bracket_series(ops, (f1,), (g1,))
+    fs, gs = bracket_series(a, (f1,), (g1,))
     tables = []
     for k in (7, 8):
-        value, den = identity_values(ops, k, 2, fs, gs)
+        value, den = identity_values(a, k, 2, fs, gs)
         tables.append(_tabulate(a, IDENTITIES[k][0], divided(value, -den)))
     f_table, g_table = tables
 
@@ -446,9 +453,8 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    ops = ops_of(a)
-    fs, gs = bracket_series(ops, (f1, f2), (g1, g2))
-    return ProbeReport({eq: first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
+    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
+    return ProbeReport({eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
 
 
 def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:

@@ -1,9 +1,10 @@
 """Twisted derivation spaces and the Lie structure on their direct sum.
 
-A k-twisted derivation is a linear map D commuting with alpha and
-satisfying both Leibniz rules with alpha^k inserted in the untouched
-slots.  Matrices are flattened row-major (entry (i, j) at position
-i * d + j, with D(e_j) = sum_i D[i][j] e_i).
+A k-twisted derivation is a 1-cochain, a linear map commuting with alpha,
+on which the alpha^k-twisted Leibniz defects vanish: the k-twisted
+derivations are the kernel of :func:`hlya.coboundary.leibniz` (k) on C1.
+Since delta1 is leibniz(0), Der_0 is H1.  Matrices are flattened row-major
+(entry (i, j) at position i * d + j, with D(e_j) = sum_i D[i][j] e_i).
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Algebra, _Ops, alpha_power_columns, commutant_rows, memoised, ops_of
+from .algebra import Algebra, memoised
+from .coboundary import _contracted, _generic_inputs, _images, leibniz
+from .cochain import build_cochain_space
 from .errors import ClosureViolationError, PreconditionError
-from .exactlin import Matrix, Subspace, ZERO, kernel_basis, solve
+from .exactlin import Matrix, Subspace, kernel_basis, solve
 
 DEFAULT_K_MAX = 3
 
@@ -41,72 +44,33 @@ def _flatten(m: Matrix) -> list:
 
 @memoised
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
-    """Kernel of the stacked linear system for k-twisted derivations."""
+    """The kernel of leibniz(k) on C1, as flattened d x d matrices.
+
+    The defects are evaluated once on a generic 1-cochain at the tuples
+    with i < j, which suffice: both are antisymmetric in their first two
+    slots.  Only their values are read, never codomain coordinates, so an
+    algebra whose alpha preserves neither bracket still has its spaces.
+    """
     if k < 0:
         raise PreconditionError("twist exponent must be nonnegative")
     d = a.dim
-    n = d * d
-    ops = ops_of(a)
-    ak = alpha_power_columns(a, k)
-    rows = commutant_rows(a)
-
-    # binary Leibniz: D([e_i e_j]) - [a^k(e_i) D(e_j)] - [D(e_i) a^k(e_j)] = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.extend(_linear_rows_binary(ops, ak, i, j))
-
-    # ternary Leibniz on basis triples (first two slots antisymmetric, but
-    # the full range is cheap and avoids a case analysis)
-    for idx in itertools.product(range(d), repeat=3):
-        rows.extend(_linear_rows_ternary(ops, ak, *idx))
-
-    return DerivationSpace(k, kernel_basis(Matrix(rows) if rows else Matrix.zeros(0, n)))
-
-
-def _linear_rows_binary(ops: _Ops, ak, i, j):
-    a, e = ops.a, ops.e
-    d = a.dim
-    n = d * d
-    rows = [[ZERO] * n for _ in range(d)]
-    # D([e_i e_j]): [e_i e_j] = sum_m c_m e_m contributes c_m * D[l][m]
-    for m, c in enumerate(a.binary[i][j]):
-        if c:
-            for l in range(d):
-                rows[l][l * d + m] += c
-    # [a^k(e_i), D(e_j)]: D(e_j) = sum_m D[m][j] e_m
-    for p, cp in ak[i].items():
-        for m in range(d):
-            vec = ops.br({p: cp}, e[m])
-            for l, c in vec.items():
-                rows[l][m * d + j] -= c
-    # [D(e_i), a^k(e_j)]
-    for q, cq in ak[j].items():
-        for m in range(d):
-            vec = ops.br(e[m], {q: cq})
-            for l, c in vec.items():
-                rows[l][m * d + i] -= c
-    return rows
-
-
-def _linear_rows_ternary(ops: _Ops, ak, i, j, k):
-    a, e = ops.a, ops.e
-    d = a.dim
-    n = d * d
-    rows = [[ZERO] * n for _ in range(d)]
-    for m, c in enumerate(a.ternary[i][j][k]):
-        if c:
-            for l in range(d):
-                rows[l][l * d + m] += c
-    slots = (i, j, k)
-    for touched in range(3):
-        fixed = [ak[s] for s in slots]
-        for m in range(d):
-            args = list(fixed)
-            args[touched] = e[m]
-            vec = ops.tr(*args)
-            for l, c in vec.items():
-                rows[l][m * d + slots[touched]] -= c
-    return rows
+    c1 = build_cochain_space(a, 1)
+    (h,), basis = _generic_inputs([c1])
+    columns = [{} for _ in basis]
+    rows = 0
+    for arity, fn in zip((2, 3), _contracted(leibniz(k), ("h",))(a, h)):
+        tuples = [idx for idx in itertools.product(range(d), repeat=arity) if idx[0] < idx[1]]
+        for column, image in zip(columns, _images(tuples, fn, basis, d)):
+            column.update(
+                (rows + pos * d + m, x) for pos, value in image.items() for m, x in enumerate(value) if x
+            )
+        rows += len(tuples) * d
+    kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
+    flats = []
+    for j in range(kernel.dim):
+        der = c1.from_coords(kernel.basis.column(j))
+        flats.append([der.value((c,))[r] for r in range(d) for c in range(d)])
+    return DerivationSpace(k, Subspace(d * d, flats))
 
 
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:

@@ -1,0 +1,153 @@
+"""The Fraction evaluator the package no longer has, kept as a test oracle.
+
+Brackets, alpha powers and cochains act here on sparse vectors {index:
+Fraction}, term by term, and the twisted Leibniz rules are written out by
+hand as linear rows in the entries of a d x d matrix.  None of it shares
+code with the integer tables of :mod:`hlya.algebra` or the signed-term
+data of :mod:`hlya.coboundary`, so the differential tests that import it
+compare two independent computations.
+"""
+
+import itertools
+
+from hlya.deformation import commutant_rows
+from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, rat
+
+
+def svec_add(acc, sv, coef=ONE):
+    """acc += coef * sv, dropping entries that cancel."""
+    for i, x in sv.items():
+        v = acc.get(i, ZERO) + coef * x
+        if v:
+            acc[i] = v
+        else:
+            acc.pop(i, None)
+
+
+def to_svec(vec):
+    return {i: rat(x) for i, x in enumerate(vec) if x}
+
+
+def alpha_power_columns(a, k):
+    """Columns of alpha^k as sparse vectors; alpha^0 = identity."""
+    cols = [{j: ONE} for j in range(a.dim)]
+    for _ in range(k):
+        nxt = []
+        for col in cols:
+            acc = {}
+            for i, c in col.items():
+                svec_add(acc, {r: a.alpha[r][i] for r in range(a.dim) if a.alpha[r][i]}, c)
+            nxt.append(acc)
+        cols = nxt
+    return cols
+
+
+def eval_sv(cochain, args):
+    """Multilinear contraction of a cochain against sparse argument vectors."""
+    assert len(args) == cochain.arity
+    acc = {}
+    for combo in itertools.product(*(v.items() for v in args)):
+        vec = cochain.table.get(tuple(c[0] for c in combo))
+        if vec is None:
+            continue
+        w = ONE
+        for c in combo:
+            w *= c[1]
+        svec_add(acc, {k: x for k, x in enumerate(vec) if x}, w)
+    return acc
+
+
+class FractionOps:
+    """One algebra's brackets and alpha powers on sparse Fraction vectors.
+
+    ``A[k]`` holds the columns of alpha^k (k < 5) and ``e`` = ``A[0]`` is
+    the standard basis."""
+
+    def __init__(self, a):
+        self.a = a
+        self.A = tuple(alpha_power_columns(a, k) for k in range(5))
+        self.e = self.A[0]
+        d = range(a.dim)
+        self._btab = {
+            (i, j): sv for i, j in itertools.product(d, repeat=2) if (sv := to_svec(a.binary[i][j]))
+        }
+        self._ttab = {
+            (i, j, k): sv
+            for i, j, k in itertools.product(d, repeat=3)
+            if (sv := to_svec(a.ternary[i][j][k]))
+        }
+
+    def br(self, x, y):
+        acc = {}
+        for i, cx in x.items():
+            for j, cy in y.items():
+                sv = self._btab.get((i, j))
+                if sv:
+                    svec_add(acc, sv, cx * cy)
+        return acc
+
+    def tr(self, x, y, z):
+        acc = {}
+        for i, cx in x.items():
+            for j, cy in y.items():
+                for k, cz in z.items():
+                    sv = self._ttab.get((i, j, k))
+                    if sv:
+                        svec_add(acc, sv, cx * cy * cz)
+        return acc
+
+
+# --- the k-twisted derivations as hand-written linear rows --------------------
+
+
+def _leibniz_rows_binary(ops, ak, i, j):
+    """D([e_i e_j]) - [a^k(e_i), D(e_j)] - [D(e_i), a^k(e_j)] = 0, one row
+    per output coordinate, in the entries of D flattened row-major."""
+    a, e = ops.a, ops.e
+    d = a.dim
+    rows = [[ZERO] * (d * d) for _ in range(d)]
+    for m, c in enumerate(a.binary[i][j]):
+        if c:
+            for l in range(d):
+                rows[l][l * d + m] += c
+    for p, cp in ak[i].items():
+        for m in range(d):
+            for l, c in ops.br({p: cp}, e[m]).items():
+                rows[l][m * d + j] -= c
+    for q, cq in ak[j].items():
+        for m in range(d):
+            for l, c in ops.br(e[m], {q: cq}).items():
+                rows[l][m * d + i] -= c
+    return rows
+
+
+def _leibniz_rows_ternary(ops, ak, i, j, k):
+    """D({e_i e_j e_k}) minus D applied in each slot, alpha^k in the others."""
+    a, e = ops.a, ops.e
+    d = a.dim
+    rows = [[ZERO] * (d * d) for _ in range(d)]
+    for m, c in enumerate(a.ternary[i][j][k]):
+        if c:
+            for l in range(d):
+                rows[l][l * d + m] += c
+    slots = (i, j, k)
+    for touched in range(3):
+        for m in range(d):
+            args = [ak[s] for s in slots]
+            args[touched] = e[m]
+            for l, c in ops.tr(*args).items():
+                rows[l][m * d + slots[touched]] -= c
+    return rows
+
+
+def reference_derivation_space(a, k):
+    """The k-twisted derivations as the kernel of the stacked rows: alpha
+    commutation, binary Leibniz on i < j and ternary Leibniz on all triples."""
+    ops = FractionOps(a)
+    ak = alpha_power_columns(a, k)
+    rows = commutant_rows(a)
+    for i, j in itertools.combinations(range(a.dim), 2):
+        rows.extend(_leibniz_rows_binary(ops, ak, i, j))
+    for idx in itertools.product(range(a.dim), repeat=3):
+        rows.extend(_leibniz_rows_ternary(ops, ak, *idx))
+    return kernel_basis(Matrix(rows))

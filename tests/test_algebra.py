@@ -104,6 +104,12 @@ def test_yau_twist_by_endomorphism(e2):
     assert twisted.alpha_matrix() == beta
 
 
+def test_is_endomorphism_rejects_maps_of_the_wrong_shape(e0, e2):
+    for a, beta in ((e0, Matrix.identity(5)), (e2, Matrix.zeros(7, 7)), (e2, Matrix.zeros(3, 2))):
+        with pytest.raises(DimMismatchError):
+            is_endomorphism(a, beta)
+
+
 def test_yau_twist_rejects_non_endomorphism(e2):
     beta = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotMorphismError):

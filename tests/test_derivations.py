@@ -1,10 +1,20 @@
 """Twisted derivation spaces and the closure of their commutators."""
 
+import hashlib
+import os
+
 import pytest
 
+from hlya.algebra import check_axioms, make_algebra
+from hlya.cli import EXIT_OK, main
 from hlya.derivations import check_der_is_lie, der_bracket, derivation_space
 from hlya.errors import ClosureViolationError, PreconditionError
 from hlya.exactlin import Matrix
+from hlya.samples import random_verified_algebras
+
+from fraction_reference import reference_derivation_space
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def test_abelian_derivations_are_all_matrices(e0):
@@ -68,3 +78,50 @@ def test_negative_twist_rejected(e0):
         derivation_space(e0, -1)
     with pytest.raises(PreconditionError):
         check_der_is_lie(e0, 0)
+
+
+# --- the kernel of leibniz(k) against the hand-written Leibniz rows ----------
+
+
+def _alpha_perturbed(a, alpha, name):
+    """a with alpha replaced; the new alpha preserves neither bracket."""
+    b = make_algebra(a.dim, a.binary, a.ternary, alpha, name=name)
+    report = check_axioms(b)
+    assert not (report.passed[1] and report.passed[2]), name
+    return b
+
+
+def test_derivation_spaces_match_hand_written_rows(bundled, twisted_algebras, e1, e2, e3):
+    # C1 coordinates of the generic-cochain kernel, mapped to matrices, and
+    # the kernel of the explicit rows in the d x d matrix entries, which
+    # add the alpha-commutation rows to the Leibniz rows on every triple
+    perturbed = [
+        _alpha_perturbed(e1, [[1, 1], [0, 2]], "aff1_perturbed"),
+        _alpha_perturbed(e2, [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "sl2_perturbed"),
+        _alpha_perturbed(e3, [[1, 0, 0], [0, 1, 0], [0, 0, 3]], "heisenberg_perturbed"),
+        _alpha_perturbed(twisted_algebras[-1], [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "gl2_perturbed"),
+    ]
+    nontrivial = 0
+    for a in bundled + twisted_algebras + random_verified_algebras(12345, 20) + perturbed:
+        for k in range(7):
+            space = derivation_space(a, k).basis
+            assert space == reference_derivation_space(a, k), (a.name, k)
+            nontrivial += 0 < space.dim < a.dim * a.dim
+    assert nontrivial
+
+
+# SHA-256 of the standard output of `hlya derive --k-max 6 data/<golden>`
+DERIVE_STDOUT_SHA256 = {
+    "e0_abelian.json": "6d5e130ce6eecfaa32ad76ac8c752a2fd9453ee3f8a44c7f4a321b50ec40b158",
+    "e1_aff1.json": "7f7ed88b5033a4039df85a349619bb6c33292db83a5e14035c4603f7d7c09d85",
+    "e2_sl2.json": "09ed3dfb7869593cd4eb6e1e75feceb041b721b891fce9b5ab322b96b46efeef",
+    "e3_heisenberg.json": "fa1cb249639ee94e2e7aa9629bb70683ca8e3f2789a421261dac280b8835569e",
+    "e4_gl2.json": "b97560d2df93373dd4303ea43914c383041e16a031022acbab3988ceed62e2d6",
+}
+
+
+@pytest.mark.parametrize("golden", sorted(DERIVE_STDOUT_SHA256))
+def test_derive_output_is_pinned(golden, capsys):
+    assert main(["derive", "--k-max", "6", os.path.join(DATA, golden)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_STDOUT_SHA256[golden]

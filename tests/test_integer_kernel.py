@@ -5,7 +5,8 @@ The reference functions below are the evaluator that called each bracket
 series coefficient as a function on sparse Fraction vectors, the explicit
 delta1 and delta3 formulas on sparse Fraction vectors, and the gauge
 action that summed psi_a f_b(phi_c x, phi_e y) over every composition of
-the order.  The package evaluates the identities and the delta1/delta3
+the order, all on the shared Fraction evaluator of
+``fraction_reference``.  The package evaluates the identities and the delta1/delta3
 term data as integer table contractions and acts with a gauge one argument
 slot at a time; both must give equal axiom reports, deformation reports,
 degree-2 images, operator matrices and images, obstruction pairs, probe
@@ -20,25 +21,21 @@ The delta1/delta3 comparisons add the seed-12345 random corpus.
 """
 
 import itertools
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from hlya import coboundary, serialize
+from hlya import coboundary
 from hlya.algebra import (
     IDENTITIES,
-    _Ops,
+    brackets,
     check_axioms,
     contract,
     divided,
-    from_lie_algebra,
     int_table,
     make_algebra,
-    svec_add,
     to_dense,
-    yau_twist,
 )
 from hlya.coboundary import _LEVELS, _apply, _assemble, _tabulate, d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
@@ -56,8 +53,10 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import ONE, Matrix, kernel_basis, rat, vstack
-from hlya.samples import random_verified_algebras, sl2
+from hlya.exactlin import ONE, kernel_basis, rat, vstack
+from hlya.samples import random_verified_algebras
+
+from fraction_reference import FractionOps, eval_sv, svec_add
 
 # --- the Fraction references -------------------------------------------------
 
@@ -98,12 +97,13 @@ def _double_sum(arity, k_range, fn):
     return acc
 
 
-def _delta1_tables(ops, h):
+def _delta1_tables(a, h):
+    ops = FractionOps(a)
     e = ops.e
     br, tr = ops.br, ops.tr
 
     def hv(sv):
-        return h.eval_sv([sv])
+        return eval_sv(h, [sv])
 
     def comp_I(idx):
         x, y = e[idx[0]], e[idx[1]]
@@ -121,11 +121,12 @@ def _delta1_tables(ops, h):
     return [comp_I, comp_II]
 
 
-def _delta3_tables(ops, f, g):
+def _delta3_tables(a, f, g):
+    ops = FractionOps(a)
     e = ops.e
     br, tr = ops.br, ops.tr
-    fv = lambda args: f.eval_sv(args)
-    gv = lambda args: g.eval_sv(args)
+    fv = lambda args: eval_sv(f, args)
+    gv = lambda args: eval_sv(g, args)
 
     def comp_I(idx):
         x = [e[i] for i in idx]
@@ -215,7 +216,7 @@ def reference_identity_values(ops, k, n, fs, gs):
 
 def _reference_series(ops, f_higher, g_higher):
     def term(c):
-        return None if c.is_zero() else (lambda *args: c.eval_sv(args))
+        return None if c.is_zero() else (lambda *args: eval_sv(c, args))
 
     return (ops.br, *map(term, f_higher)), (ops.tr, *map(term, g_higher))
 
@@ -229,12 +230,12 @@ def reference_first_failure(ops, k, n, fs, gs):
 
 
 def reference_check_axioms(a):
-    ops = _Ops(a)
+    ops = FractionOps(a)
     return {k: reference_first_failure(ops, k, 0, (ops.br,), (ops.tr,)) for k in IDENTITIES}
 
 
 def reference_verify_deformation(d):
-    ops = _Ops(d.base)
+    ops = FractionOps(d.base)
     fs, gs = _reference_series(ops, d.f_seq[1:], d.g_seq[1:])
     return {
         (eq, n): reference_first_failure(ops, eq, n, fs, gs)
@@ -244,7 +245,7 @@ def reference_verify_deformation(d):
 
 
 def reference_degree_two(a, ids, f, g):
-    ops = _Ops(a)
+    ops = FractionOps(a)
     fs, gs = _reference_series(ops, (f,), (g,))
     return [
         _tabulate(a, IDENTITIES[k][0], reference_identity_values(ops, k, 1, fs, gs))
@@ -253,7 +254,7 @@ def reference_degree_two(a, ids, f, g):
 
 
 def reference_obstruction_tables(a, f1, g1):
-    ops = _Ops(a)
+    ops = FractionOps(a)
     fs, gs = _reference_series(ops, (f1,), (g1,))
     tables = []
     for k in (7, 8):
@@ -263,7 +264,7 @@ def reference_obstruction_tables(a, f1, g1):
 
 
 def reference_probe(a, f1, g1, f2, g2):
-    ops = _Ops(a)
+    ops = FractionOps(a)
     fs, gs = _reference_series(ops, (f1, f2), (g1, g2))
     return {eq: reference_first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)}
 
@@ -284,7 +285,7 @@ def reference_apply_gauge(d, p):
     base, order, dim = d.base, d.order, d.base.dim
     phi = [_cols(m) for m in p.phi]
     psi = [_cols(m) for m in inverse_gauge(p).phi]
-    e = _Ops(base).e
+    e = FractionOps(base).e
     f_out, g_out = [], []
     for n in range(order + 1):
         for seq, arity, out in ((d.f_seq, 2, f_out), (d.g_seq, 3, g_out)):
@@ -296,7 +297,7 @@ def reference_apply_gauge(d, p):
                     rest = n - sum(parts)
                     if rest < 0:
                         continue
-                    inner = seq[b].eval_sv([_apply_cols(phi[c], e[i]) for c, i in zip(cs, idx)])
+                    inner = eval_sv(seq[b], [_apply_cols(phi[c], e[i]) for c, i in zip(cs, idx)])
                     svec_add(acc, _apply_cols(psi[rest], inner))
                 if acc:
                     table[idx] = to_dense(acc, dim)
@@ -307,38 +308,9 @@ def reference_apply_gauge(d, p):
 # --- inputs ------------------------------------------------------------------
 
 
-def _sl2_twist(beta, name):
-    return yau_twist(sl2(), Matrix(beta), name=name)
-
-
-def _sevenths_elevenths():
-    # diag(1, 11/7, 7/11) after exp(ad(e/7)): both are automorphisms of sl2
-    c = Fraction(1, 7)
-    unipotent = Matrix([[1, 0, c], [-2 * c, 1, -c * c], [0, 0, 1]])
-    diagonal = Matrix([[1, 0, 0], [0, Fraction(11, 7), 0], [0, 0, Fraction(7, 11)]])
-    return _sl2_twist(diagonal.matmul(unipotent).data, "sl2_twist_7_11")
-
-
-def _heisenberg_236():
-    z = [0, 0, 0]
-    bracket = [[z, [0, 0, 1], z], [[0, 0, -1], z, z], [z, z, z]]
-    return from_lie_algebra(bracket, [[2, 0, 0], [0, 3, 0], [0, 0, 6]], name="heisenberg_236")
-
-
-def _gl2():
-    return serialize.load_algebra(os.path.join(os.path.dirname(__file__), "..", "data", "e4_gl2.json"))
-
-
 @pytest.fixture(scope="module")
-def algebras():
-    """Dimension 3 algebras with twist denominators, then gl2 (dimension 4)."""
-    half = Fraction(3, 2)
-    return [
-        _sl2_twist([[1, 0, 0], [0, half, 0], [0, 0, 1 / half]], "sl2_twist_3/2"),
-        _sevenths_elevenths(),
-        _heisenberg_236(),
-        _gl2(),
-    ]
+def algebras(twisted_algebras):
+    return twisted_algebras
 
 
 def _order(a):
@@ -421,7 +393,7 @@ def test_degree_two_tables_match_reference(algebras):
     for a in algebras:
         f, g = _random_cochain(a, 2, rng), _random_cochain(a, 3, rng)
         for level, ids in (("2", (7, 8)), ("d2", (5, 6))):
-            formulas = _LEVELS[level][3](_Ops(a), f, g)
+            formulas = _LEVELS[level][3](a, f, g)
             tables = [_tabulate(a, IDENTITIES[k][0], fn) for k, fn in zip(ids, formulas)]
             assert tables == reference_degree_two(a, ids, f, g), (a.name, level)
 
@@ -485,9 +457,8 @@ def test_delta1_delta3_images_match_reference(monkeypatch, algebras):
                 assert images == expected, (a.name, level)
                 nonzero += any(not c.is_zero() for c in images)
                 continue
-            ops = _Ops(a)
-            formulas = _LEVELS[level][3](ops, *cochains)
-            references = REFERENCE_FORMULAS[level](ops, *cochains)
+            formulas = _LEVELS[level][3](a, *cochains)
+            references = REFERENCE_FORMULAS[level](a, *cochains)
             for (n, _), fn, reference in zip(_LEVELS[level][2], formulas, references):
                 for _ in range(150):
                     idx = tuple(rng.randrange(a.dim) for _ in range(n))
@@ -501,15 +472,15 @@ def test_contract_reads_arity_one_tables_at_one_tuples(algebras):
     # an arity-1 table is keyed (j,): read at j, h(x) nested in a bracket,
     # and h on its own, would both drop every term
     a = algebras[0]
-    ops = _Ops(a)
+    ops = FractionOps(a)
     h = _random_cochain(a, 1, random.Random(4106))
-    tables = {"br": ops.brackets[0], "h": int_table(h.table)}
-    nested = divided(*contract(ops, tables, [(1, "br", ((0, 0), ("h", 1)))]))
-    alone = divided(*contract(ops, tables, [(1, "h", ((2, 1),))]))
+    tables = {"br": brackets(a)[0], "h": int_table(h.table)}
+    nested = divided(*contract(a, tables, [(1, "br", ((0, 0), ("h", 1)))]))
+    alone = divided(*contract(a, tables, [(1, "h", ((2, 1),))]))
     seen = 0
     for i, j in itertools.product(range(a.dim), repeat=2):
-        hj = h.eval_sv([ops.e[j]])
+        hj = eval_sv(h, [ops.e[j]])
         assert nested((i, j)) == ops.br(ops.e[i], hj)
-        assert alone((i, j)) == h.eval_sv([al(ops, 2, ops.e[j])])
+        assert alone((i, j)) == eval_sv(h, [al(ops, 2, ops.e[j])])
         seen += bool(nested((i, j))) + bool(alone((i, j)))
     assert seen

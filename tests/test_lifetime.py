@@ -1,10 +1,10 @@
 """Derived data lives on the algebra object and dies with it.
 
-Cochain spaces, operators, cohomology, derivation spaces and the
-contraction context are kept in each algebra's own memo: an algebra that is
-no longer referenced is freed with everything derived from it, each call
-form of a space gives one object, and an equal algebra under another name
-computes its own data.
+Cochain spaces, operators, cohomology, derivation spaces and the bracket
+and alpha-power tables are kept in each algebra's own memo: an algebra
+that is no longer referenced is freed with everything derived from it,
+each call form of a space gives one object, and an equal algebra under
+another name computes its own data.
 """
 
 import gc
@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hlya
-from hlya.algebra import make_algebra, ops_of, yau_twist
+from hlya.algebra import alpha_table, brackets, make_algebra, yau_twist
 from hlya.coboundary import OPERATORS, verify_well_definedness
 from hlya.cochain import build_cochain_space
 from hlya.cohomology import cohomology_report, pair_from_coords
@@ -74,7 +74,8 @@ def test_space_call_forms_share_one_space():
     assert build_cochain_space(a, 4, pairs=2) is space
     assert build_cochain_space(a, 4, pairs=1) is not space
     assert derivation_space(a, k=1) is derivation_space(a, 1)
-    assert ops_of(a) is ops_of(a)
+    assert brackets(a) is brackets(a)
+    assert alpha_table(a, 5) is alpha_table(a, k=5)
 
 
 def test_renamed_copy_gets_its_own_data():

@@ -245,14 +245,15 @@ def test_cli_defaults_match_the_library():
         cli.build_parser().parse_args(["dump-operator", "x.json", "5"])
 
 
-def test_cli_cohomology_loads_only_what_it_uses():
+def _modules_loaded_by(*argv) -> list:
+    """The hlya modules a fresh interpreter has loaded after one command."""
     import subprocess
     import sys
 
     code = (
         "import json, sys\n"
         "from hlya.cli import main\n"
-        f"assert main(['cohomology', {_golden('e1_aff1.json')!r}]) == 0\n"
+        f"assert main({list(argv)!r}) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hlya'))))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -260,9 +261,20 @@ def test_cli_cohomology_loads_only_what_it_uses():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
     ).stdout
-    loaded = json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_cli_cohomology_loads_only_what_it_uses():
+    loaded = _modules_loaded_by("cohomology", _golden("e1_aff1.json"))
     assert "hlya.cohomology" in loaded
     for name in ("hlya.deformation", "hlya.derivations", "hlya.samples"):
+        assert name not in loaded
+
+
+def test_cli_derive_loads_only_what_it_uses():
+    loaded = _modules_loaded_by("derive", _golden("e3_heisenberg.json"))
+    assert "hlya.derivations" in loaded
+    for name in ("hlya.deformation", "hlya.cohomology", "hlya.samples"):
         assert name not in loaded
 
 
