@@ -20,10 +20,8 @@ EXIT_THEOREM = 3
 
 # Each handler imports the modules it needs, so a command loads only those.
 # The parser therefore spells out these defaults, which tests pin to
-# derivations.DEFAULT_K_MAX, deformation.DEFAULT_ORDER and
-# sorted(coboundary.OPERATORS).
+# derivations.DEFAULT_K_MAX and sorted(coboundary.OPERATORS).
 DEFAULT_K_MAX = 3
-DEFAULT_ORDER = 4
 OPERATOR_LEVELS = ("1", "2", "3", "d2")
 
 
@@ -222,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
-    common.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(parents=[common], name="check", help="verify the defining axioms of an algebra file")
@@ -237,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(parents=[common], name="derive", help="twisted derivation spaces and closure check")
     p.add_argument("algebra")
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
     p.set_defaults(run=_report_derive)
 
     p = sub.add_parser(parents=[common], name="deform-check", help="verify the deformation equations")

@@ -74,14 +74,6 @@ class CoboundaryMap:
     def codomain_dim(self) -> int:
         return sum(s.dim for s in self.codomain)
 
-    def split_domain_coords(self, coords):
-        out = []
-        at = 0
-        for s in self.domain:
-            out.append(list(coords[at : at + s.dim]))
-            at += s.dim
-        return out
-
 
 def _tabulate(a: Algebra, arity: int, fn) -> dict:
     """fn maps an index tuple to a sparse value; returns a dense-key table."""

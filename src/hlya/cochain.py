@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .algebra import Algebra, Vec, evaluate, int_table, memoised, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ONE, ZERO, Subspace, eliminate, null_vectors, rat
+from .exactlin import ONE, ZERO, Matrix, Subspace, eliminate, null_vectors, rat
 
 MAX_ARITY = 7
 
@@ -382,3 +382,14 @@ def coords_of_map(algebra: Algebra, arity: int, evaluator: Callable) -> Cochain:
             table[idx] = value
     cochain, _ = space.cochain_from_table(table)
     return cochain
+
+
+def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:
+    """View a 1-cochain as the d x d matrix sending e_j to h(e_j)."""
+    cols = [list(h.value((j,))) for j in range(a.dim)]
+    return Matrix.from_columns(cols, rows=a.dim)
+
+
+def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:
+    table = {(j,): tuple(m.column(j)) for j in range(a.dim)}
+    return Cochain(1, a.dim, table)

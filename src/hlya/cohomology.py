@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
 from .cochain import Cochain, build_cochain_space
-from .exactlin import Matrix, Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
+from .exactlin import Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,3 @@ def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None
     if sol is None:
         return None
     return build_cochain_space(a, 1).from_coords(sol)
-
-
-def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:
-    """View a 1-cochain as the d x d matrix sending e_j to h(e_j)."""
-    cols = [list(h.value((j,))) for j in range(a.dim)]
-    return Matrix.from_columns(cols, rows=a.dim)
-
-
-def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:
-    table = {(j,): tuple(m.column(j)) for j in range(a.dim)}
-    return Cochain(1, a.dim, table)

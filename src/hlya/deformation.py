@@ -10,7 +10,10 @@ g = sum g_i t^i substituted.  At n = 1 that coefficient is linear in
 (f_1, g_1), which is why the infinitesimal of a deformation is a cocycle of
 delta2 and d2.  The obstruction pair is minus the t^2 coefficient of
 identities 7 and 8 with (f_1, g_1) and no second-order term, so a
-second-order term must solve delta2(f_2, g_2) = +(F, G).  Gauges are
+second-order term must solve delta2(f_2, g_2) = +(F, G).  With (f_2, g_2)
+substituted as well, that coefficient is delta2(f_2, g_2) - (F, G): the
+second-order probe accepts a candidate exactly when equations 7' and 8'
+vanish at n = 2, and never applies delta2 itself.  Gauges are
 truncated invertible series of linear maps with identity constant term,
 each coefficient commuting with alpha; they act on deformations by
 f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
@@ -36,9 +39,9 @@ from .algebra import (
     memoised,
     table_sum,
 )
-from .coboundary import _tabulate, apply_delta2_pair, delta2, delta3
-from .cochain import Cochain, build_cochain_space
-from .cohomology import cochain_to_matrix, is_coboundary_2, is_cocycle_2
+from .coboundary import _tabulate, delta2, delta3
+from .cochain import Cochain, build_cochain_space, cochain_to_matrix
+from .cohomology import is_coboundary_2, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
     BaseMismatchError,
     NotACochainError,
@@ -46,7 +49,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import ZERO, Matrix, kernel_basis
+from .exactlin import Matrix, Subspace, flatten, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -220,31 +223,16 @@ class Gauge:
         return f"Gauge(base={self.base.name}, order={self.order})"
 
 
-def commutant_rows(a: Algebra) -> list:
-    """D o alpha = alpha o D as rows in the entries of D flattened row-major
-    (D[i][j] at i * d + j), one per entry (i, j):
-    sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
-    d = a.dim
-    rows = []
-    for i, j in itertools.product(range(d), repeat=2):
-        row = [ZERO] * (d * d)
-        for m in range(d):
-            row[i * d + m] += a.alpha[m][j]
-            row[m * d + j] -= a.alpha[i][m]
-        rows.append(row)
-    return rows
-
-
 @memoised
 def alpha_commutant_basis(a: Algebra) -> tuple:
-    """Basis matrices of {X : X alpha = alpha X}, the legal gauge coefficients."""
-    d = a.dim
-    ker = kernel_basis(Matrix(commutant_rows(a)))
-    out = []
-    for c in range(ker.dim):
-        flat = ker.basis.column(c)
-        out.append(Matrix([[flat[r * d + cc] for cc in range(d)] for r in range(d)]))
-    return tuple(out)
+    """Basis matrices of {X : X alpha = alpha X}, the legal gauge coefficients.
+
+    These maps are the 1-cochains; the basis is the canonical one of C1's
+    basis matrices, flattened row-major.
+    """
+    flats = [flatten(cochain_to_matrix(a, h)) for h in build_cochain_space(a, 1).basis_cochains]
+    span = Subspace(a.dim**2, flats)
+    return tuple(unflatten(span.basis.column(j), a.dim) for j in range(span.dim))
 
 
 def random_gauge(a: Algebra, order: int, rng) -> Gauge:
@@ -401,6 +389,35 @@ class ObstructionPair:
     in_z4z5: bool
 
 
+def _require_cocycle(a: Algebra, f1: Cochain, g1: Cochain) -> None:
+    """NotInZ2Z3Error unless (f1, g1) lies in Z2 x Z3, also when it is not
+    a pair of cochains at all."""
+    try:
+        closed = is_cocycle_2(a, f1, g1)
+    except NotACochainError as exc:
+        raise NotInZ2Z3Error(f"(f1, g1) must be a 2-/3-cocycle pair: {exc}")
+    if not closed:
+        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
+
+
+def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, list]:
+    """(F, G) and their coordinates in C4 x C5, for (f1, g1) in Z2 x Z3.
+
+    (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
+    and no second-order term, evaluated once.
+    """
+    _require_cocycle(a, f1, g1)
+    fs, gs = bracket_series(a, (f1,), (g1,))
+    parts = []
+    for k in (7, 8):
+        arity = IDENTITIES[k][0]
+        value, den = identity_values(a, k, 2, fs, gs)
+        table = _tabulate(a, arity, divided(value, -den))
+        parts.append(build_cochain_space(a, arity).cochain_from_table(table))
+    (big_f, coords_f), (big_g, coords_g) = parts
+    return big_f, big_g, coords_f + coords_g
+
+
 def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     """The quadratic pair controlling second-order extension of (f1, g1).
 
@@ -408,27 +425,21 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     pair lies in the kernel of the third coboundary operator; the theorem
     says it always does, and the acceptance suite tests exactly that.
     """
-    if not is_cocycle_2(a, f1, g1):
-        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
-    # minus the t^2 coefficients of identities 7 and 8, with no f2, g2
-    fs, gs = bracket_series(a, (f1,), (g1,))
-    tables = []
-    for k in (7, 8):
-        value, den = identity_values(a, k, 2, fs, gs)
-        tables.append(_tabulate(a, IDENTITIES[k][0], divided(value, -den)))
-    f_table, g_table = tables
+    big_f, big_g, coords = _obstruction(a, f1, g1)
+    return ObstructionPair(big_f, big_g, not any(delta3(a).matrix.apply(coords)))
 
-    c4 = build_cochain_space(a, 4)
-    c5 = build_cochain_space(a, 5)
-    big_f, coords_f = c4.cochain_from_table(f_table)
-    big_g, coords_g = c5.cochain_from_table(g_table)
-    image = delta3(a).matrix.apply(coords_f + coords_g)
-    return ObstructionPair(big_f, big_g, not any(image))
+
+def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:
+    """A pair (f2, g2) with delta2(f2, g2) = obstruction pair, when one exists."""
+    sol = solve(delta2(a).matrix, _obstruction(a, f1, g1)[2])
+    return None if sol is None else pair_from_coords(a, sol)
 
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Per-equation outcome of the order-2 equations: None means it holds."""
+    """Per-equation outcome of the order-2 equations 5'-8': None means it
+    holds.  7' and 8' are None in every report, since the probe rejects a
+    candidate on which either fails."""
 
     failures: dict
 
@@ -440,34 +451,24 @@ class ProbeReport:
 def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Cochain) -> ProbeReport:
     """Evaluate equations 5'-8' at n = 2 for a candidate second-order term.
 
-    Preconditions (checked): (f1, g1) is a cocycle pair, which
-    :func:`obstruction_pair` checks, and (f2, g2) kills the obstruction,
-    i.e. delta2 of (f2, g2) equals the obstruction pair.
-    No outcome is asserted: 7' and 8' are expected to hold, 5' and 6' may
-    fail, and the report is the deliverable.
+    Preconditions (checked): (f1, g1) is a cocycle pair, (f2, g2) is a
+    cochain pair, and (f2, g2) kills the obstruction, i.e. delta2 of
+    (f2, g2) equals the obstruction pair.  The last is read off 7' and 8'
+    themselves: their t^2 coefficient is delta2(f2, g2) - (F, G), so it
+    vanishes on every tuple exactly when the precondition holds.
+    No outcome is asserted: 5' and 6' may fail, and the report is the
+    deliverable.
     """
-    obstruction = obstruction_pair(a, f1, g1)
-    d2f, d2g = apply_delta2_pair(a, f2, g2)
-    if d2f != obstruction.first or d2g != obstruction.second:
+    _require_cocycle(a, f1, g1)
+    try:
+        pair_coords(a, f2, g2)
+    except NotACochainError as exc:
+        raise PreconditionError(f"coefficient at order 2 is not a cochain: {exc}")
+    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
+    if first_failure(a, 7, 2, fs, gs) or first_failure(a, 8, 2, fs, gs):
         raise PreconditionError(
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    return ProbeReport({eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
-
-
-def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:
-    """A pair (f2, g2) with delta2(f2, g2) = obstruction pair, when one exists."""
-    from .exactlin import solve
-
-    obstruction = obstruction_pair(a, f1, g1)
-    c4 = build_cochain_space(a, 4)
-    c5 = build_cochain_space(a, 5)
-    rhs = c4.coords(obstruction.first) + c5.coords(obstruction.second)
-    sol = solve(delta2(a).matrix, rhs)
-    if sol is None:
-        return None
-    c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    return c2.from_coords(sol[: c2.dim]), c3.from_coords(sol[c2.dim :])
+    failures = {eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6)}
+    return ProbeReport({**failures, 7: None, 8: None})

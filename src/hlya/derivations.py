@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, memoised
 from .coboundary import _contracted, _generic_inputs, _images, leibniz
-from .cochain import build_cochain_space
+from .cochain import build_cochain_space, cochain_to_matrix
 from .errors import ClosureViolationError, PreconditionError
-from .exactlin import Matrix, Subspace, kernel_basis, solve
+from .exactlin import Matrix, Subspace, flatten, kernel_basis, solve, unflatten
 
 DEFAULT_K_MAX = 3
 
@@ -31,15 +31,7 @@ class DerivationSpace:
         return self.basis.dim
 
     def matrices(self, dim: int) -> list[Matrix]:
-        out = []
-        for j in range(self.basis.dim):
-            flat = self.basis.basis.column(j)
-            out.append(Matrix([[flat[r * dim + c] for c in range(dim)] for r in range(dim)]))
-        return out
-
-
-def _flatten(m: Matrix) -> list:
-    return [x for row in m.data for x in row]
+        return [unflatten(self.basis.basis.column(j), dim) for j in range(self.basis.dim)]
 
 
 @memoised
@@ -66,11 +58,8 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
             )
         rows += len(tuples) * d
     kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
-    flats = []
-    for j in range(kernel.dim):
-        der = c1.from_coords(kernel.basis.column(j))
-        flats.append([der.value((c,))[r] for r in range(d) for c in range(d)])
-    return DerivationSpace(k, Subspace(d * d, flats))
+    ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))
+    return DerivationSpace(k, Subspace(d * d, [flatten(cochain_to_matrix(a, h)) for h in ders]))
 
 
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
@@ -81,7 +70,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     """
     comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
     target = derivation_space(a, k + s)
-    if solve(target.basis.basis, _flatten(comm)) is None:
+    if solve(target.basis.basis, flatten(comm)) is None:
         raise ClosureViolationError(
             f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated"
         )

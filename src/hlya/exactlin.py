@@ -137,9 +137,6 @@ class Matrix:
     def column(self, j: int) -> list[Fraction]:
         return [row.get(j, ZERO) for row in self._rows]
 
-    def columns(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self) -> "Matrix":
         return Matrix._from_rows(_transpose(self._rows, self.cols), self.rows)
 
@@ -213,6 +210,16 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def flatten(m: Matrix) -> list[Fraction]:
+    """The entries of m row by row: m[i][j] at i * m.cols + j."""
+    return [x for row in m.data for x in row]
+
+
+def unflatten(flat: Sequence, cols: int) -> Matrix:
+    """The matrix with ``cols`` columns whose entries, row by row, are ``flat``."""
+    return Matrix([flat[i : i + cols] for i in range(0, len(flat), cols)])
 
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:

@@ -10,7 +10,6 @@ compare two independent computations.
 
 import itertools
 
-from hlya.deformation import commutant_rows
 from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, rat
 
 
@@ -137,6 +136,21 @@ def _leibniz_rows_ternary(ops, ak, i, j, k):
             args[touched] = e[m]
             for l, c in ops.tr(*args).items():
                 rows[l][m * d + slots[touched]] -= c
+    return rows
+
+
+def commutant_rows(a):
+    """D o alpha = alpha o D as rows in the entries of D flattened row-major
+    (D[i][j] at i * d + j), one per entry (i, j):
+    sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
+    d = a.dim
+    rows = []
+    for i, j in itertools.product(range(d), repeat=2):
+        row = [ZERO] * (d * d)
+        for m in range(d):
+            row[i * d + m] += a.alpha[m][j]
+            row[m * d + j] -= a.alpha[i][m]
+        rows.append(row)
     return rows
 
 

@@ -17,8 +17,7 @@ from hlya.coboundary import (
     operator_by_level,
     verify_well_definedness,
 )
-from hlya.cochain import Cochain, build_cochain_space
-from hlya.cohomology import matrix_to_cochain
+from hlya.cochain import Cochain, build_cochain_space, matrix_to_cochain
 from hlya.deformation import bracket_cochain, ternary_cochain
 from hlya.exactlin import Matrix, rat
 

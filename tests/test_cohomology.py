@@ -10,14 +10,8 @@ from hlya import serialize
 from hlya.cli import EXIT_OK, main
 from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
 from hlya.coboundary import apply_delta1_single, delta2, delta3
-from hlya.cochain import build_cochain_space
-from hlya.cohomology import (
-    cochain_to_matrix,
-    cohomology_report,
-    is_coboundary_2,
-    is_cocycle_2,
-    matrix_to_cochain,
-)
+from hlya.cochain import build_cochain_space, cochain_to_matrix, matrix_to_cochain
+from hlya.cohomology import cohomology_report, is_coboundary_2, is_cocycle_2
 from hlya.derivations import derivation_space
 from hlya.exactlin import Matrix, rat
 

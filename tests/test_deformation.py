@@ -10,6 +10,7 @@ from hlya.cochain import Cochain, build_cochain_space
 from hlya.deformation import (
     Deformation,
     Gauge,
+    alpha_commutant_basis,
     apply_gauge,
     bracket_cochain,
     compose_gauges,
@@ -35,7 +36,8 @@ from hlya.errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from hlya.exactlin import Matrix, kernel_basis, rat, vstack
+from hlya.exactlin import Matrix, kernel_basis, rat, unflatten, vstack
+from hlya.samples import random_verified_algebras
 
 
 def _cocycle_pair(a, coeffs):
@@ -228,6 +230,32 @@ def test_obstruction_requires_cocycle(e1):
     raise AssertionError("every basis pair was a cocycle; cannot exercise the guard")
 
 
+def test_non_cochain_inputs_are_input_errors(e1, e2, e3):
+    """A non-cochain (f1, g1) is not in Z2 x Z3, and a non-cochain (f2, g2)
+    fails the probe's precondition: both are input errors, as for the
+    coefficients of a Deformation, and not theorem violations."""
+    for a in (e1, e2, e3):
+        d = a.dim
+        e = tuple(int(i == 0) for i in range(d))
+        z2, z3 = Cochain.zero(2, d), Cochain.zero(3, d)
+        # nonzero at the diagonal pair (1, 1)
+        diagonal = [(Cochain(2, d, {(0, 0): e}), z3), (z2, Cochain(3, d, {(0, 0, 1): e}))]
+        for f, g in diagonal:
+            for call in (obstruction_pair, solve_second_order):
+                with pytest.raises(NotInZ2Z3Error, match="cocycle pair: nonzero value at diagonal"):
+                    call(a, f, g)
+            with pytest.raises(NotInZ2Z3Error, match="cocycle pair: nonzero value at diagonal"):
+                second_order_probe(a, f, g, z2, z3)
+            with pytest.raises(PreconditionError, match="order 2 is not a cochain") as exc:
+                second_order_probe(a, z2, z3, f, g)
+            assert exc.type is PreconditionError
+    # antisymmetric, but alpha = diag(1, 2, 2) scales f(e1, e2) = e1 by 2
+    # on the arguments and by 1 on the value
+    f = Cochain(2, 3, {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0)})
+    with pytest.raises(PreconditionError, match="alpha-equivariance"):
+        second_order_probe(e3, Cochain.zero(2, 3), Cochain.zero(3, 3), f, Cochain.zero(3, 3))
+
+
 def test_obstruction_sign_convention(e1):
     """The second-order term must satisfy delta2(f2, g2) = +(F, G); the
     opposite-sign candidate is rejected by the probe's precondition."""
@@ -266,6 +294,15 @@ def test_obstructed_pair_on_abelian(e0):
             assert solve_second_order(e0, Cochain.zero(2, 2), g) is None
             return
     pytest.skip("no basis 3-cochain with nonzero quadratic pair on this base")
+
+
+def test_alpha_commutant_basis_is_the_commutant(bundled, twisted_algebras):
+    from fraction_reference import commutant_rows
+
+    for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 20)]:
+        kernel = kernel_basis(Matrix(commutant_rows(a)))
+        expected = tuple(unflatten(kernel.basis.column(j), a.dim) for j in range(kernel.dim))
+        assert alpha_commutant_basis(a) == expected, a.name
 
 
 def test_single_step_gauge_shape(e1):

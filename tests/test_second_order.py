@@ -1,0 +1,161 @@
+"""The second-order trio against the implementation it replaced.
+
+``obstruction_pair``, ``solve_second_order`` and ``second_order_probe``
+share one evaluation of the obstruction pair per call, and the probe reads
+its precondition, delta2(f2, g2) = (F, G), from equations 7' and 8'
+themselves.  The former trio, in which each function recomputed the pair
+and the probe compared delta2 of its candidate with it, is kept below as
+the oracle.  Every cocycle draw on the bundled algebras, the sl2 twist and
+the seed-12345 corpus must give the same outcome (the returned value, or
+the error type and message) on five candidates: zero, a random cochain
+pair, the solution, its negative, and the solution plus an element of
+ker delta2.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from hlya import algebra, deformation
+from hlya.algebra import IDENTITIES, bracket_series, divided, first_failure, identity_values
+from hlya.coboundary import _tabulate, apply_delta2_pair, d2, delta2, delta3
+from hlya.cochain import Cochain, build_cochain_space
+from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
+from hlya.deformation import (
+    ObstructionPair,
+    ProbeReport,
+    obstruction_pair,
+    second_order_probe,
+    solve_second_order,
+)
+from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
+from hlya.exactlin import kernel_basis, rat, solve, vstack
+from hlya.samples import random_verified_algebras
+
+
+def reference_obstruction_pair(a, f1, g1):
+    if not is_cocycle_2(a, f1, g1):
+        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
+    fs, gs = bracket_series(a, (f1,), (g1,))
+    tables = []
+    for k in (7, 8):
+        value, den = identity_values(a, k, 2, fs, gs)
+        tables.append(_tabulate(a, IDENTITIES[k][0], divided(value, -den)))
+    f_table, g_table = tables
+    big_f, coords_f = build_cochain_space(a, 4).cochain_from_table(f_table)
+    big_g, coords_g = build_cochain_space(a, 5).cochain_from_table(g_table)
+    image = delta3(a).matrix.apply(coords_f + coords_g)
+    return ObstructionPair(big_f, big_g, not any(image))
+
+
+def reference_probe(a, f1, g1, f2, g2):
+    obstruction = reference_obstruction_pair(a, f1, g1)
+    d2f, d2g = apply_delta2_pair(a, f2, g2)
+    if d2f != obstruction.first or d2g != obstruction.second:
+        raise PreconditionError(
+            "(f2, g2) does not solve the second-order extension equation: "
+            "delta2(f2, g2) must equal the obstruction pair"
+        )
+    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
+    return ProbeReport({eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
+
+
+def reference_solve_second_order(a, f1, g1):
+    obstruction = reference_obstruction_pair(a, f1, g1)
+    c4 = build_cochain_space(a, 4)
+    c5 = build_cochain_space(a, 5)
+    rhs = c4.coords(obstruction.first) + c5.coords(obstruction.second)
+    sol = solve(delta2(a).matrix, rhs)
+    if sol is None:
+        return None
+    c2 = build_cochain_space(a, 2)
+    c3 = build_cochain_space(a, 3)
+    return c2.from_coords(sol[: c2.dim]), c3.from_coords(sol[c2.dim :])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HlyaError as exc:
+        return type(exc), str(exc)
+
+
+def _combination(basis, rng):
+    coeffs = [rat(rng.randint(-2, 2)) for _ in range(basis.cols)]
+    return [sum(c * x for c, x in zip(coeffs, row)) for row in basis.data]
+
+
+def _candidates(a, f1, g1, rng):
+    c2, c3 = build_cochain_space(a, 2), build_cochain_space(a, 3)
+    out = [
+        (Cochain.zero(2, a.dim), Cochain.zero(3, a.dim)),
+        pair_from_coords(a, [rat(rng.randint(-2, 2)) for _ in range(c2.dim + c3.dim)]),
+    ]
+    solved = reference_solve_second_order(a, f1, g1)
+    if solved is not None:
+        f2, g2 = solved
+        shift = _combination(kernel_basis(delta2(a).matrix).basis, rng)
+        shifted = [x + y for x, y in zip(pair_coords(a, f2, g2), shift)]
+        out += [solved, (f2.scale(rat(-1)), g2.scale(rat(-1))), pair_from_coords(a, shifted)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def draws(bundled, twisted_algebras):
+    rng = random.Random(9001)
+    algebras = [*bundled, twisted_algebras[0]]
+    out = []
+    for a in algebras:
+        z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+        out.extend((a, *pair_from_coords(a, _combination(z, rng))) for _ in range(3))
+    for a in random_verified_algebras(12345, 20):
+        z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+        out.append((a, *pair_from_coords(a, _combination(z, rng))))
+    return out
+
+
+def test_trio_matches_the_former_trio(draws):
+    rng = random.Random(9002)
+    probes = Counter()
+    for a, f1, g1 in draws:
+        assert _outcome(obstruction_pair, a, f1, g1) == _outcome(reference_obstruction_pair, a, f1, g1)
+        assert _outcome(solve_second_order, a, f1, g1) == _outcome(reference_solve_second_order, a, f1, g1)
+        for f2, g2 in _candidates(a, f1, g1, rng):
+            got = _outcome(second_order_probe, a, f1, g1, f2, g2)
+            assert got == _outcome(reference_probe, a, f1, g1, f2, g2), a.name
+            probes[isinstance(got, ProbeReport)] += 1
+    # both branches of the precondition were compared
+    assert probes[True] >= 20 and probes[False] >= 20, probes
+
+
+def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
+    """One draw evaluates the t^2 coefficient of 7/8 without f2 once in
+    obstruction_pair and once in solve_second_order, and applies delta3
+    once; the probe evaluates 5'-8' once each and neither."""
+    calls = Counter()
+    original_values, original_delta3 = algebra.identity_values, deformation.delta3
+
+    def counted_values(a, k, n, fs, gs):
+        calls["with f2" if len(fs) > 2 else "without f2", k, n] += 1
+        return original_values(a, k, n, fs, gs)
+
+    def counted_delta3(a):
+        calls["delta3"] += 1
+        return original_delta3(a)
+
+    monkeypatch.setattr(algebra, "identity_values", counted_values)
+    monkeypatch.setattr(deformation, "identity_values", counted_values)
+    monkeypatch.setattr(deformation, "delta3", counted_delta3)
+    z = kernel_basis(vstack(delta2(e2).matrix, d2(e2).matrix)).basis
+    f1, g1 = pair_from_coords(e2, _combination(z, random.Random(9003)))
+    obstruction_pair(e2, f1, g1)
+    solved = solve_second_order(e2, f1, g1)
+    assert solved is not None
+    second_order_probe(e2, f1, g1, *solved)
+    assert calls == Counter({
+        ("without f2", 7, 2): 2,
+        ("without f2", 8, 2): 2,
+        **{("with f2", k, 2): 1 for k in (5, 6, 7, 8)},
+        "delta3": 1,
+    })

@@ -1,5 +1,6 @@
 """JSON round trips, bundled golden files, and the command-line interface."""
 
+import hashlib
 import json
 import os
 
@@ -8,15 +9,19 @@ import pytest
 from hlya import cohomology, serialize
 from hlya.algebra import check_axioms
 from hlya.cli import EXIT_INPUT, EXIT_OK, EXIT_THEOREM, main
-from hlya.coboundary import CoboundaryMap, d2
+from hlya.coboundary import CoboundaryMap, d2, delta2
 from hlya.cochain import Cochain
+from hlya.cohomology import pair_from_coords
 from hlya.deformation import (
+    Deformation,
+    bracket_cochain,
     identity_gauge,
     null_deformation,
     random_gauge,
+    ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import Matrix, rat
+from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.serialize import ParseError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -192,6 +197,31 @@ def test_cli_obstruct(capsys):
     assert report["extension_closes"] is True
 
 
+# SHA-256 of the report below, whose probe_note is the probe's
+# precondition error
+OBSTRUCT_REJECTED_SHA256 = "9bd33649c4db7a873ff66fb684facd6e7478d199da36bd11a400ae51b399d36f"
+
+
+def test_cli_obstruct_reports_a_second_order_term_that_does_not_solve(capsys, tmp_path, e1):
+    # (f2, g2) = (f1, g1): delta2 kills the cocycle, but its obstruction pair
+    # is nonzero, so the file's second-order term fails the probe
+    z = kernel_basis(vstack(delta2(e1).matrix, d2(e1).matrix))
+    coeffs = [rat(0), rat(-1), rat(1)]
+    f1, g1 = pair_from_coords(e1, [sum(c * x for c, x in zip(coeffs, row)) for row in z.basis.data])
+    d = Deformation(e1, 2, [bracket_cochain(e1), f1, f1], [ternary_cochain(e1), g1, g1])
+    path = tmp_path / "rejected.json"
+    path.write_text(serialize.dumps(serialize.deformation_to_obj(d)))
+    code, out, _ = _run(capsys, "obstruct", str(path))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["F"] and report["probe"] is None
+    assert report["probe_note"] == (
+        "(f2, g2) does not solve the second-order extension equation: "
+        "delta2(f2, g2) must equal the obstruction pair"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == OBSTRUCT_REJECTED_SHA256
+
+
 def test_cli_equiv(tmp_path, capsys, e1):
     d = null_deformation(e1, 2)
     d_path = tmp_path / "d.json"
@@ -233,16 +263,30 @@ def test_cli_output_deterministic(tmp_path, capsys):
 
 def test_cli_defaults_match_the_library():
     # the parser spells these out so that it imports neither module
-    from hlya import cli, coboundary, deformation, derivations
+    from hlya import cli, coboundary, derivations
 
     args = cli.build_parser().parse_args(["derive", "x.json"])
-    assert (args.k_max, args.order) == (derivations.DEFAULT_K_MAX, deformation.DEFAULT_ORDER)
-    assert (args.k_max, args.order) == (3, 4)
+    assert args.k_max == derivations.DEFAULT_K_MAX == 3
     assert list(cli.OPERATOR_LEVELS) == sorted(coboundary.OPERATORS) == ["1", "2", "3", "d2"]
     for level in cli.OPERATOR_LEVELS:
         assert cli.build_parser().parse_args(["dump-operator", "x.json", level]).level == level
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["dump-operator", "x.json", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--order", "3", "x.json"],
+        ["obstruct", "--seed", "1", "x.json"],
+        ["cohomology", "--k-max", "2", "x.json"],
+    ],
+)
+def test_cli_rejects_options_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _modules_loaded_by(*argv) -> list:
