@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import wraps
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
 from .exactlin import ZERO, Matrix, rat
@@ -51,6 +51,16 @@ SVec = dict[int, Fraction]
 # Substituting series f = sum_i f_i t^i and g = sum_i g_i t^i gives the
 # deformation equations as the t^n coefficients; at n = 1 around the base
 # they are the degree-2 coboundary operators (see :mod:`hlya.coboundary`).
+#
+# Each identity also records its leading alternating slot pairs: when every
+# f_i is alternating and every g_i alternating in its leading pair, every
+# t^n coefficient changes sign when the two arguments of such a pair swap.
+# Identities 1, 2, 5 and 6 are antisymmetric in (x, y): 1 and 2 term by
+# term, 5 and 6 as cyclic sums of terms antisymmetric in (x, y).  7 and 8
+# are antisymmetric in (x, y) and in (z, u): the first and last terms term
+# by term, and the two middle terms go to minus each other.  6 is not
+# antisymmetric in (z, u), since u lies outside the cycle, and 3 and 4,
+# the alternation conditions themselves, have no pair.
 
 _P, _M = 1, -1
 
@@ -65,24 +75,35 @@ def _cyclic(terms) -> tuple:
     )
 
 
-IDENTITIES = {  # id -> (arity, terms)
-    1: (2, ((_P, "alpha", (("f", 0, 1),)), (_M, "f", ((1, 0), (1, 1))))),
-    2: (3, ((_P, "alpha", (("g", 0, 1, 2),)), (_M, "g", ((1, 0), (1, 1), (1, 2))))),
-    3: (2, ((_P, "f", ((0, 0), (0, 1))), (_P, "f", ((0, 1), (0, 0))))),
-    4: (3, ((_P, "g", ((0, 0), (0, 1), (0, 2))), (_P, "g", ((0, 1), (0, 0), (0, 2))))),
-    5: (3, _cyclic(((_P, "f", (("f", 0, 1), (1, 2))), (_P, "g", ((0, 0), (0, 1), (0, 2)))))),
-    6: (4, _cyclic(((_P, "g", (("f", 0, 1), (1, 2), (1, 3))),))),
-    7: (4, (
+class Identity(NamedTuple):
+    """One identity: its arity, its signed terms and its leading alternating
+    pairs.  For any f alternating in its pair and g alternating in its
+    leading pair, the value of every t^n coefficient changes sign when the
+    arguments of slots (2p, 2p + 1), p < ``pairs``, are swapped."""
+
+    arity: int
+    terms: tuple
+    pairs: int
+
+
+IDENTITIES = {
+    1: Identity(2, ((_P, "alpha", (("f", 0, 1),)), (_M, "f", ((1, 0), (1, 1)))), 1),
+    2: Identity(3, ((_P, "alpha", (("g", 0, 1, 2),)), (_M, "g", ((1, 0), (1, 1), (1, 2)))), 1),
+    3: Identity(2, ((_P, "f", ((0, 0), (0, 1))), (_P, "f", ((0, 1), (0, 0)))), 0),
+    4: Identity(3, ((_P, "g", ((0, 0), (0, 1), (0, 2))), (_P, "g", ((0, 1), (0, 0), (0, 2)))), 0),
+    5: Identity(3, _cyclic(((_P, "f", (("f", 0, 1), (1, 2))), (_P, "g", ((0, 0), (0, 1), (0, 2))))), 1),
+    6: Identity(4, _cyclic(((_P, "g", (("f", 0, 1), (1, 2), (1, 3))),)), 1),
+    7: Identity(4, (
         (_P, "g", ((1, 0), (1, 1), ("f", 2, 3))),
         (_M, "f", (("g", 0, 1, 2), (2, 3))),
         (_M, "f", ((2, 2), ("g", 0, 1, 3))),
-    )),
-    8: (5, (
+    ), 2),
+    8: Identity(5, (
         (_P, "g", ((2, 0), (2, 1), ("g", 2, 3, 4))),
         (_M, "g", (("g", 0, 1, 2), (2, 3), (2, 4))),
         (_M, "g", ((2, 2), ("g", 0, 1, 3), (2, 4))),
         (_M, "g", ((2, 2), (2, 3), ("g", 0, 1, 4))),
-    )),
+    ), 2),
 }
 AXIOM_IDS = tuple(IDENTITIES)
 
@@ -187,10 +208,12 @@ class IntTable:
 
     ``entries`` maps a basis-index tuple to a sparse vector {output index:
     numerator}, and the map's value there is numerator / ``den``.  A linear
-    map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A
-    numerator may also be a linear form (:class:`hlya.coboundary._Form`):
-    the operations below only ever multiply numerators by integers and add
-    them.  An empty table is the zero map and is false.
+    map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A map
+    on the alternating pairs e_i ^ e_j, i < j, is a table of arity 2 whose
+    output indices are pairs (see :func:`compose_slot`).  A numerator may
+    also be a linear form (:class:`hlya.coboundary._Form`): the operations
+    below only ever multiply numerators by integers and add them.  An empty
+    table is the zero map and is false.
     """
 
     __slots__ = ("den", "entries")
@@ -233,18 +256,38 @@ def int_table(table: dict) -> IntTable:
 
 
 def compose_slot(t: IntTable, slot: int, m: IntTable) -> IntTable:
-    """t with the linear map m applied to argument ``slot``: t(.., m e_j, ..)."""
-    rows: dict = {}  # i -> {j: coefficient of e_i in m e_j}
-    for (j,), col in m.entries.items():
+    """t with the linear map m applied to the argument at ``slot``: t(.., m e_J, ..).
+
+    m is a table of arity w whose entry J is the image of the basis
+    element e_J, and the argument is the w slots from ``slot`` on.  For a
+    linear map (w = 1) the image is {i: coefficient of e_i}; for a map on
+    pairs (w = 2) it is {(i, j): coefficient of e_i ^ e_j}.
+    """
+    width = len(next(iter(m.entries), ()))
+    rows: dict = {}  # I -> [(J, coefficient of e_I in m e_J)]
+    for jkey, col in m.entries.items():
         for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
+            rows.setdefault((i,) if width == 1 else i, []).append((jkey, c))
+    end = slot + width
     out: dict = {}
+    summed = set()  # keys hit more than once, where terms may cancel
     for key, vec in t.entries.items():
-        for j, c in rows.get(key[slot], {}).items():
-            acc = out.setdefault(key[:slot] + (j,) + key[slot + 1 :], {})
-            for k, x in vec.items():
-                acc[k] = acc.get(k, 0) + c * x
-    return IntTable(t.den * m.den, {key: _pruned(vec) for key, vec in out.items()})
+        row = rows.get(key[slot:end])
+        if row is None:
+            continue
+        head, tail = key[:slot], key[end:]
+        for jkey, c in row:
+            new = head + jkey + tail
+            acc = out.get(new)
+            if acc is None:
+                out[new] = {k: c * x for k, x in vec.items()}
+            else:
+                summed.add(new)
+                for k, x in vec.items():
+                    acc[k] = acc.get(k, 0) + c * x
+    for key in summed:
+        out[key] = _pruned(out[key])
+    return IntTable(t.den * m.den, out)
 
 
 def compose_out(m: IntTable, t: IntTable) -> IntTable:
@@ -376,7 +419,11 @@ def _key_getter(positions) -> Callable[[tuple], tuple]:
     return _getter(positions)
 
 
-def _twisted(a: Algebra, t: IntTable, powers: tuple, pos: int | None) -> tuple[int, dict]:
+def _is_identity(m: IntTable, dim: int) -> bool:
+    return len(m.entries) == dim and all(col == {j: m.den} for (j,), col in m.entries.items())
+
+
+def _twisted(a: Algebra, t: IntTable, powers: Sequence[int], pos: int | None) -> tuple[int, dict]:
     """t with alpha^powers[q] applied to argument q, and its denominator.
 
     Without a nested bracket (``pos`` None) the entries stay keyed by the
@@ -395,7 +442,7 @@ def _twisted(a: Algebra, t: IntTable, powers: tuple, pos: int | None) -> tuple[i
     return t.den, grouped
 
 
-def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
+def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tuple[Callable[[tuple], dict], int]:
     """A signed sum of table contractions in integers: (numerators, L).
 
     ``terms`` are (sign, outer, args) in the language of :data:`IDENTITIES`:
@@ -403,25 +450,41 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
     argument (p, s) is alpha^p(x_s), and at most one argument per term is
     a nested table on plain slot variables, (name, s, t, ...).  A name that
     ``tables`` lacks, or maps to an empty table, is the zero map: its terms
-    are dropped.  Each (outer, alpha powers) is twisted once; L is the lcm
-    of the terms' denominators and each term carries the integer weight
-    sign * L / denominator, so ``numerators(idx)`` maps each output index to
-    L times the sum at a 0-based basis tuple, zeros dropped.  Callers that
-    keep the values divide by L (:func:`divided`).
+    are dropped.  A power p with alpha^p the identity counts as 0.  Each
+    (outer, alpha powers) is twisted once and kept in ``twisted``; a caller
+    that contracts several term lists against the same ``tables`` passes
+    one dict to all of them.  L is the lcm of the terms' denominators and
+    each term carries the integer weight sign * L / denominator, so
+    ``numerators(idx)`` maps each output index to L times the sum at a
+    0-based basis tuple, zeros dropped.  Callers that keep the values
+    divide by L (:func:`divided`).
     """
-    twisted: dict = {}
+    if twisted is None:
+        twisted = {}
+    effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
     compiled = []
     for sign, outer, args in terms:
-        pos = next((m for m, arg in enumerate(args) if not isinstance(arg[0], int)), None)
-        inner = None if pos is None else tables.get(args[pos][0])
-        if not tables.get(outer) or (pos is not None and not inner):
+        if not tables.get(outer):
             continue
-        powers = tuple(0 if m == pos else arg[0] for m, arg in enumerate(args))
-        plain = [arg[1] for m, arg in enumerate(args) if m != pos]
-        cache_key = (outer, powers, pos)
-        if cache_key not in twisted:
-            twisted[cache_key] = _twisted(a, tables[outer], powers, pos)
-        den, table = twisted[cache_key]
+        pos = inner = None
+        powers, plain = [], []
+        for m, arg in enumerate(args):
+            p = arg[0]
+            if isinstance(p, int):
+                if p not in effective:
+                    effective[p] = 0 if p == 0 or _is_identity(alpha_table(a, p), a.dim) else p
+                powers.append(effective[p])
+                plain.append(arg[1])
+            else:
+                pos, inner = m, tables.get(p)
+                powers.append(0)
+        if pos is not None and not inner:
+            continue
+        cache_key = (outer, tuple(powers), pos)
+        entry = twisted.get(cache_key)
+        if entry is None:
+            entry = twisted[cache_key] = _twisted(a, tables[outer], powers, pos)
+        den, table = entry
         if inner is None:
             compiled.append((sign, den, _key_getter(plain), table, None, None))
         else:
@@ -432,12 +495,13 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
 
     def value(idx: tuple) -> dict:
         acc: dict = {}
+        get = acc.get
         for w, key, table, inner_key, inner in compiled:
             if inner is None:
                 vec = table.get(key(idx))
                 if vec:
                     for j, x in vec.items():
-                        acc[j] = acc.get(j, 0) + w * x
+                        acc[j] = get(j, 0) + w * x
                 continue
             iv = inner.get(inner_key(idx))
             if not iv:
@@ -450,34 +514,37 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
                 if vec:
                     wc = w * c
                     for j, x in vec.items():
-                        acc[j] = acc.get(j, 0) + wc * x
+                        acc[j] = get(j, 0) + wc * x
         return _pruned(acc)
 
     return value, common
 
 
-def identity_values(a: Algebra, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
+def identity_values(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = None) -> tuple[Callable[[tuple], dict], int]:
     """The t^n coefficient of identity k in integers: (numerators, L).
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
     :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
     ("g", i) for :func:`contract`; empty ones contribute nothing.  A term
     with a nested bracket becomes the convolution sum over i + j = n of
-    outer_i(..., inner_j(...), ...), one contracted term per pair.
+    outer_i(..., inner_j(...), ...), one contracted term per pair.  Calls
+    on one series may share ``twisted`` (see :func:`contract`), so that
+    each twisted table is built once for all identities and orders.
     """
     series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
     tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
     terms = []
-    for sign, outer, args in IDENTITIES[k][1]:
-        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
-        if pos is None:
+    for sign, outer, args in IDENTITIES[k].terms:
+        for pos, arg in enumerate(args):
+            if isinstance(arg[0], str):
+                head, tail = args[:pos], args[pos + 1 :]
+                terms.extend(
+                    (sign, (outer, i), (*head, ((arg[0], n - i), *arg[1:]), *tail)) for i in range(n + 1)
+                )
+                break
+        else:
             terms.append((sign, (outer, n), args))
-            continue
-        name, *slots = args[pos]
-        for i in range(n + 1):
-            nested = ((name, n - i), *slots)
-            terms.append((sign, (outer, i), args[:pos] + (nested,) + args[pos + 1 :]))
-    return contract(a, tables, terms)
+    return contract(a, tables, terms, twisted)
 
 
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
@@ -491,11 +558,32 @@ def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]
     return lambda idx: {j: x * inv for j, x in value(idx).items()}
 
 
-def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
+def rep_tuples(dim: int, arity: int, pairs: int) -> list[tuple]:
+    """The basis tuples (0-based) that increase strictly inside each of the
+    first ``pairs`` slot pairs (0, 1), (2, 3), ..., in lexicographic order."""
+    pair = list(itertools.combinations(range(dim), 2))
+    single = [(i,) for i in range(dim)]
+    out = [()]
+    for block in [pair] * pairs + [single] * (arity - 2 * pairs):
+        out = [head + tail for head in out for tail in block]
+    return out
+
+
+def first_failure(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = None) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
-    coefficient of identity k is nonzero; None when it vanishes throughout."""
-    value, _ = identity_values(a, k, n, fs, gs)
-    for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k][0]):
+    coefficient of identity k is nonzero; None when it vanishes throughout.
+
+    Only the tuples of :func:`rep_tuples` for the identity's alternating
+    pairs are evaluated.  That is exact when every f_i is alternating and
+    every g_i alternating in its leading pair: at a tuple with equal
+    arguments in such a pair the value is its own negative, so 0, and
+    swapping a decreasing pair gives a lexicographically smaller tuple with
+    the negated value.  So the first failing tuple increases inside every
+    pair.  ``twisted`` is passed on to :func:`identity_values`.
+    """
+    value, _ = identity_values(a, k, n, fs, gs, twisted)
+    identity = IDENTITIES[k]
+    for idx in rep_tuples(a.dim, identity.arity, identity.pairs):
         if value(idx):
             return tuple(i + 1 for i in idx)
     return None
@@ -520,15 +608,18 @@ class AxiomReport:
 
 
 def check_axioms(a: Algebra) -> AxiomReport:
-    """Evaluate the eight defining identities on every basis tuple.
+    """Evaluate the eight defining identities on basis tuples.
 
-    Multilinearity makes basis checks sufficient.  Failures are recorded,
-    never raised.
+    Multilinearity makes basis checks sufficient, and the brackets of an
+    :class:`Algebra` are alternating (:func:`make_algebra`), so each
+    identity is evaluated at the representative tuples of its pairs only
+    (:func:`first_failure`).  Failures are recorded, never raised.
     """
     fs, gs = bracket_series(a)
+    twisted: dict = {}
     counter: dict = {}
     for k in AXIOM_IDS:
-        witness = first_failure(a, k, 0, fs, gs)
+        witness = first_failure(a, k, 0, fs, gs, twisted)
         if witness is not None:
             counter[k] = witness
     return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .algebra import Algebra, Vec, evaluate, int_table, memoised, zero_vec
+from .algebra import Algebra, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Matrix, Subspace, eliminate, null_vectors, rat
 
@@ -130,11 +130,7 @@ class CochainSpace:
         if not 0 <= pairs <= arity // 2:
             raise ArityError(f"pair count must lie in 0..{arity // 2}")
         self.pairs = pairs
-        self.rep_tuples = [
-            idx
-            for idx in itertools.product(range(d), repeat=arity)
-            if all(idx[2 * p] < idx[2 * p + 1] for p in range(self.pairs))
-        ]
+        self.rep_tuples = rep_tuples(d, arity, pairs)
         self.rep_index = {idx: pos for pos, idx in enumerate(self.rep_tuples)}
         self.reduced_dim = len(self.rep_tuples) * d
         self._pivots, reduced = eliminate(self._equivariance_rows())
@@ -234,7 +230,8 @@ class CochainSpace:
         a sparse vector {position: nonzero value}.
 
         Verifies the diagonal/antisymmetry condition on every tuple and
-        raises NotACochainError on violation.
+        raises NotACochainError on violation; a key that is no basis tuple
+        of this arity raises ArityError.
         """
         d = self.algebra.dim
         index = self.rep_index
@@ -253,7 +250,10 @@ class CochainSpace:
                 raise NotACochainError(
                     f"nonzero value at diagonal-pair tuple {tuple(i + 1 for i in idx)}"
                 )
-            base = index[can] * d
+            base = index.get(can)
+            if base is None:
+                raise ArityError(f"{idx} is not a basis tuple of {self.arity} indices below {d}")
+            base *= d
             for k, x in enumerate(vec):
                 y = reduced.get(base + k, ZERO)
                 if x != (y if sign == 1 else -y):
@@ -296,13 +296,38 @@ class CochainSpace:
         return out
 
     def coords(self, cochain: Cochain) -> list:
+        """Basis coordinates of a cochain of this arity and dimension."""
+        if cochain.arity != self.arity:
+            raise ArityError(f"a {cochain.arity}-cochain is not in the space of {self.arity}-cochains")
+        if cochain.dim != self.algebra.dim:
+            raise DimMismatchError(f"a cochain on dimension {cochain.dim}, expected {self.algebra.dim}")
         return self._dense(self._coords(self._reduce(cochain.table)))
 
     def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
         """Canonical cochain and basis coordinates of a raw tabulation."""
         reduced = self._reduce(table)
-        coords = self._coords(reduced)
-        return self._from_sparse(reduced), self._dense(coords)
+        return self._from_sparse(reduced), self._dense(self._coords(reduced))
+
+    def _rep_reduced(self, values: dict) -> dict:
+        """Sparse reduced coordinates of values at representative tuples."""
+        d = self.algebra.dim
+        index = self.rep_index
+        return {index[idx] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x}
+
+    def from_rep_values(self, values: dict) -> Cochain:
+        """The cochain with the given values at the representative tuples.
+
+        ``values`` maps representative tuples to sparse vectors {output
+        index: Fraction}; a tuple it lacks has value 0, and the values at
+        the other tuples follow from pair antisymmetry.  Alpha-equivariance
+        is not checked here: :meth:`coords` and :meth:`rep_coords` check it.
+        """
+        return self._from_sparse(self._rep_reduced(values))
+
+    def rep_coords(self, values: dict) -> list:
+        """Basis coordinates of :meth:`from_rep_values` of ``values``;
+        NotACochainError when that map violates alpha-equivariance."""
+        return self._dense(self._coords(self._rep_reduced(values)))
 
     def from_coords(self, coords: Sequence) -> Cochain:
         reduced: dict = {}

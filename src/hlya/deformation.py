@@ -24,10 +24,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     IDENTITIES,
     Algebra,
+    IntTable,
     bracket_series,
     compose_out,
     compose_slot,
@@ -39,7 +41,7 @@ from .algebra import (
     memoised,
     table_sum,
 )
-from .coboundary import _tabulate, delta2, delta3
+from .coboundary import delta2, delta3
 from .cochain import Cochain, build_cochain_space, cochain_to_matrix
 from .cohomology import is_coboundary_2, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
@@ -155,15 +157,20 @@ class DeformationReport:
 
 
 def verify_deformation(d: Deformation) -> DeformationReport:
-    """Evaluate all eight equations for every order 0..N on all basis tuples.
+    """Evaluate all eight equations for every order 0..N on basis tuples.
 
-    Order 0 reproduces the base axioms verbatim.
+    Every coefficient is a cochain, so each equation is evaluated only at
+    the representative tuples of its alternating pairs
+    (:func:`hlya.algebra.first_failure`), and each twisted table of the
+    series is built once for all equations and orders.  Order 0 reproduces
+    the base axioms verbatim.
     """
     fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
+    twisted: dict = {}
     failures = {}
     for n in range(d.order + 1):
         for eq in IDENTITIES:
-            failures[(eq, n)] = first_failure(d.base, eq, n, fs, gs)
+            failures[(eq, n)] = first_failure(d.base, eq, n, fs, gs, twisted)
     return DeformationReport(d.order, failures)
 
 
@@ -277,25 +284,70 @@ def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     return Gauge(p.base, p.order, phi)
 
 
+def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
+    """The truncated inverse of a series of linear maps with phi_0 = id, as
+    integer tables: psi_0 = id and psi_n = -sum_{i=1}^{n} phi_i psi_{n-i},
+    whose i = n term is phi_n itself."""
+    psi = [phi[0]]
+    for n in range(1, len(phi)):
+        total = table_sum([phi[n], *(compose_out(phi[i], psi[n - i]) for i in range(1, n))])
+        psi.append(IntTable(total.den, {key: {i: -x for i, x in vec.items()} for key, vec in total.entries.items()}))
+    return psi
+
+
 def inverse_gauge(p: Gauge) -> Gauge:
     """Truncated series inverse: psi_0 = id, psi_n = -sum phi_i psi_{n-i}."""
     d = p.base.dim
-    psi = [Matrix.identity(d)]
-    for n in range(1, p.order + 1):
-        acc = Matrix.zeros(d, d)
-        for i in range(1, n + 1):
-            acc = acc.add(p.phi[i].matmul(psi[n - i]))
-        psi.append(acc.scale(-1))
-    return Gauge(p.base, p.order, psi)
+    psi = _inverse_series([matrix_table(m) for m in p.phi])
+    columns = [
+        [{i: Fraction(x, t.den) for i, x in t.entries.get((j,), {}).items()} for j in range(d)]
+        for t in psi
+    ]
+    return Gauge(p.base, p.order, [Matrix.from_sparse_columns(cols, d) for cols in columns])
+
+
+def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:
+    """The series Lambda = Lambda^2 Phi acting on alternating pairs.
+
+    Lambda_m sends e_i ^ e_j (i < j) to sum_{c+e=m} phi_c e_i ^ phi_e e_j,
+    so with phi[a, i] the coefficient of e_a in phi e_i its coefficient at
+    e_a ^ e_b (a < b) is sum_{c+e=m} phi_c[a, i] phi_e[b, j] - phi_c[b, i]
+    phi_e[a, j].  A table of arity 2 with pair outputs, over the square
+    of the common denominator of the phi_c.
+    """
+    den = lcm(*(t.den for t in phi))
+    cols = [
+        [{a: x * (den // t.den) for a, x in t.entries.get((i,), {}).items()} for i in range(dim)]
+        for t in phi
+    ]
+    maps = []
+    for m in range(len(phi)):
+        entries = {}
+        for i, j in itertools.combinations(range(dim), 2):
+            acc: dict = {}
+            for c in range(m + 1):
+                for a, x in cols[c][i].items():
+                    for b, y in cols[m - c][j].items():
+                        if a != b:
+                            key, s = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                            acc[key] = acc.get(key, 0) + s
+            entries[(i, j)] = {key: x for key, x in acc.items() if x}
+        maps.append(IntTable(den * den, entries))
+    return maps
 
 
 def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by coefficient.
 
-    Phi acts one argument slot at a time: a pass over slot s replaces the
-    series T by T'_m = sum_{c+j=m} T_j(.., phi_c ., ..), truncated at the
-    order, and a last pass applies Psi = Phi^{-1} to the values.  The
-    series are integer tables; Fractions are built for the result only.
+    Every coefficient is alternating in its leading pair, so the series are
+    kept at the representative tuples only, and Phi acts on that pair
+    through the pair map Lambda^2 Phi (:func:`_pair_maps`) and on the third
+    argument of the ternary series by Phi itself: a pass replaces the
+    series T by T'_m = sum_{c+j=m} T_j(M_c ...), truncated at the order,
+    and a last pass applies Psi = Phi^{-1} to the values.  M_0, the
+    identity, is not composed, so the order-0 coefficients come back
+    unchanged.  The series are integer tables; the cochain spaces build the
+    higher coefficients from their representative values.
     """
     if d.base != p.base:
         raise BaseMismatchError("deformation and gauge live over different bases")
@@ -303,22 +355,30 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
         raise BaseMismatchError("deformation and gauge have different truncation orders")
     base, order = d.base, d.order
     phi = [matrix_table(m) for m in p.phi]
-    psi = [matrix_table(m) for m in inverse_gauge(p).phi]
+    psi = _inverse_series(phi)
+    pairs = _pair_maps(phi, base.dim)
 
     def convolve(series, maps, compose) -> list:
         return [
             table_sum(
-                compose(series[j], maps[m - j]) for j in range(m + 1) if series[j] and maps[m - j]
+                [series[m], *(compose(series[j], maps[m - j]) for j in range(m) if series[j] and maps[m - j])]
             )
             for m in range(order + 1)
         ]
 
     def transform(seq, arity: int) -> list:
-        series = [int_table(c.table) for c in seq]
-        for slot in range(arity):
-            series = convolve(series, phi, lambda t, m: compose_slot(t, slot, m))
+        series = [int_table({idx: vec for idx, vec in c.table.items() if idx[0] < idx[1]}) for c in seq]
+        series = convolve(series, pairs, lambda t, m: compose_slot(t, 0, m))
+        if arity == 3:
+            series = convolve(series, phi, lambda t, m: compose_slot(t, 2, m))
         series = convolve(series, psi, lambda t, m: compose_out(m, t))
-        return [Cochain(arity, base.dim, t.fractions(base.dim)) for t in series]
+        space = build_cochain_space(base, arity)
+        return [seq[0]] + [
+            space.from_rep_values(
+                {key: {k: Fraction(x, t.den) for k, x in vec.items()} for key, vec in t.entries.items()}
+            )
+            for t in series[1:]
+        ]
 
     return Deformation(base, order, transform(d.f_seq, 2), transform(d.g_seq, 3))
 
@@ -404,16 +464,20 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     """(F, G) and their coordinates in C4 x C5, for (f1, g1) in Z2 x Z3.
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
-    and no second-order term, evaluated once.
+    and no second-order term, evaluated once at the representative tuples
+    of C4 and C5: both identities are antisymmetric in their two leading
+    pairs, so those values fix F and G.
     """
     _require_cocycle(a, f1, g1)
     fs, gs = bracket_series(a, (f1,), (g1,))
+    twisted: dict = {}
     parts = []
     for k in (7, 8):
-        arity = IDENTITIES[k][0]
-        value, den = identity_values(a, k, 2, fs, gs)
-        table = _tabulate(a, arity, divided(value, -den))
-        parts.append(build_cochain_space(a, arity).cochain_from_table(table))
+        space = build_cochain_space(a, IDENTITIES[k].arity)
+        value, den = identity_values(a, k, 2, fs, gs, twisted)
+        value = divided(value, -den)
+        values = {idx: value(idx) for idx in space.rep_tuples}
+        parts.append((space.from_rep_values(values), space.rep_coords(values)))
     (big_f, coords_f), (big_g, coords_g) = parts
     return big_f, big_g, coords_f + coords_g
 
@@ -465,10 +529,11 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     except NotACochainError as exc:
         raise PreconditionError(f"coefficient at order 2 is not a cochain: {exc}")
     fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    if first_failure(a, 7, 2, fs, gs) or first_failure(a, 8, 2, fs, gs):
+    twisted: dict = {}
+    if first_failure(a, 7, 2, fs, gs, twisted) or first_failure(a, 8, 2, fs, gs, twisted):
         raise PreconditionError(
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    failures = {eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6)}
+    failures = {eq: first_failure(a, eq, 2, fs, gs, twisted) for eq in (5, 6)}
     return ProbeReport({**failures, 7: None, 8: None})

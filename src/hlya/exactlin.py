@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimMismatchError, NotContainedError, ShapeMismatchError
@@ -67,10 +68,11 @@ class Matrix:
     every operation here works on those.  :attr:`data` is a dense
     list-of-lists copy, built on each access.  The first :func:`solve`
     against a matrix keeps its reduction on it, so every later solve is
-    one product.
+    one product; the first :meth:`apply` likewise keeps its rows as
+    integers.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_reduction")
+    __slots__ = ("rows", "cols", "_rows", "_reduction", "_int_rows")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = [list(row) for row in data]
@@ -84,6 +86,7 @@ class Matrix:
         self.rows, self.cols = len(rows), cols
         self._rows = rows
         self._reduction = None
+        self._int_rows = None
 
     @classmethod
     def _from_rows(cls, rows: list[dict], cols: int) -> "Matrix":
@@ -141,12 +144,34 @@ class Matrix:
         return Matrix._from_rows(_transpose(self._rows, self.cols), self.rows)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product over the stored entries and the nonzero
-        vector entries."""
+        """Matrix-vector product in integers: the vector over one common
+        denominator, each row over its own (:meth:`_integer_rows`), and one
+        Fraction per row."""
         if len(vec) != self.cols:
             raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
-        nonzero = {j: x for j, x in enumerate(vec) if x}
-        return [_dot(row, nonzero) for row in self._rows]
+        nonzero = {j: rat(x) for j, x in enumerate(vec) if x}
+        den = lcm(*(x.denominator for x in nonzero.values()))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in nonzero.items()}
+        out = []
+        for row_den, row in self._integer_rows():
+            small, large = (row, ints) if len(row) < len(ints) else (ints, row)
+            s = 0
+            for j, a in small.items():
+                b = large.get(j)
+                if b is not None:
+                    s += a * b
+            out.append(Fraction(s, row_den * den) if s else ZERO)
+        return out
+
+    def _integer_rows(self) -> list[tuple[int, dict]]:
+        """Each row as (denominator, {column: integer numerator}) over the
+        lcm of its entries' denominators; built on first use and kept."""
+        if self._int_rows is None:
+            self._int_rows = []
+            for row in self._rows:
+                den = lcm(*(x.denominator for x in row.values()))
+                self._int_rows.append((den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}))
+        return self._int_rows
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

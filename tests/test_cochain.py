@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hlya.cochain import Cochain, MAX_ARITY, _canonicalize, build_cochain_space
-from hlya.errors import ArityError, NotACochainError
+from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
 
 
@@ -163,6 +163,28 @@ def test_pair_violation_detected(e0):
     diag = Cochain(2, 2, {(0, 0): (1, 0)})
     with pytest.raises(NotACochainError):
         space.coords(diag)
+
+
+def test_cochains_of_another_shape_are_rejected(e1, e2):
+    """A cochain of another arity or dimension, or a table keyed by tuples
+    that are no basis tuples of the space, is an input error."""
+    c2 = build_cochain_space(e1, 2)
+    shapes = [
+        (Cochain(3, 2, {(0, 1, 0): (1, 0), (1, 0, 0): (-1, 0)}), ArityError),
+        (Cochain.zero(3, 2), ArityError),
+        (Cochain(2, 3, {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0)}), DimMismatchError),
+        (Cochain.zero(2, 3), DimMismatchError),
+    ]
+    for cochain, error in shapes:
+        with pytest.raises(error):
+            c2.coords(cochain)
+        with pytest.raises(error):
+            c2.contains(cochain)
+    # declared as 2-cochains, keyed by a triple and by an index out of range
+    for table in ({(0, 1, 0): (1, 0), (1, 0, 0): (-1, 0)}, {(0, 2): (1, 0), (2, 0): (-1, 0)}):
+        with pytest.raises(ArityError):
+            c2.coords(Cochain(2, 2, table))
+    assert build_cochain_space(e2, 3).contains(Cochain.zero(3, 3))
 
 
 def test_coords_round_trip(bundled):

@@ -31,7 +31,9 @@ from hlya.deformation import (
 )
 from hlya import deformation
 from hlya.errors import (
+    ArityError,
     BaseMismatchError,
+    DimMismatchError,
     NotCocycleError,
     NotInZ2Z3Error,
     PreconditionError,
@@ -254,6 +256,25 @@ def test_non_cochain_inputs_are_input_errors(e1, e2, e3):
     f = Cochain(2, 3, {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0)})
     with pytest.raises(PreconditionError, match="alpha-equivariance"):
         second_order_probe(e3, Cochain.zero(2, 3), Cochain.zero(3, 3), f, Cochain.zero(3, 3))
+
+
+def test_cochains_of_another_shape_are_input_errors(e1):
+    """On aff1 a 3-cochain passed as f1 or f2, or a 2-cochain on dimension 3
+    passed as f2, is an input error."""
+    z2, z3 = Cochain.zero(2, 2), Cochain.zero(3, 2)
+    triple = Cochain(3, 2, {(0, 1, 0): (1, 0), (1, 0, 0): (-1, 0)})
+    with pytest.raises(ArityError):
+        second_order_probe(e1, z2, z3, triple, z3)
+    for f1 in (triple, Cochain.zero(3, 2)):
+        for call in (obstruction_pair, solve_second_order):
+            with pytest.raises(ArityError):
+                call(e1, f1, z3)
+        with pytest.raises(ArityError):
+            second_order_probe(e1, f1, z3, z2, z3)
+    with pytest.raises(DimMismatchError):
+        second_order_probe(e1, z2, z3, Cochain.zero(2, 3), z3)
+    with pytest.raises(ArityError):
+        first_order_deformation(e1, Cochain.zero(3, 2), z3)
 
 
 def test_obstruction_sign_convention(e1):

@@ -191,3 +191,30 @@ def test_apply_matches_dense_product(system):
     out = m.apply(vec)
     assert out == _dense_apply(m, vec)
     assert all(isinstance(x, Fraction) for x in out)
+
+
+def _fraction_apply(m, vec):
+    """The product as Fraction sums over the stored entries of each row."""
+    nonzero = {j: rat(x) for j, x in enumerate(vec) if x}
+    out = []
+    for row in m._rows:
+        s = rat(0)
+        for j, a in row.items():
+            if j in nonzero:
+                s += a * nonzero[j]
+        out.append(s)
+    return out
+
+
+@given(_sparse_system(), st.lists(st.integers(min_value=1, max_value=9), min_size=8, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_integer_apply_matches_fraction_products(system, dens):
+    """Mixed denominators in the matrix and the vector, and ints in the
+    vector: the integer product gives the same Fractions, twice over (the
+    second apply reads the integer rows kept by the first)."""
+    m, vec = system
+    vec = [x / dens[j] if j % 2 else int(x * dens[j]) for j, x in enumerate(vec)]
+    expected = _fraction_apply(m, vec)
+    assert m.apply(vec) == expected
+    assert m.apply(vec) == expected
+    assert all(isinstance(x, Fraction) for x in m.apply(vec))

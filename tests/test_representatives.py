@@ -1,0 +1,258 @@
+"""Representative-tuple evaluation of the deformation layer.
+
+``first_failure`` scans only the tuples that increase inside each declared
+alternating pair of an identity, and the obstruction pair is evaluated at
+the representative tuples of C4 and C5 only.  This file checks the
+antisymmetry that makes that exact, and compares both with the full scans
+they replaced, which are kept below as oracles: ``full_scan_first_failure``
+evaluates every basis tuple, and ``full_tabulation_obstruction`` tabulates
+every tuple and reduces the table with ``cochain_from_table``.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from hlya import algebra
+from hlya.algebra import (
+    IDENTITIES,
+    bracket_series,
+    check_axioms,
+    divided,
+    first_failure,
+    identity_values,
+    make_algebra,
+    rep_tuples,
+)
+from hlya.coboundary import _tabulate, d2, delta2
+from hlya.cochain import build_cochain_space
+from hlya.cohomology import pair_from_coords
+from hlya.deformation import (
+    Deformation,
+    _obstruction,
+    apply_gauge,
+    null_deformation,
+    random_gauge,
+    verify_deformation,
+)
+from hlya.exactlin import kernel_basis, rat, vstack
+from hlya.samples import random_verified_algebras, sl2
+
+ORDERS = range(4)
+
+
+def full_scan_first_failure(a, k, n, fs, gs):
+    """First failing tuple over every basis tuple, in lexicographic order."""
+    value, _ = identity_values(a, k, n, fs, gs)
+    for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
+        if value(idx):
+            return tuple(i + 1 for i in idx)
+    return None
+
+
+def full_tabulation_obstruction(a, f1, g1):
+    """(F, G) and their coordinates from tables over every basis tuple."""
+    fs, gs = bracket_series(a, (f1,), (g1,))
+    parts = []
+    for k in (7, 8):
+        arity = IDENTITIES[k].arity
+        value, den = identity_values(a, k, 2, fs, gs)
+        table = _tabulate(a, arity, divided(value, -den))
+        parts.append(build_cochain_space(a, arity).cochain_from_table(table))
+    (big_f, coords_f), (big_g, coords_g) = parts
+    return big_f, big_g, coords_f + coords_g
+
+
+def _random_cochain(a, arity, rng):
+    space = build_cochain_space(a, arity)
+    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
+
+
+def _random_series(a, order, rng):
+    """Random cochains f_1..f_order, g_1..g_order: no deformation, so the
+    higher coefficients of the identities do not vanish."""
+    f_higher = [_random_cochain(a, 2, rng) for _ in range(order)]
+    g_higher = [_random_cochain(a, 3, rng) for _ in range(order)]
+    return f_higher, g_higher
+
+
+def _cocycle(a, rng):
+    z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+    coeffs = [rat(rng.randint(-2, 2)) for _ in range(z.cols)]
+    coords = [sum(c * x for c, x in zip(coeffs, row)) for row in z.data]
+    return pair_from_coords(a, coords)
+
+
+def _swapped(idx, p):
+    lst = list(idx)
+    lst[2 * p], lst[2 * p + 1] = lst[2 * p + 1], lst[2 * p]
+    return tuple(lst)
+
+
+def _negated(vec):
+    return {j: -x for j, x in vec.items()}
+
+
+@pytest.fixture(scope="module")
+def algebras(bundled, twisted_algebras):
+    """The bundle, the sl2 twists, Heisenberg diag(2, 3, 6) and gl2."""
+    return [*bundled, *twisted_algebras]
+
+
+def test_rep_tuples_are_the_increasing_tuples(algebras):
+    for dim, arity in itertools.product(range(5), range(8)):
+        for pairs in range(arity // 2 + 1):
+            expected = [
+                idx
+                for idx in itertools.product(range(dim), repeat=arity)
+                if all(idx[2 * p] < idx[2 * p + 1] for p in range(pairs))
+            ]
+            assert rep_tuples(dim, arity, pairs) == expected, (dim, arity, pairs)
+    for a in algebras:
+        for arity in (2, 3, 4, 5):
+            space = build_cochain_space(a, arity)
+            assert space.rep_tuples == rep_tuples(a.dim, arity, arity // 2)
+
+
+def test_identity_values_are_antisymmetric_in_their_pairs(algebras):
+    """At orders 0-3 of random cochain series, every declared pair of every
+    identity flips the sign of the value when its two arguments swap, and
+    the value at a tuple with equal arguments in the pair is zero."""
+    rng = random.Random(4101)
+    checked = 0
+    for a in algebras:
+        fs, gs = bracket_series(a, *_random_series(a, max(ORDERS), rng))
+        for k, identity in IDENTITIES.items():
+            for n in ORDERS:
+                value, _ = identity_values(a, k, n, fs, gs)
+                for idx in itertools.product(range(a.dim), repeat=identity.arity):
+                    vec = value(idx)
+                    for p in range(identity.pairs):
+                        if idx[2 * p] == idx[2 * p + 1]:
+                            assert not vec, (a.name, k, n, idx)
+                        else:
+                            assert value(_swapped(idx, p)) == _negated(vec), (a.name, k, n, idx, p)
+                            checked += bool(vec)
+    assert checked > 1000
+
+
+def test_identity_6_is_not_antisymmetric_in_its_second_pair(algebras):
+    """Identity 6 declares one pair: its second pair (z, u) is not
+    alternating, so reducing it as well would drop failing tuples."""
+    rng = random.Random(4102)
+    a = algebras[2]  # sl2
+    fs, gs = bracket_series(a, *_random_series(a, 1, rng))
+    value, _ = identity_values(a, 6, 1, fs, gs)
+    assert IDENTITIES[6].pairs == 1
+    assert any(
+        value(_swapped(idx, 1)) != _negated(value(idx))
+        for idx in itertools.product(range(a.dim), repeat=4)
+    )
+
+
+def _corrupted(a):
+    """Copies of a with a shifted ternary entry and a shifted twist entry."""
+    d = a.dim
+    t = [[[list(v) for v in col] for col in row] for row in a.ternary]
+    t[0][1][d - 1] = [x + int(k == 0) for k, x in enumerate(t[0][1][d - 1])]
+    t[1][0][d - 1] = [x - int(k == 0) for k, x in enumerate(t[1][0][d - 1])]
+    alpha = [list(row) for row in a.alpha]
+    alpha[0][d - 1] += 1
+    return [
+        make_algebra(d, a.binary, t, a.alpha, name=a.name + "_ternary"),
+        make_algebra(d, a.binary, a.ternary, alpha, name=a.name + "_alpha"),
+    ]
+
+
+def test_first_failure_matches_the_full_scan(algebras):
+    """On corrupted algebras, on random series that are no deformation, and
+    on second-order candidates that do not solve, the representative scan
+    finds the same first failing tuple as the scan over every tuple."""
+    rng = random.Random(4103)
+    failures = 0
+    for a in algebras:
+        for bad in _corrupted(a):
+            fs, gs = bracket_series(bad)
+            for k in IDENTITIES:
+                expected = full_scan_first_failure(bad, k, 0, fs, gs)
+                assert first_failure(bad, k, 0, fs, gs) == expected, (bad.name, k)
+                failures += expected is not None
+            assert check_axioms(bad).counterexamples == {
+                k: w for k in IDENTITIES if (w := full_scan_first_failure(bad, k, 0, fs, gs))
+            }
+        fs, gs = bracket_series(a, *_random_series(a, 2, rng))
+        twisted: dict = {}
+        for k in IDENTITIES:
+            for n in range(3):
+                expected = full_scan_first_failure(a, k, n, fs, gs)
+                assert first_failure(a, k, n, fs, gs, twisted) == expected, (a.name, k, n)
+                failures += expected is not None
+        f1, g1 = _cocycle(a, rng)
+        f2, g2 = _random_series(a, 1, rng)
+        fs, gs = bracket_series(a, (f1, *f2), (g1, *g2))
+        for k in (5, 6, 7, 8):
+            expected = full_scan_first_failure(a, k, 2, fs, gs)
+            assert first_failure(a, k, 2, fs, gs) == expected, (a.name, k)
+            failures += expected is not None
+    assert failures > 50
+
+
+def test_verify_deformation_reports_match_the_full_scan(algebras):
+    """Gauged null deformations satisfy every equation; a coefficient moved
+    off them fails some, at the tuples the full scan names."""
+    rng = random.Random(4104)
+    for a in algebras[:6]:
+        d = apply_gauge(null_deformation(a, 3), random_gauge(a, 3, rng))
+        broken = Deformation(
+            a, 3, d.f_seq, (*d.g_seq[:2], d.g_seq[2].add(_random_cochain(a, 3, rng)), d.g_seq[3])
+        )
+        for deformed in (d, broken):
+            fs, gs = bracket_series(a, deformed.f_seq[1:], deformed.g_seq[1:])
+            expected = {
+                (k, n): full_scan_first_failure(a, k, n, fs, gs)
+                for n in range(deformed.order + 1)
+                for k in IDENTITIES
+            }
+            assert verify_deformation(deformed).failures == expected, a.name
+        assert verify_deformation(d).ok
+
+
+def test_obstruction_matches_the_full_tabulation(algebras):
+    rng = random.Random(4105)
+    draws = [(a, *_cocycle(a, rng)) for a in algebras for _ in range(2)]
+    draws += [(a, *_cocycle(a, rng)) for a in random_verified_algebras(12345, 20)]
+    nonzero = 0
+    for a, f1, g1 in draws:
+        got = _obstruction(a, f1, g1)
+        assert got == full_tabulation_obstruction(a, f1, g1), a.name
+        nonzero += any(got[2])
+    assert nonzero > 10
+
+
+def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
+    """sl2 has dimension 3: identity 8 has 3^5 = 243 basis tuples, and 27
+    of them increase inside both of its pairs."""
+    a = sl2()
+    calls = {k: 0 for k in IDENTITIES}
+    original = algebra.identity_values
+
+    def counted(a, k, n, fs, gs, twisted=None):
+        value, den = original(a, k, n, fs, gs, twisted)
+
+        def counting(idx):
+            calls[k] += 1
+            return value(idx)
+
+        return counting, den
+
+    monkeypatch.setattr(algebra, "identity_values", counted)
+    order = 3
+    report = verify_deformation(null_deformation(a, order))
+    assert report.ok
+    assert calls[8] == 27 * (order + 1)
+    assert calls == {
+        k: len(rep_tuples(3, identity.arity, identity.pairs)) * (order + 1)
+        for k, identity in IDENTITIES.items()
+    }
+    assert calls[3] == 9 * (order + 1)
