@@ -210,10 +210,9 @@ class IntTable:
     numerator}, and the map's value there is numerator / ``den``.  A linear
     map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A map
     on the alternating pairs e_i ^ e_j, i < j, is a table of arity 2 whose
-    output indices are pairs (see :func:`compose_slot`).  A numerator may
-    also be a linear form (:class:`hlya.coboundary._Form`): the operations
-    below only ever multiply numerators by integers and add them.  An empty
-    table is the zero map and is false.
+    output indices are pairs (see :func:`compose_slot`).  Numerators are
+    Python ints; a :class:`FormTable` keeps its unknowns in the output
+    indices instead.  An empty table is the zero map and is false.
     """
 
     __slots__ = ("den", "entries")
@@ -234,13 +233,27 @@ class IntTable:
         }
 
 
+class FormTable(IntTable):
+    """A generic multilinear map: an integer table whose output indices are
+    pairs (k, u), the numerator at (k, u) being the coefficient of the
+    unknown u in output coordinate k.
+
+    Its values are linear forms in the unknowns, with integer coefficients
+    and no per-form objects.  The table operations above never read an
+    output index, so they act on it as on any table, and :func:`contract`
+    returns such forms from any term list that reads one.
+    """
+
+    __slots__ = ()
+
+
 def _pruned(vec: dict) -> dict:
     return {k: x for k, x in vec.items() if x}
 
 
 def int_table(table: dict) -> IntTable:
-    """A table of dense value vectors (Fractions, or linear forms, which
-    count as numerators over 1) over the lcm of its denominators."""
+    """A table of dense value vectors of rationals (Fractions or ints), as
+    integer numerators over the lcm of their denominators."""
     den = 1
     for vec in table.values():
         for x in vec:
@@ -458,11 +471,19 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
     ``numerators(idx)`` maps each output index to L times the sum at a
     0-based basis tuple, zeros dropped.  Callers that keep the values
     divide by L (:func:`divided`).
+
+    When a table is a :class:`FormTable`, the values are linear forms: the
+    output indices become (k, u).  As an outer table its output indices
+    pass through unchanged; as a nested table its output index (m, u) is
+    split, m read by the outer table and u carried to the output.  Those
+    terms are set apart here, once, and summed after the others: a term
+    list without a nested FormTable runs the integer loop alone.
     """
     if twisted is None:
         twisted = {}
     effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
     compiled = []
+    split = []  # the terms whose nested table is a FormTable
     for sign, outer, args in terms:
         if not tables.get(outer):
             continue
@@ -489,9 +510,12 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
             compiled.append((sign, den, _key_getter(plain), table, None, None))
         else:
             inner_key = _key_getter(args[pos][1:])
-            compiled.append((sign, den * inner.den, _getter(plain), table, inner_key, inner.entries))
-    common = lcm(*(term[1] for term in compiled))
-    compiled = [(sign * (common // den), *rest) for sign, den, *rest in compiled]
+            term = (sign, den * inner.den, _getter(plain), table, inner_key, inner.entries)
+            (split if isinstance(inner, FormTable) else compiled).append(term)
+    common = lcm(*(term[1] for term in compiled + split))
+    compiled, split = (
+        [(sign * (common // den), *rest) for sign, den, *rest in part] for part in (compiled, split)
+    )
 
     def value(idx: tuple) -> dict:
         acc: dict = {}
@@ -517,7 +541,28 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
                         acc[j] = get(j, 0) + wc * x
         return _pruned(acc)
 
-    return value, common
+    if not split:
+        return value, common
+
+    def form_value(idx: tuple) -> dict:
+        acc = value(idx)
+        get = acc.get
+        for w, key, table, inner_key, inner in split:
+            iv = inner.get(inner_key(idx))
+            if not iv:
+                continue
+            outer = table.get(key(idx))
+            if not outer:
+                continue
+            for (m, u), c in iv.items():
+                vec = outer.get(m)
+                if vec:
+                    wc = w * c
+                    for j, x in vec.items():
+                        acc[j, u] = get((j, u), 0) + wc * x
+        return _pruned(acc)
+
+    return form_value, common
 
 
 def identity_values(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = None) -> tuple[Callable[[tuple], dict], int]:
@@ -550,8 +595,8 @@ def identity_values(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = N
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
     """Exact values from kernel numerators: value(idx) / den.
 
-    With den 1 the numerators are the values and come back unchanged (as
-    Python ints, or integer linear forms)."""
+    With den 1 the numerators are the values and come back unchanged, as
+    Python ints."""
     if den == 1:
         return value
     inv = Fraction(1, den)

@@ -2,14 +2,16 @@
 
 Each operator acts between (pairs of) cochain spaces.  Its formula is
 linear in the domain cochains, so it is evaluated once per codomain
-representative tuple on *generic* domain cochains, whose table entries
-are unknowns; the values are linear forms in those unknowns.  Applying
-the forms to each domain basis vector gives every column of the matrix,
-and each column is expressed in the codomain basis, with the
-equivariance residual checked during coordinate extraction.
-:func:`verify_well_definedness` is the full-tabulation audit: the same
-linear forms taken on *all* tuples, with every basis cochain's image
-checked against the alternating-pair and equivariance conditions.
+representative tuple on *generic* domain tables
+(:class:`hlya.algebra.FormTable`), whose entries are the unknown reduced
+coordinates; the values are integer linear forms {(output index,
+unknown): coefficient}.  Applying the forms to each domain basis vector
+gives every column of the matrix, and each column is expressed in the
+codomain basis, with the equivariance residual checked during coordinate
+extraction.  :func:`verify_well_definedness` is the full-tabulation
+audit: the same forms taken on *all* tuples, each codomain condition
+(diagonal pairs, pair antisymmetry, equivariance) turned into linear
+defect forms once, and only the nonzero ones applied to the domain basis.
 
 Levels and their (domain -> codomain) pairs:
 
@@ -29,7 +31,9 @@ delta1 and delta3 are signed-term data in the same language
 alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
 space of k-twisted derivations (:mod:`hlya.derivations`).  All are
 evaluated by the one integer contraction of :func:`hlya.algebra.contract`,
-on the base brackets and the domain cochains as integer tables.
+on the base brackets and the domain cochains as integer tables: the
+formulas of :data:`_LEVELS` take integer tables, generic or not, and
+:func:`_apply` converts its cochains.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -44,7 +48,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
-    bracket_series,
+    FormTable,
+    IntTable,
     brackets,
     contract,
     divided,
@@ -53,8 +58,8 @@ from .algebra import (
     memoised,
     to_dense,
 )
-from .cochain import Cochain, build_cochain_space
-from .exactlin import Matrix, ZERO
+from .cochain import Cochain, _canonicalize, _violation, build_cochain_space
+from .exactlin import Matrix
 
 
 @dataclass(frozen=True)
@@ -167,13 +172,13 @@ DELTA3 = (
 
 def _contracted(components, names):
     """Tables of the signed-term ``components`` at the base brackets and the
-    domain cochains, bound in order to ``names``."""
+    domain tables, bound in order to ``names``."""
 
-    def tables(a: Algebra, *cochains: Cochain):
+    def tables(a: Algebra, *domain: IntTable):
         br, tr = brackets(a)
-        named = {"br": br, "tr": tr}
-        named.update((name, int_table(c.table)) for name, c in zip(names, cochains))
-        return [divided(*contract(a, named, terms)) for terms in components]
+        named = {"br": br, "tr": tr, **dict(zip(names, domain))}
+        twisted: dict = {}
+        return [divided(*contract(a, named, terms, twisted)) for terms in components]
 
     return tables
 
@@ -182,9 +187,11 @@ def _linearised(ids):
     """Tables of the t^1 coefficients of identities ``ids`` at the base
     brackets deformed by (t f, t g)."""
 
-    def tables(a: Algebra, f: Cochain, g: Cochain):
-        fs, gs = bracket_series(a, (f,), (g,))
-        return [divided(*identity_values(a, k, 1, fs, gs)) for k in ids]
+    def tables(a: Algebra, f: IntTable, g: IntTable):
+        f0, g0 = brackets(a)
+        fs, gs = (f0, f), (g0, g)
+        twisted: dict = {}
+        return [divided(*identity_values(a, k, 1, fs, gs, twisted)) for k in ids]
 
     return tables
 
@@ -200,114 +207,59 @@ _LEVELS = {
 }
 
 
-class _Form:
-    """A linear form in the unknown reduced coordinates of generic cochains.
-
-    It is the value type of a formula evaluated on generic cochains: the
-    formulas add forms, scale them by integers (by rationals only where
-    :func:`hlya.algebra.divided` leaves the integer kernel) and test them
-    for zero, and never multiply two of them, because each is linear in
-    its cochains.  ``terms`` maps an unknown to its nonzero coefficient, a
-    Python int on the generic cochains.  In the integer tables of
-    :mod:`hlya.algebra` a form is a numerator over the denominator 1.
-    """
-
-    __slots__ = ("terms",)
-    denominator = 1
-
-    @property
-    def numerator(self):
-        return self
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def __add__(self, other):
-        if not isinstance(other, _Form):
-            if other:
-                raise TypeError("a linear form plus a nonzero constant")
-            return self
-        terms = dict(self.terms)
-        for u, c in other.terms.items():
-            v = terms.get(u, 0) + c
-            if v:
-                terms[u] = v
-            else:
-                del terms[u]
-        return _Form(terms)
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        if isinstance(c, _Form):
-            raise TypeError("a product of two linear forms")
-        return _Form({u: x * c for u, x in self.terms.items()} if c else {})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Form({u: -x for u, x in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
 def _generic_inputs(domain) -> tuple[list, list]:
-    """Generic cochains of the domain blocks and the domain basis over them.
+    """Generic tables of the domain blocks and the domain basis over them.
 
     Block b's reduced coordinate i is the unknown ``offset_b + i``, where
     ``offset_b`` is the reduced dimension of the blocks before b.  The
-    generic cochain takes the value of each coordinate that some basis
-    cochain uses, with the pair signs of :meth:`CochainSpace._from_sparse`;
-    a block of dimension 0 is the zero cochain.  The basis comes back as
-    sparse vectors over the unknowns, block by block.
+    generic table of a block is a :class:`FormTable`: at each tuple of an
+    orbit it holds the unknown of every coordinate that some basis cochain
+    uses, with the pair signs of :meth:`CochainSpace._from_sparse`; a block
+    of dimension 0 is the zero table.  The basis comes back as sparse
+    vectors over the unknowns, block by block.
     """
-    cochains, basis = [], []
+    tables, basis = [], []
     offset = 0
     for space in domain:
         d = space.algebra.dim
-        forms = {
-            i: _Form({offset + i: 1}) for col in space._basis_cols for i in col
-        }
-        table = {}
+        used = {i for col in space._basis_cols for i in col}
+        entries = {}
         for pos, variants in enumerate(space._orbits):
-            value = tuple(forms.get(pos * d + k, 0) for k in range(d))
-            if any(value):
-                negated = tuple(-x for x in value)
+            value = {(k, offset + i): 1 for k, i in enumerate(range(pos * d, pos * d + d)) if i in used}
+            if value:
+                negated = {key: -1 for key in value}
                 for tup, sign in variants:
-                    table[tup] = value if sign == 1 else negated
-        cochains.append(Cochain(space.arity, d, table))
+                    entries[tup] = value if sign == 1 else negated
+        tables.append(FormTable(1, entries))
         basis.extend({offset + i: x for i, x in col.items()} for col in space._basis_cols)
         offset += space.reduced_dim
-    return cochains, basis
+    return tables, basis
 
 
 def _images(tuples, fn, basis, d):
-    """fn, evaluated once per tuple on generic cochains, then on each basis
-    vector: one sparse table {tuple position: value vector} per vector."""
+    """fn, evaluated once per tuple on generic tables, then on each basis
+    vector: one sparse vector {tuple position * d + output index: value}
+    per basis vector."""
     if not basis:
         return
-    linear = {}  # unknown -> [(tuple position, output index, coefficient)]
+    linear = {}  # unknown -> [(tuple position * d + output index, coefficient)]
     for pos, idx in enumerate(tuples):
-        for k, form in fn(idx).items():
-            for u, c in form.terms.items():
-                linear.setdefault(u, []).append((pos, k, c))
+        base = pos * d
+        for (k, u), c in fn(idx).items():
+            linear.setdefault(u, []).append((base + k, c))
     for vec in basis:
         image = {}
         for u, x in vec.items():
-            for pos, k, c in linear.get(u, ()):
-                value = image.get(pos)
-                if value is None:
-                    value = image[pos] = [ZERO] * d
-                value[k] += x * c
-        yield image
+            for i, c in linear.get(u, ()):
+                image[i] = image.get(i, 0) + x * c
+        yield {i: y for i, y in image.items() if y}
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     """The operator's matrix, linearised once per representative tuple.
 
     Each formula runs once per representative tuple of each codomain
-    block, on generic domain cochains; the linear forms it returns give
+    block, on generic domain tables; the linear forms it returns give
     every column at once, as sparse vectors.  Coordinates are read off by
     ``CochainSpace._coords``, whose residual check raises NotACochainError
     on an image that violates alpha-equivariance.  Pair alternation is
@@ -317,17 +269,10 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     d = a.dim
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
-    cochains, basis = _generic_inputs(domain)
+    generic, basis = _generic_inputs(domain)
     blocks = []
-    for target, fn in zip(codomain, tables(a, *cochains)):
-        blocks.append(
-            [
-                target._coords(
-                    {pos * d + k: x for pos, value in image.items() for k, x in enumerate(value) if x}
-                )
-                for image in _images(target.rep_tuples, fn, basis, d)
-            ]
-        )
+    for target, fn in zip(codomain, tables(a, *generic)):
+        blocks.append([target._coords(image) for image in _images(target.rep_tuples, fn, basis, d)])
     shift = codomain[0].dim
     columns = [
         {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
@@ -387,7 +332,7 @@ def _apply(a: Algebra, level: str, *cochains) -> tuple[Cochain, Cochain]:
     _, _, codomain_shapes, tables = _LEVELS[level]
     return tuple(
         build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
-        for (n, pairs), fn in zip(codomain_shapes, tables(a, *cochains))
+        for (n, pairs), fn in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains)))
     )
 
 
@@ -408,23 +353,123 @@ def apply_delta3_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Coch
     return _apply(a, "3", f, g)
 
 
+def _defects(space, fn) -> list:
+    """The linear defects of fn's values as a map into ``space``.
+
+    fn runs once at every basis tuple, on generic tables, in lexicographic
+    order, so each representative tuple comes before the rest of its
+    orbit.  The defects are (kind, 0-based tuple, form), with the form a
+    sparse linear map {(output index, unknown): coefficient}, and only the
+    nonzero forms are returned:
+
+    - "diagonal": the value at a tuple with equal arguments in a pair;
+    - "pair-antisymmetry": value(idx) - sign * value(representative) at
+      every other tuple, also where value(idx) is zero;
+    - "equivariance": the residual of :meth:`CochainSpace._coords`, taken
+      on the representative forms.  Kernel basis vector j has a 1 at free
+      coordinate j and 0 at the others, so the residual vanishes at the
+      free coordinates and is, at a pivot coordinate p, the form there
+      minus the sum over j of col_j[p] times the form at free coordinate j.
+
+    fn's values are cochains for every input exactly when each form
+    vanishes on every domain basis vector.
+    """
+    d = space.algebra.dim
+    pairs = space.pairs
+    index = space.rep_index
+    reps, negated = {}, {}
+    defects = []
+    for idx in itertools.product(range(d), repeat=space.arity):
+        value = fn(idx)
+        if idx in index:
+            reps[idx] = value
+            continue
+        can, sign = _canonicalize(idx, pairs)
+        if sign == 0:
+            if value:
+                defects.append(("diagonal", idx, value))
+            continue
+        rep = reps[can]
+        if sign == -1:
+            rep = negated.get(can)
+            if rep is None:
+                rep = negated[can] = {key: -c for key, c in reps[can].items()}
+        if value != rep:
+            defect = dict(value)
+            for key, c in rep.items():
+                defect[key] = defect.get(key, 0) - c
+            defects.append(("pair-antisymmetry", idx, defect))
+    rep_forms: dict = {}  # reduced coordinate -> {unknown: coefficient}
+    for pos, idx in enumerate(space.rep_tuples):
+        for (k, u), c in reps[idx].items():
+            rep_forms.setdefault(pos * d + k, {})[u] = c
+    free = set(space._free)
+    residual = {p: dict(form) for p, form in rep_forms.items() if p not in free}
+    for i, col in zip(space._free, space._basis_cols):
+        form = rep_forms.get(i)
+        if not form:
+            continue
+        for p, v in col.items():
+            if p != i:
+                acc = residual.setdefault(p, {})
+                for u, c in form.items():
+                    acc[u] = acc.get(u, 0) - v * c
+    for p in sorted(residual):
+        form = {(p % d, u): c for u, c in residual[p].items() if c}
+        if form:
+            defects.append(("equivariance", space.rep_tuples[p // d], form))
+    return defects
+
+
+def _first_violation(defects, basis):
+    """(defect, basis index) for the first defect form, in order, that is
+    nonzero on some basis vector, with the first such vector; None when
+    every form vanishes on the whole basis."""
+    rows: dict = {}  # unknown -> [(basis index, entry)]
+    for j, vec in enumerate(basis):
+        for u, x in vec.items():
+            rows.setdefault(u, []).append((j, x))
+    for defect in defects:
+        image: dict = {}
+        for (k, u), c in defect[2].items():
+            for j, x in rows.get(u, ()):
+                image[j, k] = image.get((j, k), 0) + c * x
+        hits = [j for (j, _), y in image.items() if y]
+        if hits:
+            return defect, min(hits)
+    return None
+
+
 def verify_well_definedness(a: Algebra, level: str) -> int:
-    """Full-tabulation audit of one operator on every domain basis cochain.
+    """Full-tabulation audit of one operator on the whole domain.
 
     Unlike the matrix assembly, which reads only representative tuples,
-    this tabulates each basis cochain's image on *all* basis tuples and
-    passes the table to ``cochain_from_table``, which checks the codomain
-    conditions (alternating pairs + equivariance) and raises
-    NotACochainError on any violation.  The formula runs once per tuple,
-    on generic cochains, and the tables are its linear forms evaluated at
-    each basis cochain.  Returns the number of basis cochains audited.
+    this checks every codomain condition (diagonal pairs, pair
+    antisymmetry at every tuple, alpha-equivariance) on the operator's
+    image of every domain cochain.  Each codomain block's formula runs
+    once per basis tuple, on generic domain tables, and each condition
+    becomes a linear defect form (:func:`_defects`).  Only the forms that
+    are nonzero are applied to the domain basis; on an untwisted algebra
+    there are none.  A form nonzero on a basis cochain raises
+    NotACochainError, with the level, block, 1-based tuple, basis index
+    and kind as attributes.  Returns the number of basis cochains audited.
     """
     op = operator_by_level(a, level)
-    _, _, codomain_shapes, tables = _LEVELS[level]
-    cochains, basis = _generic_inputs(op.domain)
-    for (n, pairs), fn in zip(codomain_shapes, tables(a, *cochains)):
-        space = build_cochain_space(a, n, pairs)
-        tuples = list(itertools.product(range(a.dim), repeat=n))
-        for image in _images(tuples, fn, basis, a.dim):
-            space.cochain_from_table({tuples[pos]: value for pos, value in image.items()})
+    name, _, _, tables = _LEVELS[level]
+    generic, basis = _generic_inputs(op.domain)
+    if not basis:
+        return 0
+    for block, (space, fn) in enumerate(zip(op.codomain, tables(a, *generic))):
+        defects = _defects(space, fn)
+        found = _first_violation(defects, basis) if defects else None
+        if found is not None:
+            (kind, idx, _), j = found
+            raise _violation(
+                kind,
+                idx,
+                f"{name} component {block + 1}, image of basis cochain {j}: ",
+                level=level,
+                block=block,
+                basis_index=j,
+            )
     return len(basis)

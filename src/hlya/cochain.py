@@ -110,6 +110,20 @@ def _canonicalize(idx: tuple, pairs: int) -> tuple[tuple, int]:
     return tuple(lst), sign
 
 
+_MESSAGES = {
+    "diagonal": "nonzero value at diagonal-pair tuple {}",
+    "pair-antisymmetry": "pair-antisymmetry violated at tuple {}",
+    "equivariance": "map violates the alpha-equivariance condition at tuple {}",
+}
+
+
+def _violation(kind: str, idx: tuple, prefix: str = "", **witness) -> NotACochainError:
+    """NotACochainError of one ``kind`` at the 0-based tuple ``idx``; the
+    message names the tuple 1-based, after ``prefix``."""
+    tup = tuple(i + 1 for i in idx)
+    return NotACochainError(prefix + _MESSAGES[kind].format(tup), kind=kind, basis_tuple=tup, **witness)
+
+
 class CochainSpace:
     """The space of n-cochains of one algebra, with an explicit basis.
 
@@ -231,25 +245,28 @@ class CochainSpace:
 
         Verifies the diagonal/antisymmetry condition on every tuple and
         raises NotACochainError on violation; a key that is no basis tuple
-        of this arity raises ArityError.
+        of this arity raises ArityError.  Every tuple in the orbit of a
+        nonzero representative value must carry its signed copy: the
+        matching copies are counted, and the count must fill every orbit.
         """
         d = self.algebra.dim
         index = self.rep_index
         reduced = {}
+        nonzero = 0
         for idx, vec in table.items():
             pos = index.get(idx)
-            if pos is not None:
+            if pos is not None and any(vec):
+                nonzero += 1
                 for k, x in enumerate(vec):
                     if x:
                         reduced[pos * d + k] = rat(x)
+        copies = 0
         for idx, vec in table.items():
             if idx in index or not any(vec):
                 continue
             can, sign = _canonicalize(idx, self.pairs)
             if sign == 0:
-                raise NotACochainError(
-                    f"nonzero value at diagonal-pair tuple {tuple(i + 1 for i in idx)}"
-                )
+                raise _violation("diagonal", idx)
             base = index.get(can)
             if base is None:
                 raise ArityError(f"{idx} is not a basis tuple of {self.arity} indices below {d}")
@@ -257,9 +274,13 @@ class CochainSpace:
             for k, x in enumerate(vec):
                 y = reduced.get(base + k, ZERO)
                 if x != (y if sign == 1 else -y):
-                    raise NotACochainError(
-                        f"pair-antisymmetry violated at tuple {tuple(i + 1 for i in idx)}"
-                    )
+                    raise _violation("pair-antisymmetry", idx)
+            copies += 1
+        if copies != nonzero * (2**self.pairs - 1):
+            for pos in sorted({i // d for i in reduced}):
+                for tup, _ in self._orbits[pos]:
+                    if not any(table.get(tup, ())):
+                        raise _violation("pair-antisymmetry", tup)
         return reduced
 
     def coords_from_reduced(self, reduced: Sequence) -> list:
@@ -284,10 +305,15 @@ class CochainSpace:
                     recon[p] = x * v if y is None else y + x * v
         for i, x in reduced.items():
             if recon.pop(i, ZERO) != x:
-                raise NotACochainError("map violates the alpha-equivariance condition")
-        if any(recon.values()):
-            raise NotACochainError("map violates the alpha-equivariance condition")
+                raise self._equivariance_violation(i)
+        for i, x in recon.items():
+            if x:
+                raise self._equivariance_violation(i)
         return coords
+
+    def _equivariance_violation(self, i: int) -> NotACochainError:
+        """The error for a failed residual at reduced coordinate ``i``."""
+        return _violation("equivariance", self.rep_tuples[i // self.algebra.dim])
 
     def _dense(self, coords: dict) -> list:
         out = [ZERO] * self.dim

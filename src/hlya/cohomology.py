@@ -102,8 +102,7 @@ def pair_from_coords(a: Algebra, coords) -> tuple[Cochain, Cochain]:
 
 def is_cocycle_2(a: Algebra, f: Cochain, g: Cochain) -> bool:
     """Does (f, g) lie in Z2 x Z3, i.e. is it killed by both delta2 and d2?"""
-    coords = pair_coords(a, f, g)
-    return not any(delta2(a).matrix.apply(coords)) and not any(d2(a).matrix.apply(coords))
+    return _closed(a, pair_coords(a, f, g))
 
 
 def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None:
@@ -112,7 +111,16 @@ def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None
     None is a normal return: it means the pair's class in H2 x H3 is
     nontrivial (or the pair is no cocycle at all).
     """
-    coords = pair_coords(a, *pair)
+    return _preimage(a, pair_coords(a, *pair))
+
+
+def _closed(a: Algebra, coords: list) -> bool:
+    """:func:`is_cocycle_2` on the pair's coordinates."""
+    return not any(delta2(a).matrix.apply(coords)) and not any(d2(a).matrix.apply(coords))
+
+
+def _preimage(a: Algebra, coords: list) -> Cochain | None:
+    """:func:`is_coboundary_2` on the pair's coordinates."""
     sol = solve(delta1(a).matrix, coords)
     if sol is None:
         return None

@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .coboundary import delta2, delta3
 from .cochain import Cochain, build_cochain_space, cochain_to_matrix
-from .cohomology import is_coboundary_2, is_cocycle_2, pair_coords, pair_from_coords
+from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
     BaseMismatchError,
     NotACochainError,
@@ -422,9 +422,10 @@ def trivialize(d: Deformation) -> TrivializeResult:
         f_r, g_r = current.f_seq[r], current.g_seq[r]
         if f_r.is_zero() and g_r.is_zero():
             continue
-        if not is_cocycle_2(base, f_r, g_r):
+        coords = pair_coords(base, f_r, g_r)
+        if not _closed(base, coords):
             raise NotCocycleError(f"leading term at order {r} is not a cocycle pair")
-        h = is_coboundary_2(base, (f_r, g_r))
+        h = _preimage(base, coords)
         if h is None:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
         step = single_step_gauge(base, order, cochain_to_matrix(base, h), r)

@@ -38,7 +38,7 @@ class DerivationSpace:
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     """The kernel of leibniz(k) on C1, as flattened d x d matrices.
 
-    The defects are evaluated once on a generic 1-cochain at the tuples
+    The defects are evaluated once on a generic 1-cochain table at the tuples
     with i < j, which suffice: both are antisymmetric in their first two
     slots.  Only their values are read, never codomain coordinates, so an
     algebra whose alpha preserves neither bracket still has its spaces.
@@ -53,9 +53,7 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     for arity, fn in zip((2, 3), _contracted(leibniz(k), ("h",))(a, h)):
         tuples = [idx for idx in itertools.product(range(d), repeat=arity) if idx[0] < idx[1]]
         for column, image in zip(columns, _images(tuples, fn, basis, d)):
-            column.update(
-                (rows + pos * d + m, x) for pos, value in image.items() for m, x in enumerate(value) if x
-            )
+            column.update((rows + i, x) for i, x in image.items())
         rows += len(tuples) * d
     kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
     ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))

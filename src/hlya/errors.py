@@ -52,7 +52,24 @@ class TheoremViolationError(HlyaError):
 
 
 class NotACochainError(TheoremViolationError):
-    """A tabulated map violates the cochain conditions it must satisfy."""
+    """A tabulated map violates the cochain conditions it must satisfy.
+
+    The witness is carried as attributes, None where it does not apply:
+    ``kind`` is "diagonal", "pair-antisymmetry" or "equivariance" and
+    ``basis_tuple`` the 1-based tuple where the condition fails.  An audit
+    of a coboundary operator also sets its ``level``, the ``block`` (the
+    0-based index of the codomain component) and ``basis_index``, the
+    0-based index of the domain basis cochain whose image fails, which is
+    the operator matrix's column.
+    """
+
+    def __init__(self, message, *, kind=None, basis_tuple=None, level=None, block=None, basis_index=None):
+        super().__init__(message)
+        self.kind = kind
+        self.basis_tuple = basis_tuple
+        self.level = level
+        self.block = block
+        self.basis_index = basis_index
 
 
 class ShapeMismatchError(TheoremViolationError):

@@ -165,6 +165,34 @@ def test_pair_violation_detected(e0):
         space.coords(diag)
 
 
+def test_incomplete_orbits_are_rejected(e2):
+    # a value at a representative tuple whose swapped partner is zero or
+    # missing is no alternating map
+    c2 = build_cochain_space(e2, 2)
+    for table in (
+        {(0, 1): (1, 0, 0)},
+        {(0, 1): (1, 0, 0), (1, 0): (0, 0, 0)},
+        {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0), (0, 2): (0, 1, 0)},
+    ):
+        with pytest.raises(NotACochainError, match="pair-antisymmetry") as exc:
+            c2.cochain_from_table(table)
+        assert exc.value.kind == "pair-antisymmetry"
+        assert exc.value.basis_tuple in ((2, 1), (3, 1))
+        assert not c2.contains(Cochain(2, 3, table))
+    # an orbit of three pairs: seven partners, one left out
+    c6 = build_cochain_space(e2, 6)
+    rep = (0, 1, 0, 2, 1, 2)
+    full = c6.from_rep_values({rep: {0: Fraction(1)}}).table
+    assert len(full) == 8
+    assert any(c6.coords(Cochain(6, 3, full)))
+    for missing in full:
+        if missing != rep:
+            table = {idx: vec for idx, vec in full.items() if idx != missing}
+            with pytest.raises(NotACochainError) as exc:
+                c6.cochain_from_table(table)
+            assert exc.value.basis_tuple == tuple(i + 1 for i in missing)
+
+
 def test_cochains_of_another_shape_are_rejected(e1, e2):
     """A cochain of another arity or dimension, or a table keyed by tuples
     that are no basis tuples of the space, is an input error."""

@@ -164,6 +164,27 @@ def test_gauged_null_trivializes_back(e1):
     assert verify_equivalence(d, null, result.gauge)
 
 
+def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
+    # one coordinate extraction per gauge step serves both the cocycle test
+    # and the coboundary solve
+    d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
+    reads, steps = [], []
+    real_pair_coords, real_step = deformation.pair_coords, deformation.single_step_gauge
+
+    def pair_coords(a, f, g):
+        reads.append((f, g))
+        return real_pair_coords(a, f, g)
+
+    def single_step_gauge(*args):
+        steps.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(deformation, "pair_coords", pair_coords)
+    monkeypatch.setattr(deformation, "single_step_gauge", single_step_gauge)
+    assert trivialize(d).trivial
+    assert len(steps) == len(reads) == len(set(reads)) > 1
+
+
 def test_trivialize_reports_obstruction(e0):
     d = first_order_deformation(e0, _aff_on_abelian(), Cochain.zero(3, 2), order=2)
     result = trivialize(d)

@@ -179,6 +179,21 @@ def test_cli_deform_check(capsys):
     assert report["ok"] is True and report["failures"] == {}
 
 
+def test_cli_deform_check_rejects_a_coefficient_listed_at_one_tuple(tmp_path, capsys):
+    # f1 given at (1, 2) only: its value at (2, 1) is then zero, not the
+    # negative, so f1 is no cochain and the file is an input error
+    with open(_golden("e0_plus_aff.json")) as fh:
+        obj = json.load(fh)
+    obj["base"] = os.path.abspath(_golden(obj["base"]))
+    obj["f"][0][1] = [entry for entry in obj["f"][0][1] if entry[:2] == [1, 2]]
+    assert obj["f"][0][1]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, "deform-check", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "not a cochain" in err and "pair-antisymmetry" in err
+
+
 def test_cli_trivialize_obstructed(capsys):
     code, out, _ = _run(capsys, "trivialize", _golden("e0_plus_aff.json"))
     assert code == EXIT_OK
