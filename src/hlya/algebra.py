@@ -129,7 +129,8 @@ class Algebra:
     ternary: tuple  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
     alpha: tuple  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
     name: str = field(default="", compare=False)
-    # data derived from this algebra, filled by @memoised functions
+    # data derived from this algebra, filled by @memoised functions and by
+    # the one-entry second-order slot of hlya.deformation
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alpha_matrix(self) -> Matrix:

@@ -165,13 +165,19 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     series is built once for all equations and orders.  Order 0 reproduces
     the base axioms verbatim.
     """
+    return DeformationReport(d.order, _failures_from(d, 0))
+
+
+def _failures_from(d: Deformation, start: int) -> dict:
+    """(equation, order) -> first failing tuple or None, for the orders
+    start..N in increasing order, each order's equations in turn."""
     fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
     twisted: dict = {}
-    failures = {}
-    for n in range(d.order + 1):
-        for eq in IDENTITIES:
-            failures[(eq, n)] = first_failure(d.base, eq, n, fs, gs, twisted)
-    return DeformationReport(d.order, failures)
+    return {
+        (eq, n): first_failure(d.base, eq, n, fs, gs, twisted)
+        for n in range(start, d.order + 1)
+        for eq in IDENTITIES
+    }
 
 
 def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
@@ -407,10 +413,17 @@ class TrivializeResult:
 def trivialize(d: Deformation) -> TrivializeResult:
     """Peel off leading terms with rigidity-proof gauges until null or stuck.
 
-    Each leading pair is re-checked for the cocycle property (guaranteed by
-    the order-r deformation equations) and the whole deformation is
-    re-verified after every gauge step rather than trusting the
-    leading-order bookkeeping.
+    The deformation is verified in full once.  Each leading pair is
+    re-checked for the cocycle property (guaranteed by the order-r
+    deformation equations).  After the step id - h t^r the deformation is
+    re-checked rather than trusting the leading-order bookkeeping
+    (:func:`_check_step`): the coefficients below r must come back exactly
+    as they were, and the equations are evaluated at the orders r..N.  That
+    is the full re-verification: the t^n coefficient of every identity
+    depends only on f_0..f_n and g_0..g_n, so with those unchanged below r
+    the lower orders keep the values verified before the step.  The step
+    must clear order r, and the result must be null.  A failed check
+    raises NotCocycleError with its witness as attributes.
     """
     report = verify_deformation(d)
     if not report.ok:
@@ -424,20 +437,41 @@ def trivialize(d: Deformation) -> TrivializeResult:
             continue
         coords = pair_coords(base, f_r, g_r)
         if not _closed(base, coords):
-            raise NotCocycleError(f"leading term at order {r} is not a cocycle pair")
+            raise NotCocycleError(f"leading term at order {r} is not a cocycle pair", step_order=r)
         h = _preimage(base, coords)
         if h is None:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
         step = single_step_gauge(base, order, cochain_to_matrix(base, h), r)
-        current = apply_gauge(current, step)
+        previous, current = current, apply_gauge(current, step)
         total = compose_gauges(total, step)
-        if not verify_deformation(current).ok:
-            raise NotCocycleError(f"gauge step at order {r} broke the deformation equations")
+        _check_step(previous, current, r)
         if not current.f_seq[r].is_zero() or not current.g_seq[r].is_zero():
-            raise NotCocycleError(f"gauge step failed to clear order {r}")
+            raise NotCocycleError(f"gauge step failed to clear order {r}", step_order=r)
     if not current.is_null():
         raise NotCocycleError("gauge steps left a nonzero coefficient behind")
     return TrivializeResult(total)
+
+
+def _check_step(previous: Deformation, current: Deformation, r: int) -> None:
+    """NotCocycleError unless the gauge step at order r, which took the
+    verified ``previous`` to ``current``, kept every coefficient below r
+    and every deformation equation at the orders r..N; the witness is the
+    lowest changed order, else the first failing equation, lowest order
+    first."""
+    for n in range(r):
+        if current.f_seq[n] != previous.f_seq[n] or current.g_seq[n] != previous.g_seq[n]:
+            raise NotCocycleError(
+                f"gauge step at order {r} changed the coefficient at order {n}", step_order=r, changed_order=n
+            )
+    for (eq, n), idx in _failures_from(current, r).items():
+        if idx is not None:
+            raise NotCocycleError(
+                f"gauge step at order {r} broke the deformation equations",
+                step_order=r,
+                equation=eq,
+                order=n,
+                basis_tuple=idx,
+            )
 
 
 # --- obstruction machinery ------------------------------------------------
@@ -467,9 +501,9 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
     and no second-order term, evaluated once at the representative tuples
     of C4 and C5: both identities are antisymmetric in their two leading
-    pairs, so those values fix F and G.
+    pairs, so those values fix F and G.  The caller checks the cocycle
+    property (:func:`_second_order_step`).
     """
-    _require_cocycle(a, f1, g1)
     fs, gs = bracket_series(a, (f1,), (g1,))
     twisted: dict = {}
     parts = []
@@ -483,20 +517,58 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     return big_f, big_g, coords_f + coords_g
 
 
+# The key of the second-order slot in an algebra's memo, beside the
+# (function, *arguments) keys of @memoised.
+_SECOND_ORDER_SLOT = "second-order step"
+
+
+def _copy(c: Cochain) -> Cochain:
+    return Cochain(c.arity, c.dim, c.table)
+
+
+def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, list]:
+    """The Z2 x Z3 check and :func:`_obstruction` of (f1, g1), done once
+    per pair for the whole second-order trio.
+
+    The result lives in a one-entry slot of the algebra's memo, keyed by
+    the pair's value: the slot keeps copies of f1 and g1, so a caller who
+    changes a table afterwards gets a fresh step.  A call with another pair
+    replaces the entry, so the slot never grows, and a pair that fails the
+    check raises NotInZ2Z3Error on every call and is never stored.  The
+    callers hand out no object the slot holds.
+    """
+    slot = a._memo.get(_SECOND_ORDER_SLOT)
+    if slot is not None and slot[0] == (f1, g1):
+        return slot[1]
+    _require_cocycle(a, f1, g1)
+    step = _obstruction(a, f1, g1)
+    a._memo[_SECOND_ORDER_SLOT] = ((_copy(f1), _copy(g1)), step)
+    return step
+
+
 def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     """The quadratic pair controlling second-order extension of (f1, g1).
 
     Requires (f1, g1) in Z2 x Z3.  The returned verdict records whether the
     pair lies in the kernel of the third coboundary operator; the theorem
-    says it always does, and the acceptance suite tests exactly that.
+    says it always does, and the acceptance suite tests exactly that.  The
+    check and (F, G) come from the second-order step that this function,
+    :func:`solve_second_order` and :func:`second_order_probe` share
+    (:func:`_second_order_step`): computed by the first of them called on
+    a pair, and kept until a call on another pair over the same algebra.
+    The returned cochains are copies.
     """
-    big_f, big_g, coords = _obstruction(a, f1, g1)
-    return ObstructionPair(big_f, big_g, not any(delta3(a).matrix.apply(coords)))
+    big_f, big_g, coords = _second_order_step(a, f1, g1)
+    return ObstructionPair(_copy(big_f), _copy(big_g), not any(delta3(a).matrix.apply(coords)))
 
 
 def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:
-    """A pair (f2, g2) with delta2(f2, g2) = obstruction pair, when one exists."""
-    sol = solve(delta2(a).matrix, _obstruction(a, f1, g1)[2])
+    """A pair (f2, g2) with delta2(f2, g2) = obstruction pair, when one exists.
+
+    Requires (f1, g1) in Z2 x Z3; the check and the right-hand side come
+    from the shared second-order step (see :func:`obstruction_pair`).
+    """
+    sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[2])
     return None if sol is None else pair_from_coords(a, sol)
 
 
@@ -522,9 +594,12 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     themselves: their t^2 coefficient is delta2(f2, g2) - (F, G), so it
     vanishes on every tuple exactly when the precondition holds.
     No outcome is asserted: 5' and 6' may fail, and the report is the
-    deliverable.
+    deliverable.  The cocycle check is the shared second-order step's (see
+    :func:`obstruction_pair`), which a probe that meets the pair first
+    computes whole for the next call of the trio; 5'-8' are evaluated
+    with (f2, g2) on every call.
     """
-    _require_cocycle(a, f1, g1)
+    _second_order_step(a, f1, g1)
     try:
         pair_coords(a, f2, g2)
     except NotACochainError as exc:

@@ -85,4 +85,20 @@ class ClosureViolationError(TheoremViolationError):
 
 
 class NotCocycleError(TheoremViolationError):
-    """A leading deformation term failed the cocycle conditions."""
+    """A leading deformation term failed the cocycle conditions.
+
+    The witness is carried as attributes, None where it does not apply:
+    ``step_order`` is the order r of the gauge step ``id - h t^r`` that
+    :func:`hlya.deformation.trivialize` was taking; ``equation``, ``order``
+    and ``basis_tuple`` (1-based) locate the first deformation equation that
+    step broke; ``changed_order`` is the order below r whose coefficient the
+    step changed.
+    """
+
+    def __init__(self, message, *, step_order=None, equation=None, order=None, basis_tuple=None, changed_order=None):
+        super().__init__(message)
+        self.step_order = step_order
+        self.equation = equation
+        self.order = order
+        self.basis_tuple = basis_tuple
+        self.changed_order = changed_order

@@ -38,6 +38,7 @@ from hlya.errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
+from hlya.cohomology import is_cocycle_2
 from hlya.exactlin import Matrix, kernel_basis, rat, unflatten, vstack
 from hlya.samples import random_verified_algebras
 
@@ -212,8 +213,8 @@ def test_trivialize_requires_valid_deformation(e1):
 def test_trivialize_raises_when_a_coefficient_survives(monkeypatch, e3):
     # the order-2 gauge step brings the order-1 coefficient back as the base
     # bracket: (f0, f0, 0) is a valid deformation, since e3's ternary bracket
-    # is zero, and the step still clears order 2, so only the final check
-    # that every coefficient is gone can see it
+    # is zero, and the step still clears order 2, but the step check sees
+    # the coefficient below the step's order change
     d = apply_gauge(null_deformation(e3, 2), random_gauge(e3, 2, random.Random(31)))
     real_apply_gauge = deformation.apply_gauge
     late_steps = []
@@ -227,9 +228,102 @@ def test_trivialize_raises_when_a_coefficient_survives(monkeypatch, e3):
         return Deformation(e3, 2, f_seq, out.g_seq)
 
     monkeypatch.setattr(deformation, "apply_gauge", leaky)
-    with pytest.raises(NotCocycleError, match="nonzero coefficient"):
+    with pytest.raises(NotCocycleError, match="^gauge step at order 2 changed the coefficient at order 1$") as exc:
         trivialize(d)
     assert late_steps
+    err = exc.value
+    assert (err.step_order, err.changed_order) == (2, 1)
+    assert err.equation is None and err.order is None and err.basis_tuple is None
+
+
+def _step_outcome(previous, current, r):
+    try:
+        deformation._check_step(previous, current, r)
+    except NotCocycleError as exc:
+        return exc
+    return None
+
+
+def _first_failure_from(report, r):
+    """(order, equation) of the report's first failure at an order >= r,
+    lowest order first."""
+    return min(((n, eq) for eq, n in report.failing() if n >= r), default=None)
+
+
+def test_each_step_check_agrees_with_the_full_verification(monkeypatch, bundled, twisted_algebras):
+    """At every gauge step of seeded round trips at N = 4 the step check
+    accepts exactly when verify_deformation accepts the whole result, and
+    so it does after the result is changed at any order n >= r: the
+    orders below r still hold, and both name the same first failure."""
+    steps = []
+    real_check = deformation._check_step
+
+    def recorded(previous, current, r):
+        steps.append((previous, current, r))
+        real_check(previous, current, r)
+
+    monkeypatch.setattr(deformation, "_check_step", recorded)
+    rng = random.Random(41)
+    for a in [*bundled, twisted_algebras[0]]:
+        null = null_deformation(a, 4)
+        disguised = apply_gauge(null, random_gauge(a, 4, rng))
+        result = trivialize(disguised)
+        assert result.trivial and verify_equivalence(disguised, null, result.gauge)
+    monkeypatch.undo()
+    assert len(steps) >= 12
+    compared = {True: 0, False: 0}
+    for previous, current, r in steps:
+        a = current.base
+        assert verify_deformation(current).ok and _step_outcome(previous, current, r) is None
+        c2, c3 = build_cochain_space(a, 2), build_cochain_space(a, 3)
+        for n in range(r, 5):
+            f_seq, g_seq = list(current.f_seq), list(current.g_seq)
+            if n % 2:
+                f_seq[n] = f_seq[n].add(c2.basis_cochains[0])
+            else:
+                g_seq[n] = g_seq[n].add(c3.basis_cochains[0])
+            changed = Deformation(a, 4, f_seq, g_seq)
+            full = verify_deformation(changed)
+            assert full.ok_through(r - 1)
+            err = _step_outcome(previous, changed, r)
+            assert (err is None) == full.ok
+            compared[full.ok] += 1
+            if err is not None:
+                n_first, eq = _first_failure_from(full, r)
+                assert (err.step_order, err.equation, err.order) == (r, eq, n_first)
+                assert err.basis_tuple == full.failures[(eq, n_first)]
+                assert err.changed_order is None
+    assert compared[True] and compared[False], compared
+
+
+@pytest.mark.parametrize("leak_order", [1, 2, 4])
+def test_a_step_that_breaks_an_equation_at_or_above_its_order_is_caught(monkeypatch, e2, leak_order):
+    # a leaky gauge action adds a non-cocycle to f at an order >= 1 in the
+    # first step, at order 1: the equations at that order no longer hold
+    d = apply_gauge(null_deformation(e2, 4), random_gauge(e2, 4, random.Random(43)))
+    assert not d.f_seq[1].is_zero()
+    z3 = Cochain.zero(3, e2.dim)
+    bad = next(f for f in build_cochain_space(e2, 2).basis_cochains if not is_cocycle_2(e2, f, z3))
+    real_apply_gauge = deformation.apply_gauge
+    leaked = []
+
+    def leaky(current, step):
+        out = real_apply_gauge(current, step)
+        f_seq = list(out.f_seq)
+        f_seq[leak_order] = f_seq[leak_order].add(bad)
+        leaked.append(Deformation(e2, 4, f_seq, out.g_seq))
+        return leaked[-1]
+
+    monkeypatch.setattr(deformation, "apply_gauge", leaky)
+    with pytest.raises(NotCocycleError, match="^gauge step at order 1 broke the deformation equations$") as exc:
+        trivialize(d)
+    report = verify_deformation(leaked[0])
+    n_first, eq = _first_failure_from(report, 1)
+    assert n_first == leak_order
+    err = exc.value
+    assert (err.step_order, err.equation, err.order) == (1, eq, leak_order)
+    assert err.basis_tuple == report.failures[(eq, leak_order)]
+    assert err.changed_order is None
 
 
 # --- obstructions ----------------------------------------------------------

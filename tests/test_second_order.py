@@ -1,11 +1,13 @@
 """The second-order trio against the implementation it replaced.
 
 ``obstruction_pair``, ``solve_second_order`` and ``second_order_probe``
-share one evaluation of the obstruction pair per call, and the probe reads
-its precondition, delta2(f2, g2) = (F, G), from equations 7' and 8'
-themselves.  The former trio, in which each function recomputed the pair
-and the probe compared delta2 of its candidate with it, is kept below as
-the oracle.  Every cocycle draw on the bundled algebras, the sl2 twist and
+share one second-order step per pair (f1, g1): the Z2 x Z3 check and one
+evaluation of the obstruction pair, kept in a one-entry slot of the
+algebra's memo until a call on another pair.  The probe reads its
+precondition, delta2(f2, g2) = (F, G), from equations 7' and 8'
+themselves.  The former trio, in which each function checked the pair and
+recomputed the obstruction and the probe compared delta2 of its candidate
+with it, is kept below as the oracle.  Every cocycle draw on the bundled algebras, the sl2 twist and
 the seed-12345 corpus must give the same outcome (the returned value, or
 the error type and message) on five candidates: zero, a random cochain
 pair, the solution, its negative, and the solution plus an element of
@@ -18,7 +20,7 @@ from collections import Counter
 import pytest
 
 from hlya import algebra, deformation
-from hlya.algebra import IDENTITIES, bracket_series, divided, first_failure, identity_values
+from hlya.algebra import IDENTITIES, bracket_series, make_algebra, divided, first_failure, identity_values
 from hlya.coboundary import _tabulate, apply_delta2_pair, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
@@ -129,12 +131,18 @@ def test_trio_matches_the_former_trio(draws):
     assert probes[True] >= 20 and probes[False] >= 20, probes
 
 
+def _draw(a, rng):
+    z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+    return pair_from_coords(a, _combination(z, rng))
+
+
 def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
-    """One draw evaluates the t^2 coefficient of 7/8 without f2 once in
-    obstruction_pair and once in solve_second_order, and applies delta3
-    once; the probe evaluates 5'-8' once each and neither."""
+    """One draw checks the pair against Z2 x Z3 once, evaluates the t^2
+    coefficient of 7/8 without f2 once for all three entry points, and
+    applies delta3 once; the probe evaluates 5'-8' once each."""
     calls = Counter()
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
+    original_cocycle = deformation.is_cocycle_2
 
     def counted_values(a, k, n, fs, gs, twisted=None):
         calls["with f2" if len(fs) > 2 else "without f2", k, n] += 1
@@ -144,18 +152,101 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
         calls["delta3"] += 1
         return original_delta3(a)
 
+    def counted_cocycle(a, f, g):
+        calls["Z2 x Z3"] += 1
+        return original_cocycle(a, f, g)
+
     monkeypatch.setattr(algebra, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
-    z = kernel_basis(vstack(delta2(e2).matrix, d2(e2).matrix)).basis
-    f1, g1 = pair_from_coords(e2, _combination(z, random.Random(9003)))
+    monkeypatch.setattr(deformation, "is_cocycle_2", counted_cocycle)
+    f1, g1 = _draw(e2, random.Random(9003))
     obstruction_pair(e2, f1, g1)
     solved = solve_second_order(e2, f1, g1)
     assert solved is not None
     second_order_probe(e2, f1, g1, *solved)
     assert calls == Counter({
-        ("without f2", 7, 2): 2,
-        ("without f2", 8, 2): 2,
+        "Z2 x Z3": 1,
+        ("without f2", 7, 2): 1,
+        ("without f2", 8, 2): 1,
         **{("with f2", k, 2): 1 for k in (5, 6, 7, 8)},
         "delta3": 1,
     })
+
+
+def test_the_second_order_slot_holds_one_entry(e1):
+    """50 distinct draws on one algebra leave one second-order entry: the
+    memo is no larger than after the first draw."""
+    a = make_algebra(e1.dim, e1.binary, e1.ternary, e1.alpha, name="aff1_slot")
+    rng = random.Random(9004)
+    seen, sizes = [], []
+    while len(seen) < 50:
+        f1, g1 = _draw(a, rng)
+        if (f1, g1) in seen:
+            continue
+        seen.append((f1, g1))
+        obstruction_pair(a, f1, g1)
+        solved = solve_second_order(a, f1, g1)
+        if solved is not None:
+            second_order_probe(a, f1, g1, *solved)
+        sizes.append(len(a._memo))
+    assert deformation._SECOND_ORDER_SLOT in a._memo
+    assert max(sizes) == sizes[0]
+
+
+def test_a_changed_table_gives_a_fresh_step(e2):
+    """The slot is keyed by the pair's value: changing the caller's table in
+    place after a call is seen by the next call."""
+    f1, g1 = _draw(e2, random.Random(9005))
+    before = obstruction_pair(e2, f1, g1)
+    assert not before.first.is_zero()
+    for idx, vec in list(f1.table.items()):
+        f1.table[idx] = tuple(2 * x for x in vec)
+    for idx, vec in list(g1.table.items()):
+        g1.table[idx] = tuple(2 * x for x in vec)
+    # (F, G) is quadratic in (f1, g1)
+    after = obstruction_pair(e2, f1, g1)
+    assert after == reference_obstruction_pair(e2, f1, g1)
+    assert after.first == before.first.scale(rat(4)) and after.second == before.second.scale(rat(4))
+    assert solve_second_order(e2, f1, g1) == reference_solve_second_order(e2, f1, g1)
+    # and a table changed out of Z2 x Z3 is rejected
+    idx = next(iter(f1.table))
+    f1.table[idx] = tuple(x + 1 for x in f1.table[idx])
+    with pytest.raises(NotInZ2Z3Error):
+        obstruction_pair(e2, f1, g1)
+
+
+def test_returned_cochains_are_not_the_slot(e2):
+    """Changing what obstruction_pair returned leaves the next call intact."""
+    f1, g1 = _draw(e2, random.Random(9006))
+    first = obstruction_pair(e2, f1, g1)
+    expected = reference_obstruction_pair(e2, f1, g1)
+    first.first.table.clear()
+    first.second.table.clear()
+    assert obstruction_pair(e2, f1, g1) == expected
+    assert solve_second_order(e2, f1, g1) == reference_solve_second_order(e2, f1, g1)
+
+
+def test_a_pair_outside_z2z3_raises_on_every_call(e1):
+    """A failed check is never stored: a non-cocycle pair raises
+    NotInZ2Z3Error from each entry point on each call, also right after a
+    cocycle pair filled the slot, and the slot keeps that pair's step."""
+    good = _draw(e1, random.Random(9007))
+    c2, c3 = build_cochain_space(e1, 2), build_cochain_space(e1, 3)
+    bad = next(
+        (f, g) for f in c2.basis_cochains for g in c3.basis_cochains if not is_cocycle_2(e1, f, g)
+    )
+    z2, z3 = Cochain.zero(2, e1.dim), Cochain.zero(3, e1.dim)
+    calls = [
+        lambda f, g: obstruction_pair(e1, f, g),
+        lambda f, g: solve_second_order(e1, f, g),
+        lambda f, g: second_order_probe(e1, f, g, z2, z3),
+    ]
+    expected = reference_obstruction_pair(e1, *good)
+    for _ in range(2):
+        for call in calls:
+            assert obstruction_pair(e1, *good) == expected
+            for _ in range(2):
+                with pytest.raises(NotInZ2Z3Error):
+                    call(*bad)
+            assert e1._memo[deformation._SECOND_ORDER_SLOT][0] == good

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from hlya.cochain import Cochain
 from hlya.cohomology import pair_from_coords
 from hlya.deformation import (
     Deformation,
+    apply_gauge,
     bracket_cochain,
     identity_gauge,
     null_deformation,
@@ -52,8 +54,6 @@ def test_cochain_duplicate_entries_summed():
 
 
 def test_deformation_and_gauge_round_trip(e1):
-    import random
-
     d = null_deformation(e1, 2)
     obj = serialize.deformation_to_obj(d)
     assert serialize.deformation_from_obj(obj) == d
@@ -210,6 +210,33 @@ def test_cli_obstruct(capsys):
     assert report["in_z4z5"] is True
     assert report["F"] == [] and report["G"] == []
     assert report["extension_closes"] is True
+
+
+@pytest.mark.parametrize("command", ["deform-check", "trivialize", "obstruct"])
+def test_cli_deformation_output_matches_the_benchmark_reference(command, capsys):
+    # bench/reference.json pins the standard output of the benchmark's cli ops
+    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
+        expected = json.load(fh)[f"{command} data/e0_plus_aff.json"]
+    code, out, _ = _run(capsys, command, _golden("e0_plus_aff.json"))
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (expected["bytes"], expected["sha256"])
+
+
+# SHA-256 of `hlya trivialize` on sl2's null deformation of order 4 moved by
+# random_gauge(sl2, 4, Random(12)): the trivial branch, which prints the gauge
+SL2_TRIVIALIZE_SHA256 = "a1c8bcac27063cf42bd1375f684a5141fe37e26a4172819eeb7b1439b134bf83"
+
+
+def test_cli_trivialize_prints_the_gauge_of_a_gauged_null_deformation(capsys, tmp_path, e2):
+    d = apply_gauge(null_deformation(e2, 4), random_gauge(e2, 4, random.Random(12)))
+    path = tmp_path / "gauged.json"
+    path.write_text(serialize.dumps(serialize.deformation_to_obj(d)))
+    code, out, _ = _run(capsys, "trivialize", str(path))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["trivial"] is True and len(report["gauge"]["phi"]) == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == SL2_TRIVIALIZE_SHA256
 
 
 # SHA-256 of the report below, whose probe_note is the probe's
