@@ -27,17 +27,14 @@ _EXPORTS = {
     ),
     "coboundary": (
         "CoboundaryMap",
-        "apply_d2_pair",
-        "apply_delta1_single",
-        "apply_delta2_pair",
-        "apply_delta3_pair",
+        "apply_operator",
         "d2",
         "delta1",
         "delta2",
         "delta3",
         "operator_by_level",
     ),
-    "cochain": ("Cochain", "CochainSpace", "build_cochain_space", "coords_of_map"),
+    "cochain": ("Cochain", "CochainSpace", "build_cochain_space"),
     "cohomology": (
         "CohomologyReport",
         "cohomology_report",

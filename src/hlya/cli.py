@@ -277,8 +277,12 @@ def main(argv=None) -> int:
     else:
         text = _render_table(report) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -33,7 +33,7 @@ space of k-twisted derivations (:mod:`hlya.derivations`).  All are
 evaluated by the one integer contraction of :func:`hlya.algebra.contract`,
 on the base brackets and the domain cochains as integer tables: the
 formulas of :data:`_LEVELS` take integer tables, generic or not, and
-:func:`_apply` converts its cochains.
+:func:`apply_operator` converts its cochains.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -324,33 +324,19 @@ def operator_by_level(a: Algebra, level: str) -> CoboundaryMap:
     return OPERATORS[level](a)
 
 
-# --- direct formula application (used by tests and the deformation code) --
+# --- direct formula application -------------------------------------------
 
 
-def _apply(a: Algebra, level: str, *cochains) -> tuple[Cochain, Cochain]:
-    """The operator's two components as cochains, tabulated on all tuples."""
+def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain, Cochain]:
+    """The two components of the operator at ``level`` on its domain
+    cochains (h for "1", else the pair), straight from the formulas:
+    tabulated on all tuples and read back by ``cochain_from_table``, which
+    raises NotACochainError on an image that is not a cochain."""
     _, _, codomain_shapes, tables = _LEVELS[level]
     return tuple(
         build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
         for (n, pairs), fn in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains)))
     )
-
-
-def apply_delta1_single(a: Algebra, h: Cochain) -> tuple[Cochain, Cochain]:
-    return _apply(a, "1", h)
-
-
-def apply_delta2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
-    """(delta2_I(f,g), delta2_II(g)) as cochains, straight from the formulas."""
-    return _apply(a, "2", f, g)
-
-
-def apply_d2_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
-    return _apply(a, "d2", f, g)
-
-
-def apply_delta3_pair(a: Algebra, f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
-    return _apply(a, "3", f, g)
 
 
 def _defects(space, fn) -> list:

@@ -9,8 +9,8 @@ Internally a cochain is a sparse table mapping basis-index tuples to value
 vectors, and the space works in *reduced* coordinates indexed by
 representative tuples (strictly increasing inside each pair slot); the
 pair-antisymmetry is thereby built in and only the alpha-equivariance
-remains as constraint rows.  The ambient d^(n+1) coordinate picture of the
-full multilinear space is available through :meth:`CochainSpace.ambient_subspace`.
+remains as constraint rows.  A cochain is immutable: its table is a
+read-only view, so spaces, memos and deformations share cochains freely.
 """
 
 from __future__ import annotations
@@ -19,28 +19,27 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Sequence
 
 from .algebra import Algebra, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ONE, ZERO, Matrix, Subspace, eliminate, null_vectors, rat
+from .exactlin import ONE, ZERO, Matrix, eliminate, null_vectors, rat
 
 MAX_ARITY = 7
 
 
 class Cochain:
-    """Sparse multilinear map L^n -> L; table maps index tuples to values."""
+    """Sparse multilinear map L^n -> L; table maps index tuples to values.
+
+    The table is a read-only view of the nonzero values, as tuples."""
 
     __slots__ = ("arity", "dim", "table")
 
     def __init__(self, arity: int, dim: int, table: dict):
         self.arity = arity
         self.dim = dim
-        self.table = {
-            idx: tuple(vec)
-            for idx, vec in table.items()
-            if any(vec)
-        }
+        self.table = MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)})
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
@@ -155,10 +154,6 @@ class CochainSpace:
     @property
     def dim(self) -> int:
         return len(self._free)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.algebra.dim ** (self.arity + 1)
 
     def _equivariance_rows(self):
         """alpha o f(T) - f(alpha e_{t_1}, ..., alpha e_{t_n}) = 0 rowwise.
@@ -283,12 +278,9 @@ class CochainSpace:
                         raise _violation("pair-antisymmetry", tup)
         return reduced
 
-    def coords_from_reduced(self, reduced: Sequence) -> list:
-        """Coordinates w.r.t. the basis; raises when outside the span."""
-        return self._dense(self._coords({i: rat(x) for i, x in enumerate(reduced) if x}))
-
     def _coords(self, reduced: dict) -> dict:
-        """:meth:`coords_from_reduced` on sparse vectors {position: value}.
+        """Basis coordinates of sparse reduced coordinates {position: value};
+        NotACochainError when they are outside the space.
 
         The coordinates are the entries at the free columns.  The vector is
         in the space iff the basis combination they give is the vector
@@ -376,29 +368,6 @@ class CochainSpace:
     def basis_cochains(self) -> list:
         return [self._from_sparse(col) for col in self._basis_cols]
 
-    # --- ambient picture --------------------------------------------------
-
-    def ambient_coords(self, cochain: Cochain) -> list:
-        """Coordinates in the full d^(n+1) tensor coordinate space."""
-        d = self.algebra.dim
-        flat = [ZERO] * self.ambient_dim
-        for idx, vec in cochain.table.items():
-            base = 0
-            for i in idx:
-                base = base * d + i
-            base *= d
-            for k, x in enumerate(vec):
-                if x:
-                    flat[base + k] = x
-        return flat
-
-    def ambient_subspace(self) -> Subspace:
-        return self._ambient
-
-    @cached_property
-    def _ambient(self) -> Subspace:
-        return Subspace(self.ambient_dim, [self.ambient_coords(c) for c in self.basis_cochains])
-
     def __repr__(self) -> str:
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"
 
@@ -413,26 +382,6 @@ def build_cochain_space(algebra: Algebra, arity: int, pairs: int | None = None) 
 @memoised
 def _cochain_space(algebra: Algebra, arity: int, pairs: int) -> CochainSpace:
     return CochainSpace(algebra, arity, pairs)
-
-
-def coords_of_map(algebra: Algebra, arity: int, evaluator: Callable) -> Cochain:
-    """Tabulate a map given by a formula into a verified cochain.
-
-    ``evaluator`` receives n dense basis vectors and must return a length-d
-    value vector; multilinearity is the caller's responsibility.  Raises
-    NotACochainError when the tabulated map violates either cochain
-    condition.
-    """
-    space = build_cochain_space(algebra, arity)
-    d = algebra.dim
-    basis = [tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)]
-    table = {}
-    for idx in itertools.product(range(d), repeat=arity):
-        value = tuple(rat(x) for x in evaluator(*(basis[i] for i in idx)))
-        if any(value):
-            table[idx] = value
-    cochain, _ = space.cochain_from_table(table)
-    return cochain
 
 
 def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:

@@ -522,27 +522,23 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
 _SECOND_ORDER_SLOT = "second-order step"
 
 
-def _copy(c: Cochain) -> Cochain:
-    return Cochain(c.arity, c.dim, c.table)
-
-
 def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, list]:
     """The Z2 x Z3 check and :func:`_obstruction` of (f1, g1), done once
     per pair for the whole second-order trio.
 
     The result lives in a one-entry slot of the algebra's memo, keyed by
-    the pair's value: the slot keeps copies of f1 and g1, so a caller who
-    changes a table afterwards gets a fresh step.  A call with another pair
-    replaces the entry, so the slot never grows, and a pair that fails the
-    check raises NotInZ2Z3Error on every call and is never stored.  The
-    callers hand out no object the slot holds.
+    the pair's value; cochains are immutable, so the slot keeps the
+    caller's f1 and g1 and the callers hand out its F and G.  A call with
+    another pair replaces the entry, so the slot never grows, and a pair
+    that fails the check raises NotInZ2Z3Error on every call and is never
+    stored.
     """
     slot = a._memo.get(_SECOND_ORDER_SLOT)
     if slot is not None and slot[0] == (f1, g1):
         return slot[1]
     _require_cocycle(a, f1, g1)
     step = _obstruction(a, f1, g1)
-    a._memo[_SECOND_ORDER_SLOT] = ((_copy(f1), _copy(g1)), step)
+    a._memo[_SECOND_ORDER_SLOT] = ((f1, g1), step)
     return step
 
 
@@ -556,10 +552,9 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     :func:`solve_second_order` and :func:`second_order_probe` share
     (:func:`_second_order_step`): computed by the first of them called on
     a pair, and kept until a call on another pair over the same algebra.
-    The returned cochains are copies.
     """
     big_f, big_g, coords = _second_order_step(a, f1, g1)
-    return ObstructionPair(_copy(big_f), _copy(big_g), not any(delta3(a).matrix.apply(coords)))
+    return ObstructionPair(big_f, big_g, not any(delta3(a).matrix.apply(coords)))
 
 
 def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:

@@ -9,10 +9,9 @@ Since delta1 is leibniz(0), Der_0 is H1.  Matrices are flattened row-major
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .algebra import Algebra, memoised
+from .algebra import Algebra, memoised, rep_tuples
 from .coboundary import _contracted, _generic_inputs, _images, leibniz
 from .cochain import build_cochain_space, cochain_to_matrix
 from .errors import ClosureViolationError, PreconditionError
@@ -39,8 +38,8 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     """The kernel of leibniz(k) on C1, as flattened d x d matrices.
 
     The defects are evaluated once on a generic 1-cochain table at the tuples
-    with i < j, which suffice: both are antisymmetric in their first two
-    slots.  Only their values are read, never codomain coordinates, so an
+    with i < j (``rep_tuples`` with one pair), which suffice: both are
+    antisymmetric in their first two slots.  Only their values are read, never codomain coordinates, so an
     algebra whose alpha preserves neither bracket still has its spaces.
     """
     if k < 0:
@@ -51,7 +50,7 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     columns = [{} for _ in basis]
     rows = 0
     for arity, fn in zip((2, 3), _contracted(leibniz(k), ("h",))(a, h)):
-        tuples = [idx for idx in itertools.product(range(d), repeat=arity) if idx[0] < idx[1]]
+        tuples = rep_tuples(d, arity, 1)
         for column, image in zip(columns, _images(tuples, fn, basis, d)):
             column.update((rows + i, x) for i, x in image.items())
         rows += len(tuples) * d

@@ -50,17 +50,6 @@ def _transpose(vectors: Sequence[dict], length: int) -> list[dict]:
     return out
 
 
-def _dot(u: dict, v: dict) -> Fraction:
-    if len(v) < len(u):
-        u, v = v, u
-    s = ZERO
-    for j, a in u.items():
-        b = v.get(j)
-        if b is not None:
-            s += a * b
-    return s
-
-
 class Matrix:
     """Sparse row-major matrix of Fractions.  Immutable.
 
@@ -211,7 +200,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
-    def _reduced(self) -> tuple[list[int], list[dict]]:
+    def _reduced(self) -> tuple[list[int], "Matrix"]:
         """(pivots, E) with E m = RREF(m): E is the right block of the reduced
         [m | I].  Its rows past len(pivots) span the left kernel of m."""
         if self._reduction is None:
@@ -219,7 +208,7 @@ class Matrix:
             augmented = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
             pivots, reduced = eliminate(augmented)
             inverse = [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
-            self._reduction = (pivots[: bisect_left(pivots, n)], inverse)
+            self._reduction = (pivots[: bisect_left(pivots, n)], Matrix._from_rows(inverse, self.rows))
         return self._reduction
 
     def __eq__(self, other) -> bool:
@@ -402,12 +391,12 @@ def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
     if len(b) != m.rows:
         raise DimMismatchError("right-hand side has wrong length")
     pivots, inverse = m._reduced()
-    b = _sparse(b)
-    if any(_dot(row, b) for row in inverse[len(pivots) :]):
+    eb = inverse.apply(b)
+    if any(eb[len(pivots) :]):
         return None
     x = [ZERO] * m.cols
-    for p, row in zip(pivots, inverse):
-        x[p] = _dot(row, b)
+    for p, y in zip(pivots, eb):
+        x[p] = y
     return x
 
 

@@ -126,16 +126,14 @@ _FAMILIES = (
     _random_aff1_twist,
     _random_d2_homlie,
     _random_d3_heisenberg,
+    _random_sl2_twist,
 )
 
 
-def random_verified_algebra(rng: random.Random, allow_dim3: bool = True) -> Algebra:
+def random_verified_algebra(rng: random.Random) -> Algebra:
     """Draw one verified algebra; keeps sampling until the checker passes."""
     while True:
-        families = list(_FAMILIES)
-        if allow_dim3:
-            families.append(_random_sl2_twist)
-        fam = rng.choice(families)
+        fam = rng.choice(_FAMILIES)
         try:
             a = fam(rng)
         except (AxiomError, NotMorphismError):
@@ -144,6 +142,6 @@ def random_verified_algebra(rng: random.Random, allow_dim3: bool = True) -> Alge
             return a
 
 
-def random_verified_algebras(seed: int, count: int, allow_dim3: bool = True) -> list[Algebra]:
+def random_verified_algebras(seed: int, count: int) -> list[Algebra]:
     rng = random.Random(seed)
-    return [random_verified_algebra(rng, allow_dim3) for _ in range(count)]
+    return [random_verified_algebra(rng) for _ in range(count)]

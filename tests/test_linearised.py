@@ -16,14 +16,14 @@ from hlya import coboundary
 from hlya.algebra import divided, int_table
 from hlya.coboundary import (
     _LEVELS,
-    _apply,
     _assemble,
+    apply_operator,
     operator_by_level,
     verify_well_definedness,
 )
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.errors import NotACochainError
-from hlya.exactlin import ZERO, Matrix
+from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
 
 LEVELS = ("1", "2", "d2", "3")
@@ -36,15 +36,6 @@ def _basis_inputs(a, domain):
             yield zeros[:comp] + [basis_cochain] + zeros[comp + 1 :]
 
 
-def _reduced_tabulation(space, fn):
-    d = space.algebra.dim
-    reduced = [ZERO] * space.reduced_dim
-    for pos, idx in enumerate(space.rep_tuples):
-        for k, x in fn(idx).items():
-            reduced[pos * d + k] = x
-    return reduced
-
-
 def columnwise_assemble(a, level):
     """Reference: the formula runs on every basis cochain separately."""
     _, domain_arities, codomain_shapes, tables = _LEVELS[level]
@@ -54,7 +45,7 @@ def columnwise_assemble(a, level):
     for cochains in _basis_inputs(a, domain):
         col = []
         for target, fn in zip(codomain, tables(a, *(int_table(c.table) for c in cochains))):
-            col.extend(target.coords_from_reduced(_reduced_tabulation(target, fn)))
+            col.extend(target.rep_coords({idx: fn(idx) for idx in target.rep_tuples}))
         columns.append(col)
     rows = sum(s.dim for s in codomain)
     if columns and rows:
@@ -66,7 +57,7 @@ def per_cochain_audit(a, level):
     """Reference: tabulate each basis cochain's image on all tuples."""
     audited = 0
     for cochains in _basis_inputs(a, operator_by_level(a, level).domain):
-        _apply(a, level, *cochains)
+        apply_operator(a, level, *cochains)
         audited += 1
     return audited
 

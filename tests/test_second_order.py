@@ -21,7 +21,7 @@ import pytest
 
 from hlya import algebra, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, divided, first_failure, identity_values
-from hlya.coboundary import _tabulate, apply_delta2_pair, d2, delta2, delta3
+from hlya.coboundary import _tabulate, apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
 from hlya.deformation import (
@@ -53,7 +53,7 @@ def reference_obstruction_pair(a, f1, g1):
 
 def reference_probe(a, f1, g1, f2, g2):
     obstruction = reference_obstruction_pair(a, f1, g1)
-    d2f, d2g = apply_delta2_pair(a, f2, g2)
+    d2f, d2g = apply_operator(a, "2", f2, g2)
     if d2f != obstruction.first or d2g != obstruction.second:
         raise PreconditionError(
             "(f2, g2) does not solve the second-order extension equation: "
@@ -195,35 +195,42 @@ def test_the_second_order_slot_holds_one_entry(e1):
 
 
 def test_a_changed_table_gives_a_fresh_step(e2):
-    """The slot is keyed by the pair's value: changing the caller's table in
-    place after a call is seen by the next call."""
+    """Tables are read only, so a changed pair is a new pair of cochains.
+    The slot is keyed by the pair's value: an equal pair built anew is
+    served from it, and a changed pair gets a fresh step."""
     f1, g1 = _draw(e2, random.Random(9005))
     before = obstruction_pair(e2, f1, g1)
     assert not before.first.is_zero()
-    for idx, vec in list(f1.table.items()):
-        f1.table[idx] = tuple(2 * x for x in vec)
-    for idx, vec in list(g1.table.items()):
-        g1.table[idx] = tuple(2 * x for x in vec)
-    # (F, G) is quadratic in (f1, g1)
-    after = obstruction_pair(e2, f1, g1)
-    assert after == reference_obstruction_pair(e2, f1, g1)
-    assert after.first == before.first.scale(rat(4)) and after.second == before.second.scale(rat(4))
-    assert solve_second_order(e2, f1, g1) == reference_solve_second_order(e2, f1, g1)
-    # and a table changed out of Z2 x Z3 is rejected
     idx = next(iter(f1.table))
-    f1.table[idx] = tuple(x + 1 for x in f1.table[idx])
+    with pytest.raises(TypeError):
+        f1.table[idx] = tuple(2 * x for x in f1.table[idx])
+    rebuilt = Cochain(2, e2.dim, dict(f1.table)), Cochain(3, e2.dim, dict(g1.table))
+    again = obstruction_pair(e2, *rebuilt)
+    assert again.first is before.first and again == reference_obstruction_pair(e2, *rebuilt)
+    # (F, G) is quadratic in (f1, g1)
+    doubled = f1.scale(rat(2)), g1.scale(rat(2))
+    after = obstruction_pair(e2, *doubled)
+    assert after == reference_obstruction_pair(e2, *doubled)
+    assert after.first == before.first.scale(rat(4)) and after.second == before.second.scale(rat(4))
+    assert solve_second_order(e2, *doubled) == reference_solve_second_order(e2, *doubled)
+    # and a pair changed out of Z2 x Z3 is rejected
+    broken = Cochain(2, e2.dim, {**doubled[0].table, idx: tuple(x + 1 for x in doubled[0].table[idx])})
     with pytest.raises(NotInZ2Z3Error):
-        obstruction_pair(e2, f1, g1)
+        obstruction_pair(e2, broken, doubled[1])
 
 
-def test_returned_cochains_are_not_the_slot(e2):
-    """Changing what obstruction_pair returned leaves the next call intact."""
+def test_returned_cochains_are_the_slots_and_read_only(e2):
+    """obstruction_pair hands out the slot's own (F, G); their tables are
+    read only, so trying to change them leaves the next call intact."""
     f1, g1 = _draw(e2, random.Random(9006))
     first = obstruction_pair(e2, f1, g1)
     expected = reference_obstruction_pair(e2, f1, g1)
-    first.first.table.clear()
-    first.second.table.clear()
-    assert obstruction_pair(e2, f1, g1) == expected
+    with pytest.raises(AttributeError):  # a read-only view has no clear()
+        first.first.table.clear()
+    with pytest.raises(TypeError):
+        del first.first.table[next(iter(first.first.table))]
+    again = obstruction_pair(e2, f1, g1)
+    assert again == expected and again.first is first.first
     assert solve_second_order(e2, f1, g1) == reference_solve_second_order(e2, f1, g1)
 
 

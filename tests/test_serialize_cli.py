@@ -1,6 +1,7 @@
 """JSON round trips, bundled golden files, and the command-line interface."""
 
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -142,6 +143,82 @@ def test_cli_input_errors(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = _run(capsys, "check", str(bad))
     assert code == EXIT_INPUT
+
+
+def _aff1_obj(**changes):
+    with open(_golden("e1_aff1.json")) as fh:
+        return {**json.load(fh), **changes}
+
+
+_BASE = os.path.abspath(_golden("e0_abelian.json"))
+
+
+def _deformation_obj(**changes):
+    # the e0_plus_aff golden, with its base given by an absolute path
+    with open(_golden("e0_plus_aff.json")) as fh:
+        return {**json.load(fh), "base": _BASE, **changes}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("check", _aff1_obj(dim=True), ".dim: expected a positive integer"),
+        ("check", _aff1_obj(binary=[[True, 2, ["1", "0"]]]), ".binary[0]: need 1 <= i < j <= 2"),
+        ("check", _aff1_obj(ternary=[[1, 2, True, ["1", "0"]]]), ".ternary[0]: need 1 <= i < j <= 2"),
+        ("check", _aff1_obj(binary=[[1, 2, ["1", False]]]), ".binary[0][2][1]: not a rational: False"),
+        ("check", _aff1_obj(binary=5), ".binary: expected a list"),
+        ("check", _aff1_obj(ternary={"1": 2}), ".ternary: expected a list"),
+        ("deform-check", _deformation_obj(order=True), ".order: expected a nonnegative integer"),
+        ("deform-check", _deformation_obj(f=[[True, []]]), ".f[0]: order index must lie in 1..2"),
+        ("deform-check", _deformation_obj(f=[[1, [[True, 2, 1, "1"]]]]), ".f[0][1][0]: argument indices"),
+        ("deform-check", _deformation_obj(f=[[1, [[1, 2, True, "1"]]]]), ".f[0][1][0]: output index"),
+        ("deform-check", _deformation_obj(f=7), ".f: expected a list"),
+        ("deform-check", _deformation_obj(g="none"), ".g: expected a list"),
+        ("equiv", {"base": _BASE, "order": True}, ".order: expected a nonnegative integer"),
+        ("equiv", {"base": _BASE, "order": 2, "phi": [[True, [["0", "0"], ["0", "0"]]]]}, ".phi[0]: order index"),
+        ("equiv", {"base": _BASE, "order": 2, "phi": 5}, ".phi: expected a list"),
+    ],
+)
+def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
+    """Booleans where an integer or a rational belongs and non-lists where a
+    list belongs are input errors: one error line, exit 2, no traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, str(path)]
+    if command == "equiv":  # the malformed file is the gauge
+        deformation = _golden("e0_plus_aff.json")
+        argv = [command, deformation, deformation, str(path)]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_matrix_entries_must_be_a_list():
+    with pytest.raises(ParseError, match=r"matrix\.entries: expected a list"):
+        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": {"1": 1}})
+    with pytest.raises(ParseError, match=r"matrix: rows/cols"):
+        serialize.matrix_from_obj({"rows": True, "cols": 1, "entries": []})
+    with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: index out of range"):
+        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[True, 1, "1"]]})
+
+
+def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim": 1, "name": "\u00e9"}'.encode("latin-1"))
+    code, _, err = _run(capsys, "check", str(path))
+    assert code == EXIT_INPUT and err.startswith("error: ") and "not UTF-8 text" in err
+    # also when it is the base a deformation refers to
+    deformation = tmp_path / "deformation.json"
+    deformation.write_text(json.dumps({"base": "latin1.json", "order": 0}))
+    code, _, err = _run(capsys, "deform-check", str(deformation))
+    assert code == EXIT_INPUT and ".base: " in err and "not UTF-8 text" in err
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(capsys, "check", "--output", str(target), _golden("e0_abelian.json"))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and not target.exists()
 
 
 def test_cli_internal_shape_fault_exits_3(monkeypatch, capsys, e1):
@@ -372,3 +449,18 @@ def test_every_public_name_resolves():
         assert getattr(hlya, name) is not None, name
     with pytest.raises(AttributeError):
         hlya.no_such_name
+    # apply_operator is the one way to apply an operator's formulas
+    assert "apply_operator" in hlya.__all__
+    removed = ["apply_d2_pair", "apply_delta1_single", "apply_delta2_pair", "apply_delta3_pair", "coords_of_map"]
+    for name in removed:
+        assert name not in hlya.__all__
+        with pytest.raises(AttributeError):
+            getattr(hlya, name)
+    from hlya import coboundary, cochain, samples
+
+    for module, names in ((coboundary, removed[:4]), (cochain, removed[4:])):
+        assert not any(hasattr(module, name) for name in names)
+    for member in ("coords_from_reduced", "ambient_dim", "ambient_coords", "ambient_subspace", "_ambient"):
+        assert not hasattr(cochain.CochainSpace, member), member
+    for fn in (samples.random_verified_algebra, samples.random_verified_algebras):
+        assert "allow_dim3" not in inspect.signature(fn).parameters
