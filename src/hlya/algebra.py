@@ -214,13 +214,16 @@ class IntTable:
     output indices are pairs (see :func:`compose_slot`).  Numerators are
     Python ints; a :class:`FormTable` keeps its unknowns in the output
     indices instead.  An empty table is the zero map and is false.
+    ``twists`` holds the twisted forms :func:`contract` makes of the table,
+    so they live exactly as long as the table.
     """
 
-    __slots__ = ("den", "entries")
+    __slots__ = ("den", "entries", "twists")
 
     def __init__(self, den: int, entries: dict):
         self.den = den
         self.entries = {key: vec for key, vec in entries.items() if vec}
+        self.twists: dict = {}
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -456,7 +459,7 @@ def _twisted(a: Algebra, t: IntTable, powers: Sequence[int], pos: int | None) ->
     return t.den, grouped
 
 
-def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tuple[Callable[[tuple], dict], int]:
+def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
     """A signed sum of table contractions in integers: (numerators, L).
 
     ``terms`` are (sign, outer, args) in the language of :data:`IDENTITIES`:
@@ -465,9 +468,9 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
     a nested table on plain slot variables, (name, s, t, ...).  A name that
     ``tables`` lacks, or maps to an empty table, is the zero map: its terms
     are dropped.  A power p with alpha^p the identity counts as 0.  Each
-    (outer, alpha powers) is twisted once and kept in ``twisted``; a caller
-    that contracts several term lists against the same ``tables`` passes
-    one dict to all of them.  L is the lcm of the terms' denominators and
+    twist of an outer table is kept in its ``twists``, keyed by (algebra,
+    alpha powers, nested position), for every later contraction of that
+    table.  L is the lcm of the terms' denominators and
     each term carries the integer weight sign * L / denominator, so
     ``numerators(idx)`` maps each output index to L times the sum at a
     0-based basis tuple, zeros dropped.  Callers that keep the values
@@ -480,8 +483,6 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
     terms are set apart here, once, and summed after the others: a term
     list without a nested FormTable runs the integer loop alone.
     """
-    if twisted is None:
-        twisted = {}
     effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
     compiled = []
     split = []  # the terms whose nested table is a FormTable
@@ -502,10 +503,10 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
                 powers.append(0)
         if pos is not None and not inner:
             continue
-        cache_key = (outer, tuple(powers), pos)
-        entry = twisted.get(cache_key)
+        source, key = tables[outer], (a, tuple(powers), pos)
+        entry = source.twists.get(key)
         if entry is None:
-            entry = twisted[cache_key] = _twisted(a, tables[outer], powers, pos)
+            entry = source.twists[key] = _twisted(a, source, powers, pos)
         den, table = entry
         if inner is None:
             compiled.append((sign, den, _key_getter(plain), table, None, None))
@@ -566,16 +567,15 @@ def contract(a: Algebra, tables: dict, terms, twisted: dict | None = None) -> tu
     return form_value, common
 
 
-def identity_values(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = None) -> tuple[Callable[[tuple], dict], int]:
+def identity_values(a: Algebra, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
     """The t^n coefficient of identity k in integers: (numerators, L).
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
     :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
     ("g", i) for :func:`contract`; empty ones contribute nothing.  A term
     with a nested bracket becomes the convolution sum over i + j = n of
-    outer_i(..., inner_j(...), ...), one contracted term per pair.  Calls
-    on one series may share ``twisted`` (see :func:`contract`), so that
-    each twisted table is built once for all identities and orders.
+    outer_i(..., inner_j(...), ...), one contracted term per pair.  Each
+    table is twisted once for all identities and orders (:func:`contract`).
     """
     series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
     tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
@@ -590,7 +590,7 @@ def identity_values(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = N
                 break
         else:
             terms.append((sign, (outer, n), args))
-    return contract(a, tables, terms, twisted)
+    return contract(a, tables, terms)
 
 
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
@@ -615,7 +615,7 @@ def rep_tuples(dim: int, arity: int, pairs: int) -> list[tuple]:
     return out
 
 
-def first_failure(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = None) -> tuple | None:
+def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
     coefficient of identity k is nonzero; None when it vanishes throughout.
 
@@ -625,9 +625,9 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs, twisted: dict | None = Non
     arguments in such a pair the value is its own negative, so 0, and
     swapping a decreasing pair gives a lexicographically smaller tuple with
     the negated value.  So the first failing tuple increases inside every
-    pair.  ``twisted`` is passed on to :func:`identity_values`.
+    pair.
     """
-    value, _ = identity_values(a, k, n, fs, gs, twisted)
+    value, _ = identity_values(a, k, n, fs, gs)
     identity = IDENTITIES[k]
     for idx in rep_tuples(a.dim, identity.arity, identity.pairs):
         if value(idx):
@@ -662,10 +662,9 @@ def check_axioms(a: Algebra) -> AxiomReport:
     (:func:`first_failure`).  Failures are recorded, never raised.
     """
     fs, gs = bracket_series(a)
-    twisted: dict = {}
     counter: dict = {}
     for k in AXIOM_IDS:
-        witness = first_failure(a, k, 0, fs, gs, twisted)
+        witness = first_failure(a, k, 0, fs, gs)
         if witness is not None:
             counter[k] = witness
     return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)

@@ -2,16 +2,17 @@
 
 Each operator acts between (pairs of) cochain spaces.  Its formula is
 linear in the domain cochains, so it is evaluated once per codomain
-representative tuple on *generic* domain tables
-(:class:`hlya.algebra.FormTable`), whose entries are the unknown reduced
-coordinates; the values are integer linear forms {(output index,
-unknown): coefficient}.  Applying the forms to each domain basis vector
-gives every column of the matrix, and each column is expressed in the
-codomain basis, with the equivariance residual checked during coordinate
-extraction.  :func:`verify_well_definedness` is the full-tabulation
-audit: the same forms taken on *all* tuples, each codomain condition
-(diagonal pairs, pair antisymmetry, equivariance) turned into linear
-defect forms once, and only the nonzero ones applied to the domain basis.
+representative tuple on *generic* domain tables, whose entries are the
+unknown reduced coordinates; the values are integer linear forms
+{(output index, unknown): coefficient}.  Applying the forms to each domain
+basis vector gives every column of the matrix, and each column is expressed
+in the codomain basis, with the equivariance residual checked during
+coordinate extraction.  :func:`verify_well_definedness` is the
+full-tabulation audit: the same forms taken on *all* tuples, each codomain
+condition (diagonal pairs, pair antisymmetry, equivariance) turned into
+linear defect forms once, and only the nonzero ones applied to the domain
+basis.  The generic tables, column vectors and defect forms come from the
+cochain spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
 
 Levels and their (domain -> codomain) pairs:
 
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
-    FormTable,
     IntTable,
     brackets,
     contract,
@@ -58,7 +58,7 @@ from .algebra import (
     memoised,
     to_dense,
 )
-from .cochain import Cochain, _canonicalize, _violation, build_cochain_space
+from .cochain import Cochain, _violation, build_cochain_space
 from .exactlin import Matrix
 
 
@@ -177,8 +177,7 @@ def _contracted(components, names):
     def tables(a: Algebra, *domain: IntTable):
         br, tr = brackets(a)
         named = {"br": br, "tr": tr, **dict(zip(names, domain))}
-        twisted: dict = {}
-        return [divided(*contract(a, named, terms, twisted)) for terms in components]
+        return [divided(*contract(a, named, terms)) for terms in components]
 
     return tables
 
@@ -190,8 +189,7 @@ def _linearised(ids):
     def tables(a: Algebra, f: IntTable, g: IntTable):
         f0, g0 = brackets(a)
         fs, gs = (f0, f), (g0, g)
-        twisted: dict = {}
-        return [divided(*identity_values(a, k, 1, fs, gs, twisted)) for k in ids]
+        return [divided(*identity_values(a, k, 1, fs, gs)) for k in ids]
 
     return tables
 
@@ -208,51 +206,16 @@ _LEVELS = {
 
 
 def _generic_inputs(domain) -> tuple[list, list]:
-    """Generic tables of the domain blocks and the domain basis over them.
-
-    Block b's reduced coordinate i is the unknown ``offset_b + i``, where
-    ``offset_b`` is the reduced dimension of the blocks before b.  The
-    generic table of a block is a :class:`FormTable`: at each tuple of an
-    orbit it holds the unknown of every coordinate that some basis cochain
-    uses, with the pair signs of :meth:`CochainSpace._from_sparse`; a block
-    of dimension 0 is the zero table.  The basis comes back as sparse
-    vectors over the unknowns, block by block.
-    """
-    tables, basis = [], []
-    offset = 0
+    """Generic tables of the domain blocks (:meth:`CochainSpace.generic`)
+    and the domain basis over their unknowns, block by block; a block's
+    unknowns follow the reduced coordinates of the blocks before it."""
+    tables, basis, offset = [], [], 0
     for space in domain:
-        d = space.algebra.dim
-        used = {i for col in space._basis_cols for i in col}
-        entries = {}
-        for pos, variants in enumerate(space._orbits):
-            value = {(k, offset + i): 1 for k, i in enumerate(range(pos * d, pos * d + d)) if i in used}
-            if value:
-                negated = {key: -1 for key in value}
-                for tup, sign in variants:
-                    entries[tup] = value if sign == 1 else negated
-        tables.append(FormTable(1, entries))
-        basis.extend({offset + i: x for i, x in col.items()} for col in space._basis_cols)
+        table, vectors = space.generic(offset)
+        tables.append(table)
+        basis.extend(vectors)
         offset += space.reduced_dim
     return tables, basis
-
-
-def _images(tuples, fn, basis, d):
-    """fn, evaluated once per tuple on generic tables, then on each basis
-    vector: one sparse vector {tuple position * d + output index: value}
-    per basis vector."""
-    if not basis:
-        return
-    linear = {}  # unknown -> [(tuple position * d + output index, coefficient)]
-    for pos, idx in enumerate(tuples):
-        base = pos * d
-        for (k, u), c in fn(idx).items():
-            linear.setdefault(u, []).append((base + k, c))
-    for vec in basis:
-        image = {}
-        for u, x in vec.items():
-            for i, c in linear.get(u, ()):
-                image[i] = image.get(i, 0) + x * c
-        yield {i: y for i, y in image.items() if y}
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
@@ -266,13 +229,12 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     not seen here: only representative tuples are evaluated.
     """
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
-    d = a.dim
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     generic, basis = _generic_inputs(domain)
     blocks = []
     for target, fn in zip(codomain, tables(a, *generic)):
-        blocks.append([target._coords(image) for image in _images(target.rep_tuples, fn, basis, d)])
+        blocks.append([target._coords(image) for image in target.images(fn, basis)])
     shift = codomain[0].dim
     columns = [
         {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
@@ -339,74 +301,6 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     )
 
 
-def _defects(space, fn) -> list:
-    """The linear defects of fn's values as a map into ``space``.
-
-    fn runs once at every basis tuple, on generic tables, in lexicographic
-    order, so each representative tuple comes before the rest of its
-    orbit.  The defects are (kind, 0-based tuple, form), with the form a
-    sparse linear map {(output index, unknown): coefficient}, and only the
-    nonzero forms are returned:
-
-    - "diagonal": the value at a tuple with equal arguments in a pair;
-    - "pair-antisymmetry": value(idx) - sign * value(representative) at
-      every other tuple, also where value(idx) is zero;
-    - "equivariance": the residual of :meth:`CochainSpace._coords`, taken
-      on the representative forms.  Kernel basis vector j has a 1 at free
-      coordinate j and 0 at the others, so the residual vanishes at the
-      free coordinates and is, at a pivot coordinate p, the form there
-      minus the sum over j of col_j[p] times the form at free coordinate j.
-
-    fn's values are cochains for every input exactly when each form
-    vanishes on every domain basis vector.
-    """
-    d = space.algebra.dim
-    pairs = space.pairs
-    index = space.rep_index
-    reps, negated = {}, {}
-    defects = []
-    for idx in itertools.product(range(d), repeat=space.arity):
-        value = fn(idx)
-        if idx in index:
-            reps[idx] = value
-            continue
-        can, sign = _canonicalize(idx, pairs)
-        if sign == 0:
-            if value:
-                defects.append(("diagonal", idx, value))
-            continue
-        rep = reps[can]
-        if sign == -1:
-            rep = negated.get(can)
-            if rep is None:
-                rep = negated[can] = {key: -c for key, c in reps[can].items()}
-        if value != rep:
-            defect = dict(value)
-            for key, c in rep.items():
-                defect[key] = defect.get(key, 0) - c
-            defects.append(("pair-antisymmetry", idx, defect))
-    rep_forms: dict = {}  # reduced coordinate -> {unknown: coefficient}
-    for pos, idx in enumerate(space.rep_tuples):
-        for (k, u), c in reps[idx].items():
-            rep_forms.setdefault(pos * d + k, {})[u] = c
-    free = set(space._free)
-    residual = {p: dict(form) for p, form in rep_forms.items() if p not in free}
-    for i, col in zip(space._free, space._basis_cols):
-        form = rep_forms.get(i)
-        if not form:
-            continue
-        for p, v in col.items():
-            if p != i:
-                acc = residual.setdefault(p, {})
-                for u, c in form.items():
-                    acc[u] = acc.get(u, 0) - v * c
-    for p in sorted(residual):
-        form = {(p % d, u): c for u, c in residual[p].items() if c}
-        if form:
-            defects.append(("equivariance", space.rep_tuples[p // d], form))
-    return defects
-
-
 def _first_violation(defects, basis):
     """(defect, basis index) for the first defect form, in order, that is
     nonzero on some basis vector, with the first such vector; None when
@@ -434,7 +328,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     antisymmetry at every tuple, alpha-equivariance) on the operator's
     image of every domain cochain.  Each codomain block's formula runs
     once per basis tuple, on generic domain tables, and each condition
-    becomes a linear defect form (:func:`_defects`).  Only the forms that
+    becomes a linear defect form (:meth:`CochainSpace.defects`).  Only the forms that
     are nonzero are applied to the domain basis; on an untwisted algebra
     there are none.  A form nonzero on a basis cochain raises
     NotACochainError, with the level, block, 1-based tuple, basis index
@@ -446,7 +340,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     if not basis:
         return 0
     for block, (space, fn) in enumerate(zip(op.codomain, tables(a, *generic))):
-        defects = _defects(space, fn)
+        defects = space.defects(fn)
         found = _first_violation(defects, basis) if defects else None
         if found is not None:
             (kind, idx, _), j = found

@@ -9,8 +9,9 @@ Internally a cochain is a sparse table mapping basis-index tuples to value
 vectors, and the space works in *reduced* coordinates indexed by
 representative tuples (strictly increasing inside each pair slot); the
 pair-antisymmetry is thereby built in and only the alpha-equivariance
-remains as constraint rows.  A cochain is immutable: its table is a
-read-only view, so spaces, memos and deformations share cochains freely.
+remains as constraint rows.  Only this module knows that layout; formulas
+use a space's generic cochain, image vectors and defect forms.  A cochain
+is immutable, table and attributes alike, so it is shared freely.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
 
-from .algebra import Algebra, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
+from .algebra import Algebra, FormTable, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Matrix, eliminate, null_vectors, rat
 
@@ -32,14 +33,21 @@ MAX_ARITY = 7
 class Cochain:
     """Sparse multilinear map L^n -> L; table maps index tuples to values.
 
-    The table is a read-only view of the nonzero values, as tuples."""
+    The table is a read-only view of the nonzero values, as tuples, and no
+    attribute can be set or deleted after ``__init__``."""
 
     __slots__ = ("arity", "dim", "table")
 
     def __init__(self, arity: int, dim: int, table: dict):
-        self.arity = arity
-        self.dim = dim
-        self.table = MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)})
+        init = super().__setattr__
+        init("arity", arity)
+        init("dim", dim)
+        init("table", MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}))
+
+    def _immutable(self, name: str, *value):
+        raise AttributeError(f"cannot change {name!r}: a Cochain is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
@@ -367,6 +375,114 @@ class CochainSpace:
     @cached_property
     def basis_cochains(self) -> list:
         return [self._from_sparse(col) for col in self._basis_cols]
+
+    # --- generic cochains and linear forms ----------------------------------
+
+    def generic(self, offset: int = 0) -> tuple[FormTable, list]:
+        """A generic cochain of this space and the basis over its unknowns.
+
+        Reduced coordinate i is the unknown ``offset + i``.  The table is a
+        :class:`FormTable`: at each tuple of an orbit it holds the unknown
+        of every coordinate that some basis cochain uses, with the pair
+        signs of :meth:`_from_sparse`; a space of dimension 0 gives the zero
+        table.  The basis comes back as sparse vectors over the unknowns.
+        """
+        d = self.algebra.dim
+        used = {i for col in self._basis_cols for i in col}
+        entries = {}
+        for pos, variants in enumerate(self._orbits):
+            value = {(k, offset + i): 1 for k, i in enumerate(range(pos * d, pos * d + d)) if i in used}
+            if value:
+                negated = {key: -1 for key in value}
+                for tup, sign in variants:
+                    entries[tup] = value if sign == 1 else negated
+        return FormTable(1, entries), [{offset + i: x for i, x in col.items()} for col in self._basis_cols]
+
+    def images(self, fn, basis):
+        """The sparse reduced image of each basis vector under fn, a map from
+        tuples to linear forms {(output index, unknown): coefficient} on
+        generic tables (:meth:`generic`); fn runs once per representative."""
+        if not basis:
+            return
+        d = self.algebra.dim
+        linear = {}  # unknown -> [(reduced coordinate, coefficient)]
+        for pos, idx in enumerate(self.rep_tuples):
+            base = pos * d
+            for (k, u), c in fn(idx).items():
+                linear.setdefault(u, []).append((base + k, c))
+        for vec in basis:
+            image = {}
+            for u, x in vec.items():
+                for i, c in linear.get(u, ()):
+                    image[i] = image.get(i, 0) + x * c
+            yield {i: y for i, y in image.items() if y}
+
+    def defects(self, fn) -> list:
+        """The linear defects of fn's values as a map into this space.
+
+        fn, as for :meth:`images`, runs once at every basis tuple in
+        lexicographic order, so each representative tuple comes before the
+        rest of its orbit.  The defects are (kind, 0-based tuple, form), one
+        per condition :meth:`_reduce` and :meth:`_coords` check on a table,
+        the form a sparse linear map {(output index, unknown): coefficient};
+        only the nonzero forms are returned:
+
+        - "diagonal": the value at a tuple with equal arguments in a pair;
+        - "pair-antisymmetry": value(idx) - sign * value(representative) at
+          every other tuple, also where value(idx) is zero;
+        - "equivariance": the residual of :meth:`_coords`, taken on the
+          representative forms.  Kernel basis vector j has a 1 at free
+          coordinate j and 0 at the others, so the residual vanishes at the
+          free coordinates and is, at a pivot coordinate p, the form there
+          minus the sum over j of col_j[p] times the form at free coordinate j.
+
+        fn's values are cochains for every input exactly when each form
+        vanishes on every domain basis vector.
+        """
+        d = self.algebra.dim
+        index = self.rep_index
+        reps, negated = {}, {}
+        defects = []
+        for idx in itertools.product(range(d), repeat=self.arity):
+            value = fn(idx)
+            if idx in index:
+                reps[idx] = value
+                continue
+            can, sign = _canonicalize(idx, self.pairs)
+            if sign == 0:
+                if value:
+                    defects.append(("diagonal", idx, value))
+                continue
+            rep = reps[can]
+            if sign == -1:
+                rep = negated.get(can)
+                if rep is None:
+                    rep = negated[can] = {key: -c for key, c in reps[can].items()}
+            if value != rep:
+                defect = dict(value)
+                for key, c in rep.items():
+                    defect[key] = defect.get(key, 0) - c
+                defects.append(("pair-antisymmetry", idx, defect))
+        rep_forms: dict = {}  # reduced coordinate -> {unknown: coefficient}
+        for pos, idx in enumerate(self.rep_tuples):
+            for (k, u), c in reps[idx].items():
+                rep_forms.setdefault(pos * d + k, {})[u] = c
+        free = set(self._free)
+        residual = {p: dict(form) for p, form in rep_forms.items() if p not in free}
+        for i, col in zip(self._free, self._basis_cols):
+            form = rep_forms.get(i)
+            if not form:
+                continue
+            for p, v in col.items():
+                if p != i:
+                    acc = residual.setdefault(p, {})
+                    for u, c in form.items():
+                        acc[u] = acc.get(u, 0) - v * c
+        for p in sorted(residual):
+            form = {(p % d, u): c for u, c in residual[p].items() if c}
+            if form:
+                defects.append(("equivariance", self.rep_tuples[p // d], form))
+        return defects
 
     def __repr__(self) -> str:
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"

@@ -31,6 +31,7 @@ from .algebra import (
     Algebra,
     IntTable,
     bracket_series,
+    brackets,
     compose_out,
     compose_slot,
     divided,
@@ -59,23 +60,13 @@ DEFAULT_ORDER = 4
 @memoised
 def bracket_cochain(a: Algebra) -> Cochain:
     """The base binary bracket as a 2-cochain."""
-    table = {
-        (i, j): a.binary[i][j]
-        for i, j in itertools.product(range(a.dim), repeat=2)
-        if any(a.binary[i][j])
-    }
-    return Cochain(2, a.dim, table)
+    return Cochain(2, a.dim, brackets(a)[0].fractions(a.dim))
 
 
 @memoised
 def ternary_cochain(a: Algebra) -> Cochain:
     """The base ternary bracket as a 3-cochain."""
-    table = {
-        idx: a.ternary[idx[0]][idx[1]][idx[2]]
-        for idx in itertools.product(range(a.dim), repeat=3)
-        if any(a.ternary[idx[0]][idx[1]][idx[2]])
-    }
-    return Cochain(3, a.dim, table)
+    return Cochain(3, a.dim, brackets(a)[1].fractions(a.dim))
 
 
 class Deformation:
@@ -161,9 +152,10 @@ def verify_deformation(d: Deformation) -> DeformationReport:
 
     Every coefficient is a cochain, so each equation is evaluated only at
     the representative tuples of its alternating pairs
-    (:func:`hlya.algebra.first_failure`), and each twisted table of the
-    series is built once for all equations and orders.  Order 0 reproduces
-    the base axioms verbatim.
+    (:func:`hlya.algebra.first_failure`).  Each twisted table of the series
+    is built once for all equations and orders, and those of the base
+    brackets once per algebra (:func:`hlya.algebra.contract`).  Order 0
+    reproduces the base axioms verbatim.
     """
     return DeformationReport(d.order, _failures_from(d, 0))
 
@@ -172,9 +164,8 @@ def _failures_from(d: Deformation, start: int) -> dict:
     """(equation, order) -> first failing tuple or None, for the orders
     start..N in increasing order, each order's equations in turn."""
     fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
-    twisted: dict = {}
     return {
-        (eq, n): first_failure(d.base, eq, n, fs, gs, twisted)
+        (eq, n): first_failure(d.base, eq, n, fs, gs)
         for n in range(start, d.order + 1)
         for eq in IDENTITIES
     }
@@ -505,11 +496,10 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     property (:func:`_second_order_step`).
     """
     fs, gs = bracket_series(a, (f1,), (g1,))
-    twisted: dict = {}
     parts = []
     for k in (7, 8):
         space = build_cochain_space(a, IDENTITIES[k].arity)
-        value, den = identity_values(a, k, 2, fs, gs, twisted)
+        value, den = identity_values(a, k, 2, fs, gs)
         value = divided(value, -den)
         values = {idx: value(idx) for idx in space.rep_tuples}
         parts.append((space.from_rep_values(values), space.rep_coords(values)))
@@ -600,11 +590,10 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     except NotACochainError as exc:
         raise PreconditionError(f"coefficient at order 2 is not a cochain: {exc}")
     fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    twisted: dict = {}
-    if first_failure(a, 7, 2, fs, gs, twisted) or first_failure(a, 8, 2, fs, gs, twisted):
+    if first_failure(a, 7, 2, fs, gs) or first_failure(a, 8, 2, fs, gs):
         raise PreconditionError(
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    failures = {eq: first_failure(a, eq, 2, fs, gs, twisted) for eq in (5, 6)}
+    failures = {eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6)}
     return ProbeReport({**failures, 7: None, 8: None})

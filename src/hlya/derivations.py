@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, memoised, rep_tuples
-from .coboundary import _contracted, _generic_inputs, _images, leibniz
+from .algebra import Algebra, brackets, contract, divided, memoised
+from .coboundary import leibniz
 from .cochain import build_cochain_space, cochain_to_matrix
 from .errors import ClosureViolationError, PreconditionError
 from .exactlin import Matrix, Subspace, flatten, kernel_basis, solve, unflatten
@@ -37,23 +37,25 @@ class DerivationSpace:
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     """The kernel of leibniz(k) on C1, as flattened d x d matrices.
 
-    The defects are evaluated once on a generic 1-cochain table at the tuples
-    with i < j (``rep_tuples`` with one pair), which suffice: both are
-    antisymmetric in their first two slots.  Only their values are read, never codomain coordinates, so an
-    algebra whose alpha preserves neither bracket still has its spaces.
+    The defects are evaluated once on the generic 1-cochain of C1 at the
+    representative tuples of C2 and C3 (i < j), which suffice: both are
+    antisymmetric in their first two slots.  Only their values are read,
+    never codomain coordinates, so an algebra whose alpha preserves neither
+    bracket still has its spaces.
     """
     if k < 0:
         raise PreconditionError("twist exponent must be nonnegative")
     d = a.dim
     c1 = build_cochain_space(a, 1)
-    (h,), basis = _generic_inputs([c1])
+    generic, basis = c1.generic()
+    br, tr = brackets(a)
     columns = [{} for _ in basis]
     rows = 0
-    for arity, fn in zip((2, 3), _contracted(leibniz(k), ("h",))(a, h)):
-        tuples = rep_tuples(d, arity, 1)
-        for column, image in zip(columns, _images(tuples, fn, basis, d)):
+    for space, terms in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz(k)):
+        fn = divided(*contract(a, {"br": br, "tr": tr, "h": generic}, terms))
+        for column, image in zip(columns, space.images(fn, basis)):
             column.update((rows + i, x) for i, x in image.items())
-        rows += len(tuples) * d
+        rows += space.reduced_dim
     kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
     ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))
     return DerivationSpace(k, Subspace(d * d, [flatten(cochain_to_matrix(a, h)) for h in ders]))

@@ -36,7 +36,8 @@ def _is_int(value) -> bool:
 
 
 def _rat_at(value, path: str) -> Fraction:
-    if not isinstance(value, bool):
+    # a JSON float reads as its binary value, not the decimal written
+    if not isinstance(value, (bool, float)):
         try:
             return rat(value)
         except (ValueError, ZeroDivisionError, TypeError):
@@ -172,10 +173,9 @@ def _coefficient_list(obj, key: str, arity: int, dim: int, order: int, path: str
     return out
 
 
-def deformation_to_obj(d: Deformation, base_ref: str | None = None) -> dict:
-    base = base_ref if base_ref is not None else algebra_to_obj(d.base)
+def deformation_to_obj(d: Deformation) -> dict:
     return {
-        "base": base,
+        "base": algebra_to_obj(d.base),
         "order": d.order,
         "f": [[i, cochain_to_obj(d.f_seq[i])] for i in range(1, d.order + 1) if not d.f_seq[i].is_zero()],
         "g": [[i, cochain_to_obj(d.g_seq[i])] for i in range(1, d.order + 1) if not d.g_seq[i].is_zero()],
@@ -198,14 +198,13 @@ def deformation_from_obj(obj, path: str = "deformation", base_dir: str | None = 
     return Deformation(base, order, f_seq, g_seq)
 
 
-def gauge_to_obj(p: Gauge, base_ref: str | None = None) -> dict:
-    base = base_ref if base_ref is not None else algebra_to_obj(p.base)
+def gauge_to_obj(p: Gauge) -> dict:
     phi = [
         [i, [[rat_str(x) for x in row] for row in p.phi[i].data]]
         for i in range(1, p.order + 1)
         if not p.phi[i].is_zero()
     ]
-    return {"base": base, "order": p.order, "phi": phi}
+    return {"base": algebra_to_obj(p.base), "order": p.order, "phi": phi}
 
 
 def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gauge:

@@ -1,5 +1,6 @@
 """Truncated deformations, gauges, trivialization, and obstructions."""
 
+import itertools
 import random
 
 import pytest
@@ -82,6 +83,31 @@ def test_a_deformation_cannot_change_the_shared_base_brackets(e2):
     assert bracket_cochain(e2) == Cochain(2, e2.dim, binary)
     assert not bracket_cochain(e2).is_zero()
     assert verify_deformation(null_deformation(e2, 1)).ok
+
+
+def test_memoised_cochains_cannot_be_rebound(e2):
+    """No attribute of a Cochain can be set or deleted, so the memoised base
+    brackets and a space's cached basis keep their values."""
+    space = build_cochain_space(e2, 2)
+    shared = [bracket_cochain(e2), ternary_cochain(e2), space.basis_cochains[0]]
+    kept = [(c.arity, c.dim, dict(c.table)) for c in shared]
+    for c in shared:
+        for name, value in (("table", {}), ("arity", 5), ("dim", 0), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+    assert [(c.arity, c.dim, dict(c.table)) for c in shared] == kept
+    assert bracket_cochain(e2) is shared[0] and not shared[0].is_zero()
+    assert verify_deformation(null_deformation(e2, 1)).ok
+
+
+def test_base_cochains_equal_the_structure_tensors(bundled):
+    for a in [*bundled, *random_verified_algebras(12345, 20)]:
+        pairs = itertools.product(range(a.dim), repeat=2)
+        triples = itertools.product(range(a.dim), repeat=3)
+        assert bracket_cochain(a) == Cochain(2, a.dim, {(i, j): a.binary[i][j] for i, j in pairs})
+        assert ternary_cochain(a) == Cochain(3, a.dim, {(i, j, k): a.ternary[i][j][k] for i, j, k in triples})
 
 
 def test_order_zero_reproduces_axiom_checker():

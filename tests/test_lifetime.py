@@ -4,28 +4,46 @@ Cochain spaces, operators, cohomology, derivation spaces and the bracket
 and alpha-power tables are kept in each algebra's own memo: an algebra
 that is no longer referenced is freed with everything derived from it,
 each call form of a space gives one object, and an equal algebra under
-another name computes its own data.
+another name computes its own data.  Twisted tables are kept on the
+table they twist, one per algebra, and only the cochain spaces know their
+orbit layout.
 """
 
+import ast
 import gc
+import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import hlya
-from hlya.algebra import alpha_table, brackets, make_algebra, yau_twist
+from hlya import algebra
+from hlya.algebra import (
+    alpha_table,
+    brackets,
+    contract,
+    divided,
+    evaluate,
+    int_table,
+    make_algebra,
+    to_dense,
+    yau_twist,
+)
 from hlya.coboundary import OPERATORS, verify_well_definedness
 from hlya.cochain import build_cochain_space
 from hlya.cohomology import cohomology_report, pair_from_coords
 from hlya.deformation import (
     apply_gauge,
+    bracket_cochain,
     null_deformation,
     obstruction_pair,
     random_gauge,
     second_order_probe,
     solve_second_order,
     trivialize,
+    verify_deformation,
     verify_equivalence,
 )
 from hlya.derivations import check_der_is_lie, derivation_space
@@ -33,12 +51,11 @@ from hlya.exactlin import Matrix
 from hlya.samples import sl2
 
 
-def _fresh_twist():
-    # s = 7/5 lies outside the random sl2-twist family, so no other test
-    # builds an equal algebra
-    s = Fraction(7, 5)
+def _fresh_twist(s=Fraction(7, 5)):
+    # s = 7/5 and 5/3 lie outside the random sl2-twist family, so no other
+    # test builds an equal algebra
     beta = Matrix([[1, 0, 0], [0, s, 0], [0, 0, 1 / s]])
-    return yau_twist(sl2(), beta, name="sl2_twist_7_5")
+    return yau_twist(sl2(), beta, name=f"sl2_twist_{s.numerator}_{s.denominator}")
 
 
 def _exercise(a):
@@ -97,3 +114,62 @@ def test_cache_policy_lives_in_samples_only():
     src = Path(hlya.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "lru_cache" in p.read_text())
     assert users == ["samples.py"]
+
+
+def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
+    """The twists of brackets(a) live on those tables: a second
+    verify_deformation or check_axioms on the algebra builds none of them
+    again, while the tables of its series are new and twisted anew."""
+    twist = _fresh_twist()
+    a = make_algebra(twist.dim, twist.binary, twist.ternary, twist.alpha, name="fresh")
+    built = []
+    original = algebra._twisted
+
+    def counted(b, table, powers, pos):
+        built.append(table)
+        return original(b, table, powers, pos)
+
+    monkeypatch.setattr(algebra, "_twisted", counted)
+    d = apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(3)))
+    base = (*brackets(a), alpha_table(a, 1))
+    for call in range(2):
+        built.clear()
+        assert verify_deformation(d).ok and algebra.check_axioms(a).all_passed
+        of_base = [t for t in built if any(t is b for b in base)]
+        # the first call makes each twist of a base table once, the second none
+        assert len(of_base) == (sum(len(t.twists) for t in base) if call == 0 else 0), call
+        assert len(built) > len(of_base)  # the series tables are new each call
+    assert all(key[0] is a for t in base for key in t.twists)
+
+
+def test_one_table_keeps_a_twist_per_algebra():
+    """A table contracted against two algebras whose alpha differ keeps a
+    twist for each, and each algebra reads its own values."""
+    first, second = _fresh_twist(), _fresh_twist(Fraction(5, 3))
+    table = int_table(bracket_cochain(sl2()).table)
+    terms = ((1, "t", ((1, 0), (1, 1))),)
+    for a in (first, second, first):
+        value = divided(*contract(a, {"t": table}, terms))
+        alpha = a.alpha_matrix()
+        for i, j in itertools.product(range(3), repeat=2):
+            expected = evaluate(table, 3, [alpha.column(i), alpha.column(j)])
+            assert to_dense(value((i, j)), 3) == expected, (a.name, i, j)
+    assert sorted(key[0].name for key in table.twists) == ["sl2_twist_5_3", "sl2_twist_7_5"]
+
+
+def test_each_piece_of_state_has_one_owner():
+    """Only cochain.py reads a space's orbit layout, derivations.py imports
+    no private name and only leibniz from coboundary, and no function takes
+    a dict of twisted tables."""
+    src = Path(hlya.__file__).parent
+    layout = re.compile(r"_orbits|_free|_basis_cols|_canonicalize")
+    assert sorted(p.name for p in src.glob("*.py") if layout.search(p.read_text())) == ["cochain.py"]
+    imports = [node for node in ast.walk(ast.parse((src / "derivations.py").read_text())) if isinstance(node, ast.ImportFrom)]
+    assert not [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
+    assert [alias.name for node in imports if node.module == "coboundary" for alias in node.names] == ["leibniz"]
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+                assert "twisted" not in names, (path.name, getattr(node, "name", "lambda"))

@@ -21,7 +21,7 @@ from hlya.coboundary import (
     operator_by_level,
     verify_well_definedness,
 )
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.errors import NotACochainError
 from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
@@ -146,8 +146,8 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         applied.append(len(found) * len(basis))
         return violation_of(found, basis)
 
-    defects_of, violation_of = coboundary._defects, coboundary._first_violation
-    monkeypatch.setattr(coboundary, "_defects", recorded)
+    defects_of, violation_of = CochainSpace.defects, coboundary._first_violation
+    monkeypatch.setattr(CochainSpace, "defects", recorded)
     monkeypatch.setattr(coboundary, "_first_violation", first_violation)
     for level in LEVELS:
         name, domain, codomain, formula = _LEVELS[level]

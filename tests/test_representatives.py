@@ -182,11 +182,10 @@ def test_first_failure_matches_the_full_scan(algebras):
                 k: w for k in IDENTITIES if (w := full_scan_first_failure(bad, k, 0, fs, gs))
             }
         fs, gs = bracket_series(a, *_random_series(a, 2, rng))
-        twisted: dict = {}
         for k in IDENTITIES:
             for n in range(3):
                 expected = full_scan_first_failure(a, k, n, fs, gs)
-                assert first_failure(a, k, n, fs, gs, twisted) == expected, (a.name, k, n)
+                assert first_failure(a, k, n, fs, gs) == expected, (a.name, k, n)
                 failures += expected is not None
         f1, g1 = _cocycle(a, rng)
         f2, g2 = _random_series(a, 1, rng)
@@ -237,8 +236,8 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     calls = {k: 0 for k in IDENTITIES}
     original = algebra.identity_values
 
-    def counted(a, k, n, fs, gs, twisted=None):
-        value, den = original(a, k, n, fs, gs, twisted)
+    def counted(a, k, n, fs, gs):
+        value, den = original(a, k, n, fs, gs)
 
         def counting(idx):
             calls[k] += 1

@@ -144,9 +144,9 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
     original_cocycle = deformation.is_cocycle_2
 
-    def counted_values(a, k, n, fs, gs, twisted=None):
+    def counted_values(a, k, n, fs, gs):
         calls["with f2" if len(fs) > 2 else "without f2", k, n] += 1
-        return original_values(a, k, n, fs, gs, twisted)
+        return original_values(a, k, n, fs, gs)
 
     def counted_delta3(a):
         calls["delta3"] += 1

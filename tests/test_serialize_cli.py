@@ -177,6 +177,10 @@ def _deformation_obj(**changes):
         ("equiv", {"base": _BASE, "order": True}, ".order: expected a nonnegative integer"),
         ("equiv", {"base": _BASE, "order": 2, "phi": [[True, [["0", "0"], ["0", "0"]]]]}, ".phi[0]: order index"),
         ("equiv", {"base": _BASE, "order": 2, "phi": 5}, ".phi: expected a list"),
+        # a JSON float is no rational: an algebra entry, a cochain coefficient, a gauge matrix entry
+        ("check", _aff1_obj(binary=[[1, 2, [0.5, "0"]]]), ".binary[0][2][0]: not a rational: 0.5"),
+        ("deform-check", _deformation_obj(f=[[1, [[1, 2, 1, 1.0]]]]), ".f[0][1][0]: not a rational: 1.0"),
+        ("equiv", {"base": _BASE, "order": 1, "phi": [[1, [[0.1, "0"], ["0", "0"]]]]}, ".phi[0][1][0][0]: not a rational: 0.1"),
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
@@ -200,6 +204,18 @@ def test_matrix_entries_must_be_a_list():
         serialize.matrix_from_obj({"rows": True, "cols": 1, "entries": []})
     with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: index out of range"):
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[True, 1, "1"]]})
+    with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: not a rational: 0\.5"):
+        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1, 1, 0.5]]})
+
+
+def test_cli_json_float_exits_2_and_exact_forms_still_read(tmp_path, capsys):
+    """0.1 as a JSON float is the binary fraction 3602879701896397 / 2**55,
+    not 1/10, so it is refused; integers and strings read as before."""
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({"dim": 1, "alpha": [[0.1]]}))
+    assert _run(capsys, "check", str(path)) == (EXIT_INPUT, "", f"error: {path}.alpha[0][0]: not a rational: 0.1\n")
+    for written, value in ((2, 2), ("1/10", rat("1/10")), ("0.1", rat("1/10")), ("-3", -3)):
+        assert serialize.algebra_from_obj({"dim": 1, "alpha": [[written]]}).alpha == ((value,),)
 
 
 def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
@@ -464,3 +480,5 @@ def test_every_public_name_resolves():
         assert not hasattr(cochain.CochainSpace, member), member
     for fn in (samples.random_verified_algebra, samples.random_verified_algebras):
         assert "allow_dim3" not in inspect.signature(fn).parameters
+    for fn in (serialize.deformation_to_obj, serialize.gauge_to_obj):
+        assert "base_ref" not in inspect.signature(fn).parameters
