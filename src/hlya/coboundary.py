@@ -5,14 +5,15 @@ linear in the domain cochains, so it is evaluated once per codomain
 representative tuple on *generic* domain tables, whose entries are the
 unknown reduced coordinates; the values are integer linear forms
 {(output index, unknown): coefficient}.  Applying the forms to each domain
-basis vector gives every column of the matrix, and each column is expressed
-in the codomain basis, with the equivariance residual checked during
-coordinate extraction.  :func:`verify_well_definedness` is the
+basis vector gives every column of the matrix in the codomain basis
+(:meth:`CochainSpace.coordinates`), after the equivariance defect forms
+are applied to the domain basis.  :func:`verify_well_definedness` is the
 full-tabulation audit: the same forms taken on *all* tuples, each codomain
 condition (diagonal pairs, pair antisymmetry, equivariance) turned into
 linear defect forms once, and only the nonzero ones applied to the domain
-basis.  The generic tables, column vectors and defect forms come from the
-cochain spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
+basis.  Both find their witness with :func:`hlya.cochain.first_violation`.
+The generic tables, coordinates and defect forms come from the cochain
+spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
 
 Levels and their (domain -> codomain) pairs:
 
@@ -58,7 +59,7 @@ from .algebra import (
     memoised,
     to_dense,
 )
-from .cochain import Cochain, _violation, build_cochain_space
+from .cochain import Cochain, _violation, build_cochain_space, first_violation
 from .exactlin import Matrix
 
 
@@ -224,17 +225,16 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     Each formula runs once per representative tuple of each codomain
     block, on generic domain tables; the linear forms it returns give
     every column at once, as sparse vectors.  Coordinates are read off by
-    ``CochainSpace._coords``, whose residual check raises NotACochainError
-    on an image that violates alpha-equivariance.  Pair alternation is
-    not seen here: only representative tuples are evaluated.
+    :meth:`CochainSpace.coordinates`, which raises NotACochainError, with
+    the column as ``basis_index``, on an image that violates
+    alpha-equivariance.  Pair alternation is not seen here: only
+    representative tuples are evaluated.
     """
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     generic, basis = _generic_inputs(domain)
-    blocks = []
-    for target, fn in zip(codomain, tables(a, *generic)):
-        blocks.append([target._coords(image) for image in target.images(fn, basis)])
+    blocks = [target.coordinates(fn, basis) for target, fn in zip(codomain, tables(a, *generic))]
     shift = codomain[0].dim
     columns = [
         {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
@@ -301,25 +301,6 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     )
 
 
-def _first_violation(defects, basis):
-    """(defect, basis index) for the first defect form, in order, that is
-    nonzero on some basis vector, with the first such vector; None when
-    every form vanishes on the whole basis."""
-    rows: dict = {}  # unknown -> [(basis index, entry)]
-    for j, vec in enumerate(basis):
-        for u, x in vec.items():
-            rows.setdefault(u, []).append((j, x))
-    for defect in defects:
-        image: dict = {}
-        for (k, u), c in defect[2].items():
-            for j, x in rows.get(u, ()):
-                image[j, k] = image.get((j, k), 0) + c * x
-        hits = [j for (j, _), y in image.items() if y]
-        if hits:
-            return defect, min(hits)
-    return None
-
-
 def verify_well_definedness(a: Algebra, level: str) -> int:
     """Full-tabulation audit of one operator on the whole domain.
 
@@ -341,7 +322,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
         return 0
     for block, (space, fn) in enumerate(zip(op.codomain, tables(a, *generic))):
         defects = space.defects(fn)
-        found = _first_violation(defects, basis) if defects else None
+        found = first_violation(defects, basis) if defects else None
         if found is not None:
             (kind, idx, _), j = found
             raise _violation(

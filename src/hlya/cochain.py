@@ -10,14 +10,19 @@ vectors, and the space works in *reduced* coordinates indexed by
 representative tuples (strictly increasing inside each pair slot); the
 pair-antisymmetry is thereby built in and only the alpha-equivariance
 remains as constraint rows.  Only this module knows that layout; formulas
-use a space's generic cochain, image vectors and defect forms.  A cochain
-is immutable, table and attributes alike, so it is shared freely.
+use a space's generic cochain, image vectors, coordinates and defect forms.
+
+The conditions are written once, as linear defect forms
+(:meth:`CochainSpace.defects`, with :meth:`CochainSpace._residual` for
+equivariance), and every verdict reads them: the audit and operator
+assembly apply them to a domain basis (:func:`first_violation`), and a
+concrete table is the case of one unknown.  A cochain is immutable, table
+and attributes alike, so it is shared freely.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -182,21 +187,15 @@ class CochainSpace:
                 for c in combo:
                     w *= c[1]
                 can, sign = _canonicalize(jdx, self.pairs)
-                if sign == 0:
-                    continue
-                key = can
-                v = combos.get(key, ZERO) + sign * w
-                if v:
-                    combos[key] = v
-                else:
-                    combos.pop(key, None)
+                if sign:
+                    combos[can] = combos.get(can, ZERO) + sign * w
             for out in range(d):
                 row: dict[int, Fraction] = {}
                 # alpha applied to the value vector: row indices of alpha
                 for k in range(d):
                     c = a.alpha[out][k]
                     if c:
-                        row[pos * d + k] = row.get(pos * d + k, ZERO) + c
+                        row[pos * d + k] = c
                 for can, w in combos.items():
                     col = self.rep_index[can] * d + out
                     v = row.get(col, ZERO) - w
@@ -242,103 +241,43 @@ class CochainSpace:
                 table[tup] = value if sign == 1 else tuple(-x for x in value)
         return Cochain(self.arity, d, table)
 
-    def _reduce(self, table: dict) -> dict:
-        """Reduced coordinates of a full tabulation over all basis tuples, as
-        a sparse vector {position: nonzero value}.
-
-        Verifies the diagonal/antisymmetry condition on every tuple and
-        raises NotACochainError on violation; a key that is no basis tuple
-        of this arity raises ArityError.  Every tuple in the orbit of a
-        nonzero representative value must carry its signed copy: the
-        matching copies are counted, and the count must fill every orbit.
-        """
-        d = self.algebra.dim
-        index = self.rep_index
-        reduced = {}
-        nonzero = 0
-        for idx, vec in table.items():
-            pos = index.get(idx)
-            if pos is not None and any(vec):
-                nonzero += 1
-                for k, x in enumerate(vec):
-                    if x:
-                        reduced[pos * d + k] = rat(x)
-        copies = 0
-        for idx, vec in table.items():
-            if idx in index or not any(vec):
-                continue
-            can, sign = _canonicalize(idx, self.pairs)
-            if sign == 0:
-                raise _violation("diagonal", idx)
-            base = index.get(can)
-            if base is None:
-                raise ArityError(f"{idx} is not a basis tuple of {self.arity} indices below {d}")
-            base *= d
-            for k, x in enumerate(vec):
-                y = reduced.get(base + k, ZERO)
-                if x != (y if sign == 1 else -y):
-                    raise _violation("pair-antisymmetry", idx)
-            copies += 1
-        if copies != nonzero * (2**self.pairs - 1):
-            for pos in sorted({i // d for i in reduced}):
-                for tup, _ in self._orbits[pos]:
-                    if not any(table.get(tup, ())):
-                        raise _violation("pair-antisymmetry", tup)
-        return reduced
-
-    def _coords(self, reduced: dict) -> dict:
-        """Basis coordinates of sparse reduced coordinates {position: value};
-        NotACochainError when they are outside the space.
-
-        The coordinates are the entries at the free columns.  The vector is
-        in the space iff the basis combination they give is the vector
-        itself; that residual check doubles as the alpha-equivariance test.
-        """
-        free, cols = self._free, self._basis_cols
-        coords, recon = {}, {}
-        for i, x in reduced.items():
-            j = bisect_left(free, i)
-            if j < len(free) and free[j] == i:
-                coords[j] = x
-                for p, v in cols[j].items():
-                    y = recon.get(p)
-                    recon[p] = x * v if y is None else y + x * v
-        for i, x in reduced.items():
-            if recon.pop(i, ZERO) != x:
-                raise self._equivariance_violation(i)
-        for i, x in recon.items():
-            if x:
-                raise self._equivariance_violation(i)
-        return coords
-
-    def _equivariance_violation(self, i: int) -> NotACochainError:
-        """The error for a failed residual at reduced coordinate ``i``."""
-        return _violation("equivariance", self.rep_tuples[i // self.algebra.dim])
-
-    def _dense(self, coords: dict) -> list:
-        out = [ZERO] * self.dim
-        for j, x in coords.items():
-            out[j] = x
-        return out
-
     def coords(self, cochain: Cochain) -> list:
         """Basis coordinates of a cochain of this arity and dimension."""
         if cochain.arity != self.arity:
             raise ArityError(f"a {cochain.arity}-cochain is not in the space of {self.arity}-cochains")
         if cochain.dim != self.algebra.dim:
             raise DimMismatchError(f"a cochain on dimension {cochain.dim}, expected {self.algebra.dim}")
-        return self._dense(self._coords(self._reduce(cochain.table)))
+        return self._read(cochain.table)
 
     def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
         """Canonical cochain and basis coordinates of a raw tabulation."""
-        reduced = self._reduce(table)
-        return self._from_sparse(reduced), self._dense(self._coords(reduced))
+        coords = self._read(table)
+        return self.from_coords(coords), coords
 
-    def _rep_reduced(self, values: dict) -> dict:
-        """Sparse reduced coordinates of values at representative tuples."""
-        d = self.algebra.dim
-        index = self.rep_index
-        return {index[idx] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x}
+    def _read(self, table: dict) -> list:
+        """Basis coordinates of a tabulation over the basis tuples, read as
+        a map in one unknown: each nonzero value is the form {(output index,
+        0): entry}, and the first of its :meth:`defects` raises
+        NotACochainError.  A value whose length is not the dimension raises
+        DimMismatchError, a nonzero value at no basis tuple ArityError."""
+        d, n = self.algebra.dim, self.arity
+        indices = frozenset(range(d))
+        forms = {}
+        for idx, vec in table.items():
+            if len(vec) != d:
+                raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {d}")
+            form = {(k, 0): rat(x) for k, x in enumerate(vec) if x}
+            if form:
+                if len(idx) != n or not indices.issuperset(idx):
+                    raise ArityError(f"{idx} is not a basis tuple of {n} indices below {d}")
+                forms[idx] = form
+        if not forms:  # the zero map has no defects
+            return [ZERO] * self.dim
+        empty: dict = {}
+        for kind, idx, _ in self.defects(lambda idx: forms.get(idx, empty)):
+            raise _violation(kind, idx)
+        reps = self.rep_tuples
+        return [forms.get(reps[i // d], empty).get((i % d, 0), ZERO) for i in self._free]
 
     def from_rep_values(self, values: dict) -> Cochain:
         """The cochain with the given values at the representative tuples.
@@ -348,12 +287,15 @@ class CochainSpace:
         the other tuples follow from pair antisymmetry.  Alpha-equivariance
         is not checked here: :meth:`coords` and :meth:`rep_coords` check it.
         """
-        return self._from_sparse(self._rep_reduced(values))
+        d = self.algebra.dim
+        index = self.rep_index
+        return self._from_sparse({index[idx] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x})
 
     def rep_coords(self, values: dict) -> list:
         """Basis coordinates of :meth:`from_rep_values` of ``values``;
         NotACochainError when that map violates alpha-equivariance."""
-        return self._dense(self._coords(self._rep_reduced(values)))
+        [coords] = self.coordinates(lambda idx: {(k, 0): x for k, x in values.get(idx, {}).items() if x}, [{0: 1}])
+        return [coords.get(j, ZERO) for j in range(self.dim)]
 
     def from_coords(self, coords: Sequence) -> Cochain:
         reduced: dict = {}
@@ -398,46 +340,60 @@ class CochainSpace:
                     entries[tup] = value if sign == 1 else negated
         return FormTable(1, entries), [{offset + i: x for i, x in col.items()} for col in self._basis_cols]
 
-    def images(self, fn, basis):
-        """The sparse reduced image of each basis vector under fn, a map from
-        tuples to linear forms {(output index, unknown): coefficient} on
-        generic tables (:meth:`generic`); fn runs once per representative."""
-        if not basis:
-            return
+    def _forms(self, fn) -> dict:
+        """fn's values at the representative tuples as forms {unknown:
+        coefficient}, keyed by reduced coordinate; fn maps tuples to linear
+        forms {(output index, unknown): coefficient}, as on the generic
+        tables of :meth:`generic`."""
         d = self.algebra.dim
-        linear = {}  # unknown -> [(reduced coordinate, coefficient)]
+        forms: dict = {}
         for pos, idx in enumerate(self.rep_tuples):
-            base = pos * d
             for (k, u), c in fn(idx).items():
-                linear.setdefault(u, []).append((base + k, c))
-        for vec in basis:
-            image = {}
-            for u, x in vec.items():
-                for i, c in linear.get(u, ()):
-                    image[i] = image.get(i, 0) + x * c
-            yield {i: y for i, y in image.items() if y}
+                forms.setdefault(pos * d + k, {})[u] = c
+        return forms
+
+    def images(self, fn, basis) -> list:
+        """The sparse reduced image of each basis vector under fn, a map
+        from tuples to linear forms as for :meth:`_forms`; fn runs once per
+        representative tuple."""
+        return _apply(self._forms(fn).items(), basis)
+
+    def coordinates(self, fn, basis) -> list:
+        """The basis coordinates, as sparse vectors, of fn's image of each
+        basis vector; fn runs once per representative tuple.
+
+        The :meth:`_residual` forms are applied to the basis by
+        :func:`first_violation`: the first one nonzero on some basis vector
+        raises NotACochainError, with the lowest such vector's index as
+        ``basis_index``.  Otherwise every image is in the space, and its
+        coordinates are its entries at the free coordinates.
+        """
+        forms = self._forms(fn)
+        residual = self._residual(forms)
+        found = first_violation(residual, basis) if residual else None
+        if found is not None:
+            (kind, idx, _), j = found
+            raise _violation(kind, idx, basis_index=j)
+        return _apply(((j, forms[i]) for j, i in enumerate(self._free) if i in forms), basis)
 
     def defects(self, fn) -> list:
         """The linear defects of fn's values as a map into this space.
 
-        fn, as for :meth:`images`, runs once at every basis tuple in
+        fn, as for :meth:`_forms`, runs once at every basis tuple in
         lexicographic order, so each representative tuple comes before the
         rest of its orbit.  The defects are (kind, 0-based tuple, form), one
-        per condition :meth:`_reduce` and :meth:`_coords` check on a table,
-        the form a sparse linear map {(output index, unknown): coefficient};
-        only the nonzero forms are returned:
+        per condition a map into the space must meet, the form a sparse
+        linear map {(output index, unknown): coefficient}; only the nonzero
+        forms are returned, in this order:
 
         - "diagonal": the value at a tuple with equal arguments in a pair;
         - "pair-antisymmetry": value(idx) - sign * value(representative) at
           every other tuple, also where value(idx) is zero;
-        - "equivariance": the residual of :meth:`_coords`, taken on the
-          representative forms.  Kernel basis vector j has a 1 at free
-          coordinate j and 0 at the others, so the residual vanishes at the
-          free coordinates and is, at a pivot coordinate p, the form there
-          minus the sum over j of col_j[p] times the form at free coordinate j.
+        - "equivariance": the :meth:`_residual` of the representative forms.
 
         fn's values are cochains for every input exactly when each form
-        vanishes on every domain basis vector.
+        vanishes on every domain basis vector.  A concrete table is the
+        case of one unknown (:meth:`coords`).
         """
         d = self.algebra.dim
         index = self.rep_index
@@ -463,14 +419,24 @@ class CochainSpace:
                 for key, c in rep.items():
                     defect[key] = defect.get(key, 0) - c
                 defects.append(("pair-antisymmetry", idx, defect))
-        rep_forms: dict = {}  # reduced coordinate -> {unknown: coefficient}
-        for pos, idx in enumerate(self.rep_tuples):
-            for (k, u), c in reps[idx].items():
-                rep_forms.setdefault(pos * d + k, {})[u] = c
+        return defects + self._residual(self._forms(reps.__getitem__))
+
+    def _residual(self, forms: dict) -> list:
+        """The nonzero "equivariance" defects of representative forms keyed
+        by reduced coordinate (:meth:`_forms`), in coordinate order.
+
+        A vector is in the space iff the basis combination of its entries at
+        the free coordinates is the vector itself.  Kernel basis vector j
+        has a 1 at free coordinate j and 0 at the others, so that residual
+        vanishes at the free coordinates and is, at a pivot coordinate p,
+        the form there minus the sum over j of col_j[p] times the form at
+        free coordinate j.
+        """
+        d = self.algebra.dim
         free = set(self._free)
-        residual = {p: dict(form) for p, form in rep_forms.items() if p not in free}
+        residual = {p: dict(form) for p, form in forms.items() if p not in free}
         for i, col in zip(self._free, self._basis_cols):
-            form = rep_forms.get(i)
+            form = forms.get(i)
             if not form:
                 continue
             for p, v in col.items():
@@ -478,6 +444,7 @@ class CochainSpace:
                     acc = residual.setdefault(p, {})
                     for u, c in form.items():
                         acc[u] = acc.get(u, 0) - v * c
+        defects = []
         for p in sorted(residual):
             form = {(p % d, u): c for u, c in residual[p].items() if c}
             if form:
@@ -486,6 +453,42 @@ class CochainSpace:
 
     def __repr__(self) -> str:
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"
+
+
+def _apply(forms, basis) -> list:
+    """The sparse image {key: value} of each basis vector under ``forms``,
+    pairs (key, {unknown: coefficient})."""
+    rows: dict = {}  # unknown -> [(key, coefficient)]
+    for key, form in forms:
+        for u, c in form.items():
+            rows.setdefault(u, []).append((key, c))
+    images = []
+    for vec in basis:
+        image: dict = {}
+        for u, x in vec.items():
+            for key, c in rows.get(u, ()):
+                image[key] = image.get(key, 0) + x * c
+        images.append({key: y for key, y in image.items() if y})
+    return images
+
+
+def first_violation(defects, basis):
+    """(defect, basis index) for the first defect form, in order, that is
+    nonzero on some basis vector, with the first such vector; None when
+    every form vanishes on the whole basis."""
+    rows: dict = {}  # unknown -> [(basis index, entry)]
+    for j, vec in enumerate(basis):
+        for u, x in vec.items():
+            rows.setdefault(u, []).append((j, x))
+    for defect in defects:
+        image: dict = {}
+        for (k, u), c in defect[2].items():
+            for j, x in rows.get(u, ()):
+                image[j, k] = image.get((j, k), 0) + c * x
+        hits = [j for (j, _), y in image.items() if y]
+        if hits:
+            return defect, min(hits)
+    return None
 
 
 def build_cochain_space(algebra: Algebra, arity: int, pairs: int | None = None) -> CochainSpace:

@@ -12,7 +12,6 @@ anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -24,9 +23,14 @@ ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``-3/2`` or ``7``, and Fractions."""
+    """Coerce ints, strings like ``-3/2`` or ``7``, and Fractions.
+
+    A float or a bool is a TypeError: a float holds its binary value, not
+    the decimal written, and a bool is no number."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"not an exact rational: {value!r}")
     return Fraction(value)
 
 
@@ -208,7 +212,7 @@ class Matrix:
             augmented = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
             pivots, reduced = eliminate(augmented)
             inverse = [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
-            self._reduction = (pivots[: bisect_left(pivots, n)], Matrix._from_rows(inverse, self.rows))
+            self._reduction = ([p for p in pivots if p < n], Matrix._from_rows(inverse, self.rows))
         return self._reduction
 
     def __eq__(self, other) -> bool:

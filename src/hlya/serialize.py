@@ -36,13 +36,10 @@ def _is_int(value) -> bool:
 
 
 def _rat_at(value, path: str) -> Fraction:
-    # a JSON float reads as its binary value, not the decimal written
-    if not isinstance(value, (bool, float)):
-        try:
-            return rat(value)
-        except (ValueError, ZeroDivisionError, TypeError):
-            pass
-    _fail(path, f"not a rational: {value!r}")
+    try:
+        return rat(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        _fail(path, f"not a rational: {value!r}")
 
 
 def _entries(value, path: str, length: int, shape: str):

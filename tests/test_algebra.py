@@ -60,6 +60,15 @@ def test_make_algebra_rejects_non_antisymmetric():
         make_algebra(2, b, t, [[1, 0], [0, 1]])
 
 
+def test_make_algebra_refuses_float_and_bool_entries():
+    # a float alpha of 0.1 would be the binary fraction 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        make_algebra(1, [[[0]]], [[[[0]]]], [[0.1]])
+    with pytest.raises(TypeError):
+        make_algebra(1, [[[0]]], [[[[0]]]], [[True]])
+    assert make_algebra(1, [[[0]]], [[[[0]]]], [["1/10"]]).alpha == ((Fraction(1, 10),),)
+
+
 def test_corrupted_ternary_fails_leibniz_identities(e1):
     # put {e1 e2 e1} = e2 on top of the aff(1) bracket: identities 7/8 break
     bad = algebra_from_sparse(

@@ -212,6 +212,13 @@ def test_cochains_of_another_shape_are_rejected(e1, e2):
     for table in ({(0, 1, 0): (1, 0), (1, 0, 0): (-1, 0)}, {(0, 2): (1, 0), (2, 0): (-1, 0)}):
         with pytest.raises(ArityError):
             c2.coords(Cochain(2, 2, table))
+    # a value vector longer than the dimension does not spill into the
+    # next representative tuple, on a raw table either
+    c1 = build_cochain_space(e2, 1)
+    with pytest.raises(DimMismatchError):
+        c1.coords(Cochain(1, 3, {(0,): (1, 0, 0, 5)}))
+    with pytest.raises(DimMismatchError):
+        c1.cochain_from_table({(0,): (1, 0)})
     assert build_cochain_space(e2, 3).contains(Cochain.zero(3, 3))
 
 

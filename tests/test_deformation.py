@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hlya.algebra import algebra_from_sparse, check_axioms
+from hlya.algebra import algebra_from_sparse, check_axioms, from_lie_algebra
 from hlya.coboundary import d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.deformation import (
@@ -39,7 +39,7 @@ from hlya.errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from hlya.cohomology import is_cocycle_2
+from hlya.cohomology import cohomology_report, is_cocycle_2, pair_from_coords
 from hlya.exactlin import Matrix, kernel_basis, rat, unflatten, vstack
 from hlya.samples import random_verified_algebras
 
@@ -234,6 +234,36 @@ def test_trivialize_reports_obstruction(e0):
     assert result.obstructed_at == 1
     f_r, g_r = result.representative
     assert f_r == _aff_on_abelian() and g_r.is_zero()
+
+
+def _rigid_algebras():
+    """Heisenberg [e1,e2] = e3 with alpha = diag(2, -2, -4), and the first
+    rand_d3_heisenberg draw of seed 12345 with H2 x H3 = 0 (the 22nd)."""
+    z = [0, 0, 0]
+    bracket = [[z, [0, 0, 1], z], [[0, 0, -1], z, z], [z, z, z]]
+    drawn = random_verified_algebras(12345, 22)[-1]
+    assert drawn.name == "rand_d3_heisenberg"
+    return [from_lie_algebra(bracket, [[2, 0, 0], [0, -2, 0], [0, 0, -4]], name="heisenberg_2_m2_m4"), drawn]
+
+
+def test_every_deformation_of_a_rigid_algebra_is_trivial():
+    """With H2 x H3 = 0 every infinitesimal is a coboundary, so each
+    first-order deformation, truncated at any order, is trivial: it
+    verifies, and trivialize returns a gauge to the null deformation that
+    verify_equivalence accepts."""
+    for a in _rigid_algebras():
+        dims = cohomology_report(a).dims()
+        assert (dims["z2z3"], dims["b2b3"], dims["h2h3"]) == (1, 1, 0), a
+        cocycles = cohomology_report(a).level2.cocycles
+        for j in range(cocycles.dim):
+            f1, g1 = pair_from_coords(a, cocycles.basis.column(j))
+            assert not f1.is_zero()
+            for order in range(1, 5):
+                d = first_order_deformation(a, f1, g1, order)
+                assert verify_deformation(d).ok
+                result = trivialize(d)
+                assert result.trivial, (a, j, order)
+                assert verify_equivalence(d, null_deformation(a, order), result.gauge)
 
 
 def test_trivialize_requires_valid_deformation(e1):

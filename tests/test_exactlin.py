@@ -35,6 +35,19 @@ def test_rat_parses_strings_ints_fractions():
     assert rat_str(Fraction(7)) == "7"
 
 
+def test_rat_refuses_floats_and_bools():
+    """0.1 as a float is 3602879701896397 / 2**55, not 1/10, and True is no
+    number: both are refused wherever a value becomes a Fraction."""
+    for value in (0.1, 0.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            rat(value)
+    with pytest.raises(TypeError):
+        Matrix([[Fraction(1, 2), True]])
+    with pytest.raises(TypeError):
+        Matrix([[0.5, 1]])
+    assert rat("0.1") == Fraction(1, 10)  # a decimal string is exact
+
+
 def test_rref_known_matrix():
     m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     reduced, pivots = rref(m)

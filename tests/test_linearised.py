@@ -146,9 +146,9 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         applied.append(len(found) * len(basis))
         return violation_of(found, basis)
 
-    defects_of, violation_of = CochainSpace.defects, coboundary._first_violation
+    defects_of, violation_of = CochainSpace.defects, coboundary.first_violation
     monkeypatch.setattr(CochainSpace, "defects", recorded)
-    monkeypatch.setattr(coboundary, "_first_violation", first_violation)
+    monkeypatch.setattr(coboundary, "first_violation", first_violation)
     for level in LEVELS:
         name, domain, codomain, formula = _LEVELS[level]
         operator_by_level(e2, level)
@@ -252,3 +252,19 @@ def test_assembly_and_audit_catch_broken_equivariance(monkeypatch, e3):
     with pytest.raises(NotACochainError) as exc:
         verify_well_definedness(e3, "1")
     assert (exc.value.level, exc.value.kind) == ("1", "equivariance")
+    # assembly names the matrix column it could not read, the one the audit
+    # names: the image of that basis cochain alone is no cochain
+    with pytest.raises(NotACochainError) as assembled:
+        _assemble(e3, "1")
+    witness = assembled.value
+    assert witness.basis_index is not None
+    assert (witness.kind, witness.basis_tuple, witness.basis_index) == (
+        exc.value.kind,
+        exc.value.basis_tuple,
+        exc.value.basis_index,
+    )
+    inputs = list(_basis_inputs(e3, operator_by_level(e3, "1").domain))
+    with pytest.raises(NotACochainError, match="equivariance"):
+        apply_operator(e3, "1", *inputs[witness.basis_index])
+    for cochains in inputs[: witness.basis_index]:
+        apply_operator(e3, "1", *cochains)  # the columns before it are read
