@@ -139,10 +139,10 @@ def _violation(kind: str, idx: tuple, prefix: str = "", **witness) -> NotACochai
 class CochainSpace:
     """The space of n-cochains of one algebra, with an explicit basis.
 
-    The equivariance rows are reduced by :func:`hlya.exactlin.eliminate`;
-    the basis is the kernel basis of :func:`hlya.exactlin.null_vectors`,
-    so the coordinates of a cochain are its reduced entries at the free
-    columns.
+    The equivariance rows are reduced by :func:`hlya.exactlin.eliminate` and
+    kept, the one statement of the condition (:meth:`_residual`); the basis
+    is the kernel basis of :func:`hlya.exactlin.null_vectors`, so the
+    coordinates of a cochain are its reduced entries at the free columns.
     """
 
     def __init__(self, algebra: Algebra, arity: int, pairs: int | None = None):
@@ -159,8 +159,8 @@ class CochainSpace:
         self.rep_tuples = rep_tuples(d, arity, pairs)
         self.rep_index = {idx: pos for pos, idx in enumerate(self.rep_tuples)}
         self.reduced_dim = len(self.rep_tuples) * d
-        self._pivots, reduced = eliminate(self._equivariance_rows())
-        self._free, self._basis_cols = null_vectors(self._pivots, reduced, self.reduced_dim)
+        self._pivots, self._rows = eliminate(self._equivariance_rows())
+        self._free, self._basis_cols = null_vectors(self._pivots, self._rows, self.reduced_dim)
 
     # reduced coordinate layout: (rep position, output index) -> pos * d + k
 
@@ -423,30 +423,20 @@ class CochainSpace:
 
     def _residual(self, forms: dict) -> list:
         """The nonzero "equivariance" defects of representative forms keyed
-        by reduced coordinate (:meth:`_forms`), in coordinate order.
-
-        A vector is in the space iff the basis combination of its entries at
-        the free coordinates is the vector itself.  Kernel basis vector j
-        has a 1 at free coordinate j and 0 at the others, so that residual
-        vanishes at the free coordinates and is, at a pivot coordinate p,
-        the form there minus the sum over j of col_j[p] times the form at
-        free coordinate j.
-        """
+        by reduced coordinate (:meth:`_forms`), in coordinate order: each
+        reduced equivariance row, in pivot order, applied to the forms."""
+        if not forms:  # the zero map has no defects
+            return []
         d = self.algebra.dim
-        free = set(self._free)
-        residual = {p: dict(form) for p, form in forms.items() if p not in free}
-        for i, col in zip(self._free, self._basis_cols):
-            form = forms.get(i)
-            if not form:
-                continue
-            for p, v in col.items():
-                if p != i:
-                    acc = residual.setdefault(p, {})
-                    for u, c in form.items():
-                        acc[u] = acc.get(u, 0) - v * c
         defects = []
-        for p in sorted(residual):
-            form = {(p % d, u): c for u, c in residual[p].items() if c}
+        for p, row in zip(self._pivots, self._rows):
+            acc: dict = {}
+            for i, r in row.items():
+                form = forms.get(i)
+                if form:
+                    for u, c in form.items():
+                        acc[u] = acc.get(u, 0) + r * c
+            form = {(p % d, u): c for u, c in acc.items() if c}
             if form:
                 defects.append(("equivariance", self.rep_tuples[p // d], form))
         return defects

@@ -43,7 +43,7 @@ from .algebra import (
     table_sum,
 )
 from .coboundary import delta2, delta3
-from .cochain import Cochain, build_cochain_space, cochain_to_matrix
+from .cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
     BaseMismatchError,
@@ -194,7 +194,7 @@ def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
 
 
 class Gauge:
-    """Truncated formal isomorphism: phi_0 = id, every phi_i commutes with alpha."""
+    """Truncated formal isomorphism: phi_0 = id, every phi_i a 1-cochain (commutes with alpha)."""
 
     __slots__ = ("base", "order", "phi")
 
@@ -205,11 +205,11 @@ class Gauge:
         d = base.dim
         if phi[0] != Matrix.identity(d):
             raise PreconditionError("constant term of a gauge must be the identity")
-        alpha = base.alpha_matrix()
+        c1 = build_cochain_space(base, 1)
         for i, m in enumerate(phi):
             if m.rows != d or m.cols != d:
                 raise PreconditionError("gauge coefficients must be dim x dim")
-            if m.matmul(alpha) != alpha.matmul(m):
+            if not c1.contains(matrix_to_cochain(base, m)):
                 raise PreconditionError(f"gauge coefficient {i} does not commute with alpha")
         self.base = base
         self.order = order
@@ -271,14 +271,9 @@ def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     """Series product p * q; acting with p then q equals acting with p * q."""
     if p.base != q.base or p.order != q.order:
         raise BaseMismatchError("gauges over different bases or orders")
-    d = p.base.dim
-    phi = []
-    for n in range(p.order + 1):
-        acc = Matrix.zeros(d, d)
-        for i in range(n + 1):
-            acc = acc.add(p.phi[i].matmul(q.phi[n - i]))
-        phi.append(acc)
-    return Gauge(p.base, p.order, phi)
+    ps, qs = ([matrix_table(m) for m in g.phi] for g in (p, q))
+    product = [table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1)]) for n in range(p.order + 1)]
+    return _gauge(p.base, product)
 
 
 def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
@@ -294,13 +289,15 @@ def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
 
 def inverse_gauge(p: Gauge) -> Gauge:
     """Truncated series inverse: psi_0 = id, psi_n = -sum phi_i psi_{n-i}."""
-    d = p.base.dim
-    psi = _inverse_series([matrix_table(m) for m in p.phi])
-    columns = [
-        [{i: Fraction(x, t.den) for i, x in t.entries.get((j,), {}).items()} for j in range(d)]
-        for t in psi
-    ]
-    return Gauge(p.base, p.order, [Matrix.from_sparse_columns(cols, d) for cols in columns])
+    return _gauge(p.base, _inverse_series([matrix_table(m) for m in p.phi]))
+
+
+def _gauge(base: Algebra, series: list[IntTable]) -> Gauge:
+    """The gauge over ``base`` whose coefficients are the linear maps of an
+    integer series (tables of arity 1)."""
+    d = base.dim
+    columns = ([{i: Fraction(x, t.den) for i, x in t.entries.get((j,), {}).items()} for j in range(d)] for t in series)
+    return Gauge(base, len(series) - 1, [Matrix.from_sparse_columns(cols, d) for cols in columns])
 
 
 def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:

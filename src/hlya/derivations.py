@@ -70,9 +70,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
     target = derivation_space(a, k + s)
     if solve(target.basis.basis, flatten(comm)) is None:
-        raise ClosureViolationError(
-            f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated"
-        )
+        raise ClosureViolationError(f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated", k=k, s=s)
     return comm
 
 

@@ -48,13 +48,25 @@ class NotInZ2Z3Error(PreconditionError):
 
 
 class TheoremViolationError(HlyaError):
-    """A mathematically impossible state: signals a bug, never user error."""
+    """A mathematically impossible state: signals a bug, never user error.
+
+    A subclass names its witness attributes in ``witness``: each is a
+    keyword argument of the constructor, and None when not given.
+    """
+
+    witness: tuple = ()
+
+    def __init__(self, message, **witness):
+        super().__init__(message)
+        for name in self.witness:
+            setattr(self, name, witness.pop(name, None))
+        if witness:
+            raise TypeError(f"{type(self).__name__} has no witness {sorted(witness)}")
 
 
 class NotACochainError(TheoremViolationError):
     """A tabulated map violates the cochain conditions it must satisfy.
 
-    The witness is carried as attributes, None where it does not apply:
     ``kind`` is "diagonal", "pair-antisymmetry" or "equivariance" and
     ``basis_tuple`` the 1-based tuple where the condition fails.  An audit
     of a coboundary operator also sets its ``level``, the ``block`` (the
@@ -63,13 +75,7 @@ class NotACochainError(TheoremViolationError):
     the operator matrix's column.
     """
 
-    def __init__(self, message, *, kind=None, basis_tuple=None, level=None, block=None, basis_index=None):
-        super().__init__(message)
-        self.kind = kind
-        self.basis_tuple = basis_tuple
-        self.level = level
-        self.block = block
-        self.basis_index = basis_index
+    witness = ("kind", "basis_tuple", "level", "block", "basis_index")
 
 
 class ShapeMismatchError(TheoremViolationError):
@@ -77,17 +83,21 @@ class ShapeMismatchError(TheoremViolationError):
 
 
 class NotContainedError(TheoremViolationError):
-    """A coboundary space escaped its cocycle space."""
+    """A coboundary space escaped its cocycle space; ``basis_index`` is the
+    0-based index of the first basis vector of the smaller space outside it."""
+
+    witness = ("basis_index",)
 
 
 class ClosureViolationError(TheoremViolationError):
-    """A commutator of derivations left the expected derivation space."""
+    """A commutator of derivations of twists ``k`` and ``s`` left Der_{k+s}."""
+
+    witness = ("k", "s")
 
 
 class NotCocycleError(TheoremViolationError):
     """A leading deformation term failed the cocycle conditions.
 
-    The witness is carried as attributes, None where it does not apply:
     ``step_order`` is the order r of the gauge step ``id - h t^r`` that
     :func:`hlya.deformation.trivialize` was taking; ``equation``, ``order``
     and ``basis_tuple`` (1-based) locate the first deformation equation that
@@ -95,10 +105,4 @@ class NotCocycleError(TheoremViolationError):
     step changed.
     """
 
-    def __init__(self, message, *, step_order=None, equation=None, order=None, basis_tuple=None, changed_order=None):
-        super().__init__(message)
-        self.step_order = step_order
-        self.equation = equation
-        self.order = order
-        self.basis_tuple = basis_tuple
-        self.changed_order = changed_order
+    witness = ("step_order", "equation", "order", "basis_tuple", "changed_order")

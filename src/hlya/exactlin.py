@@ -419,7 +419,6 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
         pivots, _ = eliminate(stacked)
         outside = [p - shift for p in pivots if p >= shift]
         if outside:
-            raise NotContainedError(
-                f"basis vector {outside[0]} of the smaller space is outside the larger one"
-            )
+            j = outside[0]
+            raise NotContainedError(f"basis vector {j} of the smaller space is outside the larger one", basis_index=j)
     return z.dim - b.dim

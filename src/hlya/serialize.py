@@ -1,7 +1,8 @@
 """JSON input/output for algebras, cochains, deformations and gauges.
 
 All indices in files are 1-based; rationals are strings like ``-3/2`` with
-the denominator omitted when it is 1.  Omitted structure entries are zero.
+the denominator omitted when it is 1.  Omitted structure entries are zero,
+and an entry that repeats an earlier entry's indices is a ParseError.
 Emission is deterministic: keys are sorted and entry lists are emitted in
 index order, so identical data yields byte-identical files.
 """
@@ -42,15 +43,22 @@ def _rat_at(value, path: str) -> Fraction:
         _fail(path, f"not a rational: {value!r}")
 
 
-def _entries(value, path: str, length: int, shape: str):
+def _entries(value, path: str, length: int, keys: int, shape: str):
     """(path, entry) for each entry of the list ``value``, each checked to
-    be a list of ``length`` items laid out as ``shape``."""
+    be a list of ``length`` items laid out as ``shape``, whose first
+    ``keys`` items are its key: a key met a second time is a ParseError."""
     if not isinstance(value, list):
         _fail(path, "expected a list")
+    first: dict = {}  # key -> position of its entry
     for pos, entry in enumerate(value):
         if not isinstance(entry, list) or len(entry) != length:
             _fail(f"{path}[{pos}]", f"expected {shape}")
         yield f"{path}[{pos}]", entry
+        # the caller has checked the key items, so they are integers
+        key = tuple(entry[:keys])
+        if key in first:
+            _fail(f"{path}[{pos}]", f"repeats the key of entry {first[key]}")
+        first[key] = pos
 
 
 def _vec_at(value, dim: int, path: str):
@@ -93,12 +101,12 @@ def algebra_from_obj(obj, path: str = "algebra") -> Algebra:
     if not _is_int(dim) or dim < 1:
         _fail(f"{path}.dim", "expected a positive integer")
     binary = {}
-    for where, (i, j, vec) in _entries(obj.get("binary", []), f"{path}.binary", 3, "[i, j, coefficients]"):
+    for where, (i, j, vec) in _entries(obj.get("binary", []), f"{path}.binary", 3, 2, "[i, j, coefficients]"):
         if not (_is_int(i) and _is_int(j) and 1 <= i < j <= dim):
             _fail(where, f"need 1 <= i < j <= {dim}")
         binary[(i - 1, j - 1)] = _vec_at(vec, dim, f"{where}[2]")
     ternary = {}
-    for where, (i, j, k, vec) in _entries(obj.get("ternary", []), f"{path}.ternary", 4, "[i, j, k, coefficients]"):
+    for where, (i, j, k, vec) in _entries(obj.get("ternary", []), f"{path}.ternary", 4, 3, "[i, j, k, coefficients]"):
         ok = all(_is_int(x) for x in (i, j, k)) and 1 <= i < j <= dim and 1 <= k <= dim
         if not ok:
             _fail(where, f"need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
@@ -130,14 +138,13 @@ def cochain_to_obj(c: Cochain) -> list:
 
 def cochain_from_obj(entries, arity: int, dim: int, path: str = "cochain") -> Cochain:
     table: dict = {}
-    for where, (*idx, k, coef) in _entries(entries, path, arity + 2, f"[i_1..i_{arity}, k, coefficient]"):
+    for where, (*idx, k, coef) in _entries(entries, path, arity + 2, arity + 1, f"[i_1..i_{arity}, k, coefficient]"):
         if not all(_is_int(i) and 1 <= i <= dim for i in idx):
             _fail(where, f"argument indices must lie in 1..{dim}")
         if not (_is_int(k) and 1 <= k <= dim):
             _fail(where, f"output index must lie in 1..{dim}")
         key = tuple(i - 1 for i in idx)
-        vec = table.setdefault(key, [Fraction(0)] * dim)
-        vec[k - 1] += _rat_at(coef, where)
+        table.setdefault(key, [Fraction(0)] * dim)[k - 1] = _rat_at(coef, where)
     return Cochain(arity, dim, {idx: tuple(vec) for idx, vec in table.items()})
 
 
@@ -159,14 +166,11 @@ def _resolve_base(obj, path: str, base_dir: str | None) -> Algebra:
 
 
 def _coefficient_list(obj, key: str, arity: int, dim: int, order: int, path: str) -> list:
-    out = [None] * (order + 1)
-    for where, (i, data) in _entries(obj.get(key, []), f"{path}.{key}", 2, "[order_index, sparse cochain]"):
+    out = [Cochain.zero(arity, dim)] * (order + 1)
+    for where, (i, data) in _entries(obj.get(key, []), f"{path}.{key}", 2, 1, "[order_index, sparse cochain]"):
         if not (_is_int(i) and 1 <= i <= order):
             _fail(where, f"order index must lie in 1..{order}")
         out[i] = cochain_from_obj(data, arity, dim, f"{where}[1]")
-    for i in range(1, order + 1):
-        if out[i] is None:
-            out[i] = Cochain.zero(arity, dim)
     return out
 
 
@@ -215,7 +219,7 @@ def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gau
         _fail(f"{path}.order", "expected a nonnegative integer")
     d = base.dim
     phi = [Matrix.identity(d)] + [Matrix.zeros(d, d)] * order
-    for where, (i, rows) in _entries(obj.get("phi", []), f"{path}.phi", 2, "[order_index, matrix]"):
+    for where, (i, rows) in _entries(obj.get("phi", []), f"{path}.phi", 2, 1, "[order_index, matrix]"):
         if not (_is_int(i) and 1 <= i <= order):
             _fail(where, f"order index must lie in 1..{order}")
         if not isinstance(rows, list) or len(rows) != d:
@@ -239,7 +243,7 @@ def matrix_from_obj(obj, path: str = "matrix") -> Matrix:
     if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         _fail(path, "rows/cols must be nonnegative integers")
     data = [[Fraction(0)] * cols for _ in range(rows)]
-    for where, (i, j, v) in _entries(obj.get("entries", []), f"{path}.entries", 3, "[i, j, value]"):
+    for where, (i, j, v) in _entries(obj.get("entries", []), f"{path}.entries", 3, 2, "[i, j, value]"):
         if not (_is_int(i) and _is_int(j) and 1 <= i <= rows and 1 <= j <= cols):
             _fail(where, "index out of range")
         data[i - 1][j - 1] = _rat_at(v, where)

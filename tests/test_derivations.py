@@ -5,11 +5,12 @@ import os
 
 import pytest
 
+from hlya import derivations
 from hlya.algebra import check_axioms, make_algebra
 from hlya.cli import EXIT_OK, main
-from hlya.derivations import check_der_is_lie, der_bracket, derivation_space
+from hlya.derivations import DerivationSpace, check_der_is_lie, der_bracket, derivation_space
 from hlya.errors import ClosureViolationError, PreconditionError
-from hlya.exactlin import Matrix
+from hlya.exactlin import Matrix, Subspace
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import reference_derivation_space
@@ -71,6 +72,16 @@ def test_der_bracket_rejects_escapees(e1):
     # non-derivations whose commutator escapes the target space must raise
     with pytest.raises(ClosureViolationError):
         der_bracket(e1, not_der, 0, Matrix([[1, 0], [0, 0]]), 0)
+
+
+def test_closure_violation_carries_both_twists(monkeypatch, e1):
+    # with every target space empty, a commutator that is not zero escapes
+    # it, and the error names the twists of the two derivations
+    monkeypatch.setattr(derivations, "derivation_space", lambda a, k: DerivationSpace(k, Subspace(4, [])))
+    with pytest.raises(ClosureViolationError) as caught:
+        der_bracket(e1, Matrix([[0, 0], [1, 0]]), 2, Matrix([[1, 0], [0, 0]]), 1)
+    assert (caught.value.k, caught.value.s) == (2, 1)
+    assert str(caught.value) == "[Der_2, Der_1] escaped Der_3: closure theorem violated"
 
 
 def test_negative_twist_rejected(e0):

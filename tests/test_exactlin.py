@@ -114,6 +114,25 @@ def test_quotient_dim_names_first_vector_outside():
     assert quotient_dim(Subspace(4, []), Subspace(4, [])) == 0
 
 
+def test_not_contained_error_carries_the_first_vector_outside():
+    z = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    # canonical basis of b: e1 + e2 (inside z), then e3 and e4 (outside)
+    b = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotContainedError) as caught:
+        quotient_dim(z, b)
+    assert caught.value.basis_index == 1
+    assert str(caught.value) == "basis vector 1 of the smaller space is outside the larger one"
+    with pytest.raises(NotContainedError) as caught:
+        quotient_dim(Subspace(4, [[0, 0, 0, 1]]), Subspace(4, [[0, 1, 0, 0]]))
+    assert caught.value.basis_index == 0
+
+
+def test_theorem_violations_take_only_their_own_witnesses():
+    assert NotContainedError("m").basis_index is None
+    with pytest.raises(TypeError):
+        NotContainedError("m", k=1)
+
+
 def test_vstack_and_matmul_shapes():
     top = Matrix([[1, 0], [0, 1]])
     bottom = Matrix([[2, 3]])

@@ -48,10 +48,14 @@ def test_cochain_round_trip(e1):
     assert serialize.cochain_from_obj(obj, 2, 2) == c
 
 
-def test_cochain_duplicate_entries_summed():
+def test_cochain_duplicate_entries_rejected():
+    # a repeated (arguments, output index) key is an input error, not a sum
     entries = [[1, 2, 1, "1/3"], [1, 2, 1, "2/3"]]
-    c = serialize.cochain_from_obj(entries, 2, 2)
-    assert c.value((0, 1)) == (rat(1), rat(0))
+    with pytest.raises(ParseError, match=r"^cochain\[1\]: repeats the key of entry 0$"):
+        serialize.cochain_from_obj(entries, 2, 2)
+    # the same arguments at another output index are another key
+    c = serialize.cochain_from_obj([[1, 2, 1, "1/3"], [1, 2, 2, "2/3"]], 2, 2)
+    assert c.value((0, 1)) == (rat("1/3"), rat("2/3"))
 
 
 def test_deformation_and_gauge_round_trip(e1):
@@ -181,6 +185,12 @@ def _deformation_obj(**changes):
         ("check", _aff1_obj(binary=[[1, 2, [0.5, "0"]]]), ".binary[0][2][0]: not a rational: 0.5"),
         ("deform-check", _deformation_obj(f=[[1, [[1, 2, 1, 1.0]]]]), ".f[0][1][0]: not a rational: 1.0"),
         ("equiv", {"base": _BASE, "order": 1, "phi": [[1, [[0.1, "0"], ["0", "0"]]]]}, ".phi[0][1][0][0]: not a rational: 0.1"),
+        # a key met twice: an algebra entry, a cochain entry, an order index, a gauge index
+        ("check", _aff1_obj(binary=[[1, 2, ["1", "0"]], [1, 2, ["0", "1"]]]), ".binary[1]: repeats the key of entry 0"),
+        ("check", _aff1_obj(ternary=[[1, 2, 2, ["1", "0"]], [1, 2, 2, ["1", "0"]]]), ".ternary[1]: repeats the key of entry 0"),
+        ("deform-check", _deformation_obj(f=[[1, [[1, 2, 1, "1"], [1, 2, 1, "1"]]]]), ".f[0][1][1]: repeats the key of entry 0"),
+        ("trivialize", _deformation_obj(f=[*_deformation_obj()["f"], [1, []]]), ".f[1]: repeats the key of entry 0"),
+        ("equiv", {"base": _BASE, "order": 2, "phi": [[1, [["0", "0"], ["0", "0"]]]] * 2}, ".phi[1]: repeats the key of entry 0"),
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
@@ -206,6 +216,12 @@ def test_matrix_entries_must_be_a_list():
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[True, 1, "1"]]})
     with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: not a rational: 0\.5"):
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1, 1, 0.5]]})
+
+
+def test_matrix_duplicate_entries_rejected():
+    obj = {"rows": 2, "cols": 2, "entries": [[1, 2, "1"], [2, 1, "1"], [1, 2, "3"]]}
+    with pytest.raises(ParseError, match=r"^matrix\.entries\[2\]: repeats the key of entry 0$"):
+        serialize.matrix_from_obj(obj)
 
 
 def test_cli_json_float_exits_2_and_exact_forms_still_read(tmp_path, capsys):
