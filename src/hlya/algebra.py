@@ -17,9 +17,7 @@ endomorphism test all read them.
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import lcm
@@ -120,29 +118,49 @@ def to_dense(sv: SVec, dim: int) -> Vec:
     return tuple(sv.get(i, ZERO) for i in range(dim))
 
 
-@dataclass(frozen=True)
 class Algebra:
-    """Immutable structure-constant data.  Use the constructors below."""
+    """Immutable structure-constant data.  Use the constructors below.
 
-    dim: int
-    binary: tuple  # binary[i][j] = coordinates of [e_i, e_j]
-    ternary: tuple  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
-    alpha: tuple  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
-    name: str = field(default="", compare=False)
-    # data derived from this algebra, filled by @memoised functions and by
-    # the one-entry second-order slot of hlya.deformation
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Two algebras are equal when their dimension, brackets and alpha are;
+    the name does not count.  No attribute can be set or deleted after
+    ``__init__``."""
+
+    __slots__ = ("dim", "binary", "ternary", "alpha", "name", "_memo", "_hash", "__weakref__")
+
+    def __init__(self, dim: int, binary: tuple, ternary: tuple, alpha: tuple, name: str = ""):
+        init = super().__setattr__
+        init("dim", dim)
+        init("binary", binary)  # binary[i][j] = coordinates of [e_i, e_j]
+        init("ternary", ternary)  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
+        init("alpha", alpha)  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
+        init("name", name)
+        # data derived from this algebra, filled by @memoised functions and by
+        # the one-entry second-order slot of hlya.deformation
+        init("_memo", {})
+        init("_hash", None)
+
+    def _immutable(self, name: str, *value):
+        raise AttributeError(f"cannot change {name!r}: an Algebra is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     def alpha_matrix(self) -> Matrix:
         return Matrix(self.alpha)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Algebra):
+            return NotImplemented
+        return (self.dim, self.binary, self.ternary, self.alpha) == (
+            other.dim, other.binary, other.ternary, other.alpha
+        )
+
     def __hash__(self):
         # cached: the structure tensors are deeply nested Fraction tuples, and
         # algebras serve as dict and set keys
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.dim, self.binary, self.ternary, self.alpha))
-            object.__setattr__(self, "_hash", h)
+            super().__setattr__("_hash", h)
         return h
 
     def __repr__(self) -> str:
@@ -331,12 +349,15 @@ def memoised(fn):
 
     The value lives exactly as long as the algebra.  It is keyed by the
     function and the arguments in positional form; fn takes no defaults,
-    so each argument list has one key.
+    so each argument list has one key.  Only a call with keywords reads
+    fn's signature, so only it imports :mod:`inspect`.
     """
 
     @wraps(fn)
     def cached(a, *args, **kwargs):
         if kwargs:
+            import inspect
+
             args = inspect.signature(fn).bind(a, *args, **kwargs).args[1:]
         key = (fn, *args)
         try:
@@ -630,8 +651,7 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
 # --- axiom checking -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Pass flags per axiom id plus the first counterexample tuple (1-based)."""
 
     passed: dict

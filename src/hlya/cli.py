@@ -2,12 +2,15 @@
 
 Exit codes: 0 = analysis ran (reported failures are data, not errors),
 2 = invalid input (parse/validation), 3 = internal theorem violation --
-the latter should never happen on shipped data and indicates a bug.
+the latter should never happen on shipped data and indicates a bug.  On
+exit 3 the second stderr line is ``witness: `` and one JSON object: the
+error's class name under "class" and its witness attributes.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import serialize
@@ -271,6 +274,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
+        witness = {name: getattr(exc, name) for name in exc.witness}
+        print("witness:", json.dumps({"class": type(exc).__name__, **witness}, sort_keys=True), file=sys.stderr)
         return EXIT_THEOREM
     if args.format == "json":
         text = serialize.dumps(report)

@@ -46,7 +46,7 @@ block and each basis vector lives in one block: columns are the images of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Algebra,
@@ -63,8 +63,7 @@ from .cochain import Cochain, _violation, build_cochain_space, first_violation
 from .exactlin import Matrix
 
 
-@dataclass(frozen=True)
-class CoboundaryMap:
+class CoboundaryMap(NamedTuple):
     """Matrix of one operator w.r.t. the computed subspace bases."""
 
     level: str

@@ -16,7 +16,7 @@ the quotient is therefore a loud internal failure, not a user error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
@@ -24,15 +24,13 @@ from .cochain import Cochain, build_cochain_space
 from .exactlin import Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     cocycles: Subspace
     coboundaries: Subspace
     h_dim: int
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Dimension table and representative bases for all three levels."""
 
     algebra: Algebra

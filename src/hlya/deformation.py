@@ -22,9 +22,9 @@ f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     IDENTITIES,
@@ -129,8 +129,7 @@ def first_order_deformation(a: Algebra, f1: Cochain, g1: Cochain, order: int = 1
 # --- the deformation equations --------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     """(equation, order) -> None when it holds, else first failing tuple."""
 
     order: int
@@ -387,8 +386,7 @@ def verify_equivalence(d1: Deformation, d2: Deformation, p: Gauge) -> bool:
 # --- trivialization -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivializeResult:
+class TrivializeResult(NamedTuple):
     gauge: Gauge | None
     obstructed_at: int | None = None
     representative: tuple | None = None  # the (f_r, g_r) with no preimage
@@ -465,8 +463,7 @@ def _check_step(previous: Deformation, current: Deformation, r: int) -> None:
 # --- obstruction machinery ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionPair:
+class ObstructionPair(NamedTuple):
     first: Cochain  # 4-cochain
     second: Cochain  # 5-cochain
     in_z4z5: bool
@@ -554,8 +551,7 @@ def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, C
     return None if sol is None else pair_from_coords(a, sol)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Per-equation outcome of the order-2 equations 5'-8': None means it
     holds.  7' and 8' are None in every report, since the probe rejects a
     candidate on which either fails."""

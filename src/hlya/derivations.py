@@ -9,7 +9,7 @@ Since delta1 is leibniz(0), Der_0 is H1.  Matrices are flattened row-major
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Algebra, brackets, contract, divided, memoised
 from .coboundary import leibniz
@@ -20,8 +20,7 @@ from .exactlin import Matrix, Subspace, flatten, kernel_basis, solve, unflatten
 DEFAULT_K_MAX = 3
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     twist: int
     basis: Subspace  # of flattened d x d matrices
 
@@ -74,8 +73,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     return comm
 
 
-@dataclass(frozen=True)
-class DerivationLieReport:
+class DerivationLieReport(NamedTuple):
     k_max: int
     dims: dict  # twist exponent -> dimension
     checked_pairs: int

@@ -2,7 +2,8 @@
 
 All indices in files are 1-based; rationals are strings like ``-3/2`` with
 the denominator omitted when it is 1.  Omitted structure entries are zero,
-and an entry that repeats an earlier entry's indices is a ParseError.
+and an entry that repeats an earlier entry's indices is a ParseError, as is
+a key the object's kind does not have.
 Emission is deterministic: keys are sorted and entry lists are emitted in
 index order, so identical data yields byte-identical files.
 """
@@ -29,6 +30,15 @@ class ParseError(InputError):
 
 def _fail(path: str, msg: str):
     raise ParseError(f"{path}: {msg}")
+
+
+def _check_object(obj, path: str, keys: tuple) -> None:
+    """ParseError unless obj is a JSON object whose keys are among ``keys``."""
+    if not isinstance(obj, dict):
+        _fail(path, "expected an object")
+    for key in obj:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
 
 
 def _is_int(value) -> bool:
@@ -95,8 +105,7 @@ def algebra_to_obj(a: Algebra) -> dict:
 
 
 def algebra_from_obj(obj, path: str = "algebra") -> Algebra:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
+    _check_object(obj, path, ("name", "dim", "binary", "ternary", "alpha"))
     dim = obj.get("dim")
     if not _is_int(dim) or dim < 1:
         _fail(f"{path}.dim", "expected a positive integer")
@@ -186,8 +195,7 @@ def deformation_to_obj(d: Deformation) -> dict:
 def deformation_from_obj(obj, path: str = "deformation", base_dir: str | None = None) -> Deformation:
     from .deformation import Deformation, bracket_cochain, ternary_cochain
 
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
+    _check_object(obj, path, ("base", "order", "f", "g"))
     base = _resolve_base(obj, path, base_dir)
     order = obj.get("order")
     if not _is_int(order) or order < 0:
@@ -211,8 +219,7 @@ def gauge_to_obj(p: Gauge) -> dict:
 def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gauge:
     from .deformation import Gauge
 
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
+    _check_object(obj, path, ("base", "order", "phi"))
     base = _resolve_base(obj, path, base_dir)
     order = obj.get("order")
     if not _is_int(order) or order < 0:
@@ -237,8 +244,7 @@ def matrix_to_obj(m: Matrix) -> dict:
 
 
 def matrix_from_obj(obj, path: str = "matrix") -> Matrix:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
+    _check_object(obj, path, ("rows", "cols", "entries"))
     rows, cols = obj.get("rows"), obj.get("cols")
     if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         _fail(path, "rows/cols must be nonnegative integers")

@@ -24,6 +24,7 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
+from hlya.errors import NotCocycleError
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.serialize import ParseError
 
@@ -191,6 +192,11 @@ def _deformation_obj(**changes):
         ("deform-check", _deformation_obj(f=[[1, [[1, 2, 1, "1"], [1, 2, 1, "1"]]]]), ".f[0][1][1]: repeats the key of entry 0"),
         ("trivialize", _deformation_obj(f=[*_deformation_obj()["f"], [1, []]]), ".f[1]: repeats the key of entry 0"),
         ("equiv", {"base": _BASE, "order": 2, "phi": [[1, [["0", "0"], ["0", "0"]]]] * 2}, ".phi[1]: repeats the key of entry 0"),
+        # a key the kind of file does not have: misspelled, or a file of another kind
+        ("check", _aff1_obj(binray=[[1, 2, ["1", "0"]]]), ".binray: unknown key; expected one of name, dim, binary, ternary, alpha"),
+        ("equiv", _deformation_obj(), ".f: unknown key; expected one of base, order, phi"),
+        ("deform-check", {"base": _BASE, "order": 1, "phi": []}, ".phi: unknown key; expected one of base, order, f, g"),
+        ("deform-check", _deformation_obj(base={"dim": 2, "comment": ""}), ".base.comment: unknown key"),
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
@@ -216,6 +222,11 @@ def test_matrix_entries_must_be_a_list():
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[True, 1, "1"]]})
     with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: not a rational: 0\.5"):
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1, 1, 0.5]]})
+
+
+def test_matrix_unknown_key_rejected():
+    with pytest.raises(ParseError, match=r"^matrix\.row: unknown key; expected one of rows, cols, entries$"):
+        serialize.matrix_from_obj({"rows": 1, "cols": 1, "row": 1, "entries": []})
 
 
 def test_matrix_duplicate_entries_rejected():
@@ -260,8 +271,25 @@ def test_cli_internal_shape_fault_exits_3(monkeypatch, capsys, e1):
     broken = CoboundaryMap(op.level, op.domain, op.codomain, Matrix.zeros(op.matrix.rows, 1))
     monkeypatch.setattr(cohomology, "d2", lambda a: broken)
     monkeypatch.setattr(cohomology, "h2h3", cohomology.h2h3.__wrapped__)
-    code, _, err = _run(capsys, "cohomology", _golden("e1_aff1.json"))
-    assert code == EXIT_THEOREM and "theorem violation:" in err
+    code, out, err = _run(capsys, "cohomology", _golden("e1_aff1.json"))
+    assert code == EXIT_THEOREM and out == ""
+    message, witness = err.splitlines()
+    assert message.startswith("theorem violation: ")
+    assert witness == 'witness: {"class": "ShapeMismatchError"}'
+
+
+def test_cli_theorem_violation_prints_its_witness(monkeypatch, capsys):
+    def violated(a):
+        raise NotCocycleError("step broke", step_order=2, equation=7, basis_tuple=(1, 2, 1, 2))
+
+    monkeypatch.setattr(cohomology, "cohomology_report", violated)
+    code, out, err = _run(capsys, "cohomology", _golden("e1_aff1.json"))
+    assert code == EXIT_THEOREM and out == ""
+    assert err.splitlines() == [
+        "theorem violation: step broke",
+        'witness: {"basis_tuple": [1, 2, 1, 2], "changed_order": null, "class": "NotCocycleError", '
+        '"equation": 7, "order": null, "step_order": 2}',
+    ]
 
 
 def test_cli_cohomology_and_table_format(capsys):
@@ -457,6 +485,27 @@ def _modules_loaded_by(*argv) -> list:
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def _imports_of(*args) -> set:
+    """The modules a fresh interpreter imports when run with ``args``, as
+    -X importtime lists them."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120, check=True
+    ).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("command, golden", [("cohomology", "e1_aff1.json"), ("trivialize", "e0_plus_aff.json")])
+def test_cli_loads_neither_dataclasses_nor_inspect(command, golden):
+    loaded = _imports_of("-m", "hlya.cli", command, _golden(golden)) - _imports_of("-c", "pass")
+    assert "hlya.algebra" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_cli_cohomology_loads_only_what_it_uses():
