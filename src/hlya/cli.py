@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 = analysis ran (reported failures are data, not errors),
-2 = invalid input (parse/validation), 3 = internal theorem violation --
-the latter should never happen on shipped data and indicates a bug.  On
-exit 3 the second stderr line is ``witness: `` and one JSON object: the
-error's class name under "class" and its witness attributes.
+2 = invalid input (parse/validation, or an algebra that fails its axioms
+where a command needs a Hom-Lie-Yamaguti algebra), 3 = internal theorem
+violation -- the latter should never happen on valid data and indicates a
+bug.  On exit 3 the second stderr line is ``witness: `` and one JSON
+object: the error's class name under "class" and its witness attributes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import serialize
-from .errors import InputError, TheoremViolationError
+from .errors import AxiomError, InputError, TheoremViolationError
 from .exactlin import rat_str
 
 EXIT_OK = 0
@@ -43,11 +44,33 @@ def _report_check(args) -> dict:
     }
 
 
+def _on_algebra(args, compute):
+    """The algebra file of ``args`` and compute(algebra).
+
+    The theorems behind compute hold for Hom-Lie-Yamaguti algebras only, so
+    a theorem violation on an algebra that fails its axioms is invalid
+    input: AxiomError, chained, naming the failing identities and the first
+    counterexample.  Only a violation runs the axiom check."""
+    a = serialize.load_algebra(args.algebra)
+    try:
+        return a, compute(a)
+    except TheoremViolationError as exc:
+        from .algebra import check_axioms
+
+        report = check_axioms(a)
+        if report.all_passed:
+            raise
+        first = report.failing()[0]
+        raise AxiomError(
+            f"not a Hom-Lie-Yamaguti algebra: identities {report.failing()} fail, "
+            f"identity {first} first at basis tuple {report.counterexamples[first]}"
+        ) from exc
+
+
 def _report_cohomology(args) -> dict:
     from .cohomology import cohomology_report
 
-    a = serialize.load_algebra(args.algebra)
-    report = cohomology_report(a)
+    a, report = _on_algebra(args, cohomology_report)
     return {
         "command": "cohomology",
         "algebra": a.name or args.algebra,
@@ -180,8 +203,7 @@ def _report_obstruct(args) -> dict:
 def _report_dump_operator(args) -> dict:
     from .coboundary import operator_by_level
 
-    a = serialize.load_algebra(args.algebra)
-    op = operator_by_level(a, args.level)
+    a, op = _on_algebra(args, lambda a: operator_by_level(a, args.level))
     return {
         "command": "dump-operator",
         "algebra": a.name or args.algebra,

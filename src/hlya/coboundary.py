@@ -49,6 +49,7 @@ import itertools
 from typing import NamedTuple
 
 from .algebra import (
+    IDENTITIES,
     Algebra,
     IntTable,
     brackets,
@@ -183,24 +184,26 @@ def _contracted(components, names):
 
 
 def _linearised(ids):
-    """Tables of the t^1 coefficients of identities ``ids`` at the base
-    brackets deformed by (t f, t g)."""
+    """The codomain (arity, pairs) of each identity in ``ids``, as
+    :data:`IDENTITIES` records it, and the tables of their t^1 coefficients
+    at the base brackets deformed by (t f, t g)."""
 
     def tables(a: Algebra, f: IntTable, g: IntTable):
         f0, g0 = brackets(a)
         fs, gs = (f0, f), (g0, g)
         return [divided(*identity_values(a, k, 1, fs, gs)) for k in ids]
 
-    return tables
+    return tuple((IDENTITIES[k].arity, IDENTITIES[k].pairs) for k in ids), tables
 
 
 # --- assembly -------------------------------------------------------------
 
-# level -> (name, domain arities, codomain (arity, pairs), formula tables)
+# level -> (name, domain arities, codomain (arity, pairs), formula tables);
+# the degree-2 levels read their codomains off the identities they linearise
 _LEVELS = {
     "1": ("delta1", (1,), ((2, None), (3, None)), _contracted(DELTA1, ("h",))),
-    "2": ("delta2", (2, 3), ((4, None), (5, None)), _linearised((7, 8))),
-    "d2": ("d2", (2, 3), ((3, None), (4, 1)), _linearised((5, 6))),
+    "2": ("delta2", (2, 3), *_linearised((7, 8))),
+    "d2": ("d2", (2, 3), *_linearised((5, 6))),
     "3": ("delta3", (4, 5), ((6, None), (7, None)), _contracted(DELTA3, ("f", "g"))),
 }
 

@@ -7,10 +7,12 @@ kernel of an exact linear constraint system.
 
 Internally a cochain is a sparse table mapping basis-index tuples to value
 vectors, and the space works in *reduced* coordinates indexed by
-representative tuples (strictly increasing inside each pair slot); the
-pair-antisymmetry is thereby built in and only the alpha-equivariance
-remains as constraint rows.  Only this module knows that layout; formulas
-use a space's generic cochain, image vectors, coordinates and defect forms.
+representative tuples (strictly increasing inside each pair slot).  One
+orbit map per space sends each tuple with distinct arguments in every pair
+to its representative's position and swap sign, so pair-antisymmetry is
+built in and only alpha-equivariance remains as constraint rows.  Only
+this module knows that layout; formulas use a space's generic cochain,
+image vectors, coordinates and defect forms.
 
 The conditions are written once, as linear defect forms
 (:meth:`CochainSpace.defects`, with :meth:`CochainSpace._residual` for
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
@@ -108,18 +111,19 @@ class Cochain:
         return f"Cochain(arity={self.arity}, dim={self.dim}, nnz={len(self.table)})"
 
 
-def _canonicalize(idx: tuple, pairs: int) -> tuple[tuple, int]:
-    """Sort each adjacent odd-even pair; sign 0 marks a diagonal pair."""
-    lst = list(idx)
-    sign = 1
-    for p in range(pairs):
-        a, b = lst[2 * p], lst[2 * p + 1]
-        if a == b:
-            return idx, 0
-        if a > b:
-            lst[2 * p], lst[2 * p + 1] = b, a
-            sign = -sign
-    return tuple(lst), sign
+def _orbit_map(reps: list, arity: int, pairs: int) -> dict:
+    """The orbit map of a layout: each tuple whose first ``pairs`` slot
+    pairs hold distinct arguments -> (position in ``reps`` of its
+    representative, product of the swap signs), orbit by orbit in the
+    order of ``reps`` and, within an orbit, in swap-pattern order."""
+    patterns = list(itertools.product((False, True), repeat=pairs))
+    variants = [reps]  # patterns[0] swaps nothing
+    for swaps in patterns[1:]:
+        # slot i of the variant is slot i ^ 1, its partner, where the pair is swapped
+        slots = [i ^ 1 if i < 2 * pairs and swaps[i // 2] else i for i in range(arity)]
+        variants.append(list(map(itemgetter(*slots), reps)))
+    signs = [(-1) ** sum(swaps) for swaps in patterns]
+    return dict(zip(itertools.chain.from_iterable(zip(*variants)), itertools.product(range(len(reps)), signs)))
 
 
 _MESSAGES = {
@@ -157,7 +161,7 @@ class CochainSpace:
             raise ArityError(f"pair count must lie in 0..{arity // 2}")
         self.pairs = pairs
         self.rep_tuples = rep_tuples(d, arity, pairs)
-        self.rep_index = {idx: pos for pos, idx in enumerate(self.rep_tuples)}
+        self._orbit = _orbit_map(self.rep_tuples, arity, pairs)
         self.reduced_dim = len(self.rep_tuples) * d
         self._pivots, self._rows = eliminate(self._equivariance_rows())
         self._free, self._basis_cols = null_vectors(self._pivots, self._rows, self.reduced_dim)
@@ -178,17 +182,18 @@ class CochainSpace:
         a = self.algebra
         d = a.dim
         acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
+        orbit = self._orbit
         rows = []
         for pos, idx in enumerate(self.rep_tuples):
-            combos: dict[tuple, Fraction] = {}
+            combos: dict[int, Fraction] = {}
             for combo in itertools.product(*(acols[i].items() for i in idx)):
-                jdx = tuple(c[0] for c in combo)
-                w = ONE
-                for c in combo:
-                    w *= c[1]
-                can, sign = _canonicalize(jdx, self.pairs)
-                if sign:
-                    combos[can] = combos.get(can, ZERO) + sign * w
+                found = orbit.get(tuple(c[0] for c in combo))
+                if found:
+                    target, sign = found
+                    w = ONE
+                    for c in combo:
+                        w *= c[1]
+                    combos[target] = combos.get(target, ZERO) + sign * w
             for out in range(d):
                 row: dict[int, Fraction] = {}
                 # alpha applied to the value vector: row indices of alpha
@@ -196,8 +201,8 @@ class CochainSpace:
                     c = a.alpha[out][k]
                     if c:
                         row[pos * d + k] = c
-                for can, w in combos.items():
-                    col = self.rep_index[can] * d + out
+                for target, w in combos.items():
+                    col = target * d + out
                     v = row.get(col, ZERO) - w
                     if v:
                         row[col] = v
@@ -209,36 +214,16 @@ class CochainSpace:
 
     # --- conversions ------------------------------------------------------
 
-    @cached_property
-    def _orbits(self) -> list:
-        """Per representative tuple, its pair-swapped variants and their signs."""
-        orbits = []
-        for idx in self.rep_tuples:
-            variants = []
-            for swaps in itertools.product((False, True), repeat=self.pairs):
-                lst = list(idx)
-                sign = 1
-                for p, do_swap in enumerate(swaps):
-                    if do_swap:
-                        lst[2 * p], lst[2 * p + 1] = lst[2 * p + 1], lst[2 * p]
-                        sign = -sign
-                variants.append((tuple(lst), sign))
-            orbits.append(variants)
-        return orbits
-
     def _from_sparse(self, reduced: dict) -> Cochain:
         """The cochain of sparse reduced coordinates {position: value}."""
         d = self.algebra.dim
-        values: dict[int, list] = {}
+        signed: dict = {}  # (position, sign) -> the signed value
         for i, x in reduced.items():
             pos, k = divmod(i, d)
-            values.setdefault(pos, [ZERO] * d)[k] = x
-        orbits = self._orbits
-        table = {}
-        for pos in sorted(values):
-            value = tuple(values[pos])
-            for tup, sign in orbits[pos]:
-                table[tup] = value if sign == 1 else tuple(-x for x in value)
+            if (pos, 1) not in signed:
+                signed[pos, 1], signed[pos, -1] = [ZERO] * d, [ZERO] * d
+            signed[pos, 1][k], signed[pos, -1][k] = x, -x
+        table = {tup: signed[found] for tup, found in self._orbit.items() if found in signed}
         return Cochain(self.arity, d, table)
 
     def coords(self, cochain: Cochain) -> list:
@@ -288,8 +273,7 @@ class CochainSpace:
         is not checked here: :meth:`coords` and :meth:`rep_coords` check it.
         """
         d = self.algebra.dim
-        index = self.rep_index
-        return self._from_sparse({index[idx] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x})
+        return self._from_sparse({self._orbit[idx][0] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x})
 
     def rep_coords(self, values: dict) -> list:
         """Basis coordinates of :meth:`from_rep_values` of ``values``;
@@ -331,24 +315,23 @@ class CochainSpace:
         """
         d = self.algebra.dim
         used = {i for col in self._basis_cols for i in col}
-        entries = {}
-        for pos, variants in enumerate(self._orbits):
+        signed = {}  # (position, sign) -> the signed value
+        for pos in range(len(self.rep_tuples)):
             value = {(k, offset + i): 1 for k, i in enumerate(range(pos * d, pos * d + d)) if i in used}
             if value:
-                negated = {key: -1 for key in value}
-                for tup, sign in variants:
-                    entries[tup] = value if sign == 1 else negated
+                signed[pos, 1], signed[pos, -1] = value, {key: -1 for key in value}
+        entries = {tup: signed[found] for tup, found in self._orbit.items() if found in signed}
         return FormTable(1, entries), [{offset + i: x for i, x in col.items()} for col in self._basis_cols]
 
-    def _forms(self, fn) -> dict:
-        """fn's values at the representative tuples as forms {unknown:
-        coefficient}, keyed by reduced coordinate; fn maps tuples to linear
-        forms {(output index, unknown): coefficient}, as on the generic
-        tables of :meth:`generic`."""
+    def _forms(self, values) -> dict:
+        """The values at the representative tuples, in order, as forms
+        {unknown: coefficient} keyed by reduced coordinate; each value is a
+        linear form {(output index, unknown): coefficient}, as on the
+        generic tables of :meth:`generic`."""
         d = self.algebra.dim
         forms: dict = {}
-        for pos, idx in enumerate(self.rep_tuples):
-            for (k, u), c in fn(idx).items():
+        for pos, value in enumerate(values):
+            for (k, u), c in value.items():
                 forms.setdefault(pos * d + k, {})[u] = c
         return forms
 
@@ -356,7 +339,7 @@ class CochainSpace:
         """The sparse reduced image of each basis vector under fn, a map
         from tuples to linear forms as for :meth:`_forms`; fn runs once per
         representative tuple."""
-        return _apply(self._forms(fn).items(), basis)
+        return _apply(self._forms(map(fn, self.rep_tuples)).items(), basis)
 
     def coordinates(self, fn, basis) -> list:
         """The basis coordinates, as sparse vectors, of fn's image of each
@@ -368,7 +351,7 @@ class CochainSpace:
         ``basis_index``.  Otherwise every image is in the space, and its
         coordinates are its entries at the free coordinates.
         """
-        forms = self._forms(fn)
+        forms = self._forms(map(fn, self.rep_tuples))
         residual = self._residual(forms)
         found = first_violation(residual, basis) if residual else None
         if found is not None:
@@ -379,14 +362,16 @@ class CochainSpace:
     def defects(self, fn) -> list:
         """The linear defects of fn's values as a map into this space.
 
-        fn, as for :meth:`_forms`, runs once at every basis tuple in
-        lexicographic order, so each representative tuple comes before the
-        rest of its orbit.  The defects are (kind, 0-based tuple, form), one
+        fn, a map from tuples to linear forms as for :meth:`_forms`, runs
+        once at every basis tuple in lexicographic order, so the first tuple
+        met in each orbit is its representative, and the representatives
+        come in the order of ``rep_tuples``.  The defects are (kind, 0-based tuple, form), one
         per condition a map into the space must meet, the form a sparse
         linear map {(output index, unknown): coefficient}; only the nonzero
         forms are returned, in this order:
 
-        - "diagonal": the value at a tuple with equal arguments in a pair;
+        - "diagonal": the value at a tuple absent from the orbit map, one
+          with equal arguments in a pair;
         - "pair-antisymmetry": value(idx) - sign * value(representative) at
           every other tuple, also where value(idx) is zero;
         - "equivariance": the :meth:`_residual` of the representative forms.
@@ -395,31 +380,31 @@ class CochainSpace:
         vanishes on every domain basis vector.  A concrete table is the
         case of one unknown (:meth:`coords`).
         """
-        d = self.algebra.dim
-        index = self.rep_index
-        reps, negated = {}, {}
+        orbit = self._orbit
+        reps, negated = [], {}
         defects = []
-        for idx in itertools.product(range(d), repeat=self.arity):
+        for idx in itertools.product(range(self.algebra.dim), repeat=self.arity):
             value = fn(idx)
-            if idx in index:
-                reps[idx] = value
-                continue
-            can, sign = _canonicalize(idx, self.pairs)
-            if sign == 0:
+            found = orbit.get(idx)
+            if found is None:
                 if value:
                     defects.append(("diagonal", idx, value))
                 continue
-            rep = reps[can]
+            pos, sign = found
+            if pos == len(reps):  # the first tuple met in its orbit
+                reps.append(value)
+                continue
+            rep = reps[pos]
             if sign == -1:
-                rep = negated.get(can)
+                rep = negated.get(pos)
                 if rep is None:
-                    rep = negated[can] = {key: -c for key, c in reps[can].items()}
+                    rep = negated[pos] = {key: -c for key, c in reps[pos].items()}
             if value != rep:
                 defect = dict(value)
                 for key, c in rep.items():
                     defect[key] = defect.get(key, 0) - c
                 defects.append(("pair-antisymmetry", idx, defect))
-        return defects + self._residual(self._forms(reps.__getitem__))
+        return defects + self._residual(self._forms(reps))
 
     def _residual(self, forms: dict) -> list:
         """The nonzero "equivariance" defects of representative forms keyed

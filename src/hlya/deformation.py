@@ -70,7 +70,8 @@ def ternary_cochain(a: Algebra) -> Cochain:
 
 
 class Deformation:
-    """Coefficient data of a truncated deformation over a fixed base."""
+    """Coefficient data of a truncated deformation over a fixed base; no
+    attribute can be set or deleted after ``__init__``."""
 
     __slots__ = ("base", "order", "f_seq", "g_seq")
 
@@ -91,10 +92,16 @@ class Deformation:
                 c3.coords(g_seq[i])
             except NotACochainError as exc:
                 raise PreconditionError(f"coefficient at order {i} is not a cochain: {exc}")
-        self.base = base
-        self.order = order
-        self.f_seq = f_seq
-        self.g_seq = g_seq
+        init = super().__setattr__
+        init("base", base)
+        init("order", order)
+        init("f_seq", f_seq)
+        init("g_seq", g_seq)
+
+    def _immutable(self, name: str, *value):
+        raise AttributeError(f"cannot change {name!r}: a Deformation is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,7 +200,9 @@ def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
 
 
 class Gauge:
-    """Truncated formal isomorphism: phi_0 = id, every phi_i a 1-cochain (commutes with alpha)."""
+    """Truncated formal isomorphism: phi_0 = id, every phi_i a 1-cochain
+    (commutes with alpha); no attribute can be set or deleted after
+    ``__init__``."""
 
     __slots__ = ("base", "order", "phi")
 
@@ -210,9 +219,15 @@ class Gauge:
                 raise PreconditionError("gauge coefficients must be dim x dim")
             if not c1.contains(matrix_to_cochain(base, m)):
                 raise PreconditionError(f"gauge coefficient {i} does not commute with alpha")
-        self.base = base
-        self.order = order
-        self.phi = phi
+        init = super().__setattr__
+        init("base", base)
+        init("order", order)
+        init("phi", phi)
+
+    def _immutable(self, name: str, *value):
+        raise AttributeError(f"cannot change {name!r}: a Gauge is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other) -> bool:
         return (
@@ -360,12 +375,12 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
         ]
 
     def transform(seq, arity: int) -> list:
-        series = [int_table({idx: vec for idx, vec in c.table.items() if idx[0] < idx[1]}) for c in seq]
+        space = build_cochain_space(base, arity)
+        series = [int_table({idx: vec for idx in space.rep_tuples if (vec := c.table.get(idx))}) for c in seq]
         series = convolve(series, pairs, lambda t, m: compose_slot(t, 0, m))
         if arity == 3:
             series = convolve(series, phi, lambda t, m: compose_slot(t, 2, m))
         series = convolve(series, psi, lambda t, m: compose_out(m, t))
-        space = build_cochain_space(base, arity)
         return [seq[0]] + [
             space.from_rep_values(
                 {key: {k: Fraction(x, t.den) for k, x in vec.items()} for key, vec in t.entries.items()}
@@ -485,14 +500,13 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
     and no second-order term, evaluated once at the representative tuples
-    of C4 and C5: both identities are antisymmetric in their two leading
-    pairs, so those values fix F and G.  The caller checks the cocycle
-    property (:func:`_second_order_step`).
+    of C4 and C5, the codomain of delta2: both identities are antisymmetric
+    in their two leading pairs, so those values fix F and G.  The caller
+    checks the cocycle property (:func:`_second_order_step`).
     """
     fs, gs = bracket_series(a, (f1,), (g1,))
     parts = []
-    for k in (7, 8):
-        space = build_cochain_space(a, IDENTITIES[k].arity)
+    for k, space in zip((7, 8), delta2(a).codomain):
         value, den = identity_values(a, k, 2, fs, gs)
         value = divided(value, -den)
         values = {idx: value(idx) for idx in space.rep_tuples}

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.cochain import Cochain, MAX_ARITY, _canonicalize, build_cochain_space
+from hlya.cochain import Cochain, MAX_ARITY, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
+from hlya.samples import abelian
 
 
 # --- independent dimension oracles (no shared code with CochainSpace) -----
@@ -139,10 +140,14 @@ def test_arity_bounds(e0):
 # --- canonicalization and membership --------------------------------------
 
 
-def test_canonicalize_signs():
-    assert _canonicalize((2, 1, 0, 3), 2) == ((1, 2, 0, 3), -1)
-    assert _canonicalize((2, 1, 3, 0), 2) == ((1, 2, 0, 3), 1)
-    assert _canonicalize((1, 1, 0, 3), 2) == ((1, 1, 0, 3), 0)
+def test_orbit_map_signs():
+    # the orbit map of C4 over dimension 4: each swapped pair flips the
+    # sign, and a tuple with a diagonal pair has no entry
+    space = build_cochain_space(abelian(4), 4)
+    rep = space.rep_tuples.index((1, 2, 0, 3))
+    assert space._orbit[2, 1, 0, 3] == (rep, -1)
+    assert space._orbit[2, 1, 3, 0] == (rep, 1)
+    assert (1, 1, 0, 3) not in space._orbit
 
 
 def test_equivariance_violation_detected(e3):

@@ -157,7 +157,7 @@ def test_residual_reads_the_reduced_rows_as_the_basis_columns_did(algebras):
             cases += [_value_forms(space, c) for c in space.basis_cochains[:3]]
             # the generic table's representative forms: one unknown per coordinate
             generic, _ = space.generic()
-            cases.append(space._forms(lambda idx: generic.entries.get(idx, {})))
+            cases.append(space._forms(generic.entries.get(idx, {}) for idx in space.rep_tuples))
             for forms in cases:
                 expected = basis_column_residual(space, forms)
                 assert space._residual(forms) == expected, (a.name, space)

@@ -1,11 +1,19 @@
-"""The algebra and the result records are immutable values."""
+"""The algebra, deformations, gauges and the result records are immutable values."""
 
 import pytest
 
 from hlya.algebra import Algebra, AxiomReport
 from hlya.coboundary import CoboundaryMap
 from hlya.cohomology import CohomologyReport, LevelReport
-from hlya.deformation import DeformationReport, ObstructionPair, ProbeReport, TrivializeResult
+from hlya.deformation import (
+    DeformationReport,
+    ObstructionPair,
+    ProbeReport,
+    TrivializeResult,
+    identity_gauge,
+    null_deformation,
+    verify_deformation,
+)
 from hlya.derivations import DerivationLieReport, DerivationSpace
 
 # each record's fields, in constructor order
@@ -39,6 +47,21 @@ def test_renamed_algebra_is_equal_with_the_same_hash(e1, e2):
     assert renamed._memo is not e1._memo
     assert e1 != e2 and e1 != (e1.dim, e1.binary, e1.ternary, e1.alpha)
     assert e1.__eq__(object()) is NotImplemented
+
+
+def test_deformation_and_gauge_attributes_cannot_be_set_or_deleted(e2):
+    # a raised order would let verify_deformation pass orders that have no
+    # coefficients
+    d = null_deformation(e2, 2)
+    p = identity_gauge(e2, 2)
+    for value, names in ((d, ("base", "order", "f_seq", "g_seq")), (p, ("base", "order", "phi"))):
+        for name in (*names, "unknown"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(value, name, 7)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+    assert d.order == p.order == 2 and len(d.f_seq) == len(p.phi) == 3
+    assert verify_deformation(d).order == 2
 
 
 @pytest.mark.parametrize("record", list(RECORDS), ids=lambda cls: cls.__name__)

@@ -292,6 +292,45 @@ def test_cli_theorem_violation_prints_its_witness(monkeypatch, capsys):
     ]
 
 
+def _broken_golden(tmp_path, golden, change) -> str:
+    with open(_golden(golden)) as fh:
+        obj = json.load(fh)
+    change(obj)
+    path = tmp_path / golden
+    path.write_text(serialize.dumps(obj))
+    return str(path)
+
+
+def _set_alpha_diag_1_2(obj):
+    obj["alpha"] = [["1", "0"], ["0", "2"]]
+
+
+def _double_e2_e3(obj):
+    assert obj["binary"][2][:2] == [2, 3]
+    obj["binary"][2] = [2, 3, ["2", "0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "golden, change, argv, failing",
+    [
+        ("e1_aff1.json", _set_alpha_diag_1_2, ["cohomology"], "identities [1, 2] fail, identity 1 first at basis tuple (1, 2)"),
+        ("e1_aff1.json", _set_alpha_diag_1_2, ["dump-operator", "1"], "identities [1, 2] fail"),
+        ("e2_sl2.json", _double_e2_e3, ["cohomology"], "identities [7] fail, identity 7 first at basis tuple (1, 2, 1, 3)"),
+    ],
+    ids=["aff1-alpha-cohomology", "aff1-alpha-dump-operator", "sl2-bracket-cohomology"],
+)
+def test_cli_algebra_failing_its_axioms_exits_2(tmp_path, capsys, golden, change, argv, failing):
+    # the theorems behind cohomology and the operators need a
+    # Hom-Lie-Yamaguti algebra, so their violation on another is bad input
+    path = _broken_golden(tmp_path, golden, change)
+    assert not check_axioms(serialize.load_algebra(path)).all_passed
+    command, *rest = argv
+    code, out, err = _run(capsys, command, path, *rest)
+    assert code == EXIT_INPUT and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: not a Hom-Lie-Yamaguti algebra: ") and failing in line
+
+
 def test_cli_cohomology_and_table_format(capsys):
     code, out, _ = _run(capsys, "cohomology", _golden("e1_aff1.json"))
     assert code == EXIT_OK
@@ -349,15 +388,36 @@ def test_cli_obstruct(capsys):
     assert report["extension_closes"] is True
 
 
-@pytest.mark.parametrize("command", ["deform-check", "trivialize", "obstruct"])
-def test_cli_deformation_output_matches_the_benchmark_reference(command, capsys):
-    # bench/reference.json pins the standard output of the benchmark's cli ops
-    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
-        expected = json.load(fh)[f"{command} data/e0_plus_aff.json"]
-    code, out, _ = _run(capsys, command, _golden("e0_plus_aff.json"))
+# bench/reference.json pins the standard output of the benchmark's fixed
+# cli ops, keyed by the op's arguments with file paths from the repository
+# root; the benchmark writes its gl2 input, bench/work/gl2.json, with the
+# bytes of the golden data/e4_gl2.json.
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+with open(os.path.join(ROOT, "bench", "reference.json")) as fh:
+    BENCH_REFERENCE = json.load(fh)
+BENCH_INPUTS = {"bench/work/gl2.json": "data/e4_gl2.json"}
+DEFORMATION_COMMANDS = ("deform-check", "trivialize", "obstruct")
+ALGEBRA_OPS = sorted(set(BENCH_REFERENCE) - {f"{command} data/e0_plus_aff.json" for command in DEFORMATION_COMMANDS})
+
+
+def _matches_the_benchmark_reference(capsys, op: str):
+    argv = [os.path.join(ROOT, BENCH_INPUTS.get(arg, arg)) if arg.endswith(".json") else arg for arg in op.split()]
+    code, out, _ = _run(capsys, *argv)
     assert code == EXIT_OK
     data = out.encode()
+    expected = BENCH_REFERENCE[op]
     assert (len(data), hashlib.sha256(data).hexdigest()) == (expected["bytes"], expected["sha256"])
+
+
+@pytest.mark.parametrize("command", DEFORMATION_COMMANDS)
+def test_cli_deformation_output_matches_the_benchmark_reference(command, capsys):
+    _matches_the_benchmark_reference(capsys, f"{command} data/e0_plus_aff.json")
+
+
+@pytest.mark.parametrize("op", ALGEBRA_OPS)
+def test_cli_algebra_output_matches_the_benchmark_reference(op, capsys):
+    # with the deformation ops above, every op of the reference is checked
+    _matches_the_benchmark_reference(capsys, op)
 
 
 # SHA-256 of `hlya trivialize` on sl2's null deformation of order 4 moved by
@@ -399,6 +459,23 @@ def test_cli_obstruct_reports_a_second_order_term_that_does_not_solve(capsys, tm
         "delta2(f2, g2) must equal the obstruction pair"
     )
     assert hashlib.sha256(out.encode()).hexdigest() == OBSTRUCT_REJECTED_SHA256
+
+
+def test_cli_obstruct_reports_that_no_second_order_term_solves(capsys, tmp_path, e0):
+    # on abelian2 the obstruction pair of kernel vector 2 of [delta2; d2] is
+    # a cocycle pair outside the image of delta2
+    z = kernel_basis(vstack(delta2(e0).matrix, d2(e0).matrix))
+    f1, g1 = pair_from_coords(e0, z.basis.column(2))
+    d = Deformation(e0, 1, [bracket_cochain(e0), f1], [ternary_cochain(e0), g1])
+    path = tmp_path / "unsolvable.json"
+    path.write_text(serialize.dumps(serialize.deformation_to_obj(d)))
+    code, out, _ = _run(capsys, "obstruct", str(path))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["in_z4z5"] is True and (report["F"] or report["G"])
+    assert report["probe"] is None
+    assert report["probe_note"] == "no second-order term solves the extension equation"
+    assert "extension_closes" not in report
 
 
 def test_cli_equiv(tmp_path, capsys, e1):
