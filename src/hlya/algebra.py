@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
-from .exactlin import ZERO, Matrix, rat
+from .exactlin import ZERO, Frozen, Matrix, rat
 
 Vec = tuple[Fraction, ...]
 SVec = dict[int, Fraction]
@@ -118,41 +118,31 @@ def to_dense(sv: SVec, dim: int) -> Vec:
     return tuple(sv.get(i, ZERO) for i in range(dim))
 
 
-class Algebra:
-    """Immutable structure-constant data.  Use the constructors below.
+class Algebra(Frozen):
+    """Structure-constant data, a :class:`Frozen` value.  Use the
+    constructors below.
 
     Two algebras are equal when their dimension, brackets and alpha are;
-    the name does not count.  No attribute can be set or deleted after
-    ``__init__``."""
+    the name and the memo do not count."""
 
     __slots__ = ("dim", "binary", "ternary", "alpha", "name", "_memo", "_hash", "__weakref__")
+    _fields = ("dim", "binary", "ternary", "alpha")
 
     def __init__(self, dim: int, binary: tuple, ternary: tuple, alpha: tuple, name: str = ""):
-        init = super().__setattr__
-        init("dim", dim)
-        init("binary", binary)  # binary[i][j] = coordinates of [e_i, e_j]
-        init("ternary", ternary)  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
-        init("alpha", alpha)  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
-        init("name", name)
-        # data derived from this algebra, filled by @memoised functions and by
-        # the one-entry second-order slot of hlya.deformation
-        init("_memo", {})
-        init("_hash", None)
-
-    def _immutable(self, name: str, *value):
-        raise AttributeError(f"cannot change {name!r}: an Algebra is immutable")
-
-    __setattr__ = __delattr__ = _immutable
+        self._init(
+            dim=dim,
+            binary=binary,  # binary[i][j] = coordinates of [e_i, e_j]
+            ternary=ternary,  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
+            alpha=alpha,  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
+            name=name,
+            # data derived from this algebra, filled by @memoised functions and by
+            # the one-entry second-order slot of hlya.deformation
+            _memo={},
+            _hash=None,
+        )
 
     def alpha_matrix(self) -> Matrix:
         return Matrix(self.alpha)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Algebra):
-            return NotImplemented
-        return (self.dim, self.binary, self.ternary, self.alpha) == (
-            other.dim, other.binary, other.ternary, other.alpha
-        )
 
     def __hash__(self):
         # cached: the structure tensors are deeply nested Fraction tuples, and
@@ -160,7 +150,7 @@ class Algebra:
         h = self._hash
         if h is None:
             h = hash((self.dim, self.binary, self.ternary, self.alpha))
-            super().__setattr__("_hash", h)
+            self._init(_hash=h)
         return h
 
     def __repr__(self) -> str:
@@ -617,7 +607,7 @@ def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]
     return lambda idx: {j: x * inv for j, x in value(idx).items()}
 
 
-def rep_tuples(dim: int, arity: int, pairs: int) -> list[tuple]:
+def rep_tuples(dim: int, arity: int, pairs: int) -> tuple[tuple, ...]:
     """The basis tuples (0-based) that increase strictly inside each of the
     first ``pairs`` slot pairs (0, 1), (2, 3), ..., in lexicographic order."""
     pair = list(itertools.combinations(range(dim), 2))
@@ -625,7 +615,7 @@ def rep_tuples(dim: int, arity: int, pairs: int) -> list[tuple]:
     out = [()]
     for block in [pair] * pairs + [single] * (arity - 2 * pairs):
         out = [head + tail for head in out for tail in block]
-    return out
+    return tuple(out)
 
 
 def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:

@@ -61,6 +61,7 @@ from .algebra import (
     to_dense,
 )
 from .cochain import Cochain, _violation, build_cochain_space, first_violation
+from .errors import ArityError, DimMismatchError
 from .exactlin import Matrix
 
 
@@ -295,8 +296,16 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     """The two components of the operator at ``level`` on its domain
     cochains (h for "1", else the pair), straight from the formulas:
     tabulated on all tuples and read back by ``cochain_from_table``, which
-    raises NotACochainError on an image that is not a cochain."""
-    _, _, codomain_shapes, tables = _LEVELS[level]
+    raises NotACochainError on an image that is not a cochain.  A cochain
+    count or arity that is not the level's domain raises ArityError, a
+    cochain on another dimension DimMismatchError."""
+    name, domain_arities, codomain_shapes, tables = _LEVELS[level]
+    arities = tuple(c.arity for c in cochains)
+    if arities != domain_arities:
+        raise ArityError(f"{name} takes cochains of arities {domain_arities}, got {arities}")
+    for c in cochains:
+        if c.dim != a.dim:
+            raise DimMismatchError(f"a cochain on dimension {c.dim}, expected {a.dim}")
     return tuple(
         build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
         for (n, pairs), fn in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains)))

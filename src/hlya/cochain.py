@@ -33,29 +33,26 @@ from typing import Sequence
 
 from .algebra import Algebra, FormTable, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ONE, ZERO, Matrix, eliminate, null_vectors, rat
+from .exactlin import ONE, ZERO, Frozen, Matrix, eliminate, null_vectors, rat
 
 MAX_ARITY = 7
 
 
-class Cochain:
+class Cochain(Frozen):
     """Sparse multilinear map L^n -> L; table maps index tuples to values.
 
-    The table is a read-only view of the nonzero values, as tuples, and no
-    attribute can be set or deleted after ``__init__``."""
+    A :class:`Frozen` value: the table is a read-only view of the nonzero
+    values, as tuples."""
 
     __slots__ = ("arity", "dim", "table")
+    _fields = ("arity", "dim", "table")
 
     def __init__(self, arity: int, dim: int, table: dict):
-        init = super().__setattr__
-        init("arity", arity)
-        init("dim", dim)
-        init("table", MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}))
-
-    def _immutable(self, name: str, *value):
-        raise AttributeError(f"cannot change {name!r}: a Cochain is immutable")
-
-    __setattr__ = __delattr__ = _immutable
+        self._init(
+            arity=arity,
+            dim=dim,
+            table=MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}),
+        )
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
@@ -96,14 +93,6 @@ class Cochain:
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(Fraction(-1)))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.arity == other.arity
-            and self.dim == other.dim
-            and self.table == other.table
-        )
-
     def __hash__(self):
         return hash((self.arity, self.dim, tuple(sorted(self.table.items()))))
 
@@ -111,7 +100,7 @@ class Cochain:
         return f"Cochain(arity={self.arity}, dim={self.dim}, nnz={len(self.table)})"
 
 
-def _orbit_map(reps: list, arity: int, pairs: int) -> dict:
+def _orbit_map(reps: tuple, arity: int, pairs: int) -> dict:
     """The orbit map of a layout: each tuple whose first ``pairs`` slot
     pairs hold distinct arguments -> (position in ``reps`` of its
     representative, product of the swap signs), orbit by orbit in the
@@ -140,31 +129,38 @@ def _violation(kind: str, idx: tuple, prefix: str = "", **witness) -> NotACochai
     return NotACochainError(prefix + _MESSAGES[kind].format(tup), kind=kind, basis_tuple=tup, **witness)
 
 
-class CochainSpace:
+class CochainSpace(Frozen):
     """The space of n-cochains of one algebra, with an explicit basis.
 
     The equivariance rows are reduced by :func:`hlya.exactlin.eliminate` and
     kept, the one statement of the condition (:meth:`_residual`); the basis
     is the kernel basis of :func:`hlya.exactlin.null_vectors`, so the
     coordinates of a cochain are its reduced entries at the free columns.
+    A :class:`Frozen` value, equal only to itself.
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, algebra: Algebra, arity: int, pairs: int | None = None):
         if not 1 <= arity <= MAX_ARITY:
             raise ArityError(f"arity must be between 1 and {MAX_ARITY}, got {arity}")
-        self.algebra = algebra
-        self.arity = arity
-        d = algebra.dim
         if pairs is None:
             pairs = arity // 2
         if not 0 <= pairs <= arity // 2:
             raise ArityError(f"pair count must lie in 0..{arity // 2}")
-        self.pairs = pairs
-        self.rep_tuples = rep_tuples(d, arity, pairs)
-        self._orbit = _orbit_map(self.rep_tuples, arity, pairs)
-        self.reduced_dim = len(self.rep_tuples) * d
-        self._pivots, self._rows = eliminate(self._equivariance_rows())
-        self._free, self._basis_cols = null_vectors(self._pivots, self._rows, self.reduced_dim)
+        reps = rep_tuples(algebra.dim, arity, pairs)
+        self._init(
+            algebra=algebra,
+            arity=arity,
+            pairs=pairs,
+            rep_tuples=reps,
+            _orbit=_orbit_map(reps, arity, pairs),
+            reduced_dim=len(reps) * algebra.dim,
+        )
+        pivots, rows = eliminate(self._equivariance_rows())
+        free, basis_cols = null_vectors(pivots, rows, self.reduced_dim)
+        self._init(_pivots=pivots, _rows=rows, _free=free, _basis_cols=basis_cols)
 
     # reduced coordinate layout: (rep position, output index) -> pos * d + k
 
@@ -299,8 +295,8 @@ class CochainSpace:
         return True
 
     @cached_property
-    def basis_cochains(self) -> list:
-        return [self._from_sparse(col) for col in self._basis_cols]
+    def basis_cochains(self) -> tuple:
+        return tuple(self._from_sparse(col) for col in self._basis_cols)
 
     # --- generic cochains and linear forms ----------------------------------
 

@@ -52,7 +52,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Matrix, Subspace, flatten, solve, unflatten
+from .exactlin import Frozen, Matrix, Subspace, flatten, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -69,11 +69,12 @@ def ternary_cochain(a: Algebra) -> Cochain:
     return Cochain(3, a.dim, brackets(a)[1].fractions(a.dim))
 
 
-class Deformation:
-    """Coefficient data of a truncated deformation over a fixed base; no
-    attribute can be set or deleted after ``__init__``."""
+class Deformation(Frozen):
+    """Coefficient data of a truncated deformation over a fixed base, a
+    :class:`Frozen` value."""
 
     __slots__ = ("base", "order", "f_seq", "g_seq")
+    _fields = ("base", "order", "f_seq", "g_seq")
 
     def __init__(self, base: Algebra, order: int, f_seq, g_seq):
         if order < 0:
@@ -92,25 +93,7 @@ class Deformation:
                 c3.coords(g_seq[i])
             except NotACochainError as exc:
                 raise PreconditionError(f"coefficient at order {i} is not a cochain: {exc}")
-        init = super().__setattr__
-        init("base", base)
-        init("order", order)
-        init("f_seq", f_seq)
-        init("g_seq", g_seq)
-
-    def _immutable(self, name: str, *value):
-        raise AttributeError(f"cannot change {name!r}: a Deformation is immutable")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Deformation)
-            and self.base == other.base
-            and self.order == other.order
-            and self.f_seq == other.f_seq
-            and self.g_seq == other.g_seq
-        )
+        self._init(base=base, order=order, f_seq=f_seq, g_seq=g_seq)
 
     def __repr__(self) -> str:
         return f"Deformation(base={self.base.name}, order={self.order})"
@@ -199,12 +182,12 @@ def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
 # --- gauges ---------------------------------------------------------------
 
 
-class Gauge:
+class Gauge(Frozen):
     """Truncated formal isomorphism: phi_0 = id, every phi_i a 1-cochain
-    (commutes with alpha); no attribute can be set or deleted after
-    ``__init__``."""
+    (commutes with alpha); a :class:`Frozen` value."""
 
     __slots__ = ("base", "order", "phi")
+    _fields = ("base", "order", "phi")
 
     def __init__(self, base: Algebra, order: int, phi):
         phi = tuple(phi)
@@ -219,23 +202,7 @@ class Gauge:
                 raise PreconditionError("gauge coefficients must be dim x dim")
             if not c1.contains(matrix_to_cochain(base, m)):
                 raise PreconditionError(f"gauge coefficient {i} does not commute with alpha")
-        init = super().__setattr__
-        init("base", base)
-        init("order", order)
-        init("phi", phi)
-
-    def _immutable(self, name: str, *value):
-        raise AttributeError(f"cannot change {name!r}: a Gauge is immutable")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gauge)
-            and self.base == other.base
-            and self.order == other.order
-            and self.phi == other.phi
-        )
+        self._init(base=base, order=order, phi=phi)
 
     def __repr__(self) -> str:
         return f"Gauge(base={self.base.name}, order={self.order})"

@@ -54,8 +54,32 @@ def _transpose(vectors: Sequence[dict], length: int) -> list[dict]:
     return out
 
 
-class Matrix:
-    """Sparse row-major matrix of Fractions.  Immutable.
+class Frozen:
+    """Base of the values hlya shares, through the per-algebra memo and
+    otherwise: an attribute is set only by :meth:`_init`, so setting or
+    deleting one afterwards raises AttributeError.  Two values are equal
+    when they have the same type and equal attributes ``_fields``; a
+    subclass that is hashable defines ``__hash__`` over the same fields."""
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _immutable(self, name: str, *value):
+        raise AttributeError(f"cannot change {name!r}: a {type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+
+class Matrix(Frozen):
+    """Sparse row-major matrix of Fractions, a :class:`Frozen` value.
 
     Row i is stored as ``{column: value}`` over its nonzero entries, and
     every operation here works on those.  :attr:`data` is a dense
@@ -66,6 +90,7 @@ class Matrix:
     """
 
     __slots__ = ("rows", "cols", "_rows", "_reduction", "_int_rows")
+    _fields = ("rows", "cols", "_rows")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = [list(row) for row in data]
@@ -76,10 +101,7 @@ class Matrix:
         self._set([_sparse(row) for row in rows], cols)
 
     def _set(self, rows: list[dict], cols: int) -> None:
-        self.rows, self.cols = len(rows), cols
-        self._rows = rows
-        self._reduction = None
-        self._int_rows = None
+        self._init(rows=len(rows), cols=cols, _rows=rows, _reduction=None, _int_rows=None)
 
     @classmethod
     def _from_rows(cls, rows: list[dict], cols: int) -> "Matrix":
@@ -160,10 +182,11 @@ class Matrix:
         """Each row as (denominator, {column: integer numerator}) over the
         lcm of its entries' denominators; built on first use and kept."""
         if self._int_rows is None:
-            self._int_rows = []
+            int_rows = []
             for row in self._rows:
                 den = lcm(*(x.denominator for x in row.values()))
-                self._int_rows.append((den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}))
+                int_rows.append((den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}))
+            self._init(_int_rows=int_rows)
         return self._int_rows
 
     def matmul(self, other: "Matrix") -> "Matrix":
@@ -212,16 +235,8 @@ class Matrix:
             augmented = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
             pivots, reduced = eliminate(augmented)
             inverse = [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
-            self._reduction = ([p for p in pivots if p < n], Matrix._from_rows(inverse, self.rows))
+            self._init(_reduction=([p for p in pivots if p < n], Matrix._from_rows(inverse, self.rows)))
         return self._reduction
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._rows == other._rows
-        )
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
@@ -319,7 +334,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix._from_rows(reduced + padding, m.cols), pivots
 
 
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^n given by a basis of independent columns.
 
     The stored basis is canonicalized (the reduced row echelon form of the
@@ -328,6 +343,7 @@ class Subspace:
     """
 
     __slots__ = ("ambient_dim", "basis")
+    _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, columns: Iterable[Sequence]):
         vectors = []
@@ -339,8 +355,7 @@ class Subspace:
 
     def _span(self, ambient_dim: int, vectors: Iterable[dict]) -> None:
         _, reduced = eliminate(vectors)
-        self.ambient_dim = ambient_dim
-        self.basis = Matrix.from_sparse_columns(reduced, ambient_dim)
+        self._init(ambient_dim=ambient_dim, basis=Matrix.from_sparse_columns(reduced, ambient_dim))
 
     @classmethod
     def spanned_by(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
@@ -355,13 +370,6 @@ class Subspace:
 
     def contains(self, vec: Sequence) -> bool:
         return solve(self.basis, vec) is not None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))

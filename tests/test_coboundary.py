@@ -17,6 +17,7 @@ from hlya.coboundary import (
 )
 from hlya.cochain import Cochain, build_cochain_space, matrix_to_cochain
 from hlya.deformation import bracket_cochain, ternary_cochain
+from hlya.errors import ArityError, DimMismatchError
 from hlya.exactlin import Matrix, rat
 
 
@@ -160,3 +161,25 @@ def test_well_definedness_audit_small(e0, e1):
 def test_well_definedness_rejects_unknown_level(e0):
     with pytest.raises(KeyError):
         operator_by_level(e0, "5")
+
+
+@pytest.mark.parametrize(
+    "level, arities, error",
+    [
+        ("3", (4,), ArityError),  # no g: it would be read as zero
+        ("1", (1, 1), ArityError),  # the second cochain would be ignored
+        ("1", (4,), ArityError),  # a 4-cochain read as the h of delta1
+        ("3", (1, 1), ArityError),  # 1-cochains where f and g belong
+        ("1", ("aff1",), DimMismatchError),  # a 1-cochain of the dimension-2 algebra
+    ],
+    ids=["missing-g", "extra-cochain", "wrong-arity", "arities-1-1", "wrong-dimension"],
+)
+def test_apply_operator_checks_its_cochains(e1, e2, level, arities, error):
+    """The cochains must be the level's domain on sl2: their count, each
+    arity and each dimension are checked before any formula runs."""
+    cochains = [
+        build_cochain_space(e1, 1).basis_cochains[0] if n == "aff1" else build_cochain_space(e2, n).basis_cochains[0]
+        for n in arities
+    ]
+    with pytest.raises(error):
+        apply_operator(e2, level, *cochains)

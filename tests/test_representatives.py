@@ -108,7 +108,7 @@ def test_rep_tuples_are_the_increasing_tuples(algebras):
                 for idx in itertools.product(range(dim), repeat=arity)
                 if all(idx[2 * p] < idx[2 * p + 1] for p in range(pairs))
             ]
-            assert rep_tuples(dim, arity, pairs) == expected, (dim, arity, pairs)
+            assert rep_tuples(dim, arity, pairs) == tuple(expected), (dim, arity, pairs)
     for a in algebras:
         for arity in (2, 3, 4, 5):
             space = build_cochain_space(a, arity)

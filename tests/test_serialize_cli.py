@@ -74,6 +74,16 @@ def test_matrix_round_trip(e2):
     assert serialize.matrix_from_obj(serialize.matrix_to_obj(m)) == m
 
 
+def test_matrix_round_trip_keeps_the_declared_shape():
+    # a matrix with no rows still has its columns: dump-operator writes a
+    # 0 x n delta2 where C4 x C5 is zero
+    for m in (Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0), Matrix([[0, rat("-3/2")], [2, 0], [0, 0]])):
+        obj = serialize.matrix_to_obj(m)
+        back = serialize.matrix_from_obj(obj)
+        assert back == m and (back.rows, back.cols) == (m.rows, m.cols), obj
+    assert serialize.matrix_from_obj({"rows": 1, "cols": 2, "entries": [[1, 2, "0"]]}) == Matrix.zeros(1, 2)
+
+
 def test_dumps_deterministic(e2):
     obj = serialize.algebra_to_obj(e2)
     assert serialize.dumps(obj) == serialize.dumps(json.loads(serialize.dumps(obj)))
