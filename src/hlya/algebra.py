@@ -158,21 +158,24 @@ class Algebra(Frozen):
         return f"Algebra({label}, dim={self.dim})"
 
 
+def _tensor(data, levels: int, dim: int, what: str) -> tuple:
+    """``data`` as nested tuples: ``levels`` levels of ``dim`` entries over
+    vectors of ``dim`` rationals; DimMismatchError for any other length."""
+    if len(data) != dim:
+        raise DimMismatchError(f"{what} has {len(data)} entries where dim = {dim} belong")
+    return tuple(_tensor(x, levels - 1, dim, what) for x in data) if levels else _vec(data)
+
+
 def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
-    """Build an Algebra from full tensors, enforcing the antisymmetry shape.
+    """Build an Algebra from full tensors, enforcing shape and antisymmetry.
 
     Rejects tensors that fail [xx]=0 / {xxy}=0 antisymmetry outright rather
     than silently symmetrizing: those are identities 3 and 4, definitional,
     and AxiomError names the first basis tuple at which one fails.
     """
-    b = tuple(tuple(_vec(binary[i][j]) for j in range(dim)) for i in range(dim))
-    t = tuple(
-        tuple(tuple(_vec(ternary[i][j][k]) for k in range(dim)) for j in range(dim))
-        for i in range(dim)
-    )
-    a = tuple(_vec(alpha[i]) for i in range(dim))
-    if len(a) != dim or any(len(row) != dim for row in a):
-        raise DimMismatchError("alpha must be a dim x dim matrix")
+    b = _tensor(binary, 2, dim, "the binary tensor")
+    t = _tensor(ternary, 3, dim, "the ternary tensor")
+    a = _tensor(alpha, 1, dim, "alpha")
     algebra = Algebra(dim, b, t, a, name)
     for k, what in ((3, "binary bracket"), (4, "ternary bracket in its first two arguments")):
         # no alternating pairs: every tuple is evaluated, diagonals included
@@ -370,18 +373,13 @@ def brackets(a: Algebra) -> tuple[IntTable, IntTable]:
     )
 
 
-def matrix_table(m: Matrix) -> IntTable:
-    """m as an integer table of arity 1: entry (j,) is column j."""
-    return int_table({(j,): m.column(j) for j in range(m.cols)})
-
-
 @memoised
 def alpha_table(a: Algebra, k: int) -> IntTable:
     """alpha^k as an integer table of arity 1, for any k >= 0."""
     power = Matrix.identity(a.dim)
     for _ in range(k):
         power = power.matmul(a.alpha_matrix())
-    return matrix_table(power)
+    return int_table({(j,): power.column(j) for j in range(a.dim)})
 
 
 def evaluate(t: IntTable, dim: int, args: Sequence[Sequence]) -> Vec:

@@ -283,9 +283,15 @@ def delta3(a: Algebra) -> CoboundaryMap:
 OPERATORS = {"1": delta1, "2": delta2, "d2": d2, "3": delta3}
 
 
+def _level(level: str) -> tuple:
+    """The record of an operator level; KeyError naming the levels."""
+    if level not in _LEVELS:
+        raise KeyError(f"unknown operator level {level!r}; choose from {sorted(_LEVELS)}")
+    return _LEVELS[level]
+
+
 def operator_by_level(a: Algebra, level: str) -> CoboundaryMap:
-    if level not in OPERATORS:
-        raise KeyError(f"unknown operator level {level!r}; choose from {sorted(OPERATORS)}")
+    _level(level)
     return OPERATORS[level](a)
 
 
@@ -299,7 +305,7 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     raises NotACochainError on an image that is not a cochain.  A cochain
     count or arity that is not the level's domain raises ArityError, a
     cochain on another dimension DimMismatchError."""
-    name, domain_arities, codomain_shapes, tables = _LEVELS[level]
+    name, domain_arities, codomain_shapes, tables = _level(level)
     arities = tuple(c.arity for c in cochains)
     if arities != domain_arities:
         raise ArityError(f"{name} takes cochains of arities {domain_arities}, got {arities}")
@@ -326,8 +332,8 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     NotACochainError, with the level, block, 1-based tuple, basis index
     and kind as attributes.  Returns the number of basis cochains audited.
     """
-    op = operator_by_level(a, level)
-    name, _, _, tables = _LEVELS[level]
+    name, _, _, tables = _level(level)
+    op = OPERATORS[level](a)
     generic, basis = _generic_inputs(op.domain)
     if not basis:
         return 0

@@ -481,5 +481,11 @@ def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:
 
 
 def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:
-    table = {(j,): tuple(m.column(j)) for j in range(a.dim)}
-    return Cochain(1, a.dim, table)
+    """View a d x d matrix as the 1-cochain sending e_j to its column j."""
+    return Cochain(1, a.dim, {(j,): tuple(m.column(j)) for j in range(a.dim)})
+
+
+@memoised
+def identity_cochain(a: Algebra) -> Cochain:
+    """The identity map as a 1-cochain, the constant term of every gauge."""
+    return Cochain(1, a.dim, {(j,): tuple(ONE if i == j else ZERO for i in range(a.dim)) for j in range(a.dim)})

@@ -14,8 +14,8 @@ second-order term must solve delta2(f_2, g_2) = +(F, G).  With (f_2, g_2)
 substituted as well, that coefficient is delta2(f_2, g_2) - (F, G): the
 second-order probe accepts a candidate exactly when equations 7' and 8'
 vanish at n = 2, and never applies delta2 itself.  Gauges are
-truncated invertible series of linear maps with identity constant term,
-each coefficient commuting with alpha; they act on deformations by
+truncated invertible series of 1-cochains (linear maps commuting with
+alpha) with identity constant term; they act on deformations by
 f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
 """
 
@@ -38,12 +38,11 @@ from .algebra import (
     first_failure,
     identity_values,
     int_table,
-    matrix_table,
     memoised,
     table_sum,
 )
 from .coboundary import delta2, delta3
-from .cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
+from .cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
     BaseMismatchError,
@@ -52,7 +51,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Frozen, Matrix, Subspace, flatten, solve, unflatten
+from .exactlin import Frozen, Subspace, flatten, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -69,6 +68,41 @@ def ternary_cochain(a: Algebra) -> Cochain:
     return Cochain(3, a.dim, brackets(a)[1].fractions(a.dim))
 
 
+def _coefficient(space, c, n: int) -> None:
+    """PreconditionError unless ``c``, the coefficient at order n, is a
+    cochain of ``space``; ArityError or DimMismatchError for another shape."""
+    if not isinstance(c, Cochain):
+        raise PreconditionError(f"coefficient at order {n} must be a Cochain, got {type(c).__name__}")
+    try:
+        space.coords(c)
+    except NotACochainError as exc:
+        raise PreconditionError(f"coefficient at order {n} is not a cochain: {exc}")
+
+
+def _series(base: Algebra, order: int, *series):
+    """The truncated-series rule of deformations and gauges, yielding each
+    (coefficients, constant term) as a tuple of order + 1 coefficients: the
+    constant term, then cochains of its space (:func:`_coefficient`)."""
+    if not isinstance(order, int) or order < 0:
+        raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
+    for seq, constant in series:
+        seq = tuple(seq)
+        if len(seq) != order + 1:
+            raise PreconditionError("need exactly order+1 coefficients per series")
+        if seq[0] != constant:
+            raise PreconditionError("the order-0 coefficient must be the base bracket, or the identity of a gauge")
+        space = build_cochain_space(base, constant.arity)
+        for n, c in enumerate(seq[1:], 1):
+            _coefficient(space, c, n)
+        yield seq
+
+
+def _same_series(x, y) -> None:
+    """BaseMismatchError unless two series share their base and order."""
+    if x.base != y.base or x.order != y.order:
+        raise BaseMismatchError(f"{x!r} and {y!r} differ in base or truncation order")
+
+
 class Deformation(Frozen):
     """Coefficient data of a truncated deformation over a fixed base, a
     :class:`Frozen` value."""
@@ -77,31 +111,14 @@ class Deformation(Frozen):
     _fields = ("base", "order", "f_seq", "g_seq")
 
     def __init__(self, base: Algebra, order: int, f_seq, g_seq):
-        if order < 0:
-            raise PreconditionError("order must be nonnegative")
-        f_seq = tuple(f_seq)
-        g_seq = tuple(g_seq)
-        if len(f_seq) != order + 1 or len(g_seq) != order + 1:
-            raise PreconditionError("need exactly order+1 coefficient cochains per bracket")
-        if f_seq[0] != bracket_cochain(base) or g_seq[0] != ternary_cochain(base):
-            raise PreconditionError("order-0 coefficients must equal the base brackets")
-        c2 = build_cochain_space(base, 2)
-        c3 = build_cochain_space(base, 3)
-        for i in range(1, order + 1):
-            try:
-                c2.coords(f_seq[i])
-                c3.coords(g_seq[i])
-            except NotACochainError as exc:
-                raise PreconditionError(f"coefficient at order {i} is not a cochain: {exc}")
+        f_seq, g_seq = _series(base, order, (f_seq, bracket_cochain(base)), (g_seq, ternary_cochain(base)))
         self._init(base=base, order=order, f_seq=f_seq, g_seq=g_seq)
 
     def __repr__(self) -> str:
         return f"Deformation(base={self.base.name}, order={self.order})"
 
     def is_null(self) -> bool:
-        return all(c.is_zero() for c in self.f_seq[1:]) and all(
-            c.is_zero() for c in self.g_seq[1:]
-        )
+        return all(c.is_zero() for c in self.f_seq[1:] + self.g_seq[1:])
 
 
 def null_deformation(a: Algebra, order: int = DEFAULT_ORDER) -> Deformation:
@@ -146,16 +163,16 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     brackets once per algebra (:func:`hlya.algebra.contract`).  Order 0
     reproduces the base axioms verbatim.
     """
-    return DeformationReport(d.order, _failures_from(d, 0))
+    return DeformationReport(d.order, _failures_from(d, 0, d.order))
 
 
-def _failures_from(d: Deformation, start: int) -> dict:
+def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     """(equation, order) -> first failing tuple or None, for the orders
-    start..N in increasing order, each order's equations in turn."""
+    start..stop in increasing order, each order's equations in turn."""
     fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
     return {
         (eq, n): first_failure(d.base, eq, n, fs, gs)
-        for n in range(start, d.order + 1)
+        for n in range(start, stop + 1)
         for eq in IDENTITIES
     }
 
@@ -163,16 +180,14 @@ def _failures_from(d: Deformation, start: int) -> dict:
 def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
     """The first-order pair, asserted to lie in Z2 x Z3.
 
-    NotCocycleError here is an internal inconsistency: the n = 1 equations
-    are equivalent to the cocycle conditions.
+    Only orders 0 and 1 are evaluated.  NotCocycleError here is an internal
+    inconsistency: the n = 1 equations are the cocycle conditions.
     """
     if d.order < 1:
         raise PreconditionError("deformation of order 0 has no first-order term")
-    report = verify_deformation(d)
-    if not report.ok_through(1):
-        raise PreconditionError(
-            f"deformation equations fail through order 1: {report.failing()}"
-        )
+    report = DeformationReport(d.order, _failures_from(d, 0, 1))
+    if not report.ok:
+        raise PreconditionError(f"deformation equations fail through order 1: {report.failing()}")
     f1, g1 = d.f_seq[1], d.g_seq[1]
     if not is_cocycle_2(d.base, f1, g1):
         raise NotCocycleError("first-order term escaped Z2 x Z3 despite the n=1 equations")
@@ -190,18 +205,7 @@ class Gauge(Frozen):
     _fields = ("base", "order", "phi")
 
     def __init__(self, base: Algebra, order: int, phi):
-        phi = tuple(phi)
-        if len(phi) != order + 1:
-            raise PreconditionError("need exactly order+1 coefficient matrices")
-        d = base.dim
-        if phi[0] != Matrix.identity(d):
-            raise PreconditionError("constant term of a gauge must be the identity")
-        c1 = build_cochain_space(base, 1)
-        for i, m in enumerate(phi):
-            if m.rows != d or m.cols != d:
-                raise PreconditionError("gauge coefficients must be dim x dim")
-            if not c1.contains(matrix_to_cochain(base, m)):
-                raise PreconditionError(f"gauge coefficient {i} does not commute with alpha")
+        [phi] = _series(base, order, (phi, identity_cochain(base)))
         self._init(base=base, order=order, phi=phi)
 
     def __repr__(self) -> str:
@@ -210,23 +214,20 @@ class Gauge(Frozen):
 
 @memoised
 def alpha_commutant_basis(a: Algebra) -> tuple:
-    """Basis matrices of {X : X alpha = alpha X}, the legal gauge coefficients.
-
-    These maps are the 1-cochains; the basis is the canonical one of C1's
-    basis matrices, flattened row-major.
-    """
+    """A basis of {X : X alpha = alpha X}, the legal gauge coefficients, as
+    1-cochains: the canonical basis of the span of C1's basis matrices,
+    flattened row-major."""
     flats = [flatten(cochain_to_matrix(a, h)) for h in build_cochain_space(a, 1).basis_cochains]
     span = Subspace(a.dim**2, flats)
-    return tuple(unflatten(span.basis.column(j), a.dim) for j in range(span.dim))
+    return tuple(matrix_to_cochain(a, unflatten(span.basis.column(j), a.dim)) for j in range(span.dim))
 
 
 def random_gauge(a: Algebra, order: int, rng) -> Gauge:
     """Identity plus random alpha-commuting higher coefficients."""
     basis = alpha_commutant_basis(a)
-    d = a.dim
-    phi = [Matrix.identity(d)]
+    phi = [identity_cochain(a)]
     for _ in range(order):
-        acc = Matrix.zeros(d, d)
+        acc = Cochain.zero(1, a.dim)
         for b in basis:
             acc = acc.add(b.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
         phi.append(acc)
@@ -234,25 +235,22 @@ def random_gauge(a: Algebra, order: int, rng) -> Gauge:
 
 
 def identity_gauge(a: Algebra, order: int = DEFAULT_ORDER) -> Gauge:
-    zero = Matrix.zeros(a.dim, a.dim)
-    return Gauge(a, order, [Matrix.identity(a.dim)] + [zero] * order)
+    return Gauge(a, order, [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order)
 
 
-def single_step_gauge(a: Algebra, order: int, h: Matrix, r: int) -> Gauge:
-    """The rigidity-proof gauge id - h t^r."""
+def single_step_gauge(a: Algebra, order: int, h: Cochain, r: int) -> Gauge:
+    """The rigidity-proof gauge id - h t^r, for a 1-cochain h."""
     if not 1 <= r <= order:
         raise PreconditionError("step exponent must satisfy 1 <= r <= order")
-    zero = Matrix.zeros(a.dim, a.dim)
-    phi = [Matrix.identity(a.dim)] + [zero] * order
+    phi = [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order
     phi[r] = h.scale(-1)
     return Gauge(a, order, phi)
 
 
 def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     """Series product p * q; acting with p then q equals acting with p * q."""
-    if p.base != q.base or p.order != q.order:
-        raise BaseMismatchError("gauges over different bases or orders")
-    ps, qs = ([matrix_table(m) for m in g.phi] for g in (p, q))
+    _same_series(p, q)
+    ps, qs = ([int_table(h.table) for h in g.phi] for g in (p, q))
     product = [table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1)]) for n in range(p.order + 1)]
     return _gauge(p.base, product)
 
@@ -270,15 +268,13 @@ def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
 
 def inverse_gauge(p: Gauge) -> Gauge:
     """Truncated series inverse: psi_0 = id, psi_n = -sum phi_i psi_{n-i}."""
-    return _gauge(p.base, _inverse_series([matrix_table(m) for m in p.phi]))
+    return _gauge(p.base, _inverse_series([int_table(h.table) for h in p.phi]))
 
 
 def _gauge(base: Algebra, series: list[IntTable]) -> Gauge:
     """The gauge over ``base`` whose coefficients are the linear maps of an
     integer series (tables of arity 1)."""
-    d = base.dim
-    columns = ([{i: Fraction(x, t.den) for i, x in t.entries.get((j,), {}).items()} for j in range(d)] for t in series)
-    return Gauge(base, len(series) - 1, [Matrix.from_sparse_columns(cols, d) for cols in columns])
+    return Gauge(base, len(series) - 1, [Cochain(1, base.dim, t.fractions(base.dim)) for t in series])
 
 
 def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:
@@ -324,12 +320,9 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     unchanged.  The series are integer tables; the cochain spaces build the
     higher coefficients from their representative values.
     """
-    if d.base != p.base:
-        raise BaseMismatchError("deformation and gauge live over different bases")
-    if d.order != p.order:
-        raise BaseMismatchError("deformation and gauge have different truncation orders")
+    _same_series(d, p)
     base, order = d.base, d.order
-    phi = [matrix_table(m) for m in p.phi]
+    phi = [int_table(h.table) for h in p.phi]
     psi = _inverse_series(phi)
     pairs = _pair_maps(phi, base.dim)
 
@@ -360,8 +353,7 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
 
 def verify_equivalence(d1: Deformation, d2: Deformation, p: Gauge) -> bool:
     """Does p carry d1 to d2 coefficient-exactly through the common order?"""
-    if d1.base != d2.base or d1.order != d2.order:
-        raise BaseMismatchError("deformations over different bases or orders")
+    _same_series(d1, d2)
     return apply_gauge(d1, p) == d2
 
 
@@ -409,7 +401,7 @@ def trivialize(d: Deformation) -> TrivializeResult:
         h = _preimage(base, coords)
         if h is None:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
-        step = single_step_gauge(base, order, cochain_to_matrix(base, h), r)
+        step = single_step_gauge(base, order, h, r)
         previous, current = current, apply_gauge(current, step)
         total = compose_gauges(total, step)
         _check_step(previous, current, r)
@@ -431,7 +423,7 @@ def _check_step(previous: Deformation, current: Deformation, r: int) -> None:
             raise NotCocycleError(
                 f"gauge step at order {r} changed the coefficient at order {n}", step_order=r, changed_order=n
             )
-    for (eq, n), idx in _failures_from(current, r).items():
+    for (eq, n), idx in _failures_from(current, r, current.order).items():
         if idx is not None:
             raise NotCocycleError(
                 f"gauge step at order {r} broke the deformation equations",
@@ -559,10 +551,8 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     with (f2, g2) on every call.
     """
     _second_order_step(a, f1, g1)
-    try:
-        pair_coords(a, f2, g2)
-    except NotACochainError as exc:
-        raise PreconditionError(f"coefficient at order 2 is not a cochain: {exc}")
+    for c, arity in ((f2, 2), (g2, 3)):
+        _coefficient(build_cochain_space(a, arity), c, 2)
     fs, gs = bracket_series(a, (f1, f2), (g1, g2))
     if first_failure(a, 7, 2, fs, gs) or first_failure(a, 8, 2, fs, gs):
         raise PreconditionError(

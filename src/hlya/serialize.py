@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Algebra, algebra_from_sparse
-from .cochain import Cochain
+from .cochain import Cochain, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .errors import InputError
 from .exactlin import Matrix, rat, rat_str
 
@@ -77,6 +77,12 @@ def _vec_at(value, dim: int, path: str):
     return [_rat_at(x, f"{path}[{k}]") for k, x in enumerate(value)]
 
 
+def _rows_at(value, dim: int, path: str) -> list:
+    if not isinstance(value, list) or len(value) != dim:
+        _fail(path, f"expected {dim} rows")
+    return [_vec_at(row, dim, f"{path}[{r}]") for r, row in enumerate(value)]
+
+
 # --- algebras --------------------------------------------------------------
 
 
@@ -124,9 +130,7 @@ def algebra_from_obj(obj, path: str = "algebra") -> Algebra:
     if alpha_obj is None:
         alpha = [[int(r == c) for c in range(dim)] for r in range(dim)]
     else:
-        if not isinstance(alpha_obj, list) or len(alpha_obj) != dim:
-            _fail(f"{path}.alpha", f"expected {dim} rows")
-        alpha = [_vec_at(row, dim, f"{path}.alpha[{r}]") for r, row in enumerate(alpha_obj)]
+        alpha = _rows_at(alpha_obj, dim, f"{path}.alpha")
     name = obj.get("name", "")
     if not isinstance(name, str):
         _fail(f"{path}.name", "expected a string")
@@ -174,64 +178,58 @@ def _resolve_base(obj, path: str, base_dir: str | None) -> Algebra:
     _fail(f"{path}.base", "expected an inline algebra object or a file reference")
 
 
-def _coefficient_list(obj, key: str, arity: int, dim: int, order: int, path: str) -> list:
-    out = [Cochain.zero(arity, dim)] * (order + 1)
-    for where, (i, data) in _entries(obj.get(key, []), f"{path}.{key}", 2, 1, "[order_index, sparse cochain]"):
-        if not (_is_int(i) and 1 <= i <= order):
-            _fail(where, f"order index must lie in 1..{order}")
-        out[i] = cochain_from_obj(data, arity, dim, f"{where}[1]")
-    return out
+def _series_from_obj(obj, path: str, base_dir: str | None, constants: dict) -> tuple[Algebra, int, list]:
+    """The base, order and series of a deformation or gauge object: under
+    each key, the constant term ``constants[key](base)`` and then the
+    coefficients of orders 1..order, zero where no entry gives one."""
+    _check_object(obj, path, ("base", "order", *constants))
+    base = _resolve_base(obj, path, base_dir)
+    order = obj.get("order")
+    if not _is_int(order) or order < 0:
+        _fail(f"{path}.order", "expected a nonnegative integer")
+    series = []
+    for key, constant in constants.items():
+        c0 = constant(base)
+        out = [c0] + [Cochain.zero(c0.arity, base.dim)] * order
+        shape = "[order_index, sparse cochain]" if c0.arity > 1 else "[order_index, matrix]"
+        for where, (i, data) in _entries(obj.get(key, []), f"{path}.{key}", 2, 1, shape):
+            if not (_is_int(i) and 1 <= i <= order):
+                _fail(where, f"order index must lie in 1..{order}")
+            if c0.arity > 1:
+                out[i] = cochain_from_obj(data, c0.arity, base.dim, f"{where}[1]")
+            else:  # a gauge coefficient, which the file holds as its matrix
+                out[i] = matrix_to_cochain(base, Matrix(_rows_at(data, base.dim, f"{where}[1]")))
+        series.append(out)
+    return base, order, series
+
+
+def _coefficients_to_obj(seq, write) -> list:
+    """[order_index, write(coefficient)] for the nonzero coefficients of orders 1..N."""
+    return [[i, write(c)] for i, c in enumerate(seq) if i and not c.is_zero()]
 
 
 def deformation_to_obj(d: Deformation) -> dict:
-    return {
-        "base": algebra_to_obj(d.base),
-        "order": d.order,
-        "f": [[i, cochain_to_obj(d.f_seq[i])] for i in range(1, d.order + 1) if not d.f_seq[i].is_zero()],
-        "g": [[i, cochain_to_obj(d.g_seq[i])] for i in range(1, d.order + 1) if not d.g_seq[i].is_zero()],
-    }
+    f, g = (_coefficients_to_obj(seq, cochain_to_obj) for seq in (d.f_seq, d.g_seq))
+    return {"base": algebra_to_obj(d.base), "order": d.order, "f": f, "g": g}
 
 
 def deformation_from_obj(obj, path: str = "deformation", base_dir: str | None = None) -> Deformation:
     from .deformation import Deformation, bracket_cochain, ternary_cochain
 
-    _check_object(obj, path, ("base", "order", "f", "g"))
-    base = _resolve_base(obj, path, base_dir)
-    order = obj.get("order")
-    if not _is_int(order) or order < 0:
-        _fail(f"{path}.order", "expected a nonnegative integer")
-    f_seq = _coefficient_list(obj, "f", 2, base.dim, order, path)
-    g_seq = _coefficient_list(obj, "g", 3, base.dim, order, path)
-    f_seq[0] = bracket_cochain(base)
-    g_seq[0] = ternary_cochain(base)
+    base, order, (f_seq, g_seq) = _series_from_obj(obj, path, base_dir, {"f": bracket_cochain, "g": ternary_cochain})
     return Deformation(base, order, f_seq, g_seq)
 
 
 def gauge_to_obj(p: Gauge) -> dict:
-    phi = [
-        [i, [[rat_str(x) for x in row] for row in p.phi[i].data]]
-        for i in range(1, p.order + 1)
-        if not p.phi[i].is_zero()
-    ]
+    # the file holds each coefficient as its d x d matrix
+    phi = _coefficients_to_obj(p.phi, lambda h: [[rat_str(x) for x in row] for row in cochain_to_matrix(p.base, h).data])
     return {"base": algebra_to_obj(p.base), "order": p.order, "phi": phi}
 
 
 def gauge_from_obj(obj, path: str = "gauge", base_dir: str | None = None) -> Gauge:
     from .deformation import Gauge
 
-    _check_object(obj, path, ("base", "order", "phi"))
-    base = _resolve_base(obj, path, base_dir)
-    order = obj.get("order")
-    if not _is_int(order) or order < 0:
-        _fail(f"{path}.order", "expected a nonnegative integer")
-    d = base.dim
-    phi = [Matrix.identity(d)] + [Matrix.zeros(d, d)] * order
-    for where, (i, rows) in _entries(obj.get("phi", []), f"{path}.phi", 2, 1, "[order_index, matrix]"):
-        if not (_is_int(i) and 1 <= i <= order):
-            _fail(where, f"order index must lie in 1..{order}")
-        if not isinstance(rows, list) or len(rows) != d:
-            _fail(f"{where}[1]", f"expected {d} rows")
-        phi[i] = Matrix([_vec_at(row, d, f"{where}[1][{r}]") for r, row in enumerate(rows)])
+    base, order, (phi,) = _series_from_obj(obj, path, base_dir, {"phi": identity_cochain})
     return Gauge(base, order, phi)
 
 

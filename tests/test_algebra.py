@@ -53,6 +53,43 @@ def test_eval_dim_mismatch(e1):
         eval_binary(e1, (1, 0, 0), (0, 1))
 
 
+def _bad_shapes():
+    """(binary, ternary, alpha) of dimension 2, each with one level or vector
+    of the wrong length; the other tensors are zero or the identity."""
+    z = [0, 0]
+    zero_b = [[z, z], [z, z]]
+    zero_t = [[[z, z], [z, z]], [[z, z], [z, z]]]
+    ident = [[1, 0], [0, 1]]
+    return [
+        ([[z, [1, 0, 5]], [[-1, 0, -5], z]], zero_t, ident),  # a coordinate at index 2
+        ([[z, [1]], [[-1], z]], zero_t, ident),  # one-entry vectors
+        ([[z, [1, 0]], [[-1, 0], z], [z, z]], zero_t, ident),  # a third row
+        (zero_b, [[[z, z], [z, [0, 0, 1]]], [[z, z], [z, z]]], ident),  # a ternary vector of length 3
+        (zero_b, [[[z, z], [z]], [[z, z], [z, z]]], ident),  # a ternary level of one entry
+        (zero_b, zero_t, [[1, 0], [0, 1, 0]]),  # an alpha row of length 3
+        (zero_b, zero_t, [[1, 0]]),  # one alpha row
+    ]
+
+
+@pytest.mark.parametrize("binary, ternary, alpha", _bad_shapes())
+def test_make_algebra_rejects_tensors_of_the_wrong_shape(binary, ternary, alpha):
+    with pytest.raises(DimMismatchError):
+        make_algebra(2, binary, ternary, alpha)
+
+
+def test_constructors_reject_brackets_of_the_wrong_shape():
+    z = [0, 0]
+    for bracket in ([[z, [1, 0, 5]], [[-1, 0, -5], z]], [[z, [1]], [[-1], z]]):
+        with pytest.raises(DimMismatchError):
+            from_lie_algebra(bracket, [[1, 0], [0, 1]])
+        with pytest.raises(DimMismatchError):
+            from_lya_standard(bracket)
+    with pytest.raises(DimMismatchError):
+        algebra_from_sparse(2, {(0, 1): (1, 0, 5)}, {}, [[1, 0], [0, 1]])
+    with pytest.raises(DimMismatchError):
+        algebra_from_sparse(2, {}, {(0, 1, 0): (1,)}, [[1, 0], [0, 1]])
+
+
 def test_make_algebra_rejects_non_antisymmetric():
     b = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]  # [e2,e1] should be -[e1,e2]
     t = [[[[0, 0]] * 2] * 2] * 2

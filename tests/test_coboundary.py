@@ -163,6 +163,21 @@ def test_well_definedness_rejects_unknown_level(e0):
         operator_by_level(e0, "5")
 
 
+def test_every_level_lookup_names_the_levels(e2):
+    """An unknown level is the same KeyError, naming the known levels, for
+    the operator, the audit and the direct application."""
+    h = build_cochain_space(e2, 1).basis_cochains[0]
+    message = "unknown operator level 'x'; choose from ['1', '2', '3', 'd2']"
+    for call in (
+        lambda: operator_by_level(e2, "x"),
+        lambda: verify_well_definedness(e2, "x"),
+        lambda: apply_operator(e2, "x", h),
+    ):
+        with pytest.raises(KeyError) as exc:
+            call()
+        assert exc.value.args == (message,)
+
+
 @pytest.mark.parametrize(
     "level, arities, error",
     [

@@ -7,7 +7,7 @@ import pytest
 
 from hlya.algebra import algebra_from_sparse, check_axioms, from_lie_algebra
 from hlya.coboundary import d2, delta2
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from hlya.deformation import (
     Deformation,
     Gauge,
@@ -138,6 +138,24 @@ def test_infinitesimal_is_a_cocycle(e1):
         infinitesimal(null_deformation(e1, 0))
 
 
+def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
+    """The equations at orders 2..N do not bear on the first-order pair, so
+    they are not evaluated, also when they fail."""
+    f1, g1 = _cocycle_pair(e1, [0, -1, 1])  # a pair whose obstruction is nonzero
+    d = first_order_deformation(e1, f1, g1, order=3)
+    assert not verify_deformation(d).ok_through(2)
+    orders = []
+    real_first_failure = deformation.first_failure
+
+    def first_failure(a, k, n, fs, gs):
+        orders.append(n)
+        return real_first_failure(a, k, n, fs, gs)
+
+    monkeypatch.setattr(deformation, "first_failure", first_failure)
+    assert infinitesimal(d) == (f1, g1)
+    assert sorted(set(orders)) == [0, 1]
+
+
 def test_constructor_validation(e0, e1, e3):
     with pytest.raises(PreconditionError):
         Deformation(e0, 1, [bracket_cochain(e0)], [ternary_cochain(e0)] * 2)
@@ -154,12 +172,48 @@ def test_constructor_validation(e0, e1, e3):
 
 
 def test_gauge_validation(e0, e3):
-    with pytest.raises(PreconditionError):
-        Gauge(e0, 1, [Matrix([[2, 0], [0, 1]]), Matrix.zeros(2, 2)])
-    with pytest.raises(PreconditionError):
-        # does not commute with alpha = diag(1, 2, 2)
-        swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        Gauge(e3, 1, [Matrix.identity(3), swap])
+    with pytest.raises(PreconditionError, match="order-0 coefficient must be"):
+        # a 1-cochain, but not the identity
+        Gauge(e0, 1, [matrix_to_cochain(e0, Matrix([[2, 0], [0, 1]])), Cochain.zero(1, 2)])
+    with pytest.raises(PreconditionError, match="order 1 is not a cochain: map violates the alpha-equivariance"):
+        # a 1-cochain table that does not commute with alpha = diag(1, 2, 2)
+        swap = Cochain(1, 3, {(0,): (0, 1, 0), (1,): (1, 0, 0), (2,): (0, 0, 1)})
+        Gauge(e3, 1, [identity_cochain(e3), swap])
+
+
+def test_series_rule_checks_order_and_length(e2):
+    """Deformations and gauges share the truncated-series rule: a negative
+    order and a wrong coefficient count are precondition errors."""
+    with pytest.raises(PreconditionError, match="^order must be a nonnegative integer, got -1$"):
+        Gauge(e2, -1, ())
+    with pytest.raises(PreconditionError, match="^order must be a nonnegative integer, got -1$"):
+        Deformation(e2, -1, (), ())
+    z1, z2, z3 = Cochain.zero(1, 3), Cochain.zero(2, 3), Cochain.zero(3, 3)
+    with pytest.raises(PreconditionError, match="got 1.0$"):
+        Gauge(e2, 1.0, (identity_cochain(e2), z1))
+    with pytest.raises(PreconditionError, match="got 1.0$"):
+        Deformation(e2, 1.0, (bracket_cochain(e2), z2), (ternary_cochain(e2), z3))
+    with pytest.raises(PreconditionError, match="order\\+1 coefficients"):
+        Gauge(e2, 2, (identity_cochain(e2), Cochain.zero(1, 3)))
+
+
+def test_series_rule_names_the_cochain_type(e2):
+    """A coefficient that is no Cochain at all, at order >= 1 of a
+    deformation or a gauge, is a precondition error naming the expected
+    type; a gauge coefficient of another arity is an input error."""
+    f0, g0, h0 = bracket_cochain(e2), ternary_cochain(e2), identity_cochain(e2)
+    z2, z3, z1 = Cochain.zero(2, 3), Cochain.zero(3, 3), Cochain.zero(1, 3)
+    for bad, kind in ((None, "NoneType"), (Matrix.identity(3), "Matrix")):
+        message = f"^coefficient at order 2 must be a Cochain, got {kind}$"
+        for make in (
+            lambda: Gauge(e2, 2, (h0, z1, bad)),
+            lambda: Deformation(e2, 2, (f0, z2, bad), (g0, z3, z3)),
+            lambda: Deformation(e2, 2, (f0, z2, z2), (g0, z3, bad)),
+        ):
+            with pytest.raises(PreconditionError, match=message):
+                make()
+    with pytest.raises(ArityError):
+        Gauge(e2, 1, (h0, z2))
 
 
 def test_gauge_group_identities(e1):
@@ -225,6 +279,29 @@ def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
     monkeypatch.setattr(deformation, "single_step_gauge", single_step_gauge)
     assert trivialize(d).trivial
     assert len(steps) == len(reads) == len(set(reads)) > 1
+
+
+def test_trivialize_steps_by_the_preimage_cochain(monkeypatch, e2):
+    """Each gauge step id - h t^r takes the 1-cochain h that solves
+    delta1(h) = (f_r, g_r), the very object the solve returned."""
+    d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
+    preimages, steps = [], []
+    real_preimage, real_step = deformation._preimage, deformation.single_step_gauge
+
+    def preimage(a, coords):
+        preimages.append(real_preimage(a, coords))
+        return preimages[-1]
+
+    def single_step_gauge(a, order, h, r):
+        steps.append(h)
+        return real_step(a, order, h, r)
+
+    monkeypatch.setattr(deformation, "_preimage", preimage)
+    monkeypatch.setattr(deformation, "single_step_gauge", single_step_gauge)
+    assert trivialize(d).trivial
+    assert len(steps) == len(preimages) > 1
+    assert all(h is solved for h, solved in zip(steps, preimages))
+    assert all(isinstance(h, Cochain) and h.arity == 1 for h in steps)
 
 
 def test_trivialize_reports_obstruction(e0):
@@ -508,14 +585,14 @@ def test_alpha_commutant_basis_is_the_commutant(bundled, twisted_algebras):
 
     for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 20)]:
         kernel = kernel_basis(Matrix(commutant_rows(a)))
-        expected = tuple(unflatten(kernel.basis.column(j), a.dim) for j in range(kernel.dim))
+        expected = tuple(matrix_to_cochain(a, unflatten(kernel.basis.column(j), a.dim)) for j in range(kernel.dim))
         assert alpha_commutant_basis(a) == expected, a.name
 
 
 def test_single_step_gauge_shape(e1):
-    h = Matrix([[1, 0], [0, 0]])
+    h = matrix_to_cochain(e1, Matrix([[1, 0], [0, 0]]))
     p = single_step_gauge(e1, 3, h, 2)
-    assert p.phi[2] == Matrix([[-1, 0], [0, 0]])
+    assert cochain_to_matrix(e1, p.phi[2]) == Matrix([[-1, 0], [0, 0]])
     assert p.phi[1].is_zero() and p.phi[3].is_zero()
     with pytest.raises(PreconditionError):
         single_step_gauge(e1, 3, h, 0)

@@ -39,7 +39,7 @@ from hlya.algebra import (
     to_dense,
 )
 from hlya.coboundary import _LEVELS, _assemble, _tabulate, apply_operator, d2, delta2
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix
 from hlya.deformation import (
     Deformation,
     apply_gauge,
@@ -284,8 +284,8 @@ def _apply_cols(cols, sv):
 def reference_apply_gauge(d, p):
     """psi_a f_b(phi_c x, phi_e y) summed over every composition of n."""
     base, order, dim = d.base, d.order, d.base.dim
-    phi = [_cols(m) for m in p.phi]
-    psi = [_cols(m) for m in inverse_gauge(p).phi]
+    phi = [_cols(cochain_to_matrix(base, h)) for h in p.phi]
+    psi = [_cols(cochain_to_matrix(base, h)) for h in inverse_gauge(p).phi]
     e = FractionOps(base).e
     f_out, g_out = [], []
     for n in range(order + 1):
@@ -365,7 +365,7 @@ def test_apply_gauge_matches_reference(algebras):
     for a in algebras:
         order = _order(a)
         gauge = random_gauge(a, order, rng)
-        halves += any(x.denominator == 2 for m in gauge.phi for row in m.data for x in row)
+        halves += any(x.denominator == 2 for h in gauge.phi for vec in h.table.values() for x in vec)
         for d in (null_deformation(a, order), _random_deformation(a, order, rng)):
             assert apply_gauge(d, gauge) == reference_apply_gauge(d, gauge), a.name
     assert halves == len(algebras)

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.algebra import algebra_from_sparse, brackets, compose_out, compose_slot, is_endomorphism, make_algebra, matrix_table
-from hlya.cochain import build_cochain_space, cochain_to_matrix
+from hlya.algebra import algebra_from_sparse, brackets, compose_out, compose_slot, int_table, is_endomorphism, make_algebra
+from hlya.cochain import build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from hlya.deformation import Gauge, compose_gauges, identity_gauge, inverse_gauge, random_gauge
 from hlya.errors import AxiomError, PreconditionError
 from hlya.exactlin import Matrix
@@ -69,7 +69,7 @@ def commutes_with_alpha(a, m):
 def preserves_brackets(a, beta):
     """beta composed into every slot of each bracket against beta applied
     to its values."""
-    m = matrix_table(beta)
+    m = int_table(matrix_to_cochain(a, beta).table)
     for arity, t in zip((2, 3), brackets(a)):
         moved = t
         for slot in range(arity):
@@ -99,14 +99,15 @@ def antisymmetric(dim, b, t):
 
 
 def fraction_product(p, q):
-    """The series product of two gauges in Fraction matrices."""
-    d = p.base.dim
+    """The series product of two gauges in Fraction matrices, as 1-cochains."""
+    a = p.base
+    ps, qs = ([cochain_to_matrix(a, h) for h in g.phi] for g in (p, q))
     phi = []
     for n in range(p.order + 1):
-        acc = Matrix.zeros(d, d)
+        acc = Matrix.zeros(a.dim, a.dim)
         for i in range(n + 1):
-            acc = acc.add(p.phi[i].matmul(q.phi[n - i]))
-        phi.append(acc)
+            acc = acc.add(ps[i].matmul(qs[n - i]))
+        phi.append(matrix_to_cochain(a, acc))
     return tuple(phi)
 
 
@@ -176,11 +177,13 @@ def test_gauge_coefficients_are_the_matrices_commuting_with_alpha(algebras):
         for m in candidates:
             expected = commutes_with_alpha(a, m)
             verdicts.add(expected)
+            h = matrix_to_cochain(a, m)
             if expected:
-                assert Gauge(a, 1, [Matrix.identity(d), m]).phi[1] == m
+                assert Gauge(a, 1, [identity_cochain(a), h]).phi[1] == h
             else:
-                with pytest.raises(PreconditionError, match="gauge coefficient 1 does not commute with alpha"):
-                    Gauge(a, 1, [Matrix.identity(d), m])
+                message = "coefficient at order 1 is not a cochain: map violates the alpha-equivariance condition"
+                with pytest.raises(PreconditionError, match=message):
+                    Gauge(a, 1, [identity_cochain(a), h])
     assert verdicts == {True, False}
 
 
