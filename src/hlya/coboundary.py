@@ -11,7 +11,7 @@ are applied to the domain basis.  :func:`verify_well_definedness` is the
 full-tabulation audit: the same forms taken on *all* tuples, each codomain
 condition (diagonal pairs, pair antisymmetry, equivariance) turned into
 linear defect forms once, and only the nonzero ones applied to the domain
-basis.  Both find their witness with :func:`hlya.cochain.first_violation`.
+basis.  Both raise their witness through :func:`hlya.cochain.check_defects`.
 The generic tables, coordinates and defect forms come from the cochain
 spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
 
@@ -60,8 +60,8 @@ from .algebra import (
     memoised,
     to_dense,
 )
-from .cochain import Cochain, _violation, build_cochain_space, first_violation
-from .errors import ArityError, DimMismatchError
+from .cochain import Cochain, build_cochain_space, check_defects
+from .errors import ArityError, NotACochainError, PreconditionError
 from .exactlin import Matrix
 
 
@@ -304,14 +304,17 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     tabulated on all tuples and read back by ``cochain_from_table``, which
     raises NotACochainError on an image that is not a cochain.  A cochain
     count or arity that is not the level's domain raises ArityError, a
-    cochain on another dimension DimMismatchError."""
+    cochain on another dimension DimMismatchError, and one outside its
+    domain space PreconditionError."""
     name, domain_arities, codomain_shapes, tables = _level(level)
     arities = tuple(c.arity for c in cochains)
     if arities != domain_arities:
         raise ArityError(f"{name} takes cochains of arities {domain_arities}, got {arities}")
-    for c in cochains:
-        if c.dim != a.dim:
-            raise DimMismatchError(f"a cochain on dimension {c.dim}, expected {a.dim}")
+    for pos, c in enumerate(cochains, 1):
+        try:
+            build_cochain_space(a, c.arity).coords(c)
+        except NotACochainError as exc:
+            raise PreconditionError(f"{name} argument {pos}, a {c.arity}-cochain, is not in C{c.arity}: {exc}")
     return tuple(
         build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
         for (n, pairs), fn in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains)))
@@ -338,16 +341,6 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     if not basis:
         return 0
     for block, (space, fn) in enumerate(zip(op.codomain, tables(a, *generic))):
-        defects = space.defects(fn)
-        found = first_violation(defects, basis) if defects else None
-        if found is not None:
-            (kind, idx, _), j = found
-            raise _violation(
-                kind,
-                idx,
-                f"{name} component {block + 1}, image of basis cochain {j}: ",
-                level=level,
-                block=block,
-                basis_index=j,
-            )
+        prefix = f"{name} component {block + 1}, image of basis cochain {{}}: "
+        check_defects(space.defects(fn), basis, prefix, level=level, block=block)
     return len(basis)

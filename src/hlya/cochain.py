@@ -17,9 +17,10 @@ image vectors, coordinates and defect forms.
 The conditions are written once, as linear defect forms
 (:meth:`CochainSpace.defects`, with :meth:`CochainSpace._residual` for
 equivariance), and every verdict reads them: the audit and operator
-assembly apply them to a domain basis (:func:`first_violation`), and a
-concrete table is the case of one unknown.  A cochain is immutable, table
-and attributes alike, so it is shared freely.
+assembly apply them to a domain basis and raise their witness through
+:func:`check_defects`, and a concrete table is the case of one unknown.
+A cochain is immutable, table and attributes alike, so it is shared
+freely.
 """
 
 from __future__ import annotations
@@ -341,18 +342,14 @@ class CochainSpace(Frozen):
         """The basis coordinates, as sparse vectors, of fn's image of each
         basis vector; fn runs once per representative tuple.
 
-        The :meth:`_residual` forms are applied to the basis by
-        :func:`first_violation`: the first one nonzero on some basis vector
-        raises NotACochainError, with the lowest such vector's index as
+        :func:`check_defects` applies the :meth:`_residual` forms to the
+        basis: the first one nonzero on some basis vector raises
+        NotACochainError, with the lowest such vector's index as
         ``basis_index``.  Otherwise every image is in the space, and its
         coordinates are its entries at the free coordinates.
         """
         forms = self._forms(map(fn, self.rep_tuples))
-        residual = self._residual(forms)
-        found = first_violation(residual, basis) if residual else None
-        if found is not None:
-            (kind, idx, _), j = found
-            raise _violation(kind, idx, basis_index=j)
+        check_defects(self._residual(forms), basis)
         return _apply(((j, forms[i]) for j, i in enumerate(self._free) if i in forms), basis)
 
     def defects(self, fn) -> list:
@@ -443,23 +440,23 @@ def _apply(forms, basis) -> list:
     return images
 
 
-def first_violation(defects, basis):
-    """(defect, basis index) for the first defect form, in order, that is
-    nonzero on some basis vector, with the first such vector; None when
-    every form vanishes on the whole basis."""
-    rows: dict = {}  # unknown -> [(basis index, entry)]
-    for j, vec in enumerate(basis):
-        for u, x in vec.items():
-            rows.setdefault(u, []).append((j, x))
-    for defect in defects:
-        image: dict = {}
-        for (k, u), c in defect[2].items():
-            for j, x in rows.get(u, ()):
-                image[j, k] = image.get((j, k), 0) + c * x
-        hits = [j for (j, _), y in image.items() if y]
-        if hits:
-            return defect, min(hits)
-    return None
+def check_defects(defects, basis, prefix: str = "", **witness) -> None:
+    """NotACochainError for the first of the ``defects``, in order, whose
+    form is nonzero on some basis vector, at the first such vector j: its
+    ``basis_index`` is j, which also fills the ``{}`` of ``prefix``.  Each
+    form is paired with the basis by :func:`_apply`, one output index at a
+    time; nothing is raised when every form vanishes on the whole basis."""
+    if not defects:
+        return
+    groups: dict = {}  # (defect position, output index) -> {unknown: coefficient}
+    for p, (_, _, form) in enumerate(defects):
+        for (k, u), c in form.items():
+            groups.setdefault((p, k), {})[u] = c
+    hits = [(p, j) for j, image in enumerate(_apply(groups.items(), basis)) for p, _ in image]
+    if hits:
+        p, j = min(hits)
+        kind, idx, _ = defects[p]
+        raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
 
 
 def build_cochain_space(algebra: Algebra, arity: int, pairs: int | None = None) -> CochainSpace:

@@ -83,7 +83,7 @@ def _series(base: Algebra, order: int, *series):
     """The truncated-series rule of deformations and gauges, yielding each
     (coefficients, constant term) as a tuple of order + 1 coefficients: the
     constant term, then cochains of its space (:func:`_coefficient`)."""
-    if not isinstance(order, int) or order < 0:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
     for seq, constant in series:
         seq = tuple(seq)

@@ -63,9 +63,13 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     """Commutator of derivations, verified to land in the (k+s)-space.
 
-    Raises ClosureViolationError on membership failure, which would
-    contradict the closure theorem.
+    PreconditionError unless d1 is in Der_k and d2m in Der_s; then
+    ClosureViolationError on membership failure, which would contradict
+    the closure theorem.
     """
+    for name, m, twist in (("first", d1, k), ("second", d2m, s)):
+        if not derivation_space(a, twist).basis.contains(flatten(m)):
+            raise PreconditionError(f"the {name} map is not in Der_{twist}")
     comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
     target = derivation_space(a, k + s)
     if solve(target.basis.basis, flatten(comm)) is None:

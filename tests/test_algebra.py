@@ -90,6 +90,21 @@ def test_constructors_reject_brackets_of_the_wrong_shape():
         algebra_from_sparse(2, {}, {(0, 1, 0): (1,)}, [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "binary, ternary, message",
+    [
+        ({(1, 0): (1, 0)}, {}, "^binary entries must have i < j$"),
+        ({}, {(1, 1, 0): (1, 0)}, "^ternary entries must have i < j$"),
+    ],
+    ids=["binary", "ternary"],
+)
+def test_sparse_entries_must_have_i_below_j(binary, ternary, message):
+    """Sparse entries name each alternating pair once, as (i, j) with i < j:
+    a swapped or diagonal pair is an axiom error, not an overwrite."""
+    with pytest.raises(AxiomError, match=message):
+        algebra_from_sparse(2, binary, ternary, [[1, 0], [0, 1]])
+
+
 def test_make_algebra_rejects_non_antisymmetric():
     b = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]  # [e2,e1] should be -[e1,e2]
     t = [[[[0, 0]] * 2] * 2] * 2

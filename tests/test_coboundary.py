@@ -17,7 +17,7 @@ from hlya.coboundary import (
 )
 from hlya.cochain import Cochain, build_cochain_space, matrix_to_cochain
 from hlya.deformation import bracket_cochain, ternary_cochain
-from hlya.errors import ArityError, DimMismatchError
+from hlya.errors import ArityError, DimMismatchError, PreconditionError
 from hlya.exactlin import Matrix, rat
 
 
@@ -198,3 +198,14 @@ def test_apply_operator_checks_its_cochains(e1, e2, level, arities, error):
     ]
     with pytest.raises(error):
         apply_operator(e2, level, *cochains)
+
+
+def test_apply_operator_refuses_maps_outside_its_domain(e3):
+    """On heisenberg_twisted, alpha = diag(1, 2, 2), so neither e3 -> e1 nor
+    e1 -> e2 commutes with alpha: neither is in C1.  Both are the caller's
+    bad input, not images that broke the well-definedness theorem."""
+    c1 = build_cochain_space(e3, 1)
+    for h in (Cochain(1, 3, {(2,): (1, 0, 0)}), Cochain(1, 3, {(0,): (0, 1, 0)})):
+        assert not c1.contains(h)
+        with pytest.raises(PreconditionError, match="^delta1 argument 1, a 1-cochain, is not in C1: "):
+            apply_operator(e3, "1", h)

@@ -182,8 +182,9 @@ def test_gauge_validation(e0, e3):
 
 
 def test_series_rule_checks_order_and_length(e2):
-    """Deformations and gauges share the truncated-series rule: a negative
-    order and a wrong coefficient count are precondition errors."""
+    """Deformations and gauges share the truncated-series rule: a negative,
+    fractional or boolean order and a wrong coefficient count are
+    precondition errors."""
     with pytest.raises(PreconditionError, match="^order must be a nonnegative integer, got -1$"):
         Gauge(e2, -1, ())
     with pytest.raises(PreconditionError, match="^order must be a nonnegative integer, got -1$"):
@@ -195,6 +196,11 @@ def test_series_rule_checks_order_and_length(e2):
         Deformation(e2, 1.0, (bracket_cochain(e2), z2), (ternary_cochain(e2), z3))
     with pytest.raises(PreconditionError, match="order\\+1 coefficients"):
         Gauge(e2, 2, (identity_cochain(e2), Cochain.zero(1, 3)))
+    # True is an int to isinstance, but a series of order True would be
+    # written as "order": true, which the file reader rejects
+    for make in (lambda: null_deformation(e2, True), lambda: identity_gauge(e2, True)):
+        with pytest.raises(PreconditionError, match="^order must be a nonnegative integer, got True$"):
+            make()
 
 
 def test_series_rule_names_the_cochain_type(e2):

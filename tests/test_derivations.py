@@ -68,16 +68,32 @@ def test_der_bracket_rejects_escapees(e1):
     der0 = derivation_space(e1, 0)
     flat = [x for row in not_der.data for x in row]
     assert not der0.basis.contains(flat)
-    # the bracket API verifies membership of the commutator, so feeding it
-    # non-derivations whose commutator escapes the target space must raise
-    with pytest.raises(ClosureViolationError):
+    # the bracket API verifies membership of its arguments first, so
+    # non-derivations are the caller's error, not a closure violation
+    with pytest.raises(PreconditionError, match="^the first map is not in Der_0$"):
         der_bracket(e1, not_der, 0, Matrix([[1, 0], [0, 0]]), 0)
 
 
+def test_der_bracket_refuses_maps_that_are_not_derivations(e2):
+    # on sl2 every derivation is inner; E11 and E12 are not derivations, and
+    # their commutator used to be reported as a closure theorem violation
+    ad_h = Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
+    e11 = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(PreconditionError, match="^the first map is not in Der_0$"):
+        der_bracket(e2, e11, 0, e12, 0)
+    with pytest.raises(PreconditionError, match="^the second map is not in Der_1$"):
+        der_bracket(e2, ad_h, 0, e12, 1)
+
+
 def test_closure_violation_carries_both_twists(monkeypatch, e1):
-    # with every target space empty, a commutator that is not zero escapes
-    # it, and the error names the twists of the two derivations
-    monkeypatch.setattr(derivations, "derivation_space", lambda a, k: DerivationSpace(k, Subspace(4, [])))
+    # with Der_3 empty and every other space all of gl(2), the arguments
+    # are derivations, a commutator that is not zero escapes Der_3, and the
+    # error names the twists of the two derivations
+    everything = Subspace(4, [[int(i == j) for i in range(4)] for j in range(4)])
+    monkeypatch.setattr(
+        derivations, "derivation_space", lambda a, k: DerivationSpace(k, Subspace(4, []) if k == 3 else everything)
+    )
     with pytest.raises(ClosureViolationError) as caught:
         der_bracket(e1, Matrix([[0, 0], [1, 0]]), 2, Matrix([[1, 0], [0, 0]]), 1)
     assert (caught.value.k, caught.value.s) == (2, 1)

@@ -207,11 +207,20 @@ def _deformation_obj(**changes):
         ("equiv", _deformation_obj(), ".f: unknown key; expected one of base, order, phi"),
         ("deform-check", {"base": _BASE, "order": 1, "phi": []}, ".phi: unknown key; expected one of base, order, f, g"),
         ("deform-check", _deformation_obj(base={"dim": 2, "comment": ""}), ".base.comment: unknown key"),
+        # a value of the wrong kind or shape: a file that is no object, an
+        # entry, a coefficient list, an alpha, a name, a base
+        ("check", [_aff1_obj()], ": expected an object"),
+        ("check", _aff1_obj(binary=[[1, 2]]), ".binary[0]: expected [i, j, coefficients]"),
+        ("check", _aff1_obj(binary=[[1, 2, ["1"]]]), ".binary[0][2]: expected a coefficient list of length 2"),
+        ("check", _aff1_obj(alpha=[["1", "0"]]), ".alpha: expected 2 rows"),
+        ("check", _aff1_obj(name=5), ".name: expected a string"),
+        ("deform-check", _deformation_obj(base=5), ".base: expected an inline algebra object or a file reference"),
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
-    """Booleans where an integer or a rational belongs and non-lists where a
-    list belongs are input errors: one error line, exit 2, no traceback."""
+    """Booleans where an integer or a rational belongs, non-lists where a
+    list belongs and values of the wrong kind or shape are input errors:
+    one error line naming the field path, exit 2, no traceback."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     argv = [command, str(path)]
@@ -378,6 +387,16 @@ def test_cli_deform_check_rejects_a_coefficient_listed_at_one_tuple(tmp_path, ca
     code, out, err = _run(capsys, "deform-check", str(path))
     assert code == EXIT_INPUT and out == ""
     assert "not a cochain" in err and "pair-antisymmetry" in err
+
+
+def test_cli_obstruct_rejects_a_first_order_term_that_is_no_cocycle(tmp_path, capsys):
+    # on aff1, f1(e1, e2) = e2 with g1 = 0 breaks identity 7 at order 1
+    obj = {"base": os.path.abspath(_golden("e1_aff1.json")), "order": 1, "f": [[1, [[1, 2, 2, "1"], [2, 1, 2, "-1"]]]]}
+    path = tmp_path / "not_a_cocycle.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, "obstruct", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: deformation equations fail through order 1: [(7, 1)]\n"
 
 
 def test_cli_trivialize_obstructed(capsys):
