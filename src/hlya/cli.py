@@ -22,21 +22,32 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_THEOREM = 3
 
-# Each handler imports the modules it needs, so a command loads only those.
-# The parser therefore spells out these defaults, which tests pin to
-# derivations.DEFAULT_K_MAX and sorted(coboundary.OPERATORS).
+# One command path: _run loads the file named by the command's first
+# positional argument, an algebra or a deformation, and names the report's
+# command and subject; each handler takes that value and ``args`` and returns
+# only the fields it computes.  Handlers import the modules they need, so a
+# command loads only those, and the parser spells out these defaults, which
+# tests pin to derivations.DEFAULT_K_MAX and sorted(coboundary.OPERATORS).
 DEFAULT_K_MAX = 3
 OPERATOR_LEVELS = ("1", "2", "3", "d2")
 
 
-def _report_check(args) -> dict:
+def _run(args) -> dict:
+    """The report of ``args.command``: its name, its subject and its handler's fields."""
+    if "algebra" in vars(args):
+        value = serialize.load_algebra(args.algebra)
+        subject = {"algebra": value.name or args.algebra}
+    else:
+        value = serialize.load_deformation(args.deformation)
+        subject = {"base": value.base.name}
+    return {"command": args.command, **subject, **args.run(value, args)}
+
+
+def _report_check(a, args) -> dict:
     from .algebra import check_axioms
 
-    a = serialize.load_algebra(args.algebra)
     report = check_axioms(a)
     return {
-        "command": "check",
-        "algebra": a.name or args.algebra,
         "dim": a.dim,
         "passed": {str(k): v for k, v in report.passed.items()},
         "counterexamples": {str(k): list(v) for k, v in report.counterexamples.items()},
@@ -44,16 +55,14 @@ def _report_check(args) -> dict:
     }
 
 
-def _on_algebra(args, compute):
-    """The algebra file of ``args`` and compute(algebra).
+def _on_algebra(a, compute):
+    """compute(a), whose theorems hold for Hom-Lie-Yamaguti algebras only.
 
-    The theorems behind compute hold for Hom-Lie-Yamaguti algebras only, so
-    a theorem violation on an algebra that fails its axioms is invalid
+    So a theorem violation on an algebra that fails its axioms is invalid
     input: AxiomError, chained, naming the failing identities and the first
     counterexample.  Only a violation runs the axiom check."""
-    a = serialize.load_algebra(args.algebra)
     try:
-        return a, compute(a)
+        return compute(a)
     except TheoremViolationError as exc:
         from .algebra import check_axioms
 
@@ -67,13 +76,11 @@ def _on_algebra(args, compute):
         ) from exc
 
 
-def _report_cohomology(args) -> dict:
+def _report_cohomology(a, args) -> dict:
     from .cohomology import cohomology_report
 
-    a, report = _on_algebra(args, cohomology_report)
+    report = _on_algebra(a, cohomology_report)
     return {
-        "command": "cohomology",
-        "algebra": a.name or args.algebra,
         "dims": report.dims(),
         "h1_basis": [
             [rat_str(x) for x in report.h1.basis.column(j)] for j in range(report.h1.dim)
@@ -81,22 +88,18 @@ def _report_cohomology(args) -> dict:
     }
 
 
-def _report_derive(args) -> dict:
+def _report_derive(a, args) -> dict:
+    # the closure theorem needs only maps that commute with alpha, not the
+    # axioms, so a violation here stays a theorem violation
     from .derivations import check_der_is_lie, derivation_space
 
-    a = serialize.load_algebra(args.algebra)
     closure = check_der_is_lie(a, args.k_max)
-    spaces = {k: derivation_space(a, k) for k in range(args.k_max + 1)}
     return {
-        "command": "derive",
-        "algebra": a.name or args.algebra,
         "k_max": args.k_max,
-        "dims": {str(k): sp.dim for k, sp in spaces.items()},
+        "dims": {str(k): dim for k, dim in closure.dims.items()},
         "bases": {
-            str(k): [
-                [[rat_str(x) for x in row] for row in m.data] for m in sp.matrices(a.dim)
-            ]
-            for k, sp in spaces.items()
+            str(k): [[[rat_str(x) for x in row] for row in m.data] for m in derivation_space(a, k).matrices(a.dim)]
+            for k in closure.dims
         },
         "closure_checked_pairs": closure.checked_pairs,
     }
@@ -113,26 +116,17 @@ def _deformation_report(report) -> dict:
     }
 
 
-def _report_deform_check(args) -> dict:
+def _report_deform_check(d, args) -> dict:
     from .deformation import verify_deformation
 
-    d = serialize.load_deformation(args.deformation)
-    report = verify_deformation(d)
-    return {
-        "command": "deform-check",
-        "base": d.base.name,
-        "order": d.order,
-        **_deformation_report(report),
-    }
+    return {"order": d.order, **_deformation_report(verify_deformation(d))}
 
 
-def _report_trivialize(args) -> dict:
+def _report_trivialize(d, args) -> dict:
     from .deformation import trivialize
 
-    d = serialize.load_deformation(args.deformation)
     result = trivialize(d)
-    out = {"command": "trivialize", "base": d.base.name, "order": d.order,
-           "trivial": result.trivial}
+    out = {"order": d.order, "trivial": result.trivial}
     if result.trivial:
         out["gauge"] = serialize.gauge_to_obj(result.gauge)
     else:
@@ -145,34 +139,20 @@ def _report_trivialize(args) -> dict:
     return out
 
 
-def _report_equiv(args) -> dict:
+def _report_equiv(d1, args) -> dict:
     from .deformation import verify_equivalence
 
-    d1 = serialize.load_deformation(args.deformation)
     d2 = serialize.load_deformation(args.other)
     p = serialize.load_gauge(args.gauge)
-    return {
-        "command": "equiv",
-        "base": d1.base.name,
-        "order": d1.order,
-        "equivalent": verify_equivalence(d1, d2, p),
-    }
+    return {"order": d1.order, "equivalent": verify_equivalence(d1, d2, p)}
 
 
-def _report_obstruct(args) -> dict:
-    from .deformation import (
-        infinitesimal,
-        obstruction_pair,
-        second_order_probe,
-        solve_second_order,
-    )
+def _report_obstruct(d, args) -> dict:
+    from .deformation import infinitesimal, obstruction_pair, second_order_probe, solve_second_order
 
-    d = serialize.load_deformation(args.deformation)
     f1, g1 = infinitesimal(d)
     pair = obstruction_pair(d.base, f1, g1)
     out = {
-        "command": "obstruct",
-        "base": d.base.name,
         "in_z4z5": pair.in_z4z5,
         "F": serialize.cochain_to_obj(pair.first),
         "G": serialize.cochain_to_obj(pair.second),
@@ -200,13 +180,11 @@ def _report_obstruct(args) -> dict:
     return out
 
 
-def _report_dump_operator(args) -> dict:
+def _report_dump_operator(a, args) -> dict:
     from .coboundary import operator_by_level
 
-    a, op = _on_algebra(args, lambda a: operator_by_level(a, args.level))
+    op = _on_algebra(a, lambda a: operator_by_level(a, args.level))
     return {
-        "command": "dump-operator",
-        "algebra": a.name or args.algebra,
         "level": args.level,
         "domain_dims": [s.dim for s in op.domain],
         "codomain_dims": [s.dim for s in op.codomain],
@@ -290,7 +268,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.run(args)
+        report = _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

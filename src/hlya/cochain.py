@@ -144,12 +144,7 @@ class CochainSpace(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, algebra: Algebra, arity: int, pairs: int | None = None):
-        if not 1 <= arity <= MAX_ARITY:
-            raise ArityError(f"arity must be between 1 and {MAX_ARITY}, got {arity}")
-        if pairs is None:
-            pairs = arity // 2
-        if not 0 <= pairs <= arity // 2:
-            raise ArityError(f"pair count must lie in 0..{arity // 2}")
+        arity, pairs = _shape(arity, pairs)
         reps = rep_tuples(algebra.dim, arity, pairs)
         self._init(
             algebra=algebra,
@@ -459,11 +454,25 @@ def check_defects(defects, basis, prefix: str = "", **witness) -> None:
         raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
 
 
+def _shape(arity: int, pairs: int | None) -> tuple[int, int]:
+    """(arity, pairs) of a cochain space, pairs defaulting to all of them.
+
+    ArityError out of range, and for any value but an int: True or 2.0
+    would share the memo key of 1 or 2."""
+    if type(arity) is not int or not 1 <= arity <= MAX_ARITY:
+        raise ArityError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity!r}")
+    pairs = arity // 2 if pairs is None else pairs
+    if type(pairs) is not int or not 0 <= pairs <= arity // 2:
+        raise ArityError(f"pair count must be an integer in 0..{arity // 2}, got {pairs!r}")
+    return arity, pairs
+
+
 def build_cochain_space(algebra: Algebra, arity: int, pairs: int | None = None) -> CochainSpace:
     """Cochain space; ``pairs`` limits how many leading adjacent pairs carry
     the alternating condition (default: all of them).  One space per
-    (arity, pairs), kept on the algebra."""
-    return _cochain_space(algebra, arity, arity // 2 if pairs is None else pairs)
+    (arity, pairs), kept on the algebra; the shape is checked before the
+    lookup."""
+    return _cochain_space(algebra, *_shape(arity, pairs))
 
 
 @memoised

@@ -240,8 +240,8 @@ def identity_gauge(a: Algebra, order: int = DEFAULT_ORDER) -> Gauge:
 
 def single_step_gauge(a: Algebra, order: int, h: Cochain, r: int) -> Gauge:
     """The rigidity-proof gauge id - h t^r, for a 1-cochain h."""
-    if not 1 <= r <= order:
-        raise PreconditionError("step exponent must satisfy 1 <= r <= order")
+    if type(r) is not int or not 1 <= r <= order:
+        raise PreconditionError(f"step exponent must be an integer with 1 <= r <= order, got {r!r}")
     phi = [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order
     phi[r] = h.scale(-1)
     return Gauge(a, order, phi)

@@ -32,9 +32,18 @@ class DerivationSpace(NamedTuple):
         return [unflatten(self.basis.basis.column(j), dim) for j in range(self.basis.dim)]
 
 
-@memoised
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
-    """The kernel of leibniz(k) on C1, as flattened d x d matrices.
+    """The kernel of leibniz(k) on C1, as flattened d x d matrices, one per
+    (algebra, k).  PreconditionError unless k is a nonnegative int, checked
+    before the lookup: True or 1.0 would share the memo key of 1."""
+    if type(k) is not int or k < 0:
+        raise PreconditionError(f"twist exponent must be a nonnegative integer, got {k!r}")
+    return _derivation_space(a, k)
+
+
+@memoised
+def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
+    """The kernel of leibniz(k) on C1.
 
     The defects are evaluated once on the generic 1-cochain of C1 at the
     representative tuples of C2 and C3 (i < j), which suffice: both are
@@ -42,8 +51,6 @@ def derivation_space(a: Algebra, k: int) -> DerivationSpace:
     never codomain coordinates, so an algebra whose alpha preserves neither
     bracket still has its spaces.
     """
-    if k < 0:
-        raise PreconditionError("twist exponent must be nonnegative")
     d = a.dim
     c1 = build_cochain_space(a, 1)
     generic, basis = c1.generic()
@@ -70,8 +77,13 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     for name, m, twist in (("first", d1, k), ("second", d2m, s)):
         if not derivation_space(a, twist).basis.contains(flatten(m)):
             raise PreconditionError(f"the {name} map is not in Der_{twist}")
+    return _closed_commutator(derivation_space(a, k + s), d1, k, d2m, s)
+
+
+def _closed_commutator(target: DerivationSpace, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
+    """[d1, d2m] for d1 in Der_k and d2m in Der_s, checked to lie in target,
+    Der_{k+s}: ClosureViolationError otherwise."""
     comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
-    target = derivation_space(a, k + s)
     if solve(target.basis.basis, flatten(comm)) is None:
         raise ClosureViolationError(f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated", k=k, s=s)
     return comm
@@ -85,14 +97,18 @@ class DerivationLieReport(NamedTuple):
 
 def check_der_is_lie(a: Algebra, k_max: int = DEFAULT_K_MAX) -> DerivationLieReport:
     """Exhaustive closure check [Der_k, Der_s] in Der_{k+s} for k+s <= k_max."""
+    if type(k_max) is not int:
+        raise PreconditionError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
     spaces = {k: derivation_space(a, k) for k in range(k_max + 1)}
+    # basis maps are members of their spaces, so der_bracket's check is skipped
+    matrices = {k: sp.matrices(a.dim) for k, sp in spaces.items()}
     checked = 0
     for k in range(k_max + 1):
         for s in range(k_max + 1 - k):
-            for m1 in spaces[k].matrices(a.dim):
-                for m2 in spaces[s].matrices(a.dim):
-                    der_bracket(a, m1, k, m2, s)
+            for m1 in matrices[k]:
+                for m2 in matrices[s]:
+                    _closed_commutator(spaces[k + s], m1, k, m2, s)
                     checked += 1
     return DerivationLieReport(k_max, {k: sp.dim for k, sp in spaces.items()}, checked)

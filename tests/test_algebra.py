@@ -147,6 +147,15 @@ def test_jacobi_violation_raises_not_hom_lie():
         from_lie_algebra(bracket, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_from_lie_algebra_names_the_other_failing_axioms():
+    # aff1's bracket satisfies the twisted Jacobi identity under diag(1, 2),
+    # but that alpha does not preserve it: identity 1 fails
+    bracket = [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]
+    with pytest.raises(AxiomError, match=r"^axioms \[1\] fail$") as caught:
+        from_lie_algebra(bracket, [[1, 0], [0, 2]])
+    assert type(caught.value) is AxiomError
+
+
 def test_from_lya_standard_rejects_non_lie():
     bracket = [
         [[0, 0, 0], [0, 0, 1], [-1, 0, 0]],

@@ -8,6 +8,7 @@ import pytest
 from hlya.cochain import Cochain, MAX_ARITY, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
+from hlya.coboundary import d2
 from hlya.samples import abelian
 
 
@@ -135,6 +136,31 @@ def test_arity_bounds(e0):
         build_cochain_space(e0, MAX_ARITY + 1)
     with pytest.raises(ArityError):
         build_cochain_space(e0, 2, pairs=2)
+
+
+def test_non_int_arity_or_pair_count_is_refused_before_the_memo(e2):
+    # True == 1 and hash(True) == hash(1), so a boolean (or 2.0) would take
+    # the memo key of a real shape: (4, True) became d2's codomain W4, and
+    # (True,) a space whose arity is True
+    with pytest.raises(ArityError, match="^pair count must be an integer in 0..2, got True$"):
+        build_cochain_space(e2, 4, True)
+    with pytest.raises(ArityError, match=f"^arity must be an integer in 1..{MAX_ARITY}, got True$"):
+        build_cochain_space(e2, True)
+    with pytest.raises(ArityError, match="got 2.0$"):
+        build_cochain_space(e2, 2.0)
+    assert [type(space.pairs) for space in d2(e2).codomain] == [int, int]
+    assert type(build_cochain_space(e2, 1).arity) is int
+
+
+def test_cochain_eval_and_add_refuse_other_shapes():
+    c = Cochain(2, 2, {(0, 1): (1, 0), (1, 0): (-1, 0)})
+    with pytest.raises(DimMismatchError, match="^expected 2 arguments, got 1$"):
+        c.eval([[1, 0]])
+    with pytest.raises(DimMismatchError, match="^argument vector of wrong length$"):
+        c.eval([[1, 0], [0, 1, 0]])
+    for other in (Cochain.zero(3, 2), Cochain.zero(2, 3)):
+        with pytest.raises(DimMismatchError, match="^cochain shapes disagree$"):
+            c.add(other)
 
 
 # --- canonicalization and membership --------------------------------------

@@ -602,3 +602,9 @@ def test_single_step_gauge_shape(e1):
     assert p.phi[1].is_zero() and p.phi[3].is_zero()
     with pytest.raises(PreconditionError):
         single_step_gauge(e1, 3, h, 0)
+
+
+def test_single_step_gauge_refuses_a_boolean_step(e2):
+    # True passed 1 <= r <= order and built id - h t
+    with pytest.raises(PreconditionError, match="^step exponent must be an integer with 1 <= r <= order, got True$"):
+        single_step_gauge(e2, 2, identity_cochain(e2), True)

@@ -60,6 +60,26 @@ def test_closure_report(bundled):
         assert set(report.dims) == {0, 1, 2, 3}
 
 
+def test_closure_check_solves_once_per_pair(monkeypatch):
+    # the basis maps are members of the spaces just built, so each pair
+    # costs one solve, the commutator's membership, and no argument checks
+    from hlya import exactlin, serialize
+
+    a = serialize.load_algebra(os.path.join(DATA, "e3_heisenberg.json"))
+    for k in range(4):
+        derivation_space(a, k)
+    solves = []
+
+    def counted(m, b, solve=exactlin.solve):
+        solves.append(m)
+        return solve(m, b)
+
+    monkeypatch.setattr(exactlin, "solve", counted)
+    monkeypatch.setattr(derivations, "solve", counted)
+    assert check_der_is_lie(a, 3).checked_pairs == 90
+    assert len(solves) == 90
+
+
 def test_der_bracket_rejects_escapees(e1):
     # aff(1): the derivation algebra is 2-dimensional, so a full matrix
     # basis cannot all be derivations; a non-derivation commutator with a
@@ -105,6 +125,24 @@ def test_negative_twist_rejected(e0):
         derivation_space(e0, -1)
     with pytest.raises(PreconditionError):
         check_der_is_lie(e0, 0)
+
+
+def test_non_int_twist_is_refused_before_the_memo(e1):
+    # True would share the memo key of 1: stored first, it was the k = 1
+    # space with twist True; asked second, it returned the k = 1 space
+    with pytest.raises(PreconditionError, match="^twist exponent must be a nonnegative integer, got True$"):
+        derivation_space(e1, True)
+    assert type(derivation_space(e1, 1).twist) is int
+    with pytest.raises(PreconditionError, match="^twist exponent must be a nonnegative integer, got True$"):
+        derivation_space(e1, True)
+    with pytest.raises(PreconditionError, match="got 1.0$"):
+        derivation_space(e1, 1.0)
+
+
+def test_boolean_k_max_is_refused(e1):
+    # it returned a report with k_max True
+    with pytest.raises(PreconditionError, match="^k_max must be an integer, got True$"):
+        check_der_is_lie(e1, True)
 
 
 # --- the kernel of leibniz(k) against the hand-written Leibniz rows ----------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlya.errors import (
+    DimMismatchError,
     InputError,
     NotContainedError,
     ShapeMismatchError,
@@ -33,6 +34,23 @@ def test_rat_parses_strings_ints_fractions():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     assert rat_str(Fraction(-3, 2)) == "-3/2"
     assert rat_str(Fraction(7)) == "7"
+
+
+def test_shape_errors_are_dim_mismatches():
+    """Every operation that pairs two shapes refuses a mismatch before it
+    computes anything."""
+    m = Matrix([[1, 2, 3], [4, 5, 6]])
+    cases = [
+        (lambda: Matrix([[1, 2], [3]]), "^ragged rows$"),
+        (lambda: m.apply([1, 2]), "^expected vector of length 3, got 2$"),
+        (lambda: m.matmul(m), "^inner dimensions disagree$"),
+        (lambda: m.add(Matrix([[1, 2], [3, 4]])), "^matrix shapes disagree$"),
+        (lambda: Subspace(3, [[1, 0]]), "^basis vector has wrong length$"),
+        (lambda: solve(m, [1, 2, 3]), "^right-hand side has wrong length$"),
+    ]
+    for make, message in cases:
+        with pytest.raises(DimMismatchError, match=message):
+            make()
 
 
 def test_rat_refuses_floats_and_bools():

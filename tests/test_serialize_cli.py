@@ -67,6 +67,13 @@ def test_deformation_and_gauge_round_trip(e1):
     assert serialize.gauge_from_obj(serialize.gauge_to_obj(p)) == p
 
 
+def test_save_writes_what_dumps_returns(tmp_path, e1):
+    path = tmp_path / "aff1.json"
+    serialize.save(str(path), serialize.algebra_to_obj(e1))
+    assert path.read_text() == serialize.dumps(serialize.algebra_to_obj(e1))
+    assert serialize.load_algebra(str(path)) == e1
+
+
 def test_matrix_round_trip(e2):
     from hlya.coboundary import delta1
 
@@ -541,6 +548,89 @@ def test_cli_output_deterministic(tmp_path, capsys):
     for t in (t1, t2):
         assert _run(capsys, "cohomology", "--output", str(t), _golden("e2_sl2.json"))[0] == EXIT_OK
     assert t1.read_bytes() == t2.read_bytes()
+
+
+# SHA-256 of stdout for every command in JSON and in table format: the
+# goldens, plus files the test writes for aff1 -- the null deformation of
+# order 2, its image under random_gauge(aff1, 2, Random(5)), and that gauge
+PINNED_OUTPUTS = {
+    ("check e0_abelian.json", "json"): "74d953a3a9de8e15189b128b440358cead8b80ad2a513cb2af8caf123189da79",
+    ("check e0_abelian.json", "table"): "dc29fbb612be253574fd000e448ef33eeaf4bbce7ab37fc5e0893459e1736c82",
+    ("check e1_aff1.json", "json"): "c242ea0dcecbe0f4eee7cde8c771352291dbba190a63f89557ed06d8befbd51f",
+    ("check e1_aff1.json", "table"): "2c4ab1b4289f787908e7ec9e66c061a4c70cbc1454443d2883853e4ecfe385aa",
+    ("check e2_sl2.json", "json"): "4adb2f986785e5b77678d659eb56484afbbc3a33ab987d22c69edaa4935a97ca",
+    ("check e2_sl2.json", "table"): "56e93b880b22ea3e813e40fa4b44ea64ac3186a04c61f0c427a2013f67d8a10d",
+    ("check e3_heisenberg.json", "json"): "24b86cf2467fc1e8c9f2678c0cae96ddae3f79d7ac5621527137ed9bdf03ab5b",
+    ("check e3_heisenberg.json", "table"): "5c0d4d8efaf89a94a4c465169b09be0aa3f0728134a8274ff3d5d98956fa6dff",
+    ("check e4_gl2.json", "json"): "20649e5f1d150db34e624df81c6fe8776010f7384eeb4338bc87d24a03987db4",
+    ("check e4_gl2.json", "table"): "2dcd1a0ce93fb932fff4d491b3da4bf510571f96e46ae72e6d0394d96a50cec2",
+    ("cohomology e0_abelian.json", "json"): "e44c15c69bf4862f157f627c893ff842473719f3e76a0d5ecdf6f1d5c9952fdd",
+    ("cohomology e0_abelian.json", "table"): "079bd42199573e8e79e7dbc68fe697e044a8e916603556dfc63529719ae7911f",
+    ("cohomology e1_aff1.json", "json"): "8bc6a0de36991b43706b5b1210dbd0dfecf82fd31647d90b6f11cb90a5cca27d",
+    ("cohomology e1_aff1.json", "table"): "a7e81ff8513863f6e4ca06be6506b85c592ef86c3dc42739aba212e77bd40105",
+    ("cohomology e2_sl2.json", "json"): "eaeb594d489e5c0142c81b3500d0b09a69343e5ed6cd69f9ffdf97301fbc5c17",
+    ("cohomology e2_sl2.json", "table"): "0c72d885fc64826848d439768b832b02f3121d5a42062d0615e20f33f051eeb5",
+    ("cohomology e3_heisenberg.json", "json"): "52901b37674be38a13438760a36d61e54738210d94cf2af502049270c8c6416b",
+    ("cohomology e3_heisenberg.json", "table"): "e2de7e3b2596f9f1ab61856529e67d6e19f439181e7d37f78fa4717b3f986336",
+    ("cohomology e4_gl2.json", "json"): "44c18853109fc4a09955370e234ab1f45946e0ced00089a9d98bb8f5d7aac617",
+    ("cohomology e4_gl2.json", "table"): "8ff30215cb27587c1b5c2f762be806ac9407ee6bba0df75528e929566ff9c341",
+    ("derive e0_abelian.json", "json"): "cc6c1804b01a6ef70744b47d8776a01676c048d2b7ac8f5a9d395a87109af45c",
+    ("derive e0_abelian.json", "table"): "3e187ea68076ee817bd7b1a7a2e86ae24a7e6559441c550122243dd6b5a8d0bd",
+    ("derive e1_aff1.json", "json"): "c894bac97a747c01dcc9965d76b702244674e870521dec98db86a976523920e7",
+    ("derive e1_aff1.json", "table"): "e1cfe7e3cab51117aceed7750d2132fa3015e0ec9e71eade31edc172212e407e",
+    ("derive e2_sl2.json", "json"): "d64a5f3da4a0fff3767f837291434f5d135cf3973475dcfc0e444c2659eaf9a7",
+    ("derive e2_sl2.json", "table"): "d1fc3fa580b1b8ace219f6acdef76ee51c1747ddb58f10319e035f6e23e4fc85",
+    ("derive e3_heisenberg.json", "json"): "520e2f799c0582a7af6af59164fb7316324459ea748ec639ffb40a56cfe7da9e",
+    ("derive e3_heisenberg.json", "table"): "6ebd03464815e3a104f6c4388a50039e58b2dc5792539b787ef4c70b075c7fb9",
+    ("derive e4_gl2.json", "json"): "a481d1901f4f33c817b7a655fc207ff178de34f7c890898c69b977c51bf167b3",
+    ("derive e4_gl2.json", "table"): "f0b3203d6e36558f2879e8b1123a7987b4431b44e781b7ed1256b0a7065c4e8a",
+    ("dump-operator e0_abelian.json 3", "json"): "5164652d7c782ebe444d0cd78b4a6a5442bb9a1a6f8a434db7f674e421071a80",
+    ("dump-operator e0_abelian.json 3", "table"): "13fa2fe636102e70ca772048b20fc39b03c1ba793dd916e9cff61841f1e19320",
+    ("dump-operator e1_aff1.json 1", "json"): "de114a348a4397054230ce71b54a0e89161d2c7a1ace6c409b814e64f4bfe88e",
+    ("dump-operator e1_aff1.json 1", "table"): "6840e5b2f53810431e8c261f95f778dcaf898a7a1fa6450c5637822862836eae",
+    ("dump-operator e2_sl2.json d2", "json"): "b365d2062478cd06d93161545d20533c2d5b722ef7f58d796f50741be1c39754",
+    ("dump-operator e2_sl2.json d2", "table"): "56eccf4b0aaef3573941311bc567960c74199ba1e1262ddfee1e5798a10648b0",
+    ("dump-operator e3_heisenberg.json 2", "json"): "73dafbf1af71497a1fdcfb096783fd8fdfcf7644a98d61c907ea7f555260d092",
+    ("dump-operator e3_heisenberg.json 2", "table"): "99f532a18b16993b18b6d1690da6810f3cc573ea20b202e47c84dbea1ead1f16",
+    ("dump-operator e4_gl2.json 1", "json"): "153fbc9cbf9a6ec3d0f690550dcf68028708d24f3fe07dada792c5663138eea8",
+    ("dump-operator e4_gl2.json 1", "table"): "1020eb73921c0e4b2f011dcb564eab08aca22a96a408926cb6b4f77fb851f59b",
+    ("deform-check e0_plus_aff.json", "json"): "b6107d47f365b8a0ae9540c40100d77e4f70b8715bb9d8d1ee89cdf2a3541229",
+    ("deform-check e0_plus_aff.json", "table"): "ff23728ddfcb69e0f353e9e170b3ed89ef2a388632a037ca17d9b9fa66c5aebb",
+    ("trivialize e0_plus_aff.json", "json"): "58065792bc49792f308bc7fe844da74f9a4b64fcd7d7b6135ff889171d22d9c3",
+    ("trivialize e0_plus_aff.json", "table"): "1282ebb95a26e2be2b0467a5fd145f6c28e54cc10c98570fc8a7ab65e2e2c01e",
+    ("obstruct e0_plus_aff.json", "json"): "52f2cf8ad861ac2931957cf002ab819f259429aed7dbc9bf1a9039c4fa8aa6a1",
+    ("obstruct e0_plus_aff.json", "table"): "033987d1a5d2ce81fce85e73882ce6c1f1a2984b6012dd0f1e1021d3be2d68fd",
+    ("trivialize moved.json", "json"): "54fceb8ddd405c40ce51d3ab9f72be8fbeaf323fdd4f45a0be799c680f5fa795",
+    ("trivialize moved.json", "table"): "ab26bd7a37b0bfd421728ba3d8041bd112f08f3bb66dcd1f1688e5e70ce79b51",
+    ("equiv null.json moved.json gauge.json", "json"): "5d6353b9d92dd5937064b27b81a58b4f8050f067ea3ce0c7878edf61014b41b3",
+    ("equiv null.json moved.json gauge.json", "table"): "82dde3dcae6496b99883410a6cd347b87930830831053c5281407f982fed7a23",
+    ("equiv null.json null.json gauge.json", "json"): "eb45661b9696cde58126cf47f5a212d99b920edef622f336bb9830c43c6b70a3",
+    ("equiv null.json null.json gauge.json", "table"): "8ed570f980f438a2891434e141cd6234687bf8f80bbbbb8492046c33d3f85af3",
+}
+
+
+@pytest.fixture(scope="module")
+def aff1_gauge_files(tmp_path_factory, e1):
+    d = null_deformation(e1, 2)
+    p = random_gauge(e1, 2, random.Random(5))
+    folder = tmp_path_factory.mktemp("aff1_gauge")
+    for name, obj in (
+        ("null.json", serialize.deformation_to_obj(d)),
+        ("moved.json", serialize.deformation_to_obj(apply_gauge(d, p))),
+        ("gauge.json", serialize.gauge_to_obj(p)),
+    ):
+        (folder / name).write_text(serialize.dumps(obj))
+    return folder
+
+
+@pytest.mark.parametrize("op, fmt", sorted(PINNED_OUTPUTS))
+def test_cli_output_is_pinned_in_both_formats(op, fmt, capsys, aff1_gauge_files):
+    # a file is a golden unless the fixture wrote it
+    command, *words = op.split()
+    paths = {w: _golden(w) if os.path.exists(_golden(w)) else str(aff1_gauge_files / w) for w in words if w.endswith(".json")}
+    code, out, err = _run(capsys, command, "--format", fmt, *(paths.get(w, w) for w in words))
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[op, fmt]
 
 
 # --- package and CLI imports ------------------------------------------------
