@@ -11,8 +11,10 @@ Every multilinear evaluation in the package is one contraction of integer
 tables (:class:`IntTable`, :func:`contract`): the brackets and the powers
 of alpha are kept on the algebra as such tables (:func:`brackets`,
 :func:`alpha_table`), and the identities, the coboundary operators, the
-twisted Leibniz rules, bracket and cochain evaluation at vectors and the
-endomorphism test all read them.
+twisted Leibniz rules, bracket and cochain evaluation at vectors, the
+endomorphism test and the constructors all read them.  Each constructor
+passes its tables through one dense builder, :func:`make_algebra` and one
+axiom verdict.
 """
 
 from __future__ import annotations
@@ -185,23 +187,31 @@ def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
     return algebra
 
 
+def _dense(dim: int, levels: int, entries: dict, head: tuple = ()) -> list:
+    """The tensor :func:`make_algebra` takes: ``entries[key]`` at each key, zero vectors elsewhere."""
+    if len(head) == levels:
+        return entries.get(head, (0,) * dim)
+    return [_dense(dim, levels, entries, head + (i,)) for i in range(dim)]
+
+
 def algebra_from_sparse(dim, binary_entries, ternary_entries, alpha, name="") -> Algebra:
     """Build from sparse 0-based entries {(i, j): vec} with i < j (binary)
-    and {(i, j, k): vec} with i < j (ternary); omitted entries are zero."""
-    zero = [0] * dim
-    b = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-    t = [[[list(zero) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for (i, j), vec in binary_entries.items():
-        if i >= j:
-            raise AxiomError("binary entries must have i < j")
-        b[i][j] = list(vec)
-        b[j][i] = [-rat(x) for x in vec]
-    for (i, j, k), vec in ternary_entries.items():
-        if i >= j:
-            raise AxiomError("ternary entries must have i < j")
-        t[i][j][k] = list(vec)
-        t[j][i][k] = [-rat(x) for x in vec]
-    return make_algebra(dim, b, t, alpha, name)
+    and {(i, j, k): vec} with i < j (ternary); omitted entries are zero.
+    DimMismatchError for a key that is not a tuple of ints in 0..dim-1."""
+    tensors = []
+    for what, arity, entries in (("binary", 2, binary_entries), ("ternary", 3, ternary_entries)):
+        full = {}
+        for key, vec in entries.items():
+            shaped = isinstance(key, tuple) and len(key) == arity
+            if not (shaped and all(type(i) is int and 0 <= i < dim for i in key)):  # a bool is no index
+                raise DimMismatchError(f"{what} entry {key!r}: expected {arity} integer indices in 0..{dim - 1}")
+            i, j, *rest = key
+            if i >= j:
+                raise AxiomError(f"{what} entries must have i < j")
+            full[key] = vec
+            full[(j, i, *rest)] = [-rat(x) for x in vec]
+        tensors.append(_dense(dim, arity, full))
+    return make_algebra(dim, *tensors, alpha, name)
 
 
 # --- integer tables -------------------------------------------------------
@@ -673,8 +683,15 @@ def check_axioms(a: Algebra) -> AxiomReport:
 # --- constructors ---------------------------------------------------------
 
 
-def _zero_ternary(dim: int):
-    return [[[[0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+def _verified(a: Algebra, failure: str, jacobi: bool = False) -> Algebra:
+    """a, if it passes all eight identities; else AxiomError with ``failure``
+    naming the failing ids, or NotHomLieError first if ``jacobi`` and 5 fails."""
+    report = check_axioms(a)
+    if report.all_passed:
+        return a
+    if jacobi and not report.passed[5]:
+        raise NotHomLieError(f"twisted Jacobi identity fails at basis tuple {report.counterexamples[5]}")
+    raise AxiomError(failure.format(report.failing()))
 
 
 def from_lie_algebra(bracket, alpha, name="") -> Algebra:
@@ -684,33 +701,18 @@ def from_lie_algebra(bracket, alpha, name="") -> Algebra:
     vanishing ternary part) fails, AxiomError for any other failure.
     """
     dim = len(bracket)
-    a = make_algebra(dim, bracket, _zero_ternary(dim), alpha, name)
-    report = check_axioms(a)
-    if report.all_passed:
-        return a
-    if not report.passed[5]:
-        raise NotHomLieError(
-            f"twisted Jacobi identity fails at basis tuple {report.counterexamples[5]}"
-        )
-    raise AxiomError(f"axioms {report.failing()} fail")
+    a = make_algebra(dim, bracket, _dense(dim, 3, {}), alpha, name)
+    return _verified(a, "axioms {} fail", jacobi=True)
 
 
 def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
-    lie = make_algebra(dim, bracket, _zero_ternary(dim), [[int(i == j) for j in range(dim)] for i in range(dim)])
-    value = divided(*contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),)))
-    t = [
-        [[list(to_dense(value((i, j, k)), dim)) for k in range(dim)] for j in range(dim)]
-        for i in range(dim)
-    ]
-    a = make_algebra(dim, bracket, t, lie.alpha, name)
-    report = check_axioms(a)
-    if not report.all_passed:
-        raise AxiomError(
-            f"input bracket is not Lie: axioms {report.failing()} fail"
-        )
-    return a
+    lie = make_algebra(dim, bracket, _dense(dim, 3, {}), Matrix.identity(dim).data)
+    value, den = contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),))
+    ternary = IntTable(den, {idx: value(idx) for idx in itertools.product(range(dim), repeat=3)})
+    a = make_algebra(dim, bracket, _dense(dim, 3, ternary.fractions(dim)), lie.alpha, name)
+    return _verified(a, "input bracket is not Lie: axioms {} fail")
 
 
 def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
@@ -724,7 +726,8 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
 def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
     """Candidate twist [x,y]' = beta[x,y], {xyz}' = beta^2{xyz}, alpha' = beta.
 
-    The base must be untwisted (alpha = id) and beta an endomorphism of it.
+    The base must be untwisted (alpha = id) and beta an endomorphism of it;
+    beta acts on the values of its integer tables (:func:`brackets`).
     No correctness claim beyond the axiom checker: AxiomError is a normal
     outcome for morphisms whose twist fails the identities.
     """
@@ -733,20 +736,9 @@ def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
         raise NotMorphismError("yau_twist requires an untwisted base (alpha = id)")
     if not is_endomorphism(a, morphism):
         raise NotMorphismError("the given map does not preserve the brackets")
-    beta2 = morphism.matmul(morphism)
-    b = [
-        [list(morphism.apply(a.binary[i][j])) for j in range(d)]
-        for i in range(d)
-    ]
-    t = [
-        [
-            [list(beta2.apply(a.ternary[i][j][k])) for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    twisted = make_algebra(d, b, t, morphism.data, name or (a.name + "_twisted"))
-    report = check_axioms(twisted)
-    if not report.all_passed:
-        raise AxiomError(f"twisted structure fails axioms {report.failing()}")
-    return twisted
+    beta = int_table({(j,): morphism.column(j) for j in range(d)})
+    binary, ternary = brackets(a)
+    binary, ternary = compose_out(beta, binary), compose_out(beta, compose_out(beta, ternary))
+    tensors = (_dense(d, 2, binary.fractions(d)), _dense(d, 3, ternary.fractions(d)))
+    twisted = make_algebra(d, *tensors, morphism.data, name or (a.name + "_twisted"))
+    return _verified(twisted, "twisted structure fails axioms {}")

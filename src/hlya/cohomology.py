@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
 from .cochain import Cochain, build_cochain_space
+from .errors import NotACochainError, PreconditionError
 from .exactlin import Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
 
 
@@ -98,18 +99,28 @@ def pair_from_coords(a: Algebra, coords) -> tuple[Cochain, Cochain]:
     return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
 
 
+def _given_coords(a: Algebra, f: Cochain, g: Cochain) -> list:
+    """:func:`pair_coords` of a caller's pair: a non-cochain is a PreconditionError."""
+    try:
+        return pair_coords(a, f, g)
+    except NotACochainError as exc:
+        raise PreconditionError(str(exc)) from exc
+
+
 def is_cocycle_2(a: Algebra, f: Cochain, g: Cochain) -> bool:
-    """Does (f, g) lie in Z2 x Z3, i.e. is it killed by both delta2 and d2?"""
-    return _closed(a, pair_coords(a, f, g))
+    """Does (f, g) lie in Z2 x Z3, i.e. is it killed by both delta2 and d2?
+    PreconditionError when f or g is not a cochain."""
+    return _closed(a, _given_coords(a, f, g))
 
 
 def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None:
     """A 1-cochain witness h with delta1(h) = pair, or None.
 
     None is a normal return: it means the pair's class in H2 x H3 is
-    nontrivial (or the pair is no cocycle at all).
+    nontrivial (or the pair is no cocycle at all).  PreconditionError when
+    either component is not a cochain.
     """
-    return _preimage(a, pair_coords(a, *pair))
+    return _preimage(a, _given_coords(a, *pair))
 
 
 def _closed(a: Algebra, coords: list) -> bool:

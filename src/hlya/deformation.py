@@ -448,7 +448,7 @@ def _require_cocycle(a: Algebra, f1: Cochain, g1: Cochain) -> None:
     a pair of cochains at all."""
     try:
         closed = is_cocycle_2(a, f1, g1)
-    except NotACochainError as exc:
+    except PreconditionError as exc:
         raise NotInZ2Z3Error(f"(f1, g1) must be a 2-/3-cocycle pair: {exc}")
     if not closed:
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")

@@ -23,14 +23,10 @@ from .algebra import (
 from .exactlin import Matrix
 
 
-def _identity(d):
-    return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
 @lru_cache(maxsize=None)
 def abelian(dim: int = 2) -> Algebra:
     """E0: everything-zero algebra with alpha = id."""
-    return algebra_from_sparse(dim, {}, {}, _identity(dim), name=f"abelian{dim}")
+    return algebra_from_sparse(dim, {}, {}, Matrix.identity(dim).data, name=f"abelian{dim}")
 
 
 @lru_cache(maxsize=None)

@@ -128,7 +128,7 @@ def algebra_from_obj(obj, path: str = "algebra") -> Algebra:
         ternary[(i - 1, j - 1, k - 1)] = _vec_at(vec, dim, f"{where}[3]")
     alpha_obj = obj.get("alpha")
     if alpha_obj is None:
-        alpha = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        alpha = Matrix.identity(dim).data
     else:
         alpha = _rows_at(alpha_obj, dim, f"{path}.alpha")
     name = obj.get("name", "")

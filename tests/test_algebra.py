@@ -1,5 +1,6 @@
 """Structure constants, bracket evaluation, and the eight-identity checker."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlya import serialize
 from hlya.algebra import (
     algebra_from_sparse,
     check_axioms,
@@ -20,6 +22,7 @@ from hlya.algebra import (
 )
 from hlya.errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
 from hlya.exactlin import Matrix, rat
+from hlya.samples import random_verified_algebras
 
 
 def test_bundled_algebras_pass_all_axioms(bundled):
@@ -105,6 +108,28 @@ def test_sparse_entries_must_have_i_below_j(binary, ternary, message):
         algebra_from_sparse(2, binary, ternary, [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "binary, ternary, message",
+    [
+        ({(0, 5): (1, 0)}, {}, r"^binary entry \(0, 5\): expected 2 integer indices in 0..1$"),
+        ({}, {(0, 1, 7): (1, 0)}, r"^ternary entry \(0, 1, 7\): expected 3 integer indices in 0..1$"),
+        ({(-1, 1): (1, 0)}, {}, r"^binary entry \(-1, 1\): expected 2 integer indices in 0..1$"),
+        ({(0, 1, 1): (1, 0)}, {}, r"^binary entry \(0, 1, 1\): expected 2 integer indices in 0..1$"),
+        ({}, {(0, 1): (1, 0)}, r"^ternary entry \(0, 1\): expected 3 integer indices in 0..1$"),
+        ({(True, 1): (1, 0)}, {}, r"^binary entry \(True, 1\): expected 2 integer indices in 0..1$"),
+        ({(0.0, 1): (1, 0)}, {}, r"^binary entry \(0.0, 1\): expected 2 integer indices in 0..1$"),
+    ],
+    ids=["binary-index-too-large", "ternary-index-too-large", "negative-index", "three-index-binary-key",
+         "two-index-ternary-key", "boolean-index", "float-index"],
+)
+def test_sparse_entries_must_have_integer_indices_in_range(binary, ternary, message):
+    """A sparse key is a tuple of the bracket's arity of ints in 0..dim-1,
+    checked before the i < j rule: no entry lands at a wrapped index, is
+    dropped or fails with an error that does not name it."""
+    with pytest.raises(DimMismatchError, match=message):
+        algebra_from_sparse(2, binary, ternary, [[1, 0], [0, 1]])
+
+
 def test_make_algebra_rejects_non_antisymmetric():
     b = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]  # [e2,e1] should be -[e1,e2]
     t = [[[[0, 0]] * 2] * 2] * 2
@@ -143,7 +168,7 @@ def test_jacobi_violation_raises_not_hom_lie():
         [[1, 0, 0], [-1, 0, 0], [0, 0, 0]],
     ]
     # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 -- the cyclic sum does not vanish
-    with pytest.raises(NotHomLieError):
+    with pytest.raises(NotHomLieError, match=r"^twisted Jacobi identity fails at basis tuple \(1, 2, 3\)$"):
         from_lie_algebra(bracket, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -162,7 +187,7 @@ def test_from_lya_standard_rejects_non_lie():
         [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
         [[1, 0, 0], [-1, 0, 0], [0, 0, 0]],
     ]
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError, match=r"^input bracket is not Lie: axioms \[5, 6, 7, 8\] fail$"):
         from_lya_standard(bracket)
 
 
@@ -182,13 +207,46 @@ def test_is_endomorphism_rejects_maps_of_the_wrong_shape(e0, e2):
 
 def test_yau_twist_rejects_non_endomorphism(e2):
     beta = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    with pytest.raises(NotMorphismError):
+    with pytest.raises(NotMorphismError, match="^the given map does not preserve the brackets$"):
         yau_twist(e2, beta)
 
 
 def test_yau_twist_requires_untwisted_base(e3):
-    with pytest.raises(NotMorphismError):
+    with pytest.raises(NotMorphismError, match=r"^yau_twist requires an untwisted base \(alpha = id\)$"):
         yau_twist(e3, e3.alpha_matrix())
+
+
+def test_yau_twist_names_the_failing_axioms():
+    """The identity twist of an untwisted algebra that fails identity 7 (see
+    test_corrupted_ternary_fails_leibniz_identities) fails it too."""
+    bad = algebra_from_sparse(2, {(0, 1): (1, 0)}, {(0, 1, 0): (0, 1)}, [[1, 0], [0, 1]])
+    with pytest.raises(AxiomError, match=r"^twisted structure fails axioms \[7\]$") as caught:
+        yau_twist(bad, Matrix.identity(2))
+    assert type(caught.value) is AxiomError
+
+
+CONSTRUCTED_DIGESTS = {
+    "bundled": "cb11cc8605fdcf632bd68070079e2d95a5891090df2335408dedf334f6795d77",
+    "twisted": "e2baeef0acb94bc70d99192f3ce8fb2a8c6a7ba47d646ab0c08fffafe8903a2f",
+    "random 12345": "b56c8792def3ec89955cc9944eca61436782ff3ba9a94ae18c02f4366542b675",
+}
+
+
+def test_constructed_algebras_are_pinned(bundled, twisted_algebras):
+    """Every constructor builds the same algebras: SHA-256 of the JSON files
+    of the bundled four, the conftest twists and gl2, and 60 random draws."""
+    groups = {
+        "bundled": bundled,
+        "twisted": twisted_algebras,
+        "random 12345": random_verified_algebras(12345, 60),
+    }
+    digests = {}
+    for name, algebras in groups.items():
+        h = hashlib.sha256()
+        for a in algebras:
+            h.update(serialize.dumps(serialize.algebra_to_obj(a)).encode())
+        digests[name] = h.hexdigest()
+    assert digests == CONSTRUCTED_DIGESTS
 
 
 def test_basis_verdict_extends_to_random_vectors(e1, e2):

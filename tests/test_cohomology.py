@@ -10,9 +10,10 @@ from hlya import serialize
 from hlya.cli import EXIT_OK, main
 from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
 from hlya.coboundary import apply_operator, delta2, delta3
-from hlya.cochain import build_cochain_space, cochain_to_matrix, matrix_to_cochain
+from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from hlya.cohomology import cohomology_report, is_coboundary_2, is_cocycle_2
 from hlya.derivations import derivation_space
+from hlya.errors import PreconditionError
 from hlya.exactlin import Matrix, rat
 
 
@@ -126,6 +127,24 @@ def test_nontrivial_class_has_no_witness(e0):
     g = build_cochain_space(e0, 3).basis_cochains[0]
     assert is_cocycle_2(e0, f, g)
     assert is_coboundary_2(e0, (f, g)) is None
+
+
+def test_membership_tests_refuse_maps_that_are_no_cochains(e3):
+    """On heisenberg_twisted, alpha = diag(1, 2, 2): f(e1, e2) = e1 breaks
+    alpha-equivariance, and a value at a diagonal pair breaks alternation.
+    Either pair is the caller's bad input, not a theorem violation."""
+    z2, z3 = Cochain.zero(2, 3), Cochain.zero(3, 3)
+    equivariance = Cochain(2, 3, {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0)})
+    diagonal = Cochain(2, 3, {(0, 0): (1, 0, 0)})
+    cases = [
+        (equivariance, r"^map violates the alpha-equivariance condition at tuple \(1, 2\)$"),
+        (diagonal, r"^nonzero value at diagonal-pair tuple \(1, 1\)$"),
+    ]
+    for f, message in cases:
+        for call in (lambda: is_cocycle_2(e3, f, z3), lambda: is_coboundary_2(e3, (f, z3))):
+            with pytest.raises(PreconditionError, match=message) as caught:
+                call()
+            assert type(caught.value) is PreconditionError
 
 
 def test_cochain_matrix_round_trip(e2):

@@ -1,8 +1,10 @@
 """The two demos run to completion and print exactly what they printed when
-their output was last reviewed (SHA-256 of standard output)."""
+their output was last reviewed (SHA-256 of standard output), and the
+README's Python example prints the value its comment shows."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -16,16 +18,23 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("demo", sorted(DIGESTS))
-def test_demo_output_is_pinned(demo):
+def _run(args) -> bytes:
+    """Standard output of ``python args`` with ``src`` on the path; the run must succeed."""
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
-        capture_output=True,
-        cwd=ROOT,
-        env=env,
-        timeout=300,
-    )
+    run = subprocess.run([sys.executable, *args], capture_output=True, cwd=ROOT, env=env, timeout=300)
     assert run.returncode == 0, run.stderr.decode()
-    assert hashlib.sha256(run.stdout).hexdigest() == DIGESTS[demo]
+    return run.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(DIGESTS))
+def test_demo_output_is_pinned(demo):
+    stdout = _run([os.path.join(ROOT, "demos", demo)])
+    assert hashlib.sha256(stdout).hexdigest() == DIGESTS[demo]
+
+
+def test_readme_example_prints_its_comment():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        (block,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    (expected,) = re.findall(r"^# (\{.*\})$", block, re.M)
+    assert _run(["-c", block]).decode() == expected + "\n"
