@@ -12,7 +12,9 @@ tables (:class:`IntTable`, :func:`contract`): the brackets and the powers
 of alpha are kept on the algebra as such tables (:func:`brackets`,
 :func:`alpha_table`), and the identities, the coboundary operators, the
 twisted Leibniz rules, bracket and cochain evaluation at vectors, the
-endomorphism test and the constructors all read them.  Each constructor
+endomorphism test and the constructors all read them.  Each identity is
+analysed once per algebra and order, into a plan kept in the algebra's
+memo, and each evaluation only binds its tables to it.  Each constructor
 passes its tables through one dense builder, :func:`make_algebra` and one
 axiom verdict.
 """
@@ -61,6 +63,15 @@ SVec = dict[int, Fraction]
 # by term, and the two middle terms go to minus each other.  6 is not
 # antisymmetric in (z, u), since u lies outside the cycle, and 3 and 4,
 # the alternation conditions themselves, have no pair.
+#
+# Identities 5 and 6 also record a leading block of three totally
+# alternating slots: each is a cyclic sum S(x, y, z) = T(x, y, z) +
+# T(y, z, x) + T(z, x, y) of a term T antisymmetric in (x, y).  Swapping x
+# and y gives T(y, x, z) + T(x, z, y) + T(z, y, x) = -S(x, y, z), and S is
+# invariant under rotation, so every transposition of (x, y, z) changes
+# its sign.  S also vanishes when two of x, y, z are equal: S(x, x, z) =
+# T(x, x, z) + T(x, z, x) + T(z, x, x) = 0.  So every t^n coefficient is
+# alternating in (x, y, z), and both identities hold in dimension 2.
 
 _P, _M = 1, -1
 
@@ -76,14 +87,17 @@ def _cyclic(terms) -> tuple:
 
 
 class Identity(NamedTuple):
-    """One identity: its arity, its signed terms and its leading alternating
-    pairs.  For any f alternating in its pair and g alternating in its
-    leading pair, the value of every t^n coefficient changes sign when the
-    arguments of slots (2p, 2p + 1), p < ``pairs``, are swapped."""
+    """One identity: its arity, its signed terms, its leading alternating
+    pairs and its leading alternating block.  For any f alternating in its
+    pair and g alternating in its leading pair, the value of every t^n
+    coefficient changes sign when the arguments of slots (2p, 2p + 1),
+    p < ``pairs``, are swapped, and when any two of the first ``block``
+    slots are swapped."""
 
     arity: int
     terms: tuple
     pairs: int
+    block: int = 0
 
 
 IDENTITIES = {
@@ -91,8 +105,8 @@ IDENTITIES = {
     2: Identity(3, ((_P, "alpha", (("g", 0, 1, 2),)), (_M, "g", ((1, 0), (1, 1), (1, 2)))), 1),
     3: Identity(2, ((_P, "f", ((0, 0), (0, 1))), (_P, "f", ((0, 1), (0, 0)))), 0),
     4: Identity(3, ((_P, "g", ((0, 0), (0, 1), (0, 2))), (_P, "g", ((0, 1), (0, 0), (0, 2)))), 0),
-    5: Identity(3, _cyclic(((_P, "f", (("f", 0, 1), (1, 2))), (_P, "g", ((0, 0), (0, 1), (0, 2))))), 1),
-    6: Identity(4, _cyclic(((_P, "g", (("f", 0, 1), (1, 2), (1, 3))),)), 1),
+    5: Identity(3, _cyclic(((_P, "f", (("f", 0, 1), (1, 2))), (_P, "g", ((0, 0), (0, 1), (0, 2))))), 1, 3),
+    6: Identity(4, _cyclic(((_P, "g", (("f", 0, 1), (1, 2), (1, 3))),)), 1, 3),
     7: Identity(4, (
         (_P, "g", ((1, 0), (1, 1), ("f", 2, 3))),
         (_M, "f", (("g", 0, 1, 2), (2, 3))),
@@ -470,6 +484,49 @@ def _twisted(a: Algebra, t: IntTable, powers: Sequence[int], pos: int | None) ->
     return t.den, grouped
 
 
+class _Term(NamedTuple):
+    """One signed term of :func:`contract`, analysed against an algebra.
+
+    ``twist`` is the key of the outer table's twist, (algebra, effective
+    alpha powers, nested position), and ``key`` reads that twist's key off
+    a basis tuple; ``inner`` names the nested table, if any, and
+    ``inner_key`` reads its key."""
+
+    sign: int
+    outer: object
+    twist: tuple
+    key: Callable[[tuple], object]
+    inner: object
+    inner_key: Callable[[tuple], tuple] | None
+
+
+def _analysed(a: Algebra, terms) -> tuple[_Term, ...]:
+    """The terms of :func:`contract` with everything that depends on the
+    algebra alone worked out: a power p with alpha^p the identity counts
+    as 0, and each term gets its twist key and its getters."""
+    effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
+    analysed = []
+    for sign, outer, args in terms:
+        pos = inner = None
+        powers, plain = [], []
+        for m, arg in enumerate(args):
+            p = arg[0]
+            if isinstance(p, int):
+                if p not in effective:
+                    effective[p] = 0 if p == 0 or _is_identity(alpha_table(a, p), a.dim) else p
+                powers.append(effective[p])
+                plain.append(arg[1])
+            else:
+                pos, inner = m, p
+                powers.append(0)
+        twist = (a, tuple(powers), pos)
+        if inner is None:
+            analysed.append(_Term(sign, outer, twist, _key_getter(plain), None, None))
+        else:
+            analysed.append(_Term(sign, outer, twist, _getter(plain), inner, _key_getter(args[pos][1:])))
+    return tuple(analysed)
+
+
 def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
     """A signed sum of table contractions in integers: (numerators, L).
 
@@ -491,39 +548,39 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
     output indices become (k, u).  As an outer table its output indices
     pass through unchanged; as a nested table its output index (m, u) is
     split, m read by the outer table and u carried to the output.  Those
-    terms are set apart here, once, and summed after the others: a term
-    list without a nested FormTable runs the integer loop alone.
+    terms are set apart when the tables are bound, and summed after the
+    others: a term list without a nested FormTable runs the integer loop
+    alone.
+
+    The terms are analysed against the algebra (:func:`_analysed`), then
+    bound to the tables (:func:`_bound`); the identities keep their
+    analysis in the algebra's memo (:func:`_plan`).
     """
-    effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
+    return _bound(tables, _analysed(a, terms))
+
+
+def _bound(tables: dict, analysed: Sequence[_Term]) -> tuple[Callable[[tuple], dict], int]:
+    """The analysed terms of :func:`contract` bound to ``tables``."""
     compiled = []
     split = []  # the terms whose nested table is a FormTable
-    for sign, outer, args in terms:
-        if not tables.get(outer):
+    for sign, outer, twist, key, inner_name, inner_key in analysed:
+        source = tables.get(outer)
+        if not source:
             continue
-        pos = inner = None
-        powers, plain = [], []
-        for m, arg in enumerate(args):
-            p = arg[0]
-            if isinstance(p, int):
-                if p not in effective:
-                    effective[p] = 0 if p == 0 or _is_identity(alpha_table(a, p), a.dim) else p
-                powers.append(effective[p])
-                plain.append(arg[1])
-            else:
-                pos, inner = m, tables.get(p)
-                powers.append(0)
-        if pos is not None and not inner:
-            continue
-        source, key = tables[outer], (a, tuple(powers), pos)
-        entry = source.twists.get(key)
+        inner = None
+        if inner_name is not None:
+            inner = tables.get(inner_name)
+            if not inner:
+                continue
+        entry = source.twists.get(twist)
         if entry is None:
-            entry = source.twists[key] = _twisted(a, source, powers, pos)
+            b, powers, pos = twist
+            entry = source.twists[twist] = _twisted(b, source, powers, pos)
         den, table = entry
         if inner is None:
-            compiled.append((sign, den, _key_getter(plain), table, None, None))
+            compiled.append((sign, den, key, table, None, None))
         else:
-            inner_key = _key_getter(args[pos][1:])
-            term = (sign, den * inner.den, _getter(plain), table, inner_key, inner.entries)
+            term = (sign, den * inner.den, key, table, inner_key, inner.entries)
             (split if isinstance(inner, FormTable) else compiled).append(term)
     common = lcm(*(term[1] for term in compiled + split))
     compiled, split = (
@@ -578,30 +635,56 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
     return form_value, common
 
 
+class _Plan(NamedTuple):
+    """Identity k at order n on one algebra, before any series is bound:
+    its analysed terms and the basis tuples :func:`first_failure` scans."""
+
+    terms: tuple[_Term, ...]
+    scan: tuple[tuple, ...]
+
+
+@memoised
+def _plan(a: Algebra, k: int, n: int) -> _Plan:
+    """The plan of the t^n coefficient of identity k, kept in a's memo.
+
+    The identity's terms are analysed once, and a term with a nested
+    bracket becomes the convolution sum over i + j = n of
+    outer_i(..., inner_j(...), ...), one term per pair on the tables named
+    ("f", i) and ("g", i), all sharing that analysis.  The scan is the
+    tuples increasing inside the identity's leading block, if it has one,
+    and otherwise inside each of its alternating pairs (:func:`rep_tuples`),
+    in lexicographic order; it does not depend on n, so every order reads
+    that of order 0.
+    """
+    identity = IDENTITIES[k]
+    terms = []
+    for term in _analysed(a, identity.terms):
+        if term.inner is None:
+            terms.append(term._replace(outer=(term.outer, n)))
+        else:
+            terms.extend(term._replace(outer=(term.outer, i), inner=(term.inner, n - i)) for i in range(n + 1))
+    if n:
+        scan = _plan(a, k, 0).scan
+    elif identity.block:
+        tails = list(itertools.product(range(a.dim), repeat=identity.arity - identity.block))
+        scan = tuple(head + tail for head in itertools.combinations(range(a.dim), identity.block) for tail in tails)
+    else:
+        scan = rep_tuples(a.dim, identity.arity, identity.pairs)
+    return _Plan(tuple(terms), scan)
+
+
 def identity_values(a: Algebra, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
     """The t^n coefficient of identity k in integers: (numerators, L).
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
     :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
-    ("g", i) for :func:`contract`; empty ones contribute nothing.  A term
-    with a nested bracket becomes the convolution sum over i + j = n of
-    outer_i(..., inner_j(...), ...), one contracted term per pair.  Each
-    table is twisted once for all identities and orders (:func:`contract`).
+    ("g", i) for :func:`contract`; empty ones contribute nothing.  The
+    terms are analysed once per algebra, identity and order (:func:`_plan`),
+    and each table is twisted once for all identities and orders.
     """
     series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
     tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
-    terms = []
-    for sign, outer, args in IDENTITIES[k].terms:
-        for pos, arg in enumerate(args):
-            if isinstance(arg[0], str):
-                head, tail = args[:pos], args[pos + 1 :]
-                terms.extend(
-                    (sign, (outer, i), (*head, ((arg[0], n - i), *arg[1:]), *tail)) for i in range(n + 1)
-                )
-                break
-        else:
-            terms.append((sign, (outer, n), args))
-    return contract(a, tables, terms)
+    return _bound(tables, _plan(a, k, n).terms)
 
 
 def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
@@ -630,19 +713,24 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
     coefficient of identity k is nonzero; None when it vanishes throughout.
 
-    Only the tuples of :func:`rep_tuples` for the identity's alternating
-    pairs are evaluated.  That is exact when every f_i is alternating and
-    every g_i alternating in its leading pair: at a tuple with equal
-    arguments in such a pair the value is its own negative, so 0, and
-    swapping a decreasing pair gives a lexicographically smaller tuple with
-    the negated value.  So the first failing tuple increases inside every
-    pair.
+    Only the scan tuples of the identity's plan are evaluated (:func:`_plan`).
+    That is exact when every f_i is alternating and every g_i alternating
+    in its leading pair.  At a tuple with equal arguments in an alternating
+    pair the value is its own negative, so 0, and swapping a decreasing
+    pair gives a lexicographically smaller tuple with the negated value, so
+    the first failing tuple increases inside every pair.  Identities 5 and 6
+    are alternating in their leading block (x, y, z) (see :data:`IDENTITIES`):
+    the value vanishes where two of x, y, z are equal, and sorting them
+    gives a tuple no larger with the same value up to sign, so the first
+    failing tuple has x < y < z.  On an algebra of dimension 2 there is no
+    such tuple, and no contraction is built.
     """
-    value, _ = identity_values(a, k, n, fs, gs)
-    identity = IDENTITIES[k]
-    for idx in rep_tuples(a.dim, identity.arity, identity.pairs):
-        if value(idx):
-            return tuple(i + 1 for i in idx)
+    scan = _plan(a, k, n).scan
+    if scan:
+        value, _ = identity_values(a, k, n, fs, gs)
+        for idx in scan:
+            if value(idx):
+                return tuple(i + 1 for i in idx)
     return None
 
 
@@ -726,14 +814,16 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
 def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
     """Candidate twist [x,y]' = beta[x,y], {xyz}' = beta^2{xyz}, alpha' = beta.
 
-    The base must be untwisted (alpha = id) and beta an endomorphism of it;
-    beta acts on the values of its integer tables (:func:`brackets`).
-    No correctness claim beyond the axiom checker: AxiomError is a normal
-    outcome for morphisms whose twist fails the identities.
+    The base must be untwisted (alpha = id), pass the axioms, and have
+    beta as an endomorphism; beta acts on the values of its integer tables
+    (:func:`brackets`).  No correctness claim beyond the axiom checker:
+    AxiomError is a normal outcome for morphisms whose twist fails the
+    identities, and names the base when the base fails them.
     """
     d = a.dim
     if a.alpha_matrix() != Matrix.identity(d):
         raise NotMorphismError("yau_twist requires an untwisted base (alpha = id)")
+    _verified(a, "the base algebra fails axioms {}")
     if not is_endomorphism(a, morphism):
         raise NotMorphismError("the given map does not preserve the brackets")
     beta = int_table({(j,): morphism.column(j) for j in range(d)})

@@ -170,9 +170,13 @@ class CochainSpace(Frozen):
         Representative tuples suffice: the constraint at a swapped or
         diagonal tuple is a signed copy of (or implied by) the one at the
         representative, because both sides are antisymmetric per pair.
+        With alpha = id every row is f(T) - f(T) and cancels, so there are
+        none.
         """
         a = self.algebra
         d = a.dim
+        if a.alpha_matrix() == Matrix.identity(d):
+            return []
         acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
         orbit = self._orbit
         rows = []

@@ -217,10 +217,11 @@ def test_yau_twist_requires_untwisted_base(e3):
 
 
 def test_yau_twist_names_the_failing_axioms():
-    """The identity twist of an untwisted algebra that fails identity 7 (see
-    test_corrupted_ternary_fails_leibniz_identities) fails it too."""
+    """An untwisted base that fails identity 7 (see
+    test_corrupted_ternary_fails_leibniz_identities) is named as the
+    failure, not the morphism."""
     bad = algebra_from_sparse(2, {(0, 1): (1, 0)}, {(0, 1, 0): (0, 1)}, [[1, 0], [0, 1]])
-    with pytest.raises(AxiomError, match=r"^twisted structure fails axioms \[7\]$") as caught:
+    with pytest.raises(AxiomError, match=r"^the base algebra fails axioms \[7\]$") as caught:
         yau_twist(bad, Matrix.identity(2))
     assert type(caught.value) is AxiomError
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.cochain import Cochain, MAX_ARITY, build_cochain_space
+from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
-from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
+from hlya.exactlin import ONE, Matrix, ZERO, eliminate, kernel_basis, null_vectors, rat
 from hlya.coboundary import d2
-from hlya.samples import abelian
+from hlya.samples import abelian, random_verified_algebras
 
 
 # --- independent dimension oracles (no shared code with CochainSpace) -----
@@ -318,3 +318,60 @@ def test_the_cached_basis_cannot_be_changed(e2):
         first.table[next(iter(kept))] = (rat(0),) * e2.dim
     assert build_cochain_space(e2, 2).basis_cochains[0].table == kept
     assert space.coords(first) == [rat(1)] + [rat(0)] * (space.dim - 1)
+
+
+def general_equivariance_rows(space):
+    """The equivariance rows of ``space`` built for any alpha: the loop that
+    ``CochainSpace._equivariance_rows`` skips when alpha = id."""
+    a = space.algebra
+    d = a.dim
+    acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
+    rows = []
+    for pos, idx in enumerate(space.rep_tuples):
+        combos = {}
+        for combo in itertools.product(*(acols[i].items() for i in idx)):
+            found = space._orbit.get(tuple(c[0] for c in combo))
+            if found:
+                target, sign = found
+                w = ONE
+                for c in combo:
+                    w *= c[1]
+                combos[target] = combos.get(target, ZERO) + sign * w
+        for out in range(d):
+            row = {}
+            for k in range(d):
+                c = a.alpha[out][k]
+                if c:
+                    row[pos * d + k] = c
+            for target, w in combos.items():
+                col = target * d + out
+                v = row.get(col, ZERO) - w
+                if v:
+                    row[col] = v
+                else:
+                    row.pop(col, None)
+            if row:
+                rows.append(row)
+    return rows
+
+
+def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_algebras):
+    """With alpha = id the general loop builds no row, so skipping it gives
+    the same pivots, reduced rows and basis: on the bundled algebras, gl2
+    and the seed-12345 corpus.  On twisted algebras the space still runs
+    the general loop."""
+    candidates = [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]
+    untwisted = {a: None for a in candidates if a.alpha_matrix() == Matrix.identity(a.dim)}
+    assert len(untwisted) > 10 and any(a.dim == 4 for a in untwisted)
+    for a in untwisted:
+        for arity in range(1, (5 if a.dim < 4 else 4) + 1):
+            for pairs in {0, arity // 2}:
+                space = CochainSpace(a, arity, pairs)
+                pivots, rows = eliminate(general_equivariance_rows(space))
+                free, basis_cols = null_vectors(pivots, rows, space.reduced_dim)
+                assert (space._pivots, space._rows, space._free, space._basis_cols) == (pivots, rows, free, basis_cols)
+    twisted = [a for a in [*bundled, *twisted_algebras] if a.alpha_matrix() != Matrix.identity(a.dim)]
+    for a in twisted:
+        for arity in (1, 2, 3):
+            space = build_cochain_space(a, arity)
+            assert space._equivariance_rows() == general_equivariance_rows(space), (a.name, arity)

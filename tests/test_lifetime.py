@@ -85,6 +85,19 @@ def test_derived_data_is_freed_with_its_algebra():
     assert ref() is None
 
 
+def test_identity_plans_are_freed_with_their_algebra():
+    """The evaluation plans of the identities live in the algebra's memo,
+    one per identity and order, and go with it."""
+    a = _fresh_twist()
+    assert verify_deformation(null_deformation(a, 2)).ok
+    plans = {key[1:] for key in a._memo if key[0] is algebra._plan.__wrapped__}
+    assert plans == {(k, n) for k in algebra.IDENTITIES for n in range(3)}
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
 def test_space_call_forms_share_one_space():
     a = sl2()
     space = build_cochain_space(a, 4)

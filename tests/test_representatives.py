@@ -11,13 +11,16 @@ every tuple and reduces the table with ``cochain_from_table``.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from hlya import algebra
 from hlya.algebra import (
     IDENTITIES,
+    algebra_from_sparse,
     bracket_series,
+    brackets,
     check_axioms,
     divided,
     first_failure,
@@ -229,14 +232,15 @@ def test_obstruction_matches_the_full_tabulation(algebras):
     assert nonzero > 10
 
 
-def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
-    """sl2 has dimension 3: identity 8 has 3^5 = 243 basis tuples, and 27
-    of them increase inside both of its pairs."""
-    a = sl2()
+def _counted_evaluations(monkeypatch):
+    """Per identity, the tuples at which values of identity_values are read,
+    and the contractions it builds."""
     calls = {k: 0 for k in IDENTITIES}
+    built = {k: 0 for k in IDENTITIES}
     original = algebra.identity_values
 
     def counted(a, k, n, fs, gs):
+        built[k] += 1
         value, den = original(a, k, n, fs, gs)
 
         def counting(idx):
@@ -246,12 +250,116 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
         return counting, den
 
     monkeypatch.setattr(algebra, "identity_values", counted)
+    return calls, built
+
+
+def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
+    """sl2 has dimension 3: identity 8 has 3^5 = 243 basis tuples, and 27
+    of them increase inside both of its pairs.  Identities 5 and 6 read
+    only x < y < z: 1 of 9 and 3 of 27 tuples."""
+    a = sl2()
+    calls, _ = _counted_evaluations(monkeypatch)
     order = 3
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
     assert calls[8] == 27 * (order + 1)
-    assert calls == {
-        k: len(rep_tuples(3, identity.arity, identity.pairs)) * (order + 1)
-        for k, identity in IDENTITIES.items()
-    }
+    per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
+    assert calls == {k: count * (order + 1) for k, count in per_order.items()}
     assert calls[3] == 9 * (order + 1)
+
+
+def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
+    """On aff1 no tuple has three distinct arguments: first_failure returns
+    None for identities 5 and 6 without building their contraction, and
+    still evaluates the others at their representative tuples."""
+    calls, built = _counted_evaluations(monkeypatch)
+    order = 2
+    fs, gs = bracket_series(e1, *_random_series(e1, order, random.Random(4106)))
+    for n in range(order + 1):
+        assert first_failure(e1, 5, n, fs, gs) is first_failure(e1, 6, n, fs, gs) is None
+    assert calls[5] == calls[6] == built[5] == built[6] == 0
+    assert verify_deformation(null_deformation(e1, order)).ok
+    assert calls[5] == calls[6] == built[5] == built[6] == 0
+    assert calls[8] == len(rep_tuples(2, 5, 2)) * (order + 1) > 0
+
+
+def test_identities_5_and_6_are_alternating_in_x_y_z(algebras):
+    """At orders 0-2 of random cochain series, every transposition of
+    (x, y, z) changes the sign of identities 5 and 6, and a tuple with two
+    equal arguments among x, y, z has value 0."""
+    rng = random.Random(4107)
+    checked = 0
+    for a in algebras:
+        fs, gs = bracket_series(a, *_random_series(a, 2, rng))
+        for k in (5, 6):
+            assert IDENTITIES[k].block == 3
+            for n in range(3):
+                value, _ = identity_values(a, k, n, fs, gs)
+                for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
+                    vec = value(idx)
+                    if len(set(idx[:3])) < 3:
+                        assert not vec, (a.name, k, n, idx)
+                        continue
+                    for s, t in ((0, 1), (1, 2), (0, 2)):
+                        lst = list(idx)
+                        lst[s], lst[t] = lst[t], lst[s]
+                        assert value(tuple(lst)) == _negated(vec), (a.name, k, n, idx, (s, t))
+                    checked += bool(vec)
+    assert checked > 200
+
+
+def _random_structure(rng, dim):
+    """An algebra with random alternating brackets and a random alpha: no
+    axiom beyond alternation (identities 3 and 4) is enforced."""
+    def vec():
+        return [rng.choice((0, 0, 1, -1, Fraction(1, 2))) for _ in range(dim)]
+
+    binary = {(i, j): vec() for i, j in itertools.combinations(range(dim), 2) if rng.random() < 0.6}
+    ternary = {
+        (i, j, k): vec() for i, j in itertools.combinations(range(dim), 2) for k in range(dim) if rng.random() < 0.4
+    }
+    alpha = [[rng.choice((0, 0, 1, 2)) for _ in range(dim)] for _ in range(dim)]
+    return algebra_from_sparse(dim, binary, ternary, alpha, name=f"random_{dim}")
+
+
+def test_first_failure_on_the_block_matches_the_full_scan():
+    """Random alternating structures of dimension 2-4 mostly fail
+    identities 5 and 6, and order 1 of a series whose t coefficients are
+    the brackets of another such structure is no cocycle: the scan of
+    x < y < z finds the full scan's first failing tuple in both cases."""
+    rng = random.Random(4108)
+    failures = {5: 0, 6: 0}
+    for draw in range(120):
+        dim = 2 + draw % 3
+        a, b = _random_structure(rng, dim), _random_structure(rng, dim)
+        base = bracket_series(a)
+        (f0,), (g0,) = base
+        f1, g1 = brackets(b)
+        for n, (fs, gs) in ((0, base), (1, ((f0, f1), (g0, g1)))):
+            for k in (5, 6):
+                expected = full_scan_first_failure(a, k, n, fs, gs)
+                assert first_failure(a, k, n, fs, gs) == expected, (draw, k, n)
+                failures[k] += expected is not None
+    assert failures[5] > 80 and failures[6] > 80, failures
+
+
+def test_a_second_verification_analyses_no_term(monkeypatch):
+    """The plans of one algebra are built by its first verify_deformation;
+    a second, on another series of the same order, analyses no term."""
+    base = sl2()
+    a = make_algebra(base.dim, base.binary, base.ternary, base.alpha, name="sl2_plans")
+    analysed = []
+    original = algebra._analysed
+
+    def counted(b, terms):
+        analysed.append(b)
+        return original(b, terms)
+
+    monkeypatch.setattr(algebra, "_analysed", counted)
+    rng = random.Random(4109)
+    first, second = (apply_gauge(null_deformation(a, 3), random_gauge(a, 3, rng)) for _ in range(2))
+    assert verify_deformation(first).ok
+    assert analysed and all(b is a for b in analysed)
+    analysed.clear()
+    assert verify_deformation(second).ok and verify_deformation(first).ok
+    assert analysed == []
