@@ -14,9 +14,17 @@ of alpha are kept on the algebra as such tables (:func:`brackets`,
 twisted Leibniz rules, bracket and cochain evaluation at vectors, the
 endomorphism test and the constructors all read them.  Each identity is
 analysed once per algebra and order, into a plan kept in the algebra's
-memo, and each evaluation only binds its tables to it.  Each constructor
-passes its tables through one dense builder, :func:`make_algebra` and one
-axiom verdict.
+memo, and every other term list once per algebra; each evaluation only
+binds its tables to that analysis (:class:`Contraction`).  A bound
+contraction is read in one of two orders.  The readers that scan some
+tuples (the identity scans of :func:`first_failure`, operator assembly,
+the second-order obstruction, derivations) probe it one tuple at a time.
+The readers that need every basis tuple (the well-definedness audit,
+:func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
+it: each term's nonzero entries are paired on their shared index, so no
+time goes to the empty entries of sparse bracket tables.  Each
+constructor passes its tables through one dense builder,
+:func:`make_algebra` and one axiom verdict.
 """
 
 from __future__ import annotations
@@ -130,10 +138,6 @@ def zero_vec(dim: int) -> Vec:
     return (ZERO,) * dim
 
 
-def to_dense(sv: SVec, dim: int) -> Vec:
-    return tuple(sv.get(i, ZERO) for i in range(dim))
-
-
 class Algebra(Frozen):
     """Structure-constant data, a :class:`Frozen` value.  Use the
     constructors below.
@@ -242,15 +246,18 @@ class IntTable:
     Python ints; a :class:`FormTable` keeps its unknowns in the output
     indices instead.  An empty table is the zero map and is false.
     ``twists`` holds the twisted forms :func:`contract` makes of the table,
-    so they live exactly as long as the table.
+    and ``by_output`` the index :meth:`Contraction.join` reads it by when
+    it is nested (:func:`_by_output`), so both live exactly as long as the
+    table.
     """
 
-    __slots__ = ("den", "entries", "twists")
+    __slots__ = ("den", "entries", "twists", "by_output")
 
     def __init__(self, den: int, entries: dict):
         self.den = den
         self.entries = {key: vec for key, vec in entries.items() if vec}
         self.twists: dict = {}
+        self.by_output: dict | None = None
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -484,13 +491,48 @@ def _twisted(a: Algebra, t: IntTable, powers: Sequence[int], pos: int | None) ->
     return t.den, grouped
 
 
+def _by_output(t: IntTable) -> dict:
+    """t's entries grouped by output index, built once and kept on t:
+    {m: [(key, numerator)]}, or {m: [(key, u, numerator)]} for a
+    :class:`FormTable`, whose output indices are pairs (m, u)."""
+    if t.by_output is None:
+        rows: dict = {}
+        if isinstance(t, FormTable):
+            for key, vec in t.entries.items():
+                for (m, u), c in vec.items():
+                    rows.setdefault(m, []).append((key, u, c))
+        else:
+            for key, vec in t.entries.items():
+                for m, c in vec.items():
+                    rows.setdefault(m, []).append((key, c))
+        t.by_output = rows
+    return t.by_output
+
+
+def _unjoinable(read: tuple) -> tuple:
+    """The place of a term that does not read every slot exactly once."""
+    raise ValueError("only a term that reads every slot exactly once can be joined")
+
+
+def _placer(slots: list) -> Callable[[tuple], tuple] | None:
+    """The map from the arguments a term reads, in the order ``slots``, to
+    the basis tuple where its value lands: None when they come in slot
+    order already, and :func:`_unjoinable` when no such tuple exists."""
+    order = list(range(len(slots)))
+    if sorted(slots) != order:
+        return _unjoinable
+    return None if slots == order else itemgetter(*map(slots.index, order))
+
+
 class _Term(NamedTuple):
     """One signed term of :func:`contract`, analysed against an algebra.
 
     ``twist`` is the key of the outer table's twist, (algebra, effective
     alpha powers, nested position), and ``key`` reads that twist's key off
     a basis tuple; ``inner`` names the nested table, if any, and
-    ``inner_key`` reads its key."""
+    ``inner_key`` reads its key.  ``place`` lays the twist's key (as a
+    tuple) followed by the nested key out as the basis tuple, for
+    :meth:`Contraction.join` (see :func:`_placer`)."""
 
     sign: int
     outer: object
@@ -498,12 +540,15 @@ class _Term(NamedTuple):
     key: Callable[[tuple], object]
     inner: object
     inner_key: Callable[[tuple], tuple] | None
+    place: Callable[[tuple], tuple] | None
 
 
-def _analysed(a: Algebra, terms) -> tuple[_Term, ...]:
+@memoised
+def _analysed(a: Algebra, terms: tuple) -> tuple[_Term, ...]:
     """The terms of :func:`contract` with everything that depends on the
-    algebra alone worked out: a power p with alpha^p the identity counts
-    as 0, and each term gets its twist key and its getters."""
+    algebra alone worked out, once per algebra and term list: a power p
+    with alpha^p the identity counts as 0, and each term gets its twist
+    key, its getters and its layout."""
     effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
     analysed = []
     for sign, outer, args in terms:
@@ -521,14 +566,16 @@ def _analysed(a: Algebra, terms) -> tuple[_Term, ...]:
                 powers.append(0)
         twist = (a, tuple(powers), pos)
         if inner is None:
-            analysed.append(_Term(sign, outer, twist, _key_getter(plain), None, None))
+            term = _Term(sign, outer, twist, _key_getter(plain), None, None, _placer(plain))
         else:
-            analysed.append(_Term(sign, outer, twist, _getter(plain), inner, _key_getter(args[pos][1:])))
+            nested = args[pos][1:]
+            term = _Term(sign, outer, twist, _getter(plain), inner, _key_getter(nested), _placer(plain + list(nested)))
+        analysed.append(term)
     return tuple(analysed)
 
 
-def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], int]:
-    """A signed sum of table contractions in integers: (numerators, L).
+def contract(a: Algebra, tables: dict, terms) -> Contraction:
+    """A signed sum of table contractions in integers, bound to ``tables``.
 
     ``terms`` are (sign, outer, args) in the language of :data:`IDENTITIES`:
     ``outer`` names a table of ``tables`` (an :class:`IntTable` each), an
@@ -538,11 +585,21 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
     are dropped.  A power p with alpha^p the identity counts as 0.  Each
     twist of an outer table is kept in its ``twists``, keyed by (algebra,
     alpha powers, nested position), for every later contraction of that
-    table.  L is the lcm of the terms' denominators and
-    each term carries the integer weight sign * L / denominator, so
-    ``numerators(idx)`` maps each output index to L times the sum at a
-    0-based basis tuple, zeros dropped.  Callers that keep the values
-    divide by L (:func:`divided`).
+    table.  L, the contraction's ``den``, is the lcm of the terms'
+    denominators and each term carries the integer weight sign * L /
+    denominator, so the contraction's values are L times the sum at each
+    0-based basis tuple, as sparse vectors with zeros dropped.  Callers
+    that keep the values divide by L (:func:`divided`); a caller that only
+    asks which values vanish, like the well-definedness audit, need not.
+
+    The values are read in one of two orders (:class:`Contraction`).  The
+    scans of representative tuples (:func:`first_failure`, the
+    obstruction, assembly, derivations) probe one tuple at a time, since
+    they read a few of the d^n tuples or stop at the first nonzero value.
+    The readers of every basis tuple (the audit, ``apply_operator``,
+    :func:`from_lya_standard`) join: the probe would visit every term at
+    every tuple, mostly to find an empty entry of a sparse table, and the
+    join visits only the nonzero products.
 
     When a table is a :class:`FormTable`, the values are linear forms: the
     output indices become (k, u).  As an outer table its output indices
@@ -552,18 +609,148 @@ def contract(a: Algebra, tables: dict, terms) -> tuple[Callable[[tuple], dict], 
     others: a term list without a nested FormTable runs the integer loop
     alone.
 
-    The terms are analysed against the algebra (:func:`_analysed`), then
-    bound to the tables (:func:`_bound`); the identities keep their
-    analysis in the algebra's memo (:func:`_plan`).
+    The terms are analysed against the algebra once per term list
+    (:func:`_analysed`), then bound to the tables (:func:`_bound`); the
+    identities keep their analysis in the algebra's memo as plans
+    (:func:`_plan`).
     """
-    return _bound(tables, _analysed(a, terms))
+    return _bound(tables, _analysed(a, tuple(terms)))
 
 
-def _bound(tables: dict, analysed: Sequence[_Term]) -> tuple[Callable[[tuple], dict], int]:
-    """The analysed terms of :func:`contract` bound to ``tables``."""
+class Contraction:
+    """Analysed terms bound to their tables (:func:`_bound`): each term
+    with its integer weight, over the common denominator ``den``, L.  The
+    two read orders of :func:`contract` run over the same bound terms and
+    differ only in the final loop."""
+
+    __slots__ = ("den", "_terms", "_split")
+
+    def __init__(self, den: int, terms: list, split: list):
+        self.den = den
+        # (weight, key, twisted table, nested key, nested entries, layout),
+        # the layout being (place, nested IntTable, one plain argument)
+        self._terms = terms
+        self._split = split  # the terms whose nested table is a FormTable
+
+    def probe(self) -> Callable[[tuple], dict]:
+        """The numerators at one 0-based basis tuple, zeros dropped."""
+        compiled, split = self._terms, self._split
+
+        def value(idx: tuple) -> dict:
+            acc: dict = {}
+            get = acc.get
+            for w, key, table, inner_key, inner, _ in compiled:
+                if inner is None:
+                    vec = table.get(key(idx))
+                    if vec:
+                        for j, x in vec.items():
+                            acc[j] = get(j, 0) + w * x
+                    continue
+                iv = inner.get(inner_key(idx))
+                if not iv:
+                    continue
+                outer = table.get(key(idx))
+                if not outer:
+                    continue
+                for m, c in iv.items():
+                    vec = outer.get(m)
+                    if vec:
+                        wc = w * c
+                        for j, x in vec.items():
+                            acc[j] = get(j, 0) + wc * x
+            return _pruned(acc)
+
+        if not split:
+            return value
+
+        def form_value(idx: tuple) -> dict:
+            acc = value(idx)
+            get = acc.get
+            for w, key, table, inner_key, inner, _ in split:
+                iv = inner.get(inner_key(idx))
+                if not iv:
+                    continue
+                outer = table.get(key(idx))
+                if not outer:
+                    continue
+                for (m, u), c in iv.items():
+                    vec = outer.get(m)
+                    if vec:
+                        wc = w * c
+                        for j, x in vec.items():
+                            acc[j, u] = get((j, u), 0) + wc * x
+            return _pruned(acc)
+
+        return form_value
+
+    def join(self) -> dict:
+        """The numerators at every basis tuple where they are not all zero:
+        {0-based tuple: sparse vector}.
+
+        A term without a nested table adds each entry of its twisted table
+        where it lands.  A nested term pairs each entry {m: vector} of its
+        twisted outer table with the entries of the nested table whose
+        output index is m (:func:`_by_output`), and adds the product where
+        the pair lands.  ValueError for a term that does not read every
+        slot exactly once: its value has no one tuple to land at.
+        """
+        out: dict = {}
+        get = out.get
+        for w, _, table, _, _, (place, inner, single) in self._terms + self._split:
+            if inner is None:
+                for read, vec in table.items():
+                    idx = read if place is None else place(read)
+                    acc = get(idx)
+                    if acc is None:
+                        out[idx] = {j: w * x for j, x in vec.items()}
+                    else:
+                        for j, x in vec.items():
+                            acc[j] = acc.get(j, 0) + w * x
+                continue
+            rows = _by_output(inner)
+            forms = isinstance(inner, FormTable)
+            for okey, group in table.items():
+                head = (okey,) if single else okey  # one plain argument's key is no tuple
+                for m, vec in group.items():
+                    pairs = rows.get(m)
+                    if pairs is None:
+                        continue
+                    if forms:
+                        for key, u, c in pairs:
+                            read = head + key
+                            idx = read if place is None else place(read)
+                            acc = get(idx)
+                            wc = w * c
+                            if acc is None:
+                                out[idx] = {(j, u): wc * x for j, x in vec.items()}
+                            else:
+                                for j, x in vec.items():
+                                    acc[j, u] = acc.get((j, u), 0) + wc * x
+                        continue
+                    for key, c in pairs:
+                        read = head + key
+                        idx = read if place is None else place(read)
+                        acc = get(idx)
+                        wc = w * c
+                        if acc is None:
+                            out[idx] = {j: wc * x for j, x in vec.items()}
+                        else:
+                            for j, x in vec.items():
+                                acc[j] = acc.get(j, 0) + wc * x
+        for idx, acc in out.items():
+            if 0 in acc.values():
+                out[idx] = _pruned(acc)
+        return {idx: acc for idx, acc in out.items() if acc}
+
+
+def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
+    """The analysed terms of :func:`contract` bound to ``tables``: each
+    outer table's twist, made once and kept on the table, and the weights.
+    Both read orders share this binding: the scans probe the weighted
+    terms, the readers of every tuple join them (:class:`Contraction`)."""
     compiled = []
     split = []  # the terms whose nested table is a FormTable
-    for sign, outer, twist, key, inner_name, inner_key in analysed:
+    for sign, outer, twist, key, inner_name, inner_key, place in analysed:
         source = tables.get(outer)
         if not source:
             continue
@@ -578,61 +765,16 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> tuple[Callable[[tuple], d
             entry = source.twists[twist] = _twisted(b, source, powers, pos)
         den, table = entry
         if inner is None:
-            compiled.append((sign, den, key, table, None, None))
+            compiled.append((sign, den, key, table, None, None, (place, None, False)))
         else:
-            term = (sign, den * inner.den, key, table, inner_key, inner.entries)
+            layout = (place, inner, len(twist[1]) == 2)
+            term = (sign, den * inner.den, key, table, inner_key, inner.entries, layout)
             (split if isinstance(inner, FormTable) else compiled).append(term)
     common = lcm(*(term[1] for term in compiled + split))
     compiled, split = (
         [(sign * (common // den), *rest) for sign, den, *rest in part] for part in (compiled, split)
     )
-
-    def value(idx: tuple) -> dict:
-        acc: dict = {}
-        get = acc.get
-        for w, key, table, inner_key, inner in compiled:
-            if inner is None:
-                vec = table.get(key(idx))
-                if vec:
-                    for j, x in vec.items():
-                        acc[j] = get(j, 0) + w * x
-                continue
-            iv = inner.get(inner_key(idx))
-            if not iv:
-                continue
-            outer = table.get(key(idx))
-            if not outer:
-                continue
-            for m, c in iv.items():
-                vec = outer.get(m)
-                if vec:
-                    wc = w * c
-                    for j, x in vec.items():
-                        acc[j] = get(j, 0) + wc * x
-        return _pruned(acc)
-
-    if not split:
-        return value, common
-
-    def form_value(idx: tuple) -> dict:
-        acc = value(idx)
-        get = acc.get
-        for w, key, table, inner_key, inner in split:
-            iv = inner.get(inner_key(idx))
-            if not iv:
-                continue
-            outer = table.get(key(idx))
-            if not outer:
-                continue
-            for (m, u), c in iv.items():
-                vec = outer.get(m)
-                if vec:
-                    wc = w * c
-                    for j, x in vec.items():
-                        acc[j, u] = get((j, u), 0) + wc * x
-        return _pruned(acc)
-
-    return form_value, common
+    return Contraction(common, compiled, split)
 
 
 class _Plan(NamedTuple):
@@ -673,8 +815,8 @@ def _plan(a: Algebra, k: int, n: int) -> _Plan:
     return _Plan(tuple(terms), scan)
 
 
-def identity_values(a: Algebra, k: int, n: int, fs, gs) -> tuple[Callable[[tuple], dict], int]:
-    """The t^n coefficient of identity k in integers: (numerators, L).
+def identity_values(a: Algebra, k: int, n: int, fs, gs) -> Contraction:
+    """The t^n coefficient of identity k in integers, as a :class:`Contraction`.
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
     :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
@@ -727,7 +869,7 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """
     scan = _plan(a, k, n).scan
     if scan:
-        value, _ = identity_values(a, k, n, fs, gs)
+        value = identity_values(a, k, n, fs, gs).probe()
         for idx in scan:
             if value(idx):
                 return tuple(i + 1 for i in idx)
@@ -797,8 +939,8 @@ def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
     lie = make_algebra(dim, bracket, _dense(dim, 3, {}), Matrix.identity(dim).data)
-    value, den = contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),))
-    ternary = IntTable(den, {idx: value(idx) for idx in itertools.product(range(dim), repeat=3)})
+    bracketed = contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),))
+    ternary = IntTable(bracketed.den, bracketed.join())
     a = make_algebra(dim, bracket, _dense(dim, 3, ternary.fractions(dim)), lie.alpha, name)
     return _verified(a, "input bracket is not Lie: axioms {} fail")
 

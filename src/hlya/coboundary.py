@@ -1,17 +1,21 @@
 """The four coboundary operators, materialized as exact matrices.
 
 Each operator acts between (pairs of) cochain spaces.  Its formula is
-linear in the domain cochains, so it is evaluated once per codomain
-representative tuple on *generic* domain tables, whose entries are the
-unknown reduced coordinates; the values are integer linear forms
-{(output index, unknown): coefficient}.  Applying the forms to each domain
-basis vector gives every column of the matrix in the codomain basis
+linear in the domain cochains, so it is bound once to *generic* domain
+tables, whose entries are the unknown reduced coordinates; the values are
+integer linear forms {(output index, unknown): coefficient}.  Assembly
+probes the formula once per codomain representative tuple and divides by
+its denominator; applying the forms to each domain basis vector gives
+every column of the matrix in the codomain basis
 (:meth:`CochainSpace.coordinates`), after the equivariance defect forms
 are applied to the domain basis.  :func:`verify_well_definedness` is the
-full-tabulation audit: the same forms taken on *all* tuples, each codomain
-condition (diagonal pairs, pair antisymmetry, equivariance) turned into
-linear defect forms once, and only the nonzero ones applied to the domain
-basis.  Both raise their witness through :func:`hlya.cochain.check_defects`.
+full-tabulation audit: the same forms at *all* tuples, joined in one pass
+over the tables' nonzero entries and left undivided, since scaling by the
+nonzero 1/L changes no form's zero-ness; each codomain condition (diagonal
+pairs, pair antisymmetry, equivariance) is turned into linear defect
+forms once, and only the nonzero ones are applied to the domain basis.
+Both raise their witness through :func:`hlya.cochain.check_defects`.
+:func:`apply_operator` joins its formula on concrete tables and divides.
 The generic tables, coordinates and defect forms come from the cochain
 spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
 
@@ -33,9 +37,11 @@ delta1 and delta3 are signed-term data in the same language
 alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
 space of k-twisted derivations (:mod:`hlya.derivations`).  All are
 evaluated by the one integer contraction of :func:`hlya.algebra.contract`,
-on the base brackets and the domain cochains as integer tables: the
-formulas of :data:`_LEVELS` take integer tables, generic or not, and
-:func:`apply_operator` converts its cochains.
+on the base brackets and the domain cochains as integer tables, each term
+list analysed once per algebra: the formulas of :data:`_LEVELS` take
+integer tables, generic or not, and hand out one
+:class:`hlya.algebra.Contraction` per codomain block, with its
+denominator; :func:`apply_operator` converts its cochains.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -45,7 +51,6 @@ block and each basis vector lives in one block: columns are the images of
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .algebra import (
@@ -58,7 +63,6 @@ from .algebra import (
     identity_values,
     int_table,
     memoised,
-    to_dense,
 )
 from .cochain import Cochain, build_cochain_space, check_defects
 from .errors import ArityError, NotACochainError, PreconditionError
@@ -80,17 +84,6 @@ class CoboundaryMap(NamedTuple):
     @property
     def codomain_dim(self) -> int:
         return sum(s.dim for s in self.codomain)
-
-
-def _tabulate(a: Algebra, arity: int, fn) -> dict:
-    """fn maps an index tuple to a sparse value; returns a dense-key table."""
-    d = a.dim
-    table = {}
-    for idx in itertools.product(range(d), repeat=arity):
-        sv = fn(idx)
-        if sv:
-            table[idx] = to_dense(sv, d)
-    return table
 
 
 # --- operator formulas, as signed terms ----------------------------------
@@ -173,26 +166,26 @@ DELTA3 = (
 
 
 def _contracted(components, names):
-    """Tables of the signed-term ``components`` at the base brackets and the
-    domain tables, bound in order to ``names``."""
+    """Contractions of the signed-term ``components`` at the base brackets
+    and the domain tables, bound in order to ``names``."""
 
     def tables(a: Algebra, *domain: IntTable):
         br, tr = brackets(a)
         named = {"br": br, "tr": tr, **dict(zip(names, domain))}
-        return [divided(*contract(a, named, terms)) for terms in components]
+        return [contract(a, named, terms) for terms in components]
 
     return tables
 
 
 def _linearised(ids):
     """The codomain (arity, pairs) of each identity in ``ids``, as
-    :data:`IDENTITIES` records it, and the tables of their t^1 coefficients
-    at the base brackets deformed by (t f, t g)."""
+    :data:`IDENTITIES` records it, and the contractions of their t^1
+    coefficients at the base brackets deformed by (t f, t g)."""
 
     def tables(a: Algebra, f: IntTable, g: IntTable):
         f0, g0 = brackets(a)
         fs, gs = (f0, f), (g0, g)
-        return [divided(*identity_values(a, k, 1, fs, gs)) for k in ids]
+        return [identity_values(a, k, 1, fs, gs) for k in ids]
 
     return tuple((IDENTITIES[k].arity, IDENTITIES[k].pairs) for k in ids), tables
 
@@ -225,9 +218,10 @@ def _generic_inputs(domain) -> tuple[list, list]:
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     """The operator's matrix, linearised once per representative tuple.
 
-    Each formula runs once per representative tuple of each codomain
-    block, on generic domain tables; the linear forms it returns give
-    every column at once, as sparse vectors.  Coordinates are read off by
+    Each formula is bound to generic domain tables and probed once per
+    representative tuple of each codomain block; the linear forms it
+    returns, divided by the formula's denominator, give every column at
+    once, as sparse vectors.  Coordinates are read off by
     :meth:`CochainSpace.coordinates`, which raises NotACochainError, with
     the column as ``basis_index``, on an image that violates
     alpha-equivariance.  Pair alternation is not seen here: only
@@ -237,7 +231,10 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     generic, basis = _generic_inputs(domain)
-    blocks = [target.coordinates(fn, basis) for target, fn in zip(codomain, tables(a, *generic))]
+    blocks = [
+        target.coordinates(divided(formula.probe(), formula.den), basis)
+        for target, formula in zip(codomain, tables(a, *generic))
+    ]
     shift = codomain[0].dim
     columns = [
         {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
@@ -301,7 +298,7 @@ def operator_by_level(a: Algebra, level: str) -> CoboundaryMap:
 def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain, Cochain]:
     """The two components of the operator at ``level`` on its domain
     cochains (h for "1", else the pair), straight from the formulas:
-    tabulated on all tuples and read back by ``cochain_from_table``, which
+    joined at all tuples, divided, and read back by ``cochain_from_table``, which
     raises NotACochainError on an image that is not a cochain.  A cochain
     count or arity that is not the level's domain raises ArityError, a
     cochain on another dimension DimMismatchError, and one outside its
@@ -315,10 +312,11 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
             build_cochain_space(a, c.arity).coords(c)
         except NotACochainError as exc:
             raise PreconditionError(f"{name} argument {pos}, a {c.arity}-cochain, is not in C{c.arity}: {exc}")
-    return tuple(
-        build_cochain_space(a, n, pairs).cochain_from_table(_tabulate(a, n, fn))[0]
-        for (n, pairs), fn in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains)))
-    )
+    images = []
+    for (n, pairs), formula in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains))):
+        values = IntTable(formula.den, formula.join()).fractions(a.dim)
+        images.append(build_cochain_space(a, n, pairs).cochain_from_table(values)[0])
+    return tuple(images)
 
 
 def verify_well_definedness(a: Algebra, level: str) -> int:
@@ -327,11 +325,14 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     Unlike the matrix assembly, which reads only representative tuples,
     this checks every codomain condition (diagonal pairs, pair
     antisymmetry at every tuple, alpha-equivariance) on the operator's
-    image of every domain cochain.  Each codomain block's formula runs
-    once per basis tuple, on generic domain tables, and each condition
-    becomes a linear defect form (:meth:`CochainSpace.defects`).  Only the forms that
-    are nonzero are applied to the domain basis; on an untwisted algebra
-    there are none.  A form nonzero on a basis cochain raises
+    image of every domain cochain.  Each codomain block's formula is
+    joined once at all basis tuples, on generic domain tables, and each
+    condition becomes a linear defect form (:meth:`CochainSpace.defects`).
+    The forms stay in integers, L times the values: scaling by 1/L, which
+    is not zero, changes no form's zero-ness on any basis vector, and a
+    witness names a kind, a tuple and a basis index, never a value.  Only
+    the forms that are nonzero are applied to the domain basis; on an
+    untwisted algebra there are none.  A form nonzero on a basis cochain raises
     NotACochainError, with the level, block, 1-based tuple, basis index
     and kind as attributes.  Returns the number of basis cochains audited.
     """
@@ -340,7 +341,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     generic, basis = _generic_inputs(op.domain)
     if not basis:
         return 0
-    for block, (space, fn) in enumerate(zip(op.codomain, tables(a, *generic))):
+    for block, (space, formula) in enumerate(zip(op.codomain, tables(a, *generic))):
         prefix = f"{name} component {block + 1}, image of basis cochain {{}}: "
-        check_defects(space.defects(fn), basis, prefix, level=level, block=block)
+        check_defects(space.defects(formula.join()), basis, prefix, level=level, block=block)
     return len(basis)

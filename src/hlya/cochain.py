@@ -254,10 +254,9 @@ class CochainSpace(Frozen):
                 forms[idx] = form
         if not forms:  # the zero map has no defects
             return [ZERO] * self.dim
-        empty: dict = {}
-        for kind, idx, _ in self.defects(lambda idx: forms.get(idx, empty)):
+        for kind, idx, _ in self.defects(forms):
             raise _violation(kind, idx)
-        reps = self.rep_tuples
+        reps, empty = self.rep_tuples, {}
         return [forms.get(reps[i // d], empty).get((i % d, 0), ZERO) for i in self._free]
 
     def from_rep_values(self, values: dict) -> Cochain:
@@ -351,13 +350,14 @@ class CochainSpace(Frozen):
         check_defects(self._residual(forms), basis)
         return _apply(((j, forms[i]) for j, i in enumerate(self._free) if i in forms), basis)
 
-    def defects(self, fn) -> list:
-        """The linear defects of fn's values as a map into this space.
+    def defects(self, table: dict) -> list:
+        """The linear defects of a table's values as a map into this space.
 
-        fn, a map from tuples to linear forms as for :meth:`_forms`, runs
-        once at every basis tuple in lexicographic order, so the first tuple
-        met in each orbit is its representative, and the representatives
-        come in the order of ``rep_tuples``.  The defects are (kind, 0-based tuple, form), one
+        ``table`` maps tuples to linear forms as for :meth:`_forms`, a
+        tuple it lacks to zero; it is read once at every basis tuple in
+        lexicographic order, so the first tuple met in each orbit is its
+        representative, and the representatives come in the order of
+        ``rep_tuples``.  The defects are (kind, 0-based tuple, form), one
         per condition a map into the space must meet, the form a sparse
         linear map {(output index, unknown): coefficient}; only the nonzero
         forms are returned, in this order:
@@ -368,15 +368,16 @@ class CochainSpace(Frozen):
           every other tuple, also where value(idx) is zero;
         - "equivariance": the :meth:`_residual` of the representative forms.
 
-        fn's values are cochains for every input exactly when each form
-        vanishes on every domain basis vector.  A concrete table is the
+        The table's values are cochains for every input exactly when each
+        form vanishes on every domain basis vector.  A concrete table is the
         case of one unknown (:meth:`coords`).
         """
         orbit = self._orbit
         reps, negated = [], {}
         defects = []
+        read, empty = table.get, {}
         for idx in itertools.product(range(self.algebra.dim), repeat=self.arity):
-            value = fn(idx)
+            value = read(idx, empty)
             found = orbit.get(idx)
             if found is None:
                 if value:

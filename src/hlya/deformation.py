@@ -466,8 +466,8 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     fs, gs = bracket_series(a, (f1,), (g1,))
     parts = []
     for k, space in zip((7, 8), delta2(a).codomain):
-        value, den = identity_values(a, k, 2, fs, gs)
-        value = divided(value, -den)
+        coefficient = identity_values(a, k, 2, fs, gs)
+        value = divided(coefficient.probe(), -coefficient.den)
         values = {idx: value(idx) for idx in space.rep_tuples}
         parts.append((space.from_rep_values(values), space.rep_coords(values)))
     (big_f, coords_f), (big_g, coords_g) = parts

@@ -58,8 +58,8 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
     columns = [{} for _ in basis]
     rows = 0
     for space, terms in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz(k)):
-        fn = divided(*contract(a, {"br": br, "tr": tr, "h": generic}, terms))
-        for column, image in zip(columns, space.images(fn, basis)):
+        defect = contract(a, {"br": br, "tr": tr, "h": generic}, terms)
+        for column, image in zip(columns, space.images(divided(defect.probe(), defect.den), basis)):
             column.update((rows + i, x) for i, x in image.items())
         rows += space.reduced_dim
     kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))

@@ -87,13 +87,17 @@ def test_criterion_01_composition_identities(bundled, random_corpus):
     )
 
 
-def test_criterion_02_well_definedness(bundled):
+def test_criterion_02_well_definedness(bundled, twisted_algebras):
+    # the twisted fixtures carry alpha with denominators, one not diagonal,
+    # empty codomains (heisenberg_236) and dimension 4 (gl2, level 3 too)
     audited = 0
-    for a in bundled:
+    algebras = bundled + twisted_algebras
+    for a in algebras:
         for level in ("1", "2", "d2", "3"):
             audited += verify_well_definedness(a, level)
     print(
-        f"criterion 02: full-tabulation audit clean on {audited} basis cochains -- PASS"
+        f"criterion 02: full-tabulation audit clean on {audited} basis cochains "
+        f"of {len(algebras)} algebras -- PASS"
     )
 
 

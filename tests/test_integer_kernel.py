@@ -30,15 +30,15 @@ from hlya import coboundary
 from hlya.algebra import (
     IDENTITIES,
     FormTable,
+    IntTable,
     brackets,
     check_axioms,
     contract,
     divided,
     int_table,
     make_algebra,
-    to_dense,
 )
-from hlya.coboundary import _LEVELS, _assemble, _tabulate, apply_operator, d2, delta2
+from hlya.coboundary import _LEVELS, _assemble, apply_operator, d2, delta2
 from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix
 from hlya.deformation import (
     Deformation,
@@ -58,6 +58,7 @@ from hlya.exactlin import ONE, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import FractionOps, eval_sv, svec_add
+from tabulated import Probed, tabulate, to_dense
 
 # --- the Fraction references -------------------------------------------------
 
@@ -249,7 +250,7 @@ def reference_degree_two(a, ids, f, g):
     ops = FractionOps(a)
     fs, gs = _reference_series(ops, (f,), (g,))
     return [
-        _tabulate(a, IDENTITIES[k][0], reference_identity_values(ops, k, 1, fs, gs))
+        tabulate(a, IDENTITIES[k][0], reference_identity_values(ops, k, 1, fs, gs))
         for k in ids
     ]
 
@@ -260,7 +261,7 @@ def reference_obstruction_tables(a, f1, g1):
     tables = []
     for k in (7, 8):
         value = reference_identity_values(ops, k, 2, fs, gs)
-        tables.append(_tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()}))
+        tables.append(tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()}))
     return tables
 
 
@@ -395,7 +396,7 @@ def test_degree_two_tables_match_reference(algebras):
         f, g = _random_cochain(a, 2, rng), _random_cochain(a, 3, rng)
         for level, ids in (("2", (7, 8)), ("d2", (5, 6))):
             formulas = _LEVELS[level][3](a, int_table(f.table), int_table(g.table))
-            tables = [_tabulate(a, IDENTITIES[k][0], fn) for k, fn in zip(ids, formulas)]
+            tables = [IntTable(formula.den, formula.join()).fractions(a.dim) for formula in formulas]
             assert tables == reference_degree_two(a, ids, f, g), (a.name, level)
 
 
@@ -464,19 +465,19 @@ def _cochain_of(n, d, t):
     return Cochain(n, d, table)
 
 
-def _on_tables(formula, arities):
+def _on_tables(formula, arities, codomain):
     """The Fraction ``formula`` on the integer tables that _LEVELS formulas
     take, generic tables included: their values are read back as forms
-    {(output index, unknown): coefficient}."""
+    {(output index, unknown): coefficient}, one block per codomain shape."""
 
     def tables(a, *domain):
         fns = formula(a, *(_cochain_of(n, a.dim, t) for n, t in zip(arities, domain)))
-        if not any(isinstance(t, FormTable) for t in domain):
-            return fns
-        return [
-            lambda idx, fn=fn: {(j, u): c for j, form in fn(idx).items() for u, c in form.terms.items()}
-            for fn in fns
-        ]
+        if any(isinstance(t, FormTable) for t in domain):
+            fns = [
+                lambda idx, fn=fn: {(j, u): c for j, form in fn(idx).items() for u, c in form.terms.items()}
+                for fn in fns
+            ]
+        return [Probed(a.dim, n, fn) for (n, _), fn in zip(codomain, fns)]
 
     return tables
 
@@ -484,7 +485,7 @@ def _on_tables(formula, arities):
 def _reference(monkeypatch, level, fn, *args):
     """fn(*args) with the explicit Fraction formula of ``level`` in _LEVELS."""
     name, domain, codomain, _ = _LEVELS[level]
-    formula = _on_tables(REFERENCE_FORMULAS[level], domain)
+    formula = _on_tables(REFERENCE_FORMULAS[level], domain, codomain)
     with monkeypatch.context() as patch:
         patch.setitem(coboundary._LEVELS, level, (name, domain, codomain, formula))
         return fn(*args)
@@ -523,7 +524,8 @@ def test_delta1_delta3_images_match_reference(monkeypatch, algebras):
                 continue
             formulas = _LEVELS[level][3](a, *(int_table(c.table) for c in cochains))
             references = REFERENCE_FORMULAS[level](a, *cochains)
-            for (n, _), fn, reference in zip(_LEVELS[level][2], formulas, references):
+            for (n, _), formula, reference in zip(_LEVELS[level][2], formulas, references):
+                fn = divided(formula.probe(), formula.den)
                 for _ in range(150):
                     idx = tuple(rng.randrange(a.dim) for _ in range(n))
                     value = fn(idx)
@@ -539,8 +541,13 @@ def test_contract_reads_arity_one_tables_at_one_tuples(algebras):
     ops = FractionOps(a)
     h = _random_cochain(a, 1, random.Random(4106))
     tables = {"br": brackets(a)[0], "h": int_table(h.table)}
-    nested = divided(*contract(a, tables, [(1, "br", ((0, 0), ("h", 1)))]))
-    alone = divided(*contract(a, tables, [(1, "h", ((2, 1),))]))
+    nested, alone = (
+        divided(contraction.probe(), contraction.den)
+        for contraction in (
+            contract(a, tables, [(1, "br", ((0, 0), ("h", 1)))]),
+            contract(a, tables, [(1, "h", ((2, 1),))]),
+        )
+    )
     seen = 0
     for i, j in itertools.product(range(a.dim), repeat=2):
         hj = eval_sv(h, [ops.e[j]])

@@ -1,0 +1,153 @@
+"""The two read orders of a contraction agree at every basis tuple.
+
+A :class:`hlya.algebra.Contraction` is probed one tuple at a time by the
+scans (identity checks, assembly, the obstruction, derivations) and joined
+at every tuple at once by the full-tabulation readers (the audit,
+``apply_operator``, ``from_lya_standard``).  The join must hold the probe's
+numerators at each tuple where they are not all zero, and no other tuple.
+The inputs are concrete integer tables with denominators and generic
+tables (:class:`hlya.algebra.FormTable`), in the outer and the nested slot,
+on the bundled algebras, the twisted fixtures and the seed-12345 corpus.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from hlya.algebra import (
+    IDENTITIES,
+    IntTable,
+    bracket_series,
+    brackets,
+    contract,
+    identity_values,
+    int_table,
+)
+from hlya.coboundary import DELTA1, DELTA3, leibniz
+from hlya.cochain import build_cochain_space
+from hlya.exactlin import rat
+from hlya.samples import random_verified_algebras
+
+
+def _probed(contraction, dim, arity):
+    """The probe's numerators at every basis tuple, zero values left out."""
+    value = contraction.probe()
+    tuples = itertools.product(range(dim), repeat=arity)
+    return {idx: vec for idx in tuples if (vec := value(idx))}
+
+
+def _assert_join_is_probe(contraction, dim, arity, label):
+    joined = contraction.join()
+    assert joined == _probed(contraction, dim, arity), label
+    return len(joined)
+
+
+@pytest.fixture(scope="module")
+def algebras(bundled, twisted_algebras):
+    """The bundle, the sl2 twists (7/11 not diagonal), Heisenberg diag(2, 3, 6)
+    with C4 .. C7 empty, and gl2."""
+    return [*bundled, *twisted_algebras]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return random_verified_algebras(12345, 20)
+
+
+def _random_cochain(a, arity, rng):
+    space = build_cochain_space(a, arity)
+    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
+
+
+def _generic(a, arities):
+    """Generic tables of the spaces of ``arities``, unknowns numbered on."""
+    tables, offset = [], 0
+    for n in arities:
+        space = build_cochain_space(a, n)
+        tables.append(space.generic(offset)[0])
+        offset += space.reduced_dim
+    return tables
+
+
+def test_identities_join_as_they_probe_on_random_series(algebras, corpus):
+    rng = random.Random(2501)
+    nonzero = 0
+    for a in algebras + corpus:
+        f_higher = [_random_cochain(a, 2, rng) for _ in range(2)]
+        g_higher = [_random_cochain(a, 3, rng) for _ in range(2)]
+        fs, gs = bracket_series(a, f_higher, g_higher)
+        for (k, identity), n in itertools.product(IDENTITIES.items(), range(3)):
+            contraction = identity_values(a, k, n, fs, gs)
+            nonzero += _assert_join_is_probe(contraction, a.dim, identity.arity, (a.name, k, n))
+    assert nonzero > 1000
+
+
+def test_identities_join_as_they_probe_on_generic_tables(algebras, corpus):
+    nonzero = 0
+    for a in algebras + corpus:
+        f0, g0 = brackets(a)
+        f, g = _generic(a, (2, 3))
+        for k, identity in IDENTITIES.items():
+            contraction = identity_values(a, k, 1, (f0, f), (g0, g))
+            nonzero += _assert_join_is_probe(contraction, a.dim, identity.arity, (a.name, k))
+    assert nonzero > 1000
+
+
+def _formulas(a):
+    """(label, term lists, tables, codomain arities) of delta1, delta3 and
+    the twisted Leibniz rules, on generic domain tables; h is read both as
+    an outer and as a nested table."""
+    br, tr = brackets(a)
+    (h,) = _generic(a, (1,))
+    f, g = _generic(a, (4, 5))
+    with_h = {"br": br, "tr": tr, "h": h}
+    yield "delta1", DELTA1, with_h, (2, 3)
+    for k in (1, 2, 3):
+        yield f"leibniz({k})", leibniz(k), with_h, (2, 3)
+    yield "delta3", DELTA3, {"br": br, "tr": tr, "f": f, "g": g}, (6, 7)
+
+
+def test_formulas_join_as_they_probe_on_generic_tables(algebras, corpus):
+    nonzero = 0
+    for a in algebras + corpus:
+        for label, components, tables, arities in _formulas(a):
+            for block, (terms, n) in enumerate(zip(components, arities)):
+                contraction = contract(a, tables, terms)
+                nonzero += _assert_join_is_probe(contraction, a.dim, n, (a.name, label, block))
+    assert nonzero > 1000
+
+
+def test_an_empty_nested_table_drops_its_terms_in_both_orders(algebras):
+    # the nested h is the zero map: only the plain twisted bracket is left
+    sl2_twist = algebras[5]
+    assert sl2_twist.name == "sl2_twist_7_11"
+    br = brackets(sl2_twist)[0]
+    terms = ((1, "br", ((0, 0), ("h", 1))), (2, "br", ((1, 1), (2, 0))))
+    contraction = contract(sl2_twist, {"br": br, "h": IntTable(1, {})}, terms)
+    assert _assert_join_is_probe(contraction, 3, 2, "empty h") > 0
+    alone = contract(sl2_twist, {"br": br}, terms[1:])
+    assert contraction.join() == alone.join() and contraction.den == alone.den
+
+
+def test_empty_codomains_join_to_empty_tables(algebras):
+    # Heisenberg diag(2, 3, 6): C4 and C5 are 0-dimensional, so delta3's
+    # generic domain tables are zero and every term of it is dropped
+    heisenberg = algebras[6]
+    assert heisenberg.name == "heisenberg_236"
+    br, tr = brackets(heisenberg)
+    f, g = _generic(heisenberg, (4, 5))
+    assert not f and not g
+    for terms in DELTA3:
+        assert contract(heisenberg, {"br": br, "tr": tr, "f": f, "g": g}, terms).join() == {}
+
+
+def test_a_term_that_skips_a_slot_probes_but_does_not_join(algebras):
+    # h(alpha^2 x_1) on pairs reads no x_0: it has a value at each tuple,
+    # but no one tuple for the join to put an entry of h at
+    a = algebras[4]
+    h = int_table(_random_cochain(a, 1, random.Random(2502)).table)
+    contraction = contract(a, {"h": h}, [(1, "h", ((2, 1),))])
+    assert any(contraction.probe()((i, j)) for i, j in itertools.product(range(a.dim), repeat=2))
+    with pytest.raises(ValueError, match="every slot"):
+        contraction.join()

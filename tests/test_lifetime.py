@@ -18,6 +18,7 @@ import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import hlya
 from hlya import algebra
@@ -29,7 +30,6 @@ from hlya.algebra import (
     evaluate,
     int_table,
     make_algebra,
-    to_dense,
     yau_twist,
 )
 from hlya.coboundary import OPERATORS, verify_well_definedness
@@ -50,6 +50,8 @@ from hlya.deformation import (
 from hlya.derivations import check_der_is_lie, derivation_space
 from hlya.exactlin import Matrix
 from hlya.samples import sl2
+
+from tabulated import to_dense
 
 
 def _fresh_twist(s=Fraction(7, 5)):
@@ -130,6 +132,78 @@ def test_cache_policy_lives_in_samples_only():
     assert users == ["samples.py"]
 
 
+def _callers(name: str) -> set:
+    """(module, enclosing function) of every call to ``name`` in the package."""
+    found = set()
+    for path in Path(hlya.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    func = getattr(inner, "func", None)
+                    if isinstance(inner, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == name:
+                        found.add((path.name, node.name))
+    return found
+
+
+def test_term_lists_are_analysed_once_and_twisted_in_one_binding():
+    """_analysed is memoised, so every term list is analysed once per
+    algebra; it is reached from contract and from the identity plans only,
+    and _twisted, whose twists each table keeps, from _bound only."""
+    assert algebra._analysed.__wrapped__ is not algebra._analysed
+    assert _callers("_analysed") == {("algebra.py", "_plan"), ("algebra.py", "contract")}
+    assert _callers("_twisted") == {("algebra.py", "_bound")}
+    a = _fresh_twist()
+    verify_well_definedness(a, "1")
+    derivation_space(a, 2)
+    analyses = [key for key in a._memo if key[0] is algebra._analysed.__wrapped__]
+    built = len(analyses)
+    verify_well_definedness(a, "1")
+    derivation_space(a, 3)
+    analyses = [key for key in a._memo if key[0] is algebra._analysed.__wrapped__]
+    assert len(analyses) == built + 2  # the two term lists of leibniz(3) alone
+
+
+def _reachable(roots) -> dict:
+    """id -> object for everything reachable from ``roots`` by references,
+    not entering types or modules, and reading functions by their closures
+    only, so the walk stays inside the data and does not reach globals."""
+    seen: dict = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_joined_tables_do_not_outlive_their_audit(monkeypatch):
+    """The audit joins each block's formula into a whole table; once
+    verify_well_definedness returns, none of those tables is reachable
+    from the algebra's memo or from the twists of a memoised table."""
+    a = _fresh_twist()
+    joined = []  # held here, so no table's id is reused during the walk
+    join = algebra.Contraction.join
+
+    def recording(contraction):
+        table = join(contraction)
+        joined.append(table)
+        return table
+
+    monkeypatch.setattr(algebra.Contraction, "join", recording)
+    for level in OPERATORS:
+        verify_well_definedness(a, level)
+    assert len(joined) == 2 * len(OPERATORS) and any(joined)
+    reachable = _reachable([a._memo])
+    # the walk enters the memoised tables' slots, so it covers their twists
+    assert all(id(t.twists) in reachable for t in (*brackets(a), alpha_table(a, 1)))
+    assert not [table for table in joined if id(table) in reachable]
+
+
 def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
     """The twists of brackets(a) live on those tables: a second
     verify_deformation or check_axioms on the algebra builds none of them
@@ -166,7 +240,8 @@ def test_one_table_keeps_a_twist_per_algebra():
     table = int_table(bracket_cochain(sl2()).table)
     terms = ((1, "t", ((1, 0), (1, 1))),)
     for a in (first, second, first):
-        value = divided(*contract(a, {"t": table}, terms))
+        contraction = contract(a, {"t": table}, terms)
+        value = divided(contraction.probe(), contraction.den)
         alpha = a.alpha_matrix()
         for i, j in itertools.product(range(3), repeat=2):
             expected = evaluate(table, 3, [alpha.column(i), alpha.column(j)])

@@ -3,12 +3,16 @@
 The reference functions below are the column-by-column assembly and the
 per-cochain full-tabulation audit: each domain basis cochain is pushed
 through the operator formula on its own, and its image is tabulated on
-all tuples and read back by ``cochain_from_table``.  The package
-evaluates each formula once per tuple on generic tables instead, and
-audits each codomain condition as a linear defect form; both must give
-equal matrices, equal audit counts, and the same kind of NotACochainError
-on formulas whose output is not a cochain.
+all tuples and read back by ``cochain_from_table``.  The package binds
+each formula once to generic tables instead, probes it at the
+representative tuples to assemble and joins it at all tuples to audit,
+each codomain condition a linear defect form; both must give equal
+matrices, equal audit counts, and the same kind of NotACochainError on
+formulas whose output is not a cochain.
 """
+
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +29,8 @@ from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.errors import NotACochainError
 from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
+
+from tabulated import Probed
 
 LEVELS = ("1", "2", "d2", "3")
 
@@ -44,7 +50,8 @@ def columnwise_assemble(a, level):
     columns = []
     for cochains in _basis_inputs(a, domain):
         col = []
-        for target, fn in zip(codomain, tables(a, *(int_table(c.table) for c in cochains))):
+        for target, formula in zip(codomain, tables(a, *(int_table(c.table) for c in cochains))):
+            fn = divided(formula.probe(), formula.den)
             col.extend(target.rep_coords({idx: fn(idx) for idx in target.rep_tuples}))
         columns.append(col)
     rows = sum(s.dim for s in codomain)
@@ -116,24 +123,34 @@ def test_audit_matches_per_cochain_on_random_corpus():
     )
 
 
+class _CountedTable(dict):
+    """A joined table that counts the reads of its ``get`` in ``reads``."""
+
+    def __init__(self, entries, reads, block):
+        super().__init__(entries)
+        self.reads, self.block = reads, block
+
+    def get(self, key, default=None):
+        self.reads[self.block] += 1
+        return super().get(key, default)
+
+
 def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch, e2, twisted_algebras):
-    # each codomain block's formula runs once at every basis tuple; on an
-    # untwisted algebra no defect form is nonzero, so no form is applied
-    # to the domain basis
-    calls, defects, applied = {}, [], []
+    # each codomain block's formula is joined once and its table read once
+    # at every basis tuple; on an untwisted algebra no defect form is
+    # nonzero, so no form is applied to the domain basis
+    joins, reads, defects, applied = Counter(), Counter(), [], []
 
-    def counting(level, block, fn):
-        calls[level, block] = 0
+    def counting(level, block, contraction):
+        def join():
+            joins[level, block] += 1
+            return _CountedTable(contraction.join(), reads, (level, block))
 
-        def value(idx):
-            calls[level, block] += 1
-            return fn(idx)
-
-        return value
+        return SimpleNamespace(den=contraction.den, probe=contraction.probe, join=join)
 
     def counted(level, formula):
         def tables(a, *generic):
-            return [counting(level, block, fn) for block, fn in enumerate(formula(a, *generic))]
+            return [counting(level, block, c) for block, c in enumerate(formula(a, *generic))]
 
         return tables
 
@@ -154,7 +171,8 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         operator_by_level(e2, level)
         monkeypatch.setitem(coboundary._LEVELS, level, (name, domain, codomain, counted(level, formula)))
         verify_well_definedness(e2, level)
-        assert [calls[level, b] for b in (0, 1)] == [e2.dim**n for n, _ in codomain], level
+        assert [joins[level, b] for b in (0, 1)] == [1, 1], level
+        assert [reads[level, b] for b in (0, 1)] == [e2.dim**n for n, _ in codomain], level
     assert len(defects) == 8 and not any(defects) and not any(applied)
     # the counters see work where there is some: under the non-diagonal
     # twist the generic tables leave the domain, so the equivariance
@@ -170,22 +188,28 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
 #
 # The formulas take integer tables, generic ones included: h's entry at
 # (i,) holds h(e_i) as numerators over h.den, so the values below are read
-# from it without looking at its output indices.
+# from it without looking at its output indices.  Each block is a map on
+# tuples, dressed as a contraction (``Probed``) for both read orders.
 
 
 def _h(h, i):
     return h.entries.get((i,), {})
 
 
+def _blocks(a, first):
+    """Level 1's two blocks: ``first`` on pairs, zero on triples."""
+    return [Probed(a.dim, 2, first), Probed(a.dim, 3, lambda idx: {})]
+
+
 def _pair_breaking(a, h):
     # h(x) at (x, y): nonzero on the diagonal pairs (x, x)
-    return [divided(lambda idx: dict(_h(h, idx[0])), h.den), lambda idx: {}]
+    return _blocks(a, divided(lambda idx: dict(_h(h, idx[0])), h.den))
 
 
 def _increasing_only(a, h):
     # h(x) at (x, y) with x < y, zero elsewhere: the representative values
     # of an alternating map, but zero at every swapped partner
-    return [divided(lambda idx: dict(_h(h, idx[0])) if idx[0] < idx[1] else {}, h.den), lambda idx: {}]
+    return _blocks(a, divided(lambda idx: dict(_h(h, idx[0])) if idx[0] < idx[1] else {}, h.den))
 
 
 def _equivariance_breaking(a, h):
@@ -197,7 +221,7 @@ def _equivariance_breaking(a, h):
             acc[key] = acc.get(key, 0) - c
         return {key: c for key, c in acc.items() if c}
 
-    return [divided(comp, h.den), lambda idx: {}]
+    return _blocks(a, divided(comp, h.den))
 
 
 def _patch_level_1(monkeypatch, formula):

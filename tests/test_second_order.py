@@ -21,7 +21,7 @@ import pytest
 
 from hlya import algebra, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, divided, first_failure, identity_values
-from hlya.coboundary import _tabulate, apply_operator, d2, delta2, delta3
+from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
 from hlya.deformation import (
@@ -35,6 +35,8 @@ from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
 from hlya.exactlin import kernel_basis, rat, solve, vstack
 from hlya.samples import random_verified_algebras
 
+from tabulated import tabulate
+
 
 def reference_obstruction_pair(a, f1, g1):
     if not is_cocycle_2(a, f1, g1):
@@ -42,8 +44,8 @@ def reference_obstruction_pair(a, f1, g1):
     fs, gs = bracket_series(a, (f1,), (g1,))
     tables = []
     for k in (7, 8):
-        value, den = identity_values(a, k, 2, fs, gs)
-        tables.append(_tabulate(a, IDENTITIES[k][0], divided(value, -den)))
+        coefficient = identity_values(a, k, 2, fs, gs)
+        tables.append(tabulate(a, IDENTITIES[k][0], divided(coefficient.probe(), -coefficient.den)))
     f_table, g_table = tables
     big_f, coords_f = build_cochain_space(a, 4).cochain_from_table(f_table)
     big_g, coords_g = build_cochain_space(a, 5).cochain_from_table(g_table)
