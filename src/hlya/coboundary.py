@@ -2,19 +2,19 @@
 
 Each operator acts between (pairs of) cochain spaces.  Its formula is
 linear in the domain cochains, so it is bound once to *generic* domain
-tables, whose entries are the unknown reduced coordinates; the values are
-integer linear forms {(output index, unknown): coefficient}.  Assembly
-probes the formula once per codomain representative tuple and divides by
-its denominator; applying the forms to each domain basis vector gives
-every column of the matrix in the codomain basis
-(:meth:`CochainSpace.coordinates`), after the equivariance defect forms
-are applied to the domain basis.  :func:`verify_well_definedness` is the
-full-tabulation audit: the same forms at *all* tuples, joined in one pass
-over the tables' nonzero entries and left undivided, since scaling by the
-nonzero 1/L changes no form's zero-ness; each codomain condition (diagonal
-pairs, pair antisymmetry, equivariance) is turned into linear defect
-forms once, and only the nonzero ones are applied to the domain basis.
-Both raise their witness through :func:`hlya.cochain.check_defects`.
+tables, sum_j u_j b_j over the domain basis cochains b_j, kept in the
+algebra's memo (:func:`_generic_inputs`); the values are integer linear
+forms {(output index, unknown): coefficient}, and unknown j is column j.
+Assembly probes the formula once per codomain representative tuple,
+divides by its denominator and regroups the forms by unknown, which gives
+every column in the codomain basis (:meth:`CochainSpace.coordinates`)
+once no equivariance defect form is left.  :func:`verify_well_definedness`
+is the full-tabulation audit: the same forms at *all* tuples, joined in
+one pass over the tables' nonzero entries and left undivided, since
+scaling by the nonzero 1/L changes no form's zero-ness; each codomain
+condition (diagonal pairs, pair antisymmetry, equivariance) is turned
+into linear defect forms once, and a correct operator leaves none.  Both
+raise their witness through :func:`hlya.cochain.check_defects`.
 :func:`apply_operator` joins its formula on concrete tables and divides.
 The generic tables, coordinates and defect forms come from the cochain
 spaces (:class:`hlya.cochain.CochainSpace`), which own the layout.
@@ -45,7 +45,7 @@ denominator; :func:`apply_operator` converts its cochains.
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
-block and each basis vector lives in one block: columns are the images of
+block and each basis cochain lives in one block: columns are the images of
 (f, 0) and (0, g) and rely on linearity in the pair.
 """
 
@@ -202,17 +202,18 @@ _LEVELS = {
 }
 
 
-def _generic_inputs(domain) -> tuple[list, list]:
-    """Generic tables of the domain blocks (:meth:`CochainSpace.generic`)
-    and the domain basis over their unknowns, block by block; a block's
-    unknowns follow the reduced coordinates of the blocks before it."""
-    tables, basis, offset = [], [], 0
-    for space in domain:
-        table, vectors = space.generic(offset)
-        tables.append(table)
-        basis.extend(vectors)
-        offset += space.reduced_dim
-    return tables, basis
+@memoised
+def _generic_inputs(a: Algebra, arities: tuple) -> tuple:
+    """Generic tables of the domain spaces of ``arities``
+    (:meth:`CochainSpace.generic`), block by block, kept in a's memo with
+    their twists and join indexes; a block's unknowns follow the basis
+    cochains of the blocks before it, so unknown j is column j."""
+    tables, offset = [], 0
+    for n in arities:
+        space = build_cochain_space(a, n)
+        tables.append(space.generic(offset))
+        offset += space.dim
+    return tuple(tables)
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
@@ -220,8 +221,8 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
 
     Each formula is bound to generic domain tables and probed once per
     representative tuple of each codomain block; the linear forms it
-    returns, divided by the formula's denominator, give every column at
-    once, as sparse vectors.  Coordinates are read off by
+    returns, divided by the formula's denominator, fill every column at
+    once, by unknown.  Coordinates are read off by
     :meth:`CochainSpace.coordinates`, which raises NotACochainError, with
     the column as ``basis_index``, on an image that violates
     alpha-equivariance.  Pair alternation is not seen here: only
@@ -230,16 +231,13 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
-    generic, basis = _generic_inputs(domain)
-    blocks = [
-        target.coordinates(divided(formula.probe(), formula.den), basis)
-        for target, formula in zip(codomain, tables(a, *generic))
-    ]
-    shift = codomain[0].dim
-    columns = [
-        {**first, **{shift + j: x for j, x in second.items()}} for first, second in zip(*blocks)
-    ]
-    matrix = Matrix.from_sparse_columns(columns, shift + codomain[1].dim)
+    columns = [{} for _ in range(sum(s.dim for s in domain))]
+    shift = 0
+    for target, formula in zip(codomain, tables(a, *_generic_inputs(a, domain_arities))):
+        for u, coords in target.coordinates(divided(formula.probe(), formula.den)).items():
+            columns[u].update((shift + j, x) for j, x in coords.items())
+        shift += target.dim
+    matrix = Matrix.from_sparse_columns(columns, shift)
     return CoboundaryMap(name, tuple(domain), tuple(codomain), matrix)
 
 
@@ -329,19 +327,16 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     joined once at all basis tuples, on generic domain tables, and each
     condition becomes a linear defect form (:meth:`CochainSpace.defects`).
     The forms stay in integers, L times the values: scaling by 1/L, which
-    is not zero, changes no form's zero-ness on any basis vector, and a
-    witness names a kind, a tuple and a basis index, never a value.  Only
-    the forms that are nonzero are applied to the domain basis; on an
-    untwisted algebra there are none.  A form nonzero on a basis cochain raises
-    NotACochainError, with the level, block, 1-based tuple, basis index
-    and kind as attributes.  Returns the number of basis cochains audited.
+    is not zero, changes no form's zero-ness, and a witness names a kind,
+    a tuple and a basis index, never a value.  A correct operator leaves
+    no defect form; the first one raises NotACochainError at its lowest
+    unknown, with the level, block, 1-based tuple, basis index and kind as
+    attributes.  Returns the number of basis cochains audited.
     """
-    name, _, _, tables = _level(level)
+    name, domain_arities, _, tables = _level(level)
     op = OPERATORS[level](a)
-    generic, basis = _generic_inputs(op.domain)
-    if not basis:
-        return 0
+    generic = _generic_inputs(a, domain_arities)
     for block, (space, formula) in enumerate(zip(op.codomain, tables(a, *generic))):
         prefix = f"{name} component {block + 1}, image of basis cochain {{}}: "
-        check_defects(space.defects(formula.join()), basis, prefix, level=level, block=block)
-    return len(basis)
+        check_defects(space.defects(formula.join()), prefix, level=level, block=block)
+    return op.domain_dim

@@ -16,9 +16,11 @@ image vectors, coordinates and defect forms.
 
 The conditions are written once, as linear defect forms
 (:meth:`CochainSpace.defects`, with :meth:`CochainSpace._residual` for
-equivariance), and every verdict reads them: the audit and operator
-assembly apply them to a domain basis and raise their witness through
-:func:`check_defects`, and a concrete table is the case of one unknown.
+equivariance), and every verdict reads them.  The unknowns of a generic
+cochain are the basis cochains, so a form's coefficient of unknown j is
+its value on basis cochain j: the audit and operator assembly raise the
+first nonzero form through :func:`check_defects`, and a concrete table
+is the case of one unknown.
 A cochain is immutable, table and attributes alike, so it is shared
 freely.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
@@ -273,7 +276,7 @@ class CochainSpace(Frozen):
     def rep_coords(self, values: dict) -> list:
         """Basis coordinates of :meth:`from_rep_values` of ``values``;
         NotACochainError when that map violates alpha-equivariance."""
-        [coords] = self.coordinates(lambda idx: {(k, 0): x for k, x in values.get(idx, {}).items() if x}, [{0: 1}])
+        coords = self.coordinates(lambda idx: {(k, 0): x for k, x in values.get(idx, {}).items() if x}).get(0, {})
         return [coords.get(j, ZERO) for j in range(self.dim)]
 
     def from_coords(self, coords: Sequence) -> Cochain:
@@ -299,24 +302,22 @@ class CochainSpace(Frozen):
 
     # --- generic cochains and linear forms ----------------------------------
 
-    def generic(self, offset: int = 0) -> tuple[FormTable, list]:
-        """A generic cochain of this space and the basis over its unknowns.
-
-        Reduced coordinate i is the unknown ``offset + i``.  The table is a
-        :class:`FormTable`: at each tuple of an orbit it holds the unknown
-        of every coordinate that some basis cochain uses, with the pair
-        signs of :meth:`_from_sparse`; a space of dimension 0 gives the zero
-        table.  The basis comes back as sparse vectors over the unknowns.
-        """
+    def generic(self, offset: int = 0) -> FormTable:
+        """The generic cochain sum_j u_{offset + j} b_j over the basis
+        cochains b_j, as a :class:`FormTable` over the lcm of their
+        denominators.  A form's coefficient of u_{offset + j} is its value
+        on b_j; a space of dimension 0 gives the zero table."""
         d = self.algebra.dim
-        used = {i for col in self._basis_cols for i in col}
-        signed = {}  # (position, sign) -> the signed value
-        for pos in range(len(self.rep_tuples)):
-            value = {(k, offset + i): 1 for k, i in enumerate(range(pos * d, pos * d + d)) if i in used}
-            if value:
-                signed[pos, 1], signed[pos, -1] = value, {key: -1 for key in value}
-        entries = {tup: signed[found] for tup, found in self._orbit.items() if found in signed}
-        return FormTable(1, entries), [{offset + i: x for i, x in col.items()} for col in self._basis_cols]
+        den = lcm(*(x.denominator for col in self._basis_cols for x in col.values()))
+        signed: dict = {}  # (position, sign) -> the signed value
+        for j, col in enumerate(self._basis_cols, offset):
+            for i, x in col.items():
+                pos, k = divmod(i, d)
+                if (pos, 1) not in signed:
+                    signed[pos, 1], signed[pos, -1] = {}, {}
+                c = x.numerator * (den // x.denominator)
+                signed[pos, 1][k, j], signed[pos, -1][k, j] = c, -c
+        return FormTable(den, {tup: signed[found] for tup, found in self._orbit.items() if found in signed})
 
     def _forms(self, values) -> dict:
         """The values at the representative tuples, in order, as forms
@@ -330,25 +331,25 @@ class CochainSpace(Frozen):
                 forms.setdefault(pos * d + k, {})[u] = c
         return forms
 
-    def images(self, fn, basis) -> list:
-        """The sparse reduced image of each basis vector under fn, a map
-        from tuples to linear forms as for :meth:`_forms`; fn runs once per
-        representative tuple."""
-        return _apply(self._forms(map(fn, self.rep_tuples)).items(), basis)
+    def images(self, fn) -> dict:
+        """fn's sparse reduced image of each unknown's basis cochain,
+        {unknown: {reduced coordinate: Fraction}}; fn maps tuples to linear
+        forms as for :meth:`_forms` and runs once per representative
+        tuple."""
+        return _by_unknown(self._forms(map(fn, self.rep_tuples)).items())
 
-    def coordinates(self, fn, basis) -> list:
-        """The basis coordinates, as sparse vectors, of fn's image of each
-        basis vector; fn runs once per representative tuple.
+    def coordinates(self, fn) -> dict:
+        """The basis coordinates of fn's image of each unknown's basis
+        cochain, {unknown: {coordinate: Fraction}}; fn runs once per
+        representative tuple.
 
-        :func:`check_defects` applies the :meth:`_residual` forms to the
-        basis: the first one nonzero on some basis vector raises
-        NotACochainError, with the lowest such vector's index as
-        ``basis_index``.  Otherwise every image is in the space, and its
-        coordinates are its entries at the free coordinates.
+        The first nonzero :meth:`_residual` form raises NotACochainError
+        through :func:`check_defects`.  Otherwise every image is in the
+        space, and its coordinates are its entries at the free coordinates.
         """
         forms = self._forms(map(fn, self.rep_tuples))
-        check_defects(self._residual(forms), basis)
-        return _apply(((j, forms[i]) for j, i in enumerate(self._free) if i in forms), basis)
+        check_defects(self._residual(forms))
+        return _by_unknown((j, forms[i]) for j, i in enumerate(self._free) if i in forms)
 
     def defects(self, table: dict) -> list:
         """The linear defects of a table's values as a map into this space.
@@ -368,9 +369,9 @@ class CochainSpace(Frozen):
           every other tuple, also where value(idx) is zero;
         - "equivariance": the :meth:`_residual` of the representative forms.
 
-        The table's values are cochains for every input exactly when each
-        form vanishes on every domain basis vector.  A concrete table is the
-        case of one unknown (:meth:`coords`).
+        The table's values are cochains for every input exactly when there
+        is no defect, its unknowns being those of :meth:`generic`.  A
+        concrete table is the case of one unknown (:meth:`coords`).
         """
         orbit = self._orbit
         reps, negated = [], {}
@@ -423,40 +424,26 @@ class CochainSpace(Frozen):
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"
 
 
-def _apply(forms, basis) -> list:
-    """The sparse image {key: value} of each basis vector under ``forms``,
-    pairs (key, {unknown: coefficient})."""
-    rows: dict = {}  # unknown -> [(key, coefficient)]
+def _by_unknown(forms) -> dict:
+    """Pairs (key, {unknown: coefficient}) regrouped by unknown, as
+    {unknown: {key: Fraction}}."""
+    out: dict = {}
     for key, form in forms:
         for u, c in form.items():
-            rows.setdefault(u, []).append((key, c))
-    images = []
-    for vec in basis:
-        image: dict = {}
-        for u, x in vec.items():
-            for key, c in rows.get(u, ()):
-                image[key] = image.get(key, 0) + x * c
-        images.append({key: y for key, y in image.items() if y})
-    return images
+            out.setdefault(u, {})[key] = rat(c)
+    return out
 
 
-def check_defects(defects, basis, prefix: str = "", **witness) -> None:
-    """NotACochainError for the first of the ``defects``, in order, whose
-    form is nonzero on some basis vector, at the first such vector j: its
-    ``basis_index`` is j, which also fills the ``{}`` of ``prefix``.  Each
-    form is paired with the basis by :func:`_apply`, one output index at a
-    time; nothing is raised when every form vanishes on the whole basis."""
-    if not defects:
-        return
-    groups: dict = {}  # (defect position, output index) -> {unknown: coefficient}
-    for p, (_, _, form) in enumerate(defects):
-        for (k, u), c in form.items():
-            groups.setdefault((p, k), {})[u] = c
-    hits = [(p, j) for j, image in enumerate(_apply(groups.items(), basis)) for p, _ in image]
-    if hits:
-        p, j = min(hits)
-        kind, idx, _ = defects[p]
-        raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
+def check_defects(defects, prefix: str = "", **witness) -> None:
+    """NotACochainError for the first of the ``defects`` that has a
+    nonzero coefficient, at its lowest such unknown j: the defect of basis
+    cochain j.  Its ``basis_index`` is j, which also fills the ``{}`` of
+    ``prefix``.  A pair-antisymmetry form may hold zero coefficients."""
+    for kind, idx, form in defects:
+        hits = [u for (_, u), c in form.items() if c]
+        if hits:
+            j = min(hits)
+            raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
 
 
 def _shape(arity: int, pairs: int | None) -> tuple[int, int]:

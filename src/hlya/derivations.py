@@ -53,14 +53,14 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
     """
     d = a.dim
     c1 = build_cochain_space(a, 1)
-    generic, basis = c1.generic()
     br, tr = brackets(a)
-    columns = [{} for _ in basis]
+    tables = {"br": br, "tr": tr, "h": c1.generic()}
+    columns = [{} for _ in range(c1.dim)]
     rows = 0
     for space, terms in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz(k)):
-        defect = contract(a, {"br": br, "tr": tr, "h": generic}, terms)
-        for column, image in zip(columns, space.images(divided(defect.probe(), defect.den), basis)):
-            column.update((rows + i, x) for i, x in image.items())
+        defect = contract(a, tables, terms)
+        for u, image in space.images(divided(defect.probe(), defect.den)).items():
+            columns[u].update((rows + i, x) for i, x in image.items())
         rows += space.reduced_dim
     kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
     ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space
+from hlya.algebra import FormTable
+from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space, check_defects
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import ONE, Matrix, ZERO, eliminate, kernel_basis, null_vectors, rat
 from hlya.coboundary import d2
@@ -375,3 +376,43 @@ def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_a
         for arity in (1, 2, 3):
             space = build_cochain_space(a, arity)
             assert space._equivariance_rows() == general_equivariance_rows(space), (a.name, arity)
+
+
+def test_generic_table_is_the_sum_over_the_basis(bundled, twisted_algebras):
+    """The generic table is sum_j u_{offset + j} b_j: substituting the unit
+    vector u = e_{offset + j} gives basis cochain b_j exactly, in C1 .. C5
+    on the bundled algebras, the twisted ones (the non-diagonal
+    sl2_twist_7_11 and gl2 among them) and the seed-12345 corpus.  A space
+    of dimension 0 gives the empty table."""
+    offset, empty = 5, 0
+    for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]:
+        for n in range(1, 6):
+            space = build_cochain_space(a, n)
+            table = space.generic(offset)
+            assert type(table) is FormTable
+            substituted: dict = {}  # u -> the table at u = e_u
+            for idx, vec in table.entries.items():
+                for (k, u), c in vec.items():
+                    value = substituted.setdefault(u, {}).setdefault(idx, [ZERO] * a.dim)
+                    value[k] = Fraction(c, table.den)
+            cochains = {u - offset: Cochain(n, a.dim, values) for u, values in substituted.items()}
+            assert cochains == dict(enumerate(space.basis_cochains)), (a.name, n)
+            if not space.dim:
+                assert not table.entries
+                empty += 1
+    assert empty  # heisenberg_236 has C3 .. C5 of dimension 0
+
+
+def test_a_defect_names_its_lowest_nonzero_unknown(e2):
+    # (0, 1) holds u_0 + u_2 and its swapped partner (1, 0) only -u_0, so
+    # the pair-antisymmetry defect there keeps a zero coefficient of u_0:
+    # it is the defect of basis cochain 2 alone
+    space = build_cochain_space(e2, 2)
+    defects = space.defects({(0, 1): {(0, 0): 1, (0, 2): 1}, (1, 0): {(0, 0): -1}})
+    assert defects == [("pair-antisymmetry", (1, 0), {(0, 0): 0, (0, 2): 1})]
+    with pytest.raises(NotACochainError) as exc:
+        check_defects(defects, "basis cochain {}: ", level="1")
+    err = exc.value
+    assert (err.kind, err.basis_tuple, err.basis_index, err.level) == ("pair-antisymmetry", (2, 1), 2, "1")
+    assert str(err).startswith("basis cochain 2: pair-antisymmetry violated at tuple (2, 1)")
+    check_defects([])  # no defect, no error

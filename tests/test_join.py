@@ -65,8 +65,8 @@ def _generic(a, arities):
     tables, offset = [], 0
     for n in arities:
         space = build_cochain_space(a, n)
-        tables.append(space.generic(offset)[0])
-        offset += space.reduced_dim
+        tables.append(space.generic(offset))
+        offset += space.dim
     return tables
 
 

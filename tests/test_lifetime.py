@@ -32,6 +32,7 @@ from hlya.algebra import (
     make_algebra,
     yau_twist,
 )
+from hlya.algebra import FormTable
 from hlya.coboundary import OPERATORS, verify_well_definedness
 from hlya.cochain import CochainSpace, build_cochain_space
 from hlya.cohomology import cohomology_report, pair_from_coords
@@ -181,6 +182,50 @@ def _reachable(roots) -> dict:
     return seen
 
 
+def _live_form_tables() -> int:
+    gc.collect()
+    return sum(isinstance(obj, FormTable) for obj in gc.get_objects())
+
+
+def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
+    """Each level's generic domain tables live in the algebra's memo with
+    their twists and join indexes: assembly and repeated audits build them
+    once per domain (levels 2 and d2 share C2 x C3) and twist them once,
+    and they are freed with the algebra."""
+    built, twisted = [], []
+    generic, twist = CochainSpace.generic, algebra._twisted
+
+    def counted_generic(space, offset=0):
+        built.append((space.arity, offset))
+        return generic(space, offset)
+
+    def counted_twist(b, table, powers, pos):
+        twisted.append(table)
+        return twist(b, table, powers, pos)
+
+    monkeypatch.setattr(CochainSpace, "generic", counted_generic)
+    monkeypatch.setattr(algebra, "_twisted", counted_twist)
+    live = _live_form_tables()
+    a = _fresh_twist()
+    for build in OPERATORS.values():
+        build(a)
+    twists = [sum(isinstance(t, FormTable) for t in twisted)]
+    for _ in range(2):
+        twisted.clear()
+        for level in OPERATORS:
+            assert verify_well_definedness(a, level) == OPERATORS[level](a).domain_dim
+        twists.append(sum(isinstance(t, FormTable) for t in twisted))
+    c2, c4 = (build_cochain_space(a, n).dim for n in (2, 4))
+    assert sorted(built) == [(1, 0), (2, 0), (3, c2), (4, 0), (5, c4)]
+    assert twists[0] > 0 and twists[1:] == [0, 0]  # assembly twists them, audits reuse
+    assert _live_form_tables() - live == len(built)
+    ref = weakref.ref(a)
+    del a, twisted[:]
+    gc.collect()
+    assert ref() is None
+    assert _live_form_tables() == live
+
+
 def test_joined_tables_do_not_outlive_their_audit(monkeypatch):
     """The audit joins each block's formula into a whole table; once
     verify_well_definedness returns, none of those tables is reachable
@@ -259,12 +304,18 @@ def test_each_piece_of_state_has_one_owner():
     imports = [node for node in ast.walk(ast.parse((src / "derivations.py").read_text())) if isinstance(node, ast.ImportFrom)]
     assert not [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
     assert [alias.name for node in imports if node.module == "coboundary" for alias in node.names] == ["leibniz"]
-    for path in src.glob("*.py"):
+    assert not [where for where, names in _parameters() if "twisted" in names]
+
+
+def _parameters():
+    """((module, function), parameter names) of every function and lambda
+    in the package."""
+    for path in Path(hlya.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 args = node.args
                 names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
-                assert "twisted" not in names, (path.name, getattr(node, "name", "lambda"))
+                yield (path.name, getattr(node, "name", "lambda")), names
 
 
 def _calls(path: Path) -> set:
@@ -280,8 +331,13 @@ def _calls(path: Path) -> set:
 def test_each_rule_has_one_statement():
     """Gauge coefficients are checked as 1-cochains, not against alpha's
     matrix, and the random algebras are verified by their constructors
-    alone."""
+    alone.  A linear form is read on the domain basis only through the
+    generic cochains, whose unknowns are the basis cochains: no function
+    takes a basis to pair forms with, and cochain.py defines no _apply."""
     src = Path(hlya.__file__).parent
     assert "alpha_matrix" not in _calls(src / "deformation.py")
     assert "check_axioms" not in _calls(src / "samples.py")
     assert "_basis_cols" not in inspect.getsource(CochainSpace._residual)
+    assert not [where for where, names in _parameters() if "basis" in names]
+    tree = ast.parse((src / "cochain.py").read_text())
+    assert "_apply" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}

@@ -17,10 +17,11 @@ from types import SimpleNamespace
 import pytest
 
 from hlya import coboundary
-from hlya.algebra import divided, int_table
+from hlya.algebra import FormTable, divided, int_table
 from hlya.coboundary import (
     _LEVELS,
     _assemble,
+    _generic_inputs,
     apply_operator,
     operator_by_level,
     verify_well_definedness,
@@ -67,6 +68,17 @@ def per_cochain_audit(a, level):
         apply_operator(a, level, *cochains)
         audited += 1
     return audited
+
+
+def first_failing(a, level):
+    """Reference witness: (kind, 1-based tuple, index) of the first domain
+    basis input whose image ``apply_operator`` rejects, or None."""
+    for j, cochains in enumerate(_basis_inputs(a, operator_by_level(a, level).domain)):
+        try:
+            apply_operator(a, level, *cochains)
+        except NotACochainError as exc:
+            return exc.kind, exc.basis_tuple, j
+    return None
 
 
 def _assert_same_matrices(a, levels):
@@ -123,6 +135,19 @@ def test_audit_matches_per_cochain_on_random_corpus():
     )
 
 
+def test_joined_generic_images_have_no_defect(bundled, twisted_algebras):
+    # the generic tables span the domain exactly, so each level's joined
+    # image is a cochain in every unknown: no defect form at all
+    joined = 0
+    for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]:
+        for level, (_, arities, shapes, tables) in _LEVELS.items():
+            for (n, pairs), formula in zip(shapes, tables(a, *_generic_inputs(a, arities))):
+                values = formula.join()
+                assert build_cochain_space(a, n, pairs).defects(values) == [], (a.name, level, n)
+                joined += bool(values)
+    assert joined > 200
+
+
 class _CountedTable(dict):
     """A joined table that counts the reads of its ``get`` in ``reads``."""
 
@@ -137,8 +162,7 @@ class _CountedTable(dict):
 
 def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch, e2, twisted_algebras):
     # each codomain block's formula is joined once and its table read once
-    # at every basis tuple; on an untwisted algebra no defect form is
-    # nonzero, so no form is applied to the domain basis
+    # at every basis tuple; a correct operator leaves no defect form
     joins, reads, defects, applied = Counter(), Counter(), [], []
 
     def counting(level, block, contraction):
@@ -159,9 +183,9 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         defects.append(len(found))
         return found
 
-    def check_defects(found, basis, *args, **witness):
-        applied.append(len(found) * len(basis))
-        return check_of(found, basis, *args, **witness)
+    def check_defects(found, *args, **witness):
+        applied.append(len(found))
+        return check_of(found, *args, **witness)
 
     defects_of, check_of = CochainSpace.defects, coboundary.check_defects
     monkeypatch.setattr(CochainSpace, "defects", recorded)
@@ -174,14 +198,13 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         assert [joins[level, b] for b in (0, 1)] == [1, 1], level
         assert [reads[level, b] for b in (0, 1)] == [e2.dim**n for n, _ in codomain], level
     assert len(defects) == 8 and not any(defects) and not any(applied)
-    # the counters see work where there is some: under the non-diagonal
-    # twist the generic tables leave the domain, so the equivariance
-    # residual forms are nonzero and are applied to the basis
+    # the generic tables span the domain exactly, so under the non-diagonal
+    # twist too the equivariance residual of a correct operator is no form
     twist = twisted_algebras[1]
     assert twist.name == "sl2_twist_7_11"
     operator_by_level(twist, "1")
     verify_well_definedness(twist, "1")
-    assert any(defects[8:]) and any(applied[8:])
+    assert len(defects) == 10 and not any(defects[8:]) and not any(applied[8:])
 
 
 # --- formulas whose output is not a cochain --------------------------------
@@ -292,3 +315,57 @@ def test_assembly_and_audit_catch_broken_equivariance(monkeypatch, e3):
         apply_operator(e3, "1", *inputs[witness.basis_index])
     for cochains in inputs[: witness.basis_index]:
         apply_operator(e3, "1", *cochains)  # the columns before it are read
+
+
+# a fixed map v on the 4-tuples, by the kind of its first defect in C4:
+# a diagonal value, a value whose swapped partners are zero, and an
+# alternating map that the non-diagonal sl2 twist does not commute with
+_FAULTS = {
+    "diagonal": {(0, 0, 1, 2): 1},
+    "pair-antisymmetry": {(0, 1, 0, 2): 1},
+    "equivariance": {(0, 1, 0, 2): 1, (1, 0, 0, 2): -1, (0, 1, 2, 0): -1, (1, 0, 2, 0): 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_audit_witness_past_column_0_matches_per_cochain(monkeypatch, twisted_algebras, kind):
+    # level 2's first block becomes phi(g) v, phi(g) one coordinate of g at
+    # one tuple, chosen to vanish on the first C3 basis cochain and not on
+    # all: only the columns with phi != 0 fail, the first of them past
+    # column C2.dim, and the witness must name the reference's column
+    a = twisted_algebras[1]
+    assert a.name == "sl2_twist_7_11"
+    c2, c3 = operator_by_level(a, "2").domain
+    first, *rest = c3.basis_cochains
+    at, k = next(
+        (idx, k)
+        for idx in c3.rep_tuples
+        for k in range(a.dim)
+        if not first.value(idx)[k] and any(b.value(idx)[k] for b in rest)
+    )
+    v = _FAULTS[kind]
+
+    def faulty(a, f, g):
+        # phi(g) e_0 as numerators: {0: c} on a concrete g, {(0, u): c} on
+        # a generic one, whose output indices are (k, u)
+        entry = g.entries.get(at, {})
+        if isinstance(g, FormTable):
+            phi = {(0, u): c for (m, u), c in entry.items() if m == k}
+        else:
+            phi = {0: entry[k]} if k in entry else {}
+
+        def value(idx):
+            x = v.get(idx)
+            return {key: x * c for key, c in phi.items()} if x else {}
+
+        return [Probed(a.dim, 4, divided(value, g.den)), Probed(a.dim, 5, lambda idx: {})]
+
+    name, domain, codomain, _ = _LEVELS["2"]
+    monkeypatch.setitem(coboundary._LEVELS, "2", (name, domain, codomain, faulty))
+    expected = first_failing(a, "2")
+    assert expected[0] == kind and expected[2] > c2.dim
+    checks = [verify_well_definedness] + ([_assemble] if kind == "equivariance" else [])
+    for check in checks:
+        with pytest.raises(NotACochainError) as exc:
+            check(a, "2")
+        assert (exc.value.kind, exc.value.basis_tuple, exc.value.basis_index) == expected, check.__name__

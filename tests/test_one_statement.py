@@ -156,8 +156,8 @@ def test_residual_reads_the_reduced_rows_as_the_basis_columns_did(algebras):
         for space in _spaces(a):
             cases = [{}] + [_random_forms(rng, space, 3) for _ in range(4)]
             cases += [_value_forms(space, c) for c in space.basis_cochains[:3]]
-            # the generic table's representative forms: one unknown per coordinate
-            generic, _ = space.generic()
+            # the generic table's representative forms: one unknown per basis cochain
+            generic = space.generic()
             cases.append(space._forms(generic.entries.get(idx, {}) for idx in space.rep_tuples))
             for forms in cases:
                 expected = basis_column_residual(space, forms)
