@@ -1,19 +1,22 @@
 """The four coboundary operators, materialized as exact matrices.
 
 Each operator acts between (pairs of) cochain spaces.  Its formula is
-linear in the domain cochains, so it is bound once to *generic* domain
-tables, sum_j u_j b_j over the domain basis cochains b_j, kept in the
-algebra's memo (:func:`_generic_inputs`); the values are integer linear
-forms {(output index, unknown): coefficient}, and unknown j is column j.
-Assembly probes the formula once per codomain representative tuple,
-divides by its denominator and regroups the forms by unknown, which gives
-every column in the codomain basis (:meth:`CochainSpace.coordinates`)
-once no equivariance defect form is left.  :func:`verify_well_definedness`
-is the full-tabulation audit: the same forms at *all* tuples, joined in
-one pass over the tables' nonzero entries and left undivided, since
-scaling by the nonzero 1/L changes no form's zero-ness; each codomain
-condition (diagonal pairs, pair antisymmetry, equivariance) is turned
-into linear defect forms once, and a correct operator leaves none.  Both
+linear in the domain cochains, so it is bound once per algebra to
+*generic* domain tables, sum_j u_j b_j over the domain basis cochains
+b_j; the tables (:func:`_generic_inputs`) and the bound formula
+(:func:`_bound_generic`) are kept in the algebra's memo.  The values are
+integer linear forms {(output index, unknown): coefficient}, and unknown
+j is column j.  Assembly probes the bound formula once per codomain
+representative tuple, divides by its denominator and regroups the forms
+by unknown, which gives every column in the codomain basis
+(:meth:`CochainSpace.coordinates`) once no equivariance defect form is
+left.  :func:`verify_well_definedness` is the full-tabulation audit: the
+same bound formula joined at *all* tuples in one pass over the tables'
+nonzero entries and left undivided, since scaling by the nonzero 1/L
+changes no form's zero-ness; each codomain condition (diagonal pairs,
+pair antisymmetry, equivariance) is turned into linear defect forms once,
+read over the joined entries and the orbits they touch
+(:meth:`CochainSpace.defects`), and a correct operator leaves none.  Both
 raise their witness through :func:`hlya.cochain.check_defects`.
 :func:`apply_operator` joins its formula on concrete tables and divides.
 The generic tables, coordinates and defect forms come from the cochain
@@ -216,13 +219,23 @@ def _generic_inputs(a: Algebra, arities: tuple) -> tuple:
     return tuple(tables)
 
 
+@memoised
+def _bound_generic(a: Algebra, formula, arities: tuple) -> tuple:
+    """A level's ``formula`` bound to the generic tables of its domain
+    ``arities``, one contraction per codomain block, kept in a's memo: one
+    binding serves assembly, which probes it, and every audit, which joins
+    it.  The key is the formula itself, so a formula put in :data:`_LEVELS`
+    later binds anew."""
+    return tuple(formula(a, *_generic_inputs(a, arities)))
+
+
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     """The operator's matrix, linearised once per representative tuple.
 
-    Each formula is bound to generic domain tables and probed once per
-    representative tuple of each codomain block; the linear forms it
-    returns, divided by the formula's denominator, fill every column at
-    once, by unknown.  Coordinates are read off by
+    Each formula, bound to generic domain tables (:func:`_bound_generic`),
+    is probed once per representative tuple of each codomain block; the
+    linear forms it returns, divided by the formula's denominator, fill
+    every column at once, by unknown.  Coordinates are read off by
     :meth:`CochainSpace.coordinates`, which raises NotACochainError, with
     the column as ``basis_index``, on an image that violates
     alpha-equivariance.  Pair alternation is not seen here: only
@@ -233,7 +246,7 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
     columns = [{} for _ in range(sum(s.dim for s in domain))]
     shift = 0
-    for target, formula in zip(codomain, tables(a, *_generic_inputs(a, domain_arities))):
+    for target, formula in zip(codomain, _bound_generic(a, tables, domain_arities)):
         for u, coords in target.coordinates(divided(formula.probe(), formula.den)).items():
             columns[u].update((shift + j, x) for j, x in coords.items())
         shift += target.dim
@@ -323,9 +336,10 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     Unlike the matrix assembly, which reads only representative tuples,
     this checks every codomain condition (diagonal pairs, pair
     antisymmetry at every tuple, alpha-equivariance) on the operator's
-    image of every domain cochain.  Each codomain block's formula is
-    joined once at all basis tuples, on generic domain tables, and each
-    condition becomes a linear defect form (:meth:`CochainSpace.defects`).
+    image of every domain cochain.  Each codomain block's formula, bound
+    to the generic domain tables as for assembly (:func:`_bound_generic`),
+    is joined once at all basis tuples, and each condition becomes a
+    linear defect form (:meth:`CochainSpace.defects`).
     The forms stay in integers, L times the values: scaling by 1/L, which
     is not zero, changes no form's zero-ness, and a witness names a kind,
     a tuple and a basis index, never a value.  A correct operator leaves
@@ -335,8 +349,7 @@ def verify_well_definedness(a: Algebra, level: str) -> int:
     """
     name, domain_arities, _, tables = _level(level)
     op = OPERATORS[level](a)
-    generic = _generic_inputs(a, domain_arities)
-    for block, (space, formula) in enumerate(zip(op.codomain, tables(a, *generic))):
+    for block, (space, formula) in enumerate(zip(op.codomain, _bound_generic(a, tables, domain_arities))):
         prefix = f"{name} component {block + 1}, image of basis cochain {{}}: "
         check_defects(space.defects(formula.join()), prefix, level=level, block=block)
     return op.domain_dim

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
@@ -297,6 +297,27 @@ class CochainSpace(Frozen):
         return True
 
     @cached_property
+    def _int_rows(self) -> list:
+        """The reduced equivariance rows, each times the positive rational
+        that makes its entries coprime integers."""
+        int_rows = []
+        for row in self._rows:
+            den = lcm(*(x.denominator for x in row.values()))
+            ints = {i: x.numerator * (den // x.denominator) for i, x in row.items()}
+            g = gcd(*ints.values())
+            int_rows.append({i: x // g for i, x in ints.items()})
+        return int_rows
+
+    @cached_property
+    def _members(self) -> list:
+        """Each orbit's members with their swap signs, [(tuple, sign)], by
+        representative position, the representative first."""
+        members = [[] for _ in self.rep_tuples]
+        for tup, (pos, sign) in self._orbit.items():
+            members[pos].append((tup, sign))
+        return members
+
+    @cached_property
     def basis_cochains(self) -> tuple:
         return tuple(self._from_sparse(col) for col in self._basis_cols)
 
@@ -320,13 +341,13 @@ class CochainSpace(Frozen):
         return FormTable(den, {tup: signed[found] for tup, found in self._orbit.items() if found in signed})
 
     def _forms(self, values) -> dict:
-        """The values at the representative tuples, in order, as forms
-        {unknown: coefficient} keyed by reduced coordinate; each value is a
-        linear form {(output index, unknown): coefficient}, as on the
-        generic tables of :meth:`generic`."""
+        """Pairs (representative position, value) as forms {unknown:
+        coefficient} keyed by reduced coordinate; each value is a linear
+        form {(output index, unknown): coefficient}, as on the generic
+        tables of :meth:`generic`."""
         d = self.algebra.dim
         forms: dict = {}
-        for pos, value in enumerate(values):
+        for pos, value in values:
             for (k, u), c in value.items():
                 forms.setdefault(pos * d + k, {})[u] = c
         return forms
@@ -336,7 +357,7 @@ class CochainSpace(Frozen):
         {unknown: {reduced coordinate: Fraction}}; fn maps tuples to linear
         forms as for :meth:`_forms` and runs once per representative
         tuple."""
-        return _by_unknown(self._forms(map(fn, self.rep_tuples)).items())
+        return _by_unknown(self._forms(enumerate(map(fn, self.rep_tuples))).items())
 
     def coordinates(self, fn) -> dict:
         """The basis coordinates of fn's image of each unknown's basis
@@ -347,7 +368,7 @@ class CochainSpace(Frozen):
         through :func:`check_defects`.  Otherwise every image is in the
         space, and its coordinates are its entries at the free coordinates.
         """
-        forms = self._forms(map(fn, self.rep_tuples))
+        forms = self._forms(enumerate(map(fn, self.rep_tuples)))
         check_defects(self._residual(forms))
         return _by_unknown((j, forms[i]) for j, i in enumerate(self._free) if i in forms)
 
@@ -355,60 +376,63 @@ class CochainSpace(Frozen):
         """The linear defects of a table's values as a map into this space.
 
         ``table`` maps tuples to linear forms as for :meth:`_forms`, a
-        tuple it lacks to zero; it is read once at every basis tuple in
-        lexicographic order, so the first tuple met in each orbit is its
-        representative, and the representatives come in the order of
-        ``rep_tuples``.  The defects are (kind, 0-based tuple, form), one
-        per condition a map into the space must meet, the form a sparse
-        linear map {(output index, unknown): coefficient}; only the nonzero
-        forms are returned, in this order:
+        tuple it lacks to zero.  Only its entries and the orbits they touch
+        are read: each entry once, and each member of an orbit with a
+        nonzero member once, against its representative, the orbit's
+        lexicographically first member (:attr:`_members`).  The defects are
+        (kind, 0-based tuple, form), one per condition a map into the space
+        must meet, the form a sparse linear map {(output index, unknown):
+        coefficient}; only the nonzero forms are returned, the first two
+        kinds by tuple and then the third:
 
         - "diagonal": the value at a tuple absent from the orbit map, one
           with equal arguments in a pair;
         - "pair-antisymmetry": value(idx) - sign * value(representative) at
-          every other tuple, also where value(idx) is zero;
+          every other member of a touched orbit, also where value(idx) is
+          zero;
         - "equivariance": the :meth:`_residual` of the representative forms.
 
         The table's values are cochains for every input exactly when there
         is no defect, its unknowns being those of :meth:`generic`.  A
         concrete table is the case of one unknown (:meth:`coords`).
         """
-        orbit = self._orbit
-        reps, negated = [], {}
-        defects = []
-        read, empty = table.get, {}
-        for idx in itertools.product(range(self.algebra.dim), repeat=self.arity):
-            value = read(idx, empty)
-            found = orbit.get(idx)
-            if found is None:
-                if value:
+        orbit, members = self._orbit, self._members
+        defects, touched = [], set()
+        for idx, value in table.items():
+            if value:
+                found = orbit.get(idx)
+                if found is None:
                     defects.append(("diagonal", idx, value))
-                continue
-            pos, sign = found
-            if pos == len(reps):  # the first tuple met in its orbit
-                reps.append(value)
-                continue
-            rep = reps[pos]
-            if sign == -1:
-                rep = negated.get(pos)
-                if rep is None:
-                    rep = negated[pos] = {key: -c for key, c in reps[pos].items()}
-            if value != rep:
-                defect = dict(value)
-                for key, c in rep.items():
-                    defect[key] = defect.get(key, 0) - c
-                defects.append(("pair-antisymmetry", idx, defect))
+                else:
+                    touched.add(found[0])
+        read, empty, reps = table.get, {}, []
+        for pos in touched:
+            (head, _), *others = members[pos]
+            rep = read(head, empty)
+            reps.append((pos, rep))
+            signed = {1: rep, -1: {key: -c for key, c in rep.items()}}
+            for idx, sign in others:
+                value, target = read(idx, empty), signed[sign]
+                if value != target:
+                    defect = dict(value)
+                    for key, c in target.items():
+                        defect[key] = defect.get(key, 0) - c
+                    defects.append(("pair-antisymmetry", idx, defect))
+        defects.sort(key=itemgetter(1))
         return defects + self._residual(self._forms(reps))
 
     def _residual(self, forms: dict) -> list:
         """The nonzero "equivariance" defects of representative forms keyed
         by reduced coordinate (:meth:`_forms`), in coordinate order: each
-        reduced equivariance row, in pivot order, applied to the forms."""
+        reduced equivariance row, in pivot order, applied to the forms.
+        The rows are applied as primitive integer rows (:attr:`_int_rows`):
+        a positive multiple of a form is zero, and has its lowest nonzero
+        unknown, exactly where the form does."""
         if not forms:  # the zero map has no defects
             return []
         d = self.algebra.dim
         defects = []
-        for p, row in zip(self._pivots, self._rows):
+        for p, row in zip(self._pivots, self._int_rows):
             acc: dict = {}
             for i, r in row.items():
                 form = forms.get(i)

@@ -4,7 +4,10 @@
 dresses a per-tuple map as one block of a formula of
 ``hlya.coboundary._LEVELS``, so a formula double serves both read orders
 of :class:`hlya.algebra.Contraction`: its probe is the map and its join
-the map read at every tuple.
+the map read at every tuple.  :func:`scanned_defects` is the defect
+reader that reads a table at every basis tuple, the reference for
+:meth:`hlya.cochain.CochainSpace.defects`, which reads only the table's
+entries and the orbits they touch.
 """
 
 import itertools
@@ -43,3 +46,38 @@ class Probed:
     def join(self):
         tuples = itertools.product(range(self.dim), repeat=self.arity)
         return {idx: value for idx in tuples if (value := self.fn(idx))}
+
+
+def scanned_defects(space, table):
+    """The defects of ``table`` as a map into ``space``, read once at every
+    basis tuple in lexicographic order: the first tuple met in each orbit
+    is its representative, a value at a tuple off the orbit map is a
+    "diagonal" defect, value - sign * representative value at every other
+    tuple of an orbit a "pair-antisymmetry" one, and the "equivariance"
+    defects follow, from the representative forms."""
+    orbit = space._orbit
+    reps, negated = [], {}
+    defects = []
+    read, empty = table.get, {}
+    for idx in itertools.product(range(space.algebra.dim), repeat=space.arity):
+        value = read(idx, empty)
+        found = orbit.get(idx)
+        if found is None:
+            if value:
+                defects.append(("diagonal", idx, value))
+            continue
+        pos, sign = found
+        if pos == len(reps):  # the first tuple met in its orbit
+            reps.append(value)
+            continue
+        rep = reps[pos]
+        if sign == -1:
+            rep = negated.get(pos)
+            if rep is None:
+                rep = negated[pos] = {key: -c for key, c in reps[pos].items()}
+        if value != rep:
+            defect = dict(value)
+            for key, c in rep.items():
+                defect[key] = defect.get(key, 0) - c
+            defects.append(("pair-antisymmetry", idx, defect))
+    return defects + space._residual(space._forms(enumerate(reps)))

@@ -1,6 +1,7 @@
 """Cochain spaces: dimensions against independent oracles, conversions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hlya.algebra import FormTable
 from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space, check_defects
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import ONE, Matrix, ZERO, eliminate, kernel_basis, null_vectors, rat
-from hlya.coboundary import d2
+from hlya.coboundary import _LEVELS, _bound_generic, d2
 from hlya.samples import abelian, random_verified_algebras
+
+from tabulated import scanned_defects
 
 
 # --- independent dimension oracles (no shared code with CochainSpace) -----
@@ -416,3 +419,86 @@ def test_a_defect_names_its_lowest_nonzero_unknown(e2):
     assert (err.kind, err.basis_tuple, err.basis_index, err.level) == ("pair-antisymmetry", (2, 1), 2, "1")
     assert str(err).startswith("basis cochain 2: pair-antisymmetry violated at tuple (2, 1)")
     check_defects([])  # no defect, no error
+
+
+# --- the orbit reader against the full scan ----------------------------------
+
+
+def _one_unknown(table):
+    """A concrete table's values as forms in the one unknown 0."""
+    return {idx: {(k, 0): x for k, x in enumerate(vec) if x} for idx, vec in table.items()}
+
+
+def _random_table(rng, space, count):
+    """Random values in one unknown at ``count`` random basis tuples: most
+    break pair antisymmetry, some sit on a diagonal pair."""
+    d, n = space.algebra.dim, space.arity
+    values = (1, -1, 2, Fraction(1, 3))
+    return {
+        tuple(rng.randrange(d) for _ in range(n)): {(rng.randrange(d), 0): rng.choice(values)}
+        for _ in range(count)
+    }
+
+
+def _assert_reads_as_the_scan(space, table):
+    expected = scanned_defects(space, table)
+    assert space.defects(table) == expected, (space, table)
+    return expected
+
+
+def test_orbit_reader_matches_the_full_scan(bundled, twisted_algebras):
+    """defects reads a table's entries and the orbits they touch; the full
+    scan over every basis tuple is the reference.  Both give the same
+    defects in the same order on the joined generic tables of every level
+    and on concrete tables in one unknown (basis cochains and random
+    tables), over the bundled, twisted and seed-12345 algebras."""
+    rng = random.Random(2027)
+    kinds = set()
+    for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 20)]:
+        for level, (_, arities, shapes, tables) in _LEVELS.items():
+            if a.dim == 4 and level == "3":
+                continue  # C6 x C7 of gl2: 4^6 + 4^7 tuples per scan
+            for (n, pairs), formula in zip(shapes, _bound_generic(a, tables, arities)):
+                _assert_reads_as_the_scan(build_cochain_space(a, n, pairs), formula.join())
+        for n, pairs in ((1, None), (2, None), (3, None), (4, 1)):
+            space = build_cochain_space(a, n, pairs)
+            for cochain in space.basis_cochains[:2]:
+                assert _assert_reads_as_the_scan(space, _one_unknown(cochain.table)) == []
+            for count in (1, 3, 8):
+                kinds.update(kind for kind, _, _ in _assert_reads_as_the_scan(space, _random_table(rng, space, count)))
+    assert kinds == {"diagonal", "pair-antisymmetry", "equivariance"}
+
+
+def test_orbit_reader_matches_the_full_scan_on_planted_faults(twisted_algebras):
+    """Faults planted in a joined generic table of sl2_twist_7_11 (levels 1
+    and 2, every block): a value on a diagonal pair, a missing swapped
+    partner, a partner of the wrong sign, and a change kept alternating
+    that breaks equivariance.  The reader gives the scan's defects, in its
+    order, and the scan finds the planted kind."""
+    a = twisted_algebras[1]
+    assert a.name == "sl2_twist_7_11"
+    planted = 0
+    for level in ("1", "2"):
+        _, arities, shapes, tables = _LEVELS[level]
+        for (n, pairs), formula in zip(shapes, _bound_generic(a, tables, arities)):
+            space = build_cochain_space(a, n, pairs)
+            joined = formula.join()
+            rep = next(idx for idx in space.rep_tuples if joined.get(idx))
+            swapped = (rep[1], rep[0], *rep[2:])
+            members = space._members[space.rep_tuples.index(rep)]
+            faults = {
+                "diagonal": {**joined, (rep[0],) * n: {(0, 0): 1}},
+                "missing partner": {idx: v for idx, v in joined.items() if idx != swapped},
+                "wrong sign": {**joined, swapped: joined[rep]},
+                # u_0 e_0 added at every member with its sign: still alternating
+                "equivariance": {
+                    **joined,
+                    **{idx: {**joined.get(idx, {}), (0, 0): joined.get(idx, {}).get((0, 0), 0) + sign} for idx, sign in members},
+                },
+            }
+            for fault, table in faults.items():
+                found = {kind for kind, _, _ in _assert_reads_as_the_scan(space, table)}
+                kind = {"missing partner": "pair-antisymmetry", "wrong sign": "pair-antisymmetry"}.get(fault, fault)
+                assert kind in found, (level, n, fault)
+                planted += 1
+    assert planted == 16

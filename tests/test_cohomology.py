@@ -9,12 +9,13 @@ import pytest
 from hlya import serialize
 from hlya.cli import EXIT_OK, main
 from hlya.algebra import from_lie_algebra, from_lya_standard, make_algebra
-from hlya.coboundary import apply_operator, delta2, delta3
+from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from hlya.cohomology import cohomology_report, is_coboundary_2, is_cocycle_2
 from hlya.derivations import derivation_space
 from hlya.errors import PreconditionError
 from hlya.exactlin import Matrix, rat
+from hlya.samples import random_verified_algebra
 
 
 def test_abelian_dims_by_hand(e0):
@@ -87,6 +88,30 @@ def test_empty_degree_two_codomains():
     assert dims["z2z3"] == 1
     assert dims["h2h3"] == dims["z2z3"] - dims["b2b3"]
     assert dims["h4h5"] == dims["z4z5"] - dims["b4b5"]
+
+
+def test_seeded_heisenberg_draws_with_empty_degree_two_codomains(tmp_path, capsys):
+    # draws 69 and 117 of random.Random(0) are Heisenberg twists whose
+    # cochain dimensions are (3, 1, 0, 0, 0, 0, 0), so both codomain blocks
+    # of [delta2; d2] are 0-dimensional; the report and `hlya cohomology`
+    # still read h = z - b at both levels and h1 = dim Der_0
+    rng = random.Random(0)
+    draws = [random_verified_algebra(rng) for _ in range(118)]
+    for i in (69, 117):
+        a = draws[i]
+        assert a.name == "rand_d3_heisenberg"
+        assert [build_cochain_space(a, n).dim for n in range(1, 8)] == [3, 1, 0, 0, 0, 0, 0]
+        assert [s.dim for s in (*delta2(a).codomain, *d2(a).codomain)] == [0, 0, 0, 0]
+        report = cohomology_report(a)
+        dims = report.dims()
+        assert dims == {"h1": 2, "z2z3": 1, "b2b3": 1, "h2h3": 0, "z4z5": 0, "b4b5": 0, "h4h5": 0}, i
+        assert dims["h2h3"] == dims["z2z3"] - dims["b2b3"]
+        assert dims["h4h5"] == dims["z4z5"] - dims["b4b5"]
+        assert report.h1.dim == derivation_space(a, 0).dim
+        path = tmp_path / f"draw_{i}.json"
+        serialize.save(str(path), serialize.algebra_to_obj(a))
+        assert main(["cohomology", str(path)]) == EXIT_OK
+        assert "h2h3" in capsys.readouterr().out
 
 
 def test_h1_equals_untwisted_derivations(bundled):

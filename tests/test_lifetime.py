@@ -16,12 +16,13 @@ import itertools
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
 
 import hlya
-from hlya import algebra
+from hlya import algebra, coboundary
 from hlya.algebra import (
     alpha_table,
     brackets,
@@ -182,9 +183,10 @@ def _reachable(roots) -> dict:
     return seen
 
 
-def _live_form_tables() -> int:
+def _live(kind) -> int:
+    """The number of live objects of type ``kind`` after a collection."""
     gc.collect()
-    return sum(isinstance(obj, FormTable) for obj in gc.get_objects())
+    return sum(isinstance(obj, kind) for obj in gc.get_objects())
 
 
 def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
@@ -205,7 +207,7 @@ def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
 
     monkeypatch.setattr(CochainSpace, "generic", counted_generic)
     monkeypatch.setattr(algebra, "_twisted", counted_twist)
-    live = _live_form_tables()
+    live = _live(FormTable)
     a = _fresh_twist()
     for build in OPERATORS.values():
         build(a)
@@ -218,12 +220,52 @@ def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
     c2, c4 = (build_cochain_space(a, n).dim for n in (2, 4))
     assert sorted(built) == [(1, 0), (2, 0), (3, c2), (4, 0), (5, c4)]
     assert twists[0] > 0 and twists[1:] == [0, 0]  # assembly twists them, audits reuse
-    assert _live_form_tables() - live == len(built)
+    assert _live(FormTable) - live == len(built)
     ref = weakref.ref(a)
     del a, twisted[:]
     gc.collect()
     assert ref() is None
-    assert _live_form_tables() == live
+    assert _live(FormTable) == live
+
+
+def test_bound_formulas_are_built_once_per_algebra_and_formula(monkeypatch):
+    """Each level's formula is bound to the generic tables once per algebra
+    and kept in its memo: assembly probes that binding and every audit
+    joins it.  The memo is keyed on the formula, so a formula put in
+    _LEVELS later binds anew; every binding is freed with the algebra."""
+    calls = Counter()
+
+    def counted(label, formula):
+        def tables(a, *domain):
+            calls[label] += 1
+            return formula(a, *domain)
+
+        return tables
+
+    levels = dict(coboundary._LEVELS)
+    for level, (name, arities, shapes, formula) in levels.items():
+        monkeypatch.setitem(coboundary._LEVELS, level, (name, arities, shapes, counted(level, formula)))
+    live = _live(algebra.Contraction)
+    a = _fresh_twist()
+    for build in OPERATORS.values():
+        build(a)
+    for _ in range(2):
+        for level in OPERATORS:
+            verify_well_definedness(a, level)
+    assert calls == {level: 1 for level in OPERATORS}
+    bound = [key for key in a._memo if key[0] is coboundary._bound_generic.__wrapped__]
+    assert len(bound) == len(OPERATORS)
+    name, arities, shapes, formula = levels["1"]
+    monkeypatch.setitem(coboundary._LEVELS, "1", (name, arities, shapes, counted("swapped", formula)))
+    for _ in range(2):
+        verify_well_definedness(a, "1")
+    assert calls["swapped"] == 1 and calls["1"] == 1
+    assert _live(algebra.Contraction) > live
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+    assert _live(algebra.Contraction) == live
 
 
 def test_joined_tables_do_not_outlive_their_audit(monkeypatch):

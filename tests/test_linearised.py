@@ -11,7 +11,7 @@ matrices, equal audit counts, and the same kind of NotACochainError on
 formulas whose output is not a cochain.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -149,26 +149,40 @@ def test_joined_generic_images_have_no_defect(bundled, twisted_algebras):
 
 
 class _CountedTable(dict):
-    """A joined table that counts the reads of its ``get`` in ``reads``."""
+    """A joined table that records the keys its ``get`` reads in ``reads``."""
 
     def __init__(self, entries, reads, block):
         super().__init__(entries)
         self.reads, self.block = reads, block
 
     def get(self, key, default=None):
-        self.reads[self.block] += 1
+        self.reads[self.block].append(key)
         return super().get(key, default)
 
 
+def _orbit(idx, pairs):
+    """The tuples that differ from ``idx`` by swapping some of its first
+    ``pairs`` slot pairs; empty when a pair holds equal arguments."""
+    if any(idx[2 * p] == idx[2 * p + 1] for p in range(pairs)):
+        return set()
+    variants = [()]
+    for p in range(pairs):
+        x, y = idx[2 * p : 2 * p + 2]
+        variants = [v + s for v in variants for s in ((x, y), (y, x))]
+    return {v + idx[2 * pairs :] for v in variants}
+
+
 def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch, e2, twisted_algebras):
-    # each codomain block's formula is joined once and its table read once
-    # at every basis tuple; a correct operator leaves no defect form
-    joins, reads, defects, applied = Counter(), Counter(), [], []
+    # each codomain block's formula is joined once, and its table is read
+    # once at every member of an orbit that holds a nonzero entry and at no
+    # other tuple; a correct operator leaves no defect form
+    joins, reads, tables, defects, applied = Counter(), defaultdict(list), {}, [], []
 
     def counting(level, block, contraction):
         def join():
             joins[level, block] += 1
-            return _CountedTable(contraction.join(), reads, (level, block))
+            table = tables[level, block] = _CountedTable(contraction.join(), reads, (level, block))
+            return table
 
         return SimpleNamespace(den=contraction.den, probe=contraction.probe, join=join)
 
@@ -188,6 +202,7 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         return check_of(found, *args, **witness)
 
     defects_of, check_of = CochainSpace.defects, coboundary.check_defects
+    tuples = 0
     monkeypatch.setattr(CochainSpace, "defects", recorded)
     monkeypatch.setattr(coboundary, "check_defects", check_defects)
     for level in LEVELS:
@@ -196,7 +211,14 @@ def test_audit_evaluates_each_tuple_once_and_applies_no_basis_on_sl2(monkeypatch
         monkeypatch.setitem(coboundary._LEVELS, level, (name, domain, codomain, counted(level, formula)))
         verify_well_definedness(e2, level)
         assert [joins[level, b] for b in (0, 1)] == [1, 1], level
-        assert [reads[level, b] for b in (0, 1)] == [e2.dim**n for n, _ in codomain], level
+        for block, (n, pairs) in enumerate(codomain):
+            table, read = tables[level, block], reads[level, block]
+            pairs = n // 2 if pairs is None else pairs
+            touched = set().union(*(_orbit(idx, pairs) for idx, value in table.items() if value))
+            assert sorted(read) == sorted(touched), (level, block)
+            tuples += e2.dim**n
+    # the diagonal tuples, and the orbits where every image vanishes, go unread
+    assert 0 < sum(map(len, reads.values())) < tuples
     assert len(defects) == 8 and not any(defects) and not any(applied)
     # the generic tables span the domain exactly, so under the non-diagonal
     # twist too the equivariance residual of a correct operator is no form

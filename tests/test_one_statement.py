@@ -9,6 +9,7 @@ algebras, the seed-12345 corpus and seeded random inputs that include
 failures.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -59,6 +60,37 @@ def basis_column_residual(space, forms):
         if form:
             defects.append(("equivariance", space.rep_tuples[p // d], form))
     return defects
+
+
+def fraction_row_residual(space, forms):
+    """The equivariance defects from the reduced rows as eliminated, in
+    Fractions: each row, in pivot order, applied to the forms."""
+    d = space.algebra.dim
+    defects = []
+    for p, row in zip(space._pivots, space._rows):
+        acc = {}
+        for i, r in row.items():
+            for u, c in forms.get(i, {}).items():
+                acc[u] = acc.get(u, 0) + r * c
+        form = {(p % d, u): c for u, c in acc.items() if c}
+        if form:
+            defects.append(("equivariance", space.rep_tuples[p // d], form))
+    return defects
+
+
+def positive_multiples(got, expected):
+    """Whether each defect of ``got`` is a positive multiple of the one of
+    ``expected`` at its place: the same kind, tuple and nonzero
+    coefficients, scaled by one factor > 0."""
+    if len(got) != len(expected):
+        return False
+    for (kind, idx, form), (kind0, idx0, form0) in zip(got, expected):
+        if (kind, idx, form.keys()) != (kind0, idx0, form0.keys()):
+            return False
+        factors = {Fraction(form[key]) / c0 for key, c0 in form0.items()}
+        if len(factors) != 1 or min(factors) <= 0:
+            return False
+    return True
 
 
 def commutes_with_alpha(a, m):
@@ -158,12 +190,35 @@ def test_residual_reads_the_reduced_rows_as_the_basis_columns_did(algebras):
             cases += [_value_forms(space, c) for c in space.basis_cochains[:3]]
             # the generic table's representative forms: one unknown per basis cochain
             generic = space.generic()
-            cases.append(space._forms(generic.entries.get(idx, {}) for idx in space.rep_tuples))
+            cases.append(space._forms(enumerate(generic.entries.get(idx, {}) for idx in space.rep_tuples)))
             for forms in cases:
                 expected = basis_column_residual(space, forms)
-                assert space._residual(forms) == expected, (a.name, space)
+                # the rows are applied scaled to primitive integer rows
+                assert positive_multiples(space._residual(forms), expected), (a.name, space)
                 failing += bool(expected)
     assert failing  # random forms on twisted algebras break equivariance
+
+
+def test_primitive_rows_keep_each_defects_zeros_and_lowest_unknown(algebras):
+    """The residual applies each reduced row scaled to coprime integers:
+    on random forms each defect is a positive multiple of the one the
+    Fraction rows give, so its zeros and lowest nonzero unknown agree."""
+    rng = random.Random(27)
+    names, scaled = set(), 0
+    for a in algebras:
+        for space in _spaces(a):
+            for row, int_row in zip(space._rows, space._int_rows):
+                assert all(type(x) is int for x in int_row.values()) and math.gcd(*int_row.values()) == 1
+                scale = {Fraction(x) / row[i] for i, x in int_row.items()}
+                assert int_row.keys() == row.keys() and len(scale) == 1 and min(scale) > 0
+                scaled += scale != {1}
+            for _ in range(6):
+                forms = _random_forms(rng, space, 4)
+                expected = fraction_row_residual(space, forms)
+                assert positive_multiples(space._residual(forms), expected), (a.name, space)
+                if expected:
+                    names.add(a.name)
+    assert "sl2_twist_7_11" in names and scaled  # rows with denominators were scaled
 
 
 def test_gauge_coefficients_are_the_matrices_commuting_with_alpha(algebras):
