@@ -290,19 +290,15 @@ def _pruned(vec: dict) -> dict:
 
 
 def int_table(table: dict) -> IntTable:
-    """A table of dense value vectors of rationals (Fractions or ints), as
-    integer numerators over the lcm of their denominators."""
-    den = 1
-    for vec in table.values():
-        for x in vec:
-            if x:
-                den = lcm(den, x.denominator)
+    """A table of dense value vectors of rationals, as integer numerators
+    over the lcm of their denominators.  Each nonzero entry is read by
+    :func:`hlya.exactlin.rat`: a string is its rational, and a float or a
+    bool is a TypeError."""
+    values = {key: [(k, rat(x)) for k, x in enumerate(vec) if x] for key, vec in table.items()}
+    den = lcm(*(x.denominator for vec in values.values() for _, x in vec))
     return IntTable(
         den,
-        {
-            key: {k: x.numerator * (den // x.denominator) for k, x in enumerate(vec) if x}
-            for key, vec in table.items()
-        },
+        {key: {k: x.numerator * (den // x.denominator) for k, x in vec if x} for key, vec in values.items()},
     )
 
 
@@ -448,10 +444,11 @@ def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
 
 def bracket_series(a: Algebra, f_higher=(), g_higher=()) -> tuple[tuple, tuple]:
     """The series f and g for :func:`identity_values`: the base brackets,
-    then the given cochains as the coefficients of t, t^2, ..."""
+    then the given cochains as the coefficients of t, t^2, ..., each as the
+    integer table it keeps (:attr:`hlya.cochain.Cochain.ints`), so the
+    twists of a cochain are made once for as long as it lives."""
     f0, g0 = brackets(a)
-    fs = (f0, *(int_table(c.table) for c in f_higher))
-    return fs, (g0, *(int_table(c.table) for c in g_higher))
+    return (f0, *(c.ints for c in f_higher)), (g0, *(c.ints for c in g_higher))
 
 
 def _getter(positions) -> Callable[[tuple], object]:

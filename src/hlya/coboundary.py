@@ -44,7 +44,8 @@ on the base brackets and the domain cochains as integer tables, each term
 list analysed once per algebra: the formulas of :data:`_LEVELS` take
 integer tables, generic or not, and hand out one
 :class:`hlya.algebra.Contraction` per codomain block, with its
-denominator; :func:`apply_operator` converts its cochains.
+denominator; :func:`apply_operator` reads the integer tables its
+cochains keep (:attr:`hlya.cochain.Cochain.ints`).
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -64,7 +65,6 @@ from .algebra import (
     contract,
     divided,
     identity_values,
-    int_table,
     memoised,
 )
 from .cochain import Cochain, build_cochain_space, check_defects
@@ -324,7 +324,7 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
         except NotACochainError as exc:
             raise PreconditionError(f"{name} argument {pos}, a {c.arity}-cochain, is not in C{c.arity}: {exc}")
     images = []
-    for (n, pairs), formula in zip(codomain_shapes, tables(a, *(int_table(c.table) for c in cochains))):
+    for (n, pairs), formula in zip(codomain_shapes, tables(a, *(c.ints for c in cochains))):
         values = IntTable(formula.den, formula.join()).fractions(a.dim)
         images.append(build_cochain_space(a, n, pairs).cochain_from_table(values)[0])
     return tuple(images)

@@ -20,9 +20,13 @@ equivariance), and every verdict reads them.  The unknowns of a generic
 cochain are the basis cochains, so a form's coefficient of unknown j is
 its value on basis cochain j: the audit and operator assembly raise the
 first nonzero form through :func:`check_defects`, and a concrete table
-is the case of one unknown.
+is the case of one unknown.  A concrete table is read in integers: its
+numerators over one positive denominator are positive multiples of its
+values, so they give the same verdicts and witnesses, and only the
+coordinates are divided.
 A cochain is immutable, table and attributes alike, so it is shared
-freely.
+freely, and it keeps its integer table (:attr:`Cochain.ints`) with the
+twists the contractions make of it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
-from .algebra import Algebra, FormTable, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
+from .algebra import Algebra, FormTable, IntTable, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Frozen, Matrix, eliminate, null_vectors, rat
 
@@ -46,9 +50,10 @@ class Cochain(Frozen):
     """Sparse multilinear map L^n -> L; table maps index tuples to values.
 
     A :class:`Frozen` value: the table is a read-only view of the nonzero
-    values, as tuples."""
+    values, as tuples, and :attr:`ints` the same values in integers, built
+    on first use and kept."""
 
-    __slots__ = ("arity", "dim", "table")
+    __slots__ = ("arity", "dim", "table", "_ints")
     _fields = ("arity", "dim", "table")
 
     def __init__(self, arity: int, dim: int, table: dict):
@@ -56,7 +61,21 @@ class Cochain(Frozen):
             arity=arity,
             dim=dim,
             table=MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}),
+            _ints=None,
         )
+
+    @property
+    def ints(self) -> IntTable:
+        """The table as integer numerators over the lcm of their
+        denominators (:func:`_int_values`), built on first use and kept.
+
+        Every reader of the values reads this table, and the twists that
+        :func:`hlya.algebra.contract` makes of it are kept on it
+        (``IntTable.twists``): each cochain object is converted and twisted
+        once, and an equal cochain built anew has its own table."""
+        if self._ints is None:
+            self._init(_ints=_int_values(self.table, self.arity, self.dim))
+        return self._ints
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
@@ -75,7 +94,7 @@ class Cochain(Frozen):
         for a in args:
             if len(a) != self.dim:
                 raise DimMismatchError("argument vector of wrong length")
-        return evaluate(int_table(self.table), self.dim, args)
+        return evaluate(self.ints, self.dim, args)
 
     def scale(self, c: Fraction) -> "Cochain":
         c = rat(c)
@@ -231,53 +250,52 @@ class CochainSpace(Frozen):
             raise ArityError(f"a {cochain.arity}-cochain is not in the space of {self.arity}-cochains")
         if cochain.dim != self.algebra.dim:
             raise DimMismatchError(f"a cochain on dimension {cochain.dim}, expected {self.algebra.dim}")
-        return self._read(cochain.table)
+        return self._read(cochain.ints)
 
     def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
-        """Canonical cochain and basis coordinates of a raw tabulation."""
-        coords = self._read(table)
+        """Canonical cochain and basis coordinates of a raw tabulation,
+        converted once (:func:`_int_values`)."""
+        coords = self._read(_int_values(table, self.arity, self.algebra.dim))
         return self.from_coords(coords), coords
 
-    def _read(self, table: dict) -> list:
-        """Basis coordinates of a tabulation over the basis tuples, read as
-        a map in one unknown: each nonzero value is the form {(output index,
-        0): entry}, and the first of its :meth:`defects` raises
-        NotACochainError.  A value whose length is not the dimension raises
-        DimMismatchError, a nonzero value at no basis tuple ArityError."""
-        d, n = self.algebra.dim, self.arity
-        indices = frozenset(range(d))
-        forms = {}
-        for idx, vec in table.items():
-            if len(vec) != d:
-                raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {d}")
-            form = {(k, 0): rat(x) for k, x in enumerate(vec) if x}
-            if form:
-                if len(idx) != n or not indices.issuperset(idx):
-                    raise ArityError(f"{idx} is not a basis tuple of {n} indices below {d}")
-                forms[idx] = form
+    def _read(self, t: IntTable) -> list:
+        """Basis coordinates of an integer tabulation over the basis tuples,
+        read as a map in one unknown: each value is the form {(output
+        index, 0): numerator}, t.den times the value, and the first of its
+        :meth:`defects` raises NotACochainError.  Only the coordinates are
+        divided by t.den."""
+        forms = {idx: {(k, 0): x for k, x in vec.items()} for idx, vec in t.entries.items()}
         if not forms:  # the zero map has no defects
             return [ZERO] * self.dim
         for kind, idx, _ in self.defects(forms):
             raise _violation(kind, idx)
-        reps, empty = self.rep_tuples, {}
-        return [forms.get(reps[i // d], empty).get((i % d, 0), ZERO) for i in self._free]
+        d, reps, empty, den = self.algebra.dim, self.rep_tuples, {}, t.den
+        return [Fraction(forms.get(reps[i // d], empty).get((i % d, 0), 0), den) for i in self._free]
 
-    def from_rep_values(self, values: dict) -> Cochain:
-        """The cochain with the given values at the representative tuples.
+    def from_rep_values(self, t: IntTable) -> Cochain:
+        """The cochain whose values at the representative tuples are those
+        of the integer table ``t``, keyed by representative tuples.
 
-        ``values`` maps representative tuples to sparse vectors {output
-        index: Fraction}; a tuple it lacks has value 0, and the values at
-        the other tuples follow from pair antisymmetry.  Alpha-equivariance
-        is not checked here: :meth:`coords` and :meth:`rep_coords` check it.
+        A tuple ``t`` lacks has value 0, and the values at the other tuples
+        follow from pair antisymmetry; each numerator is divided by t.den
+        once.  Alpha-equivariance is not checked here: :meth:`coords` and
+        :meth:`rep_coords` check it.
         """
-        d = self.algebra.dim
-        return self._from_sparse({self._orbit[idx][0] * d + k: x for idx, vec in values.items() for k, x in vec.items() if x})
+        d, orbit, den = self.algebra.dim, self._orbit, t.den
+        return self._from_sparse(
+            {orbit[idx][0] * d + k: Fraction(x, den) for idx, vec in t.entries.items() for k, x in vec.items() if x}
+        )
 
-    def rep_coords(self, values: dict) -> list:
-        """Basis coordinates of :meth:`from_rep_values` of ``values``;
-        NotACochainError when that map violates alpha-equivariance."""
-        coords = self.coordinates(lambda idx: {(k, 0): x for k, x in values.get(idx, {}).items() if x}).get(0, {})
-        return [coords.get(j, ZERO) for j in range(self.dim)]
+    def rep_coords(self, t: IntTable) -> list:
+        """Basis coordinates of :meth:`from_rep_values` of ``t``;
+        NotACochainError when that map violates alpha-equivariance.  The
+        numerators are checked, as forms in one unknown (:meth:`_residual`),
+        and only the coordinates are divided by t.den."""
+        d, orbit = self.algebra.dim, self._orbit
+        forms = {orbit[idx][0] * d + k: {0: x} for idx, vec in t.entries.items() for k, x in vec.items() if x}
+        check_defects(self._residual(forms))
+        empty, den = {}, t.den
+        return [Fraction(forms.get(i, empty).get(0, 0), den) for i in self._free]
 
     def from_coords(self, coords: Sequence) -> Cochain:
         reduced: dict = {}
@@ -468,6 +486,22 @@ def check_defects(defects, prefix: str = "", **witness) -> None:
         if hits:
             j = min(hits)
             raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
+
+
+def _int_values(table: dict, arity: int, dim: int) -> IntTable:
+    """A tabulation of an ``arity``-cochain on dimension ``dim`` as an
+    integer table (:func:`hlya.algebra.int_table`), so its entries are read
+    by :func:`hlya.exactlin.rat`.  A value whose length is not ``dim``
+    raises DimMismatchError, a nonzero value at no basis tuple ArityError."""
+    for idx, vec in table.items():
+        if len(vec) != dim:
+            raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {dim}")
+    t = int_table(table)
+    indices = frozenset(range(dim))
+    for idx in t.entries:
+        if len(idx) != arity or not indices.issuperset(idx):
+            raise ArityError(f"{idx} is not a basis tuple of {arity} indices below {dim}")
+    return t
 
 
 def _shape(arity: int, pairs: int | None) -> tuple[int, int]:

@@ -34,10 +34,8 @@ from .algebra import (
     brackets,
     compose_out,
     compose_slot,
-    divided,
     first_failure,
     identity_values,
-    int_table,
     memoised,
     table_sum,
 )
@@ -159,8 +157,9 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     Every coefficient is a cochain, so each equation is evaluated only at
     the representative tuples of its alternating pairs
     (:func:`hlya.algebra.first_failure`).  Each twisted table of the series
-    is built once for all equations and orders, and those of the base
-    brackets once per algebra (:func:`hlya.algebra.contract`).  Order 0
+    is built once per coefficient cochain, kept on the integer table it
+    keeps for every later call, and those of the base brackets once per
+    algebra (:func:`hlya.algebra.contract`).  Order 0
     reproduces the base axioms verbatim.
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
@@ -250,7 +249,7 @@ def single_step_gauge(a: Algebra, order: int, h: Cochain, r: int) -> Gauge:
 def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     """Series product p * q; acting with p then q equals acting with p * q."""
     _same_series(p, q)
-    ps, qs = ([int_table(h.table) for h in g.phi] for g in (p, q))
+    ps, qs = ([h.ints for h in g.phi] for g in (p, q))
     product = [table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1)]) for n in range(p.order + 1)]
     return _gauge(p.base, product)
 
@@ -268,7 +267,7 @@ def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
 
 def inverse_gauge(p: Gauge) -> Gauge:
     """Truncated series inverse: psi_0 = id, psi_n = -sum phi_i psi_{n-i}."""
-    return _gauge(p.base, _inverse_series([int_table(h.table) for h in p.phi]))
+    return _gauge(p.base, _inverse_series([h.ints for h in p.phi]))
 
 
 def _gauge(base: Algebra, series: list[IntTable]) -> Gauge:
@@ -322,7 +321,7 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     """
     _same_series(d, p)
     base, order = d.base, d.order
-    phi = [int_table(h.table) for h in p.phi]
+    phi = [h.ints for h in p.phi]
     psi = _inverse_series(phi)
     pairs = _pair_maps(phi, base.dim)
 
@@ -336,17 +335,13 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
 
     def transform(seq, arity: int) -> list:
         space = build_cochain_space(base, arity)
-        series = [int_table({idx: vec for idx in space.rep_tuples if (vec := c.table.get(idx))}) for c in seq]
+        ints = [c.ints for c in seq]
+        series = [IntTable(t.den, {idx: vec for idx in space.rep_tuples if (vec := t.entries.get(idx))}) for t in ints]
         series = convolve(series, pairs, lambda t, m: compose_slot(t, 0, m))
         if arity == 3:
             series = convolve(series, phi, lambda t, m: compose_slot(t, 2, m))
         series = convolve(series, psi, lambda t, m: compose_out(m, t))
-        return [seq[0]] + [
-            space.from_rep_values(
-                {key: {k: Fraction(x, t.den) for k, x in vec.items()} for key, vec in t.entries.items()}
-            )
-            for t in series[1:]
-        ]
+        return [seq[0], *map(space.from_rep_values, series[1:])]
 
     return Deformation(base, order, transform(d.f_seq, 2), transform(d.g_seq, 3))
 
@@ -460,15 +455,17 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
     and no second-order term, evaluated once at the representative tuples
     of C4 and C5, the codomain of delta2: both identities are antisymmetric
-    in their two leading pairs, so those values fix F and G.  The caller
-    checks the cocycle property (:func:`_second_order_step`).
+    in their two leading pairs, so those values fix F and G.  They stay
+    the contraction's integer numerators, negated, until F, G and their
+    coordinates are built.  The caller checks the cocycle property
+    (:func:`_second_order_step`).
     """
     fs, gs = bracket_series(a, (f1,), (g1,))
     parts = []
     for k, space in zip((7, 8), delta2(a).codomain):
         coefficient = identity_values(a, k, 2, fs, gs)
-        value = divided(coefficient.probe(), -coefficient.den)
-        values = {idx: value(idx) for idx in space.rep_tuples}
+        value = coefficient.probe()
+        values = IntTable(coefficient.den, {idx: {j: -x for j, x in value(idx).items()} for idx in space.rep_tuples})
         parts.append((space.from_rep_values(values), space.rep_coords(values)))
     (big_f, coords_f), (big_g, coords_g) = parts
     return big_f, big_g, coords_f + coords_g

@@ -5,12 +5,42 @@ Fraction}, term by term, and the twisted Leibniz rules are written out by
 hand as linear rows in the entries of a d x d matrix.  None of it shares
 code with the integer tables of :mod:`hlya.algebra` or the signed-term
 data of :mod:`hlya.coboundary`, so the differential tests that import it
-compare two independent computations.
+compare two independent computations.  :func:`fraction_read` is the
+concrete cochain reader as it was before it read integer tables: it
+shares the defect forms of :meth:`hlya.cochain.CochainSpace.defects`,
+and feeds them the values themselves.
 """
 
 import itertools
 
+from hlya.cochain import _violation
+from hlya.errors import ArityError, DimMismatchError
 from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, rat
+
+
+def fraction_read(space, table):
+    """Basis coordinates of a raw tabulation over the basis tuples, read as
+    a map in one unknown with Fraction values: each nonzero value is the
+    form {(output index, 0): entry}, and the first of its defects raises
+    NotACochainError.  A value whose length is not the dimension raises
+    DimMismatchError, a nonzero value at no basis tuple ArityError."""
+    d, n = space.algebra.dim, space.arity
+    indices = frozenset(range(d))
+    forms = {}
+    for idx, vec in table.items():
+        if len(vec) != d:
+            raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {d}")
+        form = {(k, 0): rat(x) for k, x in enumerate(vec) if x}
+        if form:
+            if len(idx) != n or not indices.issuperset(idx):
+                raise ArityError(f"{idx} is not a basis tuple of {n} indices below {d}")
+            forms[idx] = form
+    if not forms:  # the zero map has no defects
+        return [ZERO] * space.dim
+    for kind, idx, _ in space.defects(forms):
+        raise _violation(kind, idx)
+    reps, empty = space.rep_tuples, {}
+    return [forms.get(reps[i // d], empty).get((i % d, 0), ZERO) for i in space._free]
 
 
 def svec_add(acc, sv, coef=ONE):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.algebra import FormTable
+from hlya.algebra import FormTable, IntTable
 from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space, check_defects
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import ONE, Matrix, ZERO, eliminate, kernel_basis, null_vectors, rat
@@ -217,7 +217,7 @@ def test_incomplete_orbits_are_rejected(e2):
     # an orbit of three pairs: seven partners, one left out
     c6 = build_cochain_space(e2, 6)
     rep = (0, 1, 0, 2, 1, 2)
-    full = c6.from_rep_values({rep: {0: Fraction(1)}}).table
+    full = c6.from_rep_values(IntTable(1, {rep: {0: 1}})).table
     assert len(full) == 8
     assert any(c6.coords(Cochain(6, 3, full)))
     for missing in full:

@@ -1,0 +1,155 @@
+"""The concrete cochain reader in integers against the Fraction reader it replaced.
+
+A cochain keeps its table as integer numerators over one denominator
+(``Cochain.ints``), and ``CochainSpace.coords`` reads those numerators
+through the defect forms; :func:`fraction_reference.fraction_read` reads
+the values themselves.  Both must give the same coordinates on cochains
+and the same error on broken tables.  Every reader of a cochain's values
+also follows one rule for its entries: a string is its rational, and a
+float or a bool is a TypeError.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hlya.algebra import IntTable, bracket_series
+from hlya.coboundary import apply_operator
+from hlya.cochain import Cochain, build_cochain_space
+from hlya.cohomology import is_cocycle_2
+from hlya.deformation import first_order_deformation, verify_deformation
+from hlya.errors import ArityError, DimMismatchError, NotACochainError
+from hlya.samples import heisenberg_twisted, random_verified_algebras, sl2
+
+from fraction_reference import fraction_read
+
+_VALUES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return random_verified_algebras(12345, 20)
+
+
+def _spaces(a):
+    """C1..C5, C5 only up to dimension 3."""
+    return [build_cochain_space(a, n) for n in range(1, 6 if a.dim <= 3 else 5)]
+
+
+def _outcome(read):
+    """read()'s coordinates, or its error as (class, message, kind, 1-based tuple)."""
+    try:
+        return read()
+    except (NotACochainError, DimMismatchError, ArityError) as exc:
+        return type(exc), str(exc), getattr(exc, "kind", None), getattr(exc, "basis_tuple", None)
+
+
+def test_integer_reader_gives_the_fraction_coordinates(bundled, twisted_algebras, corpus):
+    rng = random.Random(28)
+    for a in [*bundled, *twisted_algebras, *corpus]:
+        for space in _spaces(a):
+            for _ in range(3):
+                coords = [rng.choice(_VALUES) for _ in range(space.dim)]
+                c = space.from_coords(coords)
+                got = space.coords(c)
+                assert got == fraction_read(space, c.table) == coords, (a.name, space)
+                assert all(type(x) is Fraction for x in got)
+                assert space.cochain_from_table(dict(c.table)) == (c, got)
+
+
+def _broken_tables(rng, space):
+    """(fault, table) pairs, each a random cochain of ``space`` with one
+    planted fault: a value at a diagonal tuple, a swapped tuple holding its
+    partner's value instead of its negative, a short value vector, and a
+    value at a tuple out of range and at one of another length."""
+    d, n = space.algebra.dim, space.arity
+    table = dict(space.from_coords([rng.choice(_VALUES[1:]) for _ in range(space.dim)]).table)
+    vec = tuple(rng.choice(_VALUES[1:]) for _ in range(d))
+    key = min(table) if table else space.rep_tuples[0]
+    faults = [
+        ("short", {**table, key: vec[:-1]}),
+        ("out of range", {**table, (d,) + (0,) * (n - 1): vec}),
+        ("length", {**table, (0,) * (n + 1): vec}),
+    ]
+    if n >= 2:
+        faults.append(("diagonal", {**table, (0,) * n: vec}))
+        if table:
+            idx = rng.choice(sorted(table))
+            faults.append(("pair", {**table, (idx[1], idx[0], *idx[2:]): table[idx]}))
+    return faults
+
+
+def test_integer_reader_raises_the_fraction_readers_error(bundled, twisted_algebras, corpus):
+    rng = random.Random(29)
+    seen = set()
+    for a in [*bundled, *twisted_algebras, *corpus]:
+        for space in _spaces(a):
+            for fault, table in _broken_tables(rng, space):
+                expected = _outcome(lambda: fraction_read(space, table))
+                assert type(expected) is tuple, (a.name, space, fault)
+                assert _outcome(lambda: space.cochain_from_table(table)[1]) == expected, (a.name, space, fault)
+                cochain = Cochain(space.arity, a.dim, table)
+                assert _outcome(lambda: space.coords(cochain)) == expected, (a.name, space, fault)
+                seen.add(expected[2] or expected[0].__name__)
+    assert seen == {"diagonal", "pair-antisymmetry", "DimMismatchError", "ArityError"}
+
+
+def test_integer_reader_names_the_fraction_readers_equivariance_defect():
+    """Random values at the representative tuples of heisenberg_twisted,
+    extended by pair antisymmetry alone, mostly break equivariance."""
+    a = heisenberg_twisted()
+    rng = random.Random(30)
+    broken = 0
+    for space in _spaces(a):
+        for _ in range(6):
+            reps = rng.sample(space.rep_tuples, min(3, len(space.rep_tuples)))
+            values = {idx: {rng.randrange(a.dim): rng.choice((1, -1, 2, 3))} for idx in reps}
+            table = dict(space.from_rep_values(IntTable(rng.choice((1, 2, 6)), values)).table)
+            expected = _outcome(lambda: fraction_read(space, table))
+            assert _outcome(lambda: space.coords(Cochain(space.arity, a.dim, table))) == expected, space
+            assert _outcome(lambda: space.cochain_from_table(table)[1]) == expected, space
+            broken += type(expected) is tuple and expected[2] == "equivariance"
+    assert broken
+
+
+def test_a_string_entry_is_its_rational_in_every_reader():
+    """A first-order deformation with string entries passes the series
+    check and verify_deformation, and every reader agrees with the same
+    cochain in Fractions."""
+    a = sl2()
+    strings = Cochain(2, 3, {(0, 1): ("1/2", 0, 0), (1, 0): ("-1/2", 0, 0)})
+    fractions = Cochain(2, 3, {(0, 1): (Fraction(1, 2), 0, 0), (1, 0): (Fraction(-1, 2), 0, 0)})
+    zero = Cochain.zero(3, 3)
+    space = build_cochain_space(a, 2)
+    assert space.coords(strings) == space.coords(fractions)
+    assert (strings.ints.den, strings.ints.entries) == (fractions.ints.den, fractions.ints.entries)
+    assert space.cochain_from_table(dict(strings.table)) == space.cochain_from_table(dict(fractions.table))
+    assert strings.eval([(1, 0, 0), (0, 1, 0)]) == (Fraction(1, 2), 0, 0)
+    assert verify_deformation(first_order_deformation(a, strings, zero)) == verify_deformation(
+        first_order_deformation(a, fractions, zero)
+    )
+    assert apply_operator(a, "2", strings, zero) == apply_operator(a, "2", fractions, zero)
+    assert is_cocycle_2(a, strings, zero) == is_cocycle_2(a, fractions, zero)
+
+
+@pytest.mark.parametrize("entry", [0.5, True], ids=["float", "bool"])
+def test_a_float_or_bool_entry_is_a_type_error_in_every_reader(entry):
+    a = sl2()
+    c = Cochain(2, 3, {(0, 1): (entry, 0, 0), (1, 0): (-entry, 0, 0)})
+    zero = Cochain.zero(3, 3)
+    space = build_cochain_space(a, 2)
+    readers = [
+        lambda: c.ints,
+        lambda: c.eval([(1, 0, 0), (0, 1, 0)]),
+        lambda: space.coords(c),
+        lambda: space.contains(c),
+        lambda: space.cochain_from_table(dict(c.table)),
+        lambda: bracket_series(a, (c,), ()),
+        lambda: first_order_deformation(a, c, zero),
+        lambda: apply_operator(a, "2", c, zero),
+        lambda: is_cocycle_2(a, c, zero),
+    ]
+    for read in readers:
+        with pytest.raises(TypeError, match="not an exact rational"):
+            read()

@@ -35,11 +35,12 @@ from hlya.algebra import (
 )
 from hlya.algebra import FormTable
 from hlya.coboundary import OPERATORS, verify_well_definedness
-from hlya.cochain import CochainSpace, build_cochain_space
+from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.cohomology import cohomology_report, pair_from_coords
 from hlya.deformation import (
     apply_gauge,
     bracket_cochain,
+    first_order_deformation,
     null_deformation,
     obstruction_pair,
     random_gauge,
@@ -51,7 +52,7 @@ from hlya.deformation import (
 )
 from hlya.derivations import check_der_is_lie, derivation_space
 from hlya.exactlin import Matrix
-from hlya.samples import sl2
+from hlya.samples import heisenberg_twisted, sl2
 
 from tabulated import to_dense
 
@@ -291,12 +292,8 @@ def test_joined_tables_do_not_outlive_their_audit(monkeypatch):
     assert not [table for table in joined if id(table) in reachable]
 
 
-def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
-    """The twists of brackets(a) live on those tables: a second
-    verify_deformation or check_axioms on the algebra builds none of them
-    again, while the tables of its series are new and twisted anew."""
-    twist = _fresh_twist()
-    a = make_algebra(twist.dim, twist.binary, twist.ternary, twist.alpha, name="fresh")
+def _count_twists(monkeypatch) -> list:
+    """The tables :func:`hlya.algebra._twisted` twists from now on, in order."""
     built = []
     original = algebra._twisted
 
@@ -305,8 +302,20 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
         return original(b, table, powers, pos)
 
     monkeypatch.setattr(algebra, "_twisted", counted)
+    return built
+
+
+def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
+    """The twists of brackets(a) live on those tables, and those of the
+    series on the integer tables its coefficients keep: a second
+    verify_deformation or check_axioms on the algebra builds no twist of
+    either again."""
+    twist = _fresh_twist()
+    a = make_algebra(twist.dim, twist.binary, twist.ternary, twist.alpha, name="fresh")
+    built = _count_twists(monkeypatch)
     d = apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(3)))
     base = (*brackets(a), alpha_table(a, 1))
+    series = [c.ints for c in d.f_seq[1:] + d.g_seq[1:]]
     for call in range(2):
         built.clear()
         before = sum(len(t.twists) for t in base)
@@ -316,8 +325,56 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
         # has already made those of identities 3 and 4), the second none
         added = sum(len(t.twists) for t in base) - before
         assert len(of_base) == (added if call == 0 else 0), call
-        assert len(built) > len(of_base)  # the series tables are new each call
+        # the first call also twists the coefficients' own tables, the second nothing
+        assert all(any(t is s for s in series) for t in built if t not in of_base), call
+        assert (len(built) > len(of_base)) == (call == 0), call
+    assert [c.ints for c in d.f_seq[1:] + d.g_seq[1:]] == series
     assert all(key[0] is a for t in base for key in t.twists)
+
+
+def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
+    """A cochain converts its table once and keeps the twists made of it.
+    On sl2 the probe after obstruction_pair twists only the tables of
+    (f2, g2); on a twisted algebra it also twists f1 and g1 for identities
+    5 and 6, whose alpha powers identities 7 and 8 do not use, and never
+    a twist the obstruction made.  A repeated probe twists nothing, and a
+    cochain rebuilt equal to another gets its own table and twists."""
+    built = _count_twists(monkeypatch)
+    for a in (sl2(), heisenberg_twisted()):
+        report = cohomology_report(a)
+        probed = 0
+        for j in range(report.level2.cocycles.dim):
+            f1, g1 = pair_from_coords(a, report.level2.cocycles.basis.column(j))
+            assert f1.ints is f1.ints and g1.ints is g1.ints
+            obstruction_pair(a, f1, g1)
+            solved = solve_second_order(a, f1, g1)
+            if solved is None:
+                continue
+            made = {id(t): set(t.twists) for t in (f1.ints, g1.ints)}
+            built.clear()
+            second_order_probe(a, f1, g1, *solved)
+            mine = {id(c.ints) for c in solved}
+            if a.name == "sl2":
+                assert all(id(t) in mine for t in built), j
+            for t in (f1.ints, g1.ints):
+                # the obstruction's twists are kept, and each twist the probe makes is new
+                assert made[id(t)] <= set(t.twists), j
+                assert sum(b is t for b in built) == len(t.twists) - len(made[id(t)]), j
+            built.clear()
+            second_order_probe(a, f1, g1, *solved)
+            assert built == [], j
+            probed += 1
+        assert probed, a.name
+    a = heisenberg_twisted()
+    f1, g1 = pair_from_coords(a, cohomology_report(a).level2.cocycles.basis.column(0))
+    verify_deformation(first_order_deformation(a, f1, g1))
+    again = Cochain(2, a.dim, dict(f1.table))
+    assert again == f1 and again.ints is not f1.ints and not again.ints.twists
+    kept = dict(f1.ints.twists)
+    built.clear()
+    verify_deformation(first_order_deformation(a, again, g1))
+    assert [t for t in built if t is not again.ints] == [] and built
+    assert again.ints.twists.keys() == kept.keys() and f1.ints.twists == kept
 
 
 def test_one_table_keeps_a_twist_per_algebra():
@@ -375,7 +432,9 @@ def test_each_rule_has_one_statement():
     matrix, and the random algebras are verified by their constructors
     alone.  A linear form is read on the domain basis only through the
     generic cochains, whose unknowns are the basis cochains: no function
-    takes a basis to pair forms with, and cochain.py defines no _apply."""
+    takes a basis to pair forms with, and cochain.py defines no _apply.
+    A cochain's table is converted to integers by the cochain alone
+    (Cochain.ints): no module calls int_table on a .table attribute."""
     src = Path(hlya.__file__).parent
     assert "alpha_matrix" not in _calls(src / "deformation.py")
     assert "check_axioms" not in _calls(src / "samples.py")
@@ -383,3 +442,13 @@ def test_each_rule_has_one_statement():
     assert not [where for where, names in _parameters() if "basis" in names]
     tree = ast.parse((src / "cochain.py").read_text())
     assert "_apply" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    converted = [
+        (path.name, node.lineno)
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int_table"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "table" for arg in node.args)
+    ]
+    assert not converted

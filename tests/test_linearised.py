@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from hlya import coboundary
-from hlya.algebra import FormTable, divided, int_table
+from hlya.algebra import FormTable, IntTable, divided, int_table
 from hlya.coboundary import (
     _LEVELS,
     _assemble,
@@ -52,8 +52,8 @@ def columnwise_assemble(a, level):
     for cochains in _basis_inputs(a, domain):
         col = []
         for target, formula in zip(codomain, tables(a, *(int_table(c.table) for c in cochains))):
-            fn = divided(formula.probe(), formula.den)
-            col.extend(target.rep_coords({idx: fn(idx) for idx in target.rep_tuples}))
+            value = formula.probe()
+            col.extend(target.rep_coords(IntTable(formula.den, {idx: value(idx) for idx in target.rep_tuples})))
         columns.append(col)
     rows = sum(s.dim for s in codomain)
     if columns and rows:
