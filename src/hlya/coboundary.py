@@ -309,8 +309,9 @@ def operator_by_level(a: Algebra, level: str) -> CoboundaryMap:
 def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain, Cochain]:
     """The two components of the operator at ``level`` on its domain
     cochains (h for "1", else the pair), straight from the formulas:
-    joined at all tuples, divided, and read back by ``cochain_from_table``, which
-    raises NotACochainError on an image that is not a cochain.  A cochain
+    joined at all tuples in integers and built by the codomain space
+    (:meth:`hlya.cochain.CochainSpace.from_table`), which raises
+    NotACochainError on an image that is not a cochain.  A cochain
     count or arity that is not the level's domain raises ArityError, a
     cochain on another dimension DimMismatchError, and one outside its
     domain space PreconditionError."""
@@ -323,11 +324,10 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
             build_cochain_space(a, c.arity).coords(c)
         except NotACochainError as exc:
             raise PreconditionError(f"{name} argument {pos}, a {c.arity}-cochain, is not in C{c.arity}: {exc}")
-    images = []
-    for (n, pairs), formula in zip(codomain_shapes, tables(a, *(c.ints for c in cochains))):
-        values = IntTable(formula.den, formula.join()).fractions(a.dim)
-        images.append(build_cochain_space(a, n, pairs).cochain_from_table(values)[0])
-    return tuple(images)
+    return tuple(
+        build_cochain_space(a, n, pairs).from_table(IntTable(formula.den, formula.join()))
+        for (n, pairs), formula in zip(codomain_shapes, tables(a, *(c.ints for c in cochains)))
+    )
 
 
 def verify_well_definedness(a: Algebra, level: str) -> int:

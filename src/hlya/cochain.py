@@ -24,14 +24,23 @@ is the case of one unknown.  A concrete table is read in integers: its
 numerators over one positive denominator are positive multiples of its
 values, so they give the same verdicts and witnesses, and only the
 coordinates are divided.
-A cochain is immutable, table and attributes alike, so it is shared
-freely, and it keeps its integer table (:attr:`Cochain.ints`) with the
-twists the contractions make of it.
+
+The spaces build cochains straight from integer tables, from
+representative values (:meth:`CochainSpace.from_rep_values`), a whole
+table (:meth:`CochainSpace.from_table`) or coordinates
+(:meth:`CochainSpace.from_coords`), and record on each cochain the
+coordinates they have established, so :meth:`CochainSpace.coords` hands
+them back without reading the table again.  Such a cochain's value is
+its integer table in lowest terms, and its Fraction table is built only
+when read.  A cochain is immutable, table and attributes alike, so it is
+shared freely, and it keeps its integer table (:attr:`Cochain.ints`)
+with the twists the contractions make of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -49,40 +58,72 @@ MAX_ARITY = 7
 class Cochain(Frozen):
     """Sparse multilinear map L^n -> L; table maps index tuples to values.
 
-    A :class:`Frozen` value: the table is a read-only view of the nonzero
-    values, as tuples, and :attr:`ints` the same values in integers, built
-    on first use and kept."""
+    A :class:`Frozen` value.  A cochain built from a table keeps the
+    nonzero values, as tuples, in a read-only view (:attr:`table`), and
+    :attr:`ints` converts them on first use.  One that a space builds
+    (:meth:`_of`) is *exact*: its value is its canonical integer table,
+    and :attr:`table` is built from it on first read.  Two exact cochains
+    compare their integer tables, any other pair their tables, so equality
+    and the hash mean the same however a cochain was built."""
 
-    __slots__ = ("arity", "dim", "table", "_ints")
-    _fields = ("arity", "dim", "table")
+    __slots__ = ("arity", "dim", "_table", "_ints", "_exact", "_coords")
 
     def __init__(self, arity: int, dim: int, table: dict):
         self._init(
             arity=arity,
             dim=dim,
-            table=MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}),
+            _table=MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}),
             _ints=None,
+            _exact=False,
+            _coords=None,
         )
+
+    @classmethod
+    def _of(cls, arity: int, dim: int, ints: IntTable) -> "Cochain":
+        """The exact cochain of a canonical table (:func:`_canonical`)."""
+        c = cls.__new__(cls)
+        c._init(arity=arity, dim=dim, _table=None, _ints=ints, _exact=True, _coords=None)
+        return c
+
+    @property
+    def table(self) -> MappingProxyType:
+        """The nonzero values as tuples, keyed by basis tuple."""
+        if self._table is None:
+            self._init(_table=MappingProxyType(self._ints.fractions(self.dim)))
+        return self._table
 
     @property
     def ints(self) -> IntTable:
-        """The table as integer numerators over the lcm of their
-        denominators (:func:`_int_values`), built on first use and kept.
+        """The table as integer numerators over the lcm of the reduced
+        denominators of its values (:func:`_int_values`): an exact
+        cochain's value, or built on first use and kept.
 
         Every reader of the values reads this table, and the twists that
         :func:`hlya.algebra.contract` makes of it are kept on it
         (``IntTable.twists``): each cochain object is converted and twisted
         once, and an equal cochain built anew has its own table."""
         if self._ints is None:
-            self._init(_ints=_int_values(self.table, self.arity, self.dim))
+            self._init(_ints=_int_values(self._table, self.arity, self.dim))
         return self._ints
+
+    def _recorded(self, space: "CochainSpace") -> list | None:
+        """The coordinates ``space`` recorded on this cochain, else None."""
+        record = self._coords
+        return list(record[1]) if record is not None and record[0]() is space else None
+
+    def _record(self, space: "CochainSpace", coords: list) -> None:
+        """Record coordinates ``space`` established, unless another live
+        space holds the record; a weak reference, so that a cochain does not
+        keep its algebra alive."""
+        if self._coords is None or self._coords[0]() is None:
+            self._init(_coords=(weakref.ref(space), tuple(coords)))
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
-        return cls(arity, dim, {})
+        return cls._of(arity, dim, IntTable(1, {}))
 
     def is_zero(self) -> bool:
-        return not self.table
+        return not (self._ints if self._exact else self._table)
 
     def value(self, idx: tuple) -> Vec:
         return self.table.get(idx, zero_vec(self.dim))
@@ -115,6 +156,14 @@ class Cochain(Frozen):
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(Fraction(-1)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        shape = (self.arity, self.dim) == (other.arity, other.dim)
+        if self._exact and other._exact:
+            return shape and self._ints.den == other._ints.den and self._ints.entries == other._ints.entries
+        return shape and self.table == other.table
 
     def __hash__(self):
         return hash((self.arity, self.dim, tuple(sorted(self.table.items()))))
@@ -232,38 +281,67 @@ class CochainSpace(Frozen):
 
     # --- conversions ------------------------------------------------------
 
-    def _from_sparse(self, reduced: dict) -> Cochain:
-        """The cochain of sparse reduced coordinates {position: value}."""
-        d = self.algebra.dim
-        signed: dict = {}  # (position, sign) -> the signed value
+    def _laid_out(self, reduced: dict, den: int) -> Cochain:
+        """The exact cochain whose reduced coordinates are the numerators
+        ``reduced`` {position: nonzero int} over ``den``, laid out through
+        the orbit map, orbit by orbit, in lowest terms."""
+        d, members = self.algebra.dim, self._members
+        g = gcd(den, *reduced.values())
+        signed: dict = {}  # representative position -> (value, negated value)
         for i, x in reduced.items():
             pos, k = divmod(i, d)
-            if (pos, 1) not in signed:
-                signed[pos, 1], signed[pos, -1] = [ZERO] * d, [ZERO] * d
-            signed[pos, 1][k], signed[pos, -1][k] = x, -x
-        table = {tup: signed[found] for tup, found in self._orbit.items() if found in signed}
-        return Cochain(self.arity, d, table)
+            if pos not in signed:
+                signed[pos] = ({}, {})
+            plus, minus = signed[pos]
+            plus[k], minus[k] = x // g, -x // g
+        entries = {}
+        for pos in sorted(signed):
+            plus, minus = signed[pos]
+            for tup, sign in members[pos]:
+                entries[tup] = plus if sign == 1 else minus
+        return Cochain._of(self.arity, d, IntTable(den // g, entries))
 
     def coords(self, cochain: Cochain) -> list:
-        """Basis coordinates of a cochain of this arity and dimension."""
+        """Basis coordinates of a cochain of this arity and dimension.
+
+        Coordinates this space recorded on the cochain, building or reading
+        it, come back without a read; otherwise its integer table is read
+        (:meth:`_read`), and the coordinates are recorded when the cochain
+        holds no other live space's.  Another space, even of an equal
+        algebra, reads the cochain afresh and reaches its own verdict."""
         if cochain.arity != self.arity:
             raise ArityError(f"a {cochain.arity}-cochain is not in the space of {self.arity}-cochains")
         if cochain.dim != self.algebra.dim:
             raise DimMismatchError(f"a cochain on dimension {cochain.dim}, expected {self.algebra.dim}")
-        return self._read(cochain.ints)
+        coords = cochain._recorded(self)
+        if coords is None:
+            coords = self._read(cochain.ints)
+            cochain._record(self, coords)
+        return coords
 
     def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
         """Canonical cochain and basis coordinates of a raw tabulation,
         converted once (:func:`_int_values`)."""
-        coords = self._read(_int_values(table, self.arity, self.algebra.dim))
-        return self.from_coords(coords), coords
+        c = self.from_table(_int_values(table, self.arity, self.algebra.dim))
+        return c, self.coords(c)
+
+    def from_table(self, t: IntTable) -> Cochain:
+        """The exact cochain whose values are those of the integer table
+        ``t`` over basis tuples, with its coordinates recorded.  The table
+        is read once (:meth:`_read`), so NotACochainError names the first
+        defect of one that is no cochain of this space."""
+        t = _canonical(t)
+        coords = self._read(t)
+        c = Cochain._of(self.arity, self.algebra.dim, t)
+        c._record(self, coords)
+        return c
 
     def _read(self, t: IntTable) -> list:
-        """Basis coordinates of an integer tabulation over the basis tuples,
-        read as a map in one unknown: each value is the form {(output
-        index, 0): numerator}, t.den times the value, and the first of its
-        :meth:`defects` raises NotACochainError.  Only the coordinates are
-        divided by t.den."""
+        """Basis coordinates of a canonical integer tabulation over the
+        basis tuples, read as a map in one unknown: each value is the form
+        {(output index, 0): numerator}, t.den times the value, and the first
+        of its :meth:`defects` raises NotACochainError.  Only the
+        coordinates are divided by t.den."""
         forms = {idx: {(k, 0): x for k, x in vec.items()} for idx, vec in t.entries.items()}
         if not forms:  # the zero map has no defects
             return [ZERO] * self.dim
@@ -273,39 +351,40 @@ class CochainSpace(Frozen):
         return [Fraction(forms.get(reps[i // d], empty).get((i % d, 0), 0), den) for i in self._free]
 
     def from_rep_values(self, t: IntTable) -> Cochain:
-        """The cochain whose values at the representative tuples are those
-        of the integer table ``t``, keyed by representative tuples.
+        """The exact cochain whose values at the representative tuples are
+        those of the integer table ``t``, keyed by representative tuples.
 
         A tuple ``t`` lacks has value 0, and the values at the other tuples
-        follow from pair antisymmetry; each numerator is divided by t.den
-        once.  Alpha-equivariance is not checked here: :meth:`coords` and
-        :meth:`rep_coords` check it.
+        follow from pair antisymmetry, so the layout has no diagonal or
+        pair-antisymmetry defect.  The numerators are checked for
+        alpha-equivariance, as forms in one unknown (:meth:`_residual`), and
+        only when none is violated are the coordinates recorded; otherwise
+        :meth:`coords` raises the first violation.
         """
         d, orbit, den = self.algebra.dim, self._orbit, t.den
-        return self._from_sparse(
-            {orbit[idx][0] * d + k: Fraction(x, den) for idx, vec in t.entries.items() for k, x in vec.items() if x}
-        )
-
-    def rep_coords(self, t: IntTable) -> list:
-        """Basis coordinates of :meth:`from_rep_values` of ``t``;
-        NotACochainError when that map violates alpha-equivariance.  The
-        numerators are checked, as forms in one unknown (:meth:`_residual`),
-        and only the coordinates are divided by t.den."""
-        d, orbit = self.algebra.dim, self._orbit
-        forms = {orbit[idx][0] * d + k: {0: x} for idx, vec in t.entries.items() for k, x in vec.items() if x}
-        check_defects(self._residual(forms))
-        empty, den = {}, t.den
-        return [Fraction(forms.get(i, empty).get(0, 0), den) for i in self._free]
+        reduced = {orbit[idx][0] * d + k: x for idx, vec in t.entries.items() for k, x in vec.items() if x}
+        c = self._laid_out(reduced, den)
+        if not self._residual({i: {0: x} for i, x in reduced.items()}):
+            c._record(self, [Fraction(reduced.get(i, 0), den) for i in self._free])
+        return c
 
     def from_coords(self, coords: Sequence) -> Cochain:
+        """The exact cochain with these basis coordinates, recorded on it;
+        DimMismatchError unless there is one per basis cochain."""
+        if len(coords) != self.dim:
+            raise DimMismatchError(f"expected {self.dim} coordinates, got {len(coords)}")
+        coords = [rat(x) for x in coords]
+        den = lcm(*(x.denominator for x in coords))
+        basis_den, cols = self._int_basis
         reduced: dict = {}
-        for x, col in zip(coords, self._basis_cols):
-            x = rat(x)
+        for x, col in zip(coords, cols):
             if x:
+                x = x.numerator * (den // x.denominator)
                 for i, v in col.items():
-                    y = reduced.get(i)
-                    reduced[i] = x * v if y is None else y + x * v
-        return self._from_sparse(reduced)
+                    reduced[i] = reduced.get(i, 0) + x * v
+        c = self._laid_out({i: x for i, x in reduced.items() if x}, den * basis_den)
+        c._record(self, coords)
+        return c
 
     def contains(self, cochain: Cochain) -> bool:
         try:
@@ -327,6 +406,13 @@ class CochainSpace(Frozen):
         return int_rows
 
     @cached_property
+    def _int_basis(self) -> tuple[int, list]:
+        """The basis columns as integer numerators over the lcm of their
+        denominators: (den, [{reduced coordinate: numerator}])."""
+        den = lcm(*(x.denominator for col in self._basis_cols for x in col.values()))
+        return den, [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in self._basis_cols]
+
+    @cached_property
     def _members(self) -> list:
         """Each orbit's members with their swap signs, [(tuple, sign)], by
         representative position, the representative first."""
@@ -337,7 +423,7 @@ class CochainSpace(Frozen):
 
     @cached_property
     def basis_cochains(self) -> tuple:
-        return tuple(self._from_sparse(col) for col in self._basis_cols)
+        return tuple(self.from_coords([int(i == j) for i in range(self.dim)]) for j in range(self.dim))
 
     # --- generic cochains and linear forms ----------------------------------
 
@@ -347,14 +433,13 @@ class CochainSpace(Frozen):
         denominators.  A form's coefficient of u_{offset + j} is its value
         on b_j; a space of dimension 0 gives the zero table."""
         d = self.algebra.dim
-        den = lcm(*(x.denominator for col in self._basis_cols for x in col.values()))
+        den, cols = self._int_basis
         signed: dict = {}  # (position, sign) -> the signed value
-        for j, col in enumerate(self._basis_cols, offset):
-            for i, x in col.items():
+        for j, col in enumerate(cols, offset):
+            for i, c in col.items():
                 pos, k = divmod(i, d)
                 if (pos, 1) not in signed:
                     signed[pos, 1], signed[pos, -1] = {}, {}
-                c = x.numerator * (den // x.denominator)
                 signed[pos, 1][k, j], signed[pos, -1][k, j] = c, -c
         return FormTable(den, {tup: signed[found] for tup, found in self._orbit.items() if found in signed})
 
@@ -504,6 +589,14 @@ def _int_values(table: dict, arity: int, dim: int) -> IntTable:
     return t
 
 
+def _canonical(t: IntTable) -> IntTable:
+    """t without zero numerators, over the lcm of the reduced denominators
+    of its values (t.den over its gcd with the numerators): equal maps have
+    equal canonical tables."""
+    g = gcd(t.den, *(x for vec in t.entries.values() for x in vec.values()))
+    return IntTable(t.den // g, {key: {k: x // g for k, x in vec.items() if x} for key, vec in t.entries.items()})
+
+
 def _shape(arity: int, pairs: int | None) -> tuple[int, int]:
     """(arity, pairs) of a cochain space, pairs defaulting to all of them.
 
@@ -543,5 +636,6 @@ def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:
 
 @memoised
 def identity_cochain(a: Algebra) -> Cochain:
-    """The identity map as a 1-cochain, the constant term of every gauge."""
-    return Cochain(1, a.dim, {(j,): tuple(ONE if i == j else ZERO for i in range(a.dim)) for j in range(a.dim)})
+    """The identity map as a 1-cochain, the constant term of every gauge,
+    built by C1 with its coordinates."""
+    return build_cochain_space(a, 1).from_table(IntTable(1, {(j,): {j: 1} for j in range(a.dim)}))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
 from .cochain import Cochain, build_cochain_space
-from .errors import NotACochainError, PreconditionError
+from .errors import DimMismatchError, NotACochainError, PreconditionError
 from .exactlin import Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
 
 
@@ -94,8 +94,12 @@ def pair_coords(a: Algebra, f: Cochain, g: Cochain) -> list:
 
 
 def pair_from_coords(a: Algebra, coords) -> tuple[Cochain, Cochain]:
+    """The pair in C2 x C3 with these concatenated basis coordinates;
+    DimMismatchError unless there is one per basis cochain."""
     c2 = build_cochain_space(a, 2)
     c3 = build_cochain_space(a, 3)
+    if len(coords) != c2.dim + c3.dim:
+        raise DimMismatchError(f"expected {c2.dim + c3.dim} coordinates of a pair, got {len(coords)}")
     return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
 
 

@@ -22,7 +22,6 @@ f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ from .algebra import (
     table_sum,
 )
 from .coboundary import delta2, delta3
-from .cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
+from .cochain import Cochain, _canonical, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
     BaseMismatchError,
@@ -57,13 +56,13 @@ DEFAULT_ORDER = 4
 @memoised
 def bracket_cochain(a: Algebra) -> Cochain:
     """The base binary bracket as a 2-cochain."""
-    return Cochain(2, a.dim, brackets(a)[0].fractions(a.dim))
+    return Cochain._of(2, a.dim, _canonical(brackets(a)[0]))
 
 
 @memoised
 def ternary_cochain(a: Algebra) -> Cochain:
     """The base ternary bracket as a 3-cochain."""
-    return Cochain(3, a.dim, brackets(a)[1].fractions(a.dim))
+    return Cochain._of(3, a.dim, _canonical(brackets(a)[1]))
 
 
 def _coefficient(space, c, n: int) -> None:
@@ -222,14 +221,19 @@ def alpha_commutant_basis(a: Algebra) -> tuple:
 
 
 def random_gauge(a: Algebra, order: int, rng) -> Gauge:
-    """Identity plus random alpha-commuting higher coefficients."""
-    basis = alpha_commutant_basis(a)
+    """Identity plus random alpha-commuting higher coefficients: each a sum
+    of the basis maps, each times p / q, p in -2..2 and q in 1..2, drawn as
+    integer tables."""
+    basis = [b.ints for b in alpha_commutant_basis(a)]
+    space = build_cochain_space(a, 1)
     phi = [identity_cochain(a)]
     for _ in range(order):
-        acc = Cochain.zero(1, a.dim)
+        terms = []
         for b in basis:
-            acc = acc.add(b.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
-        phi.append(acc)
+            p, q = rng.randint(-2, 2), rng.randint(1, 2)
+            scaled = {key: {k: p * x for k, x in vec.items()} for key, vec in b.entries.items()}
+            terms.append(IntTable(b.den * q, scaled))
+        phi.append(space.from_table(table_sum(terms)))
     return Gauge(a, order, phi)
 
 
@@ -272,8 +276,9 @@ def inverse_gauge(p: Gauge) -> Gauge:
 
 def _gauge(base: Algebra, series: list[IntTable]) -> Gauge:
     """The gauge over ``base`` whose coefficients are the linear maps of an
-    integer series (tables of arity 1)."""
-    return Gauge(base, len(series) - 1, [Cochain(1, base.dim, t.fractions(base.dim)) for t in series])
+    integer series (tables of arity 1), each built by C1 with its
+    coordinates."""
+    return Gauge(base, len(series) - 1, list(map(build_cochain_space(base, 1).from_table, series)))
 
 
 def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:
@@ -317,7 +322,8 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     and a last pass applies Psi = Phi^{-1} to the values.  M_0, the
     identity, is not composed, so the order-0 coefficients come back
     unchanged.  The series are integer tables; the cochain spaces build the
-    higher coefficients from their representative values.
+    higher coefficients from their representative values, with their
+    coordinates (:meth:`hlya.cochain.CochainSpace.from_rep_values`).
     """
     _same_series(d, p)
     base, order = d.base, d.order
@@ -326,12 +332,11 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     pairs = _pair_maps(phi, base.dim)
 
     def convolve(series, maps, compose) -> list:
-        return [
-            table_sum(
-                [series[m], *(compose(series[j], maps[m - j]) for j in range(m) if series[j] and maps[m - j])]
-            )
-            for m in range(order + 1)
-        ]
+        out = []
+        for m in range(order + 1):
+            terms = [compose(series[j], maps[m - j]) for j in range(m) if series[j] and maps[m - j]]
+            out.append(table_sum([series[m], *terms]) if terms else series[m])
+        return out
 
     def transform(seq, arity: int) -> list:
         space = build_cochain_space(base, arity)
@@ -456,9 +461,10 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     and no second-order term, evaluated once at the representative tuples
     of C4 and C5, the codomain of delta2: both identities are antisymmetric
     in their two leading pairs, so those values fix F and G.  They stay
-    the contraction's integer numerators, negated, until F, G and their
-    coordinates are built.  The caller checks the cocycle property
-    (:func:`_second_order_step`).
+    the contraction's integer numerators, negated, until the spaces build
+    F and G with their coordinates
+    (:meth:`hlya.cochain.CochainSpace.from_rep_values`).  The caller
+    checks the cocycle property (:func:`_second_order_step`).
     """
     fs, gs = bracket_series(a, (f1,), (g1,))
     parts = []
@@ -466,7 +472,8 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
         coefficient = identity_values(a, k, 2, fs, gs)
         value = coefficient.probe()
         values = IntTable(coefficient.den, {idx: {j: -x for j, x in value(idx).items()} for idx in space.rep_tuples})
-        parts.append((space.from_rep_values(values), space.rep_coords(values)))
+        big = space.from_rep_values(values)
+        parts.append((big, space.coords(big)))
     (big_f, coords_f), (big_g, coords_g) = parts
     return big_f, big_g, coords_f + coords_g
 

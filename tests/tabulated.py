@@ -4,15 +4,17 @@
 dresses a per-tuple map as one block of a formula of
 ``hlya.coboundary._LEVELS``, so a formula double serves both read orders
 of :class:`hlya.algebra.Contraction`: its probe is the map and its join
-the map read at every tuple.  :func:`scanned_defects` is the defect
-reader that reads a table at every basis tuple, the reference for
-:meth:`hlya.cochain.CochainSpace.defects`, which reads only the table's
-entries and the orbits they touch.
+the map read at every tuple; :func:`numerators` dresses a rational map
+as integer numerators over one denominator, as a contraction's are.
+:func:`scanned_defects` is the defect reader that reads a table at every
+basis tuple, the reference for :meth:`hlya.cochain.CochainSpace.defects`,
+which reads only the table's entries and the orbits they touch.
 """
 
 import itertools
+from math import lcm
 
-from hlya.exactlin import ZERO
+from hlya.exactlin import ZERO, rat
 
 
 def to_dense(sv, dim):
@@ -33,12 +35,10 @@ def tabulate(a, arity, fn):
 
 class Probed:
     """The map ``fn`` on ``arity`` slots of dimension ``dim``, read as a
-    contraction over the denominator 1."""
+    contraction over the denominator ``den``."""
 
-    den = 1
-
-    def __init__(self, dim, arity, fn):
-        self.dim, self.arity, self.fn = dim, arity, fn
+    def __init__(self, dim, arity, fn, den=1):
+        self.dim, self.arity, self.fn, self.den = dim, arity, fn, den
 
     def probe(self):
         return self.fn
@@ -46,6 +46,16 @@ class Probed:
     def join(self):
         tuples = itertools.product(range(self.dim), repeat=self.arity)
         return {idx: value for idx in tuples if (value := self.fn(idx))}
+
+
+def numerators(dim, arity, fn):
+    """fn, whose values are rational, read at every tuple and dressed as a
+    contraction whose values are integer numerators over the lcm of their
+    denominators, as those of :class:`hlya.algebra.Contraction` are."""
+    values = {idx: value for idx in itertools.product(range(dim), repeat=arity) if (value := fn(idx))}
+    den = lcm(*(rat(x).denominator for value in values.values() for x in value.values()))
+    ints = {idx: {k: int(x * den) for k, x in value.items() if x} for idx, value in values.items()}
+    return Probed(dim, arity, lambda idx: ints.get(idx, {}), den)
 
 
 def scanned_defects(space, table):

@@ -58,7 +58,7 @@ from hlya.exactlin import ONE, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import FractionOps, eval_sv, svec_add
-from tabulated import Probed, tabulate, to_dense
+from tabulated import Probed, numerators, tabulate, to_dense
 
 # --- the Fraction references -------------------------------------------------
 
@@ -468,15 +468,18 @@ def _cochain_of(n, d, t):
 def _on_tables(formula, arities, codomain):
     """The Fraction ``formula`` on the integer tables that _LEVELS formulas
     take, generic tables included: their values are read back as forms
-    {(output index, unknown): coefficient}, one block per codomain shape."""
+    {(output index, unknown): coefficient}, one block per codomain shape.
+    On concrete tables each block is read at every tuple as integer
+    numerators over one denominator, as a contraction's values are."""
 
     def tables(a, *domain):
         fns = formula(a, *(_cochain_of(n, a.dim, t) for n, t in zip(arities, domain)))
-        if any(isinstance(t, FormTable) for t in domain):
-            fns = [
-                lambda idx, fn=fn: {(j, u): c for j, form in fn(idx).items() for u, c in form.terms.items()}
-                for fn in fns
-            ]
+        if not any(isinstance(t, FormTable) for t in domain):
+            return [numerators(a.dim, n, fn) for (n, _), fn in zip(codomain, fns)]
+        fns = [
+            lambda idx, fn=fn: {(j, u): c for j, form in fn(idx).items() for u, c in form.terms.items()}
+            for fn in fns
+        ]
         return [Probed(a.dim, n, fn) for (n, _), fn in zip(codomain, fns)]
 
     return tables

@@ -6,20 +6,35 @@ through the defect forms; :func:`fraction_reference.fraction_read` reads
 the values themselves.  Both must give the same coordinates on cochains
 and the same error on broken tables.  Every reader of a cochain's values
 also follows one rule for its entries: a string is its rational, and a
-float or a bool is a TypeError.
+float or a bool is a TypeError.  A cochain that a space builds from
+integers is the same value as the cochain of its table, and the
+coordinates the space records on it are the Fraction reader's.
 """
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from hlya.algebra import IntTable, bracket_series
-from hlya.coboundary import apply_operator
+from hlya.coboundary import apply_operator, operator_by_level
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_cocycle_2
-from hlya.deformation import first_order_deformation, verify_deformation
+from hlya.deformation import (
+    Deformation,
+    apply_gauge,
+    bracket_cochain,
+    compose_gauges,
+    first_order_deformation,
+    inverse_gauge,
+    random_gauge,
+    ternary_cochain,
+    verify_deformation,
+)
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
+from hlya.serialize import cochain_to_obj
 from hlya.samples import heisenberg_twisted, random_verified_algebras, sl2
 
 from fraction_reference import fraction_read
@@ -56,6 +71,82 @@ def test_integer_reader_gives_the_fraction_coordinates(bundled, twisted_algebras
                 assert got == fraction_read(space, c.table) == coords, (a.name, space)
                 assert all(type(x) is Fraction for x in got)
                 assert space.cochain_from_table(dict(c.table)) == (c, got)
+
+
+def _scaled(t, m):
+    """The table t with numerators and denominator times m: the same map."""
+    return IntTable(t.den * m, {key: {k: x * m for k, x in vec.items()} for key, vec in t.entries.items()})
+
+
+def _built_from_integers(a, rng):
+    """(space, cochain) for cochains that spaces build from integers:
+    from_coords, from_rep_values and from_table on random cochains of
+    C1..C5, and the outputs of random_gauge, compose_gauges, inverse_gauge,
+    apply_gauge and apply_operator."""
+    built = []
+    for space in _spaces(a):
+        c = space.from_coords([rng.choice(_VALUES) for _ in range(space.dim)])
+        reps = {idx: vec for idx in space.rep_tuples if (vec := c.ints.entries.get(idx))}
+        m = rng.choice((1, 2, 6))
+        built += [
+            (space, c),
+            (space, space.from_rep_values(_scaled(IntTable(c.ints.den, reps), m))),
+            (space, space.from_table(_scaled(c.ints, m))),
+        ]
+    c1, c2, c3 = (build_cochain_space(a, n) for n in (1, 2, 3))
+    p, q = random_gauge(a, 2, rng), random_gauge(a, 2, rng)
+    for g in (p, compose_gauges(p, q), inverse_gauge(p)):
+        built += [(c1, h) for h in g.phi]
+    f = [bracket_cochain(a), *(c2.from_coords([rng.choice(_VALUES) for _ in range(c2.dim)]) for _ in range(2))]
+    g = [ternary_cochain(a), *(c3.from_coords([rng.choice(_VALUES) for _ in range(c3.dim)]) for _ in range(2))]
+    moved = apply_gauge(Deformation(a, 2, f, g), p)
+    built += [(c2, x) for x in moved.f_seq[1:]] + [(c3, x) for x in moved.g_seq[1:]]
+    for level in ("1", "2", "d2", "3") if a.dim <= 3 else ("1", "2", "d2"):
+        op = operator_by_level(a, level)
+        cochains = [s.from_coords([rng.choice(_VALUES) for _ in range(s.dim)]) for s in op.domain]
+        built += list(zip(op.codomain, apply_operator(a, level, *cochains)))
+    return built
+
+
+def test_cochains_built_from_integers_are_the_cochains_of_their_tables(bundled, twisted_algebras, corpus):
+    rng = random.Random(31)
+    nonzero = 0
+    for a in [*bundled, *twisted_algebras, *corpus]:
+        for space, c in _built_from_integers(a, rng):
+            where = (a.name, space)
+            recorded = c._recorded(space)
+            table = dict(c.table)
+            twin = Cochain(c.arity, c.dim, table)
+            assert c == twin and twin == c and hash(c) == hash(twin), where
+            assert c.is_zero() == twin.is_zero() == (not table), where
+            # the integer table is the canonical one: the twin converts its values anew
+            assert (c.ints.den, c.ints.entries) == (twin.ints.den, twin.ints.entries), where
+            for idx in itertools.product(range(a.dim), repeat=c.arity):
+                assert c.value(idx) == twin.value(idx), where
+            assert json.dumps(cochain_to_obj(c)) == json.dumps(cochain_to_obj(twin)), where
+            assert recorded is not None and recorded == fraction_read(space, table), where
+            nonzero += not c.is_zero()
+    assert nonzero
+
+
+def test_a_non_equivariant_rep_table_records_nothing_and_reads_as_before():
+    """from_rep_values lays a table out through the orbit map, so only
+    alpha-equivariance can fail; a table that breaks it gets no
+    coordinates, and coords raises what it raised when nothing was
+    recorded (the error pinned here is that reader's on this input)."""
+    a = heisenberg_twisted()
+    pinned = {
+        2: ((0, 2), "map violates the alpha-equivariance condition at tuple (1, 3)", (1, 3)),
+        3: ((0, 1, 1), "map violates the alpha-equivariance condition at tuple (1, 2, 2)", (1, 2, 2)),
+    }
+    for n, (rep, message, tup) in pinned.items():
+        space = build_cochain_space(a, n)
+        c = space.from_rep_values(IntTable(2, {rep: {0: 1}}))
+        assert c._recorded(space) is None
+        expected = (NotACochainError, message, "equivariance", tup)
+        assert _outcome(lambda: space.coords(c)) == expected
+        assert _outcome(lambda: fraction_read(space, dict(c.table))) == expected
+        assert c._recorded(space) is None and not space.contains(c)
 
 
 def _broken_tables(rng, space):

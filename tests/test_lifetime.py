@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
 
+import pytest
+
 import hlya
 from hlya import algebra, coboundary
 from hlya.algebra import (
@@ -51,6 +53,7 @@ from hlya.deformation import (
     verify_equivalence,
 )
 from hlya.derivations import check_der_is_lie, derivation_space
+from hlya.errors import NotACochainError
 from hlya.exactlin import Matrix
 from hlya.samples import heisenberg_twisted, sl2
 
@@ -64,7 +67,9 @@ def _fresh_twist(s=Fraction(7, 5)):
     return yau_twist(sl2(), beta, name=f"sl2_twist_{s.numerator}_{s.denominator}")
 
 
-def _exercise(a):
+def _exercise(a) -> list:
+    """Run every layer on a; returns cochains its spaces built and recorded
+    coordinates on, which no contraction has twisted."""
     report = cohomology_report(a)
     assert report.dims()["z2z3"] == 3
     check_der_is_lie(a, 2)
@@ -73,21 +78,97 @@ def _exercise(a):
     result = trivialize(disguised)
     assert result.trivial and verify_equivalence(disguised, null, result.gauge)
     f1, g1 = pair_from_coords(a, report.level2.cocycles.basis.column(0))
-    assert obstruction_pair(a, f1, g1).in_z4z5
+    pair = obstruction_pair(a, f1, g1)
+    assert pair.in_z4z5
     solved = solve_second_order(a, f1, g1)
     assert solved is not None
     probe = second_order_probe(a, f1, g1, *solved)
     assert probe.failures[7] is None and probe.failures[8] is None
     assert verify_well_definedness(a, "2") > 0
+    return [pair.first, pair.second, *result.gauge.phi[1:]]
 
 
 def test_derived_data_is_freed_with_its_algebra():
+    """Also when cochains its spaces built outlive it: the coordinates a
+    space records on a cochain hold the space weakly."""
     a = _fresh_twist()
-    _exercise(a)
+    kept = _exercise(a)
+    assert all(c._coords is not None for c in kept)
     ref = weakref.ref(a)
     del a
     gc.collect()
     assert ref() is None
+    assert all(c._coords[0]() is None for c in kept)
+    assert [c.arity for c in kept] == [4, 5, 1, 1] and not all(c.is_zero() for c in kept)
+
+
+def _log_reads(monkeypatch) -> list:
+    """From now on, ("read", table) for each table CochainSpace._read reads
+    and ("built", cochain) for each cochain a space builds, in order."""
+    log = []
+    read = CochainSpace._read
+    monkeypatch.setattr(CochainSpace, "_read", lambda space, t: log.append(("read", t)) or read(space, t))
+    for name in ("from_rep_values", "from_table", "from_coords"):
+
+        def counted(space, arg, build=getattr(CochainSpace, name)):
+            c = build(space, arg)
+            log.append(("built", c))
+            return c
+
+        monkeypatch.setattr(CochainSpace, name, counted)
+    return log
+
+
+def _rereads(log) -> list:
+    """The tables of the log's reads that a space had already built a
+    cochain on; from_table reads its table before the cochain exists."""
+    built, again = [], []
+    for kind, x in log:
+        if kind == "built":
+            built.append(x)
+        elif any(x is c.ints for c in built):
+            again.append(x)
+    return again
+
+
+def test_a_gauge_round_trip_reads_no_cochain_a_space_built(monkeypatch):
+    """A space records the coordinates it establishes when it builds a
+    cochain, and coords hands them back: on sl2 a gauge round trip reads
+    the table of no cochain after a space built it.  What it still reads
+    is the tables from_table builds on, and each step's coefficients: -h,
+    which Cochain.scale builds from h's table, and Cochain.zero."""
+    a = sl2()
+    log = _log_reads(monkeypatch)
+    null = null_deformation(a, 4)
+    disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
+    result = trivialize(disguised)
+    assert result.trivial and verify_equivalence(disguised, null, result.gauge)
+    kinds = Counter(kind for kind, _ in log)
+    assert kinds["built"] > 20 and kinds["read"] > 0
+    assert _rereads(log) == []
+
+
+def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch):
+    """The space that built a cochain reads it no more; the space of an
+    equal algebra under another name, and that of a twist of the same
+    shape, read it afresh and reach their own verdicts, and the record
+    stays with the first space."""
+    a = sl2()
+    space = build_cochain_space(a, 2)
+    coords = [1, 0, 2, 0, Fraction(1, 2), -1, 0, 3, 1]
+    c = space.from_coords(coords)
+    copy = make_algebra(a.dim, a.binary, a.ternary, a.alpha, name="sl2_copy")
+    twist = _fresh_twist()
+    log = _log_reads(monkeypatch)
+    assert space.coords(c) == coords and log == []
+    assert build_cochain_space(copy, 2).coords(c) == coords
+    assert [kind for kind, _ in log] == ["read"] and log[0][1] is c.ints
+    with pytest.raises(NotACochainError, match="equivariance"):
+        build_cochain_space(twist, 2).coords(c)
+    assert not build_cochain_space(twist, 2).contains(c)
+    assert [kind for kind, _ in log] == ["read"] * 3
+    assert space.coords(c) == coords and len(log) == 3
+    assert c._recorded(space) == coords and c._recorded(build_cochain_space(copy, 2)) is None
 
 
 def test_identity_plans_are_freed_with_their_algebra():

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from hlya import coboundary
-from hlya.algebra import FormTable, IntTable, divided, int_table
+from hlya.algebra import FormTable, IntTable, int_table
 from hlya.coboundary import (
     _LEVELS,
     _assemble,
@@ -53,7 +53,8 @@ def columnwise_assemble(a, level):
         col = []
         for target, formula in zip(codomain, tables(a, *(int_table(c.table) for c in cochains))):
             value = formula.probe()
-            col.extend(target.rep_coords(IntTable(formula.den, {idx: value(idx) for idx in target.rep_tuples})))
+            image = target.from_rep_values(IntTable(formula.den, {idx: value(idx) for idx in target.rep_tuples}))
+            col.extend(target.coords(image))
         columns.append(col)
     rows = sum(s.dim for s in codomain)
     if columns and rows:
@@ -241,20 +242,21 @@ def _h(h, i):
     return h.entries.get((i,), {})
 
 
-def _blocks(a, first):
-    """Level 1's two blocks: ``first`` on pairs, zero on triples."""
-    return [Probed(a.dim, 2, first), Probed(a.dim, 3, lambda idx: {})]
+def _blocks(a, first, den):
+    """Level 1's two blocks: ``first`` on pairs, as numerators over ``den``,
+    and zero on triples."""
+    return [Probed(a.dim, 2, first, den), Probed(a.dim, 3, lambda idx: {})]
 
 
 def _pair_breaking(a, h):
     # h(x) at (x, y): nonzero on the diagonal pairs (x, x)
-    return _blocks(a, divided(lambda idx: dict(_h(h, idx[0])), h.den))
+    return _blocks(a, lambda idx: dict(_h(h, idx[0])), h.den)
 
 
 def _increasing_only(a, h):
     # h(x) at (x, y) with x < y, zero elsewhere: the representative values
     # of an alternating map, but zero at every swapped partner
-    return _blocks(a, divided(lambda idx: dict(_h(h, idx[0])) if idx[0] < idx[1] else {}, h.den))
+    return _blocks(a, lambda idx: dict(_h(h, idx[0])) if idx[0] < idx[1] else {}, h.den)
 
 
 def _equivariance_breaking(a, h):
@@ -266,7 +268,7 @@ def _equivariance_breaking(a, h):
             acc[key] = acc.get(key, 0) - c
         return {key: c for key, c in acc.items() if c}
 
-    return _blocks(a, divided(comp, h.den))
+    return _blocks(a, comp, h.den)
 
 
 def _patch_level_1(monkeypatch, formula):
@@ -380,7 +382,7 @@ def test_audit_witness_past_column_0_matches_per_cochain(monkeypatch, twisted_al
             x = v.get(idx)
             return {key: x * c for key, c in phi.items()} if x else {}
 
-        return [Probed(a.dim, 4, divided(value, g.den)), Probed(a.dim, 5, lambda idx: {})]
+        return [Probed(a.dim, 4, value, g.den), Probed(a.dim, 5, lambda idx: {})]
 
     name, domain, codomain, _ = _LEVELS["2"]
     monkeypatch.setitem(coboundary._LEVELS, "2", (name, domain, codomain, faulty))
