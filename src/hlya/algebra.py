@@ -246,9 +246,10 @@ class IntTable:
     Python ints; a :class:`FormTable` keeps its unknowns in the output
     indices instead.  An empty table is the zero map and is false.
     ``twists`` holds the twisted forms :func:`contract` makes of the table,
-    and ``by_output`` the index :meth:`Contraction.join` reads it by when
-    it is nested (:func:`_by_output`), so both live exactly as long as the
-    table.
+    keyed by what they are made from (see :class:`_Term`), and
+    ``by_output`` the index :meth:`Contraction.join` reads it by when it is
+    nested (:func:`_by_output`), so both live exactly as long as the table
+    and neither keeps an algebra alive.
     """
 
     __slots__ = ("den", "entries", "twists", "by_output")
@@ -469,19 +470,20 @@ def _is_identity(m: IntTable, dim: int) -> bool:
     return len(m.entries) == dim and all(col == {j: m.den} for (j,), col in m.entries.items())
 
 
-def _twisted(a: Algebra, t: IntTable, powers: Sequence[int], pos: int | None) -> tuple[int, dict]:
-    """t with alpha^powers[q] applied to argument q, and its denominator.
+def _twisted(t: IntTable, alphas: Sequence[IntTable | None], pos: int | None) -> tuple[int, dict]:
+    """t with the linear map alphas[q] applied to argument q, unless it is
+    None, and its denominator.
 
     Without a nested bracket (``pos`` None) the entries stay keyed by the
     argument tuple.  Otherwise they are grouped as {key of the other
     arguments: {index m of argument pos: value}}.
     """
-    for q, p in enumerate(powers):
-        if p:
-            t = compose_slot(t, q, alpha_table(a, p))
+    for q, m in enumerate(alphas):
+        if m is not None:
+            t = compose_slot(t, q, m)
     if pos is None:
         return t.den, t.entries
-    key = _getter([q for q in range(len(powers)) if q != pos])
+    key = _getter([q for q in range(len(alphas)) if q != pos])
     grouped: dict = {}
     for args, vec in t.entries.items():
         grouped.setdefault(key(args), {})[args[pos]] = vec
@@ -524,8 +526,11 @@ def _placer(slots: list) -> Callable[[tuple], tuple] | None:
 class _Term(NamedTuple):
     """One signed term of :func:`contract`, analysed against an algebra.
 
-    ``twist`` is the key of the outer table's twist, (algebra, effective
-    alpha powers, nested position), and ``key`` reads that twist's key off
+    ``twist`` is the key of the outer table's twist: per argument the
+    algebra's memoised alpha^p applied to it (:func:`alpha_table`), or None
+    where alpha^p is the identity, and the nested position.  The tables
+    compare by identity, so a twist is built once per algebra and holds no
+    algebra.  ``key`` reads that twist's key off
     a basis tuple; ``inner`` names the nested table, if any, and
     ``inner_key`` reads its key.  ``place`` lays the twist's key (as a
     tuple) followed by the nested key out as the basis tuple, for
@@ -544,24 +549,24 @@ class _Term(NamedTuple):
 def _analysed(a: Algebra, terms: tuple) -> tuple[_Term, ...]:
     """The terms of :func:`contract` with everything that depends on the
     algebra alone worked out, once per algebra and term list: a power p
-    with alpha^p the identity counts as 0, and each term gets its twist
+    with alpha^p the identity is not applied, and each term gets its twist
     key, its getters and its layout."""
-    effective: dict = {}  # p -> p, or 0 when alpha^p is the identity
+    effective: dict = {}  # p -> alpha_table(a, p), or None when alpha^p is the identity
     analysed = []
     for sign, outer, args in terms:
         pos = inner = None
-        powers, plain = [], []
+        alphas, plain = [], []
         for m, arg in enumerate(args):
             p = arg[0]
             if isinstance(p, int):
                 if p not in effective:
-                    effective[p] = 0 if p == 0 or _is_identity(alpha_table(a, p), a.dim) else p
-                powers.append(effective[p])
+                    effective[p] = None if p == 0 or _is_identity(alpha_table(a, p), a.dim) else alpha_table(a, p)
+                alphas.append(effective[p])
                 plain.append(arg[1])
             else:
                 pos, inner = m, p
-                powers.append(0)
-        twist = (a, tuple(powers), pos)
+                alphas.append(None)
+        twist = (tuple(alphas), pos)
         if inner is None:
             term = _Term(sign, outer, twist, _key_getter(plain), None, None, _placer(plain))
         else:
@@ -579,15 +584,16 @@ def contract(a: Algebra, tables: dict, terms) -> Contraction:
     argument (p, s) is alpha^p(x_s), and at most one argument per term is
     a nested table on plain slot variables, (name, s, t, ...).  A name that
     ``tables`` lacks, or maps to an empty table, is the zero map: its terms
-    are dropped.  A power p with alpha^p the identity counts as 0.  Each
-    twist of an outer table is kept in its ``twists``, keyed by (algebra,
-    alpha powers, nested position), for every later contraction of that
-    table.  L, the contraction's ``den``, is the lcm of the terms'
-    denominators and each term carries the integer weight sign * L /
-    denominator, so the contraction's values are L times the sum at each
-    0-based basis tuple, as sparse vectors with zeros dropped.  Callers
-    that keep the values divide by L (:func:`divided`); a caller that only
-    asks which values vanish, like the well-definedness audit, need not.
+    are dropped.  A power p with alpha^p the identity is not applied.
+    Each twist of an outer table is kept in its ``twists``, keyed by the
+    alpha tables it applies and the nested position (:class:`_Term`), for
+    every later contraction of that table.  L, the contraction's ``den``,
+    is the lcm of the terms' denominators and each term carries the
+    integer weight sign * L / denominator, so the contraction's values are
+    L times the sum at each 0-based basis tuple, as sparse vectors with
+    zeros dropped.  Callers that keep the values divide by L
+    (:func:`divided`); a caller that only asks which values vanish, like
+    the well-definedness audit, need not.
 
     The values are read in one of two orders (:class:`Contraction`).  The
     scans of representative tuples (:func:`first_failure`, the
@@ -758,13 +764,12 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
                 continue
         entry = source.twists.get(twist)
         if entry is None:
-            b, powers, pos = twist
-            entry = source.twists[twist] = _twisted(b, source, powers, pos)
+            entry = source.twists[twist] = _twisted(source, *twist)
         den, table = entry
         if inner is None:
             compiled.append((sign, den, key, table, None, None, (place, None, False)))
         else:
-            layout = (place, inner, len(twist[1]) == 2)
+            layout = (place, inner, len(twist[0]) == 2)
             term = (sign, den * inner.den, key, table, inner_key, inner.entries, layout)
             (split if isinstance(inner, FormTable) else compiled).append(term)
     common = lcm(*(term[1] for term in compiled + split))
@@ -890,20 +895,31 @@ class AxiomReport(NamedTuple):
         return [k for k in AXIOM_IDS if not self.passed[k]]
 
 
+@memoised
+def axiom_witnesses(a: Algebra) -> dict:
+    """{k: first failing basis tuple or None} of the eight identities at
+    the base brackets, for k in :data:`AXIOM_IDS` order.
+
+    Evaluated once per algebra and kept in its memo, for
+    :func:`check_axioms` and for the order-0 equations of every
+    deformation over the algebra (:func:`hlya.deformation.verify_deformation`);
+    callers read it and never change it.
+    """
+    fs, gs = bracket_series(a)
+    return {k: first_failure(a, k, 0, fs, gs) for k in AXIOM_IDS}
+
+
 def check_axioms(a: Algebra) -> AxiomReport:
     """Evaluate the eight defining identities on basis tuples.
 
     Multilinearity makes basis checks sufficient, and the brackets of an
     :class:`Algebra` are alternating (:func:`make_algebra`), so each
     identity is evaluated at the representative tuples of its pairs only
-    (:func:`first_failure`).  Failures are recorded, never raised.
+    (:func:`first_failure`), once per algebra (:func:`axiom_witnesses`).
+    Failures are recorded, never raised.
     """
-    fs, gs = bracket_series(a)
-    counter: dict = {}
-    for k in AXIOM_IDS:
-        witness = first_failure(a, k, 0, fs, gs)
-        if witness is not None:
-            counter[k] = witness
+    witnesses = axiom_witnesses(a)
+    counter = {k: w for k, w in witnesses.items() if w is not None}
     return AxiomReport({k: k not in counter for k in AXIOM_IDS}, counter)
 
 

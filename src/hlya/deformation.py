@@ -29,6 +29,7 @@ from .algebra import (
     IDENTITIES,
     Algebra,
     IntTable,
+    axiom_witnesses,
     bracket_series,
     brackets,
     compose_out,
@@ -151,28 +152,48 @@ class DeformationReport(NamedTuple):
 
 
 def verify_deformation(d: Deformation) -> DeformationReport:
-    """Evaluate all eight equations for every order 0..N on basis tuples.
+    """The eight equations at every order 0..N, each evaluated where it can
+    still fail (:func:`_failures_from`).
 
-    Every coefficient is a cochain, so each equation is evaluated only at
-    the representative tuples of its alternating pairs
+    Order 0 is the base axioms verbatim, evaluated once per algebra.  At
+    orders n >= 1 equations 1-4 hold for every deformation, since they are
+    the cochain conditions on (f_n, g_n), and equations 5-8 are evaluated,
+    each only at the representative tuples of its alternating pairs
     (:func:`hlya.algebra.first_failure`).  Each twisted table of the series
     is built once per coefficient cochain, kept on the integer table it
     keeps for every later call, and those of the base brackets once per
-    algebra (:func:`hlya.algebra.contract`).  Order 0
-    reproduces the base axioms verbatim.
+    algebra (:func:`hlya.algebra.contract`).
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
 
 
+# The equations that are the cochain conditions: alpha-equivariance of f and
+# g (identities 1 and 2) and alternation in the leading pair (3 and 4).
+_COCHAIN_CONDITIONS = (1, 2, 3, 4)
+
+
 def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     """(equation, order) -> first failing tuple or None, for the orders
-    start..stop in increasing order, each order's equations in turn."""
-    fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
-    return {
-        (eq, n): first_failure(d.base, eq, n, fs, gs)
-        for n in range(start, stop + 1)
-        for eq in IDENTITIES
-    }
+    start..stop in increasing order, each order's equations in turn.
+
+    Order 0 reads the base brackets alone: it is the algebra's axiom
+    verdict, kept in its memo (:func:`hlya.algebra.axiom_witnesses`).  At
+    n >= 1 the t^n coefficient of identities 1-4 is linear in f_n or g_n
+    alone and vanishes exactly when f_n lies in C2 and g_n in C3.  The
+    series rule (:func:`_series`) has made every coefficient of a
+    Deformation such a cochain, so those entries are None and only
+    equations 5-8 are evaluated.
+    """
+    base = d.base
+    fs, gs = bracket_series(base, d.f_seq[1:], d.g_seq[1:])
+    failures = {}
+    for n in range(start, stop + 1):
+        if n == 0:
+            failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
+            continue
+        for eq in IDENTITIES:
+            failures[(eq, n)] = None if eq in _COCHAIN_CONDITIONS else first_failure(base, eq, n, fs, gs)
+    return failures
 
 
 def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
@@ -241,21 +262,33 @@ def identity_gauge(a: Algebra, order: int = DEFAULT_ORDER) -> Gauge:
     return Gauge(a, order, [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order)
 
 
-def single_step_gauge(a: Algebra, order: int, h: Cochain, r: int) -> Gauge:
-    """The rigidity-proof gauge id - h t^r, for a 1-cochain h."""
-    if type(r) is not int or not 1 <= r <= order:
-        raise PreconditionError(f"step exponent must be an integer with 1 <= r <= order, got {r!r}")
-    phi = [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order
-    phi[r] = h.scale(-1)
-    return Gauge(a, order, phi)
-
-
 def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     """Series product p * q; acting with p then q equals acting with p * q."""
     _same_series(p, q)
-    ps, qs = ([h.ints for h in g.phi] for g in (p, q))
-    product = [table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1)]) for n in range(p.order + 1)]
-    return _gauge(p.base, product)
+    return _gauge(p.base, _product([h.ints for h in p.phi], [h.ints for h in q.phi]))
+
+
+def _product(ps: list[IntTable], qs: list[IntTable]) -> list[IntTable]:
+    """The truncated series product of two series of linear maps, as
+    integer tables: (pq)_n = sum_{i=0}^{n} p_i q_{n-i}."""
+    return [
+        table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1) if ps[i] and qs[n - i]])
+        for n in range(len(ps))
+    ]
+
+
+def _negated(t: IntTable) -> IntTable:
+    return IntTable(t.den, {key: {i: -x for i, x in vec.items()} for key, vec in t.entries.items()})
+
+
+def _single_step(identity: IntTable, order: int, h: Cochain, r: int) -> list[IntTable]:
+    """The rigidity-proof gauge id - h t^r, for a 1-cochain h, as the
+    integer tables of its coefficients, given the identity's table."""
+    if type(r) is not int or not 1 <= r <= order:
+        raise PreconditionError(f"step exponent must be an integer with 1 <= r <= order, got {r!r}")
+    step = [identity, *[IntTable(1, {})] * order]
+    step[r] = _negated(h.ints)
+    return step
 
 
 def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
@@ -264,8 +297,7 @@ def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
     whose i = n term is phi_n itself."""
     psi = [phi[0]]
     for n in range(1, len(phi)):
-        total = table_sum([phi[n], *(compose_out(phi[i], psi[n - i]) for i in range(1, n))])
-        psi.append(IntTable(total.den, {key: {i: -x for i, x in vec.items()} for key, vec in total.entries.items()}))
+        psi.append(_negated(table_sum([phi[n], *(compose_out(phi[i], psi[n - i]) for i in range(1, n))])))
     return psi
 
 
@@ -312,7 +344,16 @@ def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:
 
 
 def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
-    """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by coefficient.
+    """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by
+    coefficient, for a gauge over the deformation's base and order: the
+    action :func:`_act` of the integer tables its coefficients keep."""
+    _same_series(d, p)
+    return _act(d, [h.ints for h in p.phi])
+
+
+def _act(d: Deformation, phi: list[IntTable]) -> Deformation:
+    """The action of a gauge series Phi, given as integer tables of arity 1
+    with phi_0 = id and one per order of ``d``, on ``d``.
 
     Every coefficient is alternating in its leading pair, so the series are
     kept at the representative tuples only, and Phi acts on that pair
@@ -325,9 +366,7 @@ def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     higher coefficients from their representative values, with their
     coordinates (:meth:`hlya.cochain.CochainSpace.from_rep_values`).
     """
-    _same_series(d, p)
     base, order = d.base, d.order
-    phi = [h.ints for h in p.phi]
     psi = _inverse_series(phi)
     pairs = _pair_maps(phi, base.dim)
 
@@ -384,12 +423,19 @@ def trivialize(d: Deformation) -> TrivializeResult:
     the lower orders keep the values verified before the step.  The step
     must clear order r, and the result must be null.  A failed check
     raises NotCocycleError with its witness as attributes.
+
+    The steps and their running product stay series of integer tables,
+    acting through :func:`_act` and multiplied as :func:`compose_gauges`
+    multiplies; only the product is built into a Gauge, once, at the end,
+    and each of its coefficients is checked as a member of C1 then
+    (:func:`_gauge`).
     """
     report = verify_deformation(d)
     if not report.ok:
         raise PreconditionError(f"deformation equations fail: {report.failing()}")
     base, order = d.base, d.order
-    total = identity_gauge(base, order)
+    identity = identity_cochain(base).ints
+    total = [identity, *[IntTable(1, {})] * order]
     current = d
     for r in range(1, order + 1):
         f_r, g_r = current.f_seq[r], current.g_seq[r]
@@ -401,15 +447,15 @@ def trivialize(d: Deformation) -> TrivializeResult:
         h = _preimage(base, coords)
         if h is None:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
-        step = single_step_gauge(base, order, h, r)
-        previous, current = current, apply_gauge(current, step)
-        total = compose_gauges(total, step)
+        step = _single_step(identity, order, h, r)
+        previous, current = current, _act(current, step)
+        total = _product(total, step)
         _check_step(previous, current, r)
         if not current.f_seq[r].is_zero() or not current.g_seq[r].is_zero():
             raise NotCocycleError(f"gauge step failed to clear order {r}", step_order=r)
     if not current.is_null():
         raise NotCocycleError("gauge steps left a nonzero coefficient behind")
-    return TrivializeResult(total)
+    return TrivializeResult(_gauge(base, total))
 
 
 def _check_step(previous: Deformation, current: Deformation, r: int) -> None:

@@ -23,7 +23,6 @@ from hlya.deformation import (
     obstruction_pair,
     random_gauge,
     second_order_probe,
-    single_step_gauge,
     solve_second_order,
     ternary_cochain,
     trivialize,
@@ -140,7 +139,9 @@ def test_infinitesimal_is_a_cocycle(e1):
 
 def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     """The equations at orders 2..N do not bear on the first-order pair, so
-    they are not evaluated, also when they fail."""
+    they are not evaluated, also when they fail.  Order 0 is the algebra's
+    axiom verdict, evaluated once per algebra, so only order 1 is evaluated
+    here (test_representatives.py counts every order)."""
     f1, g1 = _cocycle_pair(e1, [0, -1, 1])  # a pair whose obstruction is nonzero
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
@@ -153,7 +154,7 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
 
     monkeypatch.setattr(deformation, "first_failure", first_failure)
     assert infinitesimal(d) == (f1, g1)
-    assert sorted(set(orders)) == [0, 1]
+    assert sorted(set(orders)) == [1]
 
 
 def test_constructor_validation(e0, e1, e3):
@@ -266,48 +267,65 @@ def test_gauged_null_trivializes_back(e1):
     assert verify_equivalence(d, null, result.gauge)
 
 
+def _recorded_steps(monkeypatch) -> list:
+    """The gauge series trivialize acts with from now on, in order: each
+    step reaches the deformation through deformation._act."""
+    steps = []
+    real_act = deformation._act
+
+    def act(current, phi):
+        steps.append(phi)
+        return real_act(current, phi)
+
+    monkeypatch.setattr(deformation, "_act", act)
+    return steps
+
+
 def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
     # one coordinate extraction per gauge step serves both the cocycle test
     # and the coboundary solve
     d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
-    reads, steps = [], []
-    real_pair_coords, real_step = deformation.pair_coords, deformation.single_step_gauge
+    reads = []
+    real_pair_coords = deformation.pair_coords
 
     def pair_coords(a, f, g):
         reads.append((f, g))
         return real_pair_coords(a, f, g)
 
-    def single_step_gauge(*args):
-        steps.append(args)
-        return real_step(*args)
-
     monkeypatch.setattr(deformation, "pair_coords", pair_coords)
-    monkeypatch.setattr(deformation, "single_step_gauge", single_step_gauge)
+    steps = _recorded_steps(monkeypatch)
     assert trivialize(d).trivial
     assert len(steps) == len(reads) == len(set(reads)) > 1
 
 
 def test_trivialize_steps_by_the_preimage_cochain(monkeypatch, e2):
     """Each gauge step id - h t^r takes the 1-cochain h that solves
-    delta1(h) = (f_r, g_r), the very object the solve returned."""
+    delta1(h) = (f_r, g_r), the very object the solve returned: its series
+    is the identity, then zero at every order but r, where it is -h, read
+    off the integer table h keeps."""
     d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
-    preimages, steps = [], []
-    real_preimage, real_step = deformation._preimage, deformation.single_step_gauge
+    preimages = []
+    real_preimage = deformation._preimage
 
     def preimage(a, coords):
         preimages.append(real_preimage(a, coords))
         return preimages[-1]
 
-    def single_step_gauge(a, order, h, r):
-        steps.append(h)
-        return real_step(a, order, h, r)
-
     monkeypatch.setattr(deformation, "_preimage", preimage)
-    monkeypatch.setattr(deformation, "single_step_gauge", single_step_gauge)
+    steps = _recorded_steps(monkeypatch)
     assert trivialize(d).trivial
     assert len(steps) == len(preimages) > 1
-    assert all(h is solved for h, solved in zip(steps, preimages))
-    assert all(isinstance(h, Cochain) and h.arity == 1 for h in steps)
+    assert all(isinstance(h, Cochain) and h.arity == 1 for h in preimages)
+    c1, identity = build_cochain_space(e2, 1), identity_cochain(e2)
+    orders = []
+    for phi, h in zip(steps, preimages):
+        assert len(phi) == 4 and c1.from_table(phi[0]) == identity
+        (r,) = [n for n in range(1, 4) if phi[n]]
+        orders.append(r)
+        negated = {key: {i: -x for i, x in vec.items()} for key, vec in h.ints.entries.items()}
+        assert (phi[r].den, phi[r].entries) == (h.ints.den, negated)
+        assert c1.from_table(phi[r]) == h.scale(-1)
+    assert orders == sorted(set(orders))
 
 
 def test_trivialize_reports_obstruction(e0):
@@ -370,18 +388,18 @@ def test_trivialize_raises_when_a_coefficient_survives(monkeypatch, e3):
     # is zero, and the step still clears order 2, but the step check sees
     # the coefficient below the step's order change
     d = apply_gauge(null_deformation(e3, 2), random_gauge(e3, 2, random.Random(31)))
-    real_apply_gauge = deformation.apply_gauge
+    real_act = deformation._act
     late_steps = []
 
-    def leaky(current, step):
-        out = real_apply_gauge(current, step)
-        if not step.phi[1].is_zero():
+    def leaky(current, phi):
+        out = real_act(current, phi)
+        if phi[1]:
             return out
-        late_steps.append(step)
+        late_steps.append(phi)
         f_seq = (out.f_seq[0], bracket_cochain(e3), out.f_seq[2])
         return Deformation(e3, 2, f_seq, out.g_seq)
 
-    monkeypatch.setattr(deformation, "apply_gauge", leaky)
+    monkeypatch.setattr(deformation, "_act", leaky)
     with pytest.raises(NotCocycleError, match="^gauge step at order 2 changed the coefficient at order 1$") as exc:
         trivialize(d)
     assert late_steps
@@ -458,17 +476,17 @@ def test_a_step_that_breaks_an_equation_at_or_above_its_order_is_caught(monkeypa
     assert not d.f_seq[1].is_zero()
     z3 = Cochain.zero(3, e2.dim)
     bad = next(f for f in build_cochain_space(e2, 2).basis_cochains if not is_cocycle_2(e2, f, z3))
-    real_apply_gauge = deformation.apply_gauge
+    real_act = deformation._act
     leaked = []
 
-    def leaky(current, step):
-        out = real_apply_gauge(current, step)
+    def leaky(current, phi):
+        out = real_act(current, phi)
         f_seq = list(out.f_seq)
         f_seq[leak_order] = f_seq[leak_order].add(bad)
         leaked.append(Deformation(e2, 4, f_seq, out.g_seq))
         return leaked[-1]
 
-    monkeypatch.setattr(deformation, "apply_gauge", leaky)
+    monkeypatch.setattr(deformation, "_act", leaky)
     with pytest.raises(NotCocycleError, match="^gauge step at order 1 broke the deformation equations$") as exc:
         trivialize(d)
     report = verify_deformation(leaked[0])
@@ -597,14 +615,17 @@ def test_alpha_commutant_basis_is_the_commutant(bundled, twisted_algebras):
 
 def test_single_step_gauge_shape(e1):
     h = matrix_to_cochain(e1, Matrix([[1, 0], [0, 0]]))
-    p = single_step_gauge(e1, 3, h, 2)
-    assert cochain_to_matrix(e1, p.phi[2]) == Matrix([[-1, 0], [0, 0]])
-    assert p.phi[1].is_zero() and p.phi[3].is_zero()
+    c1, identity = build_cochain_space(e1, 1), identity_cochain(e1)
+    p = deformation._single_step(identity.ints, 3, h, 2)
+    assert len(p) == 4 and c1.from_table(p[0]) == identity
+    assert cochain_to_matrix(e1, c1.from_table(p[2])) == Matrix([[-1, 0], [0, 0]])
+    assert not p[1] and not p[3]
     with pytest.raises(PreconditionError):
-        single_step_gauge(e1, 3, h, 0)
+        deformation._single_step(identity.ints, 3, h, 0)
 
 
 def test_single_step_gauge_refuses_a_boolean_step(e2):
     # True passed 1 <= r <= order and built id - h t
+    identity = identity_cochain(e2)
     with pytest.raises(PreconditionError, match="^step exponent must be an integer with 1 <= r <= order, got True$"):
-        single_step_gauge(e2, 2, identity_cochain(e2), True)
+        deformation._single_step(identity.ints, 2, identity, True)

@@ -135,17 +135,24 @@ def test_a_gauge_round_trip_reads_no_cochain_a_space_built(monkeypatch):
     """A space records the coordinates it establishes when it builds a
     cochain, and coords hands them back: on sl2 a gauge round trip reads
     the table of no cochain after a space built it.  What it still reads
-    is the tables from_table builds on, and each step's coefficients: -h,
-    which Cochain.scale builds from h's table, and Cochain.zero."""
+    is the tables from_table builds on, and the zero coefficients of the
+    null deformation.  The steps of trivialize are integer series, so it
+    reads no coefficient of theirs: only the five tables its one gauge is
+    built on."""
     a = sl2()
     log = _log_reads(monkeypatch)
+    from_table, tables = CochainSpace.from_table, []
+    monkeypatch.setattr(CochainSpace, "from_table", lambda space, t: tables.append(t) or from_table(space, t))
     null = null_deformation(a, 4)
     disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
+    before = len(log)
+    tables.clear()
     result = trivialize(disguised)
     assert result.trivial and verify_equivalence(disguised, null, result.gauge)
     kinds = Counter(kind for kind, _ in log)
     assert kinds["built"] > 20 and kinds["read"] > 0
     assert _rereads(log) == []
+    assert sum(kind == "read" for kind, _ in log[before:]) == len(tables) == 5
 
 
 def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch):
@@ -173,11 +180,13 @@ def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch
 
 def test_identity_plans_are_freed_with_their_algebra():
     """The evaluation plans of the identities live in the algebra's memo,
-    one per identity and order, and go with it."""
+    one per identity and order evaluated, and go with it: order 0 of all
+    eight, and the orders above it of identities 5-8 only, since 1-4 are
+    not evaluated there."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
     plans = {key[1:] for key in a._memo if key[0] is algebra._plan.__wrapped__}
-    assert plans == {(k, n) for k in algebra.IDENTITIES for n in range(3)}
+    assert plans == {(k, 0) for k in algebra.IDENTITIES} | {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -283,9 +292,9 @@ def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
         built.append((space.arity, offset))
         return generic(space, offset)
 
-    def counted_twist(b, table, powers, pos):
+    def counted_twist(table, alphas, pos):
         twisted.append(table)
-        return twist(b, table, powers, pos)
+        return twist(table, alphas, pos)
 
     monkeypatch.setattr(CochainSpace, "generic", counted_generic)
     monkeypatch.setattr(algebra, "_twisted", counted_twist)
@@ -378,9 +387,9 @@ def _count_twists(monkeypatch) -> list:
     built = []
     original = algebra._twisted
 
-    def counted(b, table, powers, pos):
+    def counted(table, alphas, pos):
         built.append(table)
-        return original(b, table, powers, pos)
+        return original(table, alphas, pos)
 
     monkeypatch.setattr(algebra, "_twisted", counted)
     return built
@@ -410,7 +419,27 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
         assert all(any(t is s for s in series) for t in built if t not in of_base), call
         assert (len(built) > len(of_base)) == (call == 0), call
     assert [c.ints for c in d.f_seq[1:] + d.g_seq[1:]] == series
-    assert all(key[0] is a for t in base for key in t.twists)
+    # every twist applies the algebra's own memoised powers of alpha, or none
+    powers = [t for key, t in a._memo.items() if key[0] is algebra.alpha_table.__wrapped__]
+    applied = [m for t in base for key in t.twists for m in key[0] if m is not None]
+    assert applied and all(any(m is t for t in powers) for m in applied)
+
+
+def test_a_twisted_cochain_does_not_keep_its_algebra_alive():
+    """A cochain's twists are keyed by the alpha tables they apply, not by
+    the algebra: after obstruction_pair has twisted f1 and g1, the algebra
+    is freed while they live on, and their twists with them."""
+    a = _fresh_twist()
+    f1, g1 = pair_from_coords(a, cohomology_report(a).level2.cocycles.basis.column(0))
+    obstruction_pair(a, f1, g1)
+    assert f1.ints.twists and g1.ints.twists
+    twists = {id(c): dict(c.ints.twists) for c in (f1, g1)}
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+    assert all(c.ints.twists == twists[id(c)] for c in (f1, g1))
+    assert not f1.is_zero()
 
 
 def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
@@ -471,7 +500,7 @@ def test_one_table_keeps_a_twist_per_algebra():
         for i, j in itertools.product(range(3), repeat=2):
             expected = evaluate(table, 3, [alpha.column(i), alpha.column(j)])
             assert to_dense(value((i, j)), 3) == expected, (a.name, i, j)
-    assert sorted(key[0].name for key in table.twists) == ["sl2_twist_5_3", "sl2_twist_7_5"]
+    assert list(table.twists) == [((alpha_table(a, 1),) * 2, None) for a in (first, second)]
 
 
 def test_each_piece_of_state_has_one_owner():

@@ -11,6 +11,7 @@ every tuple and reduces the table with ``cochain_from_table``.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -34,11 +35,15 @@ from hlya.cochain import build_cochain_space
 from hlya.cohomology import pair_from_coords
 from hlya.deformation import (
     Deformation,
+    Gauge,
     _obstruction,
     apply_gauge,
+    infinitesimal,
     null_deformation,
     random_gauge,
+    trivialize,
     verify_deformation,
+    verify_equivalence,
 )
 from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras, sl2
@@ -223,6 +228,87 @@ def test_verify_deformation_reports_match_the_full_scan(algebras):
         assert verify_deformation(d).ok
 
 
+def _all_eight_at_every_order(d):
+    """The reference verify_deformation: every identity at every order,
+    the cochain conditions 1-4 above order 0 included."""
+    fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
+    return {(k, n): first_failure(d.base, k, n, fs, gs) for n in range(d.order + 1) for k in IDENTITIES}
+
+
+def test_the_equations_left_out_hold_on_every_deformation(algebras):
+    """verify_deformation evaluates identities 1-4 at order 0 only: on
+    gauged null deformations, on the same with a cochain added at an order
+    >= 1, and on random cochain series, its report equals the evaluation of
+    all eight identities at every order, key for key and in order, and 1-4
+    hold at every order >= 1.  On algebras that fail the axioms order 0 is
+    the verdict of check_axioms."""
+    rng = random.Random(4110)
+    order = 3
+    failing = 0
+    for a in algebras:
+        gauged = apply_gauge(null_deformation(a, order), random_gauge(a, order, rng))
+        series = [gauged]
+        for n in (1, 2, 3):
+            f_seq, g_seq = list(gauged.f_seq), list(gauged.g_seq)
+            if rng.random() < 0.5:
+                f_seq[n] = f_seq[n].add(_random_cochain(a, 2, rng))
+            else:
+                g_seq[n] = g_seq[n].add(_random_cochain(a, 3, rng))
+            series.append(Deformation(a, order, f_seq, g_seq))
+        f_higher, g_higher = _random_series(a, order, rng)
+        series.append(Deformation(a, order, (gauged.f_seq[0], *f_higher), (gauged.g_seq[0], *g_higher)))
+        for bad in _corrupted(a):
+            f_higher, g_higher = _random_series(bad, 1, rng)
+            null = null_deformation(bad, 1)
+            series += [null, Deformation(bad, 1, (null.f_seq[0], *f_higher), (null.g_seq[0], *g_higher))]
+        for d in series:
+            got = verify_deformation(d).failures
+            assert list(got.items()) == list(_all_eight_at_every_order(d).items()), d.base.name
+            assert all(got[(k, n)] is None for k in (1, 2, 3, 4) for n in range(1, d.order + 1))
+            axioms = check_axioms(d.base)
+            assert {k: got[(k, 0)] for k in IDENTITIES if got[(k, 0)]} == axioms.counterexamples
+            failing += not verify_deformation(d).ok_through(1)
+        assert verify_deformation(gauged).ok
+    assert failing > len(algebras) * 4
+
+
+def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
+    """On a sl2 gauge round trip at order 4, identities 1-4 are evaluated
+    at order 0 only, once for the algebra and for every later call on it;
+    infinitesimal evaluates no order above 1; trivialize builds one Gauge,
+    its result."""
+    a = _copy(sl2(), "sl2_round_trip")
+    null = null_deformation(a, 4)
+    disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
+    evaluated = Counter()
+    original = algebra.identity_values
+
+    def counted(b, k, n, fs, gs):
+        evaluated[k, n] += 1
+        return original(b, k, n, fs, gs)
+
+    monkeypatch.setattr(algebra, "identity_values", counted)
+    gauges = []
+    init = Gauge.__init__
+
+    def counted_gauge(self, *args):
+        gauges.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Gauge, "__init__", counted_gauge)
+    result = trivialize(disguised)
+    assert result.trivial and gauges == [result.gauge]
+    assert verify_equivalence(disguised, null, result.gauge)
+    conditions = {key: count for key, count in evaluated.items() if key[0] <= 4}
+    assert conditions == {(k, 0): 1 for k in (1, 2, 3, 4)}
+    assert {n for _, n in evaluated} == set(range(5))
+    evaluated.clear()
+    assert infinitesimal(disguised) == (disguised.f_seq[1], disguised.g_seq[1])
+    assert evaluated and {n for _, n in evaluated} == {1}
+    assert check_axioms(a).all_passed and verify_deformation(disguised).ok and trivialize(disguised).trivial
+    assert not [key for key in evaluated if key[0] <= 4 or key[1] == 0]
+
+
 def test_obstruction_matches_the_full_tabulation(algebras):
     rng = random.Random(4105)
     draws = [(a, *_cocycle(a, rng)) for a in algebras for _ in range(2)]
@@ -256,32 +342,41 @@ def _counted_evaluations(monkeypatch):
     return calls, built
 
 
+def _copy(a, name):
+    """An algebra equal to a with a memo of its own, so its order-0
+    verdict is not yet evaluated; make_algebra evaluates 3 and 4 itself."""
+    return make_algebra(a.dim, a.binary, a.ternary, a.alpha, name=name)
+
+
 def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     """sl2 has dimension 3: identity 8 has 3^5 = 243 basis tuples, and 27
     of them increase inside both of its pairs.  Identities 5 and 6 read
-    only x < y < z: 1 of 9 and 3 of 27 tuples."""
-    a = sl2()
+    only x < y < z: 1 of 9 and 3 of 27 tuples.  Identities 1-4 are
+    evaluated at order 0 only, the cochain conditions being settled above
+    it (test_a_round_trip_evaluates_each_condition_once guards that)."""
+    a = _copy(sl2(), "sl2_counted")
     calls, _ = _counted_evaluations(monkeypatch)
     order = 3
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
     assert calls[8] == 27 * (order + 1)
     per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
-    assert calls == {k: count * (order + 1) for k, count in per_order.items()}
-    assert calls[3] == 9 * (order + 1)
+    assert calls == {k: count * (1 if k <= 4 else order + 1) for k, count in per_order.items()}
+    assert calls[3] == 9
 
 
 def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
     """On aff1 no tuple has three distinct arguments: first_failure returns
     None for identities 5 and 6 without building their contraction, and
     still evaluates the others at their representative tuples."""
+    fresh = _copy(e1, "aff1_counted")
     calls, built = _counted_evaluations(monkeypatch)
     order = 2
     fs, gs = bracket_series(e1, *_random_series(e1, order, random.Random(4106)))
     for n in range(order + 1):
         assert first_failure(e1, 5, n, fs, gs) is first_failure(e1, 6, n, fs, gs) is None
     assert calls[5] == calls[6] == built[5] == built[6] == 0
-    assert verify_deformation(null_deformation(e1, order)).ok
+    assert verify_deformation(null_deformation(fresh, order)).ok
     assert calls[5] == calls[6] == built[5] == built[6] == 0
     assert calls[8] == len(rep_tuples(2, 5, 2)) * (order + 1) > 0
 
