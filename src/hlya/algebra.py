@@ -199,7 +199,7 @@ def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
     algebra = Algebra(dim, b, t, a, name)
     for k, what in ((3, "binary bracket"), (4, "ternary bracket in its first two arguments")):
         # no alternating pairs: every tuple is evaluated, diagonals included
-        witness = first_failure(algebra, k, 0, *bracket_series(algebra))
+        witness = _axiom_witness(algebra, k)
         if witness is not None:
             raise AxiomError(f"the {what} is not alternating at basis tuple {witness}")
     return algebra
@@ -896,17 +896,20 @@ class AxiomReport(NamedTuple):
 
 
 @memoised
+def _axiom_witness(a: Algebra, k: int) -> tuple | None:
+    """The first failing basis tuple of identity k at the base brackets, or
+    None; evaluated once per algebra and kept in its memo, for
+    :func:`make_algebra` (identities 3 and 4) and :func:`axiom_witnesses`."""
+    return first_failure(a, k, 0, *bracket_series(a))
+
+
 def axiom_witnesses(a: Algebra) -> dict:
     """{k: first failing basis tuple or None} of the eight identities at
-    the base brackets, for k in :data:`AXIOM_IDS` order.
-
-    Evaluated once per algebra and kept in its memo, for
-    :func:`check_axioms` and for the order-0 equations of every
-    deformation over the algebra (:func:`hlya.deformation.verify_deformation`);
-    callers read it and never change it.
-    """
-    fs, gs = bracket_series(a)
-    return {k: first_failure(a, k, 0, fs, gs) for k in AXIOM_IDS}
+    the base brackets, for k in :data:`AXIOM_IDS` order, read from the
+    per-identity verdicts (:func:`_axiom_witness`): for :func:`check_axioms`
+    and for the order-0 equations of every deformation over the algebra
+    (:func:`hlya.deformation.verify_deformation`)."""
+    return {k: _axiom_witness(a, k) for k in AXIOM_IDS}
 
 
 def check_axioms(a: Algebra) -> AxiomReport:

@@ -84,10 +84,6 @@ class CoboundaryMap(NamedTuple):
     def domain_dim(self) -> int:
         return sum(s.dim for s in self.domain)
 
-    @property
-    def codomain_dim(self) -> int:
-        return sum(s.dim for s in self.codomain)
-
 
 # --- operator formulas, as signed terms ----------------------------------
 #

@@ -25,16 +25,17 @@ numerators over one positive denominator are positive multiples of its
 values, so they give the same verdicts and witnesses, and only the
 coordinates are divided.
 
-The spaces build cochains straight from integer tables, from
-representative values (:meth:`CochainSpace.from_rep_values`), a whole
-table (:meth:`CochainSpace.from_table`) or coordinates
+A cochain is its canonical integer table (:attr:`Cochain.ints`): the
+numerators of its values over the lcm of their reduced denominators, so
+equal maps have equal tables.  A table of values is converted when the
+cochain is built, and the spaces build cochains straight from integer
+tables, from representative values (:meth:`CochainSpace.from_rep_values`),
+a whole table (:meth:`CochainSpace.from_table`) or coordinates
 (:meth:`CochainSpace.from_coords`), and record on each cochain the
 coordinates they have established, so :meth:`CochainSpace.coords` hands
-them back without reading the table again.  Such a cochain's value is
-its integer table in lowest terms, and its Fraction table is built only
-when read.  A cochain is immutable, table and attributes alike, so it is
-shared freely, and it keeps its integer table (:attr:`Cochain.ints`)
-with the twists the contractions make of it.
+them back without reading the table again.  A cochain is immutable, so it
+is shared freely, and its integer table keeps the twists the contractions
+make of it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
-from .algebra import Algebra, FormTable, IntTable, Vec, evaluate, int_table, memoised, rep_tuples, zero_vec
+from .algebra import Algebra, FormTable, IntTable, Vec, evaluate, int_table, memoised, rep_tuples, table_sum, zero_vec
 from .errors import ArityError, DimMismatchError, NotACochainError
 from .exactlin import ONE, ZERO, Frozen, Matrix, eliminate, null_vectors, rat
 
@@ -56,55 +57,49 @@ MAX_ARITY = 7
 
 
 class Cochain(Frozen):
-    """Sparse multilinear map L^n -> L; table maps index tuples to values.
+    """Sparse multilinear map L^n -> L, held as its canonical integer table.
 
-    A :class:`Frozen` value.  A cochain built from a table keeps the
-    nonzero values, as tuples, in a read-only view (:attr:`table`), and
-    :attr:`ints` converts them on first use.  One that a space builds
-    (:meth:`_of`) is *exact*: its value is its canonical integer table,
-    and :attr:`table` is built from it on first read.  Two exact cochains
-    compare their integer tables, any other pair their tables, so equality
-    and the hash mean the same however a cochain was built."""
+    A :class:`Frozen` value.  :attr:`ints` is the :class:`IntTable` of its
+    values over the lcm of their reduced denominators, fixed when the
+    cochain is built; equality, the hash and :meth:`is_zero` read it
+    alone.  The twists that :func:`hlya.algebra.contract` makes of it are
+    kept on it (``IntTable.twists``), so each cochain object is twisted
+    once.  :attr:`table` holds the nonzero values as Fraction tuples, keyed
+    by basis tuple, and is built from :attr:`ints` on first read."""
 
-    __slots__ = ("arity", "dim", "_table", "_ints", "_exact", "_coords")
+    __slots__ = ("arity", "dim", "ints", "_table", "_coords")
 
     def __init__(self, arity: int, dim: int, table: dict):
-        self._init(
-            arity=arity,
-            dim=dim,
-            _table=MappingProxyType({idx: tuple(vec) for idx, vec in table.items() if any(vec)}),
-            _ints=None,
-            _exact=False,
-            _coords=None,
-        )
+        """The cochain of a table of value vectors keyed by basis tuple.
+
+        Each nonzero entry is read by :func:`hlya.exactlin.rat`
+        (:func:`hlya.algebra.int_table`, whose table is canonical), so a
+        float or a bool is a TypeError.  A value whose length is not ``dim``
+        raises DimMismatchError, a nonzero value at no basis tuple
+        ArityError."""
+        for idx, vec in table.items():
+            if len(vec) != dim:
+                raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {dim}")
+        ints = int_table(table)
+        indices = frozenset(range(dim))
+        for idx in ints.entries:
+            if len(idx) != arity or not indices.issuperset(idx):
+                raise ArityError(f"{idx} is not a basis tuple of {arity} indices below {dim}")
+        self._init(arity=arity, dim=dim, ints=ints, _table=None, _coords=None)
 
     @classmethod
     def _of(cls, arity: int, dim: int, ints: IntTable) -> "Cochain":
-        """The exact cochain of a canonical table (:func:`_canonical`)."""
+        """The cochain of a canonical table (:func:`_canonical`)."""
         c = cls.__new__(cls)
-        c._init(arity=arity, dim=dim, _table=None, _ints=ints, _exact=True, _coords=None)
+        c._init(arity=arity, dim=dim, ints=ints, _table=None, _coords=None)
         return c
 
     @property
     def table(self) -> MappingProxyType:
         """The nonzero values as tuples, keyed by basis tuple."""
         if self._table is None:
-            self._init(_table=MappingProxyType(self._ints.fractions(self.dim)))
+            self._init(_table=MappingProxyType(self.ints.fractions(self.dim)))
         return self._table
-
-    @property
-    def ints(self) -> IntTable:
-        """The table as integer numerators over the lcm of the reduced
-        denominators of its values (:func:`_int_values`): an exact
-        cochain's value, or built on first use and kept.
-
-        Every reader of the values reads this table, and the twists that
-        :func:`hlya.algebra.contract` makes of it are kept on it
-        (``IntTable.twists``): each cochain object is converted and twisted
-        once, and an equal cochain built anew has its own table."""
-        if self._ints is None:
-            self._init(_ints=_int_values(self._table, self.arity, self.dim))
-        return self._ints
 
     def _recorded(self, space: "CochainSpace") -> list | None:
         """The coordinates ``space`` recorded on this cochain, else None."""
@@ -123,7 +118,7 @@ class Cochain(Frozen):
         return cls._of(arity, dim, IntTable(1, {}))
 
     def is_zero(self) -> bool:
-        return not (self._ints if self._exact else self._table)
+        return not self.ints
 
     def value(self, idx: tuple) -> Vec:
         return self.table.get(idx, zero_vec(self.dim))
@@ -138,21 +133,14 @@ class Cochain(Frozen):
         return evaluate(self.ints, self.dim, args)
 
     def scale(self, c: Fraction) -> "Cochain":
-        c = rat(c)
-        return Cochain(
-            self.arity, self.dim, {idx: tuple(c * x for x in vec) for idx, vec in self.table.items()}
-        )
+        c, t = rat(c), self.ints
+        scaled = {idx: {k: c.numerator * x for k, x in vec.items()} for idx, vec in t.entries.items()}
+        return Cochain._of(self.arity, self.dim, _canonical(IntTable(t.den * c.denominator, scaled)))
 
     def add(self, other: "Cochain") -> "Cochain":
         if (self.arity, self.dim) != (other.arity, other.dim):
             raise DimMismatchError("cochain shapes disagree")
-        table = {idx: list(vec) for idx, vec in self.table.items()}
-        for idx, vec in other.table.items():
-            if idx in table:
-                table[idx] = [a + b for a, b in zip(table[idx], vec)]
-            else:
-                table[idx] = list(vec)
-        return Cochain(self.arity, self.dim, table)
+        return Cochain._of(self.arity, self.dim, _canonical(table_sum((self.ints, other.ints))))
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(Fraction(-1)))
@@ -160,16 +148,16 @@ class Cochain(Frozen):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        shape = (self.arity, self.dim) == (other.arity, other.dim)
-        if self._exact and other._exact:
-            return shape and self._ints.den == other._ints.den and self._ints.entries == other._ints.entries
-        return shape and self.table == other.table
+        s, o = self.ints, other.ints
+        return (self.arity, self.dim, s.den, s.entries) == (other.arity, other.dim, o.den, o.entries)
 
     def __hash__(self):
-        return hash((self.arity, self.dim, tuple(sorted(self.table.items()))))
+        t = self.ints
+        entries = frozenset((idx, frozenset(vec.items())) for idx, vec in t.entries.items())
+        return hash((self.arity, self.dim, t.den, entries))
 
     def __repr__(self) -> str:
-        return f"Cochain(arity={self.arity}, dim={self.dim}, nnz={len(self.table)})"
+        return f"Cochain(arity={self.arity}, dim={self.dim}, nnz={len(self.ints.entries)})"
 
 
 def _orbit_map(reps: tuple, arity: int, pairs: int) -> dict:
@@ -282,7 +270,7 @@ class CochainSpace(Frozen):
     # --- conversions ------------------------------------------------------
 
     def _laid_out(self, reduced: dict, den: int) -> Cochain:
-        """The exact cochain whose reduced coordinates are the numerators
+        """The cochain whose reduced coordinates are the numerators
         ``reduced`` {position: nonzero int} over ``den``, laid out through
         the orbit map, orbit by orbit, in lowest terms."""
         d, members = self.algebra.dim, self._members
@@ -319,14 +307,8 @@ class CochainSpace(Frozen):
             cochain._record(self, coords)
         return coords
 
-    def cochain_from_table(self, table: dict) -> tuple[Cochain, list]:
-        """Canonical cochain and basis coordinates of a raw tabulation,
-        converted once (:func:`_int_values`)."""
-        c = self.from_table(_int_values(table, self.arity, self.algebra.dim))
-        return c, self.coords(c)
-
     def from_table(self, t: IntTable) -> Cochain:
-        """The exact cochain whose values are those of the integer table
+        """The cochain whose values are those of the integer table
         ``t`` over basis tuples, with its coordinates recorded.  The table
         is read once (:meth:`_read`), so NotACochainError names the first
         defect of one that is no cochain of this space."""
@@ -351,7 +333,7 @@ class CochainSpace(Frozen):
         return [Fraction(forms.get(reps[i // d], empty).get((i % d, 0), 0), den) for i in self._free]
 
     def from_rep_values(self, t: IntTable) -> Cochain:
-        """The exact cochain whose values at the representative tuples are
+        """The cochain whose values at the representative tuples are
         those of the integer table ``t``, keyed by representative tuples.
 
         A tuple ``t`` lacks has value 0, and the values at the other tuples
@@ -369,7 +351,7 @@ class CochainSpace(Frozen):
         return c
 
     def from_coords(self, coords: Sequence) -> Cochain:
-        """The exact cochain with these basis coordinates, recorded on it;
+        """The cochain with these basis coordinates, recorded on it;
         DimMismatchError unless there is one per basis cochain."""
         if len(coords) != self.dim:
             raise DimMismatchError(f"expected {self.dim} coordinates, got {len(coords)}")
@@ -571,22 +553,6 @@ def check_defects(defects, prefix: str = "", **witness) -> None:
         if hits:
             j = min(hits)
             raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
-
-
-def _int_values(table: dict, arity: int, dim: int) -> IntTable:
-    """A tabulation of an ``arity``-cochain on dimension ``dim`` as an
-    integer table (:func:`hlya.algebra.int_table`), so its entries are read
-    by :func:`hlya.exactlin.rat`.  A value whose length is not ``dim``
-    raises DimMismatchError, a nonzero value at no basis tuple ArityError."""
-    for idx, vec in table.items():
-        if len(vec) != dim:
-            raise DimMismatchError(f"the value at {idx} has {len(vec)} entries, expected {dim}")
-    t = int_table(table)
-    indices = frozenset(range(dim))
-    for idx in t.entries:
-        if len(idx) != arity or not indices.issuperset(idx):
-            raise ArityError(f"{idx} is not a basis tuple of {arity} indices below {dim}")
-    return t
 
 
 def _canonical(t: IntTable) -> IntTable:

@@ -155,9 +155,6 @@ class Matrix(Frozen):
     def column(self, j: int) -> list[Fraction]:
         return [row.get(j, ZERO) for row in self._rows]
 
-    def transpose(self) -> "Matrix":
-        return Matrix._from_rows(_transpose(self._rows, self.cols), self.rows)
-
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product in integers: the vector over one common
         denominator, each row over its own (:meth:`_integer_rows`), and one

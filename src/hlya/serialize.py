@@ -241,21 +241,6 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def matrix_from_obj(obj, path: str = "matrix") -> Matrix:
-    _check_object(obj, path, ("rows", "cols", "entries"))
-    rows, cols = obj.get("rows"), obj.get("cols")
-    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
-        _fail(path, "rows/cols must be nonnegative integers")
-    columns = [{} for _ in range(cols)]  # the declared shape, even with no rows or columns
-    for where, (i, j, v) in _entries(obj.get("entries", []), f"{path}.entries", 3, 2, "[i, j, value]"):
-        if not (_is_int(i) and _is_int(j) and 1 <= i <= rows and 1 <= j <= cols):
-            _fail(where, "index out of range")
-        x = _rat_at(v, where)
-        if x:
-            columns[j - 1][i - 1] = x
-    return Matrix.from_sparse_columns(columns, rows)
-
-
 # --- file helpers ----------------------------------------------------------
 
 

@@ -37,7 +37,7 @@ def test_operator_shapes(bundled):
             op = operator_by_level(a, level)
             assert tuple(s.arity for s in op.domain) == dom
             assert tuple(s.arity for s in op.codomain) == cod
-            assert op.matrix.rows == op.codomain_dim
+            assert op.matrix.rows == sum(s.dim for s in op.codomain)
             assert op.matrix.cols == op.domain_dim
 
 

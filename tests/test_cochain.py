@@ -211,7 +211,7 @@ def test_incomplete_orbits_are_rejected(e2):
         {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0), (0, 2): (0, 1, 0)},
     ):
         with pytest.raises(NotACochainError, match="pair-antisymmetry") as exc:
-            c2.cochain_from_table(table)
+            c2.coords(Cochain(2, 3, table))
         assert exc.value.kind == "pair-antisymmetry"
         assert exc.value.basis_tuple in ((2, 1), (3, 1))
         assert not c2.contains(Cochain(2, 3, table))
@@ -225,7 +225,7 @@ def test_incomplete_orbits_are_rejected(e2):
         if missing != rep:
             table = {idx: vec for idx, vec in full.items() if idx != missing}
             with pytest.raises(NotACochainError) as exc:
-                c6.cochain_from_table(table)
+                c6.coords(Cochain(6, 3, table))
             assert exc.value.basis_tuple == tuple(i + 1 for i in missing)
 
 
@@ -254,7 +254,7 @@ def test_cochains_of_another_shape_are_rejected(e1, e2):
     with pytest.raises(DimMismatchError):
         c1.coords(Cochain(1, 3, {(0,): (1, 0, 0, 5)}))
     with pytest.raises(DimMismatchError):
-        c1.cochain_from_table({(0,): (1, 0)})
+        c1.coords(Cochain(1, 3, {(0,): (1, 0)}))
     assert build_cochain_space(e2, 3).contains(Cochain.zero(3, 3))
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from hlya.algebra import IntTable, bracket_series
 from hlya.coboundary import apply_operator, operator_by_level
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from hlya.cohomology import is_cocycle_2
 from hlya.deformation import (
     Deformation,
@@ -34,7 +34,7 @@ from hlya.deformation import (
     verify_deformation,
 )
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
-from hlya.serialize import cochain_to_obj
+from hlya.serialize import cochain_from_obj, cochain_to_obj
 from hlya.samples import heisenberg_twisted, random_verified_algebras, sl2
 
 from fraction_reference import fraction_read
@@ -70,7 +70,8 @@ def test_integer_reader_gives_the_fraction_coordinates(bundled, twisted_algebras
                 got = space.coords(c)
                 assert got == fraction_read(space, c.table) == coords, (a.name, space)
                 assert all(type(x) is Fraction for x in got)
-                assert space.cochain_from_table(dict(c.table)) == (c, got)
+                twin = Cochain(c.arity, c.dim, dict(c.table))
+                assert (twin, space.coords(twin)) == (c, got)
 
 
 def _scaled(t, m):
@@ -108,22 +109,54 @@ def _built_from_integers(a, rng):
     return built
 
 
+def _rebuilt(space, c):
+    """c built anew by every path that builds a cochain: from its table of
+    Fractions and of strings, by add, sub and scale, through the file
+    format and, for a 1-cochain, a matrix, and by the space from its
+    coordinates, its table and its representative values."""
+    a, table = space.algebra, c.ints.fractions(c.dim)
+    zero = Cochain.zero(c.arity, c.dim)
+    half = c.scale(Fraction(1, 2))
+    reps = {idx: vec for idx in space.rep_tuples if (vec := c.ints.entries.get(idx))}
+    rebuilt = [
+        Cochain(c.arity, c.dim, table),
+        Cochain(c.arity, c.dim, {idx: tuple(map(str, vec)) for idx, vec in table.items()}),
+        c.add(zero),
+        half.add(half),
+        c.scale(3).sub(c.scale(2)),
+        zero.sub(c).scale(-1),
+        cochain_from_obj(cochain_to_obj(c), c.arity, c.dim),
+        space.from_coords(space.coords(c)),
+        space.from_table(_scaled(c.ints, 3)),
+        space.from_rep_values(IntTable(c.ints.den, reps)),
+    ]
+    if c.arity == 1:
+        rebuilt.append(matrix_to_cochain(a, cochain_to_matrix(a, c)))
+    return rebuilt
+
+
 def test_cochains_built_from_integers_are_the_cochains_of_their_tables(bundled, twisted_algebras, corpus):
+    """Every path gives a cochain the one canonical integer table: the
+    same value, hash, zero test and file bytes, and hashing, comparing and
+    the zero test never build the Fraction table."""
     rng = random.Random(31)
     nonzero = 0
     for a in [*bundled, *twisted_algebras, *corpus]:
         for space, c in _built_from_integers(a, rng):
             where = (a.name, space)
             recorded = c._recorded(space)
-            table = dict(c.table)
-            twin = Cochain(c.arity, c.dim, table)
-            assert c == twin and twin == c and hash(c) == hash(twin), where
-            assert c.is_zero() == twin.is_zero() == (not table), where
-            # the integer table is the canonical one: the twin converts its values anew
-            assert (c.ints.den, c.ints.entries) == (twin.ints.den, twin.ints.entries), where
+            assert c.sub(c) == Cochain.zero(c.arity, c.dim) and c.sub(c).is_zero(), where
+            rebuilt, dumped = _rebuilt(space, c), json.dumps(cochain_to_obj(c))
+            for twin in rebuilt:
+                assert c == twin and twin == c and hash(c) == hash(twin), where
+                assert c.is_zero() == twin.is_zero() == (not c.ints.entries), where
+                assert twin._table is None, where
+                # the integer table is the canonical one: each path reaches it anew
+                assert (c.ints.den, c.ints.entries) == (twin.ints.den, twin.ints.entries), where
+                assert json.dumps(cochain_to_obj(twin)) == dumped, where
+            table, twin = dict(c.table), rebuilt[0]
             for idx in itertools.product(range(a.dim), repeat=c.arity):
                 assert c.value(idx) == twin.value(idx), where
-            assert json.dumps(cochain_to_obj(c)) == json.dumps(cochain_to_obj(twin)), where
             assert recorded is not None and recorded == fraction_read(space, table), where
             nonzero += not c.is_zero()
     assert nonzero
@@ -179,9 +212,8 @@ def test_integer_reader_raises_the_fraction_readers_error(bundled, twisted_algeb
             for fault, table in _broken_tables(rng, space):
                 expected = _outcome(lambda: fraction_read(space, table))
                 assert type(expected) is tuple, (a.name, space, fault)
-                assert _outcome(lambda: space.cochain_from_table(table)[1]) == expected, (a.name, space, fault)
-                cochain = Cochain(space.arity, a.dim, table)
-                assert _outcome(lambda: space.coords(cochain)) == expected, (a.name, space, fault)
+                read = lambda: space.coords(Cochain(space.arity, a.dim, table))
+                assert _outcome(read) == expected, (a.name, space, fault)
                 seen.add(expected[2] or expected[0].__name__)
     assert seen == {"diagonal", "pair-antisymmetry", "DimMismatchError", "ArityError"}
 
@@ -199,7 +231,6 @@ def test_integer_reader_names_the_fraction_readers_equivariance_defect():
             table = dict(space.from_rep_values(IntTable(rng.choice((1, 2, 6)), values)).table)
             expected = _outcome(lambda: fraction_read(space, table))
             assert _outcome(lambda: space.coords(Cochain(space.arity, a.dim, table))) == expected, space
-            assert _outcome(lambda: space.cochain_from_table(table)[1]) == expected, space
             broken += type(expected) is tuple and expected[2] == "equivariance"
     assert broken
 
@@ -215,7 +246,7 @@ def test_a_string_entry_is_its_rational_in_every_reader():
     space = build_cochain_space(a, 2)
     assert space.coords(strings) == space.coords(fractions)
     assert (strings.ints.den, strings.ints.entries) == (fractions.ints.den, fractions.ints.entries)
-    assert space.cochain_from_table(dict(strings.table)) == space.cochain_from_table(dict(fractions.table))
+    assert strings == fractions and hash(strings) == hash(fractions)
     assert strings.eval([(1, 0, 0), (0, 1, 0)]) == (Fraction(1, 2), 0, 0)
     assert verify_deformation(first_order_deformation(a, strings, zero)) == verify_deformation(
         first_order_deformation(a, fractions, zero)
@@ -226,20 +257,16 @@ def test_a_string_entry_is_its_rational_in_every_reader():
 
 @pytest.mark.parametrize("entry", [0.5, True], ids=["float", "bool"])
 def test_a_float_or_bool_entry_is_a_type_error_in_every_reader(entry):
-    a = sl2()
-    c = Cochain(2, 3, {(0, 1): (entry, 0, 0), (1, 0): (-entry, 0, 0)})
-    zero = Cochain.zero(3, 3)
-    space = build_cochain_space(a, 2)
+    """A cochain converts its table when it is built, so the entry is
+    refused there, before any reader of a cochain could see it; the
+    readers of raw entries refuse it too."""
+    space = build_cochain_space(sl2(), 2)
+    c = space.basis_cochains[0]
     readers = [
-        lambda: c.ints,
-        lambda: c.eval([(1, 0, 0), (0, 1, 0)]),
-        lambda: space.coords(c),
-        lambda: space.contains(c),
-        lambda: space.cochain_from_table(dict(c.table)),
-        lambda: bracket_series(a, (c,), ()),
-        lambda: first_order_deformation(a, c, zero),
-        lambda: apply_operator(a, "2", c, zero),
-        lambda: is_cocycle_2(a, c, zero),
+        lambda: Cochain(2, 3, {(0, 1): (entry, 0, 0), (1, 0): (-entry, 0, 0)}),
+        lambda: c.scale(entry),
+        lambda: c.eval([(entry, 0, 0), (0, 1, 0)]),
+        lambda: space.from_coords([entry] + [0] * (space.dim - 1)),
     ]
     for read in readers:
         with pytest.raises(TypeError, match="not an exact rational"):

@@ -2,8 +2,8 @@
 
 The reference functions below are the column-by-column assembly and the
 per-cochain full-tabulation audit: each domain basis cochain is pushed
-through the operator formula on its own, and its image is tabulated on
-all tuples and read back by ``cochain_from_table``.  The package binds
+through the operator formula on its own, and its image is read back by
+``apply_operator``, which tabulates it on all tuples.  The package binds
 each formula once to generic tables instead, probes it at the
 representative tuples to assemble and joins it at all tuples to audit,
 each codomain condition a linear defect form; both must give equal

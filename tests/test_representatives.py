@@ -6,7 +6,7 @@ the representative tuples of C4 and C5 only.  This file checks the
 antisymmetry that makes that exact, and compares both with the full scans
 they replaced, which are kept below as oracles: ``full_scan_first_failure``
 evaluates every basis tuple, and ``full_tabulation_obstruction`` tabulates
-every tuple and reduces the table with ``cochain_from_table``.
+every tuple and reads the coordinates of its cochain with ``coords``.
 """
 
 import itertools
@@ -26,12 +26,13 @@ from hlya.algebra import (
     check_axioms,
     divided,
     first_failure,
+    from_lie_algebra,
     identity_values,
     make_algebra,
     rep_tuples,
 )
 from hlya.coboundary import d2, delta2
-from hlya.cochain import build_cochain_space
+from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import pair_from_coords
 from hlya.deformation import (
     Deformation,
@@ -45,7 +46,7 @@ from hlya.deformation import (
     verify_deformation,
     verify_equivalence,
 )
-from hlya.exactlin import kernel_basis, rat, vstack
+from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras, sl2
 
 from tabulated import tabulate
@@ -70,7 +71,8 @@ def full_tabulation_obstruction(a, f1, g1):
         arity = IDENTITIES[k].arity
         coefficient = identity_values(a, k, 2, fs, gs)
         table = tabulate(a, arity, divided(coefficient.probe(), -coefficient.den))
-        parts.append(build_cochain_space(a, arity).cochain_from_table(table))
+        c = Cochain(arity, a.dim, table)
+        parts.append((c, build_cochain_space(a, arity).coords(c)))
     (big_f, coords_f), (big_g, coords_g) = parts
     return big_f, big_g, coords_f + coords_g
 
@@ -273,13 +275,11 @@ def test_the_equations_left_out_hold_on_every_deformation(algebras):
 
 
 def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
-    """On a sl2 gauge round trip at order 4, identities 1-4 are evaluated
-    at order 0 only, once for the algebra and for every later call on it;
+    """On a sl2 gauge round trip at order 4, counted from the algebra's
+    construction, identities 1-4 are evaluated at order 0 only, once for
+    the algebra and for every later call on it;
     infinitesimal evaluates no order above 1; trivialize builds one Gauge,
     its result."""
-    a = _copy(sl2(), "sl2_round_trip")
-    null = null_deformation(a, 4)
-    disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
     evaluated = Counter()
     original = algebra.identity_values
 
@@ -288,6 +288,9 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
         return original(b, k, n, fs, gs)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
+    a = _copy(sl2(), "sl2_round_trip")
+    null = null_deformation(a, 4)
+    disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
     gauges = []
     init = Gauge.__init__
 
@@ -344,7 +347,8 @@ def _counted_evaluations(monkeypatch):
 
 def _copy(a, name):
     """An algebra equal to a with a memo of its own, so its order-0
-    verdict is not yet evaluated; make_algebra evaluates 3 and 4 itself."""
+    verdict is not yet evaluated; make_algebra evaluates 3 and 4 into it,
+    so a count that starts before the copy sees every order-0 scan."""
     return make_algebra(a.dim, a.binary, a.ternary, a.alpha, name=name)
 
 
@@ -352,10 +356,11 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     """sl2 has dimension 3: identity 8 has 3^5 = 243 basis tuples, and 27
     of them increase inside both of its pairs.  Identities 5 and 6 read
     only x < y < z: 1 of 9 and 3 of 27 tuples.  Identities 1-4 are
-    evaluated at order 0 only, the cochain conditions being settled above
-    it (test_a_round_trip_evaluates_each_condition_once guards that)."""
-    a = _copy(sl2(), "sl2_counted")
+    evaluated at order 0 only, 3 and 4 when the algebra is built, the
+    cochain conditions being settled above it
+    (test_a_round_trip_evaluates_each_condition_once guards that)."""
     calls, _ = _counted_evaluations(monkeypatch)
+    a = _copy(sl2(), "sl2_counted")
     order = 3
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
@@ -363,6 +368,32 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
     assert calls == {k: count * (1 if k <= 4 else order + 1) for k, count in per_order.items()}
     assert calls[3] == 9
+
+
+def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
+    """make_algebra evaluates identities 3 and 4 into the algebra's memo,
+    and the axiom verdict reads them there: from_lie_algebra, and
+    algebra_from_sparse followed by check_axioms, build each identity's
+    order-0 contraction once per algebra object on sl2's bracket, however
+    often the verdict is asked; make_algebra builds none of 5-8."""
+    built = Counter()
+    original = algebra.identity_values
+
+    def counted(a, k, n, fs, gs):
+        built[k, n] += 1
+        return original(a, k, n, fs, gs)
+
+    monkeypatch.setattr(algebra, "identity_values", counted)
+    bracket, identity = sl2().binary, Matrix.identity(3).data
+    lie = from_lie_algebra(bracket, identity, name="sl2_lie")
+    assert check_axioms(lie).all_passed and built == {(k, 0): 1 for k in IDENTITIES}
+    built.clear()
+    sparse = {(i, j): bracket[i][j] for i, j in itertools.combinations(range(3), 2)}
+    a = algebra_from_sparse(3, sparse, {}, identity, name="sl2_sparse")
+    assert built == {(3, 0): 1, (4, 0): 1}
+    assert check_axioms(a).all_passed and check_axioms(a) == check_axioms(lie)
+    assert verify_deformation(null_deformation(a, 0)).ok
+    assert built == {(k, 0): 1 for k in IDENTITIES}
 
 
 def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):

@@ -47,8 +47,8 @@ def reference_obstruction_pair(a, f1, g1):
         coefficient = identity_values(a, k, 2, fs, gs)
         tables.append(tabulate(a, IDENTITIES[k][0], divided(coefficient.probe(), -coefficient.den)))
     f_table, g_table = tables
-    big_f, coords_f = build_cochain_space(a, 4).cochain_from_table(f_table)
-    big_g, coords_g = build_cochain_space(a, 5).cochain_from_table(g_table)
+    big_f, big_g = Cochain(4, a.dim, f_table), Cochain(5, a.dim, g_table)
+    coords_f, coords_g = build_cochain_space(a, 4).coords(big_f), build_cochain_space(a, 5).coords(big_g)
     image = delta3(a).matrix.apply(coords_f + coords_g)
     return ObstructionPair(big_f, big_g, not any(image))
 

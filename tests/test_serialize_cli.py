@@ -74,11 +74,21 @@ def test_save_writes_what_dumps_returns(tmp_path, e1):
     assert serialize.load_algebra(str(path)) == e1
 
 
+def _matrix_from_obj(obj):
+    """The matrix that a matrix_to_obj object describes; no file format
+    reads a matrix, so only these round trips need the reader."""
+    columns = [{} for _ in range(obj["cols"])]
+    for i, j, value in obj["entries"]:
+        if rat(value):
+            columns[j - 1][i - 1] = rat(value)
+    return Matrix.from_sparse_columns(columns, obj["rows"])
+
+
 def test_matrix_round_trip(e2):
     from hlya.coboundary import delta1
 
     m = delta1(e2).matrix
-    assert serialize.matrix_from_obj(serialize.matrix_to_obj(m)) == m
+    assert _matrix_from_obj(serialize.matrix_to_obj(m)) == m
 
 
 def test_matrix_round_trip_keeps_the_declared_shape():
@@ -86,9 +96,9 @@ def test_matrix_round_trip_keeps_the_declared_shape():
     # 0 x n delta2 where C4 x C5 is zero
     for m in (Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0), Matrix([[0, rat("-3/2")], [2, 0], [0, 0]])):
         obj = serialize.matrix_to_obj(m)
-        back = serialize.matrix_from_obj(obj)
+        back = _matrix_from_obj(obj)
         assert back == m and (back.rows, back.cols) == (m.rows, m.cols), obj
-    assert serialize.matrix_from_obj({"rows": 1, "cols": 2, "entries": [[1, 2, "0"]]}) == Matrix.zeros(1, 2)
+    assert _matrix_from_obj({"rows": 1, "cols": 2, "entries": [[1, 2, "0"]]}) == Matrix.zeros(1, 2)
 
 
 def test_dumps_deterministic(e2):
@@ -237,28 +247,6 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, obj, message):
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
-
-
-def test_matrix_entries_must_be_a_list():
-    with pytest.raises(ParseError, match=r"matrix\.entries: expected a list"):
-        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": {"1": 1}})
-    with pytest.raises(ParseError, match=r"matrix: rows/cols"):
-        serialize.matrix_from_obj({"rows": True, "cols": 1, "entries": []})
-    with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: index out of range"):
-        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[True, 1, "1"]]})
-    with pytest.raises(ParseError, match=r"matrix\.entries\[0\]: not a rational: 0\.5"):
-        serialize.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1, 1, 0.5]]})
-
-
-def test_matrix_unknown_key_rejected():
-    with pytest.raises(ParseError, match=r"^matrix\.row: unknown key; expected one of rows, cols, entries$"):
-        serialize.matrix_from_obj({"rows": 1, "cols": 1, "row": 1, "entries": []})
-
-
-def test_matrix_duplicate_entries_rejected():
-    obj = {"rows": 2, "cols": 2, "entries": [[1, 2, "1"], [2, 1, "1"], [1, 2, "3"]]}
-    with pytest.raises(ParseError, match=r"^matrix\.entries\[2\]: repeats the key of entry 0$"):
-        serialize.matrix_from_obj(obj)
 
 
 def test_cli_json_float_exits_2_and_exact_forms_still_read(tmp_path, capsys):
