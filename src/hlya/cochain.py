@@ -49,9 +49,22 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
-from .algebra import Algebra, FormTable, IntTable, Vec, evaluate, int_table, memoised, rep_tuples, table_sum, zero_vec
+from .algebra import (
+    Algebra,
+    FormTable,
+    IntTable,
+    Vec,
+    _is_identity,
+    alpha_table,
+    evaluate,
+    int_table,
+    memoised,
+    rep_tuples,
+    table_sum,
+    zero_vec,
+)
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ONE, ZERO, Frozen, Matrix, eliminate, null_vectors, rat
+from .exactlin import ZERO, Frozen, Matrix, rat, reduce_rows
 
 MAX_ARITY = 7
 
@@ -192,11 +205,13 @@ def _violation(kind: str, idx: tuple, prefix: str = "", **witness) -> NotACochai
 class CochainSpace(Frozen):
     """The space of n-cochains of one algebra, with an explicit basis.
 
-    The equivariance rows are reduced by :func:`hlya.exactlin.eliminate` and
-    kept, the one statement of the condition (:meth:`_residual`); the basis
-    is the kernel basis of :func:`hlya.exactlin.null_vectors`, so the
-    coordinates of a cochain are its reduced entries at the free columns.
-    A :class:`Frozen` value, equal only to itself.
+    The equivariance rows are built in integers from alpha's integer table
+    (:meth:`_equivariance_rows`), reduced by
+    :func:`hlya.exactlin.reduce_rows` and kept as primitive integer rows
+    (``_int_rows``), the one statement of the condition (:meth:`_residual`).
+    The basis is the kernel basis those rows give (:attr:`_int_basis`), so
+    the coordinates of a cochain are its reduced entries at the free
+    columns.  A :class:`Frozen` value, equal only to itself.
     """
 
     __eq__ = object.__eq__
@@ -213,9 +228,10 @@ class CochainSpace(Frozen):
             _orbit=_orbit_map(reps, arity, pairs),
             reduced_dim=len(reps) * algebra.dim,
         )
-        pivots, rows = eliminate(self._equivariance_rows())
-        free, basis_cols = null_vectors(pivots, rows, self.reduced_dim)
-        self._init(_pivots=pivots, _rows=rows, _free=free, _basis_cols=basis_cols)
+        pivots, rows = reduce_rows(self._equivariance_rows())
+        pivot_set = set(pivots)
+        free = [i for i in range(self.reduced_dim) if i not in pivot_set]
+        self._init(_pivots=pivots, _int_rows=rows, _free=free)
 
     # reduced coordinate layout: (rep position, output index) -> pos * d + k
 
@@ -223,8 +239,12 @@ class CochainSpace(Frozen):
     def dim(self) -> int:
         return len(self._free)
 
-    def _equivariance_rows(self):
-        """alpha o f(T) - f(alpha e_{t_1}, ..., alpha e_{t_n}) = 0 rowwise.
+    def _equivariance_rows(self) -> list:
+        """alpha o f(T) - f(alpha e_{t_1}, ..., alpha e_{t_n}) = 0 rowwise,
+        in integers: alpha's table holds numerators over D
+        (:func:`hlya.algebra.alpha_table`), and each row is scaled by D^n,
+        so the coefficient on the left is a numerator times D^(n-1) and the
+        one on the right the signed product of n numerators.
 
         Representative tuples suffice: the constraint at a swapped or
         diagonal tuple is a signed copy of (or implied by) the one at the
@@ -234,31 +254,32 @@ class CochainSpace(Frozen):
         """
         a = self.algebra
         d = a.dim
-        if a.alpha_matrix() == Matrix.identity(d):
+        alpha = alpha_table(a, 1)
+        if _is_identity(alpha, d):
             return []
-        acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
+        acols = [alpha.entries.get((i,), {}).items() for i in range(d)]
+        scale = alpha.den ** (self.arity - 1)
+        arows: list[dict] = [{} for _ in range(d)]  # arows[out][k]: alpha[out][k] * D^n
+        for k, col in enumerate(acols):
+            for out, x in col:
+                arows[out][k] = x * scale
         orbit = self._orbit
         rows = []
         for pos, idx in enumerate(self.rep_tuples):
-            combos: dict[int, Fraction] = {}
-            for combo in itertools.product(*(acols[i].items() for i in idx)):
+            combos: dict[int, int] = {}
+            for combo in itertools.product(*(acols[i] for i in idx)):
                 found = orbit.get(tuple(c[0] for c in combo))
                 if found:
-                    target, sign = found
-                    w = ONE
+                    target, w = found
                     for c in combo:
                         w *= c[1]
-                    combos[target] = combos.get(target, ZERO) + sign * w
+                    combos[target] = combos.get(target, 0) + w
             for out in range(d):
-                row: dict[int, Fraction] = {}
-                # alpha applied to the value vector: row indices of alpha
-                for k in range(d):
-                    c = a.alpha[out][k]
-                    if c:
-                        row[pos * d + k] = c
+                # alpha applied to the value vector: row out of alpha
+                row = {pos * d + k: c for k, c in arows[out].items()}
                 for target, w in combos.items():
                     col = target * d + out
-                    v = row.get(col, ZERO) - w
+                    v = row.get(col, 0) - w
                     if v:
                         row[col] = v
                     else:
@@ -376,23 +397,23 @@ class CochainSpace(Frozen):
         return True
 
     @cached_property
-    def _int_rows(self) -> list:
-        """The reduced equivariance rows, each times the positive rational
-        that makes its entries coprime integers."""
-        int_rows = []
-        for row in self._rows:
-            den = lcm(*(x.denominator for x in row.values()))
-            ints = {i: x.numerator * (den // x.denominator) for i, x in row.items()}
-            g = gcd(*ints.values())
-            int_rows.append({i: x // g for i, x in ints.items()})
-        return int_rows
-
-    @cached_property
     def _int_basis(self) -> tuple[int, list]:
-        """The basis columns as integer numerators over the lcm of their
-        denominators: (den, [{reduced coordinate: numerator}])."""
-        den = lcm(*(x.denominator for col in self._basis_cols for x in col.values()))
-        return den, [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in self._basis_cols]
+        """The kernel basis of the reduced rows as integer numerators over
+        the lcm of the denominators of its entries: (den, [{reduced
+        coordinate: numerator}]), one column per free coordinate f, with
+        den at f and -den * row[f] / row[p] at each pivot p.  A reduced row
+        is primitive, so its entries over its pivot entry have that entry
+        as the lcm of their reduced denominators, and den is the lcm of the
+        pivot entries."""
+        pivots, rows = self._pivots, self._int_rows
+        den = lcm(*(row[p] for p, row in zip(pivots, rows)))
+        cols = {f: {f: den} for f in self._free}
+        for p, row in zip(pivots, rows):
+            scale = den // row[p]
+            for f, x in row.items():
+                if f != p:
+                    cols[f][p] = -x * scale
+        return den, [cols[f] for f in self._free]
 
     @cached_property
     def _members(self) -> list:

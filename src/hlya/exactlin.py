@@ -3,17 +3,21 @@
 Everything downstream (cochain spaces, coboundary matrices, cohomology
 dimensions) reduces to kernels, images and solvability questions over Q.
 A :class:`Matrix` stores only its nonzero ``fractions.Fraction`` entries,
-row by row, and every kernel, image, rank, containment and solve runs the
-one sparse Gauss-Jordan routine :func:`eliminate`.  The contraction
-kernels of :mod:`hlya.algebra` work on integer numerators over an explicit
-common denominator.  Both are exact: there are no floats and no tolerance
-anywhere.
+row by row.  There is one eliminator, the sparse fraction-free
+Gauss-Jordan routine :func:`reduce_rows` on integer rows: cochain spaces
+reduce their integer equivariance rows with it, and every kernel, image,
+rank, containment and solve runs it through :func:`eliminate`, which
+reduces each Fraction row as its numerators over one denominator and
+divides each reduced row by its pivot entry.  The contraction kernels of
+:mod:`hlya.algebra` also work on integer numerators over an explicit
+common denominator.  Everything is exact: there are no floats and no
+tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimMismatchError, NotContainedError, ShapeMismatchError
@@ -161,9 +165,7 @@ class Matrix(Frozen):
         Fraction per row."""
         if len(vec) != self.cols:
             raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
-        nonzero = {j: rat(x) for j, x in enumerate(vec) if x}
-        den = lcm(*(x.denominator for x in nonzero.values()))
-        ints = {j: x.numerator * (den // x.denominator) for j, x in nonzero.items()}
+        den, ints = _over_lcm({j: rat(x) for j, x in enumerate(vec) if x})
         out = []
         for row_den, row in self._integer_rows():
             small, large = (row, ints) if len(row) < len(ints) else (ints, row)
@@ -179,11 +181,7 @@ class Matrix(Frozen):
         """Each row as (denominator, {column: integer numerator}) over the
         lcm of its entries' denominators; built on first use and kept."""
         if self._int_rows is None:
-            int_rows = []
-            for row in self._rows:
-                den = lcm(*(x.denominator for x in row.values()))
-                int_rows.append((den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}))
-            self._init(_int_rows=int_rows)
+            self._init(_int_rows=[_over_lcm(row) for row in self._rows])
         return self._int_rows
 
     def matmul(self, other: "Matrix") -> "Matrix":
@@ -258,52 +256,98 @@ def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._from_rows(top._rows + bottom._rows, top.cols)
 
 
-def eliminate(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
-    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction}.
+def reduce_rows(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
+    """Fraction-free Gauss-Jordan elimination of sparse rows {column:
+    nonzero int}, the one eliminator.
 
-    Returns the pivot columns, ascending, and the nonzero rows of the
-    reduced row echelon form in the same order: row r has a 1 at
-    ``pivots[r]`` and no entry at any other pivot column.  The input rows
-    are not changed.  RREF is unique, so the result does not depend on
-    the order of the rows.
+    Returns the pivot columns, ascending, and the nonzero reduced rows in
+    the same order: row r is primitive (its entries are coprime), positive
+    at ``pivots[r]`` and has no entry at any other pivot column, so row r
+    over its entry at ``pivots[r]`` is row r of the reduced row echelon
+    form.  That form is unique, so the result does not depend on the order
+    of the rows.  A row is cancelled against a pivot row by cross
+    multiplication, each side over the gcd of the two leading entries, and
+    made primitive when it becomes a pivot row or is back-substituted.
+    The input rows are not changed.
     """
     pivot_of: dict[int, dict] = {}
-
-    def subtract(r: dict, coef: Fraction, piv: dict, skip: int) -> None:
-        # r -= coef * piv, except at column skip, which the caller clears
-        for cc, v in piv.items():
-            if cc == skip:
-                continue
-            x = r.get(cc)
-            if x is None:
-                r[cc] = -coef * v
-            else:
-                x -= coef * v
-                if x:
-                    r[cc] = x
-                else:
-                    del r[cc]
-
     for row in rows:
         r = dict(row)
         while r:
             c = min(r)
             piv = pivot_of.get(c)
             if piv is None:
-                lead = r[c]
-                if lead != 1:
-                    inv = ONE / lead
-                    r = {cc: v * inv for cc, v in r.items()}
-                pivot_of[c] = r
+                pivot_of[c] = _primitive(r, c)
                 break
-            subtract(r, r.pop(c), piv, c)
+            r = _cancel(r, piv, c)
     # back-substitute, highest pivot first, so each row subtracted is final
     pivots = sorted(pivot_of)
     for c in reversed(pivots):
         row = pivot_of[c]
-        for c2 in [cc for cc in row if cc != c and cc in pivot_of]:
-            subtract(row, row.pop(c2), pivot_of[c2], c2)
+        hits = [cc for cc in row if cc != c and cc in pivot_of]
+        for c2 in hits:
+            row = _cancel(row, pivot_of[c2], c2)
+        if hits:
+            pivot_of[c] = _primitive(row, c)
     return pivots, [pivot_of[c] for c in pivots]
+
+
+def _cancel(r: dict, piv: dict, c: int) -> dict:
+    """piv[c] * r - r[c] * piv, both factors divided by their gcd: r
+    without column c.  ``r`` is changed in place unless it has to be
+    scaled; the result is returned either way."""
+    a, p = r.pop(c), piv[c]
+    g = gcd(a, p)
+    if g != 1:
+        a, p = a // g, p // g
+    if p != 1:
+        r = {cc: p * v for cc, v in r.items()}
+    for cc, v in piv.items():
+        if cc == c:
+            continue
+        x = r.get(cc)
+        if x is None:
+            r[cc] = -a * v
+        else:
+            x -= a * v
+            if x:
+                r[cc] = x
+            else:
+                del r[cc]
+    return r
+
+
+def _primitive(r: dict, c: int) -> dict:
+    """r over the gcd of its entries, signed to be positive at column c."""
+    g = gcd(*r.values())
+    if r[c] < 0:
+        g = -g
+    return r if g == 1 else {cc: v // g for cc, v in r.items()}
+
+
+def _over_lcm(row: dict) -> tuple[int, dict]:
+    """A sparse rational row as (den, {column: integer numerator}) over the
+    lcm of its entries' denominators."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def eliminate(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
+    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction}.
+
+    Returns the pivot columns, ascending, and the nonzero rows of the
+    reduced row echelon form in the same order: row r has a 1 at
+    ``pivots[r]`` and no entry at any other pivot column.  The input rows
+    are not changed.  The Fraction view of :func:`reduce_rows`: each row
+    is reduced as its numerators over the lcm of its denominators, and
+    each reduced row is divided by its pivot entry.
+    """
+    pivots, reduced = reduce_rows(_over_lcm(row)[1] for row in rows)
+    out = []
+    for p, row in zip(pivots, reduced):
+        lead = row[p]
+        out.append({j: ONE if j == p else Fraction(x, lead) for j, x in row.items()})
+    return pivots, out
 
 
 def null_vectors(pivots: list[int], reduced: list[dict], ncols: int) -> tuple[list[int], list[dict]]:

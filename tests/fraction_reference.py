@@ -8,14 +8,19 @@ data of :mod:`hlya.coboundary`, so the differential tests that import it
 compare two independent computations.  :func:`fraction_read` is the
 concrete cochain reader as it was before it read integer tables: it
 shares the defect forms of :meth:`hlya.cochain.CochainSpace.defects`,
-and feeds them the values themselves.
+and feeds them the values themselves.  :func:`fraction_eliminate` is the
+Fraction Gauss-Jordan loop the package reduced with before its one
+fraction-free eliminator, and :func:`reference_space` rebuilds a cochain
+space's reduced rows and basis with it from the Fraction equivariance rows
+of :func:`general_equivariance_rows`.
 """
 
 import itertools
+from math import lcm
 
 from hlya.cochain import _violation
 from hlya.errors import ArityError, DimMismatchError
-from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, rat
+from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, null_vectors, rat
 
 
 def fraction_read(space, table):
@@ -195,3 +200,111 @@ def reference_derivation_space(a, k):
     for idx in itertools.product(range(a.dim), repeat=3):
         rows.extend(_leibniz_rows_ternary(ops, ak, *idx))
     return kernel_basis(Matrix(rows))
+
+
+def fraction_eliminate(rows):
+    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction},
+    in Fractions: the pivot columns, ascending, and the nonzero rows of the
+    reduced row echelon form in the same order.  The input rows are not
+    changed."""
+    pivot_of = {}
+
+    def subtract(r, coef, piv, skip):
+        # r -= coef * piv, except at column skip, which the caller clears
+        for cc, v in piv.items():
+            if cc == skip:
+                continue
+            x = r.get(cc)
+            if x is None:
+                r[cc] = -coef * v
+            else:
+                x -= coef * v
+                if x:
+                    r[cc] = x
+                else:
+                    del r[cc]
+
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            piv = pivot_of.get(c)
+            if piv is None:
+                lead = r[c]
+                if lead != 1:
+                    inv = ONE / lead
+                    r = {cc: v * inv for cc, v in r.items()}
+                pivot_of[c] = r
+                break
+            subtract(r, r.pop(c), piv, c)
+    # back-substitute, highest pivot first, so each row subtracted is final
+    pivots = sorted(pivot_of)
+    for c in reversed(pivots):
+        row = pivot_of[c]
+        for c2 in [cc for cc in row if cc != c and cc in pivot_of]:
+            subtract(row, row.pop(c2), pivot_of[c2], c2)
+    return pivots, [pivot_of[c] for c in pivots]
+
+
+def general_equivariance_rows(space):
+    """The equivariance rows of ``space`` in Fractions, built for any alpha
+    from alpha's Fraction matrix: the loop that also runs when alpha = id,
+    where every row cancels."""
+    a = space.algebra
+    d = a.dim
+    acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
+    rows = []
+    for pos, idx in enumerate(space.rep_tuples):
+        combos = {}
+        for combo in itertools.product(*(acols[i].items() for i in idx)):
+            found = space._orbit.get(tuple(c[0] for c in combo))
+            if found:
+                target, sign = found
+                w = ONE
+                for c in combo:
+                    w *= c[1]
+                combos[target] = combos.get(target, ZERO) + sign * w
+        for out in range(d):
+            row = {}
+            for k in range(d):
+                c = a.alpha[out][k]
+                if c:
+                    row[pos * d + k] = c
+            for target, w in combos.items():
+                col = target * d + out
+                v = row.get(col, ZERO) - w
+                if v:
+                    row[col] = v
+                else:
+                    row.pop(col, None)
+            if row:
+                rows.append(row)
+    return rows
+
+
+def reference_space(space):
+    """(pivots, reduced rows, free columns, basis columns) of ``space``,
+    all in Fractions: the general equivariance rows reduced by
+    :func:`fraction_eliminate`, and the kernel basis of
+    :func:`hlya.exactlin.null_vectors`, as the space was built before it
+    was built in integers."""
+    pivots, rows = fraction_eliminate(general_equivariance_rows(space))
+    free, cols = null_vectors(pivots, rows, space.reduced_dim)
+    return pivots, rows, free, cols
+
+
+def integer_rows(rows):
+    """Each Fraction row times the lcm of its denominators: for a reduced
+    row, 1 at its pivot, its primitive integer multiple."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        out.append({i: x.numerator * (den // x.denominator) for i, x in row.items()})
+    return out
+
+
+def integer_basis(cols):
+    """Fraction columns as (den, integer numerator columns) over the lcm of
+    the denominators of all their entries."""
+    den = lcm(*(x.denominator for col in cols for x in col.values()))
+    return den, [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.algebra import FormTable, IntTable
+from hlya.algebra import FormTable, IntTable, alpha_table, yau_twist
 from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space, check_defects
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
-from hlya.exactlin import ONE, Matrix, ZERO, eliminate, kernel_basis, null_vectors, rat
+from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
 from hlya.coboundary import _LEVELS, _bound_generic, d2
 from hlya.cohomology import pair_from_coords
-from hlya.samples import abelian, random_verified_algebras
+from hlya.samples import abelian, random_verified_algebras, sl2
 
+from fraction_reference import general_equivariance_rows, integer_basis, integer_rows, reference_space
 from tabulated import scanned_defects
 
 
@@ -341,46 +342,10 @@ def test_the_cached_basis_cannot_be_changed(e2):
     assert space.coords(first) == [rat(1)] + [rat(0)] * (space.dim - 1)
 
 
-def general_equivariance_rows(space):
-    """The equivariance rows of ``space`` built for any alpha: the loop that
-    ``CochainSpace._equivariance_rows`` skips when alpha = id."""
-    a = space.algebra
-    d = a.dim
-    acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
-    rows = []
-    for pos, idx in enumerate(space.rep_tuples):
-        combos = {}
-        for combo in itertools.product(*(acols[i].items() for i in idx)):
-            found = space._orbit.get(tuple(c[0] for c in combo))
-            if found:
-                target, sign = found
-                w = ONE
-                for c in combo:
-                    w *= c[1]
-                combos[target] = combos.get(target, ZERO) + sign * w
-        for out in range(d):
-            row = {}
-            for k in range(d):
-                c = a.alpha[out][k]
-                if c:
-                    row[pos * d + k] = c
-            for target, w in combos.items():
-                col = target * d + out
-                v = row.get(col, ZERO) - w
-                if v:
-                    row[col] = v
-                else:
-                    row.pop(col, None)
-            if row:
-                rows.append(row)
-    return rows
-
-
 def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_algebras):
     """With alpha = id the general loop builds no row, so skipping it gives
-    the same pivots, reduced rows and basis: on the bundled algebras, gl2
-    and the seed-12345 corpus.  On twisted algebras the space still runs
-    the general loop."""
+    the same pivots, reduced rows and basis as the Fraction reference: on
+    the bundled algebras, gl2 and the seed-12345 corpus."""
     candidates = [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]
     untwisted = {a: None for a in candidates if a.alpha_matrix() == Matrix.identity(a.dim)}
     assert len(untwisted) > 10 and any(a.dim == 4 for a in untwisted)
@@ -388,14 +353,33 @@ def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_a
         for arity in range(1, (5 if a.dim < 4 else 4) + 1):
             for pairs in {0, arity // 2}:
                 space = CochainSpace(a, arity, pairs)
-                pivots, rows = eliminate(general_equivariance_rows(space))
-                free, basis_cols = null_vectors(pivots, rows, space.reduced_dim)
-                assert (space._pivots, space._rows, space._free, space._basis_cols) == (pivots, rows, free, basis_cols)
-    twisted = [a for a in [*bundled, *twisted_algebras] if a.alpha_matrix() != Matrix.identity(a.dim)]
+                pivots, rows, free, cols = reference_space(space)
+                assert not rows
+                got = (space._pivots, space._int_rows, space._free, space._int_basis)
+                assert got == (pivots, integer_rows(rows), free, integer_basis(cols))
+
+
+def test_twisted_rows_are_positive_multiples_of_the_general_rows(bundled, twisted_algebras):
+    """On twisted algebras the integer rows are the general Fraction rows
+    times D^n, D the denominator of alpha's table, row by row: alpha with
+    denominators, the non-diagonal sl2_twist_7_11 and the negative alpha
+    diag(1, -1, -1) of sl2."""
+    negative = yau_twist(sl2(), Matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), name="sl2_twist_minus")
+    twisted = [a for a in [*bundled, *twisted_algebras, negative] if a.alpha_matrix() != Matrix.identity(a.dim)]
+    assert {"sl2_twist_7_11", "sl2_twist_minus"} <= {a.name for a in twisted}
     for a in twisted:
         for arity in (1, 2, 3):
             space = build_cochain_space(a, arity)
-            assert space._equivariance_rows() == general_equivariance_rows(space), (a.name, arity)
+            rows, expected = space._equivariance_rows(), general_equivariance_rows(space)
+            assert len(rows) == len(expected) and rows, (a.name, arity)
+            for row, fraction_row in zip(rows, expected):
+                assert all(type(x) is int for x in row.values()), (a.name, arity)
+                factors = {Fraction(x) / fraction_row[i] for i, x in row.items()}
+                assert row.keys() == fraction_row.keys() and len(factors) == 1, (a.name, arity)
+                assert factors == {Fraction(alpha_table(a, 1).den ** arity)}, (a.name, arity)
+            pivots, reduced, free, cols = reference_space(space)
+            got = (space._pivots, space._int_rows, space._free, space._int_basis)
+            assert got == (pivots, integer_rows(reduced), free, integer_basis(cols)), (a.name, arity)
 
 
 def test_generic_table_is_the_sum_over_the_basis(bundled, twisted_algebras):

@@ -6,13 +6,18 @@ and ``Subspace`` canonicalisation; ``_sparse_kernel`` is the dict-row
 elimination that built every ``CochainSpace`` basis.  Both are kept here,
 verbatim in their arithmetic, as reference oracles: RREF is unique, so the
 one sparse routine must reproduce their results exactly, basis for basis.
+``fraction_reference.fraction_eliminate`` is the sparse Fraction loop that
+routine ran before it was fraction-free, the oracle of :func:`eliminate`
+and :func:`reduce_rows` on random sparse rational rows.
 """
 
+import copy
 import os
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hlya import samples, serialize
@@ -24,15 +29,19 @@ from hlya.exactlin import (
     ZERO,
     Matrix,
     Subspace,
+    eliminate,
     image_basis,
     kernel_basis,
     quotient_dim,
     rank,
+    reduce_rows,
     rref,
     solve,
     vstack,
 )
 from hlya.samples import random_verified_algebras
+
+from fraction_reference import fraction_eliminate, integer_basis, integer_rows
 
 # --- the reference oracles ------------------------------------------------
 
@@ -117,7 +126,8 @@ def _dense_quotient(ambient_dim, z, b):
 
 
 def _sparse_kernel(rows, ncols):
-    """RREF of a sparse row system; returns (pivot cols, free cols, basis)."""
+    """RREF of a sparse row system; returns (pivot cols, RREF rows, free
+    cols, basis)."""
     pivot_of = {}
     for row in rows:
         r = dict(row)
@@ -159,7 +169,7 @@ def _sparse_kernel(rows, ncols):
             if v:
                 col[c] = -v
         basis.append(col)
-    return pivots, free, basis
+    return pivots, [pivot_of[c] for c in pivots], free, basis
 
 
 # --- random sparse rational matrices --------------------------------------
@@ -247,6 +257,56 @@ def test_repeated_solves_match_fresh_elimination(system, draws):
     assert m._reduction is kept
 
 
+# --- the fraction-free reducer against the Fraction loop --------------------
+
+_rational = st.one_of(
+    st.builds(Fraction, _small, st.integers(min_value=1, max_value=3)),
+    # large numerators and denominators
+    st.builds(Fraction, st.integers(min_value=-(10**9), max_value=10**9), st.integers(min_value=1, max_value=10**12)),
+)
+
+
+@st.composite
+def _sparse_rational_rows(draw):
+    """Sparse rows {column: nonzero Fraction} over up to 9 columns, entries
+    of either sign with small or large denominators, empty rows among them,
+    and rows repeated or rescaled on purpose."""
+    cols = draw(st.integers(min_value=1, max_value=9))
+    row = st.dictionaries(st.integers(min_value=0, max_value=cols - 1), _rational, max_size=cols)
+    rows = [{c: x for c, x in r.items() if x} for r in draw(st.lists(row, max_size=8))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        src = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        factor = draw(st.sampled_from((1, -1, Fraction(-7, 3), Fraction(10**9, 7))))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), {c: factor * x for c, x in src.items()})
+    return rows
+
+
+@seed(32)
+@given(_sparse_rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_eliminator_matches_the_fraction_loop(rows):
+    """eliminate, fed a generator, gives the pivots and RREF rows of the
+    Fraction loop exactly; reduce_rows, fed the rows' integer multiples,
+    gives the same pivots and primitive rows, positive at their pivot and
+    zero at the others, whose quotients by the pivot entry are those RREF
+    rows.  Neither changes its input rows."""
+    kept = copy.deepcopy(rows)
+    expected = fraction_eliminate(rows)
+    got = eliminate(dict(row) for row in rows)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got[1] for x in row.values())
+    ints = integer_rows(rows)
+    kept_ints = copy.deepcopy(ints)
+    pivots, reduced = reduce_rows(iter(ints))
+    assert rows == kept and ints == kept_ints
+    assert pivots == expected[0]
+    assert reduced == integer_rows(expected[1])
+    for p, row, rref_row in zip(pivots, reduced, expected[1]):
+        assert all(type(x) is int for x in row.values()) and gcd(*row.values()) == 1 and row[p] > 0
+        assert row.keys() & set(pivots) == {p}
+        assert {c: Fraction(x, row[p]) for c, x in row.items()} == rref_row
+
+
 def test_solve_edge_shapes():
     assert solve(Matrix.zeros(0, 3), []) == [ZERO] * 3
     assert solve(Matrix([[], []]), [ZERO, ZERO]) == []
@@ -287,10 +347,12 @@ def _assert_spaces_match(a):
     # the spaces the package builds: C1 .. C7, and W4 (one pair condition)
     shapes = [(n, None) for n in range(1, MAX_ARITY + 1)] + [(4, 1)]
     for space in (CochainSpace(a, n, pairs) for n, pairs in shapes):
-        pivots, free, basis = _sparse_kernel(space._equivariance_rows(), space.reduced_dim)
+        rows = [{i: Fraction(x) for i, x in row.items()} for row in space._equivariance_rows()]
+        pivots, reduced, free, basis = _sparse_kernel(rows, space.reduced_dim)
         assert space._pivots == pivots, (a.name, space.arity, space.pairs)
         assert space._free == free, (a.name, space.arity, space.pairs)
-        assert space._basis_cols == basis, (a.name, space.arity, space.pairs)
+        assert space._int_rows == integer_rows(reduced), (a.name, space.arity, space.pairs)
+        assert space._int_basis == integer_basis(basis), (a.name, space.arity, space.pairs)
 
 
 def test_cochain_spaces_match_sparse_kernel_oracle(bundled):

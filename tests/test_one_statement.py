@@ -22,6 +22,8 @@ from hlya.errors import AxiomError, PreconditionError
 from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
 
+from fraction_reference import reference_space
+
 _VALUES = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
@@ -39,13 +41,14 @@ def algebras(bundled, twisted_algebras, corpus):
 
 
 def basis_column_residual(space, forms):
-    """The equivariance defects from the kernel basis columns: at a pivot
-    coordinate p, the form there minus the sum over j of col_j[p] times the
-    form at free coordinate j."""
+    """The equivariance defects from the Fraction kernel basis columns of
+    the reference space: at a pivot coordinate p, the form there minus the
+    sum over j of col_j[p] times the form at free coordinate j."""
     d = space.algebra.dim
-    free = set(space._free)
-    residual = {p: dict(form) for p, form in forms.items() if p not in free}
-    for i, col in zip(space._free, space._basis_cols):
+    _, _, free, cols = reference_space(space)
+    pivots = set(range(space.reduced_dim)) - set(free)
+    residual = {p: dict(form) for p, form in forms.items() if p in pivots}
+    for i, col in zip(free, cols):
         form = forms.get(i)
         if not form:
             continue
@@ -63,11 +66,12 @@ def basis_column_residual(space, forms):
 
 
 def fraction_row_residual(space, forms):
-    """The equivariance defects from the reduced rows as eliminated, in
-    Fractions: each row, in pivot order, applied to the forms."""
+    """The equivariance defects from the reduced rows of the reference
+    space, in Fractions: each row, in pivot order, applied to the forms."""
     d = space.algebra.dim
     defects = []
-    for p, row in zip(space._pivots, space._rows):
+    pivots, rows, _, _ = reference_space(space)
+    for p, row in zip(pivots, rows):
         acc = {}
         for i, r in row.items():
             for u, c in forms.get(i, {}).items():
@@ -200,14 +204,17 @@ def test_residual_reads_the_reduced_rows_as_the_basis_columns_did(algebras):
 
 
 def test_primitive_rows_keep_each_defects_zeros_and_lowest_unknown(algebras):
-    """The residual applies each reduced row scaled to coprime integers:
-    on random forms each defect is a positive multiple of the one the
-    Fraction rows give, so its zeros and lowest nonzero unknown agree."""
+    """The residual applies each reduced row as coprime integers: each is
+    a positive multiple of the reference space's Fraction row, and on
+    random forms each defect is a positive multiple of the one the Fraction
+    rows give, so its zeros and lowest nonzero unknown agree."""
     rng = random.Random(27)
     names, scaled = set(), 0
     for a in algebras:
         for space in _spaces(a):
-            for row, int_row in zip(space._rows, space._int_rows):
+            pivots, rows, _, _ = reference_space(space)
+            assert space._pivots == pivots and len(space._int_rows) == len(rows), (a.name, space)
+            for row, int_row in zip(rows, space._int_rows):
                 assert all(type(x) is int for x in int_row.values()) and math.gcd(*int_row.values()) == 1
                 scale = {Fraction(x) / row[i] for i, x in int_row.items()}
                 assert int_row.keys() == row.keys() and len(scale) == 1 and min(scale) > 0
