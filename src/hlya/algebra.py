@@ -32,15 +32,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import wraps
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
-from .exactlin import ZERO, Frozen, Matrix, rat
+from .exactlin import ZERO, Frozen, Matrix, _pruned, rat
 
 Vec = tuple[Fraction, ...]
-SVec = dict[int, Fraction]
 
 # Each identity is a list of signed terms in a binary map f, a ternary map g
 # and the twist alpha, evaluated on slot variables x_0, x_1, ...  A term is
@@ -160,9 +159,6 @@ class Algebra(Frozen):
             _memo={},
             _hash=None,
         )
-
-    def alpha_matrix(self) -> Matrix:
-        return Matrix(self.alpha)
 
     def __hash__(self):
         # cached: the structure tensors are deeply nested Fraction tuples, and
@@ -286,10 +282,6 @@ class FormTable(IntTable):
     __slots__ = ()
 
 
-def _pruned(vec: dict) -> dict:
-    return {k: x for k, x in vec.items() if x}
-
-
 def int_table(table: dict) -> IntTable:
     """A table of dense value vectors of rationals, as integer numerators
     over the lcm of their denominators.  Each nonzero entry is read by
@@ -365,6 +357,14 @@ def table_sum(tables) -> IntTable:
     return IntTable(den, {key: _pruned(vec) for key, vec in out.items()})
 
 
+def _canonical(t: IntTable) -> IntTable:
+    """t without zero numerators, over the lcm of the reduced denominators
+    of its values (t.den over its gcd with the numerators): equal maps have
+    equal canonical tables."""
+    g = gcd(t.den, *(x for vec in t.entries.values() for x in vec.values()))
+    return IntTable(t.den // g, {key: {k: x // g for k, x in vec.items() if x} for key, vec in t.entries.items()})
+
+
 def memoised(fn):
     """fn(a, *args), computed once per algebra object and kept in its memo.
 
@@ -403,11 +403,12 @@ def brackets(a: Algebra) -> tuple[IntTable, IntTable]:
 
 @memoised
 def alpha_table(a: Algebra, k: int) -> IntTable:
-    """alpha^k as an integer table of arity 1, for any k >= 0."""
-    power = Matrix.identity(a.dim)
-    for _ in range(k):
-        power = power.matmul(a.alpha_matrix())
-    return int_table({(j,): power.column(j) for j in range(a.dim)})
+    """alpha^k as a canonical integer table of arity 1 (:func:`_canonical`),
+    for any k >= 0: alpha applied to every value of alpha^(k - 1)."""
+    if k == 0:
+        return IntTable(1, {(j,): {j: 1} for j in range(a.dim)})
+    alpha = int_table({(j,): [row[j] for row in a.alpha] for j in range(a.dim)})
+    return _canonical(compose_out(alpha, alpha_table(a, k - 1)))
 
 
 def evaluate(t: IntTable, dim: int, args: Sequence[Sequence]) -> Vec:
@@ -591,9 +592,10 @@ def contract(a: Algebra, tables: dict, terms) -> Contraction:
     is the lcm of the terms' denominators and each term carries the
     integer weight sign * L / denominator, so the contraction's values are
     L times the sum at each 0-based basis tuple, as sparse vectors with
-    zeros dropped.  Callers that keep the values divide by L
-    (:func:`divided`); a caller that only asks which values vanish, like
-    the well-definedness audit, need not.
+    zeros dropped.  Callers that keep the values keep them over L, as
+    the rows of a matrix (assembly, derivations) or an :class:`IntTable`;
+    a caller that only asks which values vanish, like the
+    well-definedness audit, reads the numerators alone.
 
     The values are read in one of two orders (:class:`Contraction`).  The
     scans of representative tuples (:func:`first_failure`, the
@@ -831,17 +833,6 @@ def identity_values(a: Algebra, k: int, n: int, fs, gs) -> Contraction:
     return _bound(tables, _plan(a, k, n).terms)
 
 
-def divided(value: Callable[[tuple], dict], den: int) -> Callable[[tuple], SVec]:
-    """Exact values from kernel numerators: value(idx) / den.
-
-    With den 1 the numerators are the values and come back unchanged, as
-    Python ints."""
-    if den == 1:
-        return value
-    inv = Fraction(1, den)
-    return lambda idx: {j: x * inv for j, x in value(idx).items()}
-
-
 def rep_tuples(dim: int, arity: int, pairs: int) -> tuple[tuple, ...]:
     """The basis tuples (0-based) that increase strictly inside each of the
     first ``pairs`` slot pairs (0, 1), (2, 3), ..., in lexicographic order."""
@@ -979,7 +970,7 @@ def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
     identities, and names the base when the base fails them.
     """
     d = a.dim
-    if a.alpha_matrix() != Matrix.identity(d):
+    if not _is_identity(alpha_table(a, 1), d):
         raise NotMorphismError("yau_twist requires an untwisted base (alpha = id)")
     _verified(a, "the base algebra fails axioms {}")
     if not is_endomorphism(a, morphism):

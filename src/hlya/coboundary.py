@@ -7,13 +7,13 @@ b_j; the tables (:func:`_generic_inputs`) and the bound formula
 (:func:`_bound_generic`) are kept in the algebra's memo.  The values are
 integer linear forms {(output index, unknown): coefficient}, and unknown
 j is column j.  Assembly probes the bound formula once per codomain
-representative tuple, divides by its denominator and regroups the forms
-by unknown, which gives every column in the codomain basis
-(:meth:`CochainSpace.coordinates`) once no equivariance defect form is
-left.  :func:`verify_well_definedness` is the full-tabulation audit: the
-same bound formula joined at *all* tuples in one pass over the tables'
-nonzero entries and left undivided, since scaling by the nonzero 1/L
-changes no form's zero-ness; each codomain condition (diagonal pairs,
+representative tuple; once no equivariance defect form is left, the form
+of each codomain coordinate (:meth:`CochainSpace.coordinates`) is a
+matrix row as it stands, its integer coefficients over the formula's
+denominator.  :func:`verify_well_definedness` is the full-tabulation
+audit: the same bound formula joined at *all* tuples in one pass over
+the tables' nonzero entries and left undivided, since scaling by the
+nonzero 1/L changes no form's zero-ness; each codomain condition (diagonal pairs,
 pair antisymmetry, equivariance) is turned into linear defect forms once,
 read over the joined entries and the orbits they touch
 (:meth:`CochainSpace.defects`), and a correct operator leaves none.  Both
@@ -63,7 +63,6 @@ from .algebra import (
     IntTable,
     brackets,
     contract,
-    divided,
     identity_values,
     memoised,
 )
@@ -229,24 +228,23 @@ def _assemble(a: Algebra, level: str) -> CoboundaryMap:
     """The operator's matrix, linearised once per representative tuple.
 
     Each formula, bound to generic domain tables (:func:`_bound_generic`),
-    is probed once per representative tuple of each codomain block; the
-    linear forms it returns, divided by the formula's denominator, fill
-    every column at once, by unknown.  Coordinates are read off by
-    :meth:`CochainSpace.coordinates`, which raises NotACochainError, with
-    the column as ``basis_index``, on an image that violates
-    alpha-equivariance.  Pair alternation is not seen here: only
+    is probed once per representative tuple of each codomain block.  The
+    linear forms it returns, read by :meth:`CochainSpace.coordinates` as
+    one form per codomain coordinate, are the matrix rows, over the
+    formula's denominator: row j's coefficient of unknown u is coordinate
+    j of the image of basis cochain u.  ``coordinates`` raises
+    NotACochainError, with the column as ``basis_index``, on an image that
+    violates alpha-equivariance.  Pair alternation is not seen here: only
     representative tuples are evaluated.
     """
     name, domain_arities, codomain_shapes, tables = _LEVELS[level]
     domain = [build_cochain_space(a, n) for n in domain_arities]
     codomain = [build_cochain_space(a, n, pairs) for n, pairs in codomain_shapes]
-    columns = [{} for _ in range(sum(s.dim for s in domain))]
-    shift = 0
+    rows = []
     for target, formula in zip(codomain, _bound_generic(a, tables, domain_arities)):
-        for u, coords in target.coordinates(divided(formula.probe(), formula.den)).items():
-            columns[u].update((shift + j, x) for j, x in coords.items())
-        shift += target.dim
-    matrix = Matrix.from_sparse_columns(columns, shift)
+        forms = target.coordinates(formula.probe())
+        rows.extend((formula.den, forms.get(j, {})) for j in range(target.dim))
+    matrix = Matrix._of(rows, sum(s.dim for s in domain))
     return CoboundaryMap(name, tuple(domain), tuple(codomain), matrix)
 
 

@@ -54,6 +54,7 @@ from .algebra import (
     FormTable,
     IntTable,
     Vec,
+    _canonical,
     _is_identity,
     alpha_table,
     evaluate,
@@ -459,24 +460,25 @@ class CochainSpace(Frozen):
         return forms
 
     def images(self, fn) -> dict:
-        """fn's sparse reduced image of each unknown's basis cochain,
-        {unknown: {reduced coordinate: Fraction}}; fn maps tuples to linear
-        forms as for :meth:`_forms` and runs once per representative
-        tuple."""
-        return _by_unknown(self._forms(enumerate(map(fn, self.rep_tuples))).items())
+        """fn's values at the representative tuples as forms {unknown:
+        coefficient} keyed by reduced coordinate (:meth:`_forms`): the form
+        at i is row i of the map sending each unknown's basis cochain to
+        the reduced coordinates of its image.  fn runs once per
+        representative tuple."""
+        return self._forms(enumerate(map(fn, self.rep_tuples)))
 
     def coordinates(self, fn) -> dict:
         """The basis coordinates of fn's image of each unknown's basis
-        cochain, {unknown: {coordinate: Fraction}}; fn runs once per
-        representative tuple.
+        cochain, as forms {unknown: coefficient} keyed by coordinate; fn
+        runs once per representative tuple.
 
         The first nonzero :meth:`_residual` form raises NotACochainError
         through :func:`check_defects`.  Otherwise every image is in the
         space, and its coordinates are its entries at the free coordinates.
         """
-        forms = self._forms(enumerate(map(fn, self.rep_tuples)))
+        forms = self.images(fn)
         check_defects(self._residual(forms))
-        return _by_unknown((j, forms[i]) for j, i in enumerate(self._free) if i in forms)
+        return {j: forms[i] for j, i in enumerate(self._free) if i in forms}
 
     def defects(self, table: dict) -> list:
         """The linear defects of a table's values as a map into this space.
@@ -554,16 +556,6 @@ class CochainSpace(Frozen):
         return f"CochainSpace(n={self.arity}, dim={self.dim}, algebra={self.algebra.name})"
 
 
-def _by_unknown(forms) -> dict:
-    """Pairs (key, {unknown: coefficient}) regrouped by unknown, as
-    {unknown: {key: Fraction}}."""
-    out: dict = {}
-    for key, form in forms:
-        for u, c in form.items():
-            out.setdefault(u, {})[key] = rat(c)
-    return out
-
-
 def check_defects(defects, prefix: str = "", **witness) -> None:
     """NotACochainError for the first of the ``defects`` that has a
     nonzero coefficient, at its lowest such unknown j: the defect of basis
@@ -574,14 +566,6 @@ def check_defects(defects, prefix: str = "", **witness) -> None:
         if hits:
             j = min(hits)
             raise _violation(kind, idx, prefix.format(j), basis_index=j, **witness)
-
-
-def _canonical(t: IntTable) -> IntTable:
-    """t without zero numerators, over the lcm of the reduced denominators
-    of its values (t.den over its gcd with the numerators): equal maps have
-    equal canonical tables."""
-    g = gcd(t.den, *(x for vec in t.entries.values() for x in vec.values()))
-    return IntTable(t.den // g, {key: {k: x // g for k, x in vec.items() if x} for key, vec in t.entries.items()})
 
 
 def _shape(arity: int, pairs: int | None) -> tuple[int, int]:

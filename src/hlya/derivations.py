@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Algebra, brackets, contract, divided, memoised
+from .algebra import Algebra, brackets, contract, memoised
 from .coboundary import leibniz
 from .cochain import build_cochain_space, cochain_to_matrix
 from .errors import ClosureViolationError, PreconditionError
@@ -55,14 +55,12 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
     c1 = build_cochain_space(a, 1)
     br, tr = brackets(a)
     tables = {"br": br, "tr": tr, "h": c1.generic()}
-    columns = [{} for _ in range(c1.dim)]
-    rows = 0
+    rows = []
     for space, terms in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz(k)):
         defect = contract(a, tables, terms)
-        for u, image in space.images(divided(defect.probe(), defect.den)).items():
-            columns[u].update((rows + i, x) for i, x in image.items())
-        rows += space.reduced_dim
-    kernel = kernel_basis(Matrix.from_sparse_columns(columns, rows))
+        images = space.images(defect.probe())
+        rows.extend((defect.den, images.get(i, {})) for i in range(space.reduced_dim))
+    kernel = kernel_basis(Matrix._of(rows, c1.dim))
     ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))
     return DerivationSpace(k, Subspace(d * d, [flatten(cochain_to_matrix(a, h)) for h in ders]))
 

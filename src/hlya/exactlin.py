@@ -2,16 +2,18 @@
 
 Everything downstream (cochain spaces, coboundary matrices, cohomology
 dimensions) reduces to kernels, images and solvability questions over Q.
-A :class:`Matrix` stores only its nonzero ``fractions.Fraction`` entries,
-row by row.  There is one eliminator, the sparse fraction-free
-Gauss-Jordan routine :func:`reduce_rows` on integer rows: cochain spaces
-reduce their integer equivariance rows with it, and every kernel, image,
-rank, containment and solve runs it through :func:`eliminate`, which
-reduces each Fraction row as its numerators over one denominator and
-divides each reduced row by its pivot entry.  The contraction kernels of
-:mod:`hlya.algebra` also work on integer numerators over an explicit
-common denominator.  Everything is exact: there are no floats and no
-tolerance anywhere.
+A :class:`Matrix` is its canonical integer rows: each row is its
+nonzero entries as integer numerators over one denominator, in lowest
+terms.  There is one eliminator, the sparse fraction-free Gauss-Jordan
+routine :func:`reduce_rows` on integer rows.  Cochain spaces reduce their
+integer equivariance rows with it, and every kernel, image, rank,
+containment and solve runs it on a matrix's numerators directly: a
+reduced row r with pivot p, over r[p], is a row of the reduced row
+echelon form, and is stored as such.  Fractions are made only for a
+matrix's Fraction view and for the values :meth:`Matrix.apply` and
+:func:`solve` return.  The contraction kernels of :mod:`hlya.algebra`
+also work on integer numerators over an explicit common denominator.
+Everything is exact: there are no floats and no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Iterable, Sequence
 from .errors import DimMismatchError, NotContainedError, ShapeMismatchError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
@@ -43,19 +44,38 @@ def rat_str(value: Fraction) -> str:
     return str(value)
 
 
-def _sparse(vec: Sequence) -> dict:
-    """{position: Fraction} of the nonzero entries of a dense vector."""
-    return {i: rat(x) for i, x in enumerate(vec) if x}
+def _pruned(vec: dict) -> dict:
+    return {k: x for k, x in vec.items() if x}
 
 
-def _transpose(vectors: Sequence[dict], length: int) -> list[dict]:
-    """Sparse rows of the matrix whose columns are ``vectors``, each a
-    sparse vector with ``length`` entries."""
-    out = [{} for _ in range(length)]
-    for j, vec in enumerate(vectors):
+def _integer_row(vec: Sequence) -> tuple[int, dict]:
+    """A dense vector of rationals, each read by :func:`rat`, as the
+    integer row (den, {position: numerator}) of its nonzero entries over
+    the lcm of their denominators: the row in lowest terms."""
+    row = {i: rat(x) for i, x in enumerate(vec) if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _lowest(den: int, row: dict) -> tuple[int, dict]:
+    """An integer row (den, {column: nonzero numerator}), den > 0, in
+    lowest terms: both over the gcd of den and the numerators.  The one
+    canonical form of a stored row; an empty row is (1, {})."""
+    g = gcd(den, *row.values())
+    return (den, row) if g == 1 else (den // g, {j: x // g for j, x in row.items()})
+
+
+def _transpose(vectors: Sequence[tuple[int, dict]], length: int) -> list[tuple[int, dict]]:
+    """Integer rows of the matrix whose columns are ``vectors``, each an
+    integer row (den, {position: numerator}) with ``length`` positions:
+    every row over the lcm of the vectors' denominators."""
+    den = lcm(*(d for d, _ in vectors))
+    rows = [{} for _ in range(length)]
+    for j, (d, vec) in enumerate(vectors):
+        w = den // d
         for i, x in vec.items():
-            out[i][j] = x
-    return out
+            rows[i][j] = w * x
+    return [(den, row) for row in rows]
 
 
 class Frozen:
@@ -83,17 +103,20 @@ class Frozen:
 
 
 class Matrix(Frozen):
-    """Sparse row-major matrix of Fractions, a :class:`Frozen` value.
+    """Sparse row-major matrix over Q, a :class:`Frozen` value held as its
+    canonical integer rows.
 
-    Row i is stored as ``{column: value}`` over its nonzero entries, and
-    every operation here works on those.  :attr:`data` is a dense
-    list-of-lists copy, built on each access.  The first :func:`solve`
+    Row i is stored as ``(den, {column: numerator})`` over its nonzero
+    entries, in lowest terms: den > 0 and the gcd of den and the
+    numerators is 1 (:func:`_lowest`), so equal matrices have equal rows.
+    Equality, the hash, :meth:`apply` and every elimination read those
+    rows.  :attr:`data`, :meth:`entries` and :meth:`column` read a Fraction
+    view of them, built on first read and kept.  The first :func:`solve`
     against a matrix keeps its reduction on it, so every later solve is
-    one product; the first :meth:`apply` likewise keeps its rows as
-    integers.
+    one product.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_reduction", "_int_rows")
+    __slots__ = ("rows", "cols", "_rows", "_view", "_reduction")
     _fields = ("rows", "cols", "_rows")
 
     def __init__(self, data: Sequence[Sequence]):
@@ -102,25 +125,26 @@ class Matrix(Frozen):
         for row in rows:
             if len(row) != cols:
                 raise DimMismatchError("ragged rows")
-        self._set([_sparse(row) for row in rows], cols)
+        self._set([_integer_row(row) for row in rows], cols)
 
-    def _set(self, rows: list[dict], cols: int) -> None:
-        self._init(rows=len(rows), cols=cols, _rows=rows, _reduction=None, _int_rows=None)
+    def _set(self, rows: list[tuple[int, dict]], cols: int) -> None:
+        self._init(rows=len(rows), cols=cols, _rows=rows, _view=None, _reduction=None)
 
     @classmethod
-    def _from_rows(cls, rows: list[dict], cols: int) -> "Matrix":
-        """A matrix over sparse rows of nonzero Fractions, taken as they are."""
+    def _of(cls, rows: Iterable[tuple[int, dict]], cols: int) -> "Matrix":
+        """The matrix over integer rows (den, {column: nonzero numerator}),
+        den > 0, each put in lowest terms."""
         m = cls.__new__(cls)
-        m._set(rows, cols)
+        m._set([_lowest(den, row) for den, row in rows], cols)
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._from_rows([{} for _ in range(rows)], cols)
+        return cls._of([(1, {}) for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_rows([{i: ONE} for i in range(n)], n)
+        return cls._of([(1, {i: 1}) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -132,20 +156,20 @@ class Matrix(Frozen):
         for c in columns:
             if len(c) != rows:
                 raise ShapeMismatchError("column length mismatch")
-        return cls.from_sparse_columns([_sparse(c) for c in columns], rows)
+        return cls._of(_transpose([_integer_row(c) for c in columns], rows), len(columns))
 
-    @classmethod
-    def from_sparse_columns(cls, columns: Sequence[dict], rows: int) -> "Matrix":
-        """The rows x len(columns) matrix whose column j is ``columns[j]``,
-        a sparse vector {row: nonzero Fraction}."""
-        return cls._from_rows(_transpose(columns, rows), len(columns))
+    def _fractions(self) -> list[dict]:
+        """The rows as {column: Fraction}, built on first read and kept."""
+        if self._view is None:
+            self._init(_view=[{j: Fraction(x, den) for j, x in row.items()} for den, row in self._rows])
+        return self._view
 
     @property
     def data(self) -> list[list[Fraction]]:
-        """Dense rows, built on each access; writing to them does not change
-        the matrix."""
+        """Dense rows, built on each access from the Fraction view; writing
+        to them does not change the matrix."""
         out = []
-        for row in self._rows:
+        for row in self._fractions():
             dense = [ZERO] * self.cols
             for j, x in row.items():
                 dense[j] = x
@@ -154,20 +178,19 @@ class Matrix(Frozen):
 
     def entries(self) -> list[tuple[int, int, Fraction]]:
         """The nonzero entries (i, j, value), in (i, j) order."""
-        return [(i, j, row[j]) for i, row in enumerate(self._rows) for j in sorted(row)]
+        return [(i, j, row[j]) for i, row in enumerate(self._fractions()) for j in sorted(row)]
 
     def column(self, j: int) -> list[Fraction]:
-        return [row.get(j, ZERO) for row in self._rows]
+        return [row.get(j, ZERO) for row in self._fractions()]
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product in integers: the vector over one common
-        denominator, each row over its own (:meth:`_integer_rows`), and one
-        Fraction per row."""
+        denominator, each row over its own, and one Fraction per row."""
         if len(vec) != self.cols:
             raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
-        den, ints = _over_lcm({j: rat(x) for j, x in enumerate(vec) if x})
+        den, ints = _integer_row(vec)
         out = []
-        for row_den, row in self._integer_rows():
+        for row_den, row in self._rows:
             small, large = (row, ints) if len(row) < len(ints) else (ints, row)
             s = 0
             for j, a in small.items():
@@ -177,25 +200,22 @@ class Matrix(Frozen):
             out.append(Fraction(s, row_den * den) if s else ZERO)
         return out
 
-    def _integer_rows(self) -> list[tuple[int, dict]]:
-        """Each row as (denominator, {column: integer numerator}) over the
-        lcm of its entries' denominators; built on first use and kept."""
-        if self._int_rows is None:
-            self._init(_int_rows=[_over_lcm(row) for row in self._rows])
-        return self._int_rows
-
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Row i of the product over den_i times the lcm of the
+        denominators of the rows of ``other`` it reads."""
         if self.cols != other.rows:
             raise DimMismatchError("inner dimensions disagree")
         out = []
-        for row in self._rows:
+        for den, row in self._rows:
+            inner = lcm(*(other._rows[k][0] for k in row))
             acc: dict = {}
             for k, a in row.items():
-                for j, b in other._rows[k].items():
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return Matrix._from_rows(out, other.cols)
+                k_den, k_row = other._rows[k]
+                a *= inner // k_den
+                for j, b in k_row.items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append((den * inner, _pruned(acc)))
+        return Matrix._of(out, other.cols)
 
     __matmul__ = matmul
 
@@ -203,38 +223,41 @@ class Matrix(Frozen):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimMismatchError("matrix shapes disagree")
         out = []
-        for row, orow in zip(self._rows, other._rows):
-            acc = dict(row)
-            for j, b in orow.items():
-                x = acc.get(j, ZERO) + b
-                if x:
-                    acc[j] = x
-                else:
-                    acc.pop(j, None)
-            out.append(acc)
-        return Matrix._from_rows(out, self.cols)
+        for (den, row), (o_den, o_row) in zip(self._rows, other._rows):
+            common = lcm(den, o_den)
+            acc = {j: x * (common // den) for j, x in row.items()}
+            w = common // o_den
+            for j, b in o_row.items():
+                acc[j] = acc.get(j, 0) + w * b
+            out.append((common, _pruned(acc)))
+        return Matrix._of(out, self.cols)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._rows]
-        return Matrix._from_rows(rows, self.cols)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        rows = ((den * c.denominator, {j: c.numerator * x for j, x in row.items()}) for den, row in self._rows)
+        return Matrix._of(rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(row for _, row in self._rows)
 
     def _reduced(self) -> tuple[list[int], "Matrix"]:
         """(pivots, E) with E m = RREF(m): E is the right block of the reduced
-        [m | I].  Its rows past len(pivots) span the left kernel of m."""
+        [m | I].  Its rows past len(pivots) span the left kernel of m.
+
+        Row i of [m | I] is reduced as its numerators and den_i at column
+        cols + i, its multiple by den_i, so a reduced row r with pivot p
+        gives E's row as its right block over r[p]."""
         if self._reduction is None:
             n = self.cols
-            augmented = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
-            pivots, reduced = eliminate(augmented)
-            inverse = [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
-            self._init(_reduction=([p for p in pivots if p < n], Matrix._from_rows(inverse, self.rows)))
+            pivots, reduced = reduce_rows({**row, n + i: den} for i, (den, row) in enumerate(self._rows))
+            inverse = [(r[p], {j - n: x for j, x in r.items() if j >= n}) for p, r in zip(pivots, reduced)]
+            self._init(_reduction=([p for p in pivots if p < n], Matrix._of(inverse, self.rows)))
         return self._reduction
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self.rows, self.cols, tuple((den, frozenset(row.items())) for den, row in self._rows)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -253,7 +276,7 @@ def unflatten(flat: Sequence, cols: int) -> Matrix:
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
         raise ShapeMismatchError("column counts disagree")
-    return Matrix._from_rows(top._rows + bottom._rows, top.cols)
+    return Matrix._of(top._rows + bottom._rows, top.cols)
 
 
 def reduce_rows(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
@@ -325,54 +348,20 @@ def _primitive(r: dict, c: int) -> dict:
     return r if g == 1 else {cc: v // g for cc, v in r.items()}
 
 
-def _over_lcm(row: dict) -> tuple[int, dict]:
-    """A sparse rational row as (den, {column: integer numerator}) over the
-    lcm of its entries' denominators."""
-    den = lcm(*(x.denominator for x in row.values()))
-    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-
-
-def eliminate(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
-    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction}.
-
-    Returns the pivot columns, ascending, and the nonzero rows of the
-    reduced row echelon form in the same order: row r has a 1 at
-    ``pivots[r]`` and no entry at any other pivot column.  The input rows
-    are not changed.  The Fraction view of :func:`reduce_rows`: each row
-    is reduced as its numerators over the lcm of its denominators, and
-    each reduced row is divided by its pivot entry.
-    """
-    pivots, reduced = reduce_rows(_over_lcm(row)[1] for row in rows)
-    out = []
-    for p, row in zip(pivots, reduced):
-        lead = row[p]
-        out.append({j: ONE if j == p else Fraction(x, lead) for j, x in row.items()})
-    return pivots, out
-
-
-def null_vectors(pivots: list[int], reduced: list[dict], ncols: int) -> tuple[list[int], list[dict]]:
-    """Free columns and kernel basis of a system in reduced form.
-
-    ``(pivots, reduced)`` is the result of :func:`eliminate`.  Kernel
-    vector j is sparse, with a 1 at the j-th free column and zeros at the
-    others, so the coordinates of any kernel vector are its entries at the
-    free columns.
-    """
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = {f: {f: ONE} for f in free}
-    for p, row in zip(pivots, reduced):
-        for f, v in row.items():
-            if f != p:
-                vectors[f][p] = -v
-    return free, [vectors[f] for f in free]
+def _echelon(rows: Iterable[dict]) -> tuple[list[int], list[tuple[int, dict]]]:
+    """The pivots of integer rows and the nonzero rows of their reduced row
+    echelon form as canonical rows: the primitive row r of
+    :func:`reduce_rows` with pivot p is (r[p], r).  A matrix is reduced as
+    its numerators, since a row's denominator does not change its span."""
+    pivots, reduced = reduce_rows(rows)
+    return pivots, [(r[p], r) for p, r in zip(pivots, reduced)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot columns, exact arithmetic."""
-    pivots, reduced = eliminate(m._rows)
-    padding = [{} for _ in range(m.rows - len(reduced))]
-    return Matrix._from_rows(reduced + padding, m.cols), pivots
+    pivots, reduced = _echelon(row for _, row in m._rows)
+    padding = [(1, {}) for _ in range(m.rows - len(reduced))]
+    return Matrix._of(reduced + padding, m.cols), pivots
 
 
 class Subspace(Frozen):
@@ -391,16 +380,16 @@ class Subspace(Frozen):
         for c in map(list, columns):
             if len(c) != ambient_dim:
                 raise DimMismatchError("basis vector has wrong length")
-            vectors.append(_sparse(c))
+            vectors.append(_integer_row(c)[1])
         self._span(ambient_dim, vectors)
 
     def _span(self, ambient_dim: int, vectors: Iterable[dict]) -> None:
-        _, reduced = eliminate(vectors)
-        self._init(ambient_dim=ambient_dim, basis=Matrix.from_sparse_columns(reduced, ambient_dim))
+        _, reduced = _echelon(vectors)
+        self._init(ambient_dim=ambient_dim, basis=Matrix._of(_transpose(reduced, ambient_dim), len(reduced)))
 
     @classmethod
     def spanned_by(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
-        """The span of sparse vectors {position: nonzero Fraction}."""
+        """The span of sparse integer vectors {position: nonzero int}."""
         s = cls.__new__(cls)
         s._span(ambient_dim, vectors)
         return s
@@ -420,18 +409,29 @@ class Subspace(Frozen):
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the right null space; dim = cols - rank."""
-    pivots, reduced = eliminate(m._rows)
-    return Subspace.spanned_by(m.cols, null_vectors(pivots, reduced, m.cols)[1])
+    """Basis of the right null space; dim = cols - rank.
+
+    Free column f spans e_f minus column f of the reduced row echelon
+    form, the entry of row r put at row r's pivot; in integers, times
+    the one denominator of the form's columns (:func:`_transpose`)."""
+    pivots, reduced = _echelon(row for _, row in m._rows)
+    columns = _transpose(reduced, m.cols)
+    pivot_set = set(pivots)
+    vectors = [
+        {f: den, **{pivots[r]: -x for r, x in col.items()}}
+        for f, (den, col) in enumerate(columns)
+        if f not in pivot_set
+    ]
+    return Subspace.spanned_by(m.cols, vectors)
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Basis of the column space; dim = rank."""
-    return Subspace.spanned_by(m.rows, _transpose(m._rows, m.cols))
+    return Subspace.spanned_by(m.rows, (vec for _, vec in _transpose(m._rows, m.cols)))
 
 
 def rank(m: Matrix) -> int:
-    return len(eliminate(m._rows)[0])
+    return len(reduce_rows(row for _, row in m._rows)[0])
 
 
 def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
@@ -459,13 +459,16 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
         raise ShapeMismatchError("subspaces of different ambient spaces")
     if b.dim:
         # z's basis is independent, so its columns are the first pivots of
-        # [z | b]; a pivot in b's block is the first b vector outside span(z)
+        # [z | b]; a pivot in b's block is the first b vector outside span(z).
+        # Row i is reduced over the lcm of its two denominators.
         shift = z.dim
-        stacked = [
-            {**zr, **{shift + j: x for j, x in br.items()}}
-            for zr, br in zip(z.basis._rows, b.basis._rows)
-        ]
-        pivots, _ = eliminate(stacked)
+        stacked = []
+        for (z_den, zr), (b_den, br) in zip(z.basis._rows, b.basis._rows):
+            den = lcm(z_den, b_den)
+            row = {j: x * (den // z_den) for j, x in zr.items()}
+            row.update((shift + j, x * (den // b_den)) for j, x in br.items())
+            stacked.append(row)
+        pivots, _ = reduce_rows(stacked)
         outside = [p - shift for p in pivots if p >= shift]
         if outside:
             j = outside[0]

@@ -12,15 +12,23 @@ and feeds them the values themselves.  :func:`fraction_eliminate` is the
 Fraction Gauss-Jordan loop the package reduced with before its one
 fraction-free eliminator, and :func:`reference_space` rebuilds a cochain
 space's reduced rows and basis with it from the Fraction equivariance rows
-of :func:`general_equivariance_rows`.
+of :func:`general_equivariance_rows`.  :func:`eliminate`,
+:func:`null_vectors` and :func:`divided` are the Fraction views the
+package read its integer reductions and contractions through before its
+matrices kept integer rows: the first reduces each Fraction row as its
+numerators over one denominator and divides each reduced row by its
+pivot entry.
 """
 
 import itertools
+from fractions import Fraction
 from math import lcm
 
 from hlya.cochain import _violation
 from hlya.errors import ArityError, DimMismatchError
-from hlya.exactlin import ONE, ZERO, Matrix, kernel_basis, null_vectors, rat
+from hlya.exactlin import ZERO, Matrix, kernel_basis, rat, reduce_rows
+
+ONE = Fraction(1)
 
 
 def fraction_read(space, table):
@@ -286,7 +294,7 @@ def reference_space(space):
     """(pivots, reduced rows, free columns, basis columns) of ``space``,
     all in Fractions: the general equivariance rows reduced by
     :func:`fraction_eliminate`, and the kernel basis of
-    :func:`hlya.exactlin.null_vectors`, as the space was built before it
+    :func:`null_vectors`, as the space was built before it
     was built in integers."""
     pivots, rows = fraction_eliminate(general_equivariance_rows(space))
     free, cols = null_vectors(pivots, rows, space.reduced_dim)
@@ -308,3 +316,51 @@ def integer_basis(cols):
     the denominators of all their entries."""
     den = lcm(*(x.denominator for col in cols for x in col.values()))
     return den, [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
+
+
+def eliminate(rows):
+    """Gauss-Jordan elimination of sparse rows {column: nonzero Fraction}.
+
+    Returns the pivot columns, ascending, and the nonzero rows of the
+    reduced row echelon form in the same order: row r has a 1 at
+    ``pivots[r]`` and no entry at any other pivot column.  The input rows
+    are not changed.  The Fraction view of
+    :func:`hlya.exactlin.reduce_rows`: each row is reduced as its
+    numerators over the lcm of its denominators, and each reduced row is
+    divided by its pivot entry.
+    """
+    pivots, reduced = reduce_rows(integer_rows(rows))
+    out = []
+    for p, row in zip(pivots, reduced):
+        lead = row[p]
+        out.append({j: ONE if j == p else Fraction(x, lead) for j, x in row.items()})
+    return pivots, out
+
+
+def null_vectors(pivots, reduced, ncols):
+    """Free columns and kernel basis of a system in reduced form.
+
+    ``(pivots, reduced)`` is the result of :func:`eliminate` or
+    :func:`fraction_eliminate`.  Kernel vector j is sparse, with a 1 at
+    the j-th free column and zeros at the others, so the coordinates of
+    any kernel vector are its entries at the free columns.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    vectors = {f: {f: ONE} for f in free}
+    for p, row in zip(pivots, reduced):
+        for f, v in row.items():
+            if f != p:
+                vectors[f][p] = -v
+    return free, [vectors[f] for f in free]
+
+
+def divided(value, den):
+    """Exact values from contraction numerators: value(idx) / den.
+
+    With den 1 the numerators are the values and come back unchanged, as
+    Python ints."""
+    if den == 1:
+        return value
+    inv = Fraction(1, den)
+    return lambda idx: {j: x * inv for j, x in value(idx).items()}

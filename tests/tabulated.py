@@ -48,11 +48,14 @@ class Probed:
         return {idx: value for idx in tuples if (value := self.fn(idx))}
 
 
-def numerators(dim, arity, fn):
-    """fn, whose values are rational, read at every tuple and dressed as a
-    contraction whose values are integer numerators over the lcm of their
-    denominators, as those of :class:`hlya.algebra.Contraction` are."""
-    values = {idx: value for idx in itertools.product(range(dim), repeat=arity) if (value := fn(idx))}
+def numerators(dim, arity, fn, tuples=None):
+    """fn, whose values are rational, read at ``tuples`` (by default every
+    tuple) and dressed as a contraction whose values are integer numerators
+    over the lcm of their denominators, as those of
+    :class:`hlya.algebra.Contraction` are; it is zero at the other tuples."""
+    if tuples is None:
+        tuples = itertools.product(range(dim), repeat=arity)
+    values = {idx: value for idx in tuples if (value := fn(idx))}
     den = lcm(*(rat(x).denominator for value in values.values() for x in value.values()))
     ints = {idx: {k: int(x * den) for k, x in value.items() if x} for idx, value in values.items()}
     return Probed(dim, arity, lambda idx: ints.get(idx, {}), den)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hlya import serialize
@@ -196,7 +196,7 @@ def test_yau_twist_by_endomorphism(e2):
     assert is_endomorphism(e2, beta)
     twisted = yau_twist(e2, beta)
     assert check_axioms(twisted).all_passed
-    assert twisted.alpha_matrix() == beta
+    assert Matrix(twisted.alpha) == beta
 
 
 def test_is_endomorphism_rejects_maps_of_the_wrong_shape(e0, e2):
@@ -213,7 +213,7 @@ def test_yau_twist_rejects_non_endomorphism(e2):
 
 def test_yau_twist_requires_untwisted_base(e3):
     with pytest.raises(NotMorphismError, match=r"^yau_twist requires an untwisted base \(alpha = id\)$"):
-        yau_twist(e3, e3.alpha_matrix())
+        yau_twist(e3, Matrix(e3.alpha))
 
 
 def test_yau_twist_names_the_failing_axioms():
@@ -275,6 +275,7 @@ _coeff = st.integers(min_value=-4, max_value=4)
 _vec2 = st.tuples(_coeff, _coeff)
 
 
+@seed(41)
 @given(_vec2, _vec2, _vec2, _coeff)
 @settings(max_examples=50, deadline=None)
 def test_eval_binary_is_bilinear(x, y, z, c):

@@ -347,7 +347,7 @@ def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_a
     the same pivots, reduced rows and basis as the Fraction reference: on
     the bundled algebras, gl2 and the seed-12345 corpus."""
     candidates = [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]
-    untwisted = {a: None for a in candidates if a.alpha_matrix() == Matrix.identity(a.dim)}
+    untwisted = {a: None for a in candidates if Matrix(a.alpha) == Matrix.identity(a.dim)}
     assert len(untwisted) > 10 and any(a.dim == 4 for a in untwisted)
     for a in untwisted:
         for arity in range(1, (5 if a.dim < 4 else 4) + 1):
@@ -365,7 +365,7 @@ def test_twisted_rows_are_positive_multiples_of_the_general_rows(bundled, twiste
     denominators, the non-diagonal sl2_twist_7_11 and the negative alpha
     diag(1, -1, -1) of sl2."""
     negative = yau_twist(sl2(), Matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), name="sl2_twist_minus")
-    twisted = [a for a in [*bundled, *twisted_algebras, negative] if a.alpha_matrix() != Matrix.identity(a.dim)]
+    twisted = [a for a in [*bundled, *twisted_algebras, negative] if Matrix(a.alpha) != Matrix.identity(a.dim)]
     assert {"sl2_twist_7_11", "sl2_twist_minus"} <= {a.name for a in twisted}
     for a in twisted:
         for arity in (1, 2, 3):

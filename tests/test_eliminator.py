@@ -7,8 +7,10 @@ elimination that built every ``CochainSpace`` basis.  Both are kept here,
 verbatim in their arithmetic, as reference oracles: RREF is unique, so the
 one sparse routine must reproduce their results exactly, basis for basis.
 ``fraction_reference.fraction_eliminate`` is the sparse Fraction loop that
-routine ran before it was fraction-free, the oracle of :func:`eliminate`
-and :func:`reduce_rows` on random sparse rational rows.
+routine ran before it was fraction-free, the oracle of
+``fraction_reference.eliminate`` and :func:`reduce_rows` on random sparse
+rational rows, and the same rows, as matrices, check that every matrix
+stores its canonical integer rows.
 """
 
 import copy
@@ -25,11 +27,9 @@ from hlya.algebra import yau_twist
 from hlya.cochain import MAX_ARITY, CochainSpace
 from hlya.errors import NotContainedError
 from hlya.exactlin import (
-    ONE,
     ZERO,
     Matrix,
     Subspace,
-    eliminate,
     image_basis,
     kernel_basis,
     quotient_dim,
@@ -41,7 +41,7 @@ from hlya.exactlin import (
 )
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import fraction_eliminate, integer_basis, integer_rows
+from fraction_reference import ONE, eliminate, fraction_eliminate, integer_basis, integer_rows
 
 # --- the reference oracles ------------------------------------------------
 
@@ -203,6 +203,7 @@ def _columns(s: Subspace):
     return [s.basis.column(j) for j in range(s.dim)]
 
 
+@seed(21)
 @given(_dense_rows())
 @settings(max_examples=200, deadline=None)
 def test_rref_rank_kernel_image_match_dense_oracle(system):
@@ -218,6 +219,7 @@ def test_rref_rank_kernel_image_match_dense_oracle(system):
     assert _columns(image_basis(m)) == _dense_image(data, len(data), cols)
 
 
+@seed(22)
 @given(_dense_rows(), _dense_rows())
 @settings(max_examples=120, deadline=None)
 def test_quotient_dim_matches_dense_oracle(first, second):
@@ -235,6 +237,7 @@ def test_quotient_dim_matches_dense_oracle(first, second):
             assert quotient_dim(big, small) == expected
 
 
+@seed(23)
 @given(_dense_rows(), st.lists(st.lists(_entry, min_size=7, max_size=7), min_size=1, max_size=8))
 @settings(max_examples=120, deadline=None)
 def test_repeated_solves_match_fresh_elimination(system, draws):
@@ -307,6 +310,63 @@ def test_eliminator_matches_the_fraction_loop(rows):
         assert {c: Fraction(x, row[p]) for c, x in row.items()} == rref_row
 
 
+@st.composite
+def _rational_matrices(draw):
+    """A matrix over the sparse rational rows of _sparse_rational_rows,
+    with up to two columns past the last one they fill."""
+    rows = draw(_sparse_rational_rows())
+    cols = max((c for row in rows for c in row), default=-1) + 1 + draw(st.integers(min_value=0, max_value=2))
+    return Matrix([[row.get(j, ZERO) for j in range(cols)] for row in rows]) if rows else Matrix.zeros(0, cols)
+
+
+def _assert_canonical(m):
+    """Every stored row of m is (den, {column: numerator}) in lowest terms:
+    den > 0, no zero numerator, and den and the numerators coprime."""
+    assert len(m._rows) == m.rows
+    for den, row in m._rows:
+        assert type(den) is int and den > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert all(0 <= j < m.cols for j in row)
+        assert gcd(den, *row.values()) == 1
+
+
+@seed(37)
+@given(_rational_matrices(), _rational)
+@settings(max_examples=100, deadline=None)
+def test_stored_rows_are_canonical(m, c):
+    """Matrices built every way store their canonical rows, so equal
+    values give equal matrices and hashes; solve's E holds only ints and
+    E m is the reduced row echelon form of m."""
+    transposed = Matrix.from_columns(m.data, m.cols)
+    reduced, _ = rref(m)
+    pivots, e = m._reduced()
+    built = [
+        m,
+        transposed,
+        m.matmul(transposed),
+        m.add(m.scale(c)),
+        m.add(m.scale(-1)),
+        m.scale(c),
+        vstack(m, m.scale(c)),
+        reduced,
+        kernel_basis(m).basis,
+        image_basis(m).basis,
+        Subspace(m.cols, m.data).basis,
+        e,
+    ]
+    for built_m in built:
+        _assert_canonical(built_m)
+        again = _matrix(built_m.data, built_m.cols)
+        assert again == built_m and hash(again) == hash(built_m)
+    if c:
+        back = m.scale(c).scale(1 / c)
+        assert back == m and hash(back) == hash(m)
+    assert m.add(m.scale(-1)).is_zero()
+    assert all(type(x) is int for den, row in e._rows for x in (den, *row.values()))
+    assert e.matmul(m) == reduced
+    assert pivots == rref(m)[1]
+
+
 def test_solve_edge_shapes():
     assert solve(Matrix.zeros(0, 3), []) == [ZERO] * 3
     assert solve(Matrix([[], []]), [ZERO, ZERO]) == []
@@ -327,8 +387,22 @@ def test_matrix_storage_and_views():
     assert m.add(m.scale(-1)).is_zero()
     assert vstack(Matrix.zeros(0, 3), Matrix.zeros(0, 3)).cols == 3
     assert Matrix.from_columns([[1, 0], [0, 2]]) == Matrix([[1, 0], [0, 2]])
-    empty = Matrix.from_sparse_columns([], 4)
+    empty = _from_sparse_columns([], 4)
     assert (empty.rows, empty.cols) == (4, 0)
+    sparse = _from_sparse_columns([{1: Fraction(1, 2)}, {}, {0: 3, 1: -1}], 2)
+    assert sparse == Matrix([[0, 0, 3], ["1/2", 0, -1]])
+    # the Fraction view is built on first read and kept
+    doubled = m.scale(2)
+    assert doubled._view is None
+    assert doubled.data[0] == [ZERO, ONE, ZERO]
+    kept = doubled._view
+    assert doubled.column(1) == [ONE, ZERO, ZERO] and doubled._view is kept
+
+
+def _from_sparse_columns(columns, rows):
+    """The rows x len(columns) matrix whose column j is ``columns[j]``, a
+    sparse vector {row: nonzero value}."""
+    return Matrix.from_columns([[col.get(i, ZERO) for i in range(rows)] for col in columns], rows)
 
 
 # --- cochain spaces -------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hlya.errors import (
@@ -186,6 +186,7 @@ def test_empty_shapes_survive():
 _small = st.integers(min_value=-5, max_value=5)
 
 
+@seed(11)
 @given(st.lists(st.lists(_small, min_size=3, max_size=3), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_random(rows):
@@ -193,6 +194,7 @@ def test_rank_nullity_random(rows):
     assert kernel_basis(m).dim + rank(m) == m.cols
 
 
+@seed(12)
 @given(
     st.lists(st.lists(_small, min_size=3, max_size=3), min_size=2, max_size=3),
     st.lists(_small, min_size=3, max_size=3),
@@ -234,6 +236,7 @@ def _sparse_system(draw):
     return Matrix(data), [rat(x) for x in vec]
 
 
+@seed(13)
 @given(_sparse_system())
 @settings(max_examples=200, deadline=None)
 def test_apply_matches_dense_product(system):
@@ -246,22 +249,20 @@ def test_apply_matches_dense_product(system):
 def _fraction_apply(m, vec):
     """The product as Fraction sums over the stored entries of each row."""
     nonzero = {j: rat(x) for j, x in enumerate(vec) if x}
-    out = []
-    for row in m._rows:
-        s = rat(0)
-        for j, a in row.items():
-            if j in nonzero:
-                s += a * nonzero[j]
-        out.append(s)
+    out = [rat(0)] * m.rows
+    for i, j, a in m.entries():
+        if j in nonzero:
+            out[i] += a * nonzero[j]
     return out
 
 
+@seed(14)
 @given(_sparse_system(), st.lists(st.integers(min_value=1, max_value=9), min_size=8, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_integer_apply_matches_fraction_products(system, dens):
     """Mixed denominators in the matrix and the vector, and ints in the
     vector: the integer product gives the same Fractions, twice over (the
-    second apply reads the integer rows kept by the first)."""
+    first apply leaves the matrix as it was)."""
     m, vec = system
     vec = [x / dens[j] if j % 2 else int(x * dens[j]) for j, x in enumerate(vec)]
     expected = _fraction_apply(m, vec)

@@ -35,7 +35,6 @@ from hlya.algebra import (
     brackets,
     check_axioms,
     contract,
-    divided,
     int_table,
     make_algebra,
 )
@@ -55,11 +54,11 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import ONE, kernel_basis, rat, vstack
+from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import FractionOps, eval_sv, svec_add
-from tabulated import Probed, numerators, tabulate, to_dense
+from fraction_reference import ONE, FractionOps, divided, eval_sv, svec_add
+from tabulated import numerators, tabulate, to_dense
 
 # --- the Fraction references -------------------------------------------------
 
@@ -467,10 +466,13 @@ def _cochain_of(n, d, t):
 
 def _on_tables(formula, arities, codomain):
     """The Fraction ``formula`` on the integer tables that _LEVELS formulas
-    take, generic tables included: their values are read back as forms
-    {(output index, unknown): coefficient}, one block per codomain shape.
-    On concrete tables each block is read at every tuple as integer
-    numerators over one denominator, as a contraction's values are."""
+    take, generic tables included, one block per codomain shape, its
+    values read as integer numerators over one denominator, as a
+    contraction's values are.  On concrete tables each block is read at
+    every tuple.  On generic tables, whose values are read back as forms
+    {(output index, unknown): coefficient}, it is read at the
+    representative tuples of its codomain space alone, the tuples
+    assembly probes."""
 
     def tables(a, *domain):
         fns = formula(a, *(_cochain_of(n, a.dim, t) for n, t in zip(arities, domain)))
@@ -480,7 +482,10 @@ def _on_tables(formula, arities, codomain):
             lambda idx, fn=fn: {(j, u): c for j, form in fn(idx).items() for u, c in form.terms.items()}
             for fn in fns
         ]
-        return [Probed(a.dim, n, fn) for (n, _), fn in zip(codomain, fns)]
+        return [
+            numerators(a.dim, n, fn, build_cochain_space(a, n, pairs).rep_tuples)
+            for (n, pairs), fn in zip(codomain, fns)
+        ]
 
     return tables
 

@@ -98,7 +98,7 @@ def positive_multiples(got, expected):
 
 
 def commutes_with_alpha(a, m):
-    alpha = a.alpha_matrix()
+    alpha = Matrix(a.alpha)
     return m.matmul(alpha) == alpha.matmul(m)
 
 
@@ -233,7 +233,7 @@ def test_gauge_coefficients_are_the_matrices_commuting_with_alpha(algebras):
     verdicts = set()
     for a in algebras:
         d = a.dim
-        alpha = a.alpha_matrix()
+        alpha = Matrix(a.alpha)
         candidates = [alpha, alpha.matmul(alpha), Matrix.zeros(d, d)]
         candidates += [_random_matrix(rng, d) for _ in range(4)] + [_commuting(rng, a) for _ in range(2)]
         for m in candidates:
@@ -254,7 +254,7 @@ def test_is_endomorphism_agrees_with_composing_every_slot(algebras):
     verdicts = set()
     for a in algebras:
         d = a.dim
-        alpha = a.alpha_matrix()
+        alpha = Matrix(a.alpha)
         candidates = [Matrix.identity(d), Matrix.zeros(d, d), alpha, alpha.matmul(alpha)]
         candidates += [_random_matrix(rng, d) for _ in range(4)] + [_commuting(rng, a) for _ in range(2)]
         for beta in candidates:

@@ -24,7 +24,6 @@ from hlya.algebra import (
     bracket_series,
     brackets,
     check_axioms,
-    divided,
     first_failure,
     from_lie_algebra,
     identity_values,
@@ -49,6 +48,7 @@ from hlya.deformation import (
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras, sl2
 
+from fraction_reference import divided
 from tabulated import tabulate
 
 ORDERS = range(4)

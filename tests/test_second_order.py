@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from hlya import algebra, deformation
-from hlya.algebra import IDENTITIES, bracket_series, make_algebra, divided, first_failure, identity_values
+from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
 from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
@@ -35,6 +35,7 @@ from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
 from hlya.exactlin import kernel_basis, rat, solve, vstack
 from hlya.samples import random_verified_algebras
 
+from fraction_reference import divided
 from tabulated import tabulate
 
 

@@ -77,11 +77,10 @@ def test_save_writes_what_dumps_returns(tmp_path, e1):
 def _matrix_from_obj(obj):
     """The matrix that a matrix_to_obj object describes; no file format
     reads a matrix, so only these round trips need the reader."""
-    columns = [{} for _ in range(obj["cols"])]
+    columns = [[0] * obj["rows"] for _ in range(obj["cols"])]
     for i, j, value in obj["entries"]:
-        if rat(value):
-            columns[j - 1][i - 1] = rat(value)
-    return Matrix.from_sparse_columns(columns, obj["rows"])
+        columns[j - 1][i - 1] = rat(value)
+    return Matrix.from_columns(columns, obj["rows"])
 
 
 def test_matrix_round_trip(e2):
