@@ -60,6 +60,7 @@ from typing import NamedTuple
 from .algebra import (
     IDENTITIES,
     Algebra,
+    Contraction,
     IntTable,
     brackets,
     contract,
@@ -190,12 +191,17 @@ def _linearised(ids):
 
 # --- assembly -------------------------------------------------------------
 
+# degree-2 level -> the identities whose t^1 coefficients are its codomain
+# blocks, and identity -> (level, block)
+_LINEARISED = {"2": (7, 8), "d2": (5, 6)}
+_BLOCKS = {k: (level, block) for level, ids in _LINEARISED.items() for block, k in enumerate(ids)}
+
 # level -> (name, domain arities, codomain (arity, pairs), formula tables);
 # the degree-2 levels read their codomains off the identities they linearise
 _LEVELS = {
     "1": ("delta1", (1,), ((2, None), (3, None)), _contracted(DELTA1, ("h",))),
-    "2": ("delta2", (2, 3), *_linearised((7, 8))),
-    "d2": ("d2", (2, 3), *_linearised((5, 6))),
+    "2": ("delta2", (2, 3), *_linearised(_LINEARISED["2"])),
+    "d2": ("d2", (2, 3), *_linearised(_LINEARISED["d2"])),
     "3": ("delta3", (4, 5), ((6, None), (7, None)), _contracted(DELTA3, ("f", "g"))),
 }
 
@@ -222,6 +228,18 @@ def _bound_generic(a: Algebra, formula, arities: tuple) -> tuple:
     it.  The key is the formula itself, so a formula put in :data:`_LEVELS`
     later binds anew."""
     return tuple(formula(a, *_generic_inputs(a, arities)))
+
+
+def linear_part(a: Algebra, k: int) -> Contraction:
+    """The t^1 coefficient of identity k, one of 5-8, at the base
+    brackets: the codomain block of d2 or delta2 that assembly probes,
+    bound to the generic tables of C2 x C3 (:func:`_bound_generic`).  Its
+    values are linear forms {(output index, unknown): coefficient} over
+    its denominator, unknown u being coordinate u of a pair in C2 x C3
+    (:func:`hlya.cohomology.pair_coords`)."""
+    level, block = _BLOCKS[k]
+    _, arities, _, tables = _LEVELS[level]
+    return _bound_generic(a, tables, arities)[block]
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:

@@ -10,10 +10,16 @@ g = sum g_i t^i substituted.  At n = 1 that coefficient is linear in
 (f_1, g_1), which is why the infinitesimal of a deformation is a cocycle of
 delta2 and d2.  The obstruction pair is minus the t^2 coefficient of
 identities 7 and 8 with (f_1, g_1) and no second-order term, so a
-second-order term must solve delta2(f_2, g_2) = +(F, G).  With (f_2, g_2)
-substituted as well, that coefficient is delta2(f_2, g_2) - (F, G): the
-second-order probe accepts a candidate exactly when equations 7' and 8'
-vanish at n = 2, and never applies delta2 itself.  Gauges are
+second-order term must solve delta2(f_2, g_2) = +(F, G).  At every order
+n >= 1 the coefficient splits the same way (Gerstenhaber's form of the
+equation): equation k is L_k(f_n, g_n) + Q_{k,n}, with L_k the t^1
+coefficient, a codomain block of delta2 (k = 7, 8) or d2 (k = 5, 6), and
+Q_{k,n} quadratic in the orders 1..n-1.  Equations 5-8 are evaluated so:
+L_k read off the linearised operator's forms on the coordinates of
+(f_n, g_n), and only Q_{k,n} contracted, not at all at n = 1.  With
+(f_2, g_2) substituted, 7' and 8' are delta2(f_2, g_2) - (F, G): the
+second-order probe accepts a candidate exactly when they vanish at n = 2,
+read against the (F, G) already computed.  Gauges are
 truncated invertible series of 1-cochains (linear maps commuting with
 alpha) with identity constant term; they act on deformations by
 f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
@@ -29,17 +35,17 @@ from .algebra import (
     IDENTITIES,
     Algebra,
     IntTable,
+    _plan,
     axiom_witnesses,
     bracket_series,
     brackets,
     compose_out,
     compose_slot,
-    first_failure,
     identity_values,
     memoised,
     table_sum,
 )
-from .coboundary import delta2, delta3
+from .coboundary import delta2, delta3, linear_part
 from .cochain import Cochain, _canonical, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
 from .errors import (
@@ -158,11 +164,15 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     Order 0 is the base axioms verbatim, evaluated once per algebra.  At
     orders n >= 1 equations 1-4 hold for every deformation, since they are
     the cochain conditions on (f_n, g_n), and equations 5-8 are evaluated,
-    each only at the representative tuples of its alternating pairs
-    (:func:`hlya.algebra.first_failure`).  Each twisted table of the series
-    is built once per coefficient cochain, kept on the integer table it
-    keeps for every later call, and those of the base brackets once per
-    algebra (:func:`hlya.algebra.contract`).
+    each only at the representative tuples of its alternating pairs, the
+    tuples :func:`hlya.algebra.first_failure` scans, and with the same
+    first failing tuple.  Equation k at order n is L_k(f_n, g_n), the
+    linearised operator's forms at those tuples applied to the coordinates
+    of (f_n, g_n), plus Q_{k,n}, the contraction of the orders 1..n-1
+    alone (:func:`_equation_failure`); order 1 builds no contraction.  Each
+    twisted table of the series is built once per coefficient cochain,
+    kept on the integer table it keeps for every later call, and those of
+    the base brackets once per algebra (:func:`hlya.algebra.contract`).
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
 
@@ -182,7 +192,9 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     alone and vanishes exactly when f_n lies in C2 and g_n in C3.  The
     series rule (:func:`_series`) has made every coefficient of a
     Deformation such a cochain, so those entries are None and only
-    equations 5-8 are evaluated.
+    equations 5-8 are evaluated, each as L_k(f_n, g_n) + Q_{k,n}
+    (:func:`_equation_failure`) on the coordinates of (f_n, g_n), read
+    once per order.
     """
     base = d.base
     fs, gs = bracket_series(base, d.f_seq[1:], d.g_seq[1:])
@@ -191,9 +203,99 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
         if n == 0:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
+        row = _coordinate_row(base, d.f_seq[n], d.g_seq[n])
         for eq in IDENTITIES:
-            failures[(eq, n)] = None if eq in _COCHAIN_CONDITIONS else first_failure(base, eq, n, fs, gs)
+            if eq in _COCHAIN_CONDITIONS:
+                failures[(eq, n)] = None
+            else:
+                failures[(eq, n)] = _equation_failure(base, eq, row, _quadratic(base, eq, n, fs, gs))
     return failures
+
+
+@memoised
+def _linear_forms(a: Algebra, k: int) -> tuple:
+    """L_k in integers, kept in a's memo.
+
+    The terms of equation k at order n >= 1 that read f_n or g_n against
+    the base brackets are the t^1 coefficient of identity k with (f_n, g_n)
+    in place of (f_1, g_1), so L_k is that coefficient on the generic pair
+    (:func:`hlya.coboundary.linear_part`); the other terms, Q_{k,n}
+    (:func:`_quadratic`), bind the orders 1..n-1 alone.  Returns (den,
+    rows), one row per scan tuple of identity k
+    (:func:`hlya.algebra.first_failure` scans the same), in scan order, as
+    (tuple, ((output index, ((unknown, coefficient), ...)), ...)): output j
+    of L_k at the tuple is the sum of coefficient times pair coordinate
+    over den.  An identity with no scan tuple probes nothing."""
+    scan = _plan(a, k, 0).scan
+    if not scan:
+        return 1, ()
+    formula = linear_part(a, k)
+    value = formula.probe()
+    rows = []
+    for idx in scan:
+        forms: dict = {}
+        for (j, u), c in value(idx).items():
+            forms.setdefault(j, []).append((u, c))
+        rows.append((idx, tuple((j, tuple(terms)) for j, terms in forms.items())))
+    return formula.den, tuple(rows)
+
+
+def _coordinate_row(a: Algebra, f: Cochain, g: Cochain) -> tuple[int, list] | None:
+    """The coordinates of (f, g) in C2 x C3 as integer numerators over
+    their lcm (:func:`hlya.cohomology.pair_coords`), or None when the pair
+    is zero."""
+    coords = pair_coords(a, f, g)
+    if not any(coords):
+        return None
+    den = lcm(*(x.denominator for x in coords))
+    return den, [x.numerator * (den // x.denominator) for x in coords]
+
+
+def _quadratic(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
+    """Q_{k,n}, the t^n coefficient of identity k with the order-0 and
+    order-n tables of the series left out, as (probe, den): only the
+    convolution terms outer_i(.., inner_{n-i}(..), ..) with 1 <= i <= n-1
+    bind.  None when identity k has no scan tuple or no such term has two
+    nonzero tables, at n = 1 always: no contraction is built then."""
+    if not _plan(a, k, 0).scan:
+        return None
+    if not any((fs[i] or gs[i]) and (fs[n - i] or gs[n - i]) for i in range(1, n)):
+        return None
+    empty = IntTable(1, {})
+    coefficient = identity_values(a, k, n, (empty, *fs[1:n]), (empty, *gs[1:n]))
+    return coefficient.probe(), coefficient.den
+
+
+def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
+    """First scan tuple (1-based) of identity k at which L_k(row) + rest is
+    nonzero, None when it vanishes throughout.
+
+    ``row`` is a pair's :func:`_coordinate_row`, ``rest`` a (probe, den)
+    of values at tuples as :func:`_quadratic` gives; None stands for zero.
+    The same scan as :func:`hlya.algebra.first_failure`, so an equation
+    equal to a t^n coefficient fails first at the same tuple.
+    """
+    if row is None and rest is None:
+        return None
+    den, rows = _linear_forms(a, k)
+    xden, xs = row if row is not None else (1, None)
+    value, rden = rest if rest is not None else (None, 1)
+    scale = den * xden
+    for idx, forms in rows:
+        acc = {}
+        if xs is not None:
+            for j, terms in forms:
+                s = 0
+                for u, c in terms:
+                    s += c * xs[u]
+                if s:
+                    acc[j] = s * rden
+        if value is not None:
+            for j, x in value(idx).items():
+                acc[j] = acc.get(j, 0) + x * scale
+        if any(acc.values()):
+            return tuple(i + 1 for i in idx)
+    return None
 
 
 def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
@@ -592,22 +694,29 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     Preconditions (checked): (f1, g1) is a cocycle pair, (f2, g2) is a
     cochain pair, and (f2, g2) kills the obstruction, i.e. delta2 of
     (f2, g2) equals the obstruction pair.  The last is read off 7' and 8'
-    themselves: their t^2 coefficient is delta2(f2, g2) - (F, G), so it
-    vanishes on every tuple exactly when the precondition holds.
+    themselves: their t^2 coefficient is L(f2, g2) - (F, G), L being
+    delta2's two blocks, so it vanishes on every tuple exactly when the
+    precondition holds.  It is read at the representative tuples of C4 and
+    C5 against the (F, G) the shared second-order step holds, with no
+    contraction; 5' and 6' are L(f2, g2) + Q(1, 1) (:func:`_equation_failure`).
     No outcome is asserted: 5' and 6' may fail, and the report is the
     deliverable.  The cocycle check is the shared second-order step's (see
     :func:`obstruction_pair`), which a probe that meets the pair first
     computes whole for the next call of the trio; 5'-8' are evaluated
     with (f2, g2) on every call.
     """
-    _second_order_step(a, f1, g1)
+    big_f, big_g, _ = _second_order_step(a, f1, g1)
     for c, arity in ((f2, 2), (g2, 3)):
         _coefficient(build_cochain_space(a, arity), c, 2)
-    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    if first_failure(a, 7, 2, fs, gs) or first_failure(a, 8, 2, fs, gs):
-        raise PreconditionError(
-            "(f2, g2) does not solve the second-order extension equation: "
-            "delta2(f2, g2) must equal the obstruction pair"
-        )
-    failures = {eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6)}
+    row = _coordinate_row(a, f2, g2)
+    for k, big in ((7, big_f), (8, big_g)):
+        minus = _negated(big.ints)
+        rest = (lambda idx, values=minus.entries: values.get(idx, {}), minus.den) if minus else None
+        if _equation_failure(a, k, row, rest):
+            raise PreconditionError(
+                "(f2, g2) does not solve the second-order extension equation: "
+                "delta2(f2, g2) must equal the obstruction pair"
+            )
+    fs, gs = bracket_series(a, (f1,), (g1,))
+    failures = {eq: _equation_failure(a, eq, row, _quadratic(a, eq, 2, fs, gs)) for eq in (5, 6)}
     return ProbeReport({**failures, 7: None, 8: None})

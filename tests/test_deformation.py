@@ -141,20 +141,33 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     """The equations at orders 2..N do not bear on the first-order pair, so
     they are not evaluated, also when they fail.  Order 0 is the algebra's
     axiom verdict, evaluated once per algebra, so only order 1 is evaluated
-    here (test_representatives.py counts every order)."""
+    here, as L_k(f1, g1): the coordinates of (f1, g1) are read once for
+    equations 5-8, and no contraction is built, since order 1 has no
+    quadratic part (test_representatives.py counts every order)."""
     f1, g1 = _cocycle_pair(e1, [0, -1, 1])  # a pair whose obstruction is nonzero
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
-    orders = []
-    real_first_failure = deformation.first_failure
+    rows, orders, built = [], [], []
+    real_row, real_quadratic, real_values = deformation._coordinate_row, deformation._quadratic, deformation.identity_values
 
-    def first_failure(a, k, n, fs, gs):
+    def coordinate_row(a, f, g):
+        rows.append((f, g))
+        return real_row(a, f, g)
+
+    def quadratic(a, k, n, fs, gs):
         orders.append(n)
-        return real_first_failure(a, k, n, fs, gs)
+        return real_quadratic(a, k, n, fs, gs)
 
-    monkeypatch.setattr(deformation, "first_failure", first_failure)
+    def identity_values(a, k, n, fs, gs):
+        built.append((k, n))
+        return real_values(a, k, n, fs, gs)
+
+    monkeypatch.setattr(deformation, "_coordinate_row", coordinate_row)
+    monkeypatch.setattr(deformation, "_quadratic", quadratic)
+    monkeypatch.setattr(deformation, "identity_values", identity_values)
     assert infinitesimal(d) == (f1, g1)
-    assert sorted(set(orders)) == [1]
+    assert rows == [(f1, g1)]
+    assert orders == [1] * 4 and built == []
 
 
 def test_constructor_validation(e0, e1, e3):
@@ -283,19 +296,35 @@ def _recorded_steps(monkeypatch) -> list:
 
 def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
     # one coordinate extraction per gauge step serves both the cocycle test
-    # and the coboundary solve
+    # and the coboundary solve; every other read is one per order of a
+    # verification: orders 1..N of the whole deformation, then r..N after
+    # the step at order r
     d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
-    reads = []
-    real_pair_coords = deformation.pair_coords
+    reads, rows, checked = [], [], []
+    real_pair_coords, real_row, real_check = deformation.pair_coords, deformation._coordinate_row, deformation._check_step
 
     def pair_coords(a, f, g):
         reads.append((f, g))
         return real_pair_coords(a, f, g)
 
+    def coordinate_row(a, f, g):
+        rows.append((f, g))
+        return real_row(a, f, g)
+
+    def check_step(previous, current, r):
+        checked.append(r)
+        return real_check(previous, current, r)
+
     monkeypatch.setattr(deformation, "pair_coords", pair_coords)
+    monkeypatch.setattr(deformation, "_coordinate_row", coordinate_row)
+    monkeypatch.setattr(deformation, "_check_step", check_step)
     steps = _recorded_steps(monkeypatch)
     assert trivialize(d).trivial
-    assert len(steps) == len(reads) == len(set(reads)) > 1
+    leading = reads[:]
+    for pair in rows:
+        leading.remove(pair)
+    assert len(steps) == len(checked) == len(leading) == len(set(leading)) > 1
+    assert len(rows) == 3 + sum(3 - r + 1 for r in checked)
 
 
 def test_trivialize_steps_by_the_preimage_cochain(monkeypatch, e2):

@@ -24,7 +24,7 @@ from types import FunctionType, ModuleType
 import pytest
 
 import hlya
-from hlya import algebra, coboundary
+from hlya import algebra, coboundary, deformation
 from hlya.algebra import (
     alpha_table,
     brackets,
@@ -179,14 +179,26 @@ def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch
 
 
 def test_identity_plans_are_freed_with_their_algebra():
-    """The evaluation plans of the identities live in the algebra's memo,
-    one per identity and order evaluated, and go with it: order 0 of all
-    eight, and the orders above it of identities 5-8 only, since 1-4 are
-    not evaluated there."""
+    """The evaluation plans of the identities and the linear parts of
+    equations 5-8 live in the algebra's memo and go with it.  A plan is
+    kept per identity and order evaluated: order 0 of all eight, and above
+    it only the quadratic parts of 5-8, which a null deformation lacks
+    and a gauged one of order 2 has at order 2 alone, and order 1, the
+    linear parts bound on the generic tables of C2 x C3 as delta2 and d2
+    are.  The linear parts are kept once per identity, from the first
+    nonzero coefficient on: a null deformation reads none."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
-    plans = {key[1:] for key in a._memo if key[0] is algebra._plan.__wrapped__}
-    assert plans == {(k, 0) for k in algebra.IDENTITIES} | {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
+
+    def kept(fn):
+        return {key[1:] for key in a._memo if key[0] is fn.__wrapped__}
+
+    assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES}
+    assert kept(deformation._linear_forms) == set()
+    assert verify_deformation(apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(2)))).ok
+    above = {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
+    assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES} | above
+    assert kept(deformation._linear_forms) == {(k,) for k in (5, 6, 7, 8)}
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -415,8 +427,10 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
         # has already made those of identities 3 and 4), the second none
         added = sum(len(t.twists) for t in base) - before
         assert len(of_base) == (added if call == 0 else 0), call
-        # the first call also twists the coefficients' own tables, the second nothing
-        assert all(any(t is s for s in series) for t in built if t not in of_base), call
+        # the first call also twists the coefficients' own tables and binds the
+        # generic tables of C2 x C3 for the linear parts, the second nothing
+        generic = coboundary._generic_inputs(a, (2, 3))
+        assert all(any(t is s for s in (*series, *generic)) for t in built if t not in of_base), call
         assert (len(built) > len(of_base)) == (call == 0), call
     assert [c.ints for c in d.f_seq[1:] + d.g_seq[1:]] == series
     # every twist applies the algebra's own memoised powers of alpha, or none
@@ -444,11 +458,12 @@ def test_a_twisted_cochain_does_not_keep_its_algebra_alive():
 
 def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
     """A cochain converts its table once and keeps the twists made of it.
-    On sl2 the probe after obstruction_pair twists only the tables of
-    (f2, g2); on a twisted algebra it also twists f1 and g1 for identities
-    5 and 6, whose alpha powers identities 7 and 8 do not use, and never
-    a twist the obstruction made.  A repeated probe twists nothing, and a
-    cochain rebuilt equal to another gets its own table and twists."""
+    The probe after obstruction_pair never twists (f2, g2), whose
+    equations it reads off the linear parts; on sl2 it twists nothing,
+    and on a twisted algebra it twists f1 and g1 for identities 5 and 6,
+    whose alpha powers identities 7 and 8 do not use, and never a twist
+    the obstruction made.  A repeated probe twists nothing, and a cochain
+    rebuilt equal to another gets its own table and twists."""
     built = _count_twists(monkeypatch)
     for a in (sl2(), heisenberg_twisted()):
         report = cohomology_report(a)
@@ -463,9 +478,9 @@ def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
             made = {id(t): set(t.twists) for t in (f1.ints, g1.ints)}
             built.clear()
             second_order_probe(a, f1, g1, *solved)
-            mine = {id(c.ints) for c in solved}
+            assert not any(c.ints.twists for c in solved), j
             if a.name == "sl2":
-                assert all(id(t) in mine for t in built), j
+                assert built == [], j
             for t in (f1.ints, g1.ints):
                 # the obstruction's twists are kept, and each twist the probe makes is new
                 assert made[id(t)] <= set(t.twists), j
@@ -477,12 +492,12 @@ def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
         assert probed, a.name
     a = heisenberg_twisted()
     f1, g1 = pair_from_coords(a, cohomology_report(a).level2.cocycles.basis.column(0))
-    verify_deformation(first_order_deformation(a, f1, g1))
+    verify_deformation(first_order_deformation(a, f1, g1, order=2))
     again = Cochain(2, a.dim, dict(f1.table))
     assert again == f1 and again.ints is not f1.ints and not again.ints.twists
     kept = dict(f1.ints.twists)
     built.clear()
-    verify_deformation(first_order_deformation(a, again, g1))
+    verify_deformation(first_order_deformation(a, again, g1, order=2))
     assert [t for t in built if t is not again.ints] == [] and built
     assert again.ints.twists.keys() == kept.keys() and f1.ints.twists == kept
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hlya import algebra
+from hlya import algebra, deformation
 from hlya.algebra import (
     IDENTITIES,
     algebra_from_sparse,
@@ -277,9 +277,10 @@ def test_the_equations_left_out_hold_on_every_deformation(algebras):
 def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
     """On a sl2 gauge round trip at order 4, counted from the algebra's
     construction, identities 1-4 are evaluated at order 0 only, once for
-    the algebra and for every later call on it;
-    infinitesimal evaluates no order above 1; trivialize builds one Gauge,
-    its result."""
+    the algebra and for every later call on it; the contractions above
+    order 0 are the quadratic parts of orders 2-4, order 1 having none;
+    infinitesimal builds no contraction; trivialize builds one Gauge, its
+    result."""
     evaluated = Counter()
     original = algebra.identity_values
 
@@ -288,6 +289,7 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
         return original(b, k, n, fs, gs)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
+    monkeypatch.setattr(deformation, "identity_values", counted)
     a = _copy(sl2(), "sl2_round_trip")
     null = null_deformation(a, 4)
     disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
@@ -304,10 +306,11 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
     assert verify_equivalence(disguised, null, result.gauge)
     conditions = {key: count for key, count in evaluated.items() if key[0] <= 4}
     assert conditions == {(k, 0): 1 for k in (1, 2, 3, 4)}
-    assert {n for _, n in evaluated} == set(range(5))
+    assert {n for _, n in evaluated} == {0, 2, 3, 4}
+    assert {k for k, n in evaluated if n} == {5, 6, 7, 8}
     evaluated.clear()
     assert infinitesimal(disguised) == (disguised.f_seq[1], disguised.g_seq[1])
-    assert evaluated and {n for _, n in evaluated} == {1}
+    assert not evaluated
     assert check_axioms(a).all_passed and verify_deformation(disguised).ok and trivialize(disguised).trivial
     assert not [key for key in evaluated if key[0] <= 4 or key[1] == 0]
 
@@ -326,22 +329,25 @@ def test_obstruction_matches_the_full_tabulation(algebras):
 
 def _counted_evaluations(monkeypatch):
     """Per identity, the tuples at which values of identity_values are read,
-    and the contractions it builds."""
+    and the contractions it builds, for first_failure and for the
+    quadratic parts of the deformation equations."""
     calls = {k: 0 for k in IDENTITIES}
     built = {k: 0 for k in IDENTITIES}
     original = algebra.identity_values
 
     def counted(a, k, n, fs, gs):
         built[k] += 1
-        value = original(a, k, n, fs, gs).probe()
+        contraction = original(a, k, n, fs, gs)
+        value = contraction.probe()
 
         def counting(idx):
             calls[k] += 1
             return value(idx)
 
-        return SimpleNamespace(probe=lambda: counting)
+        return SimpleNamespace(probe=lambda: counting, den=contraction.den)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
+    monkeypatch.setattr(deformation, "identity_values", counted)
     return calls, built
 
 
@@ -358,16 +364,23 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     only x < y < z: 1 of 9 and 3 of 27 tuples.  Identities 1-4 are
     evaluated at order 0 only, 3 and 4 when the algebra is built, the
     cochain conditions being settled above it
-    (test_a_round_trip_evaluates_each_condition_once guards that)."""
+    (test_a_round_trip_evaluates_each_condition_once guards that).  Above
+    order 0 equation k is L_k(f_n, g_n), kept as one row of forms per scan
+    tuple, plus the quadratic part, a contraction read at the same tuples:
+    none on a null deformation, and at orders 2..N on a gauged one."""
     calls, _ = _counted_evaluations(monkeypatch)
     a = _copy(sl2(), "sl2_counted")
     order = 3
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
-    assert calls[8] == 27 * (order + 1)
     per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
-    assert calls == {k: count * (1 if k <= 4 else order + 1) for k, count in per_order.items()}
-    assert calls[3] == 9
+    assert calls == per_order and calls[8] == 27
+    assert {k: len(deformation._linear_forms(a, k)[1]) for k in (5, 6, 7, 8)} == {5: 1, 6: 3, 7: 9, 8: 27}
+    calls.update(dict.fromkeys(calls, 0))
+    gauged = apply_gauge(null_deformation(a, order), random_gauge(a, order, random.Random(4111)))
+    assert verify_deformation(gauged).ok
+    assert calls == {k: count * (order - 1) if k >= 5 else 0 for k, count in per_order.items()}
+    assert calls[8] == 27 * 2
 
 
 def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
@@ -409,7 +422,11 @@ def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
     assert calls[5] == calls[6] == built[5] == built[6] == 0
     assert verify_deformation(null_deformation(fresh, order)).ok
     assert calls[5] == calls[6] == built[5] == built[6] == 0
-    assert calls[8] == len(rep_tuples(2, 5, 2)) * (order + 1) > 0
+    assert calls[8] == len(rep_tuples(2, 5, 2)) > 0  # order 0; a null series has no quadratic part
+    gauged = apply_gauge(null_deformation(fresh, order), random_gauge(fresh, order, random.Random(4112)))
+    assert verify_deformation(gauged).ok
+    assert calls[5] == calls[6] == built[5] == built[6] == 0
+    assert calls[8] == len(rep_tuples(2, 5, 2)) * order  # and order 2's quadratic part
 
 
 def test_identities_5_and_6_are_alternating_in_x_y_z(algebras):

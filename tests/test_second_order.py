@@ -142,13 +142,17 @@ def _draw(a, rng):
 def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     """One draw checks the pair against Z2 x Z3 once, evaluates the t^2
     coefficient of 7/8 without f2 once for all three entry points, and
-    applies delta3 once; the probe evaluates 5'-8' once each."""
+    applies delta3 once.  The probe reads 7' and 8' as L(f2, g2) - (F, G)
+    and builds no contraction for them; for 5' and 6' it builds the
+    quadratic part Q(1, 1) once each, which binds (f1, g1) alone."""
     calls = Counter()
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
     original_cocycle = deformation.is_cocycle_2
+    f1, g1 = _draw(e2, random.Random(9003))
 
     def counted_values(a, k, n, fs, gs):
-        calls["with f2" if len(fs) > 2 else "without f2", k, n] += 1
+        assert fs[1:] == (f1.ints,) and gs[1:] == (g1.ints,)
+        calls["obstruction" if fs[0] else "Q(1, 1)", k, n] += 1
         return original_values(a, k, n, fs, gs)
 
     def counted_delta3(a):
@@ -163,16 +167,16 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     monkeypatch.setattr(deformation, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
     monkeypatch.setattr(deformation, "is_cocycle_2", counted_cocycle)
-    f1, g1 = _draw(e2, random.Random(9003))
     obstruction_pair(e2, f1, g1)
     solved = solve_second_order(e2, f1, g1)
     assert solved is not None
     second_order_probe(e2, f1, g1, *solved)
     assert calls == Counter({
         "Z2 x Z3": 1,
-        ("without f2", 7, 2): 1,
-        ("without f2", 8, 2): 1,
-        **{("with f2", k, 2): 1 for k in (5, 6, 7, 8)},
+        ("obstruction", 7, 2): 1,
+        ("obstruction", 8, 2): 1,
+        ("Q(1, 1)", 5, 2): 1,
+        ("Q(1, 1)", 6, 2): 1,
         "delta3": 1,
     })
 
