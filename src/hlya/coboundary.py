@@ -236,7 +236,7 @@ def linear_part(a: Algebra, k: int) -> Contraction:
     bound to the generic tables of C2 x C3 (:func:`_bound_generic`).  Its
     values are linear forms {(output index, unknown): coefficient} over
     its denominator, unknown u being coordinate u of a pair in C2 x C3
-    (:func:`hlya.cohomology.pair_coords`)."""
+    (:func:`hlya.cohomology._pair_row`)."""
     level, block = _BLOCKS[k]
     _, arities, _, tables = _LEVELS[level]
     return _bound_generic(a, tables, arities)[block]
@@ -333,7 +333,7 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
         raise ArityError(f"{name} takes cochains of arities {domain_arities}, got {arities}")
     for pos, c in enumerate(cochains, 1):
         try:
-            build_cochain_space(a, c.arity).coords(c)
+            build_cochain_space(a, c.arity).row(c)
         except NotACochainError as exc:
             raise PreconditionError(f"{name} argument {pos}, a {c.arity}-cochain, is not in C{c.arity}: {exc}")
     return tuple(

@@ -30,12 +30,17 @@ numerators of its values over the lcm of their reduced denominators, so
 equal maps have equal tables.  A table of values is converted when the
 cochain is built, and the spaces build cochains straight from integer
 tables, from representative values (:meth:`CochainSpace.from_rep_values`),
-a whole table (:meth:`CochainSpace.from_table`) or coordinates
-(:meth:`CochainSpace.from_coords`), and record on each cochain the
-coordinates they have established, so :meth:`CochainSpace.coords` hands
-them back without reading the table again.  A cochain is immutable, so it
-is shared freely, and its integer table keeps the twists the contractions
-make of it.
+a whole table (:meth:`CochainSpace.from_table`) or a coordinate row
+(:meth:`CochainSpace.from_row`).  Coordinates are integer rows too: the
+canonical row (den, {basis index: nonzero numerator}) in lowest terms,
+the format of a :class:`hlya.exactlin.Matrix` row.  A space records on
+each cochain the row it has established, so :meth:`CochainSpace.row`
+hands it back without reading the table again, and the readers of
+coordinates (the cocycle tests, :func:`hlya.exactlin.solve`, the
+deformation equations) take the row as it is.  :meth:`CochainSpace.coords`
+and :meth:`CochainSpace.from_coords` are its Fraction view, for callers
+that hold Fractions.  A cochain is immutable, so it is shared freely, and
+its integer table keeps the twists the contractions make of it.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .algebra import (
     zero_vec,
 )
 from .errors import ArityError, DimMismatchError, NotACochainError
-from .exactlin import ZERO, Frozen, Matrix, rat, reduce_rows
+from .exactlin import Frozen, Matrix, _dense, _integer_row, _lowest, rat, reduce_rows
 
 MAX_ARITY = 7
 
@@ -115,17 +120,18 @@ class Cochain(Frozen):
             self._init(_table=MappingProxyType(self.ints.fractions(self.dim)))
         return self._table
 
-    def _recorded(self, space: "CochainSpace") -> list | None:
-        """The coordinates ``space`` recorded on this cochain, else None."""
+    def _recorded(self, space: "CochainSpace") -> tuple[int, dict] | None:
+        """The coordinate row ``space`` recorded on this cochain, else None;
+        shared, so not to be changed."""
         record = self._coords
-        return list(record[1]) if record is not None and record[0]() is space else None
+        return record[1] if record is not None and record[0]() is space else None
 
-    def _record(self, space: "CochainSpace", coords: list) -> None:
-        """Record coordinates ``space`` established, unless another live
-        space holds the record; a weak reference, so that a cochain does not
-        keep its algebra alive."""
+    def _record(self, space: "CochainSpace", row: tuple[int, dict]) -> None:
+        """Record the coordinate row ``space`` established, unless another
+        live space holds the record; a weak reference, so that a cochain
+        does not keep its algebra alive."""
         if self._coords is None or self._coords[0]() is None:
-            self._init(_coords=(weakref.ref(space), tuple(coords)))
+            self._init(_coords=(weakref.ref(space), row))
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "Cochain":
@@ -311,23 +317,30 @@ class CochainSpace(Frozen):
                 entries[tup] = plus if sign == 1 else minus
         return Cochain._of(self.arity, d, IntTable(den // g, entries))
 
-    def coords(self, cochain: Cochain) -> list:
-        """Basis coordinates of a cochain of this arity and dimension.
+    def row(self, cochain: Cochain) -> tuple[int, dict]:
+        """Basis coordinates of a cochain of this arity and dimension, as
+        the canonical integer row (den, {basis index: nonzero numerator}).
 
-        Coordinates this space recorded on the cochain, building or reading
-        it, come back without a read; otherwise its integer table is read
-        (:meth:`_read`), and the coordinates are recorded when the cochain
-        holds no other live space's.  Another space, even of an equal
-        algebra, reads the cochain afresh and reaches its own verdict."""
+        The row this space recorded on the cochain, building or reading it,
+        comes back without a read; otherwise its integer table is read
+        (:meth:`_read`), and the row is recorded when the cochain holds no
+        other live space's.  Another space, even of an equal algebra, reads
+        the cochain afresh and reaches its own verdict.  The row is shared,
+        so not to be changed."""
         if cochain.arity != self.arity:
             raise ArityError(f"a {cochain.arity}-cochain is not in the space of {self.arity}-cochains")
         if cochain.dim != self.algebra.dim:
             raise DimMismatchError(f"a cochain on dimension {cochain.dim}, expected {self.algebra.dim}")
-        coords = cochain._recorded(self)
-        if coords is None:
-            coords = self._read(cochain.ints)
-            cochain._record(self, coords)
-        return coords
+        row = cochain._recorded(self)
+        if row is None:
+            row = self._read(cochain.ints)
+            cochain._record(self, row)
+        return row
+
+    def coords(self, cochain: Cochain) -> list:
+        """Basis coordinates of a cochain as Fractions: the view of its
+        :meth:`row`."""
+        return _dense(self.row(cochain), self.dim)
 
     def from_table(self, t: IntTable) -> Cochain:
         """The cochain whose values are those of the integer table
@@ -335,24 +348,25 @@ class CochainSpace(Frozen):
         is read once (:meth:`_read`), so NotACochainError names the first
         defect of one that is no cochain of this space."""
         t = _canonical(t)
-        coords = self._read(t)
+        row = self._read(t)
         c = Cochain._of(self.arity, self.algebra.dim, t)
-        c._record(self, coords)
+        c._record(self, row)
         return c
 
-    def _read(self, t: IntTable) -> list:
-        """Basis coordinates of a canonical integer tabulation over the
+    def _read(self, t: IntTable) -> tuple[int, dict]:
+        """The coordinate row of a canonical integer tabulation over the
         basis tuples, read as a map in one unknown: each value is the form
         {(output index, 0): numerator}, t.den times the value, and the first
-        of its :meth:`defects` raises NotACochainError.  Only the
-        coordinates are divided by t.den."""
+        of its :meth:`defects` raises NotACochainError.  The coordinates are
+        the numerators at the free coordinates over t.den."""
         forms = {idx: {(k, 0): x for k, x in vec.items()} for idx, vec in t.entries.items()}
         if not forms:  # the zero map has no defects
-            return [ZERO] * self.dim
+            return 1, {}
         for kind, idx, _ in self.defects(forms):
             raise _violation(kind, idx)
-        d, reps, empty, den = self.algebra.dim, self.rep_tuples, {}, t.den
-        return [Fraction(forms.get(reps[i // d], empty).get((i % d, 0), 0), den) for i in self._free]
+        d, reps, empty = self.algebra.dim, self.rep_tuples, {}
+        values = (forms.get(reps[i // d], empty).get((i % d, 0)) for i in self._free)
+        return _lowest(t.den, {j: x for j, x in enumerate(values) if x})
 
     def from_rep_values(self, t: IntTable) -> Cochain:
         """The cochain whose values at the representative tuples are
@@ -362,37 +376,43 @@ class CochainSpace(Frozen):
         follow from pair antisymmetry, so the layout has no diagonal or
         pair-antisymmetry defect.  The numerators are checked for
         alpha-equivariance, as forms in one unknown (:meth:`_residual`), and
-        only when none is violated are the coordinates recorded; otherwise
-        :meth:`coords` raises the first violation.
+        only when none is violated is the coordinate row recorded: the
+        numerators at the free coordinates over t.den.  Otherwise
+        :meth:`row` raises the first violation.
         """
-        d, orbit, den = self.algebra.dim, self._orbit, t.den
+        d, orbit = self.algebra.dim, self._orbit
         reduced = {orbit[idx][0] * d + k: x for idx, vec in t.entries.items() for k, x in vec.items() if x}
-        c = self._laid_out(reduced, den)
+        c = self._laid_out(reduced, t.den)
         if not self._residual({i: {0: x} for i, x in reduced.items()}):
-            c._record(self, [Fraction(reduced.get(i, 0), den) for i in self._free])
+            c._record(self, _lowest(t.den, {j: x for j, i in enumerate(self._free) if (x := reduced.get(i))}))
         return c
 
     def from_coords(self, coords: Sequence) -> Cochain:
-        """The cochain with these basis coordinates, recorded on it;
+        """The cochain with these basis coordinates, each read by
+        :func:`hlya.exactlin.rat`: :meth:`from_row` of their integer row.
         DimMismatchError unless there is one per basis cochain."""
         if len(coords) != self.dim:
             raise DimMismatchError(f"expected {self.dim} coordinates, got {len(coords)}")
-        coords = [rat(x) for x in coords]
-        den = lcm(*(x.denominator for x in coords))
+        return self.from_row(_integer_row(coords))
+
+    def from_row(self, row: tuple[int, dict]) -> Cochain:
+        """The cochain with the coordinate row (den, {basis index: nonzero
+        numerator}), den > 0, laid out through the basis columns
+        (:attr:`_int_basis`), with the row recorded in lowest terms."""
+        row = _lowest(*row)
+        den, vec = row
         basis_den, cols = self._int_basis
         reduced: dict = {}
-        for x, col in zip(coords, cols):
-            if x:
-                x = x.numerator * (den // x.denominator)
-                for i, v in col.items():
-                    reduced[i] = reduced.get(i, 0) + x * v
+        for j, x in vec.items():
+            for i, v in cols[j].items():
+                reduced[i] = reduced.get(i, 0) + x * v
         c = self._laid_out({i: x for i, x in reduced.items() if x}, den * basis_den)
-        c._record(self, coords)
+        c._record(self, row)
         return c
 
     def contains(self, cochain: Cochain) -> bool:
         try:
-            self.coords(cochain)
+            self.row(cochain)
         except NotACochainError:
             return False
         return True
@@ -427,7 +447,7 @@ class CochainSpace(Frozen):
 
     @cached_property
     def basis_cochains(self) -> tuple:
-        return tuple(self.from_coords([int(i == j) for i in range(self.dim)]) for j in range(self.dim))
+        return tuple(self.from_row((1, {j: 1})) for j in range(self.dim))
 
     # --- generic cochains and linear forms ----------------------------------
 
@@ -598,6 +618,14 @@ def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:
     """View a 1-cochain as the d x d matrix sending e_j to h(e_j)."""
     cols = [list(h.value((j,))) for j in range(a.dim)]
     return Matrix.from_columns(cols, rows=a.dim)
+
+
+def flat_numerators(h: Cochain) -> dict:
+    """The d x d matrix of a 1-cochain (:func:`cochain_to_matrix`) row by
+    row, entry (i, j), h(e_j)[i], at i * d + j, as the numerators of h's
+    integer table: a positive multiple of the matrix, with its span."""
+    d = h.dim
+    return {i * d + j: x for (j,), vec in h.ints.entries.items() for i, x in vec.items()}
 
 
 def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
 from .cochain import Cochain, build_cochain_space
-from .errors import DimMismatchError, NotACochainError, PreconditionError
-from .exactlin import Subspace, image_basis, kernel_basis, quotient_dim, solve, vstack
+from .errors import NotACochainError, PreconditionError
+from .exactlin import Subspace, _joined, image_basis, kernel_basis, quotient_dim, solve, vstack
 
 
 class LevelReport(NamedTuple):
@@ -83,30 +83,29 @@ def cohomology_report(a: Algebra) -> CohomologyReport:
 # --- coordinates and membership -------------------------------------------
 
 
-def pair_coords(a: Algebra, f: Cochain, g: Cochain) -> list:
-    """Concatenated basis coordinates of a pair in C2 x C3.
-
-    Raises NotACochainError when either component is not a cochain.
-    """
+def _pair_row(a: Algebra, f: Cochain, g: Cochain) -> tuple[int, dict]:
+    """The basis coordinates of a pair in C2 x C3 as one integer row, those
+    of g shifted past C2's.  NotACochainError when either component is not
+    a cochain."""
     c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    return c2.coords(f) + c3.coords(g)
+    return _joined(c2.row(f), build_cochain_space(a, 3).row(g), c2.dim)
 
 
-def pair_from_coords(a: Algebra, coords) -> tuple[Cochain, Cochain]:
-    """The pair in C2 x C3 with these concatenated basis coordinates;
-    DimMismatchError unless there is one per basis cochain."""
-    c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    if len(coords) != c2.dim + c3.dim:
-        raise DimMismatchError(f"expected {c2.dim + c3.dim} coordinates of a pair, got {len(coords)}")
-    return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
+def _pair_from_row(a: Algebra, row: tuple[int, dict]) -> tuple[Cochain, Cochain]:
+    """The pair in C2 x C3 with this integer row of concatenated basis
+    coordinates."""
+    c2, c3 = build_cochain_space(a, 2), build_cochain_space(a, 3)
+    den, vec = row
+    n = c2.dim
+    f = {j: x for j, x in vec.items() if j < n}
+    g = {j - n: x for j, x in vec.items() if j >= n}
+    return c2.from_row((den, f)), c3.from_row((den, g))
 
 
-def _given_coords(a: Algebra, f: Cochain, g: Cochain) -> list:
-    """:func:`pair_coords` of a caller's pair: a non-cochain is a PreconditionError."""
+def _given_row(a: Algebra, f: Cochain, g: Cochain) -> tuple[int, dict]:
+    """:func:`_pair_row` of a caller's pair: a non-cochain is a PreconditionError."""
     try:
-        return pair_coords(a, f, g)
+        return _pair_row(a, f, g)
     except NotACochainError as exc:
         raise PreconditionError(str(exc)) from exc
 
@@ -114,7 +113,7 @@ def _given_coords(a: Algebra, f: Cochain, g: Cochain) -> list:
 def is_cocycle_2(a: Algebra, f: Cochain, g: Cochain) -> bool:
     """Does (f, g) lie in Z2 x Z3, i.e. is it killed by both delta2 and d2?
     PreconditionError when f or g is not a cochain."""
-    return _closed(a, _given_coords(a, f, g))
+    return _closed(a, _given_row(a, f, g))
 
 
 def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None:
@@ -124,17 +123,17 @@ def is_coboundary_2(a: Algebra, pair: tuple[Cochain, Cochain]) -> Cochain | None
     nontrivial (or the pair is no cocycle at all).  PreconditionError when
     either component is not a cochain.
     """
-    return _preimage(a, _given_coords(a, *pair))
+    return _preimage(a, _given_row(a, *pair))
 
 
-def _closed(a: Algebra, coords: list) -> bool:
-    """:func:`is_cocycle_2` on the pair's coordinates."""
-    return not any(delta2(a).matrix.apply(coords)) and not any(d2(a).matrix.apply(coords))
+def _closed(a: Algebra, row: tuple[int, dict]) -> bool:
+    """:func:`is_cocycle_2` on the pair's coordinate row."""
+    return delta2(a).matrix.kills(row) and d2(a).matrix.kills(row)
 
 
-def _preimage(a: Algebra, coords: list) -> Cochain | None:
-    """:func:`is_coboundary_2` on the pair's coordinates."""
-    sol = solve(delta1(a).matrix, coords)
+def _preimage(a: Algebra, row: tuple[int, dict]) -> Cochain | None:
+    """:func:`is_coboundary_2` on the pair's coordinate row."""
+    sol = solve(delta1(a).matrix, row)
     if sol is None:
         return None
-    return build_cochain_space(a, 1).from_coords(sol)
+    return build_cochain_space(a, 1).from_row(sol)

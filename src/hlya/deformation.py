@@ -46,8 +46,8 @@ from .algebra import (
     table_sum,
 )
 from .coboundary import delta2, delta3, linear_part
-from .cochain import Cochain, _canonical, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
-from .cohomology import _closed, _preimage, is_cocycle_2, pair_coords, pair_from_coords
+from .cochain import Cochain, _canonical, build_cochain_space, flat_numerators, identity_cochain, matrix_to_cochain
+from .cohomology import _closed, _pair_from_row, _pair_row, _preimage, is_cocycle_2
 from .errors import (
     BaseMismatchError,
     NotACochainError,
@@ -55,7 +55,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Frozen, Subspace, flatten, solve, unflatten
+from .exactlin import Frozen, Subspace, _joined, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -78,7 +78,7 @@ def _coefficient(space, c, n: int) -> None:
     if not isinstance(c, Cochain):
         raise PreconditionError(f"coefficient at order {n} must be a Cochain, got {type(c).__name__}")
     try:
-        space.coords(c)
+        space.row(c)
     except NotACochainError as exc:
         raise PreconditionError(f"coefficient at order {n} is not a cochain: {exc}")
 
@@ -193,7 +193,7 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     series rule (:func:`_series`) has made every coefficient of a
     Deformation such a cochain, so those entries are None and only
     equations 5-8 are evaluated, each as L_k(f_n, g_n) + Q_{k,n}
-    (:func:`_equation_failure`) on the coordinates of (f_n, g_n), read
+    (:func:`_equation_failure`) on the coordinate row of (f_n, g_n), read
     once per order.
     """
     base = d.base
@@ -203,7 +203,7 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
         if n == 0:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
-        row = _coordinate_row(base, d.f_seq[n], d.g_seq[n])
+        row = _pair_row(base, d.f_seq[n], d.g_seq[n])
         for eq in IDENTITIES:
             if eq in _COCHAIN_CONDITIONS:
                 failures[(eq, n)] = None
@@ -240,17 +240,6 @@ def _linear_forms(a: Algebra, k: int) -> tuple:
     return formula.den, tuple(rows)
 
 
-def _coordinate_row(a: Algebra, f: Cochain, g: Cochain) -> tuple[int, list] | None:
-    """The coordinates of (f, g) in C2 x C3 as integer numerators over
-    their lcm (:func:`hlya.cohomology.pair_coords`), or None when the pair
-    is zero."""
-    coords = pair_coords(a, f, g)
-    if not any(coords):
-        return None
-    den = lcm(*(x.denominator for x in coords))
-    return den, [x.numerator * (den // x.denominator) for x in coords]
-
-
 def _quadratic(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """Q_{k,n}, the t^n coefficient of identity k with the order-0 and
     order-n tables of the series left out, as (probe, den): only the
@@ -270,24 +259,27 @@ def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
     """First scan tuple (1-based) of identity k at which L_k(row) + rest is
     nonzero, None when it vanishes throughout.
 
-    ``row`` is a pair's :func:`_coordinate_row`, ``rest`` a (probe, den)
-    of values at tuples as :func:`_quadratic` gives; None stands for zero.
-    The same scan as :func:`hlya.algebra.first_failure`, so an equation
-    equal to a t^n coefficient fails first at the same tuple.
+    ``row`` is a pair's coordinate row in C2 x C3
+    (:func:`hlya.cohomology._pair_row`), ``rest`` a (probe, den) of values
+    at tuples as :func:`_quadratic` gives, None standing for zero.  The
+    same scan as :func:`hlya.algebra.first_failure`, so an equation equal
+    to a t^n coefficient fails first at the same tuple.
     """
-    if row is None and rest is None:
+    xden, xs = row
+    if not xs and rest is None:
         return None
     den, rows = _linear_forms(a, k)
-    xden, xs = row if row is not None else (1, None)
     value, rden = rest if rest is not None else (None, 1)
     scale = den * xden
     for idx, forms in rows:
         acc = {}
-        if xs is not None:
+        if xs:
             for j, terms in forms:
                 s = 0
                 for u, c in terms:
-                    s += c * xs[u]
+                    x = xs.get(u)
+                    if x:
+                        s += c * x
                 if s:
                     acc[j] = s * rden
         if value is not None:
@@ -338,8 +330,7 @@ def alpha_commutant_basis(a: Algebra) -> tuple:
     """A basis of {X : X alpha = alpha X}, the legal gauge coefficients, as
     1-cochains: the canonical basis of the span of C1's basis matrices,
     flattened row-major."""
-    flats = [flatten(cochain_to_matrix(a, h)) for h in build_cochain_space(a, 1).basis_cochains]
-    span = Subspace(a.dim**2, flats)
+    span = Subspace.spanned_by(a.dim**2, map(flat_numerators, build_cochain_space(a, 1).basis_cochains))
     return tuple(matrix_to_cochain(a, unflatten(span.basis.column(j), a.dim)) for j in range(span.dim))
 
 
@@ -543,10 +534,10 @@ def trivialize(d: Deformation) -> TrivializeResult:
         f_r, g_r = current.f_seq[r], current.g_seq[r]
         if f_r.is_zero() and g_r.is_zero():
             continue
-        coords = pair_coords(base, f_r, g_r)
-        if not _closed(base, coords):
+        row = _pair_row(base, f_r, g_r)
+        if not _closed(base, row):
             raise NotCocycleError(f"leading term at order {r} is not a cocycle pair", step_order=r)
-        h = _preimage(base, coords)
+        h = _preimage(base, row)
         if h is None:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
         step = _single_step(identity, order, h, r)
@@ -602,28 +593,29 @@ def _require_cocycle(a: Algebra, f1: Cochain, g1: Cochain) -> None:
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
 
 
-def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, list]:
-    """(F, G) and their coordinates in C4 x C5, for (f1, g1) in Z2 x Z3.
+def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, tuple]:
+    """(F, G) and their coordinate row in C4 x C5, for (f1, g1) in Z2 x Z3.
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
     and no second-order term, evaluated once at the representative tuples
     of C4 and C5, the codomain of delta2: both identities are antisymmetric
     in their two leading pairs, so those values fix F and G.  They stay
     the contraction's integer numerators, negated, until the spaces build
-    F and G with their coordinates
-    (:meth:`hlya.cochain.CochainSpace.from_rep_values`).  The caller
-    checks the cocycle property (:func:`_second_order_step`).
+    F and G with their coordinate rows
+    (:meth:`hlya.cochain.CochainSpace.from_rep_values`), joined as the
+    rows of a pair are.  The caller checks the cocycle property
+    (:func:`_second_order_step`).
     """
     fs, gs = bracket_series(a, (f1,), (g1,))
+    c4, c5 = delta2(a).codomain
     parts = []
-    for k, space in zip((7, 8), delta2(a).codomain):
+    for k, space in ((7, c4), (8, c5)):
         coefficient = identity_values(a, k, 2, fs, gs)
         value = coefficient.probe()
         values = IntTable(coefficient.den, {idx: {j: -x for j, x in value(idx).items()} for idx in space.rep_tuples})
-        big = space.from_rep_values(values)
-        parts.append((big, space.coords(big)))
-    (big_f, coords_f), (big_g, coords_g) = parts
-    return big_f, big_g, coords_f + coords_g
+        parts.append(space.from_rep_values(values))
+    big_f, big_g = parts
+    return big_f, big_g, _joined(c4.row(big_f), c5.row(big_g), c4.dim)
 
 
 # The key of the second-order slot in an algebra's memo, beside the
@@ -631,7 +623,7 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
 _SECOND_ORDER_SLOT = "second-order step"
 
 
-def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, list]:
+def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, tuple]:
     """The Z2 x Z3 check and :func:`_obstruction` of (f1, g1), done once
     per pair for the whole second-order trio.
 
@@ -662,8 +654,8 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     (:func:`_second_order_step`): computed by the first of them called on
     a pair, and kept until a call on another pair over the same algebra.
     """
-    big_f, big_g, coords = _second_order_step(a, f1, g1)
-    return ObstructionPair(big_f, big_g, not any(delta3(a).matrix.apply(coords)))
+    big_f, big_g, row = _second_order_step(a, f1, g1)
+    return ObstructionPair(big_f, big_g, delta3(a).matrix.kills(row))
 
 
 def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain] | None:
@@ -673,7 +665,7 @@ def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, C
     from the shared second-order step (see :func:`obstruction_pair`).
     """
     sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[2])
-    return None if sol is None else pair_from_coords(a, sol)
+    return None if sol is None else _pair_from_row(a, sol)
 
 
 class ProbeReport(NamedTuple):
@@ -708,7 +700,7 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     big_f, big_g, _ = _second_order_step(a, f1, g1)
     for c, arity in ((f2, 2), (g2, 3)):
         _coefficient(build_cochain_space(a, arity), c, 2)
-    row = _coordinate_row(a, f2, g2)
+    row = _pair_row(a, f2, g2)
     for k, big in ((7, big_f), (8, big_g)):
         minus = _negated(big.ints)
         rest = (lambda idx, values=minus.entries: values.get(idx, {}), minus.den) if minus else None

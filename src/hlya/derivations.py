@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 from .algebra import Algebra, brackets, contract, memoised
 from .coboundary import leibniz
-from .cochain import build_cochain_space, cochain_to_matrix
+from .cochain import build_cochain_space, flat_numerators
 from .errors import ClosureViolationError, PreconditionError
-from .exactlin import Matrix, Subspace, flatten, kernel_basis, solve, unflatten
+from .exactlin import Matrix, Subspace, kernel_basis, solve, unflatten
 
 DEFAULT_K_MAX = 3
 
@@ -61,8 +61,8 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
         images = space.images(defect.probe())
         rows.extend((defect.den, images.get(i, {})) for i in range(space.reduced_dim))
     kernel = kernel_basis(Matrix._of(rows, c1.dim))
-    ders = (c1.from_coords(kernel.basis.column(j)) for j in range(kernel.dim))
-    return DerivationSpace(k, Subspace(d * d, [flatten(cochain_to_matrix(a, h)) for h in ders]))
+    ders = map(c1.from_row, kernel.basis.column_rows())
+    return DerivationSpace(k, Subspace.spanned_by(d * d, map(flat_numerators, ders)))
 
 
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
@@ -73,7 +73,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     the closure theorem.
     """
     for name, m, twist in (("first", d1, k), ("second", d2m, s)):
-        if not derivation_space(a, twist).basis.contains(flatten(m)):
+        if not derivation_space(a, twist).basis.contains(m.flat_row()):
             raise PreconditionError(f"the {name} map is not in Der_{twist}")
     return _closed_commutator(derivation_space(a, k + s), d1, k, d2m, s)
 
@@ -82,7 +82,7 @@ def _closed_commutator(target: DerivationSpace, d1: Matrix, k: int, d2m: Matrix,
     """[d1, d2m] for d1 in Der_k and d2m in Der_s, checked to lie in target,
     Der_{k+s}: ClosureViolationError otherwise."""
     comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
-    if solve(target.basis.basis, flatten(comm)) is None:
+    if solve(target.basis.basis, comm.flat_row()) is None:
         raise ClosureViolationError(f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated", k=k, s=s)
     return comm
 

@@ -9,10 +9,15 @@ routine :func:`reduce_rows` on integer rows.  Cochain spaces reduce their
 integer equivariance rows with it, and every kernel, image, rank,
 containment and solve runs it on a matrix's numerators directly: a
 reduced row r with pivot p, over r[p], is a row of the reduced row
-echelon form, and is stored as such.  Fractions are made only for a
-matrix's Fraction view and for the values :meth:`Matrix.apply` and
-:func:`solve` return.  The contraction kernels of :mod:`hlya.algebra`
-also work on integer numerators over an explicit common denominator.
+echelon form, and is stored as such.  A vector is read in the same
+format, the integer row (den, {position: numerator}), as the cochain
+spaces give coordinates: one integer product (:meth:`Matrix._numerators`)
+serves the kernel test :meth:`Matrix.kills`, :meth:`Matrix.apply` and
+:func:`solve`, which reads and returns integer rows.  Fractions are made
+only for a matrix's Fraction view and for dense vectors: the values
+:meth:`Matrix.apply` returns, and :func:`solve` on a dense right-hand
+side.  The contraction kernels of :mod:`hlya.algebra` also work on
+integer numerators over an explicit common denominator.
 Everything is exact: there are no floats and no tolerance anywhere.
 """
 
@@ -49,10 +54,11 @@ def _pruned(vec: dict) -> dict:
 
 
 def _integer_row(vec: Sequence) -> tuple[int, dict]:
-    """A dense vector of rationals, each read by :func:`rat`, as the
-    integer row (den, {position: numerator}) of its nonzero entries over
-    the lcm of their denominators: the row in lowest terms."""
-    row = {i: rat(x) for i, x in enumerate(vec) if x}
+    """A dense vector of rationals, each read by :func:`rat` (so a float
+    or a bool is a TypeError, zero or not), as the integer row (den,
+    {position: numerator}) of its nonzero entries over the lcm of their
+    denominators: the row in lowest terms."""
+    row = {i: x for i, x in enumerate(map(rat, vec)) if x}
     den = lcm(*(x.denominator for x in row.values()))
     return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
@@ -63,6 +69,27 @@ def _lowest(den: int, row: dict) -> tuple[int, dict]:
     canonical form of a stored row; an empty row is (1, {})."""
     g = gcd(den, *row.values())
     return (den, row) if g == 1 else (den // g, {j: x // g for j, x in row.items()})
+
+
+def _dense(row: tuple[int, dict], length: int) -> list[Fraction]:
+    """The Fraction view of an integer row: its ``length`` values."""
+    den, vec = row
+    out = [ZERO] * length
+    for j, x in vec.items():
+        out[j] = Fraction(x, den)
+    return out
+
+
+def _joined(first: tuple[int, dict], second: tuple[int, dict], shift: int) -> tuple[int, dict]:
+    """Two integer rows as one over the lcm of their denominators, the
+    positions of ``second`` shifted by ``shift``; in lowest terms when both
+    are."""
+    (d1, v1), (d2, v2) = first, second
+    den = lcm(d1, d2)
+    w1, w2 = den // d1, den // d2
+    row = {j: x * w1 for j, x in v1.items()}
+    row.update((shift + j, x * w2) for j, x in v2.items())
+    return den, row
 
 
 def _transpose(vectors: Sequence[tuple[int, dict]], length: int) -> list[tuple[int, dict]]:
@@ -183,22 +210,48 @@ class Matrix(Frozen):
     def column(self, j: int) -> list[Fraction]:
         return [row.get(j, ZERO) for row in self._fractions()]
 
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product in integers: the vector over one common
-        denominator, each row over its own, and one Fraction per row."""
-        if len(vec) != self.cols:
-            raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
-        den, ints = _integer_row(vec)
+    def column_rows(self) -> list[tuple[int, dict]]:
+        """The columns as canonical integer rows (den, {row index:
+        numerator})."""
+        return [_lowest(den, col) for den, col in _transpose(self._rows, self.cols)]
+
+    def flat_row(self) -> tuple[int, dict]:
+        """The entries row by row, m[i][j] at i * cols + j, as one
+        canonical integer row."""
+        den = lcm(*(row_den for row_den, _ in self._rows))
+        flat = {}
+        for i, (row_den, row) in enumerate(self._rows):
+            w, shift = den // row_den, i * self.cols
+            flat.update((shift + j, x * w) for j, x in row.items())
+        return _lowest(den, flat)
+
+    def _numerators(self, vec: dict) -> list[int]:
+        """The integer product with a vector of numerators {column:
+        numerator} over some den: entry i of the product is the i-th
+        number over den_i * den, den_i the denominator of row i."""
         out = []
-        for row_den, row in self._rows:
-            small, large = (row, ints) if len(row) < len(ints) else (ints, row)
+        for _, row in self._rows:
+            small, large = (row, vec) if len(row) < len(vec) else (vec, row)
             s = 0
             for j, a in small.items():
                 b = large.get(j)
                 if b is not None:
                     s += a * b
-            out.append(Fraction(s, row_den * den) if s else ZERO)
+            out.append(s)
         return out
+
+    def kills(self, row: tuple[int, dict]) -> bool:
+        """Is the vector of an integer row (den, {column: numerator}) in the
+        kernel?  Read off the integer product, with no division."""
+        return not any(self._numerators(row[1]))
+
+    def apply(self, vec: Sequence) -> list[Fraction]:
+        """Matrix-vector product, the Fraction view of the integer product
+        (:meth:`_numerators`) of the vector over one common denominator."""
+        if len(vec) != self.cols:
+            raise DimMismatchError(f"expected vector of length {self.cols}, got {len(vec)}")
+        den, ints = _integer_row(vec)
+        return [Fraction(s, row_den * den) if s else ZERO for s, (row_den, _) in zip(self._numerators(ints), self._rows)]
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Row i of the product over den_i times the lcm of the
@@ -261,11 +314,6 @@ class Matrix(Frozen):
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def flatten(m: Matrix) -> list[Fraction]:
-    """The entries of m row by row: m[i][j] at i * m.cols + j."""
-    return [x for row in m.data for x in row]
 
 
 def unflatten(flat: Sequence, cols: int) -> Matrix:
@@ -398,7 +446,9 @@ class Subspace(Frozen):
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec) -> bool:
+        """Is the vector, dense or an integer row as :func:`solve` reads
+        it, in the span?"""
         return solve(self.basis, vec) is not None
 
     def __hash__(self):
@@ -434,23 +484,32 @@ def rank(m: Matrix) -> int:
     return len(reduce_rows(row for _, row in m._rows)[0])
 
 
-def solve(m: Matrix, b: Sequence) -> list[Fraction] | None:
+def solve(m: Matrix, b) -> list[Fraction] | tuple[int, dict] | None:
     """A particular solution of m x = b, or None when b is not in the image.
 
-    Free variables are 0.  The reduction (pivots, E) of m is computed on
-    the first call and kept on m: b is in the image iff the rows of E b
-    past the rank vanish, and x at pivot r is (E b)_r.
+    ``b`` is an integer row (den, {position: numerator}), as the cochain
+    spaces give coordinates, and the solution the canonical integer row
+    (:func:`_lowest`); or ``b`` is a dense vector of rationals, read as its
+    integer row, and the solution its Fraction view, a dense list.  Free
+    variables are 0.  The reduction (pivots, E) of m is computed on the
+    first call and kept on m: b is in the image iff the rows of E b past
+    the rank vanish, and x at pivot r is (E b)_r, the integer product
+    (:meth:`Matrix._numerators`) over den times E's row denominator.
     """
-    if len(b) != m.rows:
-        raise DimMismatchError("right-hand side has wrong length")
+    dense = not (isinstance(b, tuple) and len(b) == 2 and isinstance(b[1], dict))
+    if dense:
+        if len(b) != m.rows:
+            raise DimMismatchError("right-hand side has wrong length")
+        b = _integer_row(b)
     pivots, inverse = m._reduced()
-    eb = inverse.apply(b)
+    den, vec = b
+    eb = inverse._numerators(vec)
     if any(eb[len(pivots) :]):
         return None
-    x = [ZERO] * m.cols
-    for p, y in zip(pivots, eb):
-        x[p] = y
-    return x
+    dens = [row_den for row_den, _ in inverse._rows[: len(pivots)]]
+    common = lcm(*(d for d, s in zip(dens, eb) if s))
+    x = _lowest(common * den, {p: s * (common // d) for p, s, d in zip(pivots, eb, dens) if s})
+    return _dense(x, m.cols) if dense else x
 
 
 def quotient_dim(z: Subspace, b: Subspace) -> int:

@@ -17,14 +17,19 @@ of :func:`general_equivariance_rows`.  :func:`eliminate`,
 package read its integer reductions and contractions through before its
 matrices kept integer rows: the first reduces each Fraction row as its
 numerators over one denominator and divides each reduced row by its
-pivot entry.
+pivot entry.  :func:`fraction_solve` is a solve on :func:`fraction_eliminate`,
+:func:`coordinate_row` the canonical integer row of a Fraction list, and
+:func:`pair_coords` and :func:`pair_from_coords` are the Fraction
+lists of a pair's concatenated coordinates the package passed around
+before its coordinates were integer rows, built on the spaces' Fraction
+views ``coords`` and ``from_coords``.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from hlya.cochain import _violation
+from hlya.cochain import _violation, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError
 from hlya.exactlin import ZERO, Matrix, kernel_basis, rat, reduce_rows
 
@@ -254,6 +259,39 @@ def fraction_eliminate(rows):
     return pivots, [pivot_of[c] for c in pivots]
 
 
+def fraction_solve(m, b):
+    """A particular solution of m x = b in Fractions, free variables 0, or
+    None when b is not in the image: the reduced row echelon form of
+    [m | b] by :func:`fraction_eliminate`, whose pivot rows have entry 1,
+    so x at a pivot column is the row's entry in b's column, and b is
+    outside the image exactly when that column holds a pivot."""
+    n = m.cols
+    rows = []
+    for row, y in zip(m.data, b):
+        r = {j: x for j, x in enumerate(row) if x}
+        if y:
+            r[n] = rat(y)
+        rows.append(r)
+    pivots, reduced = fraction_eliminate(rows)
+    if n in pivots:
+        return None
+    x = [ZERO] * n
+    for p, r in zip(pivots, reduced):
+        x[p] = r.get(n, ZERO)
+    return x
+
+
+def pair_coords(a, f, g):
+    """The basis coordinates of (f, g) in C2 x C3 as one Fraction list."""
+    return build_cochain_space(a, 2).coords(f) + build_cochain_space(a, 3).coords(g)
+
+
+def pair_from_coords(a, coords):
+    """The pair in C2 x C3 with these concatenated basis coordinates."""
+    c2, c3 = build_cochain_space(a, 2), build_cochain_space(a, 3)
+    return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
+
+
 def general_equivariance_rows(space):
     """The equivariance rows of ``space`` in Fractions, built for any alpha
     from alpha's Fraction matrix: the loop that also runs when alpha = id,
@@ -309,6 +347,14 @@ def integer_rows(rows):
         den = lcm(*(x.denominator for x in row.values()))
         out.append({i: x.numerator * (den // x.denominator) for i, x in row.items()})
     return out
+
+
+def coordinate_row(values):
+    """A list of rationals as the integer row (den, {index: nonzero
+    numerator}) over the lcm of the denominators of its nonzero entries:
+    the canonical row, in lowest terms, the cochain spaces record."""
+    den, [col] = integer_basis([{i: rat(x) for i, x in enumerate(values) if x}])
+    return den, col
 
 
 def integer_basis(cols):

@@ -11,7 +11,6 @@ from hlya.cochain import Cochain, CochainSpace, MAX_ARITY, build_cochain_space, 
 from hlya.errors import ArityError, DimMismatchError, NotACochainError
 from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
 from hlya.coboundary import _LEVELS, _bound_generic, d2
-from hlya.cohomology import pair_from_coords
 from hlya.samples import abelian, random_verified_algebras, sl2
 
 from fraction_reference import general_equivariance_rows, integer_basis, integer_rows, reference_space
@@ -261,18 +260,14 @@ def test_cochains_of_another_shape_are_rejected(e1, e2):
 
 def test_coordinate_lists_of_the_wrong_length_are_rejected(e2):
     """One coordinate per basis cochain: a shorter list is not padded with
-    zeros and a longer one is not cut short, for a space and for a pair."""
+    zeros and a longer one is not cut short."""
     space = build_cochain_space(e2, 2)
     assert space.dim == 9
     for coords in ([1], [1] * 8, [1] * 10):
         with pytest.raises(DimMismatchError, match=f"expected 9 coordinates, got {len(coords)}"):
             space.from_coords(coords)
-    pair = build_cochain_space(e2, 2).dim + build_cochain_space(e2, 3).dim
-    for coords in ([1, 1, 1], [1] * (pair - 1), [1] * (pair + 1)):
-        with pytest.raises(DimMismatchError, match=f"expected {pair} coordinates of a pair, got {len(coords)}"):
-            pair_from_coords(e2, coords)
     assert space.coords(space.from_coords([1] * 9)) == [1] * 9
-    assert [c.is_zero() for c in pair_from_coords(e2, [0] * pair)] == [True, True]
+    assert space.from_coords([0] * 9).is_zero()
 
 
 def test_coords_round_trip(bundled):

@@ -38,9 +38,11 @@ from hlya.errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from hlya.cohomology import cohomology_report, is_cocycle_2, pair_from_coords
+from hlya.cohomology import cohomology_report, is_cocycle_2
 from hlya.exactlin import Matrix, kernel_basis, rat, unflatten, vstack
 from hlya.samples import random_verified_algebras
+
+from fraction_reference import pair_from_coords
 
 
 def _cocycle_pair(a, coeffs):
@@ -148,9 +150,9 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
     rows, orders, built = [], [], []
-    real_row, real_quadratic, real_values = deformation._coordinate_row, deformation._quadratic, deformation.identity_values
+    real_row, real_quadratic, real_values = deformation._pair_row, deformation._quadratic, deformation.identity_values
 
-    def coordinate_row(a, f, g):
+    def pair_row(a, f, g):
         rows.append((f, g))
         return real_row(a, f, g)
 
@@ -162,7 +164,7 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
         built.append((k, n))
         return real_values(a, k, n, fs, gs)
 
-    monkeypatch.setattr(deformation, "_coordinate_row", coordinate_row)
+    monkeypatch.setattr(deformation, "_pair_row", pair_row)
     monkeypatch.setattr(deformation, "_quadratic", quadratic)
     monkeypatch.setattr(deformation, "identity_values", identity_values)
     assert infinitesimal(d) == (f1, g1)
@@ -295,36 +297,43 @@ def _recorded_steps(monkeypatch) -> list:
 
 
 def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
-    # one coordinate extraction per gauge step serves both the cocycle test
-    # and the coboundary solve; every other read is one per order of a
+    # one coordinate row per gauge step serves both the cocycle test and
+    # the coboundary solve; every other read is one per order of a
     # verification: orders 1..N of the whole deformation, then r..N after
     # the step at order r
     d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
-    reads, rows, checked = [], [], []
-    real_pair_coords, real_row, real_check = deformation.pair_coords, deformation._coordinate_row, deformation._check_step
+    reads, tested, solved, checked = [], [], [], []
+    real_row, real_closed, real_preimage = deformation._pair_row, deformation._closed, deformation._preimage
+    real_check = deformation._check_step
 
-    def pair_coords(a, f, g):
-        reads.append((f, g))
-        return real_pair_coords(a, f, g)
+    def pair_row(a, f, g):
+        row = real_row(a, f, g)
+        reads.append(((f, g), row))
+        return row
 
-    def coordinate_row(a, f, g):
-        rows.append((f, g))
-        return real_row(a, f, g)
+    def closed(a, row):
+        tested.append(row)
+        return real_closed(a, row)
+
+    def preimage(a, row):
+        solved.append(row)
+        return real_preimage(a, row)
 
     def check_step(previous, current, r):
         checked.append(r)
         return real_check(previous, current, r)
 
-    monkeypatch.setattr(deformation, "pair_coords", pair_coords)
-    monkeypatch.setattr(deformation, "_coordinate_row", coordinate_row)
+    monkeypatch.setattr(deformation, "_pair_row", pair_row)
+    monkeypatch.setattr(deformation, "_closed", closed)
+    monkeypatch.setattr(deformation, "_preimage", preimage)
     monkeypatch.setattr(deformation, "_check_step", check_step)
     steps = _recorded_steps(monkeypatch)
     assert trivialize(d).trivial
-    leading = reads[:]
-    for pair in rows:
-        leading.remove(pair)
-    assert len(steps) == len(checked) == len(leading) == len(set(leading)) > 1
-    assert len(rows) == 3 + sum(3 - r + 1 for r in checked)
+    # each step's cocycle test and solve take the very row of one read
+    assert all(c is s for c, s in zip(tested, solved))
+    leading = [pair for pair, row in reads if any(row is c for c in tested)]
+    assert len(steps) == len(checked) == len(tested) == len(solved) == len(leading) == len(set(leading)) > 1
+    assert len(reads) - len(leading) == 3 + sum(3 - r + 1 for r in checked)
 
 
 def test_trivialize_steps_by_the_preimage_cochain(monkeypatch, e2):

@@ -19,7 +19,6 @@ from hlya import deformation
 from hlya.algebra import IDENTITIES, _plan, bracket_series, first_failure, from_lie_algebra, identity_values
 from hlya.coboundary import d2, delta2, linear_part
 from hlya.cochain import Cochain, build_cochain_space
-from hlya.cohomology import pair_coords, pair_from_coords
 from hlya.deformation import (
     Deformation,
     ProbeReport,
@@ -33,6 +32,8 @@ from hlya.deformation import (
 from hlya.errors import PreconditionError
 from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
+
+from fraction_reference import pair_coords, pair_from_coords
 
 ORDER = 3
 

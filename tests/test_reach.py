@@ -25,6 +25,7 @@ KEEP = {
     "ok_through": "DeformationReport.ok_through reads a report order by order, as the criterion tests do",
     "deformation_to_obj": "the writer of the deformation file format, for the planned order-N extension command",
     "zeros": "Matrix.zeros is the one constructor of a zero matrix of any shape, 0 x n included",
+    "apply": "Matrix.apply is the matrix-vector product on Fractions, the view of the integer product users read",
 }
 
 

@@ -23,7 +23,7 @@ from hlya import algebra, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
 from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
-from hlya.cohomology import is_cocycle_2, pair_coords, pair_from_coords
+from hlya.cohomology import is_cocycle_2
 from hlya.deformation import (
     ObstructionPair,
     ProbeReport,
@@ -35,7 +35,7 @@ from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
 from hlya.exactlin import kernel_basis, rat, solve, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import divided
+from fraction_reference import divided, pair_coords, pair_from_coords
 from tabulated import tabulate
 
 

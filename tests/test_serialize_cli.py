@@ -13,7 +13,6 @@ from hlya.algebra import check_axioms
 from hlya.cli import EXIT_INPUT, EXIT_OK, EXIT_THEOREM, main
 from hlya.coboundary import CoboundaryMap, d2, delta2
 from hlya.cochain import Cochain
-from hlya.cohomology import pair_from_coords
 from hlya.deformation import (
     Deformation,
     apply_gauge,
@@ -27,6 +26,8 @@ from hlya.deformation import (
 from hlya.errors import NotCocycleError
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.serialize import ParseError
+
+from fraction_reference import pair_from_coords
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
