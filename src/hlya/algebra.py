@@ -17,9 +17,10 @@ analysed once per algebra and order, into a plan kept in the algebra's
 memo, and every other term list once per algebra; each evaluation only
 binds its tables to that analysis (:class:`Contraction`).  A bound
 contraction is read in one of two orders.  The readers that scan some
-tuples (the identity scans of :func:`first_failure`, the quadratic parts
-of the deformation equations, operator assembly, the second-order
-obstruction, derivations) probe it one tuple at a time.
+tuples (the identity scans of :func:`first_failure`, operator assembly,
+the linear and quadratic parts of the deformation equations, bound once
+per algebra on generic tables and read as forms on coordinates,
+derivations) probe it one tuple at a time.
 The readers that need every basis tuple (the well-definedness audit,
 :func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
 it: each term's nonzero entries are paired on their shared index, so no
@@ -599,9 +600,9 @@ def contract(a: Algebra, tables: dict, terms) -> Contraction:
     well-definedness audit, reads the numerators alone.
 
     The values are read in one of two orders (:class:`Contraction`).  The
-    scans of representative tuples (:func:`first_failure`, the quadratic
-    parts of the deformation equations, the obstruction, assembly,
-    derivations) probe one tuple at a time, since
+    scans of representative tuples (:func:`first_failure`, assembly, the
+    linear and quadratic parts of the deformation equations on generic
+    tables, derivations) probe one tuple at a time, since
     they read a few of the d^n tuples or stop at the first nonzero value.
     The readers of every basis tuple (the audit, ``apply_operator``,
     :func:`from_lya_standard`) join: the probe would visit every term at

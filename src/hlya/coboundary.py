@@ -35,6 +35,9 @@ at the base brackets.  Deforming the brackets to (f0 + t f, g0 + t g), the
 t^1 coefficients of identities 7 and 8 are the two components of delta2,
 and those of identities 5 and 6 are the two components of d2; so
 (f, g) is a first-order deformation exactly when it lies in both kernels.
+Those blocks (:func:`linear_part`) and the t^2 coefficients with the
+generic pair as both order-1 tables (:func:`quadratic_part`) are the
+linear and bilinear forms the deformation equations read on coordinates.
 delta1 and delta3 are signed-term data in the same language
 (:data:`DELTA1`, :data:`DELTA3`); delta1 is the untwisted case of the
 alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
@@ -189,12 +192,25 @@ def _linearised(ids):
     return tuple((IDENTITIES[k].arity, IDENTITIES[k].pairs) for k in ids), tables
 
 
+def _quadratic(k: int):
+    """The contraction of the t^2 coefficient of identity k with (f, g) at
+    order 1 alone: only the terms outer_1(.., inner_1(..), ..) bind, (f, g)
+    being both outer and inner."""
+
+    def tables(a: Algebra, f: IntTable, g: IntTable):
+        empty = IntTable(1, {})
+        return [identity_values(a, k, 2, (empty, f, empty), (empty, g, empty))]
+
+    return tables
+
+
 # --- assembly -------------------------------------------------------------
 
 # degree-2 level -> the identities whose t^1 coefficients are its codomain
 # blocks, and identity -> (level, block)
 _LINEARISED = {"2": (7, 8), "d2": (5, 6)}
 _BLOCKS = {k: (level, block) for level, ids in _LINEARISED.items() for block, k in enumerate(ids)}
+_QUADRATIC = {k: _quadratic(k) for k in _BLOCKS}
 
 # level -> (name, domain arities, codomain (arity, pairs), formula tables);
 # the degree-2 levels read their codomains off the identities they linearise
@@ -240,6 +256,19 @@ def linear_part(a: Algebra, k: int) -> Contraction:
     level, block = _BLOCKS[k]
     _, arities, _, tables = _LEVELS[level]
     return _bound_generic(a, tables, arities)[block]
+
+
+def quadratic_part(a: Algebra, k: int) -> Contraction:
+    """The t^2 coefficient of identity k, one of 5-8, with the generic
+    pair of C2 x C3 at order 1 and nothing at orders 0 and 2, bound once
+    per algebra (:func:`_bound_generic`) to the tables assembly binds.  Its
+    values are bilinear forms {((output index, u), v): coefficient} over
+    its denominator, u an unknown of the outer pair and v one of the inner
+    pair: at (x, y) it is the sum of the terms outer(.., inner(..), ..)
+    with x outer and y inner, the quadratic part of equation k
+    (:func:`hlya.deformation._failures_from`)."""
+    [formula] = _bound_generic(a, _QUADRATIC[k], (2, 3))
+    return formula
 
 
 def _assemble(a: Algebra, level: str) -> CoboundaryMap:

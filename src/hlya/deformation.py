@@ -14,12 +14,18 @@ second-order term must solve delta2(f_2, g_2) = +(F, G).  At every order
 n >= 1 the coefficient splits the same way (Gerstenhaber's form of the
 equation): equation k is L_k(f_n, g_n) + Q_{k,n}, with L_k the t^1
 coefficient, a codomain block of delta2 (k = 7, 8) or d2 (k = 5, 6), and
-Q_{k,n} quadratic in the orders 1..n-1.  Equations 5-8 are evaluated so:
-L_k read off the linearised operator's forms on the coordinates of
-(f_n, g_n), and only Q_{k,n} contracted, not at all at n = 1.  With
-(f_2, g_2) substituted, 7' and 8' are delta2(f_2, g_2) - (F, G): the
-second-order probe accepts a candidate exactly when they vanish at n = 2,
-read against the (F, G) already computed.  Gauges are
+Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}) quadratic in the orders
+1..n-1, B_k the t^2 coefficient with order-1 tables alone, bilinear in
+the outer and the inner one, and c_i the coordinates of (f_i, g_i).  Both
+L_k and B_k are read off the generic pair of C2 x C3, bound once per
+algebra (:func:`hlya.coboundary.linear_part`,
+:func:`hlya.coboundary.quadratic_part`), as forms on coordinates
+(:func:`_equation_forms`): equations 5-8 and the obstruction pair
+(-B_7(c_1, c_1), -B_8(c_1, c_1)) read coordinate rows, and no cochain of
+a series is contracted, twisted or bound.  With (f_2, g_2) substituted,
+7' and 8' are delta2(f_2, g_2) - (F, G): the second-order probe accepts a
+candidate exactly when they vanish at n = 2, read against the (F, G)
+already computed.  Gauges are
 truncated invertible series of 1-cochains (linear maps commuting with
 alpha) with identity constant term; they act on deformations by
 f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
@@ -37,15 +43,13 @@ from .algebra import (
     IntTable,
     _plan,
     axiom_witnesses,
-    bracket_series,
     brackets,
     compose_out,
     compose_slot,
-    identity_values,
     memoised,
     table_sum,
 )
-from .coboundary import delta2, delta3, linear_part
+from .coboundary import delta2, delta3, linear_part, quadratic_part
 from .cochain import Cochain, _canonical, build_cochain_space, flat_numerators, identity_cochain, matrix_to_cochain
 from .cohomology import _closed, _pair_from_row, _pair_row, _preimage, is_cocycle_2
 from .errors import (
@@ -166,13 +170,12 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     the cochain conditions on (f_n, g_n), and equations 5-8 are evaluated,
     each only at the representative tuples of its alternating pairs, the
     tuples :func:`hlya.algebra.first_failure` scans, and with the same
-    first failing tuple.  Equation k at order n is L_k(f_n, g_n), the
-    linearised operator's forms at those tuples applied to the coordinates
-    of (f_n, g_n), plus Q_{k,n}, the contraction of the orders 1..n-1
-    alone (:func:`_equation_failure`); order 1 builds no contraction.  Each
-    twisted table of the series is built once per coefficient cochain,
-    kept on the integer table it keeps for every later call, and those of
-    the base brackets once per algebra (:func:`hlya.algebra.contract`).
+    first failing tuple.  Equation k at order n is L_k(f_n, g_n) +
+    Q_{k,n}, both read off forms on coordinates that are bound once per
+    algebra (:func:`_equation_forms`): L_k's linear forms at the coordinates
+    of (f_n, g_n), and Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}), B_k's
+    bilinear forms at the coordinates c_i of the lower orders.  No
+    coefficient of the series is contracted, twisted or bound.
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
 
@@ -192,67 +195,119 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     alone and vanishes exactly when f_n lies in C2 and g_n in C3.  The
     series rule (:func:`_series`) has made every coefficient of a
     Deformation such a cochain, so those entries are None and only
-    equations 5-8 are evaluated, each as L_k(f_n, g_n) + Q_{k,n}
-    (:func:`_equation_failure`) on the coordinate row of (f_n, g_n), read
-    once per order.
+    equations 5-8 are evaluated, each as L_k(c_n) + Q_{k,n}
+    (:func:`_equation_failure`), with Q_{k,n} the sum of B_k(c_i, c_{n-i})
+    over 1 <= i <= n-1 (:func:`_quadratic`).  The coordinate rows c_i of
+    (f_i, g_i) are read once per call, for the orders 1..stop, and put over
+    one denominator.
     """
     base = d.base
-    fs, gs = bracket_series(base, d.f_seq[1:], d.g_seq[1:])
+    den, xs = _common_rows([_pair_row(base, f, g) for f, g in zip(d.f_seq[1 : stop + 1], d.g_seq[1 : stop + 1])])
+    xs = [None, *xs]
     failures = {}
     for n in range(start, stop + 1):
         if n == 0:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
-        row = _pair_row(base, d.f_seq[n], d.g_seq[n])
+        pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
         for eq in IDENTITIES:
             if eq in _COCHAIN_CONDITIONS:
                 failures[(eq, n)] = None
             else:
-                failures[(eq, n)] = _equation_failure(base, eq, row, _quadratic(base, eq, n, fs, gs))
+                failures[(eq, n)] = _equation_failure(base, eq, (den, xs[n]), _quadratic(base, eq, den, pairs))
     return failures
 
 
+def _common_rows(rows: list) -> tuple[int, list]:
+    """Integer rows (den, {position: numerator}) as numerators over the lcm
+    of their denominators: (lcm, [numerators, ...])."""
+    den = lcm(*(r[0] for r in rows))
+    return den, [vec if d == den else {j: x * (den // d) for j, x in vec.items()} for d, vec in rows]
+
+
+class _EquationForms(NamedTuple):
+    """Equation k of 5-8 on coordinates, in integers, at each scan tuple of
+    identity k in scan order: ``rows`` holds (tuple, linear, bilinear).
+
+    ``linear`` is L_k there, ((output index, ((unknown, coefficient),
+    ...)), ...) over ``linear_den``: output j is the sum of coefficient
+    times pair coordinate.  ``bilinear`` is B_k there, ((output index,
+    ((u, ((v, coefficient), ...)), ...)), ...) over ``quadratic_den``: at
+    pairs x and y, output j is the sum of coefficient times x_u times
+    y_v, x being read by the outer table of a nested term and y by the
+    inner one."""
+
+    linear_den: int
+    quadratic_den: int
+    rows: tuple
+
+
 @memoised
-def _linear_forms(a: Algebra, k: int) -> tuple:
-    """L_k in integers, kept in a's memo.
+def _equation_forms(a: Algebra, k: int) -> _EquationForms:
+    """L_k and B_k in integers, kept in a's memo.
 
     The terms of equation k at order n >= 1 that read f_n or g_n against
     the base brackets are the t^1 coefficient of identity k with (f_n, g_n)
     in place of (f_1, g_1), so L_k is that coefficient on the generic pair
-    (:func:`hlya.coboundary.linear_part`); the other terms, Q_{k,n}
-    (:func:`_quadratic`), bind the orders 1..n-1 alone.  Returns (den,
-    rows), one row per scan tuple of identity k
-    (:func:`hlya.algebra.first_failure` scans the same), in scan order, as
-    (tuple, ((output index, ((unknown, coefficient), ...)), ...)): output j
-    of L_k at the tuple is the sum of coefficient times pair coordinate
-    over den.  An identity with no scan tuple probes nothing."""
+    (:func:`hlya.coboundary.linear_part`).  The other terms are the
+    convolution outer_i(.., inner_{n-i}(..), ..), 1 <= i <= n-1, and each
+    of them is the t^2 coefficient with order-1 tables alone, outer from
+    order i and inner from order n-i: B_k is that coefficient on the
+    generic pair as outer and inner table
+    (:func:`hlya.coboundary.quadratic_part`).  Both are probed once per
+    scan tuple of identity k (:func:`hlya.algebra.first_failure` scans the
+    same); an identity with no scan tuple probes nothing."""
     scan = _plan(a, k, 0).scan
     if not scan:
-        return 1, ()
-    formula = linear_part(a, k)
-    value = formula.probe()
+        return _EquationForms(1, 1, ())
+    linear, quadratic = linear_part(a, k), quadratic_part(a, k)
+    lvalue, qvalue = linear.probe(), quadratic.probe()
     rows = []
     for idx in scan:
         forms: dict = {}
-        for (j, u), c in value(idx).items():
+        for (j, u), c in lvalue(idx).items():
             forms.setdefault(j, []).append((u, c))
-        rows.append((idx, tuple((j, tuple(terms)) for j, terms in forms.items())))
-    return formula.den, tuple(rows)
+        pairs: dict = {}
+        for ((j, u), v), c in qvalue(idx).items():
+            pairs.setdefault(j, {}).setdefault(u, []).append((v, c))
+        rows.append((
+            idx,
+            tuple((j, tuple(terms)) for j, terms in forms.items()),
+            tuple((j, tuple((u, tuple(inner)) for u, inner in outer.items())) for j, outer in pairs.items()),
+        ))
+    return _EquationForms(linear.den, quadratic.den, tuple(rows))
 
 
-def _quadratic(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
-    """Q_{k,n}, the t^n coefficient of identity k with the order-0 and
-    order-n tables of the series left out, as (probe, den): only the
-    convolution terms outer_i(.., inner_{n-i}(..), ..) with 1 <= i <= n-1
-    bind.  None when identity k has no scan tuple or no such term has two
-    nonzero tables, at n = 1 always: no contraction is built then."""
-    if not _plan(a, k, 0).scan:
+def _bilinear(forms: tuple, pairs: tuple) -> dict:
+    """The sum over (x, y) in ``pairs`` of the bilinear ``forms`` of one
+    scan tuple (:class:`_EquationForms`) at x outer and y inner, x and y
+    being {position: numerator}: {output index: nonzero numerator}."""
+    out = {}
+    for j, outer in forms:
+        s = 0
+        for x, y in pairs:
+            for u, inner in outer:
+                xu = x.get(u)
+                if xu:
+                    t = 0
+                    for v, c in inner:
+                        yv = y.get(v)
+                        if yv:
+                            t += c * yv
+                    s += xu * t
+        if s:
+            out[j] = s
+    return out
+
+
+def _quadratic(a: Algebra, k: int, den: int, pairs: tuple) -> tuple | None:
+    """Q_{k,n} = sum of B_k(x, y) over (x, y) in ``pairs``, the coordinate
+    numerators over ``den`` of (c_i, c_{n-i}) for 1 <= i <= n-1, as the
+    (den, value) that :func:`_equation_failure` adds; None, standing for
+    zero, when no pair is left, at n = 1 always."""
+    if not pairs:
         return None
-    if not any((fs[i] or gs[i]) and (fs[n - i] or gs[n - i]) for i in range(1, n)):
-        return None
-    empty = IntTable(1, {})
-    coefficient = identity_values(a, k, n, (empty, *fs[1:n]), (empty, *gs[1:n]))
-    return coefficient.probe(), coefficient.den
+    return _equation_forms(a, k).quadratic_den * den * den, lambda idx, forms: _bilinear(forms, pairs)
 
 
 def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
@@ -260,21 +315,23 @@ def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
     nonzero, None when it vanishes throughout.
 
     ``row`` is a pair's coordinate row in C2 x C3
-    (:func:`hlya.cohomology._pair_row`), ``rest`` a (probe, den) of values
-    at tuples as :func:`_quadratic` gives, None standing for zero.  The
-    same scan as :func:`hlya.algebra.first_failure`, so an equation equal
-    to a t^n coefficient fails first at the same tuple.
+    (:func:`hlya.cohomology._pair_row`), ``rest`` None, standing for zero,
+    or (den, value), value(idx, forms) giving the numerators over den at
+    scan tuple idx, B_k's bilinear forms there being ``forms``
+    (:func:`_quadratic`).  The same scan as
+    :func:`hlya.algebra.first_failure`, so an equation equal to a t^n
+    coefficient fails first at the same tuple.
     """
     xden, xs = row
     if not xs and rest is None:
         return None
-    den, rows = _linear_forms(a, k)
-    value, rden = rest if rest is not None else (None, 1)
-    scale = den * xden
-    for idx, forms in rows:
+    forms = _equation_forms(a, k)
+    rden, value = (1, None) if rest is None else rest
+    scale = forms.linear_den * xden
+    for idx, linear, bilinear in forms.rows:
         acc = {}
         if xs:
-            for j, terms in forms:
+            for j, terms in linear:
                 s = 0
                 for u, c in terms:
                     x = xs.get(u)
@@ -283,7 +340,7 @@ def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
                 if s:
                     acc[j] = s * rden
         if value is not None:
-            for j, x in value(idx).items():
+            for j, x in value(idx, bilinear).items():
                 acc[j] = acc.get(j, 0) + x * scale
         if any(acc.values()):
             return tuple(i + 1 for i in idx)
@@ -597,23 +654,24 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     """(F, G) and their coordinate row in C4 x C5, for (f1, g1) in Z2 x Z3.
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
-    and no second-order term, evaluated once at the representative tuples
-    of C4 and C5, the codomain of delta2: both identities are antisymmetric
-    in their two leading pairs, so those values fix F and G.  They stay
-    the contraction's integer numerators, negated, until the spaces build
-    F and G with their coordinate rows
-    (:meth:`hlya.cochain.CochainSpace.from_rep_values`), joined as the
-    rows of a pair are.  The caller checks the cocycle property
-    (:func:`_second_order_step`).
+    and no second-order term, that is -B_7(c, c) and -B_8(c, c) at the
+    coordinate row c of (f1, g1) (:func:`_equation_forms`), read at the
+    scan tuples of identities 7 and 8: those are the representative tuples
+    of C4 and C5, the codomain of delta2, and both identities are
+    antisymmetric in their two leading pairs, so those values fix F and G.
+    They stay integer numerators until the spaces build F and G with their
+    coordinate rows (:meth:`hlya.cochain.CochainSpace.from_rep_values`),
+    which check alpha-equivariance, joined as the rows of a pair are.  The
+    caller checks the cocycle property (:func:`_second_order_step`).
     """
-    fs, gs = bracket_series(a, (f1,), (g1,))
+    den, x = _pair_row(a, f1, g1)
+    pairs = ((x, x),)
     c4, c5 = delta2(a).codomain
     parts = []
     for k, space in ((7, c4), (8, c5)):
-        coefficient = identity_values(a, k, 2, fs, gs)
-        value = coefficient.probe()
-        values = IntTable(coefficient.den, {idx: {j: -x for j, x in value(idx).items()} for idx in space.rep_tuples})
-        parts.append(space.from_rep_values(values))
+        forms = _equation_forms(a, k)
+        values = {idx: {j: -s for j, s in _bilinear(bilinear, pairs).items()} for idx, _, bilinear in forms.rows}
+        parts.append(space.from_rep_values(IntTable(forms.quadratic_den * den * den, values)))
     big_f, big_g = parts
     return big_f, big_g, _joined(c4.row(big_f), c5.row(big_g), c4.dim)
 
@@ -646,13 +704,16 @@ def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, C
 def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     """The quadratic pair controlling second-order extension of (f1, g1).
 
-    Requires (f1, g1) in Z2 x Z3.  The returned verdict records whether the
-    pair lies in the kernel of the third coboundary operator; the theorem
-    says it always does, and the acceptance suite tests exactly that.  The
-    check and (F, G) come from the second-order step that this function,
-    :func:`solve_second_order` and :func:`second_order_probe` share
-    (:func:`_second_order_step`): computed by the first of them called on
-    a pair, and kept until a call on another pair over the same algebra.
+    Requires (f1, g1) in Z2 x Z3.  (F, G) is -B_7(c, c), -B_8(c, c), the
+    bilinear forms bound once per algebra read on the coordinate row c of
+    (f1, g1) (:func:`_obstruction`).  The returned verdict records whether
+    the pair lies in the kernel of the third coboundary operator; the
+    theorem says it always does, and the acceptance suite tests exactly
+    that.  The check and (F, G) come from the second-order step that this
+    function, :func:`solve_second_order` and :func:`second_order_probe`
+    share (:func:`_second_order_step`): computed by the first of them
+    called on a pair, and kept until a call on another pair over the same
+    algebra.
     """
     big_f, big_g, row = _second_order_step(a, f1, g1)
     return ObstructionPair(big_f, big_g, delta3(a).matrix.kills(row))
@@ -689,8 +750,10 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     themselves: their t^2 coefficient is L(f2, g2) - (F, G), L being
     delta2's two blocks, so it vanishes on every tuple exactly when the
     precondition holds.  It is read at the representative tuples of C4 and
-    C5 against the (F, G) the shared second-order step holds, with no
-    contraction; 5' and 6' are L(f2, g2) + Q(1, 1) (:func:`_equation_failure`).
+    C5 against the (F, G) the shared second-order step holds; 5' and 6'
+    are L_k(f2, g2) + B_k(c, c), c the coordinate row of (f1, g1)
+    (:func:`_equation_failure`).  All four read forms on coordinates bound
+    once per algebra, so no cochain is contracted or twisted.
     No outcome is asserted: 5' and 6' may fail, and the report is the
     deliverable.  The cocycle check is the shared second-order step's (see
     :func:`obstruction_pair`), which a probe that meets the pair first
@@ -703,12 +766,13 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     row = _pair_row(a, f2, g2)
     for k, big in ((7, big_f), (8, big_g)):
         minus = _negated(big.ints)
-        rest = (lambda idx, values=minus.entries: values.get(idx, {}), minus.den) if minus else None
+        rest = (minus.den, lambda idx, _, values=minus.entries: values.get(idx, {})) if minus else None
         if _equation_failure(a, k, row, rest):
             raise PreconditionError(
                 "(f2, g2) does not solve the second-order extension equation: "
                 "delta2(f2, g2) must equal the obstruction pair"
             )
-    fs, gs = bracket_series(a, (f1,), (g1,))
-    failures = {eq: _equation_failure(a, eq, row, _quadratic(a, eq, 2, fs, gs)) for eq in (5, 6)}
+    common, (x, xs) = _common_rows([_pair_row(a, f1, g1), row])
+    pairs = ((x, x),) if x else ()
+    failures = {eq: _equation_failure(a, eq, (common, xs), _quadratic(a, eq, common, pairs)) for eq in (5, 6)}
     return ProbeReport({**failures, 7: None, 8: None})

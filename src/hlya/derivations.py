@@ -72,19 +72,42 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     ClosureViolationError on membership failure, which would contradict
     the closure theorem.
     """
-    for name, m, twist in (("first", d1, k), ("second", d2m, s)):
-        if not derivation_space(a, twist).basis.contains(m.flat_row()):
+    x, y = d1.flat_row(), d2m.flat_row()
+    for name, row, twist in (("first", x, k), ("second", y, s)):
+        if not derivation_space(a, twist).basis.contains(row):
             raise PreconditionError(f"the {name} map is not in Der_{twist}")
-    return _closed_commutator(derivation_space(a, k + s), d1, k, d2m, s)
+    den, flat = _closed_commutator(derivation_space(a, k + s), x, k, y, s, a.dim)
+    return Matrix._of([(den, row) for row in _unflattened(flat, a.dim)], a.dim)
 
 
-def _closed_commutator(target: DerivationSpace, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
-    """[d1, d2m] for d1 in Der_k and d2m in Der_s, checked to lie in target,
-    Der_{k+s}: ClosureViolationError otherwise."""
-    comm = d1.matmul(d2m).add(d2m.matmul(d1).scale(-1))
-    if solve(target.basis.basis, comm.flat_row()) is None:
+def _unflattened(flat: dict, dim: int) -> list[dict]:
+    """The rows {j: numerator} of a row-major flattened matrix {i * dim + j:
+    numerator}."""
+    rows: list = [{} for _ in range(dim)]
+    for pos, x in flat.items():
+        i, j = divmod(pos, dim)
+        rows[i][j] = x
+    return rows
+
+
+def _closed_commutator(target: DerivationSpace, x: tuple, k: int, y: tuple, s: int, dim: int) -> tuple[int, dict]:
+    """[d1, d2m] = d1 d2m - d2m d1 for d1 in Der_k and d2m in Der_s, each
+    given as its flattened integer row (den, {i * dim + j: numerator}),
+    as such a row over the product of their denominators, checked to lie
+    in target, Der_{k+s}: ClosureViolationError otherwise."""
+    (p, xs), (q, ys) = x, y
+    left, right = _unflattened(xs, dim), _unflattened(ys, dim)
+    comm: dict = {}
+    for first, second, sign in ((left, right, 1), (right, left, -1)):
+        for i, row in enumerate(first):
+            shift = i * dim
+            for m, a in row.items():
+                for j, b in second[m].items():
+                    comm[shift + j] = comm.get(shift + j, 0) + sign * a * b
+    row = p * q, {j: x for j, x in comm.items() if x}
+    if solve(target.basis.basis, row) is None:
         raise ClosureViolationError(f"[Der_{k}, Der_{s}] escaped Der_{k + s}: closure theorem violated", k=k, s=s)
-    return comm
+    return row
 
 
 class DerivationLieReport(NamedTuple):
@@ -100,13 +123,14 @@ def check_der_is_lie(a: Algebra, k_max: int = DEFAULT_K_MAX) -> DerivationLieRep
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
     spaces = {k: derivation_space(a, k) for k in range(k_max + 1)}
-    # basis maps are members of their spaces, so der_bracket's check is skipped
-    matrices = {k: sp.matrices(a.dim) for k, sp in spaces.items()}
+    # basis maps are members of their spaces, so der_bracket's check is
+    # skipped, and they are read as the flattened integer rows they are
+    flats = {k: sp.basis.basis.column_rows() for k, sp in spaces.items()}
     checked = 0
     for k in range(k_max + 1):
         for s in range(k_max + 1 - k):
-            for m1 in matrices[k]:
-                for m2 in matrices[s]:
-                    _closed_commutator(spaces[k + s], m1, k, m2, s)
+            for x in flats[k]:
+                for y in flats[s]:
+                    _closed_commutator(spaces[k + s], x, k, y, s, a.dim)
                     checked += 1
     return DerivationLieReport(k_max, {k: sp.dim for k, sp in spaces.items()}, checked)

@@ -29,7 +29,7 @@ from hlya.deformation import (
     verify_deformation,
     verify_equivalence,
 )
-from hlya import deformation
+from hlya import algebra, deformation
 from hlya.errors import (
     ArityError,
     BaseMismatchError,
@@ -144,32 +144,39 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     they are not evaluated, also when they fail.  Order 0 is the algebra's
     axiom verdict, evaluated once per algebra, so only order 1 is evaluated
     here, as L_k(f1, g1): the coordinates of (f1, g1) are read once for
-    equations 5-8, and no contraction is built, since order 1 has no
-    quadratic part (test_representatives.py counts every order)."""
+    equations 5-8, and no bilinear form is read and no contraction bound,
+    since order 1 has no quadratic part (test_representatives.py counts
+    every order)."""
     f1, g1 = _cocycle_pair(e1, [0, -1, 1])  # a pair whose obstruction is nonzero
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
-    rows, orders, built = [], [], []
-    real_row, real_quadratic, real_values = deformation._pair_row, deformation._quadratic, deformation.identity_values
+    rows, pairs, read, bound = [], [], [], []
+    real_row, real_quadratic = deformation._pair_row, deformation._quadratic
+    real_bilinear, real_bound = deformation._bilinear, algebra._bound
 
     def pair_row(a, f, g):
         rows.append((f, g))
         return real_row(a, f, g)
 
-    def quadratic(a, k, n, fs, gs):
-        orders.append(n)
-        return real_quadratic(a, k, n, fs, gs)
+    def quadratic(a, k, den, p):
+        pairs.append(p)
+        return real_quadratic(a, k, den, p)
 
-    def identity_values(a, k, n, fs, gs):
-        built.append((k, n))
-        return real_values(a, k, n, fs, gs)
+    def bilinear(forms, p):
+        read.append(p)
+        return real_bilinear(forms, p)
+
+    def bind(tables, analysed):
+        bound.append(analysed)
+        return real_bound(tables, analysed)
 
     monkeypatch.setattr(deformation, "_pair_row", pair_row)
     monkeypatch.setattr(deformation, "_quadratic", quadratic)
-    monkeypatch.setattr(deformation, "identity_values", identity_values)
+    monkeypatch.setattr(deformation, "_bilinear", bilinear)
+    monkeypatch.setattr(algebra, "_bound", bind)
     assert infinitesimal(d) == (f1, g1)
     assert rows == [(f1, g1)]
-    assert orders == [1] * 4 and built == []
+    assert pairs == [()] * 4 and read == [] and bound == []
 
 
 def test_constructor_validation(e0, e1, e3):
@@ -299,8 +306,10 @@ def _recorded_steps(monkeypatch) -> list:
 def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
     # one coordinate row per gauge step serves both the cocycle test and
     # the coboundary solve; every other read is one per order of a
-    # verification: orders 1..N of the whole deformation, then r..N after
-    # the step at order r
+    # verification: orders 1..N of the whole deformation, and again after
+    # each step, whose equations at the orders r..N read the orders below
+    # r in their quadratic parts.  No cochain read gains a twist: the
+    # equations are forms on the rows
     d = apply_gauge(null_deformation(e2, 3), random_gauge(e2, 3, random.Random(9)))
     reads, tested, solved, checked = [], [], [], []
     real_row, real_closed, real_preimage = deformation._pair_row, deformation._closed, deformation._preimage
@@ -333,7 +342,8 @@ def test_trivialize_reads_each_leading_pair_once(monkeypatch, e2):
     assert all(c is s for c, s in zip(tested, solved))
     leading = [pair for pair, row in reads if any(row is c for c in tested)]
     assert len(steps) == len(checked) == len(tested) == len(solved) == len(leading) == len(set(leading)) > 1
-    assert len(reads) - len(leading) == 3 + sum(3 - r + 1 for r in checked)
+    assert len(reads) - len(leading) == 3 + 3 * len(checked)
+    assert not any(c.ints.twists for pair, _ in reads for c in pair)
 
 
 def test_trivialize_steps_by_the_preimage_cochain(monkeypatch, e2):

@@ -39,6 +39,7 @@ from hlya.coboundary import OPERATORS, verify_well_definedness
 from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.cohomology import cohomology_report
 from hlya.deformation import (
+    Deformation,
     apply_gauge,
     bracket_cochain,
     first_order_deformation,
@@ -47,6 +48,7 @@ from hlya.deformation import (
     random_gauge,
     second_order_probe,
     solve_second_order,
+    ternary_cochain,
     trivialize,
     verify_deformation,
     verify_equivalence,
@@ -181,14 +183,14 @@ def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch
 
 
 def test_identity_plans_are_freed_with_their_algebra():
-    """The evaluation plans of the identities and the linear parts of
-    equations 5-8 live in the algebra's memo and go with it.  A plan is
-    kept per identity and order evaluated: order 0 of all eight, and above
-    it only the quadratic parts of 5-8, which a null deformation lacks
-    and a gauged one of order 2 has at order 2 alone, and order 1, the
-    linear parts bound on the generic tables of C2 x C3 as delta2 and d2
-    are.  The linear parts are kept once per identity, from the first
-    nonzero coefficient on: a null deformation reads none."""
+    """The evaluation plans of the identities and the linear and bilinear
+    forms of equations 5-8 live in the algebra's memo and go with it.  A
+    plan is kept per identity and order evaluated: order 0 of all eight,
+    and above it only those of 5-8 bound on the generic tables of C2 x C3,
+    which a null deformation never reads: order 1, the linear parts, bound
+    as delta2 and d2 are, and order 2, the quadratic parts.  The forms are
+    kept once per identity, from the first nonzero coefficient on: a null
+    deformation reads none."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
 
@@ -196,11 +198,11 @@ def test_identity_plans_are_freed_with_their_algebra():
         return {key[1:] for key in a._memo if key[0] is fn.__wrapped__}
 
     assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES}
-    assert kept(deformation._linear_forms) == set()
+    assert kept(deformation._equation_forms) == set()
     assert verify_deformation(apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(2)))).ok
     above = {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
     assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES} | above
-    assert kept(deformation._linear_forms) == {(k,) for k in (5, 6, 7, 8)}
+    assert kept(deformation._equation_forms) == {(k,) for k in (5, 6, 7, 8)}
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -411,9 +413,10 @@ def _count_twists(monkeypatch) -> list:
 
 def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
     """The twists of brackets(a) live on those tables, and those of the
-    series on the integer tables its coefficients keep: a second
-    verify_deformation or check_axioms on the algebra builds no twist of
-    either again."""
+    generic tables of C2 x C3 on them: a second verify_deformation or
+    check_axioms on the algebra builds no twist of either again, and
+    neither call twists a coefficient of the series, whose equations are
+    read on coordinates."""
     twist = _fresh_twist()
     a = make_algebra(twist.dim, twist.binary, twist.ternary, twist.alpha, name="fresh")
     built = _count_twists(monkeypatch)
@@ -429,10 +432,11 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
         # has already made those of identities 3 and 4), the second none
         added = sum(len(t.twists) for t in base) - before
         assert len(of_base) == (added if call == 0 else 0), call
-        # the first call also twists the coefficients' own tables and binds the
-        # generic tables of C2 x C3 for the linear parts, the second nothing
+        # the first call also binds the generic tables of C2 x C3 for the
+        # linear and quadratic parts, the second nothing
         generic = coboundary._generic_inputs(a, (2, 3))
-        assert all(any(t is s for s in (*series, *generic)) for t in built if t not in of_base), call
+        assert all(any(t is s for s in generic) for t in built if t not in of_base), call
+        assert not any(t.twists for t in series), call
         assert (len(built) > len(of_base)) == (call == 0), call
     assert [c.ints for c in d.f_seq[1:] + d.g_seq[1:]] == series
     # every twist applies the algebra's own memoised powers of alpha, or none
@@ -443,11 +447,14 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
 
 def test_a_twisted_cochain_does_not_keep_its_algebra_alive():
     """A cochain's twists are keyed by the alpha tables they apply, not by
-    the algebra: after obstruction_pair has twisted f1 and g1, the algebra
+    the algebra: obstruction_pair reads f1 and g1 as coordinate rows and
+    twists neither, and after apply_operator has twisted both, the algebra
     is freed while they live on, and their twists with them."""
     a = _fresh_twist()
     f1, g1 = pair_from_coords(a, cohomology_report(a).level2.cocycles.basis.column(0))
     obstruction_pair(a, f1, g1)
+    assert not f1.ints.twists and not g1.ints.twists
+    coboundary.apply_operator(a, "2", f1, g1)
     assert f1.ints.twists and g1.ints.twists
     twists = {id(c): dict(c.ints.twists) for c in (f1, g1)}
     ref = weakref.ref(a)
@@ -460,46 +467,49 @@ def test_a_twisted_cochain_does_not_keep_its_algebra_alive():
 
 def test_each_cochain_object_keeps_one_table_and_its_twists(monkeypatch):
     """A cochain converts its table once and keeps the twists made of it.
-    The probe after obstruction_pair never twists (f2, g2), whose
-    equations it reads off the linear parts; on sl2 it twists nothing,
-    and on a twisted algebra it twists f1 and g1 for identities 5 and 6,
-    whose alpha powers identities 7 and 8 do not use, and never a twist
-    the obstruction made.  A repeated probe twists nothing, and a cochain
-    rebuilt equal to another gets its own table and twists."""
+    The second-order trio reads every pair as a coordinate row against
+    forms bound once per algebra on the generic tables of C2 x C3:
+    obstruction_pair, solve_second_order, second_order_probe and
+    verify_deformation of the order-2 series twist no cochain of f1, g1 or
+    the solution, and once the first draw has bound the forms, nothing at
+    all.  A contraction of the concrete tables, as apply_operator makes,
+    twists each table once and keeps the twists, a repeated one twists
+    nothing, and a cochain rebuilt equal to another gets its own table and
+    twists."""
     built = _count_twists(monkeypatch)
     for a in (sl2(), heisenberg_twisted()):
         report = cohomology_report(a)
+        generic = coboundary._generic_inputs(a, (2, 3))
         probed = 0
         for j in range(report.level2.cocycles.dim):
             f1, g1 = pair_from_coords(a, report.level2.cocycles.basis.column(j))
             assert f1.ints is f1.ints and g1.ints is g1.ints
+            built.clear()
             obstruction_pair(a, f1, g1)
             solved = solve_second_order(a, f1, g1)
-            if solved is None:
-                continue
-            made = {id(t): set(t.twists) for t in (f1.ints, g1.ints)}
-            built.clear()
-            second_order_probe(a, f1, g1, *solved)
-            assert not any(c.ints.twists for c in solved), j
-            if a.name == "sl2":
-                assert built == [], j
-            for t in (f1.ints, g1.ints):
-                # the obstruction's twists are kept, and each twist the probe makes is new
-                assert made[id(t)] <= set(t.twists), j
-                assert sum(b is t for b in built) == len(t.twists) - len(made[id(t)]), j
-            built.clear()
-            second_order_probe(a, f1, g1, *solved)
-            assert built == [], j
-            probed += 1
+            if solved is not None:
+                second_order_probe(a, f1, g1, *solved)
+                second_order_probe(a, f1, g1, *solved)
+                f_seq, g_seq = [bracket_cochain(a), f1, solved[0]], [ternary_cochain(a), g1, solved[1]]
+                verify_deformation(Deformation(a, 2, f_seq, g_seq))
+                probed += 1
+            assert not any(c.ints.twists for c in (f1, g1, *(solved or ()))), j
+            assert all(any(t is s for s in generic) for t in built), j
+            assert j == 0 or built == [], j
         assert probed, a.name
     a = heisenberg_twisted()
     f1, g1 = pair_from_coords(a, cohomology_report(a).level2.cocycles.basis.column(0))
-    verify_deformation(first_order_deformation(a, f1, g1, order=2))
+    built.clear()
+    coboundary.apply_operator(a, "d2", f1, g1)
+    assert built and all(t is f1.ints or t is g1.ints for t in built)
+    kept = dict(f1.ints.twists)
+    assert kept
+    built.clear()
+    coboundary.apply_operator(a, "d2", f1, g1)
+    assert built == []
     again = Cochain(2, a.dim, dict(f1.table))
     assert again == f1 and again.ints is not f1.ints and not again.ints.twists
-    kept = dict(f1.ints.twists)
-    built.clear()
-    verify_deformation(first_order_deformation(a, again, g1, order=2))
+    coboundary.apply_operator(a, "d2", again, g1)
     assert [t for t in built if t is not again.ints] == [] and built
     assert again.ints.twists.keys() == kept.keys() and f1.ints.twists == kept
 

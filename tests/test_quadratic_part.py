@@ -1,39 +1,49 @@
 """The deformation equations as a linear part plus a quadratic part.
 
 Above order 0, equation k of 5-8 at order n is evaluated as
-L_k(f_n, g_n) + Q_{k,n}: L_k is the codomain block of d2 or delta2,
-applied to the coordinates of (f_n, g_n), and Q_{k,n} the contraction of
-the orders 1..n-1 alone.  The full t^n contraction of ``first_failure`` is
-the oracle: every (equation, order) of ``_failures_from`` and every
-outcome of ``second_order_probe`` must match it, witness for witness.
+L_k(f_n, g_n) + Q_{k,n}, both read off forms on coordinates bound once per
+algebra: L_k is the codomain block of d2 or delta2, applied to the
+coordinates of (f_n, g_n), and Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}),
+B_k the bilinear forms of the t^2 coefficient on the generic pair
+(``quadratic_part``) at the coordinates c_i of the orders below n.  The
+full t^n contraction of ``first_failure`` is the oracle: every (equation,
+order) of ``_failures_from``, every outcome of ``second_order_probe``,
+every value of Q_{k,n} and the obstruction pair must match it.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hlya import deformation
-from hlya.algebra import IDENTITIES, _plan, bracket_series, first_failure, from_lie_algebra, identity_values
-from hlya.coboundary import d2, delta2, linear_part
+from hlya import algebra, coboundary, deformation
+import pytest
+
+from hlya.algebra import IDENTITIES, _plan, bracket_series, contract, first_failure, from_lie_algebra, identity_values
+from hlya.coboundary import d2, delta2, linear_part, quadratic_part
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.deformation import (
     Deformation,
     ProbeReport,
     apply_gauge,
     null_deformation,
+    obstruction_pair,
     random_gauge,
     second_order_probe,
     solve_second_order,
+    trivialize,
     verify_deformation,
+    verify_equivalence,
 )
 from hlya.errors import PreconditionError
 from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import pair_coords, pair_from_coords
+from fraction_reference import coordinate_row, divided, pair_coords, pair_from_coords
+from tabulated import tabulate
 
 ORDER = 3
 
@@ -192,11 +202,167 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
     def got(idx):
         return {j: Fraction(x, coefficient.den) for j, x in value(idx).items()}
 
-    den, rows = deformation._linear_forms(a, k)
-    for idx, forms in rows:
-        assert got(idx) == expected([(j, c, u) for j, terms in forms for u, c in terms], den), (a.name, k, n, idx)
+    forms = deformation._equation_forms(a, k)
+    for idx, linear, _ in forms.rows:
+        assert got(idx) == expected([(j, c, u) for j, terms in linear for u, c in terms], forms.linear_den), (
+            a.name,
+            k,
+            n,
+            idx,
+        )
     generic = linear_part(a, k)
     probe = generic.probe()
     for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
         forms = [(j, c, u) for (j, u), c in probe(idx).items()]
         assert got(idx) == expected(forms, generic.den), (a.name, k, n, idx)
+
+
+@pytest.fixture(scope="module")
+def algebras(bundled, twisted_algebras):
+    return _algebras(bundled, twisted_algebras)
+
+
+def _split_terms(k):
+    """The nested terms of identity k with the outer table renamed
+    ("outer", name) and the nested one ("inner", name): the t^2 terms
+    outer_1(.., inner_1(..), ..) with the two order-1 tables told apart."""
+    terms = []
+    for sign, outer, args in IDENTITIES[k].terms:
+        if all(isinstance(arg[0], int) for arg in args):
+            continue
+        args = tuple(arg if isinstance(arg[0], int) else (("inner", arg[0]), *arg[1:]) for arg in args)
+        terms.append((sign, ("outer", outer), args))
+    return tuple(terms)
+
+
+def _exact(value, den):
+    return {j: Fraction(x, den) for j, x in value.items()}
+
+
+@seed(40)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebras, data):
+    """On random pairs c_1..c_{n-1} at orders n = 2..4, each order its own
+    pair, Q_{k,n} as _failures_from and the probe evaluate it, the sum of
+    B_k(c_i, c_{n-i}) on the coordinate rows, equals the t^n coefficient
+    of the series with no order-n term at every scan tuple, and so has
+    the same first failing tuple; so does the sum read off the bound
+    quadratic part at every basis tuple.  B_k(x, y) itself, on two pairs
+    drawn apart, is the contraction of the nested terms with x outer and y
+    inner, so reading the forms with outer and inner swapped fails."""
+    a = data.draw(st.sampled_from(algebras))
+    n = data.draw(st.integers(2, 4))
+    k = data.draw(st.sampled_from((5, 6, 7, 8)))
+
+    def draw_pair():
+        numerators = data.draw(st.lists(st.integers(-3, 3), min_size=40, max_size=40))
+        denominators = data.draw(st.lists(st.integers(1, 3), min_size=40, max_size=40))
+        return _pair(a, numerators, denominators)
+
+    series = [draw_pair() for _ in range(1, n)]  # orders 1..n-1
+    zero = (Cochain.zero(2, a.dim), Cochain.zero(3, a.dim))
+    fs, gs = bracket_series(a, [f for f, _ in series] + [zero[0]], [g for _, g in series] + [zero[1]])
+    coefficient = identity_values(a, k, n, fs, gs)
+    expected = divided(coefficient.probe(), coefficient.den)
+
+    den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
+    xs = [None, *xs]
+    pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
+    rest = deformation._quadratic(a, k, den, pairs)
+    forms = deformation._equation_forms(a, k)
+    for idx, _, bilinear in forms.rows:
+        got = _exact(rest[1](idx, bilinear), rest[0]) if rest else {}
+        assert got == expected(idx), (a.name, k, n, idx)
+    assert deformation._equation_failure(a, k, (den, {}), rest) == first_failure(a, k, n, fs, gs)
+
+    coords = [None, *(pair_coords(a, f, g) for f, g in series)]
+    bound = quadratic_part(a, k)
+    probe = bound.probe()
+    for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
+        total = {}
+        for ((j, u), v), c in probe(idx).items():
+            for i in range(1, n):
+                total[j] = total.get(j, 0) + Fraction(c, bound.den) * coords[i][u] * coords[n - i][v]
+        assert {j: x for j, x in total.items() if x} == expected(idx), (a.name, k, n, idx)
+
+    outer, inner = draw_pair(), draw_pair()
+    tables = {(side, name): c.ints for side, pair in (("outer", outer), ("inner", inner)) for name, c in zip("fg", pair)}
+    split = contract(a, tables, _split_terms(k))
+    oracle = divided(split.probe(), split.den)
+    den, (x, y) = deformation._common_rows([deformation._pair_row(a, *outer), deformation._pair_row(a, *inner)])
+    for idx, _, bilinear in forms.rows:
+        got = _exact(deformation._bilinear(bilinear, ((x, y),)), forms.quadratic_den * den * den)
+        assert got == oracle(idx), (a.name, k, idx)
+
+
+def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled, twisted_algebras):
+    """On cocycle draws over sl2_twist_7_11 and heisenberg_twisted, (F, G)
+    taken as -B_7(c, c) and -B_8(c, c) at the representative tuples and
+    built by the spaces equals minus the t^2 coefficient of identities 7
+    and 8 tabulated at every basis tuple, with the same coordinate row;
+    some draws on sl2_twist_7_11 are obstructed by a nonzero pair."""
+    rng = random.Random(4001)
+    nonzero = Counter()
+    for a in (twisted_algebras[1], bundled[3]):
+        assert a.name in ("sl2_twist_7_11", "heisenberg_twisted")
+        z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+        c4, c5 = delta2(a).codomain
+        for _ in range(8):
+            f1, g1 = pair_from_coords(a, _combination(z, rng))
+            big_f, big_g, row = deformation._obstruction(a, f1, g1)
+            fs, gs = bracket_series(a, (f1,), (g1,))
+            for k, big in ((7, big_f), (8, big_g)):
+                arity = IDENTITIES[k].arity
+                coefficient = identity_values(a, k, 2, fs, gs)
+                assert big == Cochain(arity, a.dim, tabulate(a, arity, divided(coefficient.probe(), -coefficient.den)))
+            assert row == coordinate_row(c4.coords(big_f) + c5.coords(big_g)), a.name
+            nonzero[a.name] += bool(row[1])
+    assert nonzero["sl2_twist_7_11"] >= 4, nonzero
+
+
+def test_a_warm_draw_and_round_trip_bind_and_twist_nothing(monkeypatch, bundled, twisted_algebras):
+    """On an algebra that has run the deformation layer once, a cocycle
+    draw (obstruction_pair, solve_second_order, second_order_probe) and a
+    gauge round trip (random_gauge, apply_gauge, trivialize,
+    verify_equivalence) call identity_values zero times and twist no
+    table: every equation, the obstruction included, is read off the
+    forms kept in the algebra's memo, and no cochain of a series gains a
+    twist."""
+    calls, twisted, probed = [], [], []
+    original_values, original_twisted = algebra.identity_values, algebra._twisted
+
+    def counted_values(*args):
+        calls.append(args[1:3])
+        return original_values(*args)
+
+    def counted_twisted(table, alphas, pos):
+        twisted.append(table)
+        return original_twisted(table, alphas, pos)
+
+    def session(a, rng):
+        z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
+        f1, g1 = pair_from_coords(a, _combination(z, rng))
+        obstruction_pair(a, f1, g1)
+        solved = solve_second_order(a, f1, g1)
+        if solved is not None:
+            second_order_probe(a, f1, g1, *solved)
+            probed.append(a)
+        null = null_deformation(a, 4)
+        disguised = apply_gauge(null, random_gauge(a, 4, rng))
+        result = trivialize(disguised)
+        assert result.trivial and verify_equivalence(disguised, null, result.gauge)
+        return [f1, g1, *(solved or ()), *disguised.f_seq[1:], *disguised.g_seq[1:]]
+
+    for a in (twisted_algebras[0], bundled[2], bundled[3]):
+        rng = random.Random(4002)
+        session(a, rng)  # the round trip's verification binds every form the layer reads
+        monkeypatch.setattr(algebra, "identity_values", counted_values)
+        monkeypatch.setattr(coboundary, "identity_values", counted_values)
+        monkeypatch.setattr(algebra, "_twisted", counted_twisted)
+        for _ in range(3):
+            series = session(a, rng)
+            assert calls == [] and twisted == [], a.name
+            assert not any(c.ints.twists for c in series), a.name
+        monkeypatch.undo()
+    assert len(probed) >= 6, [a.name for a in probed]

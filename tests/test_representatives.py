@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hlya import algebra, deformation
+from hlya import algebra, coboundary, deformation
 from hlya.algebra import (
     IDENTITIES,
     algebra_from_sparse,
@@ -277,10 +277,12 @@ def test_the_equations_left_out_hold_on_every_deformation(algebras):
 def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
     """On a sl2 gauge round trip at order 4, counted from the algebra's
     construction, identities 1-4 are evaluated at order 0 only, once for
-    the algebra and for every later call on it; the contractions above
-    order 0 are the quadratic parts of orders 2-4, order 1 having none;
-    infinitesimal builds no contraction; trivialize builds one Gauge, its
-    result."""
+    the algebra and for every later call on it.  Above order 0 only 5-8
+    are bound, each once per algebra on the generic tables of C2 x C3: at
+    order 1, the linear parts that delta2 and d2 assemble, and at order 2,
+    the quadratic parts; the orders 3 and 4 of the series bind nothing.
+    infinitesimal and a second round trip bind nothing; trivialize builds
+    one Gauge, its result."""
     evaluated = Counter()
     original = algebra.identity_values
 
@@ -289,7 +291,7 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
         return original(b, k, n, fs, gs)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
-    monkeypatch.setattr(deformation, "identity_values", counted)
+    monkeypatch.setattr(coboundary, "identity_values", counted)
     a = _copy(sl2(), "sl2_round_trip")
     null = null_deformation(a, 4)
     disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
@@ -304,15 +306,13 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
     result = trivialize(disguised)
     assert result.trivial and gauges == [result.gauge]
     assert verify_equivalence(disguised, null, result.gauge)
-    conditions = {key: count for key, count in evaluated.items() if key[0] <= 4}
-    assert conditions == {(k, 0): 1 for k in (1, 2, 3, 4)}
-    assert {n for _, n in evaluated} == {0, 2, 3, 4}
-    assert {k for k, n in evaluated if n} == {5, 6, 7, 8}
+    above = {(k, n): 1 for k in (5, 6, 7, 8) for n in (1, 2)}
+    assert evaluated == {**{(k, 0): 1 for k in IDENTITIES}, **above}
     evaluated.clear()
     assert infinitesimal(disguised) == (disguised.f_seq[1], disguised.g_seq[1])
     assert not evaluated
     assert check_axioms(a).all_passed and verify_deformation(disguised).ok and trivialize(disguised).trivial
-    assert not [key for key in evaluated if key[0] <= 4 or key[1] == 0]
+    assert not evaluated
 
 
 def test_obstruction_matches_the_full_tabulation(algebras):
@@ -329,8 +329,9 @@ def test_obstruction_matches_the_full_tabulation(algebras):
 
 def _counted_evaluations(monkeypatch):
     """Per identity, the tuples at which values of identity_values are read,
-    and the contractions it builds, for first_failure and for the
-    quadratic parts of the deformation equations."""
+    and the contractions it builds: for first_failure, and for the linear
+    and quadratic parts that :mod:`hlya.coboundary` binds on the generic
+    tables."""
     calls = {k: 0 for k in IDENTITIES}
     built = {k: 0 for k in IDENTITIES}
     original = algebra.identity_values
@@ -347,8 +348,37 @@ def _counted_evaluations(monkeypatch):
         return SimpleNamespace(probe=lambda: counting, den=contraction.den)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
-    monkeypatch.setattr(deformation, "identity_values", counted)
+    monkeypatch.setattr(coboundary, "identity_values", counted)
     return calls, built
+
+
+def _counted_reads(monkeypatch):
+    """Per identity, the scan tuples at which the deformation equations
+    read their rows of forms (:func:`hlya.deformation._equation_forms`),
+    and those at which they add a quadratic part."""
+    rows = {k: 0 for k in IDENTITIES}
+    quadratic = {k: 0 for k in IDENTITIES}
+    current = []
+    forms, bilinear = deformation._equation_forms, deformation._bilinear
+
+    def counted_forms(a, k):
+        kept = forms(a, k)
+
+        def read():
+            for row in kept.rows:
+                current[:] = [k]
+                rows[k] += 1
+                yield row
+
+        return kept._replace(rows=read())
+
+    def counted_bilinear(f, pairs):
+        quadratic[current[0]] += 1
+        return bilinear(f, pairs)
+
+    monkeypatch.setattr(deformation, "_equation_forms", counted_forms)
+    monkeypatch.setattr(deformation, "_bilinear", counted_bilinear)
+    return rows, quadratic
 
 
 def _copy(a, name):
@@ -365,22 +395,33 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     evaluated at order 0 only, 3 and 4 when the algebra is built, the
     cochain conditions being settled above it
     (test_a_round_trip_evaluates_each_condition_once guards that).  Above
-    order 0 equation k is L_k(f_n, g_n), kept as one row of forms per scan
-    tuple, plus the quadratic part, a contraction read at the same tuples:
-    none on a null deformation, and at orders 2..N on a gauged one."""
+    order 0 equation k is L_k(f_n, g_n) + Q_{k,n}, read off one row of
+    forms per scan tuple: the linear part and the quadratic part are each
+    probed once per algebra at those tuples, and then every order reads
+    the rows, none on a null deformation, and the quadratic part at orders
+    2..N on a gauged one."""
     calls, _ = _counted_evaluations(monkeypatch)
     a = _copy(sl2(), "sl2_counted")
     order = 3
+    equation_forms = deformation._equation_forms
+    rows, quadratic = _counted_reads(monkeypatch)
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
     per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
     assert calls == per_order and calls[8] == 27
-    assert {k: len(deformation._linear_forms(a, k)[1]) for k in (5, 6, 7, 8)} == {5: 1, 6: 3, 7: 9, 8: 27}
+    assert not any(rows.values())
+    bound = {k: len(equation_forms(a, k).rows) for k in (5, 6, 7, 8)}
+    assert bound == {5: 1, 6: 3, 7: 9, 8: 27}
+    assert calls == {k: count * 3 if k >= 5 else count for k, count in per_order.items()}
     calls.update(dict.fromkeys(calls, 0))
+    rows.update(dict.fromkeys(rows, 0))
     gauged = apply_gauge(null_deformation(a, order), random_gauge(a, order, random.Random(4111)))
+    assert all(not c.is_zero() for c in gauged.f_seq[1:])
     assert verify_deformation(gauged).ok
-    assert calls == {k: count * (order - 1) if k >= 5 else 0 for k, count in per_order.items()}
-    assert calls[8] == 27 * 2
+    assert not any(calls.values())
+    assert rows == {k: count * order if k >= 5 else 0 for k, count in per_order.items()}
+    assert quadratic == {k: count * (order - 1) if k >= 5 else 0 for k, count in per_order.items()}
+    assert rows[8] == 27 * 3 and quadratic[8] == 27 * 2
 
 
 def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
@@ -412,9 +453,12 @@ def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
 def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
     """On aff1 no tuple has three distinct arguments: first_failure returns
     None for identities 5 and 6 without building their contraction, and
-    still evaluates the others at their representative tuples."""
+    verify_deformation reads no row of their forms and binds neither their
+    linear nor their quadratic part, while it evaluates the others at
+    their representative tuples."""
     fresh = _copy(e1, "aff1_counted")
     calls, built = _counted_evaluations(monkeypatch)
+    rows, quadratic = _counted_reads(monkeypatch)
     order = 2
     fs, gs = bracket_series(e1, *_random_series(e1, order, random.Random(4106)))
     for n in range(order + 1):
@@ -422,11 +466,15 @@ def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
     assert calls[5] == calls[6] == built[5] == built[6] == 0
     assert verify_deformation(null_deformation(fresh, order)).ok
     assert calls[5] == calls[6] == built[5] == built[6] == 0
-    assert calls[8] == len(rep_tuples(2, 5, 2)) > 0  # order 0; a null series has no quadratic part
+    assert calls[8] == len(rep_tuples(2, 5, 2)) > 0  # order 0; a null series reads no form
+    assert not any(rows.values())
     gauged = apply_gauge(null_deformation(fresh, order), random_gauge(fresh, order, random.Random(4112)))
     assert verify_deformation(gauged).ok
     assert calls[5] == calls[6] == built[5] == built[6] == 0
-    assert calls[8] == len(rep_tuples(2, 5, 2)) * order  # and order 2's quadratic part
+    assert rows[5] == rows[6] == quadratic[5] == quadratic[6] == 0
+    # order 0, then the linear and quadratic parts probed once each
+    assert calls[8] == len(rep_tuples(2, 5, 2)) * 3
+    assert rows[8] == len(rep_tuples(2, 5, 2)) * order and quadratic[8] == len(rep_tuples(2, 5, 2))
 
 
 def test_identities_5_and_6_are_alternating_in_x_y_z(algebras):

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from hlya import algebra, deformation
+from hlya import algebra, coboundary, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
 from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
@@ -140,19 +140,24 @@ def _draw(a, rng):
 
 
 def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
-    """One draw checks the pair against Z2 x Z3 once, evaluates the t^2
-    coefficient of 7/8 without f2 once for all three entry points, and
+    """One draw checks the pair against Z2 x Z3 once, evaluates the
+    obstruction once for all three entry points, as -B_7(c, c) and
+    -B_8(c, c) at the 9 and 27 representative tuples of C4 and C5, and
     applies delta3 once.  The probe reads 7' and 8' as L(f2, g2) - (F, G)
-    and builds no contraction for them; for 5' and 6' it builds the
-    quadratic part Q(1, 1) once each, which binds (f1, g1) alone."""
+    and reads no bilinear form for them; 5' and 6' add B_5(c, c) and
+    B_6(c, c) at their 1 and 3 scan tuples.  On an algebra whose forms are
+    bound, no contraction is built: identity_values is never called."""
     calls = Counter()
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
-    original_cocycle = deformation.is_cocycle_2
+    original_cocycle, original_obstruction = deformation.is_cocycle_2, deformation._obstruction
+    original_bilinear = deformation._bilinear
     f1, g1 = _draw(e2, random.Random(9003))
+    for k in (5, 6, 7, 8):
+        deformation._equation_forms(e2, k)
+    c = dict(deformation._pair_row(e2, f1, g1)[1])
 
     def counted_values(a, k, n, fs, gs):
-        assert fs[1:] == (f1.ints,) and gs[1:] == (g1.ints,)
-        calls["obstruction" if fs[0] else "Q(1, 1)", k, n] += 1
+        calls["identity_values"] += 1
         return original_values(a, k, n, fs, gs)
 
     def counted_delta3(a):
@@ -163,22 +168,28 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
         calls["Z2 x Z3"] += 1
         return original_cocycle(a, f, g)
 
+    def counted_obstruction(a, f, g):
+        calls["obstruction"] += 1
+        return original_obstruction(a, f, g)
+
+    def counted_bilinear(forms, pairs):
+        [(x, y)] = pairs
+        assert x is y and x == c
+        calls["B(c, c)"] += 1
+        return original_bilinear(forms, pairs)
+
     monkeypatch.setattr(algebra, "identity_values", counted_values)
-    monkeypatch.setattr(deformation, "identity_values", counted_values)
+    monkeypatch.setattr(coboundary, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
     monkeypatch.setattr(deformation, "is_cocycle_2", counted_cocycle)
+    monkeypatch.setattr(deformation, "_obstruction", counted_obstruction)
+    monkeypatch.setattr(deformation, "_bilinear", counted_bilinear)
     obstruction_pair(e2, f1, g1)
     solved = solve_second_order(e2, f1, g1)
     assert solved is not None
-    second_order_probe(e2, f1, g1, *solved)
-    assert calls == Counter({
-        "Z2 x Z3": 1,
-        ("obstruction", 7, 2): 1,
-        ("obstruction", 8, 2): 1,
-        ("Q(1, 1)", 5, 2): 1,
-        ("Q(1, 1)", 6, 2): 1,
-        "delta3": 1,
-    })
+    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27, "delta3": 1})
+    assert second_order_probe(e2, f1, g1, *solved).extension_closes
+    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27 + 1 + 3, "delta3": 1})
 
 
 def test_the_second_order_slot_holds_one_entry(e1):
