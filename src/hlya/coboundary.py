@@ -70,7 +70,7 @@ from .algebra import (
     identity_values,
     memoised,
 )
-from .cochain import Cochain, build_cochain_space, check_defects
+from .cochain import Cochain, _require_cochain, build_cochain_space, check_defects
 from .errors import ArityError, NotACochainError, PreconditionError
 from .exactlin import Matrix
 
@@ -354,9 +354,11 @@ def apply_operator(a: Algebra, level: str, *cochains: Cochain) -> tuple[Cochain,
     (:meth:`hlya.cochain.CochainSpace.from_table`), which raises
     NotACochainError on an image that is not a cochain.  A cochain
     count or arity that is not the level's domain raises ArityError, a
-    cochain on another dimension DimMismatchError, and one outside its
-    domain space PreconditionError."""
+    cochain on another dimension DimMismatchError, and an argument that is
+    not a Cochain, or one outside its domain space, PreconditionError."""
     name, domain_arities, codomain_shapes, tables = _level(level)
+    for pos, c in enumerate(cochains, 1):
+        _require_cochain(c, f"{name} argument {pos}")
     arities = tuple(c.arity for c in cochains)
     if arities != domain_arities:
         raise ArityError(f"{name} takes cochains of arities {domain_arities}, got {arities}")

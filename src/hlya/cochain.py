@@ -69,7 +69,7 @@ from .algebra import (
     table_sum,
     zero_vec,
 )
-from .errors import ArityError, DimMismatchError, NotACochainError
+from .errors import ArityError, DimMismatchError, NotACochainError, PreconditionError
 from .exactlin import Frozen, Matrix, _dense, _integer_row, _lowest, rat, reduce_rows
 
 MAX_ARITY = 7
@@ -178,6 +178,13 @@ class Cochain(Frozen):
 
     def __repr__(self) -> str:
         return f"Cochain(arity={self.arity}, dim={self.dim}, nnz={len(self.ints.entries)})"
+
+
+def _require_cochain(c, what: str) -> None:
+    """PreconditionError unless ``c``, named ``what`` in the message, is a
+    :class:`Cochain`."""
+    if not isinstance(c, Cochain):
+        raise PreconditionError(f"{what} must be a Cochain, got {type(c).__name__}")
 
 
 def _orbit_map(reps: tuple, arity: int, pairs: int) -> dict:

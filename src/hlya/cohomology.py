@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra, memoised
 from .coboundary import d2, delta1, delta2, delta3
-from .cochain import Cochain, build_cochain_space
+from .cochain import Cochain, _require_cochain, build_cochain_space
 from .errors import NotACochainError, PreconditionError
 from .exactlin import Subspace, _joined, image_basis, kernel_basis, quotient_dim, solve, vstack
 
@@ -103,7 +103,10 @@ def _pair_from_row(a: Algebra, row: tuple[int, dict]) -> tuple[Cochain, Cochain]
 
 
 def _given_row(a: Algebra, f: Cochain, g: Cochain) -> tuple[int, dict]:
-    """:func:`_pair_row` of a caller's pair: a non-cochain is a PreconditionError."""
+    """:func:`_pair_row` of a caller's pair: an argument that is not a
+    Cochain, or a cochain outside C2 or C3, is a PreconditionError."""
+    for pos, c in enumerate((f, g), 1):
+        _require_cochain(c, f"pair component {pos}")
     try:
         return _pair_row(a, f, g)
     except NotACochainError as exc:

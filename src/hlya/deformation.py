@@ -24,11 +24,11 @@ algebra (:func:`hlya.coboundary.linear_part`,
 (-B_7(c_1, c_1), -B_8(c_1, c_1)) read coordinate rows, and no cochain of
 a series is contracted, twisted or bound.  With (f_2, g_2) substituted,
 7' and 8' are delta2(f_2, g_2) - (F, G): the second-order probe accepts a
-candidate exactly when they vanish at n = 2, read against the (F, G)
-already computed.  Gauges are
-truncated invertible series of 1-cochains (linear maps commuting with
-alpha) with identity constant term; they act on deformations by
-f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
+candidate exactly when they vanish at n = 2, and it reads all four of
+5'-8' as L_k(c_2) + B_k(c_1, c_1).  Gauges are truncated invertible
+series of 1-cochains (linear maps commuting with alpha) with identity
+constant term; they act on deformations by f' = Phi^{-1} f(Phi ., Phi .)
+and likewise on the ternary part.
 """
 
 from __future__ import annotations
@@ -50,8 +50,16 @@ from .algebra import (
     table_sum,
 )
 from .coboundary import delta2, delta3, linear_part, quadratic_part
-from .cochain import Cochain, _canonical, build_cochain_space, flat_numerators, identity_cochain, matrix_to_cochain
-from .cohomology import _closed, _pair_from_row, _pair_row, _preimage, is_cocycle_2
+from .cochain import (
+    Cochain,
+    _canonical,
+    _require_cochain,
+    build_cochain_space,
+    flat_numerators,
+    identity_cochain,
+    matrix_to_cochain,
+)
+from .cohomology import _closed, _given_row, _pair_from_row, _pair_row, _preimage, is_cocycle_2
 from .errors import (
     BaseMismatchError,
     NotACochainError,
@@ -79,8 +87,7 @@ def ternary_cochain(a: Algebra) -> Cochain:
 def _coefficient(space, c, n: int) -> None:
     """PreconditionError unless ``c``, the coefficient at order n, is a
     cochain of ``space``; ArityError or DimMismatchError for another shape."""
-    if not isinstance(c, Cochain):
-        raise PreconditionError(f"coefficient at order {n} must be a Cochain, got {type(c).__name__}")
+    _require_cochain(c, f"coefficient at order {n}")
     try:
         space.row(c)
     except NotACochainError as exc:
@@ -195,9 +202,9 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     alone and vanishes exactly when f_n lies in C2 and g_n in C3.  The
     series rule (:func:`_series`) has made every coefficient of a
     Deformation such a cochain, so those entries are None and only
-    equations 5-8 are evaluated, each as L_k(c_n) + Q_{k,n}
-    (:func:`_equation_failure`), with Q_{k,n} the sum of B_k(c_i, c_{n-i})
-    over 1 <= i <= n-1 (:func:`_quadratic`).  The coordinate rows c_i of
+    equations 5-8 are evaluated, each as L_k(c_n) + Q_{k,n}, with Q_{k,n}
+    the sum of B_k(c_i, c_{n-i}) over 1 <= i <= n-1
+    (:func:`_equation_failure`).  The coordinate rows c_i of
     (f_i, g_i) are read once per call, for the orders 1..stop, and put over
     one denominator.
     """
@@ -214,7 +221,7 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
             if eq in _COCHAIN_CONDITIONS:
                 failures[(eq, n)] = None
             else:
-                failures[(eq, n)] = _equation_failure(base, eq, (den, xs[n]), _quadratic(base, eq, den, pairs))
+                failures[(eq, n)] = _equation_failure(base, eq, (den, xs[n]), pairs)
     return failures
 
 
@@ -300,34 +307,25 @@ def _bilinear(forms: tuple, pairs: tuple) -> dict:
     return out
 
 
-def _quadratic(a: Algebra, k: int, den: int, pairs: tuple) -> tuple | None:
-    """Q_{k,n} = sum of B_k(x, y) over (x, y) in ``pairs``, the coordinate
-    numerators over ``den`` of (c_i, c_{n-i}) for 1 <= i <= n-1, as the
-    (den, value) that :func:`_equation_failure` adds; None, standing for
-    zero, when no pair is left, at n = 1 always."""
-    if not pairs:
-        return None
-    return _equation_forms(a, k).quadratic_den * den * den, lambda idx, forms: _bilinear(forms, pairs)
+def _equation_failure(a: Algebra, k: int, row, pairs: tuple) -> tuple | None:
+    """First scan tuple (1-based) of identity k at which L_k(c) + the sum
+    of B_k(x, y) over (x, y) in ``pairs`` is nonzero, None when it
+    vanishes throughout.
 
-
-def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
-    """First scan tuple (1-based) of identity k at which L_k(row) + rest is
-    nonzero, None when it vanishes throughout.
-
-    ``row`` is a pair's coordinate row in C2 x C3
-    (:func:`hlya.cohomology._pair_row`), ``rest`` None, standing for zero,
-    or (den, value), value(idx, forms) giving the numerators over den at
-    scan tuple idx, B_k's bilinear forms there being ``forms``
-    (:func:`_quadratic`).  The same scan as
+    ``row`` is a pair's coordinate row (den, c) in C2 x C3
+    (:func:`hlya.cohomology._pair_row`), and ``pairs`` holds (outer, inner)
+    coordinate numerators over the same den: for Q_{k,n} the pairs
+    (c_i, c_{n-i}), 1 <= i <= n-1, none at n = 1.  The same scan as
     :func:`hlya.algebra.first_failure`, so an equation equal to a t^n
     coefficient fails first at the same tuple.
     """
-    xden, xs = row
-    if not xs and rest is None:
+    den, xs = row
+    if not xs and not pairs:
         return None
     forms = _equation_forms(a, k)
-    rden, value = (1, None) if rest is None else rest
-    scale = forms.linear_den * xden
+    # L_k over linear_den * den and B_k over quadratic_den * den^2, both
+    # brought over linear_den * quadratic_den * den^2
+    lscale = forms.quadratic_den * den
     for idx, linear, bilinear in forms.rows:
         acc = {}
         if xs:
@@ -338,10 +336,10 @@ def _equation_failure(a: Algebra, k: int, row, rest) -> tuple | None:
                     if x:
                         s += c * x
                 if s:
-                    acc[j] = s * rden
-        if value is not None:
-            for j, x in value(idx, bilinear).items():
-                acc[j] = acc.get(j, 0) + x * scale
+                    acc[j] = s * lscale
+        if pairs:
+            for j, x in _bilinear(bilinear, pairs).items():
+                acc[j] = acc.get(j, 0) + x * forms.linear_den
         if any(acc.values()):
             return tuple(i + 1 for i in idx)
     return None
@@ -639,19 +637,9 @@ class ObstructionPair(NamedTuple):
     in_z4z5: bool
 
 
-def _require_cocycle(a: Algebra, f1: Cochain, g1: Cochain) -> None:
-    """NotInZ2Z3Error unless (f1, g1) lies in Z2 x Z3, also when it is not
-    a pair of cochains at all."""
-    try:
-        closed = is_cocycle_2(a, f1, g1)
-    except PreconditionError as exc:
-        raise NotInZ2Z3Error(f"(f1, g1) must be a 2-/3-cocycle pair: {exc}")
-    if not closed:
-        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
-
-
-def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, tuple]:
-    """(F, G) and their coordinate row in C4 x C5, for (f1, g1) in Z2 x Z3.
+def _obstruction(a: Algebra, row: tuple) -> tuple[Cochain, Cochain, tuple]:
+    """(F, G) and their coordinate row in C4 x C5, for the coordinate row
+    ``row`` of a pair (f1, g1) in Z2 x Z3.
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
     and no second-order term, that is -B_7(c, c) and -B_8(c, c) at the
@@ -664,7 +652,7 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
     which check alpha-equivariance, joined as the rows of a pair are.  The
     caller checks the cocycle property (:func:`_second_order_step`).
     """
-    den, x = _pair_row(a, f1, g1)
+    den, x = row
     pairs = ((x, x),)
     c4, c5 = delta2(a).codomain
     parts = []
@@ -681,22 +669,30 @@ def _obstruction(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain
 _SECOND_ORDER_SLOT = "second-order step"
 
 
-def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, tuple]:
-    """The Z2 x Z3 check and :func:`_obstruction` of (f1, g1), done once
-    per pair for the whole second-order trio.
+def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[tuple, Cochain, Cochain, tuple]:
+    """(row of (f1, g1), F, G, row of (F, G)), done once per pair for the
+    whole second-order trio, the one reader of (f1, g1).
 
-    The result lives in a one-entry slot of the algebra's memo, keyed by
-    the pair's value; cochains are immutable, so the slot keeps the
-    caller's f1 and g1 and the callers hand out its F and G.  A call with
-    another pair replaces the entry, so the slot never grows, and a pair
-    that fails the check raises NotInZ2Z3Error on every call and is never
-    stored.
+    The coordinate row of (f1, g1) is read once
+    (:func:`hlya.cohomology._given_row`), checked against Z2 x Z3 on that
+    row, and handed to :func:`_obstruction`; a pair that is not one of
+    cochains, or not in Z2 x Z3, raises NotInZ2Z3Error.  The result lives
+    in a one-entry slot of the algebra's memo, keyed by the pair's value;
+    cochains are immutable, so the slot keeps the caller's f1 and g1 and
+    the callers hand out its F and G.  A call with another pair replaces
+    the entry, so the slot never grows, and a pair that fails the check
+    raises on every call and is never stored.
     """
     slot = a._memo.get(_SECOND_ORDER_SLOT)
     if slot is not None and slot[0] == (f1, g1):
         return slot[1]
-    _require_cocycle(a, f1, g1)
-    step = _obstruction(a, f1, g1)
+    try:
+        row = _given_row(a, f1, g1)
+    except PreconditionError as exc:
+        raise NotInZ2Z3Error(f"(f1, g1) must be a 2-/3-cocycle pair: {exc}")
+    if not _closed(a, row):
+        raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
+    step = (row, *_obstruction(a, row))
     a._memo[_SECOND_ORDER_SLOT] = ((f1, g1), step)
     return step
 
@@ -709,13 +705,13 @@ def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     (f1, g1) (:func:`_obstruction`).  The returned verdict records whether
     the pair lies in the kernel of the third coboundary operator; the
     theorem says it always does, and the acceptance suite tests exactly
-    that.  The check and (F, G) come from the second-order step that this
-    function, :func:`solve_second_order` and :func:`second_order_probe`
-    share (:func:`_second_order_step`): computed by the first of them
-    called on a pair, and kept until a call on another pair over the same
-    algebra.
+    that.  The row, the check and (F, G) come from the second-order step
+    that this function, :func:`solve_second_order` and
+    :func:`second_order_probe` share (:func:`_second_order_step`): computed
+    by the first of them called on a pair, and kept until a call on
+    another pair over the same algebra.
     """
-    big_f, big_g, row = _second_order_step(a, f1, g1)
+    _, big_f, big_g, row = _second_order_step(a, f1, g1)
     return ObstructionPair(big_f, big_g, delta3(a).matrix.kills(row))
 
 
@@ -725,7 +721,7 @@ def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, C
     Requires (f1, g1) in Z2 x Z3; the check and the right-hand side come
     from the shared second-order step (see :func:`obstruction_pair`).
     """
-    sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[2])
+    sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[3])
     return None if sol is None else _pair_from_row(a, sol)
 
 
@@ -749,30 +745,24 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     (f2, g2) equals the obstruction pair.  The last is read off 7' and 8'
     themselves: their t^2 coefficient is L(f2, g2) - (F, G), L being
     delta2's two blocks, so it vanishes on every tuple exactly when the
-    precondition holds.  It is read at the representative tuples of C4 and
-    C5 against the (F, G) the shared second-order step holds; 5' and 6'
-    are L_k(f2, g2) + B_k(c, c), c the coordinate row of (f1, g1)
-    (:func:`_equation_failure`).  All four read forms on coordinates bound
-    once per algebra, so no cochain is contracted or twisted.
+    precondition holds.  All four equations are L_k(f2, g2) + B_k(c, c),
+    c the coordinate row of (f1, g1) that the shared second-order step
+    holds, read by the one equation reader (:func:`_equation_failure`) on
+    forms bound once per algebra, so no cochain is contracted or twisted.
     No outcome is asserted: 5' and 6' may fail, and the report is the
-    deliverable.  The cocycle check is the shared second-order step's (see
+    deliverable.  The row and the cocycle check are the shared step's (see
     :func:`obstruction_pair`), which a probe that meets the pair first
     computes whole for the next call of the trio; 5'-8' are evaluated
     with (f2, g2) on every call.
     """
-    big_f, big_g, _ = _second_order_step(a, f1, g1)
+    row = _second_order_step(a, f1, g1)[0]
     for c, arity in ((f2, 2), (g2, 3)):
         _coefficient(build_cochain_space(a, arity), c, 2)
-    row = _pair_row(a, f2, g2)
-    for k, big in ((7, big_f), (8, big_g)):
-        minus = _negated(big.ints)
-        rest = (minus.den, lambda idx, _, values=minus.entries: values.get(idx, {})) if minus else None
-        if _equation_failure(a, k, row, rest):
-            raise PreconditionError(
-                "(f2, g2) does not solve the second-order extension equation: "
-                "delta2(f2, g2) must equal the obstruction pair"
-            )
-    common, (x, xs) = _common_rows([_pair_row(a, f1, g1), row])
+    den, (x, xs) = _common_rows([row, _pair_row(a, f2, g2)])
     pairs = ((x, x),) if x else ()
-    failures = {eq: _equation_failure(a, eq, (common, xs), _quadratic(a, eq, common, pairs)) for eq in (5, 6)}
-    return ProbeReport({**failures, 7: None, 8: None})
+    if any(_equation_failure(a, k, (den, xs), pairs) for k in (7, 8)):
+        raise PreconditionError(
+            "(f2, g2) does not solve the second-order extension equation: "
+            "delta2(f2, g2) must equal the obstruction pair"
+        )
+    return ProbeReport({**{k: _equation_failure(a, k, (den, xs), pairs) for k in (5, 6)}, 7: None, 8: None})

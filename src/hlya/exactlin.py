@@ -521,12 +521,7 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
         # [z | b]; a pivot in b's block is the first b vector outside span(z).
         # Row i is reduced over the lcm of its two denominators.
         shift = z.dim
-        stacked = []
-        for (z_den, zr), (b_den, br) in zip(z.basis._rows, b.basis._rows):
-            den = lcm(z_den, b_den)
-            row = {j: x * (den // z_den) for j, x in zr.items()}
-            row.update((shift + j, x * (den // b_den)) for j, x in br.items())
-            stacked.append(row)
+        stacked = [_joined(z_row, b_row, shift)[1] for z_row, b_row in zip(z.basis._rows, b.basis._rows)]
         pivots, _ = reduce_rows(stacked)
         outside = [p - shift for p in pivots if p >= shift]
         if outside:

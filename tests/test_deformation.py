@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hlya.algebra import algebra_from_sparse, check_axioms, from_lie_algebra
-from hlya.coboundary import d2, delta2
+from hlya.coboundary import apply_operator, d2, delta2
 from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from hlya.deformation import (
     Deformation,
@@ -38,7 +38,7 @@ from hlya.errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from hlya.cohomology import cohomology_report, is_cocycle_2
+from hlya.cohomology import cohomology_report, is_coboundary_2, is_cocycle_2
 from hlya.exactlin import Matrix, kernel_basis, rat, unflatten, vstack
 from hlya.samples import random_verified_algebras
 
@@ -151,16 +151,16 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
     rows, pairs, read, bound = [], [], [], []
-    real_row, real_quadratic = deformation._pair_row, deformation._quadratic
+    real_row, real_failure = deformation._pair_row, deformation._equation_failure
     real_bilinear, real_bound = deformation._bilinear, algebra._bound
 
     def pair_row(a, f, g):
         rows.append((f, g))
         return real_row(a, f, g)
 
-    def quadratic(a, k, den, p):
+    def equation_failure(a, k, row, p):
         pairs.append(p)
-        return real_quadratic(a, k, den, p)
+        return real_failure(a, k, row, p)
 
     def bilinear(forms, p):
         read.append(p)
@@ -171,7 +171,7 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
         return real_bound(tables, analysed)
 
     monkeypatch.setattr(deformation, "_pair_row", pair_row)
-    monkeypatch.setattr(deformation, "_quadratic", quadratic)
+    monkeypatch.setattr(deformation, "_equation_failure", equation_failure)
     monkeypatch.setattr(deformation, "_bilinear", bilinear)
     monkeypatch.setattr(algebra, "_bound", bind)
     assert infinitesimal(d) == (f1, g1)
@@ -610,6 +610,34 @@ def test_cochains_of_another_shape_are_input_errors(e1):
         second_order_probe(e1, z2, z3, Cochain.zero(2, 3), z3)
     with pytest.raises(ArityError):
         first_order_deformation(e1, Cochain.zero(3, 2), z3)
+
+
+_NOT_COCHAIN_CALLS = {
+    "is_cocycle_2": (lambda a, x: is_cocycle_2(a, x, x), PreconditionError, "pair component 1"),
+    "is_cocycle_2_g": (lambda a, x: is_cocycle_2(a, Cochain.zero(2, a.dim), x), PreconditionError, "pair component 2"),
+    "is_coboundary_2": (lambda a, x: is_coboundary_2(a, (x, x)), PreconditionError, "pair component 1"),
+    "obstruction_pair": (lambda a, x: obstruction_pair(a, x, x), NotInZ2Z3Error, "pair component 1"),
+    "solve_second_order": (lambda a, x: solve_second_order(a, x, x), NotInZ2Z3Error, "pair component 1"),
+    "second_order_probe": (
+        lambda a, x: second_order_probe(a, x, x, Cochain.zero(2, a.dim), Cochain.zero(3, a.dim)),
+        NotInZ2Z3Error,
+        "pair component 1",
+    ),
+    "apply_operator": (lambda a, x: apply_operator(a, "1", x), PreconditionError, "delta1 argument 1"),
+}
+
+
+@pytest.mark.parametrize("value", [None, {}], ids=["None", "dict"])
+@pytest.mark.parametrize("entry", sorted(_NOT_COCHAIN_CALLS))
+def test_an_argument_that_is_not_a_cochain_is_a_precondition_error(e1, entry, value):
+    """None or a dict where a cochain is due raises PreconditionError, or
+    NotInZ2Z3Error for the second-order trio, naming the argument and its
+    type, before any attribute of it is read."""
+    call, error, what = _NOT_COCHAIN_CALLS[entry]
+    with pytest.raises(PreconditionError) as info:
+        call(e1, value)
+    assert info.type is error
+    assert f"{what} must be a Cochain, got {type(value).__name__}" in str(info.value)
 
 
 def test_obstruction_sign_convention(e1):

@@ -269,12 +269,11 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
     xs = [None, *xs]
     pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
-    rest = deformation._quadratic(a, k, den, pairs)
     forms = deformation._equation_forms(a, k)
     for idx, _, bilinear in forms.rows:
-        got = _exact(rest[1](idx, bilinear), rest[0]) if rest else {}
+        got = _exact(deformation._bilinear(bilinear, pairs), forms.quadratic_den * den * den)
         assert got == expected(idx), (a.name, k, n, idx)
-    assert deformation._equation_failure(a, k, (den, {}), rest) == first_failure(a, k, n, fs, gs)
+    assert deformation._equation_failure(a, k, (den, {}), pairs) == first_failure(a, k, n, fs, gs)
 
     coords = [None, *(pair_coords(a, f, g) for f, g in series)]
     bound = quadratic_part(a, k)
@@ -310,7 +309,7 @@ def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled
         c4, c5 = delta2(a).codomain
         for _ in range(8):
             f1, g1 = pair_from_coords(a, _combination(z, rng))
-            big_f, big_g, row = deformation._obstruction(a, f1, g1)
+            big_f, big_g, row = deformation._obstruction(a, deformation._pair_row(a, f1, g1))
             fs, gs = bracket_series(a, (f1,), (g1,))
             for k, big in ((7, big_f), (8, big_g)):
                 arity = IDENTITIES[k].arity

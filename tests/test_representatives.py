@@ -32,6 +32,7 @@ from hlya.algebra import (
 )
 from hlya.coboundary import d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
+from hlya.cohomology import _pair_row
 from hlya.deformation import (
     Deformation,
     Gauge,
@@ -321,7 +322,7 @@ def test_obstruction_matches_the_full_tabulation(algebras):
     draws += [(a, *_cocycle(a, rng)) for a in random_verified_algebras(12345, 20)]
     nonzero = 0
     for a, f1, g1 in draws:
-        got = _obstruction(a, f1, g1)
+        got = _obstruction(a, _pair_row(a, f1, g1))
         assert got == full_tabulation_obstruction(a, f1, g1), a.name
         nonzero += bool(got[2][1])
     assert nonzero > 10

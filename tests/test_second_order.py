@@ -22,7 +22,7 @@ import pytest
 from hlya import algebra, coboundary, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
 from hlya.coboundary import apply_operator, d2, delta2, delta3
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.cohomology import is_cocycle_2
 from hlya.deformation import (
     ObstructionPair,
@@ -143,13 +143,13 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     """One draw checks the pair against Z2 x Z3 once, evaluates the
     obstruction once for all three entry points, as -B_7(c, c) and
     -B_8(c, c) at the 9 and 27 representative tuples of C4 and C5, and
-    applies delta3 once.  The probe reads 7' and 8' as L(f2, g2) - (F, G)
-    and reads no bilinear form for them; 5' and 6' add B_5(c, c) and
-    B_6(c, c) at their 1 and 3 scan tuples.  On an algebra whose forms are
-    bound, no contraction is built: identity_values is never called."""
+    applies delta3 once.  The probe reads each of 5'-8' as L_k(f2, g2) +
+    B_k(c, c), so it adds B(c, c) at the 1, 3, 9 and 27 scan tuples of
+    identities 5-8.  On an algebra whose forms are bound, no contraction
+    is built: identity_values is never called."""
     calls = Counter()
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
-    original_cocycle, original_obstruction = deformation.is_cocycle_2, deformation._obstruction
+    original_closed, original_obstruction = deformation._closed, deformation._obstruction
     original_bilinear = deformation._bilinear
     f1, g1 = _draw(e2, random.Random(9003))
     for k in (5, 6, 7, 8):
@@ -164,13 +164,13 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
         calls["delta3"] += 1
         return original_delta3(a)
 
-    def counted_cocycle(a, f, g):
+    def counted_closed(a, row):
         calls["Z2 x Z3"] += 1
-        return original_cocycle(a, f, g)
+        return original_closed(a, row)
 
-    def counted_obstruction(a, f, g):
+    def counted_obstruction(a, row):
         calls["obstruction"] += 1
-        return original_obstruction(a, f, g)
+        return original_obstruction(a, row)
 
     def counted_bilinear(forms, pairs):
         [(x, y)] = pairs
@@ -181,7 +181,7 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     monkeypatch.setattr(algebra, "identity_values", counted_values)
     monkeypatch.setattr(coboundary, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
-    monkeypatch.setattr(deformation, "is_cocycle_2", counted_cocycle)
+    monkeypatch.setattr(deformation, "_closed", counted_closed)
     monkeypatch.setattr(deformation, "_obstruction", counted_obstruction)
     monkeypatch.setattr(deformation, "_bilinear", counted_bilinear)
     obstruction_pair(e2, f1, g1)
@@ -189,7 +189,36 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     assert solved is not None
     assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27, "delta3": 1})
     assert second_order_probe(e2, f1, g1, *solved).extension_closes
-    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27 + 1 + 3, "delta3": 1})
+    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27 + 1 + 3 + 9 + 27, "delta3": 1})
+
+
+def test_the_trio_reads_the_first_order_row_once(monkeypatch, e1, e2, twisted_algebras):
+    """A draw's obstruction_pair, solve_second_order and second_order_probe
+    read the coordinate row of (f1, g1) once between them: the shared
+    second-order step reads it, and the probe takes it from the step.
+    Each draw is a fresh pair of cochains, so no row recorded on it by an
+    earlier call is read back."""
+    reads = Counter()
+    original_row = CochainSpace.row
+
+    def counted_row(space, cochain):
+        reads[id(cochain)] += 1
+        return original_row(space, cochain)
+
+    monkeypatch.setattr(CochainSpace, "row", counted_row)
+    rng = random.Random(9008)
+    probed = 0
+    for a in (e1, e2, twisted_algebras[0]):
+        for _ in range(2):
+            f1, g1 = _draw(a, rng)
+            reads.clear()
+            obstruction_pair(a, f1, g1)
+            solved = solve_second_order(a, f1, g1)
+            if solved is not None:
+                assert second_order_probe(a, f1, g1, *solved).failures[7] is None
+                probed += 1
+            assert (reads[id(f1)], reads[id(g1)]) == (1, 1), a.name
+    assert probed >= 4
 
 
 def test_the_second_order_slot_holds_one_entry(e1):
