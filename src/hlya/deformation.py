@@ -20,15 +20,20 @@ the outer and the inner one, and c_i the coordinates of (f_i, g_i).  Both
 L_k and B_k are read off the generic pair of C2 x C3, bound once per
 algebra (:func:`hlya.coboundary.linear_part`,
 :func:`hlya.coboundary.quadratic_part`), as forms on coordinates
-(:func:`_equation_forms`): equations 5-8 and the obstruction pair
-(-B_7(c_1, c_1), -B_8(c_1, c_1)) read coordinate rows, and no cochain of
-a series is contracted, twisted or bound.  With (f_2, g_2) substituted,
-7' and 8' are delta2(f_2, g_2) - (F, G): the second-order probe accepts a
-candidate exactly when they vanish at n = 2, and it reads all four of
-5'-8' as L_k(c_2) + B_k(c_1, c_1).  Gauges are truncated invertible
-series of 1-cochains (linear maps commuting with alpha) with identity
-constant term; they act on deformations by f' = Phi^{-1} f(Phi ., Phi .)
-and likewise on the ternary part.
+(:func:`_equation_forms`), and laid out once per algebra as one system
+(:func:`_system`) over the index T of (identity k in 5-8, scan tuple,
+output index): M_T, the L_k stacked into one matrix, and B, the B_k over
+T.  At order n equations 5-8 are the one T vector
+M_T c_n + sum_{i=1}^{n-1} B(c_i, c_{n-i}), read by the columns in the
+coordinates' support; the obstruction pair is minus the blocks of 7 and
+8 in B(c_1, c_1), and no cochain of a series is contracted, twisted or
+bound.  With (f_2, g_2) substituted, 7' and 8' are
+delta2(f_2, g_2) - (F, G): the second-order probe accepts a candidate
+exactly when they vanish at n = 2, and it reads all four of 5'-8' as
+M_T c_2 plus the B(c_1, c_1) that the obstruction was read from.  Gauges
+are truncated invertible series of 1-cochains (linear maps commuting with
+alpha) with identity constant term; they act on deformations by
+f' = Phi^{-1} f(Phi ., Phi .) and likewise on the ternary part.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Frozen, Subspace, _joined, solve, unflatten
+from .exactlin import Frozen, Matrix, Subspace, _joined, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -178,18 +183,19 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     each only at the representative tuples of its alternating pairs, the
     tuples :func:`hlya.algebra.first_failure` scans, and with the same
     first failing tuple.  Equation k at order n is L_k(f_n, g_n) +
-    Q_{k,n}, both read off forms on coordinates that are bound once per
-    algebra (:func:`_equation_forms`): L_k's linear forms at the coordinates
-    of (f_n, g_n), and Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}), B_k's
-    bilinear forms at the coordinates c_i of the lower orders.  No
-    coefficient of the series is contracted, twisted or bound.
+    Q_{k,n}, and the four are read together off the system laid out once
+    per algebra (:func:`_system`): M_T at the coordinates of (f_n, g_n)
+    plus sum_{i=1}^{n-1} B(c_i, c_{n-i}) at the coordinates c_i of the
+    lower orders.  No coefficient of the series is contracted, twisted or
+    bound.
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
 
 
-# The equations that are the cochain conditions: alpha-equivariance of f and
-# g (identities 1 and 2) and alternation in the leading pair (3 and 4).
-_COCHAIN_CONDITIONS = (1, 2, 3, 4)
+# The equations evaluated above order 0: identities 1-4 there are the
+# cochain conditions on f_n and g_n, alpha-equivariance (1 and 2) and
+# alternation in the leading pair (3 and 4), which the series rule checks.
+_EQUATIONS = (5, 6, 7, 8)
 
 
 def _failures_from(d: Deformation, start: int, stop: int) -> dict:
@@ -202,11 +208,12 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     alone and vanishes exactly when f_n lies in C2 and g_n in C3.  The
     series rule (:func:`_series`) has made every coefficient of a
     Deformation such a cochain, so those entries are None and only
-    equations 5-8 are evaluated, each as L_k(c_n) + Q_{k,n}, with Q_{k,n}
-    the sum of B_k(c_i, c_{n-i}) over 1 <= i <= n-1
-    (:func:`_equation_failure`).  The coordinate rows c_i of
-    (f_i, g_i) are read once per call, for the orders 1..stop, and put over
-    one denominator.
+    equations 5-8 are evaluated, as one T vector M_T c_n + the sum of
+    B(c_i, c_{n-i}) over 1 <= i <= n-1 (:func:`_first_failures`,
+    :func:`_quadratic`); an order whose coefficient and quadratic part
+    are both zero reads nothing.  The coordinate rows c_i of (f_i, g_i)
+    are read once per call, for the orders 1..stop, and put over one
+    denominator.
     """
     base = d.base
     den, xs = _common_rows([_pair_row(base, f, g) for f, g in zip(d.f_seq[1 : stop + 1], d.g_seq[1 : stop + 1])])
@@ -217,11 +224,12 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
         pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
-        for eq in IDENTITIES:
-            if eq in _COCHAIN_CONDITIONS:
-                failures[(eq, n)] = None
-            else:
-                failures[(eq, n)] = _equation_failure(base, eq, (den, xs[n]), pairs)
+        found = {}
+        if xs[n] or pairs:
+            system = _system(base)
+            quadratic = _quadratic(system, pairs) if pairs else {}
+            found = _first_failures(system, (den, xs[n]), (system.den * den * den, quadratic))
+        failures.update(((eq, n), found.get(eq)) for eq in IDENTITIES)
     return failures
 
 
@@ -236,22 +244,21 @@ class _EquationForms(NamedTuple):
     """Equation k of 5-8 on coordinates, in integers, at each scan tuple of
     identity k in scan order: ``rows`` holds (tuple, linear, bilinear).
 
-    ``linear`` is L_k there, ((output index, ((unknown, coefficient),
-    ...)), ...) over ``linear_den``: output j is the sum of coefficient
-    times pair coordinate.  ``bilinear`` is B_k there, ((output index,
-    ((u, ((v, coefficient), ...)), ...)), ...) over ``quadratic_den``: at
-    pairs x and y, output j is the sum of coefficient times x_u times
-    y_v, x being read by the outer table of a nested term and y by the
-    inner one."""
+    ``linear`` is L_k there, {(output index, unknown): coefficient} over
+    ``linear_den``: output j is the sum of coefficient times pair
+    coordinate.  ``bilinear`` is B_k there, {((output index, u), v):
+    coefficient} over ``quadratic_den``: at pairs x and y, output j is the
+    sum of coefficient times x_u times y_v, x being read by the outer
+    table of a nested term and y by the inner one."""
 
     linear_den: int
     quadratic_den: int
     rows: tuple
 
 
-@memoised
 def _equation_forms(a: Algebra, k: int) -> _EquationForms:
-    """L_k and B_k in integers, kept in a's memo.
+    """L_k and B_k in integers, laid out once per algebra by
+    :func:`_system`.
 
     The terms of equation k at order n >= 1 that read f_n or g_n against
     the base brackets are the t^1 coefficient of identity k with (f_n, g_n)
@@ -269,80 +276,96 @@ def _equation_forms(a: Algebra, k: int) -> _EquationForms:
         return _EquationForms(1, 1, ())
     linear, quadratic = linear_part(a, k), quadratic_part(a, k)
     lvalue, qvalue = linear.probe(), quadratic.probe()
-    rows = []
-    for idx in scan:
-        forms: dict = {}
-        for (j, u), c in lvalue(idx).items():
-            forms.setdefault(j, []).append((u, c))
-        pairs: dict = {}
-        for ((j, u), v), c in qvalue(idx).items():
-            pairs.setdefault(j, {}).setdefault(u, []).append((v, c))
-        rows.append((
-            idx,
-            tuple((j, tuple(terms)) for j, terms in forms.items()),
-            tuple((j, tuple((u, tuple(inner)) for u, inner in outer.items())) for j, outer in pairs.items()),
-        ))
-    return _EquationForms(linear.den, quadratic.den, tuple(rows))
+    return _EquationForms(linear.den, quadratic.den, tuple((idx, lvalue(idx), qvalue(idx)) for idx in scan))
 
 
-def _bilinear(forms: tuple, pairs: tuple) -> dict:
-    """The sum over (x, y) in ``pairs`` of the bilinear ``forms`` of one
-    scan tuple (:class:`_EquationForms`) at x outer and y inner, x and y
-    being {position: numerator}: {output index: nonzero numerator}."""
-    out = {}
-    for j, outer in forms:
-        s = 0
-        for x, y in pairs:
-            for u, inner in outer:
-                xu = x.get(u)
-                if xu:
-                    t = 0
-                    for v, c in inner:
-                        yv = y.get(v)
-                        if yv:
-                            t += c * yv
-                    s += xu * t
-        if s:
-            out[j] = s
+class _System(NamedTuple):
+    """Equations 5-8 as one quadratic system over the index T of (identity
+    k, scan tuple of k, output index j), k by k, each k's tuples in scan
+    order and each tuple's outputs in turn: position t is ``positions[t]``,
+    (k, 0-based scan tuple, j).  T holds the (k, tuple, j) at which L_k or
+    B_k has a nonzero coefficient; at any other, equation k is 0 whatever
+    the coefficients of the series, so it never fails there.
+
+    ``matrix`` is M_T, the linear parts stacked: row t is L_k at (tuple,
+    j), a :class:`hlya.exactlin.Matrix` row over the unknowns of C2 x C3.
+    ``bilinear`` is B over T, kept by outer unknown, {u: ((v, t,
+    coefficient), ...)} over ``den``: B(x, y) at t is the sum of
+    coefficient times x_u times y_v."""
+
+    matrix: Matrix
+    den: int
+    bilinear: dict
+    positions: tuple
+
+
+@memoised
+def _system(a: Algebra) -> _System:
+    """The deformation system of ``a``, laid out from :func:`_equation_forms`
+    once and kept in a's memo; B's coefficients are brought over the lcm
+    of the four quadratic denominators."""
+    forms = {k: _equation_forms(a, k) for k in _EQUATIONS}
+    den = lcm(*(f.quadratic_den for f in forms.values()))
+    rows, bilinear, positions = [], {}, []
+    for k, f in forms.items():
+        w = den // f.quadratic_den
+        for idx, linear, quadratic in f.rows:
+            at = {}
+            for j in sorted({j for j, _ in linear} | {j for (j, _), _ in quadratic}):
+                at[j] = len(positions)
+                positions.append((k, idx, j))
+                rows.append((f.linear_den, {u: c for (i, u), c in linear.items() if i == j}))
+            for ((j, u), v), c in quadratic.items():
+                bilinear.setdefault(u, []).append((v, at[j], w * c))
+    unknowns = build_cochain_space(a, 2).dim + build_cochain_space(a, 3).dim
+    return _System(Matrix._of(rows, unknowns), den, {u: tuple(v) for u, v in bilinear.items()}, tuple(positions))
+
+
+def _quadratic(system: _System, pairs: tuple) -> dict:
+    """The sum over (x, y) in ``pairs`` of B(x, y) over T, x outer and y
+    inner, each {position: numerator} over one den: {t: numerator} over
+    system.den * den^2, a t it leaves out being 0."""
+    out: dict = {}
+    bilinear = system.bilinear
+    for x, y in pairs:
+        for u, xu in x.items():
+            terms = bilinear.get(u)
+            if terms:
+                for v, t, c in terms:
+                    yv = y.get(v)
+                    if yv:
+                        out[t] = out.get(t, 0) + c * xu * yv
     return out
 
 
-def _equation_failure(a: Algebra, k: int, row, pairs: tuple) -> tuple | None:
-    """First scan tuple (1-based) of identity k at which L_k(c) + the sum
-    of B_k(x, y) over (x, y) in ``pairs`` is nonzero, None when it
-    vanishes throughout.
+def _first_failures(system: _System, row: tuple, quadratic: tuple) -> dict:
+    """{k: first failing scan tuple (1-based)} of the identities k of 5-8
+    at which M_T x + q is nonzero, k absent when it vanishes throughout.
 
-    ``row`` is a pair's coordinate row (den, c) in C2 x C3
-    (:func:`hlya.cohomology._pair_row`), and ``pairs`` holds (outer, inner)
-    coordinate numerators over the same den: for Q_{k,n} the pairs
-    (c_i, c_{n-i}), 1 <= i <= n-1, none at n = 1.  The same scan as
-    :func:`hlya.algebra.first_failure`, so an equation equal to a t^n
-    coefficient fails first at the same tuple.
-    """
-    den, xs = row
-    if not xs and not pairs:
-        return None
-    forms = _equation_forms(a, k)
-    # L_k over linear_den * den and B_k over quadratic_den * den^2, both
-    # brought over linear_den * quadratic_den * den^2
-    lscale = forms.quadratic_den * den
-    for idx, linear, bilinear in forms.rows:
-        acc = {}
-        if xs:
-            for j, terms in linear:
-                s = 0
-                for u, c in terms:
-                    x = xs.get(u)
-                    if x:
-                        s += c * x
-                if s:
-                    acc[j] = s * lscale
-        if pairs:
-            for j, x in _bilinear(bilinear, pairs).items():
-                acc[j] = acc.get(j, 0) + x * forms.linear_den
-        if any(acc.values()):
-            return tuple(i + 1 for i in idx)
-    return None
+    ``row`` is a pair's coordinate row (den, x) in C2 x C3
+    (:func:`hlya.cohomology._pair_row`) and ``quadratic`` a T vector (qden,
+    {t: numerator}).  Row t of M_T x is the column product over d_t *
+    den, d_t the denominator of M_T's row t, so the sum at t is nonzero
+    exactly when its numerator times qden plus q_t times d_t * den is.
+    The first failure of identity k is the lowest nonzero position in k's
+    block of T, whose tuple is the one :func:`hlya.algebra.first_failure`
+    meets first in the same scan."""
+    den, x = row
+    qden, q = quadratic
+    if x:
+        values = system.matrix._numerators(x)
+        rows = system.matrix._rows
+        for t, b in q.items():
+            values[t] = values[t] * qden + b * rows[t][0] * den
+        failing = (t for t, s in enumerate(values) if s)
+    else:
+        failing = sorted(t for t, b in q.items() if b)
+    found = {}
+    for t in failing:
+        k, idx, _ = system.positions[t]
+        if k not in found:
+            found[k] = tuple(i + 1 for i in idx)
+    return found
 
 
 def infinitesimal(d: Deformation) -> tuple[Cochain, Cochain]:
@@ -637,30 +660,31 @@ class ObstructionPair(NamedTuple):
     in_z4z5: bool
 
 
-def _obstruction(a: Algebra, row: tuple) -> tuple[Cochain, Cochain, tuple]:
-    """(F, G) and their coordinate row in C4 x C5, for the coordinate row
-    ``row`` of a pair (f1, g1) in Z2 x Z3.
+def _obstruction(a: Algebra, square: tuple) -> tuple[Cochain, Cochain, tuple]:
+    """(F, G) and their coordinate row in C4 x C5, for B(c, c) over T, the
+    T vector ``square`` (qden, {t: numerator}) of the coordinate row c of
+    a pair (f1, g1) in Z2 x Z3.
 
     (F, G) is minus the t^2 coefficient of identities 7 and 8 with (f1, g1)
-    and no second-order term, that is -B_7(c, c) and -B_8(c, c) at the
-    coordinate row c of (f1, g1) (:func:`_equation_forms`), read at the
-    scan tuples of identities 7 and 8: those are the representative tuples
-    of C4 and C5, the codomain of delta2, and both identities are
-    antisymmetric in their two leading pairs, so those values fix F and G.
-    They stay integer numerators until the spaces build F and G with their
-    coordinate rows (:meth:`hlya.cochain.CochainSpace.from_rep_values`),
-    which check alpha-equivariance, joined as the rows of a pair are.  The
-    caller checks the cocycle property (:func:`_second_order_step`).
+    and no second-order term, that is minus the blocks of identities 7 and
+    8 in B(c, c) (:func:`_system`), read at the scan tuples of identities 7
+    and 8: those are the representative tuples of C4 and C5, the codomain
+    of delta2, and both identities are antisymmetric in their two leading
+    pairs, so those values fix F and G.  They stay integer numerators until
+    the spaces build F and G with their coordinate rows
+    (:meth:`hlya.cochain.CochainSpace.from_rep_values`), which check
+    alpha-equivariance, joined as the rows of a pair are.  The caller
+    checks the cocycle property (:func:`_second_order_step`).
     """
-    den, x = row
-    pairs = ((x, x),)
+    qden, q = square
+    positions = _system(a).positions
+    values: dict = {7: {}, 8: {}}
+    for t, b in q.items():
+        k, idx, j = positions[t]
+        if k in values and b:
+            values[k].setdefault(idx, {})[j] = -b
     c4, c5 = delta2(a).codomain
-    parts = []
-    for k, space in ((7, c4), (8, c5)):
-        forms = _equation_forms(a, k)
-        values = {idx: {j: -s for j, s in _bilinear(bilinear, pairs).items()} for idx, _, bilinear in forms.rows}
-        parts.append(space.from_rep_values(IntTable(forms.quadratic_den * den * den, values)))
-    big_f, big_g = parts
+    big_f, big_g = (space.from_rep_values(IntTable(qden, values[k])) for k, space in ((7, c4), (8, c5)))
     return big_f, big_g, _joined(c4.row(big_f), c5.row(big_g), c4.dim)
 
 
@@ -669,19 +693,23 @@ def _obstruction(a: Algebra, row: tuple) -> tuple[Cochain, Cochain, tuple]:
 _SECOND_ORDER_SLOT = "second-order step"
 
 
-def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[tuple, Cochain, Cochain, tuple]:
-    """(row of (f1, g1), F, G, row of (F, G)), done once per pair for the
-    whole second-order trio, the one reader of (f1, g1).
+def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, Cochain, tuple, tuple]:
+    """(F, G, row of (F, G), B(c, c) over T), c the coordinate row of
+    (f1, g1), done once per pair for the whole second-order trio, the one
+    reader of (f1, g1).
 
     The coordinate row of (f1, g1) is read once
     (:func:`hlya.cohomology._given_row`), checked against Z2 x Z3 on that
-    row, and handed to :func:`_obstruction`; a pair that is not one of
-    cochains, or not in Z2 x Z3, raises NotInZ2Z3Error.  The result lives
-    in a one-entry slot of the algebra's memo, keyed by the pair's value;
-    cochains are immutable, so the slot keeps the caller's f1 and g1 and
-    the callers hand out its F and G.  A call with another pair replaces
-    the entry, so the slot never grows, and a pair that fails the check
-    raises on every call and is never stored.
+    row, and B(c, c) is evaluated on it once (:func:`_quadratic`), as
+    (system.den * den^2, {t: numerator}); :func:`_obstruction` reads (F, G)
+    off its blocks of 7 and 8, and the probe reads 5'-8' against all of
+    it.  A pair that is not one of cochains, or not in Z2 x Z3, raises
+    NotInZ2Z3Error.  The result lives in a one-entry slot of the algebra's
+    memo, keyed by the pair's value; cochains are immutable, so the slot
+    keeps the caller's f1 and g1 and the callers hand out its F and G.  A
+    call with another pair replaces the entry, so the slot never grows,
+    and a pair that fails the check raises on every call and is never
+    stored.
     """
     slot = a._memo.get(_SECOND_ORDER_SLOT)
     if slot is not None and slot[0] == (f1, g1):
@@ -692,7 +720,10 @@ def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[tuple, Coc
         raise NotInZ2Z3Error(f"(f1, g1) must be a 2-/3-cocycle pair: {exc}")
     if not _closed(a, row):
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
-    step = (row, *_obstruction(a, row))
+    system = _system(a)
+    den, c = row
+    square = (system.den * den * den, _quadratic(system, ((c, c),)))
+    step = (*_obstruction(a, square), square)
     a._memo[_SECOND_ORDER_SLOT] = ((f1, g1), step)
     return step
 
@@ -700,18 +731,20 @@ def _second_order_step(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[tuple, Coc
 def obstruction_pair(a: Algebra, f1: Cochain, g1: Cochain) -> ObstructionPair:
     """The quadratic pair controlling second-order extension of (f1, g1).
 
-    Requires (f1, g1) in Z2 x Z3.  (F, G) is -B_7(c, c), -B_8(c, c), the
-    bilinear forms bound once per algebra read on the coordinate row c of
-    (f1, g1) (:func:`_obstruction`).  The returned verdict records whether
-    the pair lies in the kernel of the third coboundary operator; the
-    theorem says it always does, and the acceptance suite tests exactly
-    that.  The row, the check and (F, G) come from the second-order step
-    that this function, :func:`solve_second_order` and
-    :func:`second_order_probe` share (:func:`_second_order_step`): computed
-    by the first of them called on a pair, and kept until a call on
-    another pair over the same algebra.
+    Requires (f1, g1) in Z2 x Z3.  (F, G) is minus the blocks of
+    identities 7 and 8 in B(c, c), the system's bilinear map read on the
+    coordinate row c of (f1, g1) (:func:`_obstruction`).  The returned
+    verdict records whether the pair lies in the kernel of the third
+    coboundary operator, a column product that reads only the columns of
+    delta3 at (F, G)'s nonzero coordinates; the theorem says it always
+    does, and the acceptance suite tests exactly that.  The read of the
+    row, the check and (F, G) come from the second-order step that this
+    function, :func:`solve_second_order` and :func:`second_order_probe`
+    share (:func:`_second_order_step`): computed by the first of them
+    called on a pair, and kept until a call on another pair over the same
+    algebra.
     """
-    _, big_f, big_g, row = _second_order_step(a, f1, g1)
+    big_f, big_g, row, _ = _second_order_step(a, f1, g1)
     return ObstructionPair(big_f, big_g, delta3(a).matrix.kills(row))
 
 
@@ -721,7 +754,7 @@ def solve_second_order(a: Algebra, f1: Cochain, g1: Cochain) -> tuple[Cochain, C
     Requires (f1, g1) in Z2 x Z3; the check and the right-hand side come
     from the shared second-order step (see :func:`obstruction_pair`).
     """
-    sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[3])
+    sol = solve(delta2(a).matrix, _second_order_step(a, f1, g1)[2])
     return None if sol is None else _pair_from_row(a, sol)
 
 
@@ -745,24 +778,22 @@ def second_order_probe(a: Algebra, f1: Cochain, g1: Cochain, f2: Cochain, g2: Co
     (f2, g2) equals the obstruction pair.  The last is read off 7' and 8'
     themselves: their t^2 coefficient is L(f2, g2) - (F, G), L being
     delta2's two blocks, so it vanishes on every tuple exactly when the
-    precondition holds.  All four equations are L_k(f2, g2) + B_k(c, c),
-    c the coordinate row of (f1, g1) that the shared second-order step
-    holds, read by the one equation reader (:func:`_equation_failure`) on
-    forms bound once per algebra, so no cochain is contracted or twisted.
-    No outcome is asserted: 5' and 6' may fail, and the report is the
-    deliverable.  The row and the cocycle check are the shared step's (see
-    :func:`obstruction_pair`), which a probe that meets the pair first
-    computes whole for the next call of the trio; 5'-8' are evaluated
-    with (f2, g2) on every call.
+    precondition holds.  All four equations are read as one T vector,
+    M_T c_2 + B(c, c) (:func:`_first_failures`), c_2 the coordinate row of
+    (f2, g2) and B(c, c) the one the shared second-order step holds, so
+    no bilinear form is evaluated here.  No outcome is asserted: 5' and 6'
+    may fail, and the report is the deliverable.  The row, the cocycle
+    check and B(c, c) are the shared step's (see :func:`obstruction_pair`),
+    which a probe that meets the pair first computes whole for the next
+    call of the trio; M_T c_2 is read on every call.
     """
-    row = _second_order_step(a, f1, g1)[0]
+    square = _second_order_step(a, f1, g1)[3]
     for c, arity in ((f2, 2), (g2, 3)):
         _coefficient(build_cochain_space(a, arity), c, 2)
-    den, (x, xs) = _common_rows([row, _pair_row(a, f2, g2)])
-    pairs = ((x, x),) if x else ()
-    if any(_equation_failure(a, k, (den, xs), pairs) for k in (7, 8)):
+    found = _first_failures(_system(a), _pair_row(a, f2, g2), square)
+    if 7 in found or 8 in found:
         raise PreconditionError(
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    return ProbeReport({**{k: _equation_failure(a, k, (den, xs), pairs) for k in (5, 6)}, 7: None, 8: None})
+    return ProbeReport({5: found.get(5), 6: found.get(6), 7: None, 8: None})

@@ -13,7 +13,12 @@ echelon form, and is stored as such.  A vector is read in the same
 format, the integer row (den, {position: numerator}), as the cochain
 spaces give coordinates: one integer product (:meth:`Matrix._numerators`)
 serves the kernel test :meth:`Matrix.kills`, :meth:`Matrix.apply` and
-:func:`solve`, which reads and returns integer rows.  Fractions are made
+:func:`solve`, which reads and returns integer rows.  The product is
+driven by the vector: a matrix keeps a column index of its rows, built on
+the first product, and reads only the columns in the vector's support, so
+a sparse coordinate row costs its own nonzeros, not the matrix's rows.  A
+position outside the vector's length is a DimMismatchError, never
+dropped.  Fractions are made
 only for a matrix's Fraction view and for dense vectors: the values
 :meth:`Matrix.apply` returns, and :func:`solve` on a dense right-hand
 side.  The contraction kernels of :mod:`hlya.algebra` also work on
@@ -136,14 +141,19 @@ class Matrix(Frozen):
     Row i is stored as ``(den, {column: numerator})`` over its nonzero
     entries, in lowest terms: den > 0 and the gcd of den and the
     numerators is 1 (:func:`_lowest`), so equal matrices have equal rows.
-    Equality, the hash, :meth:`apply` and every elimination read those
-    rows.  :attr:`data`, :meth:`entries` and :meth:`column` read a Fraction
-    view of them, built on first read and kept.  The first :func:`solve`
-    against a matrix keeps its reduction on it, so every later solve is
-    one product.
+    Equality, the hash and every elimination read those rows.  The
+    integer product that :meth:`kills`, :meth:`apply` and :func:`solve`
+    share reads a column index of them, {column: [(row, numerator)]},
+    built on the first product and kept, so a product touches only the
+    columns in the vector's support.  :attr:`data`, :meth:`entries` and
+    :meth:`column` read a Fraction view of the rows, built on first read
+    and kept.  The first :func:`solve` against a matrix keeps its
+    reduction on it, so every later solve is one product.  The view, the
+    index and the reduction are derived from the rows, so equality and
+    the hash ignore them.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_view", "_reduction")
+    __slots__ = ("rows", "cols", "_rows", "_view", "_reduction", "_by_column")
     _fields = ("rows", "cols", "_rows")
 
     def __init__(self, data: Sequence[Sequence]):
@@ -155,7 +165,7 @@ class Matrix(Frozen):
         self._set([_integer_row(row) for row in rows], cols)
 
     def _set(self, rows: list[tuple[int, dict]], cols: int) -> None:
-        self._init(rows=len(rows), cols=cols, _rows=rows, _view=None, _reduction=None)
+        self._init(rows=len(rows), cols=cols, _rows=rows, _view=None, _reduction=None, _by_column=None)
 
     @classmethod
     def _of(cls, rows: Iterable[tuple[int, dict]], cols: int) -> "Matrix":
@@ -225,24 +235,39 @@ class Matrix(Frozen):
             flat.update((shift + j, x * w) for j, x in row.items())
         return _lowest(den, flat)
 
+    def _columns(self) -> dict:
+        """The column index {column: [(row, numerator), ...]} of the
+        canonical rows, built on the first product and kept."""
+        if self._by_column is None:
+            index: dict = {}
+            for i, (_, row) in enumerate(self._rows):
+                for j, x in row.items():
+                    index.setdefault(j, []).append((i, x))
+            self._init(_by_column=index)
+        return self._by_column
+
     def _numerators(self, vec: dict) -> list[int]:
         """The integer product with a vector of numerators {column:
         numerator} over some den: entry i of the product is the i-th
-        number over den_i * den, den_i the denominator of row i."""
-        out = []
-        for _, row in self._rows:
-            small, large = (row, vec) if len(row) < len(vec) else (vec, row)
-            s = 0
-            for j, a in small.items():
-                b = large.get(j)
-                if b is not None:
-                    s += a * b
-            out.append(s)
+        number over den_i * den, den_i the denominator of row i.  Only the
+        columns in the vector's support are read (:meth:`_columns`); a
+        position outside the columns is a DimMismatchError."""
+        out = [0] * self.rows
+        index = self._columns()
+        for j, b in vec.items():
+            column = index.get(j)
+            if column is None:
+                if not 0 <= j < self.cols:
+                    raise DimMismatchError(f"vector position {j} is out of range for length {self.cols}")
+                continue
+            for i, a in column:
+                out[i] += a * b
         return out
 
     def kills(self, row: tuple[int, dict]) -> bool:
         """Is the vector of an integer row (den, {column: numerator}) in the
-        kernel?  Read off the integer product, with no division."""
+        kernel?  Read off the integer product, with no division; a
+        position outside the columns is a DimMismatchError."""
         return not any(self._numerators(row[1]))
 
     def apply(self, vec: Sequence) -> list[Fraction]:
@@ -494,7 +519,9 @@ def solve(m: Matrix, b) -> list[Fraction] | tuple[int, dict] | None:
     variables are 0.  The reduction (pivots, E) of m is computed on the
     first call and kept on m: b is in the image iff the rows of E b past
     the rank vanish, and x at pivot r is (E b)_r, the integer product
-    (:meth:`Matrix._numerators`) over den times E's row denominator.
+    (:meth:`Matrix._numerators`) over den times E's row denominator.  E b
+    reads E's columns at b's nonzero positions only, so a position of an
+    integer row outside m's rows is a DimMismatchError.
     """
     dense = not (isinstance(b, tuple) and len(b) == 2 and isinstance(b[1], dict))
     if dense:

@@ -143,40 +143,40 @@ def test_infinitesimal_evaluates_orders_0_and_1_only(monkeypatch, e1):
     """The equations at orders 2..N do not bear on the first-order pair, so
     they are not evaluated, also when they fail.  Order 0 is the algebra's
     axiom verdict, evaluated once per algebra, so only order 1 is evaluated
-    here, as L_k(f1, g1): the coordinates of (f1, g1) are read once for
-    equations 5-8, and no bilinear form is read and no contraction bound,
-    since order 1 has no quadratic part (test_representatives.py counts
-    every order)."""
+    here, as M_T at the coordinates of (f1, g1): they are read once, the
+    T vector of equations 5-8 is read once with no quadratic part, and no
+    bilinear form is evaluated and no contraction bound, since order 1 has
+    no quadratic part (test_representatives.py counts every order)."""
     f1, g1 = _cocycle_pair(e1, [0, -1, 1])  # a pair whose obstruction is nonzero
     d = first_order_deformation(e1, f1, g1, order=3)
     assert not verify_deformation(d).ok_through(2)
-    rows, pairs, read, bound = [], [], [], []
-    real_row, real_failure = deformation._pair_row, deformation._equation_failure
-    real_bilinear, real_bound = deformation._bilinear, algebra._bound
+    rows, stacked, read, bound = [], [], [], []
+    real_row, real_failures = deformation._pair_row, deformation._first_failures
+    real_quadratic, real_bound = deformation._quadratic, algebra._bound
 
     def pair_row(a, f, g):
         rows.append((f, g))
         return real_row(a, f, g)
 
-    def equation_failure(a, k, row, p):
-        pairs.append(p)
-        return real_failure(a, k, row, p)
+    def first_failures(system, row, quadratic):
+        stacked.append(quadratic[1])
+        return real_failures(system, row, quadratic)
 
-    def bilinear(forms, p):
+    def quadratic(system, p):
         read.append(p)
-        return real_bilinear(forms, p)
+        return real_quadratic(system, p)
 
     def bind(tables, analysed):
         bound.append(analysed)
         return real_bound(tables, analysed)
 
     monkeypatch.setattr(deformation, "_pair_row", pair_row)
-    monkeypatch.setattr(deformation, "_equation_failure", equation_failure)
-    monkeypatch.setattr(deformation, "_bilinear", bilinear)
+    monkeypatch.setattr(deformation, "_first_failures", first_failures)
+    monkeypatch.setattr(deformation, "_quadratic", quadratic)
     monkeypatch.setattr(algebra, "_bound", bind)
     assert infinitesimal(d) == (f1, g1)
     assert rows == [(f1, g1)]
-    assert pairs == [()] * 4 and read == [] and bound == []
+    assert stacked == [{}] and read == [] and bound == []
 
 
 def test_constructor_validation(e0, e1, e3):

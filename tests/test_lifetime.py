@@ -189,8 +189,8 @@ def test_identity_plans_are_freed_with_their_algebra():
     and above it only those of 5-8 bound on the generic tables of C2 x C3,
     which a null deformation never reads: order 1, the linear parts, bound
     as delta2 and d2 are, and order 2, the quadratic parts.  The forms are
-    kept once per identity, from the first nonzero coefficient on: a null
-    deformation reads none."""
+    kept as one deformation system per algebra, laid out from the first
+    nonzero coefficient on: a null deformation reads none."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
 
@@ -198,11 +198,11 @@ def test_identity_plans_are_freed_with_their_algebra():
         return {key[1:] for key in a._memo if key[0] is fn.__wrapped__}
 
     assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES}
-    assert kept(deformation._equation_forms) == set()
+    assert kept(deformation._system) == set()
     assert verify_deformation(apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(2)))).ok
     above = {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
     assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES} | above
-    assert kept(deformation._equation_forms) == {(k,) for k in (5, 6, 7, 8)}
+    assert kept(deformation._system) == {()}
     ref = weakref.ref(a)
     del a
     gc.collect()

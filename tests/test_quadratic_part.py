@@ -6,6 +6,8 @@ algebra: L_k is the codomain block of d2 or delta2, applied to the
 coordinates of (f_n, g_n), and Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}),
 B_k the bilinear forms of the t^2 coefficient on the generic pair
 (``quadratic_part``) at the coordinates c_i of the orders below n.  The
+four equations are read together as one vector over the system's index
+T, M_T c_n plus the sum of B(c_i, c_{n-i}), identity k its block.  The
 full t^n contraction of ``first_failure`` is the oracle: every (equation,
 order) of ``_failures_from``, every outcome of ``second_order_probe``,
 every value of Q_{k,n} and the obstruction pair must match it.
@@ -25,6 +27,7 @@ import pytest
 from hlya.algebra import IDENTITIES, _plan, bracket_series, contract, first_failure, from_lie_algebra, identity_values
 from hlya.coboundary import d2, delta2, linear_part, quadratic_part
 from hlya.cochain import Cochain, build_cochain_space
+from hlya.cohomology import h2h3
 from hlya.deformation import (
     Deformation,
     ProbeReport,
@@ -39,7 +42,7 @@ from hlya.deformation import (
     verify_equivalence,
 )
 from hlya.errors import PreconditionError
-from hlya.exactlin import kernel_basis, rat, vstack
+from hlya.exactlin import kernel_basis, rank, rat, vstack
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import coordinate_row, divided, pair_coords, pair_from_coords
@@ -95,6 +98,27 @@ def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
                 assert deformation._failures_from(d, start, ORDER) == _oracle(d, start), (a.name, start)
             outcomes[verify_deformation(d).ok] += 1
     assert outcomes[True] >= 15 and outcomes[False] >= 20, outcomes
+
+
+def test_the_stacked_system_has_the_kernel_of_delta2_and_d2(bundled, twisted_algebras):
+    """M_T, the linear parts of 5-8 stacked over T, has the rank of
+    M = [delta2; d2] and its kernel, Z2 x Z3, on the bundled algebras, a
+    twisted sl2 and the seeded corpus: its rows are M's rows at the
+    representative tuples of 5-8, and T leaves out only outputs at which
+    no coefficient reads.  T runs identity by identity, each in scan
+    order; it has 120 positions on sl2, 6 on aff1 and none on
+    heisenberg_twisted, whose equations 5-8 have no nonzero coefficient."""
+    sizes = {}
+    for a in _algebras(bundled, twisted_algebras):
+        system = deformation._system(a)
+        stacked = vstack(delta2(a).matrix, d2(a).matrix)
+        assert system.matrix.cols == stacked.cols and system.matrix.rows == len(system.positions)
+        assert rank(system.matrix) == rank(stacked), a.name
+        assert kernel_basis(system.matrix) == h2h3(a).cocycles, a.name
+        order = [(k, _plan(a, k, 0).scan.index(idx), j) for k, idx, j in system.positions]
+        assert order == sorted(set(order)), a.name
+        sizes[a.name] = system.matrix.rows
+    assert sizes["sl2"] == 120 and sizes["aff1"] == 6 and sizes["heisenberg_twisted"] == 0
 
 
 def _full_probe(a, f1, g1, f2, g2):
@@ -179,8 +203,9 @@ def _pair(a, numerators, denominators):
 def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data):
     """On a series whose only coefficient above the base brackets is (f, g)
     at order n = 1..4, the t^n coefficient of identity k of 5-8 is L_k at
-    the coordinates of (f, g): at every scan tuple through the kept rows
-    of forms, and at every basis tuple through the bound linear part."""
+    the coordinates of (f, g): at every scan tuple through the rows of
+    forms and through identity k's block of M_T, and at every basis tuple
+    through the bound linear part."""
     a = data.draw(st.sampled_from([*bundled, *twisted_algebras[:3]]))
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.sampled_from((5, 6, 7, 8)))
@@ -204,12 +229,14 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
 
     forms = deformation._equation_forms(a, k)
     for idx, linear, _ in forms.rows:
-        assert got(idx) == expected([(j, c, u) for j, terms in linear for u, c in terms], forms.linear_den), (
-            a.name,
-            k,
-            n,
-            idx,
-        )
+        assert got(idx) == expected([(j, c, u) for (j, u), c in linear.items()], forms.linear_den), (a.name, k, n, idx)
+    # M_T's block of identity k is those forms, row (tuple, j) at each
+    # output that T holds, and the value is 0 at every output it leaves out
+    system = deformation._system(a)
+    stacked = {(idx, j): x for (kk, idx, j), x in zip(system.positions, system.matrix.apply(coords)) if kk == k}
+    for idx, _, _ in forms.rows:
+        for j in range(a.dim):
+            assert stacked.get((idx, j), 0) == got(idx).get(j, 0), (a.name, k, n, idx, j)
     generic = linear_part(a, k)
     probe = generic.probe()
     for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
@@ -235,8 +262,15 @@ def _split_terms(k):
     return tuple(terms)
 
 
-def _exact(value, den):
-    return {j: Fraction(x, den) for j, x in value.items()}
+def _block(system, k, scan, values, den):
+    """Identity k's block of a T vector {t: numerator} over den, as
+    {scan tuple: {output index: nonzero Fraction}} over identity k's
+    ``scan``: T leaves out the outputs at which the equation reads 0."""
+    out = {idx: {} for idx in scan}
+    for t, (kk, idx, j) in enumerate(system.positions):
+        if kk == k and values.get(t):
+            out[idx][j] = Fraction(values[t], den)
+    return out
 
 
 @seed(40)
@@ -244,13 +278,16 @@ def _exact(value, den):
 @given(data=st.data())
 def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebras, data):
     """On random pairs c_1..c_{n-1} at orders n = 2..4, each order its own
-    pair, Q_{k,n} as _failures_from and the probe evaluate it, the sum of
-    B_k(c_i, c_{n-i}) on the coordinate rows, equals the t^n coefficient
-    of the series with no order-n term at every scan tuple, and so has
-    the same first failing tuple; so does the sum read off the bound
-    quadratic part at every basis tuple.  B_k(x, y) itself, on two pairs
-    drawn apart, is the contraction of the nested terms with x outer and y
-    inner, so reading the forms with outer and inner swapped fails."""
+    pair, Q_{k,n} as _failures_from and the probe evaluate it, identity
+    k's block of the T vector sum B(c_i, c_{n-i}) on the coordinate rows,
+    equals the t^n coefficient of the series with no order-n term at
+    every scan tuple, and so has the same first failing tuple; so does the
+    sum read off the bound quadratic part at every basis tuple.  With a
+    random order-n pair c_n added, the stacked read M_T c_n + Q_n of the
+    broken series fails first at first_failure's tuple.  B(x, y) itself,
+    on two pairs drawn apart, is the contraction of the nested terms with
+    x outer and y inner, so reading the forms with outer and inner swapped
+    fails."""
     a = data.draw(st.sampled_from(algebras))
     n = data.draw(st.integers(2, 4))
     k = data.draw(st.sampled_from((5, 6, 7, 8)))
@@ -269,11 +306,25 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
     xs = [None, *xs]
     pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
-    forms = deformation._equation_forms(a, k)
-    for idx, _, bilinear in forms.rows:
-        got = _exact(deformation._bilinear(bilinear, pairs), forms.quadratic_den * den * den)
-        assert got == expected(idx), (a.name, k, n, idx)
-    assert deformation._equation_failure(a, k, (den, {}), pairs) == first_failure(a, k, n, fs, gs)
+    system = deformation._system(a)
+    scan = [idx for idx, _, _ in deformation._equation_forms(a, k).rows]
+    qden = system.den * den * den
+    q = deformation._quadratic(system, pairs)
+    got = _block(system, k, scan, q, qden)
+    for idx in scan:
+        assert got[idx] == expected(idx), (a.name, k, n, idx)
+    assert deformation._first_failures(system, (den, {}), (qden, q)).get(k) == first_failure(a, k, n, fs, gs)
+
+    # with an order-n pair added, the series is broken at order n in
+    # general, and the stacked read M_T c_n + Q finds first_failure's tuple
+    last = draw_pair()
+    fs_n, gs_n = bracket_series(a, [f for f, _ in series] + [last[0]], [g for _, g in series] + [last[1]])
+    den_n, ys = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in (*series, last)])
+    ys = [None, *ys]
+    pairs_n = tuple((ys[i], ys[n - i]) for i in range(1, n) if ys[i] and ys[n - i])
+    quadratic = (system.den * den_n * den_n, deformation._quadratic(system, pairs_n))
+    found = deformation._first_failures(system, (den_n, ys[n]), quadratic)
+    assert found.get(k) == first_failure(a, k, n, fs_n, gs_n), (a.name, k, n)
 
     coords = [None, *(pair_coords(a, f, g) for f, g in series)]
     bound = quadratic_part(a, k)
@@ -290,9 +341,9 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     split = contract(a, tables, _split_terms(k))
     oracle = divided(split.probe(), split.den)
     den, (x, y) = deformation._common_rows([deformation._pair_row(a, *outer), deformation._pair_row(a, *inner)])
-    for idx, _, bilinear in forms.rows:
-        got = _exact(deformation._bilinear(bilinear, ((x, y),)), forms.quadratic_den * den * den)
-        assert got == oracle(idx), (a.name, k, idx)
+    got = _block(system, k, scan, deformation._quadratic(system, ((x, y),)), system.den * den * den)
+    for idx in scan:
+        assert got[idx] == oracle(idx), (a.name, k, idx)
 
 
 def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled, twisted_algebras):
@@ -309,7 +360,7 @@ def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled
         c4, c5 = delta2(a).codomain
         for _ in range(8):
             f1, g1 = pair_from_coords(a, _combination(z, rng))
-            big_f, big_g, row = deformation._obstruction(a, deformation._pair_row(a, f1, g1))
+            big_f, big_g, row = deformation._second_order_step(a, f1, g1)[:3]
             fs, gs = bracket_series(a, (f1,), (g1,))
             for k, big in ((7, big_f), (8, big_g)):
                 arity = IDENTITIES[k].arity

@@ -32,11 +32,10 @@ from hlya.algebra import (
 )
 from hlya.coboundary import d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
-from hlya.cohomology import _pair_row
 from hlya.deformation import (
     Deformation,
     Gauge,
-    _obstruction,
+    _second_order_step,
     apply_gauge,
     infinitesimal,
     null_deformation,
@@ -322,7 +321,7 @@ def test_obstruction_matches_the_full_tabulation(algebras):
     draws += [(a, *_cocycle(a, rng)) for a in random_verified_algebras(12345, 20)]
     nonzero = 0
     for a, f1, g1 in draws:
-        got = _obstruction(a, _pair_row(a, f1, g1))
+        got = _second_order_step(a, f1, g1)[:3]
         assert got == full_tabulation_obstruction(a, f1, g1), a.name
         nonzero += bool(got[2][1])
     assert nonzero > 10
@@ -353,32 +352,33 @@ def _counted_evaluations(monkeypatch):
     return calls, built
 
 
+def _scan_counts(system):
+    """Per identity of 5-8, its scan tuples in the system's index T."""
+    return Counter(k for k, _ in {(k, idx) for k, idx, _ in system.positions})
+
+
 def _counted_reads(monkeypatch):
     """Per identity, the scan tuples at which the deformation equations
-    read their rows of forms (:func:`hlya.deformation._equation_forms`),
-    and those at which they add a quadratic part."""
+    read the linear part of the system (:func:`hlya.deformation._system`),
+    and those at which they add a quadratic part: each T vector read
+    covers every scan tuple of 5-8, and each quadratic part evaluated
+    every scan tuple too."""
     rows = {k: 0 for k in IDENTITIES}
     quadratic = {k: 0 for k in IDENTITIES}
-    current = []
-    forms, bilinear = deformation._equation_forms, deformation._bilinear
+    first_failures, bilinear = deformation._first_failures, deformation._quadratic
 
-    def counted_forms(a, k):
-        kept = forms(a, k)
+    def counted_failures(system, row, q):
+        for k, count in _scan_counts(system).items():
+            rows[k] += count
+        return first_failures(system, row, q)
 
-        def read():
-            for row in kept.rows:
-                current[:] = [k]
-                rows[k] += 1
-                yield row
+    def counted_quadratic(system, pairs):
+        for k, count in _scan_counts(system).items():
+            quadratic[k] += count
+        return bilinear(system, pairs)
 
-        return kept._replace(rows=read())
-
-    def counted_bilinear(f, pairs):
-        quadratic[current[0]] += 1
-        return bilinear(f, pairs)
-
-    monkeypatch.setattr(deformation, "_equation_forms", counted_forms)
-    monkeypatch.setattr(deformation, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(deformation, "_first_failures", counted_failures)
+    monkeypatch.setattr(deformation, "_quadratic", counted_quadratic)
     return rows, quadratic
 
 
@@ -398,21 +398,21 @@ def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
     (test_a_round_trip_evaluates_each_condition_once guards that).  Above
     order 0 equation k is L_k(f_n, g_n) + Q_{k,n}, read off one row of
     forms per scan tuple: the linear part and the quadratic part are each
-    probed once per algebra at those tuples, and then every order reads
-    the rows, none on a null deformation, and the quadratic part at orders
-    2..N on a gauged one."""
+    probed once per algebra at those tuples and laid out as one system,
+    and then every order reads its rows, none on a null deformation, and
+    the quadratic part at orders 2..N on a gauged one."""
     calls, _ = _counted_evaluations(monkeypatch)
     a = _copy(sl2(), "sl2_counted")
     order = 3
-    equation_forms = deformation._equation_forms
     rows, quadratic = _counted_reads(monkeypatch)
     report = verify_deformation(null_deformation(a, order))
     assert report.ok
     per_order = {1: 3, 2: 9, 3: 9, 4: 27, 5: 1, 6: 3, 7: 9, 8: 27}
     assert calls == per_order and calls[8] == 27
     assert not any(rows.values())
-    bound = {k: len(equation_forms(a, k).rows) for k in (5, 6, 7, 8)}
-    assert bound == {5: 1, 6: 3, 7: 9, 8: 27}
+    system = deformation._system(a)
+    bound = _scan_counts(system)
+    assert bound == {5: 1, 6: 3, 7: 9, 8: 27} and system.matrix.rows == 3 * (1 + 3 + 9 + 27)
     assert calls == {k: count * 3 if k >= 5 else count for k, count in per_order.items()}
     calls.update(dict.fromkeys(calls, 0))
     rows.update(dict.fromkeys(rows, 0))

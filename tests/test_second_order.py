@@ -140,20 +140,18 @@ def _draw(a, rng):
 
 
 def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
-    """One draw checks the pair against Z2 x Z3 once, evaluates the
-    obstruction once for all three entry points, as -B_7(c, c) and
-    -B_8(c, c) at the 9 and 27 representative tuples of C4 and C5, and
-    applies delta3 once.  The probe reads each of 5'-8' as L_k(f2, g2) +
-    B_k(c, c), so it adds B(c, c) at the 1, 3, 9 and 27 scan tuples of
-    identities 5-8.  On an algebra whose forms are bound, no contraction
-    is built: identity_values is never called."""
+    """One draw checks the pair against Z2 x Z3 once, evaluates B(c, c)
+    once over all of T, reads the obstruction off its blocks of 7 and 8
+    once for all three entry points, and applies delta3 once.  The probe
+    reads 5'-8' as one T vector, M_T c_2 plus the B(c, c) the step holds,
+    so it evaluates no bilinear form.  On an algebra whose forms are
+    bound, no contraction is built: identity_values is never called."""
     calls = Counter()
     original_values, original_delta3 = algebra.identity_values, deformation.delta3
     original_closed, original_obstruction = deformation._closed, deformation._obstruction
-    original_bilinear = deformation._bilinear
+    original_quadratic, original_failures = deformation._quadratic, deformation._first_failures
     f1, g1 = _draw(e2, random.Random(9003))
-    for k in (5, 6, 7, 8):
-        deformation._equation_forms(e2, k)
+    system = deformation._system(e2)
     c = dict(deformation._pair_row(e2, f1, g1)[1])
 
     def counted_values(a, k, n, fs, gs):
@@ -168,34 +166,71 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
         calls["Z2 x Z3"] += 1
         return original_closed(a, row)
 
-    def counted_obstruction(a, row):
+    def counted_obstruction(a, square):
         calls["obstruction"] += 1
-        return original_obstruction(a, row)
+        return original_obstruction(a, square)
 
-    def counted_bilinear(forms, pairs):
+    def counted_quadratic(s, pairs):
         [(x, y)] = pairs
-        assert x is y and x == c
+        assert s is system and x is y and x == c
         calls["B(c, c)"] += 1
-        return original_bilinear(forms, pairs)
+        return original_quadratic(s, pairs)
+
+    def counted_failures(s, row, quadratic):
+        assert s is system
+        calls["T vector"] += 1
+        return original_failures(s, row, quadratic)
 
     monkeypatch.setattr(algebra, "identity_values", counted_values)
     monkeypatch.setattr(coboundary, "identity_values", counted_values)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
     monkeypatch.setattr(deformation, "_closed", counted_closed)
     monkeypatch.setattr(deformation, "_obstruction", counted_obstruction)
-    monkeypatch.setattr(deformation, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(deformation, "_quadratic", counted_quadratic)
+    monkeypatch.setattr(deformation, "_first_failures", counted_failures)
     obstruction_pair(e2, f1, g1)
     solved = solve_second_order(e2, f1, g1)
     assert solved is not None
-    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27, "delta3": 1})
+    assert calls == Counter({"Z2 x Z3": 1, "B(c, c)": 1, "obstruction": 1, "delta3": 1})
     assert second_order_probe(e2, f1, g1, *solved).extension_closes
-    assert calls == Counter({"Z2 x Z3": 1, "obstruction": 1, "B(c, c)": 9 + 27 + 1 + 3 + 9 + 27, "delta3": 1})
+    assert calls == Counter({"Z2 x Z3": 1, "B(c, c)": 1, "obstruction": 1, "delta3": 1, "T vector": 1})
+
+
+def test_the_trio_evaluates_b_c_c_once_per_pair(monkeypatch, e1, e2, twisted_algebras):
+    """Across a draw's obstruction_pair, solve_second_order and
+    second_order_probe, B(c, c) is evaluated once per pair, over all of T:
+    the second-order step evaluates it, the obstruction reads its blocks
+    of 7 and 8, and the probe reads the whole vector from the step.  A
+    pair met again after another pair has taken the slot is evaluated
+    anew, once."""
+    evaluated = []
+    original = deformation._quadratic
+
+    def counted(system, pairs):
+        evaluated.append(pairs)
+        return original(system, pairs)
+
+    monkeypatch.setattr(deformation, "_quadratic", counted)
+    rng = random.Random(9009)
+    probed = 0
+    for a in (e1, e2, twisted_algebras[0]):
+        draws = [_draw(a, rng) for _ in range(2)]
+        for f1, g1 in [*draws, draws[0]]:
+            evaluated.clear()
+            obstruction_pair(a, f1, g1)
+            solved = solve_second_order(a, f1, g1)
+            if solved is not None:
+                second_order_probe(a, f1, g1, *solved)
+                probed += 1
+            c = deformation._pair_row(a, f1, g1)[1]
+            assert evaluated == [((c, c),)], a.name
+    assert probed >= 6
 
 
 def test_the_trio_reads_the_first_order_row_once(monkeypatch, e1, e2, twisted_algebras):
     """A draw's obstruction_pair, solve_second_order and second_order_probe
     read the coordinate row of (f1, g1) once between them: the shared
-    second-order step reads it, and the probe takes it from the step.
+    second-order step reads it, and the probe reads the step's B(c, c).
     Each draw is a fresh pair of cochains, so no row recorded on it by an
     earlier call is read back."""
     reads = Counter()
