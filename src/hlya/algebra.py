@@ -612,10 +612,9 @@ def contract(a: Algebra, tables: dict, terms) -> Contraction:
     When a table is a :class:`FormTable`, the values are linear forms: the
     output indices become (k, u).  As an outer table its output indices
     pass through unchanged; as a nested table its output index (m, u) is
-    split, m read by the outer table and u carried to the output.  Those
-    terms are set apart when the tables are bound, and summed after the
-    others: a term list without a nested FormTable runs the integer loop
-    alone.
+    split, m read by the outer table and u carried to the output.  Each
+    nested term records in its layout whether its nested table is one, and
+    both read orders branch on that record.
 
     The terms are analysed against the algebra once per term list
     (:func:`_analysed`), then bound to the tables (:func:`_bound`); the
@@ -631,23 +630,23 @@ class Contraction:
     two read orders of :func:`contract` run over the same bound terms and
     differ only in the final loop."""
 
-    __slots__ = ("den", "_terms", "_split")
+    __slots__ = ("den", "_terms")
 
-    def __init__(self, den: int, terms: list, split: list):
+    def __init__(self, den: int, terms: list):
         self.den = den
         # (weight, key, twisted table, nested key, nested entries, layout),
-        # the layout being (place, nested IntTable, one plain argument)
+        # the layout being (place, nested IntTable, one plain argument,
+        # nested table a FormTable)
         self._terms = terms
-        self._split = split  # the terms whose nested table is a FormTable
 
     def probe(self) -> Callable[[tuple], dict]:
         """The numerators at one 0-based basis tuple, zeros dropped."""
-        compiled, split = self._terms, self._split
+        compiled = self._terms
 
         def value(idx: tuple) -> dict:
             acc: dict = {}
             get = acc.get
-            for w, key, table, inner_key, inner, _ in compiled:
+            for w, key, table, inner_key, inner, layout in compiled:
                 if inner is None:
                     vec = table.get(key(idx))
                     if vec:
@@ -660,6 +659,14 @@ class Contraction:
                 outer = table.get(key(idx))
                 if not outer:
                     continue
+                if layout[3]:  # a nested FormTable: carry its unknown u
+                    for (m, u), c in iv.items():
+                        vec = outer.get(m)
+                        if vec:
+                            wc = w * c
+                            for j, x in vec.items():
+                                acc[j, u] = get((j, u), 0) + wc * x
+                    continue
                 for m, c in iv.items():
                     vec = outer.get(m)
                     if vec:
@@ -668,28 +675,7 @@ class Contraction:
                             acc[j] = get(j, 0) + wc * x
             return _pruned(acc)
 
-        if not split:
-            return value
-
-        def form_value(idx: tuple) -> dict:
-            acc = value(idx)
-            get = acc.get
-            for w, key, table, inner_key, inner, _ in split:
-                iv = inner.get(inner_key(idx))
-                if not iv:
-                    continue
-                outer = table.get(key(idx))
-                if not outer:
-                    continue
-                for (m, u), c in iv.items():
-                    vec = outer.get(m)
-                    if vec:
-                        wc = w * c
-                        for j, x in vec.items():
-                            acc[j, u] = get((j, u), 0) + wc * x
-            return _pruned(acc)
-
-        return form_value
+        return value
 
     def join(self) -> dict:
         """The numerators at every basis tuple where they are not all zero:
@@ -704,7 +690,7 @@ class Contraction:
         """
         out: dict = {}
         get = out.get
-        for w, _, table, _, _, (place, inner, single) in self._terms + self._split:
+        for w, _, table, _, _, (place, inner, single, forms) in self._terms:
             if inner is None:
                 for read, vec in table.items():
                     idx = read if place is None else place(read)
@@ -716,7 +702,6 @@ class Contraction:
                             acc[j] = acc.get(j, 0) + w * x
                 continue
             rows = _by_output(inner)
-            forms = isinstance(inner, FormTable)
             for okey, group in table.items():
                 head = (okey,) if single else okey  # one plain argument's key is no tuple
                 for m, vec in group.items():
@@ -757,7 +742,6 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
     Both read orders share this binding: the scans probe the weighted
     terms, the readers of every tuple join them (:class:`Contraction`)."""
     compiled = []
-    split = []  # the terms whose nested table is a FormTable
     for sign, outer, twist, key, inner_name, inner_key, place in analysed:
         source = tables.get(outer)
         if not source:
@@ -772,16 +756,12 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
             entry = source.twists[twist] = _twisted(source, *twist)
         den, table = entry
         if inner is None:
-            compiled.append((sign, den, key, table, None, None, (place, None, False)))
+            compiled.append((sign, den, key, table, None, None, (place, None, False, False)))
         else:
-            layout = (place, inner, len(twist[0]) == 2)
-            term = (sign, den * inner.den, key, table, inner_key, inner.entries, layout)
-            (split if isinstance(inner, FormTable) else compiled).append(term)
-    common = lcm(*(term[1] for term in compiled + split))
-    compiled, split = (
-        [(sign * (common // den), *rest) for sign, den, *rest in part] for part in (compiled, split)
-    )
-    return Contraction(common, compiled, split)
+            layout = (place, inner, len(twist[0]) == 2, isinstance(inner, FormTable))
+            compiled.append((sign, den * inner.den, key, table, inner_key, inner.entries, layout))
+    common = lcm(*(term[1] for term in compiled))
+    return Contraction(common, [(sign * (common // den), *rest) for sign, den, *rest in compiled])
 
 
 class _Plan(NamedTuple):

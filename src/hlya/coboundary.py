@@ -246,6 +246,16 @@ def _bound_generic(a: Algebra, formula, arities: tuple) -> tuple:
     return tuple(formula(a, *_generic_inputs(a, arities)))
 
 
+def leibniz_defects(a: Algebra, k: int) -> list[Contraction]:
+    """The binary and ternary alpha^k-twisted Leibniz defects
+    (:func:`leibniz`) of the generic 1-cochain, bound to the table of C1
+    that delta1 binds (:func:`_generic_inputs`): one generic table, with
+    its twists, serves delta1 and every twist k.  Their values are linear
+    forms {(output index, unknown): coefficient}, unknown u being
+    coordinate u of a 1-cochain."""
+    return _contracted(leibniz(k), ("h",))(a, *_generic_inputs(a, (1,)))
+
+
 def linear_part(a: Algebra, k: int) -> Contraction:
     """The t^1 coefficient of identity k, one of 5-8, at the base
     brackets: the codomain block of d2 or delta2 that assembly probes,

@@ -70,7 +70,7 @@ from .algebra import (
     zero_vec,
 )
 from .errors import ArityError, DimMismatchError, NotACochainError, PreconditionError
-from .exactlin import Frozen, Matrix, _dense, _integer_row, _lowest, rat, reduce_rows
+from .exactlin import Frozen, Matrix, _dense, _integer_row, _lowest, _row_den, rat, reduce_rows
 
 MAX_ARITY = 7
 
@@ -405,8 +405,15 @@ class CochainSpace(Frozen):
     def from_row(self, row: tuple[int, dict]) -> Cochain:
         """The cochain with the coordinate row (den, {basis index: nonzero
         numerator}), den > 0, laid out through the basis columns
-        (:attr:`_int_basis`), with the row recorded in lowest terms."""
-        row = _lowest(*row)
+        (:attr:`_int_basis`), with the row recorded in lowest terms.
+        PreconditionError unless den is a positive int, DimMismatchError
+        for a basis index outside 0..dim-1."""
+        den, vec = row
+        _row_den(den)
+        for j in vec:
+            if not 0 <= j < self.dim:
+                raise DimMismatchError(f"coordinate position {j} is out of range for dimension {self.dim}")
+        row = _lowest(den, vec)
         den, vec = row
         basis_den, cols = self._int_basis
         reduced: dict = {}

@@ -19,11 +19,10 @@ Q_{k,n} = sum_{i=1}^{n-1} B_k(c_i, c_{n-i}) quadratic in the orders
 the outer and the inner one, and c_i the coordinates of (f_i, g_i).  Both
 L_k and B_k are read off the generic pair of C2 x C3, bound once per
 algebra (:func:`hlya.coboundary.linear_part`,
-:func:`hlya.coboundary.quadratic_part`), as forms on coordinates
-(:func:`_equation_forms`), and laid out once per algebra as one system
-(:func:`_system`) over the index T of (identity k in 5-8, scan tuple,
-output index): M_T, the L_k stacked into one matrix, and B, the B_k over
-T.  At order n equations 5-8 are the one T vector
+:func:`hlya.coboundary.quadratic_part`), as forms on coordinates, and
+probed once per algebra into one system (:func:`_system`) over the index
+T of (identity k in 5-8, scan tuple, output index): M_T, the L_k stacked
+into one matrix, and B, the B_k over T.  At order n equations 5-8 are the one T vector
 M_T c_n + sum_{i=1}^{n-1} B(c_i, c_{n-i}), read by the columns in the
 coordinates' support; the obstruction pair is minus the blocks of 7 and
 8 in B(c_1, c_1), and no cochain of a series is contracted, twisted or
@@ -240,45 +239,6 @@ def _common_rows(rows: list) -> tuple[int, list]:
     return den, [vec if d == den else {j: x * (den // d) for j, x in vec.items()} for d, vec in rows]
 
 
-class _EquationForms(NamedTuple):
-    """Equation k of 5-8 on coordinates, in integers, at each scan tuple of
-    identity k in scan order: ``rows`` holds (tuple, linear, bilinear).
-
-    ``linear`` is L_k there, {(output index, unknown): coefficient} over
-    ``linear_den``: output j is the sum of coefficient times pair
-    coordinate.  ``bilinear`` is B_k there, {((output index, u), v):
-    coefficient} over ``quadratic_den``: at pairs x and y, output j is the
-    sum of coefficient times x_u times y_v, x being read by the outer
-    table of a nested term and y by the inner one."""
-
-    linear_den: int
-    quadratic_den: int
-    rows: tuple
-
-
-def _equation_forms(a: Algebra, k: int) -> _EquationForms:
-    """L_k and B_k in integers, laid out once per algebra by
-    :func:`_system`.
-
-    The terms of equation k at order n >= 1 that read f_n or g_n against
-    the base brackets are the t^1 coefficient of identity k with (f_n, g_n)
-    in place of (f_1, g_1), so L_k is that coefficient on the generic pair
-    (:func:`hlya.coboundary.linear_part`).  The other terms are the
-    convolution outer_i(.., inner_{n-i}(..), ..), 1 <= i <= n-1, and each
-    of them is the t^2 coefficient with order-1 tables alone, outer from
-    order i and inner from order n-i: B_k is that coefficient on the
-    generic pair as outer and inner table
-    (:func:`hlya.coboundary.quadratic_part`).  Both are probed once per
-    scan tuple of identity k (:func:`hlya.algebra.first_failure` scans the
-    same); an identity with no scan tuple probes nothing."""
-    scan = _plan(a, k, 0).scan
-    if not scan:
-        return _EquationForms(1, 1, ())
-    linear, quadratic = linear_part(a, k), quadratic_part(a, k)
-    lvalue, qvalue = linear.probe(), quadratic.probe()
-    return _EquationForms(linear.den, quadratic.den, tuple((idx, lvalue(idx), qvalue(idx)) for idx in scan))
-
-
 class _System(NamedTuple):
     """Equations 5-8 as one quadratic system over the index T of (identity
     k, scan tuple of k, output index j), k by k, each k's tuples in scan
@@ -301,21 +261,42 @@ class _System(NamedTuple):
 
 @memoised
 def _system(a: Algebra) -> _System:
-    """The deformation system of ``a``, laid out from :func:`_equation_forms`
-    once and kept in a's memo; B's coefficients are brought over the lcm
-    of the four quadratic denominators."""
-    forms = {k: _equation_forms(a, k) for k in _EQUATIONS}
-    den = lcm(*(f.quadratic_den for f in forms.values()))
+    """The deformation system of ``a``, laid out once and kept in a's memo.
+
+    The terms of equation k at order n >= 1 that read f_n or g_n against
+    the base brackets are the t^1 coefficient of identity k with (f_n, g_n)
+    in place of (f_1, g_1), so L_k is that coefficient on the generic pair
+    (:func:`hlya.coboundary.linear_part`).  The other terms are the
+    convolution outer_i(.., inner_{n-i}(..), ..), 1 <= i <= n-1, and each
+    of them is the t^2 coefficient with order-1 tables alone, outer from
+    order i and inner from order n-i: B_k is that coefficient on the
+    generic pair as outer and inner table
+    (:func:`hlya.coboundary.quadratic_part`).  Both are probed once per
+    scan tuple of identity k (:func:`hlya.algebra.first_failure` scans the
+    same), and their values laid out in that one pass: L_k at a tuple is
+    {(output index, unknown): coefficient}, B_k there {((output index, u),
+    v): coefficient}, x_u read by the outer table of a nested term and y_v
+    by the inner one.  An identity with no scan tuple binds nothing.  B's
+    coefficients are brought over the lcm of the four quadratic
+    denominators."""
+    parts = {}
+    for k in _EQUATIONS:
+        scan = _plan(a, k, 0).scan
+        if scan:
+            parts[k] = scan, linear_part(a, k), quadratic_part(a, k)
+    den = lcm(*(quadratic.den for _, _, quadratic in parts.values()))
     rows, bilinear, positions = [], {}, []
-    for k, f in forms.items():
-        w = den // f.quadratic_den
-        for idx, linear, quadratic in f.rows:
+    for k, (scan, linear, quadratic) in parts.items():
+        w = den // quadratic.den
+        lvalue, qvalue = linear.probe(), quadratic.probe()
+        for idx in scan:
+            lforms, qforms = lvalue(idx), qvalue(idx)
             at = {}
-            for j in sorted({j for j, _ in linear} | {j for (j, _), _ in quadratic}):
+            for j in sorted({j for j, _ in lforms} | {j for (j, _), _ in qforms}):
                 at[j] = len(positions)
                 positions.append((k, idx, j))
-                rows.append((f.linear_den, {u: c for (i, u), c in linear.items() if i == j}))
-            for ((j, u), v), c in quadratic.items():
+                rows.append((linear.den, {u: c for (i, u), c in lforms.items() if i == j}))
+            for ((j, u), v), c in qforms.items():
                 bilinear.setdefault(u, []).append((v, at[j], w * c))
     unknowns = build_cochain_space(a, 2).dim + build_cochain_space(a, 3).dim
     return _System(Matrix._of(rows, unknowns), den, {u: tuple(v) for u, v in bilinear.items()}, tuple(positions))

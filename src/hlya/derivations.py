@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Algebra, brackets, contract, memoised
-from .coboundary import leibniz
+from .algebra import Algebra, memoised
+from .coboundary import leibniz_defects
 from .cochain import build_cochain_space, flat_numerators
-from .errors import ClosureViolationError, PreconditionError
+from .errors import ClosureViolationError, DimMismatchError, PreconditionError
 from .exactlin import Matrix, Subspace, kernel_basis, solve, unflatten
 
 DEFAULT_K_MAX = 3
@@ -47,17 +47,16 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
 
     The defects are evaluated once on the generic 1-cochain of C1 at the
     representative tuples of C2 and C3 (i < j), which suffice: both are
-    antisymmetric in their first two slots.  Only their values are read,
-    never codomain coordinates, so an algebra whose alpha preserves neither
+    antisymmetric in their first two slots.  That generic table is the one
+    delta1 binds, with its twists (:func:`hlya.coboundary.leibniz_defects`),
+    so every twist k reads it.  Only the defects' values are read, never
+    codomain coordinates, so an algebra whose alpha preserves neither
     bracket still has its spaces.
     """
     d = a.dim
     c1 = build_cochain_space(a, 1)
-    br, tr = brackets(a)
-    tables = {"br": br, "tr": tr, "h": c1.generic()}
     rows = []
-    for space, terms in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz(k)):
-        defect = contract(a, tables, terms)
+    for space, defect in zip((build_cochain_space(a, 2), build_cochain_space(a, 3)), leibniz_defects(a, k)):
         images = space.images(defect.probe())
         rows.extend((defect.den, images.get(i, {})) for i in range(space.reduced_dim))
     kernel = kernel_basis(Matrix._of(rows, c1.dim))
@@ -68,10 +67,13 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     """Commutator of derivations, verified to land in the (k+s)-space.
 
-    PreconditionError unless d1 is in Der_k and d2m in Der_s; then
-    ClosureViolationError on membership failure, which would contradict
-    the closure theorem.
+    DimMismatchError unless both maps are dim x dim; PreconditionError
+    unless d1 is in Der_k and d2m in Der_s; then ClosureViolationError on
+    membership failure, which would contradict the closure theorem.
     """
+    for m in (d1, d2m):
+        if m.rows != a.dim or m.cols != a.dim:
+            raise DimMismatchError("the map must be dim x dim")
     x, y = d1.flat_row(), d2m.flat_row()
     for name, row, twist in (("first", x, k), ("second", y, s)):
         if not derivation_space(a, twist).basis.contains(row):

@@ -18,7 +18,8 @@ driven by the vector: a matrix keeps a column index of its rows, built on
 the first product, and reads only the columns in the vector's support, so
 a sparse coordinate row costs its own nonzeros, not the matrix's rows.  A
 position outside the vector's length is a DimMismatchError, never
-dropped.  Fractions are made
+dropped, and a denominator that is not a positive int a
+PreconditionError (:func:`_row_den`).  Fractions are made
 only for a matrix's Fraction view and for dense vectors: the values
 :meth:`Matrix.apply` returns, and :func:`solve` on a dense right-hand
 side.  The contraction kernels of :mod:`hlya.algebra` also work on
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimMismatchError, NotContainedError, ShapeMismatchError
+from .errors import DimMismatchError, NotContainedError, PreconditionError, ShapeMismatchError
 
 ZERO = Fraction(0)
 
@@ -66,6 +67,13 @@ def _integer_row(vec: Sequence) -> tuple[int, dict]:
     row = {i: x for i, x in enumerate(map(rat, vec)) if x}
     den = lcm(*(x.denominator for x in row.values()))
     return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _row_den(den) -> None:
+    """PreconditionError unless ``den``, the denominator of an integer row
+    read as input, is a positive int; a bool is no int here."""
+    if type(den) is not int or den <= 0:
+        raise PreconditionError(f"a row's denominator must be a positive integer, got {den!r}")
 
 
 def _lowest(den: int, row: dict) -> tuple[int, dict]:
@@ -267,8 +275,11 @@ class Matrix(Frozen):
     def kills(self, row: tuple[int, dict]) -> bool:
         """Is the vector of an integer row (den, {column: numerator}) in the
         kernel?  Read off the integer product, with no division; a
-        position outside the columns is a DimMismatchError."""
-        return not any(self._numerators(row[1]))
+        position outside the columns is a DimMismatchError, and den must
+        be a positive int (PreconditionError)."""
+        den, vec = row
+        _row_den(den)
+        return not any(self._numerators(vec))
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product, the Fraction view of the integer product
@@ -521,15 +532,17 @@ def solve(m: Matrix, b) -> list[Fraction] | tuple[int, dict] | None:
     the rank vanish, and x at pivot r is (E b)_r, the integer product
     (:meth:`Matrix._numerators`) over den times E's row denominator.  E b
     reads E's columns at b's nonzero positions only, so a position of an
-    integer row outside m's rows is a DimMismatchError.
+    integer row outside m's rows is a DimMismatchError, and its
+    denominator must be a positive int (PreconditionError).
     """
     dense = not (isinstance(b, tuple) and len(b) == 2 and isinstance(b[1], dict))
     if dense:
         if len(b) != m.rows:
             raise DimMismatchError("right-hand side has wrong length")
         b = _integer_row(b)
-    pivots, inverse = m._reduced()
     den, vec = b
+    _row_den(den)
+    pivots, inverse = m._reduced()
     eb = inverse._numerators(vec)
     if any(eb[len(pivots) :]):
         return None

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from hlya import derivations
 from hlya.algebra import check_axioms, make_algebra
 from hlya.cli import EXIT_OK, main
 from hlya.derivations import DerivationSpace, check_der_is_lie, der_bracket, derivation_space
-from hlya.errors import ClosureViolationError, PreconditionError
+from hlya.coboundary import delta1
+from hlya.cochain import CochainSpace
+from hlya.errors import ClosureViolationError, DimMismatchError, PreconditionError
 from hlya.exactlin import Matrix, Subspace
-from hlya.samples import random_verified_algebras
+from hlya.samples import aff1, random_verified_algebras, sl2
 
 from fraction_reference import reference_derivation_space
 
@@ -230,3 +233,36 @@ def test_derive_output_is_pinned(golden, capsys):
     assert main(["derive", "--k-max", "6", os.path.join(DATA, golden)]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_STDOUT_SHA256[golden]
+
+
+def test_der_bracket_rejects_maps_that_are_not_dim_x_dim(e2):
+    """A Der_0 basis map of sl2 with its entries row by row as one 1 x 9
+    matrix has the flattened row of a derivation, but it is no map of the
+    algebra: it is refused in either position, before membership."""
+    (ad,) = derivation_space(e2, 0).matrices(3)[:1]
+    flat = Matrix([[x for row in ad.data for x in row]])
+    assert (flat.rows, flat.cols) == (1, 9) and flat.flat_row() == ad.flat_row()
+    for args in ((flat, 0, ad, 0), (ad, 0, flat, 0), (Matrix([[1, 0], [0, 1]]), 0, ad, 0)):
+        with pytest.raises(DimMismatchError, match="^the map must be dim x dim$"):
+            der_bracket(e2, *args)
+    assert der_bracket(e2, ad, 0, ad, 0).is_zero()
+
+
+def test_delta1_and_every_twist_read_one_generic_table_of_c1(monkeypatch):
+    """delta1 and Der_0 .. Der_3 bind the one generic table of C1 kept in
+    the algebra's memo: C1 builds it once."""
+    calls = Counter()
+    generic = CochainSpace.generic
+
+    def counted(space, *args):
+        calls[space.arity] += 1
+        return generic(space, *args)
+
+    monkeypatch.setattr(CochainSpace, "generic", counted)
+    for base in (sl2(), aff1()):
+        # a fresh copy: nothing of it is memoised yet
+        a = make_algebra(base.dim, base.binary, base.ternary, base.alpha, base.name)
+        calls.clear()
+        delta1(a)
+        check_der_is_lie(a, 3)
+        assert calls[1] == 1, a.name

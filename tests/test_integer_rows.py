@@ -22,6 +22,7 @@ from hlya.coboundary import d2, delta1, delta2, delta3
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import is_coboundary_2, is_cocycle_2
 from hlya.deformation import obstruction_pair, solve_second_order
+from hlya.errors import DimMismatchError, PreconditionError
 from hlya.exactlin import Matrix, kernel_basis, solve, vstack
 from hlya.samples import bundled_algebras, sl2
 
@@ -180,3 +181,49 @@ def test_second_order_verdicts_match_the_fraction_product(a, data):
     drawn = data.draw(st.lists(_rational, min_size=m3.cols, max_size=m3.cols))
     for vec in (drawn, fraction, [x + y for x, y in zip(drawn, fraction)]):
         assert m3.kills(coordinate_row(vec)) == (not any(m3.apply(vec)))
+
+
+_C2 = build_cochain_space(sl2(), 2)
+
+
+@pytest.mark.parametrize(
+    "row, error, match",
+    [
+        ((1, {-1: 1}), DimMismatchError, "position -1 "),  # would read the last basis cochain
+        ((1, {_C2.dim: 1}), DimMismatchError, f"position {_C2.dim} "),  # was a bare IndexError
+        ((1, {0: 1, _C2.dim + 5: 2}), DimMismatchError, f"position {_C2.dim + 5} "),
+        ((0, {0: 1}), PreconditionError, "denominator"),  # its table would divide by zero
+        ((-2, {0: 1}), PreconditionError, "denominator"),  # would equal (2, {0: -1}) unequally
+        ((Fraction(2), {0: 1}), PreconditionError, "denominator"),
+        ((True, {0: 1}), PreconditionError, "denominator"),
+    ],
+    ids=["negative-position", "position-dim", "position-far", "zero-den", "negative-den", "fraction-den", "bool-den"],
+)
+def test_from_row_rejects_a_malformed_row(row, error, match):
+    """A row with a denominator that is not a positive int, or a position
+    outside 0..dim-1, is an input error, never a cochain."""
+    with pytest.raises(error, match=match):
+        _C2.from_row(row)
+
+
+def test_from_row_takes_a_well_formed_row_in_lowest_terms():
+    c = _C2.from_row((4, {0: -2}))
+    assert c == _C2.from_coords([Fraction(-1, 2)] + [0] * (_C2.dim - 1))
+    assert _C2.row(c) == (2, {0: -1})
+
+
+@pytest.mark.parametrize("den", [0, -2, Fraction(1), True, 1.0])
+def test_solve_contains_and_kills_reject_a_row_whose_denominator_is_not_a_positive_int(den):
+    """solve used to return (0, {0: 1}) for the row (0, {0: 1}), contains
+    to answer True for it, kills to say that it is in the kernel of a
+    matrix that kills e_0, and a negative denominator came back from solve
+    non-canonical."""
+    m = Matrix([[1, 0], [0, 1]])
+    with pytest.raises(PreconditionError, match="denominator"):
+        solve(m, (den, {0: 1}))
+    with pytest.raises(PreconditionError, match="denominator"):
+        kernel_basis(Matrix([[0, 0]])).contains((den, {0: 1}))
+    with pytest.raises(PreconditionError, match="denominator"):
+        Matrix([[0, 1]]).kills((den, {0: 1}))
+    assert solve(m, (2, {0: -1})) == (2, {0: -1})
+    assert Matrix([[0, 1]]).kills((3, {0: -1})) and not m.kills((3, {0: -1}))

@@ -24,7 +24,7 @@ from hlya.algebra import (
     identity_values,
     int_table,
 )
-from hlya.coboundary import DELTA1, DELTA3, leibniz
+from hlya.coboundary import DELTA1, DELTA3, leibniz, quadratic_part
 from hlya.cochain import build_cochain_space
 from hlya.exactlin import rat
 from hlya.samples import random_verified_algebras
@@ -95,25 +95,32 @@ def test_identities_join_as_they_probe_on_generic_tables(algebras, corpus):
 
 
 def _formulas(a):
-    """(label, term lists, tables, codomain arities) of delta1, delta3 and
-    the twisted Leibniz rules, on generic domain tables; h is read both as
-    an outer and as a nested table."""
+    """(label, contractions, codomain arities) of delta1, delta3 and the
+    twisted Leibniz rules, on generic domain tables, and of the quadratic
+    parts of identities 5-8; h is read both as an outer and as a nested
+    table, and a quadratic part reads the generic pair of C2 x C3 in both
+    slots of each nested term, so its values carry an unknown from each."""
     br, tr = brackets(a)
     (h,) = _generic(a, (1,))
     f, g = _generic(a, (4, 5))
     with_h = {"br": br, "tr": tr, "h": h}
-    yield "delta1", DELTA1, with_h, (2, 3)
+
+    def bound(components, tables):
+        return [contract(a, tables, terms) for terms in components]
+
+    yield "delta1", bound(DELTA1, with_h), (2, 3)
     for k in (1, 2, 3):
-        yield f"leibniz({k})", leibniz(k), with_h, (2, 3)
-    yield "delta3", DELTA3, {"br": br, "tr": tr, "f": f, "g": g}, (6, 7)
+        yield f"leibniz({k})", bound(leibniz(k), with_h), (2, 3)
+    yield "delta3", bound(DELTA3, {"br": br, "tr": tr, "f": f, "g": g}), (6, 7)
+    for k in (5, 6, 7, 8):
+        yield f"quadratic_part({k})", [quadratic_part(a, k)], (IDENTITIES[k].arity,)
 
 
 def test_formulas_join_as_they_probe_on_generic_tables(algebras, corpus):
     nonzero = 0
     for a in algebras + corpus:
-        for label, components, tables, arities in _formulas(a):
-            for block, (terms, n) in enumerate(zip(components, arities)):
-                contraction = contract(a, tables, terms)
+        for label, contractions, arities in _formulas(a):
+            for block, (contraction, n) in enumerate(zip(contractions, arities)):
                 nonzero += _assert_join_is_probe(contraction, a.dim, n, (a.name, label, block))
     assert nonzero > 1000
 

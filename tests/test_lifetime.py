@@ -532,14 +532,15 @@ def test_one_table_keeps_a_twist_per_algebra():
 
 def test_each_piece_of_state_has_one_owner():
     """Only cochain.py reads a space's orbit layout, derivations.py imports
-    no private name and only leibniz from coboundary, and no function takes
-    a dict of twisted tables."""
+    no private name and only leibniz_defects from coboundary, which binds
+    the generic table of C1 that coboundary owns, and no function takes a
+    dict of twisted tables."""
     src = Path(hlya.__file__).parent
     layout = re.compile(r"_orbit|_free|_basis_cols")
     assert sorted(p.name for p in src.glob("*.py") if layout.search(p.read_text())) == ["cochain.py"]
     imports = [node for node in ast.walk(ast.parse((src / "derivations.py").read_text())) if isinstance(node, ast.ImportFrom)]
     assert not [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
-    assert [alias.name for node in imports if node.module == "coboundary" for alias in node.names] == ["leibniz"]
+    assert [alias.name for node in imports if node.module == "coboundary" for alias in node.names] == ["leibniz_defects"]
     assert not [where for where, names in _parameters() if "twisted" in names]
 
 

@@ -203,9 +203,9 @@ def _pair(a, numerators, denominators):
 def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data):
     """On a series whose only coefficient above the base brackets is (f, g)
     at order n = 1..4, the t^n coefficient of identity k of 5-8 is L_k at
-    the coordinates of (f, g): at every scan tuple through the rows of
-    forms and through identity k's block of M_T, and at every basis tuple
-    through the bound linear part."""
+    the coordinates of (f, g): at every basis tuple through the bound
+    linear part, and at every scan tuple through identity k's block of
+    M_T."""
     a = data.draw(st.sampled_from([*bundled, *twisted_algebras[:3]]))
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.sampled_from((5, 6, 7, 8)))
@@ -227,21 +227,19 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
     def got(idx):
         return {j: Fraction(x, coefficient.den) for j, x in value(idx).items()}
 
-    forms = deformation._equation_forms(a, k)
-    for idx, linear, _ in forms.rows:
-        assert got(idx) == expected([(j, c, u) for (j, u), c in linear.items()], forms.linear_den), (a.name, k, n, idx)
-    # M_T's block of identity k is those forms, row (tuple, j) at each
-    # output that T holds, and the value is 0 at every output it leaves out
-    system = deformation._system(a)
-    stacked = {(idx, j): x for (kk, idx, j), x in zip(system.positions, system.matrix.apply(coords)) if kk == k}
-    for idx, _, _ in forms.rows:
-        for j in range(a.dim):
-            assert stacked.get((idx, j), 0) == got(idx).get(j, 0), (a.name, k, n, idx, j)
     generic = linear_part(a, k)
     probe = generic.probe()
     for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
         forms = [(j, c, u) for (j, u), c in probe(idx).items()]
         assert got(idx) == expected(forms, generic.den), (a.name, k, n, idx)
+    # M_T's block of identity k is those forms at the scan tuples, row
+    # (tuple, j) at each output that T holds, and the value is 0 at every
+    # output it leaves out
+    system = deformation._system(a)
+    stacked = {(idx, j): x for (kk, idx, j), x in zip(system.positions, system.matrix.apply(coords)) if kk == k}
+    for idx in _plan(a, k, 0).scan:
+        for j in range(a.dim):
+            assert stacked.get((idx, j), 0) == got(idx).get(j, 0), (a.name, k, n, idx, j)
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +305,7 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     xs = [None, *xs]
     pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
     system = deformation._system(a)
-    scan = [idx for idx, _, _ in deformation._equation_forms(a, k).rows]
+    scan = _plan(a, k, 0).scan
     qden = system.den * den * den
     q = deformation._quadratic(system, pairs)
     got = _block(system, k, scan, q, qden)
