@@ -240,9 +240,9 @@ class IntTable:
     numerator}, and the map's value there is numerator / ``den``.  A linear
     map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A map
     on the alternating pairs e_i ^ e_j, i < j, is a table of arity 2 whose
-    output indices are pairs (see :func:`compose_slot`).  Numerators are
-    Python ints; a :class:`FormTable` keeps its unknowns in the output
-    indices instead.  An empty table is the zero map and is false.
+    output indices are pairs (:func:`hlya.deformation._pair_maps`).
+    Numerators are Python ints; a :class:`FormTable` keeps its unknowns in
+    the output indices instead.  An empty table is the zero map and is false.
     ``twists`` holds the twisted forms :func:`contract` makes of the table,
     keyed by what they are made from (see :class:`_Term`), and
     ``by_output`` the index :meth:`Contraction.join` reads it by when it is
@@ -298,28 +298,22 @@ def int_table(table: dict) -> IntTable:
 
 
 def compose_slot(t: IntTable, slot: int, m: IntTable) -> IntTable:
-    """t with the linear map m applied to the argument at ``slot``: t(.., m e_J, ..).
-
-    m is a table of arity w whose entry J is the image of the basis
-    element e_J, and the argument is the w slots from ``slot`` on.  For a
-    linear map (w = 1) the image is {i: coefficient of e_i}; for a map on
-    pairs (w = 2) it is {(i, j): coefficient of e_i ^ e_j}.
-    """
-    width = len(next(iter(m.entries), ()))
-    rows: dict = {}  # I -> [(J, coefficient of e_I in m e_J)]
-    for jkey, col in m.entries.items():
+    """t with the linear map m, a table of arity 1 whose entry (j,) is the
+    image {i: coefficient of e_i} of e_j, applied to the argument at
+    ``slot``: t(.., m e_j, ..)."""
+    rows: dict = {}  # i -> [(j, coefficient of e_i in m e_j)]
+    for (j,), col in m.entries.items():
         for i, c in col.items():
-            rows.setdefault((i,) if width == 1 else i, []).append((jkey, c))
-    end = slot + width
+            rows.setdefault(i, []).append((j, c))
     out: dict = {}
     summed = set()  # keys hit more than once, where terms may cancel
     for key, vec in t.entries.items():
-        row = rows.get(key[slot:end])
+        row = rows.get(key[slot])
         if row is None:
             continue
-        head, tail = key[:slot], key[end:]
-        for jkey, c in row:
-            new = head + jkey + tail
+        head, tail = key[:slot], key[slot + 1 :]
+        for j, c in row:
+            new = head + (j,) + tail
             acc = out.get(new)
             if acc is None:
                 out[new] = {k: c * x for k, x in vec.items()}

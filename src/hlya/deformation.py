@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     IDENTITIES,
@@ -48,8 +48,6 @@ from .algebra import (
     _plan,
     axiom_witnesses,
     brackets,
-    compose_out,
-    compose_slot,
     memoised,
     table_sum,
 )
@@ -71,7 +69,7 @@ from .errors import (
     NotInZ2Z3Error,
     PreconditionError,
 )
-from .exactlin import Frozen, Matrix, Subspace, _joined, solve, unflatten
+from .exactlin import Frozen, Matrix, Subspace, _joined, _pruned, solve, unflatten
 
 DEFAULT_ORDER = 4
 
@@ -98,12 +96,17 @@ def _coefficient(space, c, n: int) -> None:
         raise PreconditionError(f"coefficient at order {n} is not a cochain: {exc}")
 
 
+def _require_order(order) -> None:
+    """PreconditionError unless ``order`` is a nonnegative int (not a bool)."""
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
+
+
 def _series(base: Algebra, order: int, *series):
     """The truncated-series rule of deformations and gauges, yielding each
     (coefficients, constant term) as a tuple of order + 1 coefficients: the
     constant term, then cochains of its space (:func:`_coefficient`)."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
+    _require_order(order)
     for seq, constant in series:
         seq = tuple(seq)
         if len(seq) != order + 1:
@@ -141,12 +144,16 @@ class Deformation(Frozen):
 
 
 def null_deformation(a: Algebra, order: int = DEFAULT_ORDER) -> Deformation:
+    _require_order(order)
     zeros2 = [Cochain.zero(2, a.dim)] * order
     zeros3 = [Cochain.zero(3, a.dim)] * order
     return Deformation(a, order, [bracket_cochain(a), *zeros2], [ternary_cochain(a), *zeros3])
 
 
 def first_order_deformation(a: Algebra, f1: Cochain, g1: Cochain, order: int = 1) -> Deformation:
+    _require_order(order)
+    if order < 1:
+        raise PreconditionError(f"order must be >= 1 for a first-order term, got {order!r}")
     f_seq = [bracket_cochain(a), f1] + [Cochain.zero(2, a.dim)] * (order - 1)
     g_seq = [ternary_cochain(a), g1] + [Cochain.zero(3, a.dim)] * (order - 1)
     return Deformation(a, order, f_seq, g_seq)
@@ -209,10 +216,10 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     Deformation such a cochain, so those entries are None and only
     equations 5-8 are evaluated, as one T vector M_T c_n + the sum of
     B(c_i, c_{n-i}) over 1 <= i <= n-1 (:func:`_first_failures`,
-    :func:`_quadratic`); an order whose coefficient and quadratic part
-    are both zero reads nothing.  The coordinate rows c_i of (f_i, g_i)
-    are read once per call, for the orders 1..stop, and put over one
-    denominator.
+    :func:`_quadratic`), the terms i and n-i read as one pair, i <= n-i;
+    an order whose coefficient and quadratic part are both zero reads
+    nothing.  The coordinate rows c_i of (f_i, g_i) are read once per call,
+    for the orders 1..stop, and put over one denominator.
     """
     base = d.base
     den, xs = _common_rows([_pair_row(base, f, g) for f, g in zip(d.f_seq[1 : stop + 1], d.g_seq[1 : stop + 1])])
@@ -222,7 +229,7 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
         if n == 0:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
-        pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
+        pairs = tuple((xs[i], xs[n - i]) for i in range(1, n // 2 + 1) if xs[i] and xs[n - i])
         found = {}
         if xs[n] or pairs:
             system = _system(base)
@@ -303,19 +310,28 @@ def _system(a: Algebra) -> _System:
 
 
 def _quadratic(system: _System, pairs: tuple) -> dict:
-    """The sum over (x, y) in ``pairs`` of B(x, y) over T, x outer and y
-    inner, each {position: numerator} over one den: {t: numerator} over
-    system.den * den^2, a t it leaves out being 0."""
+    """The sum over (x, y) in ``pairs`` of B(x, y) + B(y, x) over T, or of
+    B(x, x) alone where y is x itself, each {position: numerator} over one
+    den: {t: numerator} over system.den * den^2, a t it leaves out being 0.
+    A pair and its mirror are read together, x_u y_v + y_u x_v, over one
+    read of B at each outer unknown u; a square has no mirror, and its
+    loop reads x_u x_v alone."""
     out: dict = {}
     bilinear = system.bilinear
     for x, y in pairs:
-        for u, xu in x.items():
-            terms = bilinear.get(u)
-            if terms:
-                for v, t, c in terms:
-                    yv = y.get(v)
-                    if yv:
-                        out[t] = out.get(t, 0) + c * xu * yv
+        if y is x:
+            for u, xu in x.items():
+                for v, t, c in bilinear.get(u, ()):
+                    xv = x.get(v)
+                    if xv:
+                        out[t] = out.get(t, 0) + c * xu * xv
+            continue
+        for u in x.keys() | y.keys():
+            xu, yu = x.get(u, 0), y.get(u, 0)
+            for v, t, c in bilinear.get(u, ()):
+                s = xu * y.get(v, 0) + yu * x.get(v, 0)
+                if s:
+                    out[t] = out.get(t, 0) + c * s
     return out
 
 
@@ -397,6 +413,7 @@ def random_gauge(a: Algebra, order: int, rng) -> Gauge:
     """Identity plus random alpha-commuting higher coefficients: each a sum
     of the basis maps, each times p / q, p in -2..2 and q in 1..2, drawn as
     integer tables."""
+    _require_order(order)
     basis = [b.ints for b in alpha_commutant_basis(a)]
     space = build_cochain_space(a, 1)
     phi = [identity_cochain(a)]
@@ -411,26 +428,74 @@ def random_gauge(a: Algebra, order: int, rng) -> Gauge:
 
 
 def identity_gauge(a: Algebra, order: int = DEFAULT_ORDER) -> Gauge:
+    _require_order(order)
     return Gauge(a, order, [identity_cochain(a)] + [Cochain.zero(1, a.dim)] * order)
 
 
 def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
-    """Series product p * q; acting with p then q equals acting with p * q."""
+    """Series product p * q; acting with p then q equals acting with p * q.
+    (pq)_n = sum_{i=0}^{n} p_i q_{n-i}, a convolution (:func:`_convolve`)."""
     _same_series(p, q)
-    return _gauge(p.base, _product([h.ints for h in p.phi], [h.ints for h in q.phi]))
+    return _gauge(p.base, next(_convolve([[h.ints for h in p.phi]], [h.ints for h in q.phi], 0)))
 
 
-def _product(ps: list[IntTable], qs: list[IntTable]) -> list[IntTable]:
-    """The truncated series product of two series of linear maps, as
-    integer tables: (pq)_n = sum_{i=0}^{n} p_i q_{n-i}."""
-    return [
-        table_sum([compose_out(ps[i], qs[n - i]) for i in range(n + 1) if ps[i] and qs[n - i]])
-        for n in range(len(ps))
-    ]
+def _convolve(several: list, maps: list[IntTable], slot: int) -> Iterator[list[IntTable]]:
+    """Yields each series T of ``several`` with the series M of maps applied
+    to the arguments from ``slot`` on, T'_m = sum_{c+j=m} T_j(.., M_c e_J,
+    ..), truncated at T's order.  M is indexed once, {I: [(c, J,
+    coefficient of e_I in M_c e_J)]} with I = (i,) for a linear map and the
+    pair (i, j) for a map on pairs; each T'_m is one accumulator, over the
+    lcm of T's denominators times M's."""
+    mden, width, rows = lcm(*(m.den for m in maps)), 1, {}
+    for c, m in enumerate(maps):
+        for jkey, col in m.entries.items():
+            width = len(jkey)
+            for i, x in col.items():
+                rows.setdefault((i,) if width == 1 else i, []).append((c, jkey, x * (mden // m.den)))
+    end = slot + width
+    for series in several:
+        den, out = lcm(*(t.den for t in series)), [{} for _ in series]
+        for j, t in enumerate(series):
+            w = den // t.den
+            for key, vec in t.entries.items():
+                for c, jkey, coefficient in rows.get(key[slot:end], ()):
+                    if j + c >= len(out):
+                        break
+                    acc, coefficient = out[j + c].setdefault(key[:slot] + jkey + key[end:], {}), coefficient * w
+                    for k, x in vec.items():
+                        acc[k] = acc.get(k, 0) + coefficient * x
+        yield [IntTable(den * mden, {key: _pruned(vec) for key, vec in entries.items()}) for entries in out]
 
 
-def _negated(t: IntTable) -> IntTable:
-    return IntTable(t.den, {key: {i: -x for i, x in vec.items()} for key, vec in t.entries.items()})
+def _divide(several: list, phi: list[IntTable]) -> Iterator[list[IntTable]]:
+    """Yields each series T of ``several`` divided by Phi, phi_0 = id,
+    acting on the values: Phi T' = T solved order by order, T'_m = T_m -
+    sum_{a=1}^{m} phi_a T'_{m-a}, so no inverse series is built.  With T
+    over E and Phi over D, T'_m = X_m / (E D^m) and X_m = D^m E T_m -
+    sum_a D^(a-1) (D phi_a) X_{m-a}.  Phi is indexed once, by the value
+    coordinate each phi_a reads, and each finished order is pushed into
+    the orders above it, so a step id - h t^r adds one term per order."""
+    mden, cols = lcm(*(m.den for m in phi[1:])), {}
+    for a, m in enumerate(phi[1:], 1):
+        for (k,), col in m.entries.items():
+            cols.setdefault(k, []).extend((a, i, -x * (mden // m.den) * mden ** (a - 1)) for i, x in col.items())
+    for series in several:
+        den, out = lcm(*(t.den for t in series)), []
+        acc = [
+            {key: {k: x * (den // t.den) * mden**m for k, x in vec.items()} for key, vec in t.entries.items()}
+            for m, t in enumerate(series)
+        ]
+        for s, entries in enumerate(acc):
+            done = {key: kept for key, vec in entries.items() if (kept := _pruned(vec))}
+            out.append(IntTable(den * mden**s, done))
+            for key, vec in done.items():
+                for k, x in vec.items():
+                    for a, i, c in cols.get(k, ()):
+                        if s + a >= len(acc):
+                            break
+                        target = acc[s + a].setdefault(key, {})
+                        target[i] = target.get(i, 0) + c * x
+        yield out
 
 
 def _single_step(identity: IntTable, order: int, h: Cochain, r: int) -> list[IntTable]:
@@ -439,22 +504,21 @@ def _single_step(identity: IntTable, order: int, h: Cochain, r: int) -> list[Int
     if type(r) is not int or not 1 <= r <= order:
         raise PreconditionError(f"step exponent must be an integer with 1 <= r <= order, got {r!r}")
     step = [identity, *[IntTable(1, {})] * order]
-    step[r] = _negated(h.ints)
+    step[r] = IntTable(h.ints.den, {key: {i: -x for i, x in vec.items()} for key, vec in h.ints.entries.items()})
     return step
 
 
 def _inverse_series(phi: list[IntTable]) -> list[IntTable]:
     """The truncated inverse of a series of linear maps with phi_0 = id, as
-    integer tables: psi_0 = id and psi_n = -sum_{i=1}^{n} phi_i psi_{n-i},
-    whose i = n term is phi_n itself."""
-    psi = [phi[0]]
-    for n in range(1, len(phi)):
-        psi.append(_negated(table_sum([phi[n], *(compose_out(phi[i], psi[n - i]) for i in range(1, n))])))
+    integer tables: the identity series divided by Phi (:func:`_divide`),
+    psi_0 = id and psi_n = -sum_{i=1}^{n} phi_i psi_{n-i}."""
+    [psi] = _divide([[phi[0], *[IntTable(1, {})] * (len(phi) - 1)]], phi)
     return psi
 
 
 def inverse_gauge(p: Gauge) -> Gauge:
-    """Truncated series inverse: psi_0 = id, psi_n = -sum phi_i psi_{n-i}."""
+    """Truncated series inverse Psi, solving Phi Psi = id order by order:
+    psi_0 = id, psi_n = -sum_{i=1}^{n} phi_i psi_{n-i}."""
     return _gauge(p.base, _inverse_series([h.ints for h in p.phi]))
 
 
@@ -498,7 +562,8 @@ def _pair_maps(phi: list[IntTable], dim: int) -> list[IntTable]:
 def apply_gauge(d: Deformation, p: Gauge) -> Deformation:
     """The gauge action f' = Phi^{-1} f(Phi ., Phi .), coefficient by
     coefficient, for a gauge over the deformation's base and order: the
-    action :func:`_act` of the integer tables its coefficients keep."""
+    action :func:`_act` of the integer tables its coefficients keep, which
+    divides by Phi order by order and builds no inverse series."""
     _same_series(d, p)
     return _act(d, [h.ints for h in p.phi])
 
@@ -508,38 +573,23 @@ def _act(d: Deformation, phi: list[IntTable]) -> Deformation:
     with phi_0 = id and one per order of ``d``, on ``d``.
 
     Every coefficient is alternating in its leading pair, so the series are
-    kept at the representative tuples only, and Phi acts on that pair
-    through the pair map Lambda^2 Phi (:func:`_pair_maps`) and on the third
-    argument of the ternary series by Phi itself: a pass replaces the
-    series T by T'_m = sum_{c+j=m} T_j(M_c ...), truncated at the order,
-    and a last pass applies Psi = Phi^{-1} to the values.  M_0, the
-    identity, is not composed, so the order-0 coefficients come back
-    unchanged.  The series are integer tables; the cochain spaces build the
-    higher coefficients from their representative values, with their
-    coordinates (:meth:`hlya.cochain.CochainSpace.from_rep_values`).
+    kept at the representative tuples, and Phi acts on that pair through
+    the pair map Lambda^2 Phi (:func:`_pair_maps`) and on the third
+    argument of the ternary series by Phi itself (:func:`_convolve`); the
+    values are then divided by Phi (:func:`_divide`).  The order-0
+    coefficients come back unchanged, and the cochain spaces build the
+    higher ones from their representative values, with their coordinates
+    (:meth:`hlya.cochain.CochainSpace.from_rep_values`).
     """
-    base, order = d.base, d.order
-    psi = _inverse_series(phi)
-    pairs = _pair_maps(phi, base.dim)
-
-    def convolve(series, maps, compose) -> list:
-        out = []
-        for m in range(order + 1):
-            terms = [compose(series[j], maps[m - j]) for j in range(m) if series[j] and maps[m - j]]
-            out.append(table_sum([series[m], *terms]) if terms else series[m])
-        return out
-
-    def transform(seq, arity: int) -> list:
-        space = build_cochain_space(base, arity)
-        ints = [c.ints for c in seq]
-        series = [IntTable(t.den, {idx: vec for idx in space.rep_tuples if (vec := t.entries.get(idx))}) for t in ints]
-        series = convolve(series, pairs, lambda t, m: compose_slot(t, 0, m))
-        if arity == 3:
-            series = convolve(series, phi, lambda t, m: compose_slot(t, 2, m))
-        series = convolve(series, psi, lambda t, m: compose_out(m, t))
-        return [seq[0], *map(space.from_rep_values, series[1:])]
-
-    return Deformation(base, order, transform(d.f_seq, 2), transform(d.g_seq, 3))
+    seqs, spaces = (d.f_seq, d.g_seq), [build_cochain_space(d.base, arity) for arity in (2, 3)]
+    fs, gs = (
+        [IntTable(c.ints.den, {idx: vec for idx in space.rep_tuples if (vec := c.ints.entries.get(idx))}) for c in seq]
+        for seq, space in zip(seqs, spaces)
+    )
+    fs, gs = _convolve([fs, gs], _pair_maps(phi, d.base.dim), 0)
+    [gs] = _convolve([gs], phi, 2)
+    acted = zip(seqs, spaces, _divide([fs, gs], phi))
+    return Deformation(d.base, d.order, *([seq[0], *map(space.from_rep_values, ts[1:])] for seq, space, ts in acted))
 
 
 def verify_equivalence(d1: Deformation, d2: Deformation, p: Gauge) -> bool:
@@ -578,9 +628,9 @@ def trivialize(d: Deformation) -> TrivializeResult:
 
     The steps and their running product stay series of integer tables,
     acting through :func:`_act` and multiplied as :func:`compose_gauges`
-    multiplies; only the product is built into a Gauge, once, at the end,
-    and each of its coefficients is checked as a member of C1 then
-    (:func:`_gauge`).
+    multiplies (:func:`_convolve`); only the product is built into a Gauge,
+    once, at the end, and each of its coefficients is checked as a member
+    of C1 then (:func:`_gauge`).
     """
     report = verify_deformation(d)
     if not report.ok:
@@ -601,7 +651,7 @@ def trivialize(d: Deformation) -> TrivializeResult:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
         step = _single_step(identity, order, h, r)
         previous, current = current, _act(current, step)
-        total = _product(total, step)
+        [total] = _convolve([total], step, 0)
         _check_step(previous, current, r)
         if not current.f_seq[r].is_zero() or not current.g_seq[r].is_zero():
             raise NotCocycleError(f"gauge step failed to clear order {r}", step_order=r)

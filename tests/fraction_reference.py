@@ -22,7 +22,9 @@ pivot entry.  :func:`fraction_solve` is a solve on :func:`fraction_eliminate`,
 :func:`pair_coords` and :func:`pair_from_coords` are the Fraction
 lists of a pair's concatenated coordinates the package passed around
 before its coordinates were integer rows, built on the spaces' Fraction
-views ``coords`` and ``from_coords``.
+views ``coords`` and ``from_coords``.  :func:`inverse_series` is the
+recursion the package inverted a gauge series with before it divided by
+the series, on dense Fraction matrices.
 """
 
 import itertools
@@ -410,3 +412,18 @@ def divided(value, den):
         return value
     inv = Fraction(1, den)
     return lambda idx: {j: x * inv for j, x in value(idx).items()}
+
+
+def inverse_series(phi):
+    """The truncated inverse of a series of d x d matrices (dense rows of
+    Fractions) with phi_0 = id, by the recursion psi_0 = id and
+    psi_n = -sum_{i=1}^{n} phi_i psi_{n-i}."""
+    d = len(phi[0])
+    psi = [phi[0]]
+    for n in range(1, len(phi)):
+        acc = [[ZERO] * d for _ in range(d)]
+        for i in range(1, n + 1):
+            for r, c, k in itertools.product(range(d), repeat=3):
+                acc[r][c] -= phi[i][r][k] * psi[n - i][k][c]
+        psi.append(acc)
+    return psi

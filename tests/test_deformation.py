@@ -226,6 +226,33 @@ def test_series_rule_checks_order_and_length(e2):
             make()
 
 
+_CONSTRUCTORS = {
+    "null_deformation": lambda a, order: null_deformation(a, order),
+    "first_order_deformation": lambda a, order: first_order_deformation(
+        a, Cochain.zero(2, a.dim), Cochain.zero(3, a.dim), order=order
+    ),
+    "identity_gauge": lambda a, order: identity_gauge(a, order),
+    "random_gauge": lambda a, order: random_gauge(a, order, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_check_the_order_before_building_a_series(e2, name):
+    """A float, a string or None as the order is the series rule's
+    precondition error, raised before any coefficient list is built (list
+    repetition and range would raise a bare TypeError); a first-order
+    deformation of order 0 is refused for its order, not its length."""
+    make = _CONSTRUCTORS[name]
+    for order in (2.0, "2", None):
+        with pytest.raises(PreconditionError, match=f"^order must be a nonnegative integer, got {order!r}$"):
+            make(e2, order)
+    if name == "first_order_deformation":
+        with pytest.raises(PreconditionError, match="^order must be >= 1 for a first-order term, got 0$"):
+            make(e2, 0)
+    else:
+        assert make(e2, 0).order == 0
+
+
 def test_series_rule_names_the_cochain_type(e2):
     """A coefficient that is no Cochain at all, at order >= 1 of a
     deformation or a gauge, is a precondition error naming the expected
@@ -287,6 +314,25 @@ def test_gauged_null_trivializes_back(e1):
     result = trivialize(d)
     assert result.trivial
     assert verify_equivalence(d, null, result.gauge)
+
+
+def test_the_gauge_action_builds_no_inverse_series(monkeypatch, bundled):
+    """apply_gauge, trivialize and verify_equivalence divide the values by
+    Phi order by order, so none of them builds Phi^{-1}; inverse_gauge
+    alone does."""
+
+    def refused(phi):
+        raise AssertionError("_inverse_series called")
+
+    monkeypatch.setattr(deformation, "_inverse_series", refused)
+    rng = random.Random(11)
+    for a in bundled:
+        null = null_deformation(a, 3)
+        d = apply_gauge(null, random_gauge(a, 3, rng))
+        result = trivialize(d)
+        assert result.trivial and verify_equivalence(d, null, result.gauge), a.name
+    with pytest.raises(AssertionError, match="_inverse_series called"):
+        inverse_gauge(random_gauge(bundled[0], 3, rng))
 
 
 def _recorded_steps(monkeypatch) -> list:

@@ -39,9 +39,11 @@ from hlya.algebra import (
     make_algebra,
 )
 from hlya.coboundary import _LEVELS, _assemble, apply_operator, d2, delta2
-from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix
+from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain
 from hlya.deformation import (
     Deformation,
+    _gauge,
+    _single_step,
     apply_gauge,
     bracket_cochain,
     first_order_deformation,
@@ -57,7 +59,7 @@ from hlya.deformation import (
 from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import ONE, FractionOps, divided, eval_sv, svec_add
+from fraction_reference import ONE, FractionOps, divided, eval_sv, inverse_series, svec_add
 from tabulated import numerators, tabulate, to_dense
 
 # --- the Fraction references -------------------------------------------------
@@ -360,16 +362,28 @@ def test_check_axioms_matches_reference(algebras):
         }, a.name
 
 
-def test_apply_gauge_matches_reference(algebras):
+def test_apply_gauge_matches_reference(algebras, bundled):
+    """On the twisted algebras and the untwisted bundle, a random gauge and
+    every step gauge id - h t^r, r = 1..N, act as the reference does, and
+    the inverse built by dividing by the series is the one the recursion
+    psi_n = -sum phi_i psi_{n-i} builds."""
     rng = random.Random(4101)
     halves = 0
-    for a in algebras:
+    for a in algebras + bundled:
         order = _order(a)
         gauge = random_gauge(a, order, rng)
         halves += any(x.denominator == 2 for h in gauge.phi for vec in h.table.values() for x in vec)
-        for d in (null_deformation(a, order), _random_deformation(a, order, rng)):
-            assert apply_gauge(d, gauge) == reference_apply_gauge(d, gauge), a.name
-    assert halves == len(algebras)
+        identity = identity_cochain(a).ints
+        steps = [_gauge(a, _single_step(identity, order, _random_cochain(a, 1, rng), r)) for r in range(1, order + 1)]
+        for p in (gauge, *steps):
+            cases = [_random_deformation(a, order, rng)]
+            if p is gauge:
+                cases.append(null_deformation(a, order))
+            for d in cases:
+                assert apply_gauge(d, p) == reference_apply_gauge(d, p), a.name
+            matrices = [cochain_to_matrix(a, h).data for h in p.phi]
+            assert [cochain_to_matrix(a, h).data for h in inverse_gauge(p).phi] == inverse_series(matrices), a.name
+    assert halves == len(algebras) + len(bundled)
 
 
 def test_verify_deformation_matches_reference(algebras):

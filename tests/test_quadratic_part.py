@@ -100,6 +100,53 @@ def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
     assert outcomes[True] >= 15 and outcomes[False] >= 20, outcomes
 
 
+def _per_pair_failures(d):
+    """_failures_from(d, 0, N) with Q_n summed over every ordered pair
+    (c_i, c_{n-i}), 1 <= i <= n-1, each read on its own."""
+    a = d.base
+    den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in zip(d.f_seq[1:], d.g_seq[1:])])
+    xs = [None, *xs]
+    system = deformation._system(a)
+    failures = {(k, 0): w for k, w in algebra.axiom_witnesses(a).items()}
+    for n in range(1, d.order + 1):
+        q = (system.den * den * den, _per_pair(system, _ordered(xs, n)))
+        found = deformation._first_failures(system, (den, xs[n]), q)
+        failures.update(((k, n), found.get(k)) for k in IDENTITIES)
+    return failures
+
+
+def test_failures_from_reads_a_pair_and_its_mirror_at_once(monkeypatch, bundled, twisted_algebras):
+    """_failures_from reads B(c_i, c_{n-i}) and B(c_{n-i}, c_i) as one
+    unordered pair, and its verdicts are those of the per-pair sum, on
+    gauged null deformations of order 4 (valid) and on the same with a
+    random cochain added at one order (broken).  Where every c_i is
+    nonzero it reads 4 pairs through order 4, not the 6 ordered ones."""
+    rng = random.Random(3805)
+    reads = []
+    real = deformation._quadratic
+
+    def counted(system, pairs):
+        reads.append(len(pairs))
+        return real(system, pairs)
+
+    monkeypatch.setattr(deformation, "_quadratic", counted)
+    outcomes, counted_reads = {True: 0, False: 0}, 0
+    for a in _algebras(bundled, twisted_algebras):
+        gauged = apply_gauge(null_deformation(a, 4), random_gauge(a, 4, rng))
+        f_seq = list(gauged.f_seq)
+        n = rng.randint(1, 4)
+        f_seq[n] = f_seq[n].add(_random_cochain(a, 2, rng))
+        for d in (gauged, Deformation(a, 4, f_seq, gauged.g_seq)):
+            reads.clear()
+            got = deformation._failures_from(d, 0, 4)
+            assert got == _per_pair_failures(d), a.name
+            outcomes[all(v is None for v in got.values())] += 1
+            if all(not (f.is_zero() and g.is_zero()) for f, g in zip(d.f_seq[1:], d.g_seq[1:])):
+                assert sum(reads) == 4, (a.name, reads)
+                counted_reads += 1
+    assert outcomes[True] >= 15 and outcomes[False] >= 5 and counted_reads >= 10, (outcomes, counted_reads)
+
+
 def test_the_stacked_system_has_the_kernel_of_delta2_and_d2(bundled, twisted_algebras):
     """M_T, the linear parts of 5-8 stacked over T, has the rank of
     M = [delta2; d2] and its kernel, Z2 x Z3, on the bundled algebras, a
@@ -260,6 +307,28 @@ def _split_terms(k):
     return tuple(terms)
 
 
+def _per_pair(system, pairs):
+    """The sum over (x, y) in ``pairs`` of B(x, y) over T, x outer and y
+    inner, each ordered pair read on its own: {t: nonzero numerator}."""
+    out = {}
+    for x, y in pairs:
+        for u, xu in x.items():
+            for v, t, c in system.bilinear.get(u, ()):
+                out[t] = out.get(t, 0) + c * xu * y.get(v, 0)
+    return {t: b for t, b in out.items() if b}
+
+
+def _ordered(xs, n):
+    """(c_i, c_{n-i}) for 1 <= i <= n-1, both nonzero: every term of Q_n."""
+    return tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
+
+
+def _unordered(xs, n):
+    """(c_i, c_{n-i}) for 1 <= i <= n-i, both nonzero: the pairs
+    _failures_from reads, a pair and its mirror at once."""
+    return tuple((xs[i], xs[n - i]) for i in range(1, n // 2 + 1) if xs[i] and xs[n - i])
+
+
 def _block(system, k, scan, values, den):
     """Identity k's block of a T vector {t: numerator} over den, as
     {scan tuple: {output index: nonzero Fraction}} over identity k's
@@ -303,11 +372,11 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
 
     den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
     xs = [None, *xs]
-    pairs = tuple((xs[i], xs[n - i]) for i in range(1, n) if xs[i] and xs[n - i])
     system = deformation._system(a)
     scan = _plan(a, k, 0).scan
     qden = system.den * den * den
-    q = deformation._quadratic(system, pairs)
+    q = deformation._quadratic(system, _unordered(xs, n))
+    assert {t: b for t, b in q.items() if b} == _per_pair(system, _ordered(xs, n)), (a.name, k, n)
     got = _block(system, k, scan, q, qden)
     for idx in scan:
         assert got[idx] == expected(idx), (a.name, k, n, idx)
@@ -319,8 +388,7 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     fs_n, gs_n = bracket_series(a, [f for f, _ in series] + [last[0]], [g for _, g in series] + [last[1]])
     den_n, ys = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in (*series, last)])
     ys = [None, *ys]
-    pairs_n = tuple((ys[i], ys[n - i]) for i in range(1, n) if ys[i] and ys[n - i])
-    quadratic = (system.den * den_n * den_n, deformation._quadratic(system, pairs_n))
+    quadratic = (system.den * den_n * den_n, deformation._quadratic(system, _unordered(ys, n)))
     found = deformation._first_failures(system, (den_n, ys[n]), quadratic)
     assert found.get(k) == first_failure(a, k, n, fs_n, gs_n), (a.name, k, n)
 
@@ -335,13 +403,22 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
         assert {j: x for j, x in total.items() if x} == expected(idx), (a.name, k, n, idx)
 
     outer, inner = draw_pair(), draw_pair()
-    tables = {(side, name): c.ints for side, pair in (("outer", outer), ("inner", inner)) for name, c in zip("fg", pair)}
-    split = contract(a, tables, _split_terms(k))
-    oracle = divided(split.probe(), split.den)
+
+    def split(outer, inner):
+        sides = (("outer", outer), ("inner", inner))
+        tables = {(side, name): c.ints for side, pair in sides for name, c in zip("fg", pair)}
+        contraction = contract(a, tables, _split_terms(k))
+        return divided(contraction.probe(), contraction.den)
+
+    oracle, mirror = split(outer, inner), split(inner, outer)
     den, (x, y) = deformation._common_rows([deformation._pair_row(a, *outer), deformation._pair_row(a, *inner)])
-    got = _block(system, k, scan, deformation._quadratic(system, ((x, y),)), system.den * den * den)
+    got = _block(system, k, scan, _per_pair(system, ((x, y),)), system.den * den * den)
+    both = _block(system, k, scan, deformation._quadratic(system, ((x, y),)), system.den * den * den)
     for idx in scan:
         assert got[idx] == oracle(idx), (a.name, k, idx)
+        summed = Counter(oracle(idx))
+        summed.update(mirror(idx))
+        assert both[idx] == {j: v for j, v in summed.items() if v}, (a.name, k, idx)
 
 
 def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled, twisted_algebras):
