@@ -24,9 +24,9 @@ derivations) probe it one tuple at a time.
 The readers that need every basis tuple (the well-definedness audit,
 :func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
 it: each term's nonzero entries are paired on their shared index, so no
-time goes to the empty entries of sparse bracket tables.  Each
-constructor passes its tables through one dense builder,
-:func:`make_algebra` and one axiom verdict.
+time goes to the empty entries of sparse bracket tables.  An algebra is
+its tables: each constructor builds them and passes them through one
+builder (:func:`_built`) and one axiom verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
+from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError, PreconditionError
 from .exactlin import ZERO, Frozen, Matrix, _pruned, rat
 
 Vec = tuple[Fraction, ...]
@@ -131,30 +131,25 @@ IDENTITIES = {
 AXIOM_IDS = tuple(IDENTITIES)
 
 
-def _vec(values: Sequence) -> Vec:
-    return tuple(rat(v) for v in values)
-
-
 def zero_vec(dim: int) -> Vec:
     return (ZERO,) * dim
 
 
 class Algebra(Frozen):
-    """Structure-constant data, a :class:`Frozen` value.  Use the
-    constructors below.
+    """Structure constants, a :class:`Frozen` value held as three integer
+    tables, each put in canonical form (:func:`_canonical`) as a table of
+    its own: the binary bracket, entry (i, j) the value [e_i, e_j], the
+    ternary bracket, entry (i, j, k) the value {e_i e_j e_k}, and alpha,
+    entry (j,) the image of e_j.  Use the constructors below.  Two algebras
+    are equal when their dimension and tables are; the name and the memo
+    do not count."""
 
-    Two algebras are equal when their dimension, brackets and alpha are;
-    the name and the memo do not count."""
+    __slots__ = ("dim", "_tables", "name", "_memo", "_hash", "__weakref__")
 
-    __slots__ = ("dim", "binary", "ternary", "alpha", "name", "_memo", "_hash", "__weakref__")
-    _fields = ("dim", "binary", "ternary", "alpha")
-
-    def __init__(self, dim: int, binary: tuple, ternary: tuple, alpha: tuple, name: str = ""):
+    def __init__(self, dim: int, binary: IntTable, ternary: IntTable, alpha: IntTable, name: str = ""):
         self._init(
             dim=dim,
-            binary=binary,  # binary[i][j] = coordinates of [e_i, e_j]
-            ternary=ternary,  # ternary[i][j][k] = coordinates of {e_i e_j e_k}
-            alpha=alpha,  # row-major matrix; alpha(e_j) = sum_i alpha[i][j] e_i
+            _tables=tuple(map(_canonical, (binary, ternary, alpha))),
             name=name,
             # data derived from this algebra, filled by @memoised functions and by
             # the one-entry second-order slot of hlya.deformation
@@ -162,39 +157,53 @@ class Algebra(Frozen):
             _hash=None,
         )
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        tables = zip(self._tables, other._tables)
+        return self.dim == other.dim and all((s.den, s.entries) == (o.den, o.entries) for s, o in tables)
+
     def __hash__(self):
-        # cached: the structure tensors are deeply nested Fraction tuples, and
-        # algebras serve as dict and set keys
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.binary, self.ternary, self.alpha))
-            self._init(_hash=h)
-        return h
+        if self._hash is None:  # cached: algebras serve as dict and set keys
+            tables = ((t.den, frozenset((k, frozenset(v.items())) for k, v in t.entries.items())) for t in self._tables)
+            self._init(_hash=hash((self.dim, *tables)))
+        return self._hash
 
     def __repr__(self) -> str:
-        label = self.name or "?"
-        return f"Algebra({label}, dim={self.dim})"
+        return f"Algebra({self.name or '?'}, dim={self.dim})"
 
 
-def _tensor(data, levels: int, dim: int, what: str) -> tuple:
-    """``data`` as nested tuples: ``levels`` levels of ``dim`` entries over
-    vectors of ``dim`` rationals; DimMismatchError for any other length."""
+def _tensor(data, levels: int, dim: int, what: str, head: tuple = ()) -> dict:
+    """``data``, ``levels`` levels of ``dim`` entries over vectors of ``dim``
+    rationals, as {index tuple: vector}, every entry read by :func:`rat`
+    (so a float or a bool is a TypeError); DimMismatchError for any other length."""
     if len(data) != dim:
         raise DimMismatchError(f"{what} has {len(data)} entries where dim = {dim} belong")
-    return tuple(_tensor(x, levels - 1, dim, what) for x in data) if levels else _vec(data)
+    if len(head) == levels:
+        return {head: tuple(map(rat, data))}
+    return {key: v for i, x in enumerate(data) for key, v in _tensor(x, levels, dim, what, head + (i,)).items()}
 
 
-def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
-    """Build an Algebra from full tensors, enforcing shape and antisymmetry.
+def _map_table(m, dim: int) -> IntTable:
+    """A row-major matrix such as alpha, m(e_j) = sum_i m[i][j] e_i, as a table of arity 1."""
+    rows = _tensor(m, 1, dim, "alpha")
+    return int_table({(j,): [rows[i,][j] for i in range(dim)] for j in range(dim)})
 
-    Rejects tensors that fail [xx]=0 / {xxy}=0 antisymmetry outright rather
-    than silently symmetrizing: those are identities 3 and 4, definitional,
-    and AxiomError names the first basis tuple at which one fails.
-    """
-    b = _tensor(binary, 2, dim, "the binary tensor")
-    t = _tensor(ternary, 3, dim, "the ternary tensor")
-    a = _tensor(alpha, 1, dim, "alpha")
-    algebra = Algebra(dim, b, t, a, name)
+
+def check_map(a: Algebra, m: Matrix) -> None:
+    """PreconditionError unless m is a :class:`Matrix`, DimMismatchError unless it is dim x dim."""
+    if not isinstance(m, Matrix):
+        raise PreconditionError(f"the map must be a Matrix, got {type(m).__name__}")
+    if m.rows != a.dim or m.cols != a.dim:
+        raise DimMismatchError("the map must be dim x dim")
+
+
+def _built(dim: int, binary: IntTable, ternary: IntTable, alpha: IntTable, name: str) -> Algebra:
+    """The algebra of these tables, the one builder of every constructor.
+    Brackets that fail [xx]=0 / {xxy}=0 are rejected outright rather than
+    silently symmetrized: those are identities 3 and 4, definitional, and
+    AxiomError names the first basis tuple at which one fails."""
+    algebra = Algebra(dim, binary, ternary, alpha, name)
     for k, what in ((3, "binary bracket"), (4, "ternary bracket in its first two arguments")):
         # no alternating pairs: every tuple is evaluated, diagonals included
         witness = _axiom_witness(algebra, k)
@@ -203,18 +212,19 @@ def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
     return algebra
 
 
-def _dense(dim: int, levels: int, entries: dict, head: tuple = ()) -> list:
-    """The tensor :func:`make_algebra` takes: ``entries[key]`` at each key, zero vectors elsewhere."""
-    if len(head) == levels:
-        return entries.get(head, (0,) * dim)
-    return [_dense(dim, levels, entries, head + (i,)) for i in range(dim)]
+def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
+    """Build an Algebra from full tensors, binary[i][j] and ternary[i][j][k]
+    the coordinates of [e_i, e_j] and {e_i e_j e_k}, and row-major alpha."""
+    b = int_table(_tensor(binary, 2, dim, "the binary tensor"))
+    t = int_table(_tensor(ternary, 3, dim, "the ternary tensor"))
+    return _built(dim, b, t, _map_table(alpha, dim), name)
 
 
 def algebra_from_sparse(dim, binary_entries, ternary_entries, alpha, name="") -> Algebra:
     """Build from sparse 0-based entries {(i, j): vec} with i < j (binary)
     and {(i, j, k): vec} with i < j (ternary); omitted entries are zero.
     DimMismatchError for a key that is not a tuple of ints in 0..dim-1."""
-    tensors = []
+    tables = []
     for what, arity, entries in (("binary", 2, binary_entries), ("ternary", 3, ternary_entries)):
         full = {}
         for key, vec in entries.items():
@@ -224,10 +234,10 @@ def algebra_from_sparse(dim, binary_entries, ternary_entries, alpha, name="") ->
             i, j, *rest = key
             if i >= j:
                 raise AxiomError(f"{what} entries must have i < j")
-            full[key] = vec
-            full[(j, i, *rest)] = [-rat(x) for x in vec]
-        tensors.append(_dense(dim, arity, full))
-    return make_algebra(dim, *tensors, alpha, name)
+            vec = _tensor(vec, 0, dim, f"the {what} tensor")[()]
+            full[key], full[(j, i, *rest)] = vec, tuple(-x for x in vec)
+        tables.append(int_table(full))
+    return _built(dim, *tables, _map_table(alpha, dim), name)
 
 
 # --- integer tables -------------------------------------------------------
@@ -388,23 +398,19 @@ def memoised(fn):
 
 @memoised
 def brackets(a: Algebra) -> tuple[IntTable, IntTable]:
-    """The base brackets as integer tables, the t^0 terms of every series."""
-    pairs = itertools.product(range(a.dim), repeat=2)
-    triples = itertools.product(range(a.dim), repeat=3)
-    return (
-        int_table({(i, j): a.binary[i][j] for i, j in pairs}),
-        int_table({(i, j, k): a.ternary[i][j][k] for i, j, k in triples}),
-    )
+    """The base brackets, the algebra's own tables: the t^0 terms of every series."""
+    return a._tables[:2]
 
 
 @memoised
 def alpha_table(a: Algebra, k: int) -> IntTable:
     """alpha^k as a canonical integer table of arity 1 (:func:`_canonical`),
-    for any k >= 0: alpha applied to every value of alpha^(k - 1)."""
+    for any k >= 0: the algebra's own table at k = 1 (:class:`Algebra`),
+    and alpha applied to every value of alpha^(k - 1) above it."""
     if k == 0:
         return IntTable(1, {(j,): {j: 1} for j in range(a.dim)})
-    alpha = int_table({(j,): [row[j] for row in a.alpha] for j in range(a.dim)})
-    return _canonical(compose_out(alpha, alpha_table(a, k - 1)))
+    alpha = a._tables[2]
+    return alpha if k == 1 else _canonical(compose_out(alpha, alpha_table(a, k - 1)))
 
 
 def evaluate(t: IntTable, dim: int, args: Sequence[Sequence]) -> Vec:
@@ -915,25 +921,27 @@ def from_lie_algebra(bracket, alpha, name="") -> Algebra:
     vanishing ternary part) fails, AxiomError for any other failure.
     """
     dim = len(bracket)
-    a = make_algebra(dim, bracket, _dense(dim, 3, {}), alpha, name)
+    binary = int_table(_tensor(bracket, 2, dim, "the binary tensor"))
+    a = _built(dim, binary, IntTable(1, {}), _map_table(alpha, dim), name)
     return _verified(a, "axioms {} fail", jacobi=True)
 
 
 def from_lya_standard(bracket, name="") -> Algebra:
     """Untwisted algebra with {x y z} = [[x, y], z] derived from a Lie bracket."""
     dim = len(bracket)
-    lie = make_algebra(dim, bracket, _dense(dim, 3, {}), Matrix.identity(dim).data)
+    binary = int_table(_tensor(bracket, 2, dim, "the binary tensor"))
+    identity = IntTable(1, {(j,): {j: 1} for j in range(dim)})
+    lie = _built(dim, binary, IntTable(1, {}), identity, "")
     bracketed = contract(lie, {"br": brackets(lie)[0]}, ((1, "br", (("br", 0, 1), (0, 2))),))
-    ternary = IntTable(bracketed.den, bracketed.join())
-    a = make_algebra(dim, bracket, _dense(dim, 3, ternary.fractions(dim)), lie.alpha, name)
+    a = _built(dim, binary, IntTable(bracketed.den, bracketed.join()), identity, name)
     return _verified(a, "input bracket is not Lie: axioms {} fail")
 
 
 def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
-    """Does beta preserve both brackets: identities 1 and 2 with beta as alpha?"""
-    if beta.rows != a.dim or beta.cols != a.dim:
-        raise DimMismatchError("the map must be dim x dim")
-    b = Algebra(a.dim, a.binary, a.ternary, tuple(map(tuple, beta.data)))
+    """Does beta, a dim x dim :class:`Matrix` (:func:`check_map`), preserve
+    both brackets: identities 1 and 2 with beta as alpha?"""
+    check_map(a, beta)
+    b = Algebra(a.dim, *brackets(a), _map_table(beta.data, a.dim))
     return all(first_failure(b, k, 0, *bracket_series(b)) is None for k in (1, 2))
 
 
@@ -941,20 +949,17 @@ def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
     """Candidate twist [x,y]' = beta[x,y], {xyz}' = beta^2{xyz}, alpha' = beta.
 
     The base must be untwisted (alpha = id), pass the axioms, and have
-    beta as an endomorphism; beta acts on the values of its integer tables
-    (:func:`brackets`).  No correctness claim beyond the axiom checker:
-    AxiomError is a normal outcome for morphisms whose twist fails the
-    identities, and names the base when the base fails them.
+    beta as an endomorphism (:func:`is_endomorphism`); beta acts on the
+    values of its integer tables.  No correctness claim beyond the axiom
+    checker: AxiomError is a normal outcome for morphisms whose twist
+    fails the identities, and names the base when the base fails them.
     """
-    d = a.dim
-    if not _is_identity(alpha_table(a, 1), d):
+    if not _is_identity(alpha_table(a, 1), a.dim):
         raise NotMorphismError("yau_twist requires an untwisted base (alpha = id)")
     _verified(a, "the base algebra fails axioms {}")
     if not is_endomorphism(a, morphism):
         raise NotMorphismError("the given map does not preserve the brackets")
-    beta = int_table({(j,): morphism.column(j) for j in range(d)})
-    binary, ternary = brackets(a)
+    beta, (binary, ternary) = _map_table(morphism.data, a.dim), brackets(a)
     binary, ternary = compose_out(beta, binary), compose_out(beta, compose_out(beta, ternary))
-    tensors = (_dense(d, 2, binary.fractions(d)), _dense(d, 3, ternary.fractions(d)))
-    twisted = make_algebra(d, *tensors, morphism.data, name or (a.name + "_twisted"))
+    twisted = _built(a.dim, binary, ternary, beta, name or (a.name + "_twisted"))
     return _verified(twisted, "twisted structure fails axioms {}")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Algebra, memoised
+from .algebra import Algebra, check_map, memoised
 from .coboundary import leibniz_defects
 from .cochain import build_cochain_space, flat_numerators
-from .errors import ClosureViolationError, DimMismatchError, PreconditionError
+from .errors import ClosureViolationError, PreconditionError
 from .exactlin import Matrix, Subspace, kernel_basis, solve, unflatten
 
 DEFAULT_K_MAX = 3
@@ -67,13 +67,13 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     """Commutator of derivations, verified to land in the (k+s)-space.
 
-    DimMismatchError unless both maps are dim x dim; PreconditionError
-    unless d1 is in Der_k and d2m in Der_s; then ClosureViolationError on
-    membership failure, which would contradict the closure theorem.
+    PreconditionError or DimMismatchError unless both maps are dim x dim
+    matrices (:func:`hlya.algebra.check_map`); PreconditionError unless d1
+    is in Der_k and d2m in Der_s; then ClosureViolationError on membership
+    failure, which would contradict the closure theorem.
     """
     for m in (d1, d2m):
-        if m.rows != a.dim or m.cols != a.dim:
-            raise DimMismatchError("the map must be dim x dim")
+        check_map(a, m)
     x, y = d1.flat_row(), d2m.flat_row()
     for name, row, twist in (("first", x, k), ("second", y, s)):
         if not derivation_space(a, twist).basis.contains(row):

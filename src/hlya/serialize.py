@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import Algebra, algebra_from_sparse
+from .algebra import Algebra, IntTable, algebra_from_sparse, alpha_table, brackets, zero_vec
 from .cochain import Cochain, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .errors import InputError
 from .exactlin import Matrix, rat, rat_str
@@ -86,28 +86,19 @@ def _rows_at(value, dim: int, path: str) -> list:
 # --- algebras --------------------------------------------------------------
 
 
+def _upper_entries(t: IntTable, dim: int) -> list:
+    """[i, j, ..., coefficients], 1-based, for the entries of the bracket
+    table t with i < j, in index order."""
+    values = sorted(t.fractions(dim).items())
+    return [[*(i + 1 for i in key), [rat_str(x) for x in vec]] for key, vec in values if key[0] < key[1]]
+
+
 def algebra_to_obj(a: Algebra) -> dict:
     d = a.dim
-    binary = [
-        [i + 1, j + 1, [rat_str(x) for x in a.binary[i][j]]]
-        for i in range(d)
-        for j in range(i + 1, d)
-        if any(a.binary[i][j])
-    ]
-    ternary = [
-        [i + 1, j + 1, k + 1, [rat_str(x) for x in a.ternary[i][j][k]]]
-        for i in range(d)
-        for j in range(i + 1, d)
-        for k in range(d)
-        if any(a.ternary[i][j][k])
-    ]
-    return {
-        "name": a.name,
-        "dim": d,
-        "binary": binary,
-        "ternary": ternary,
-        "alpha": [[rat_str(x) for x in row] for row in a.alpha],
-    }
+    binary, ternary = (_upper_entries(t, d) for t in brackets(a))
+    columns = alpha_table(a, 1).fractions(d)  # alpha(e_j) at (j,)
+    alpha = [[rat_str(columns.get((j,), zero_vec(d))[i]) for j in range(d)] for i in range(d)]
+    return {"name": a.name, "dim": d, "binary": binary, "ternary": ternary, "alpha": alpha}
 
 
 def algebra_from_obj(obj, path: str = "algebra") -> Algebra:

@@ -24,18 +24,35 @@ lists of a pair's concatenated coordinates the package passed around
 before its coordinates were integer rows, built on the spaces' Fraction
 views ``coords`` and ``from_coords``.  :func:`inverse_series` is the
 recursion the package inverted a gauge series with before it divided by
-the series, on dense Fraction matrices.
+the series, on dense Fraction matrices.  :func:`dense` is an algebra as
+the nested Fraction tuples it was held as before it was its integer
+tables, the form the oracles below read.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
+from hlya.algebra import alpha_table, brackets
 from hlya.cochain import _violation, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError
 from hlya.exactlin import ZERO, Matrix, kernel_basis, rat, reduce_rows
 
 ONE = Fraction(1)
+
+
+def dense(a):
+    """(binary, ternary, alpha) of an algebra as nested Fraction tuples, the
+    tensors :func:`hlya.algebra.make_algebra` takes: binary[i][j] and
+    ternary[i][j][k] the coordinates of [e_i, e_j] and {e_i e_j e_k}, and
+    alpha row-major, alpha(e_j) = sum_i alpha[i][j] e_i.  Read off the
+    algebra's tables, brackets(a) and alpha_table(a, 1)."""
+    d, zero = range(a.dim), (ZERO,) * a.dim
+    b, t = (table.fractions(a.dim) for table in brackets(a))
+    al = alpha_table(a, 1).fractions(a.dim)
+    binary = tuple(tuple(b.get((i, j), zero) for j in d) for i in d)
+    ternary = tuple(tuple(tuple(t.get((i, j, k), zero) for k in d) for j in d) for i in d)
+    return binary, ternary, tuple(tuple(al.get((j,), zero)[i] for j in d) for i in d)
 
 
 def fraction_read(space, table):
@@ -80,12 +97,13 @@ def to_svec(vec):
 def alpha_power_columns(a, k):
     """Columns of alpha^k as sparse vectors; alpha^0 = identity."""
     cols = [{j: ONE} for j in range(a.dim)]
+    alpha = dense(a)[2]
     for _ in range(k):
         nxt = []
         for col in cols:
             acc = {}
             for i, c in col.items():
-                svec_add(acc, {r: a.alpha[r][i] for r in range(a.dim) if a.alpha[r][i]}, c)
+                svec_add(acc, {r: alpha[r][i] for r in range(a.dim) if alpha[r][i]}, c)
             nxt.append(acc)
         cols = nxt
     return cols
@@ -116,14 +134,15 @@ class FractionOps:
         self.a = a
         self.A = tuple(alpha_power_columns(a, k) for k in range(5))
         self.e = self.A[0]
+        self.binary, self.ternary, _ = dense(a)
         d = range(a.dim)
         self._btab = {
-            (i, j): sv for i, j in itertools.product(d, repeat=2) if (sv := to_svec(a.binary[i][j]))
+            (i, j): sv for i, j in itertools.product(d, repeat=2) if (sv := to_svec(self.binary[i][j]))
         }
         self._ttab = {
             (i, j, k): sv
             for i, j, k in itertools.product(d, repeat=3)
-            if (sv := to_svec(a.ternary[i][j][k]))
+            if (sv := to_svec(self.ternary[i][j][k]))
         }
 
     def br(self, x, y):
@@ -155,7 +174,7 @@ def _leibniz_rows_binary(ops, ak, i, j):
     a, e = ops.a, ops.e
     d = a.dim
     rows = [[ZERO] * (d * d) for _ in range(d)]
-    for m, c in enumerate(a.binary[i][j]):
+    for m, c in enumerate(ops.binary[i][j]):
         if c:
             for l in range(d):
                 rows[l][l * d + m] += c
@@ -175,7 +194,7 @@ def _leibniz_rows_ternary(ops, ak, i, j, k):
     a, e = ops.a, ops.e
     d = a.dim
     rows = [[ZERO] * (d * d) for _ in range(d)]
-    for m, c in enumerate(a.ternary[i][j][k]):
+    for m, c in enumerate(ops.ternary[i][j][k]):
         if c:
             for l in range(d):
                 rows[l][l * d + m] += c
@@ -193,13 +212,13 @@ def commutant_rows(a):
     """D o alpha = alpha o D as rows in the entries of D flattened row-major
     (D[i][j] at i * d + j), one per entry (i, j):
     sum_m D[i][m] A[m][j] - A[i][m] D[m][j] = 0."""
-    d = a.dim
+    d, alpha = a.dim, dense(a)[2]
     rows = []
     for i, j in itertools.product(range(d), repeat=2):
         row = [ZERO] * (d * d)
         for m in range(d):
-            row[i * d + m] += a.alpha[m][j]
-            row[m * d + j] -= a.alpha[i][m]
+            row[i * d + m] += alpha[m][j]
+            row[m * d + j] -= alpha[i][m]
         rows.append(row)
     return rows
 
@@ -300,7 +319,8 @@ def general_equivariance_rows(space):
     where every row cancels."""
     a = space.algebra
     d = a.dim
-    acols = [{r: a.alpha[r][i] for r in range(d) if a.alpha[r][i]} for i in range(d)]
+    alpha = dense(a)[2]
+    acols = [{r: alpha[r][i] for r in range(d) if alpha[r][i]} for i in range(d)]
     rows = []
     for pos, idx in enumerate(space.rep_tuples):
         combos = {}
@@ -315,7 +335,7 @@ def general_equivariance_rows(space):
         for out in range(d):
             row = {}
             for k in range(d):
-                c = a.alpha[out][k]
+                c = alpha[out][k]
                 if c:
                     row[pos * d + k] = c
             for target, w in combos.items():

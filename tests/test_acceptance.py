@@ -39,6 +39,8 @@ from hlya.derivations import check_der_is_lie, derivation_space
 from hlya.exactlin import ZERO, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
+from fraction_reference import dense
+
 RANDOM_ALGEBRA_SEED = 12345
 RANDOM_ALGEBRA_COUNT = 20
 
@@ -221,10 +223,10 @@ def _independent_constraint_dim(a, n):
     system over all d^(n+1) tensor coordinates, coded from scratch."""
     import itertools
 
-    d = a.dim
+    d, alpha = a.dim, dense(a)[2]
     ncols = d ** (n + 1)
     acols = [
-        [(i, a.alpha[i][j]) for i in range(d) if a.alpha[i][j]] for j in range(d)
+        [(i, alpha[i][j]) for i in range(d) if alpha[i][j]] for j in range(d)
     ]
 
     def pos(idx, k):
@@ -269,7 +271,7 @@ def _independent_constraint_dim(a, n):
                 rows.append(row)
         for k in range(d):
             row = {}
-            for m, c in ((m, a.alpha[k][m]) for m in range(d) if a.alpha[k][m]):
+            for m, c in ((m, alpha[k][m]) for m in range(d) if alpha[k][m]):
                 key = pos(idx, m)
                 row[key] = row.get(key, ZERO) + c
             for combo in itertools.product(*(acols[i] for i in idx)):
@@ -298,8 +300,9 @@ def test_criterion_10_dimension_oracles(bundled):
             checked += 1
     # closed form for the untwisted algebras: pair slots contribute C(d,2)
     for a in bundled:
+        alpha = dense(a)[2]
         if any(
-            a.alpha[i][j] != (1 if i == j else 0)
+            alpha[i][j] != (1 if i == j else 0)
             for i in range(a.dim)
             for j in range(a.dim)
         ):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hlya import serialize
 from hlya.algebra import (
     algebra_from_sparse,
+    alpha_table,
+    brackets,
     check_axioms,
     eval_binary,
     eval_ternary,
@@ -20,9 +22,11 @@ from hlya.algebra import (
     make_algebra,
     yau_twist,
 )
-from hlya.errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError
+from hlya.errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError, PreconditionError
 from hlya.exactlin import Matrix, rat
 from hlya.samples import random_verified_algebras
+
+from fraction_reference import dense
 
 
 def test_bundled_algebras_pass_all_axioms(bundled):
@@ -143,7 +147,7 @@ def test_make_algebra_refuses_float_and_bool_entries():
         make_algebra(1, [[[0]]], [[[[0]]]], [[0.1]])
     with pytest.raises(TypeError):
         make_algebra(1, [[[0]]], [[[[0]]]], [[True]])
-    assert make_algebra(1, [[[0]]], [[[[0]]]], [["1/10"]]).alpha == ((Fraction(1, 10),),)
+    assert dense(make_algebra(1, [[[0]]], [[[[0]]]], [["1/10"]]))[2] == ((Fraction(1, 10),),)
 
 
 def test_corrupted_ternary_fails_leibniz_identities(e1):
@@ -196,13 +200,26 @@ def test_yau_twist_by_endomorphism(e2):
     assert is_endomorphism(e2, beta)
     twisted = yau_twist(e2, beta)
     assert check_axioms(twisted).all_passed
-    assert Matrix(twisted.alpha) == beta
+    assert Matrix(dense(twisted)[2]) == beta
 
 
 def test_is_endomorphism_rejects_maps_of_the_wrong_shape(e0, e2):
     for a, beta in ((e0, Matrix.identity(5)), (e2, Matrix.zeros(7, 7)), (e2, Matrix.zeros(3, 2))):
         with pytest.raises(DimMismatchError):
             is_endomorphism(a, beta)
+
+
+def test_is_endomorphism_refuses_a_map_that_is_not_a_matrix(e2):
+    # nested lists used to fail with "'list' object has no attribute 'rows'"
+    with pytest.raises(PreconditionError, match="^the map must be a Matrix, got list$"):
+        is_endomorphism(e2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_yau_twist_refuses_a_map_that_is_not_a_matrix(e2):
+    with pytest.raises(PreconditionError, match="^the map must be a Matrix, got tuple$"):
+        yau_twist(e2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(DimMismatchError, match="^the map must be dim x dim$"):
+        yau_twist(e2, Matrix.identity(2))
 
 
 def test_yau_twist_rejects_non_endomorphism(e2):
@@ -213,7 +230,7 @@ def test_yau_twist_rejects_non_endomorphism(e2):
 
 def test_yau_twist_requires_untwisted_base(e3):
     with pytest.raises(NotMorphismError, match=r"^yau_twist requires an untwisted base \(alpha = id\)$"):
-        yau_twist(e3, Matrix(e3.alpha))
+        yau_twist(e3, Matrix(dense(e3)[2]))
 
 
 def test_yau_twist_names_the_failing_axioms():
@@ -224,6 +241,70 @@ def test_yau_twist_names_the_failing_axioms():
     with pytest.raises(AxiomError, match=r"^the base algebra fails axioms \[7\]$") as caught:
         yau_twist(bad, Matrix.identity(2))
     assert type(caught.value) is AxiomError
+
+
+def _tables(a):
+    """The algebra's three integer tables as (den, entries)."""
+    return [(t.den, t.entries) for t in (*brackets(a), alpha_table(a, 1))]
+
+
+def test_an_algebra_is_the_same_however_it_is_built():
+    """[e1, e2] = e1/2 with {e1 e2 e2} = e1/4, the standard ternary bracket,
+    and alpha = id, built four ways: from dense tensors whose entries are
+    not in lowest terms, from sparse entries, through the file format and
+    as its twist by the identity.  Each is equal to the others with the
+    same hash, whatever its name, and holds the same canonical tables."""
+    a = from_lya_standard([[[0, 0], ["1/2", 0]], [["-1/2", 0], [0, 0]]], name="half")
+    z = ["0/3", 0]
+    ternary = [[[z, z], [z, ["2/8", "0/2"]]], [[z, ["-3/12", 0]], [z, z]]]
+    built = [
+        make_algebra(2, [[z, ["2/4", "0/7"]], [["-5/10", 0], z]], ternary, [["3/3", 0], [0, "4/4"]]),
+        algebra_from_sparse(2, {(0, 1): ("2/4", 0)}, {(0, 1, 1): (Fraction(1, 4), 0)}, [[1, 0], [0, 1]]),
+        serialize.algebra_from_obj(serialize.algebra_to_obj(a)),
+        yau_twist(a, Matrix.identity(2)),
+    ]
+    canonical = [
+        (2, {(0, 1): {0: 1}, (1, 0): {0: -1}}),
+        (4, {(0, 1, 1): {0: 1}, (1, 0, 1): {0: -1}}),
+        (1, {(0,): {0: 1}, (1,): {1: 1}}),
+    ]
+    assert _tables(a) == canonical
+    for b in built:
+        assert b == a and hash(b) == hash(a) and _tables(b) == canonical, b.name
+
+
+def test_the_dense_tensors_of_an_algebra_build_it_again(bundled):
+    """make_algebra of the tensors read off an algebra's tables is the same
+    algebra, holding tables of its own."""
+    for a in [*bundled, *random_verified_algebras(12345, 20)]:
+        b = make_algebra(a.dim, *dense(a), name="copy")
+        assert b == a and hash(b) == hash(a), a.name
+        assert not any(t is s for t in (*brackets(b), alpha_table(b, 1)) for s in (*brackets(a), alpha_table(a, 1)))
+
+
+@pytest.mark.parametrize("zero", [0.0, False], ids=["float", "bool"])
+def test_a_float_or_bool_zero_is_refused_by_the_tensor_readers(zero):
+    """The integer tables keep no zero entry, so the readers check each
+    entry themselves: a float or a bool is a TypeError even where it is 0."""
+    one, ident = [[[zero]]], [[1]]
+    for binary, ternary, alpha in ((one, [[[[0]]]], ident), ([[[0]]], [one], ident), ([[[0]]], [[[[0]]]], [[zero]])):
+        with pytest.raises(TypeError):
+            make_algebra(1, binary, ternary, alpha)
+    identity = [[1, 0], [0, 1]]
+    for binary, ternary, alpha in (({(0, 1): (1, zero)}, {}, identity), ({}, {(0, 1, 0): (zero, 0)}, identity),
+                                   ({}, {}, [[1, zero], [0, 1]])):
+        with pytest.raises(TypeError):
+            algebra_from_sparse(2, binary, ternary, alpha)
+
+
+def test_is_endomorphism_leaves_the_twists_of_the_brackets_alone(e2):
+    """The trial algebra with beta as its alpha holds tables of its own, so
+    the twists made for it are not kept on the brackets of the algebra."""
+    a = make_algebra(e2.dim, *dense(e2), name="sl2_fresh")
+    before = [set(t.twists) for t in brackets(a)]
+    for beta in (Matrix([[1, 0, 0], [0, 2, 0], [0, 0, rat("1/2")]]), Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])):
+        is_endomorphism(a, beta)
+    assert [set(t.twists) for t in brackets(a)] == before
 
 
 CONSTRUCTED_DIGESTS = {
@@ -258,13 +339,13 @@ def test_basis_verdict_extends_to_random_vectors(e1, e2):
         return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
 
     for a in (e1, e2):
-        d = a.dim
+        d, alpha = a.dim, dense(a)[2]
         for _ in range(20):
             x, y, z = rv(d), rv(d), rv(d)
             # cyclic identity linking the two brackets (basis check said: holds)
             acc = [Fraction(0)] * d
             for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                az = tuple(sum(rat(a.alpha[i][j]) * r[j] for j in range(d)) for i in range(d))
+                az = tuple(sum(rat(alpha[i][j]) * r[j] for j in range(d)) for i in range(d))
                 term1 = eval_binary(a, eval_binary(a, p, q), az)
                 term2 = eval_ternary(a, p, q, r)
                 acc = [s + t1 + t2 for s, t1, t2 in zip(acc, term1, term2)]

@@ -13,7 +13,7 @@ from hlya.exactlin import Matrix, ZERO, kernel_basis, rat
 from hlya.coboundary import _LEVELS, _bound_generic, d2
 from hlya.samples import abelian, random_verified_algebras, sl2
 
-from fraction_reference import general_equivariance_rows, integer_basis, integer_rows, reference_space
+from fraction_reference import dense, general_equivariance_rows, integer_basis, integer_rows, reference_space
 from tabulated import scanned_defects
 
 
@@ -33,10 +33,10 @@ def diagonal_weight_dim(a, n: int) -> int:
     the argument weights equals the weight of e_k; pair-alternation reduces
     the tuples to those increasing inside each adjacent pair.
     """
-    d = a.dim
-    w = [a.alpha[i][i] for i in range(d)]
+    d, alpha = a.dim, dense(a)[2]
+    w = [alpha[i][i] for i in range(d)]
     assert all(
-        a.alpha[i][j] == 0 for i in range(d) for j in range(d) if i != j
+        alpha[i][j] == 0 for i in range(d) for j in range(d) if i != j
     ), "oracle only valid for diagonal alpha"
     total = 0
     for tup in itertools.product(range(d), repeat=n):
@@ -52,7 +52,7 @@ def diagonal_weight_dim(a, n: int) -> int:
 def dense_constraint_dim(a, n: int) -> int:
     """Brute force: stack every alternation and equivariance row over the
     full d^(n+1) coordinate space and take the kernel dimension."""
-    d = a.dim
+    d, alpha = a.dim, dense(a)[2]
     ncols = d ** (n + 1)
 
     def pos(idx, k):
@@ -78,12 +78,12 @@ def dense_constraint_dim(a, n: int) -> int:
         for k in range(d):
             row = [ZERO] * ncols
             for m in range(d):
-                if a.alpha[k][m]:
-                    row[pos(idx, m)] += a.alpha[k][m]
+                if alpha[k][m]:
+                    row[pos(idx, m)] += alpha[k][m]
             for jdx in itertools.product(range(d), repeat=n):
                 coef = Fraction(1)
                 for i, j in zip(idx, jdx):
-                    coef *= a.alpha[j][i]
+                    coef *= alpha[j][i]
                 if coef:
                     row[pos(jdx, k)] -= coef
             if any(row):
@@ -342,7 +342,7 @@ def test_untwisted_spaces_match_the_general_equivariance_rows(bundled, twisted_a
     the same pivots, reduced rows and basis as the Fraction reference: on
     the bundled algebras, gl2 and the seed-12345 corpus."""
     candidates = [*bundled, *twisted_algebras, *random_verified_algebras(12345, 60)]
-    untwisted = {a: None for a in candidates if Matrix(a.alpha) == Matrix.identity(a.dim)}
+    untwisted = {a: None for a in candidates if Matrix(dense(a)[2]) == Matrix.identity(a.dim)}
     assert len(untwisted) > 10 and any(a.dim == 4 for a in untwisted)
     for a in untwisted:
         for arity in range(1, (5 if a.dim < 4 else 4) + 1):
@@ -360,7 +360,7 @@ def test_twisted_rows_are_positive_multiples_of_the_general_rows(bundled, twiste
     denominators, the non-diagonal sl2_twist_7_11 and the negative alpha
     diag(1, -1, -1) of sl2."""
     negative = yau_twist(sl2(), Matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), name="sl2_twist_minus")
-    twisted = [a for a in [*bundled, *twisted_algebras, negative] if Matrix(a.alpha) != Matrix.identity(a.dim)]
+    twisted = [a for a in [*bundled, *twisted_algebras, negative] if Matrix(dense(a)[2]) != Matrix.identity(a.dim)]
     assert {"sl2_twist_7_11", "sl2_twist_minus"} <= {a.name for a in twisted}
     for a in twisted:
         for arity in (1, 2, 3):

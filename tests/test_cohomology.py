@@ -17,6 +17,8 @@ from hlya.errors import PreconditionError
 from hlya.exactlin import Matrix, rat
 from hlya.samples import random_verified_algebra
 
+from fraction_reference import dense
+
 
 def test_abelian_dims_by_hand(e0):
     # every operator vanishes on the abelian algebra, so cocycles fill the
@@ -178,26 +180,26 @@ def test_cochain_matrix_round_trip(e2):
 
 
 def _permute_basis(a, perm):
-    d = a.dim
+    d, (binary, ternary, alpha) = a.dim, dense(a)
     inv = [0] * d
     for i, p in enumerate(perm):
         inv[p] = i
     b = [
-        [[a.binary[inv[i]][inv[j]][inv[k]] for k in range(d)] for j in range(d)]
+        [[binary[inv[i]][inv[j]][inv[k]] for k in range(d)] for j in range(d)]
         for i in range(d)
     ]
     t = [
         [
             [
-                [a.ternary[inv[i]][inv[j]][inv[k]][inv[l]] for l in range(d)]
+                [ternary[inv[i]][inv[j]][inv[k]][inv[l]] for l in range(d)]
                 for k in range(d)
             ]
             for j in range(d)
         ]
         for i in range(d)
     ]
-    alpha = [[a.alpha[inv[i]][inv[j]] for j in range(d)] for i in range(d)]
-    return make_algebra(d, b, t, alpha, name=a.name + "_perm")
+    permuted = [[alpha[inv[i]][inv[j]] for j in range(d)] for i in range(d)]
+    return make_algebra(d, b, t, permuted, name=a.name + "_perm")
 
 
 def test_dims_invariant_under_basis_permutation(e1, e3):

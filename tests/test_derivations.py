@@ -17,7 +17,7 @@ from hlya.errors import ClosureViolationError, DimMismatchError, PreconditionErr
 from hlya.exactlin import Matrix, Subspace
 from hlya.samples import aff1, random_verified_algebras, sl2
 
-from fraction_reference import reference_derivation_space
+from fraction_reference import dense, reference_derivation_space
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -149,6 +149,17 @@ def test_der_bracket_refuses_maps_that_are_not_derivations(e2):
         der_bracket(e2, ad_h, 0, e12, 1)
 
 
+def test_der_bracket_refuses_maps_that_are_not_matrices(e1):
+    """Either map given as nested lists is a PreconditionError, and a
+    matrix of the wrong shape stays a DimMismatchError."""
+    ad = Matrix([[0, 1], [0, 0]])
+    for first, second in ((ad.data, ad), (ad, [[0, 1], [0, 0]])):
+        with pytest.raises(PreconditionError, match="^the map must be a Matrix, got list$"):
+            der_bracket(e1, first, 0, second, 0)
+    with pytest.raises(DimMismatchError, match="^the map must be dim x dim$"):
+        der_bracket(e1, ad, 0, Matrix.identity(3), 0)
+
+
 def test_closure_violation_carries_both_twists(monkeypatch, e1):
     # with Der_3 empty and every other space all of gl(2), the arguments
     # are derivations, a commutator that is not zero escapes Der_3, and the
@@ -193,7 +204,8 @@ def test_boolean_k_max_is_refused(e1):
 
 def _alpha_perturbed(a, alpha, name):
     """a with alpha replaced; the new alpha preserves neither bracket."""
-    b = make_algebra(a.dim, a.binary, a.ternary, alpha, name=name)
+    binary, ternary, _ = dense(a)
+    b = make_algebra(a.dim, binary, ternary, alpha, name=name)
     report = check_axioms(b)
     assert not (report.passed[1] and report.passed[2]), name
     return b
@@ -261,7 +273,7 @@ def test_delta1_and_every_twist_read_one_generic_table_of_c1(monkeypatch):
     monkeypatch.setattr(CochainSpace, "generic", counted)
     for base in (sl2(), aff1()):
         # a fresh copy: nothing of it is memoised yet
-        a = make_algebra(base.dim, base.binary, base.ternary, base.alpha, base.name)
+        a = make_algebra(base.dim, *dense(base), base.name)
         calls.clear()
         delta1(a)
         check_der_is_lie(a, 3)

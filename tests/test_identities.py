@@ -40,6 +40,8 @@ from hlya.deformation import (
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
+from fraction_reference import dense
+
 RANDOM_ALGEBRA_SEED = 12345
 RANDOM_ALGEBRA_COUNT = 20
 
@@ -97,9 +99,10 @@ def _corrupted(a):
     last = [int(k == d - 1) for k in range(d)]
     out = []
     for kind in ("ternary", "binary", "alpha"):
-        b = [[list(v) for v in row] for row in a.binary]
-        t = [[[list(v) for v in col] for col in row] for row in a.ternary]
-        alpha = [list(row) for row in a.alpha]
+        binary, ternary, alpha = dense(a)
+        b = [[list(v) for v in row] for row in binary]
+        t = [[[list(v) for v in col] for col in row] for row in ternary]
+        alpha = [list(row) for row in alpha]
         if kind == "ternary":
             t[0][1][0] = [x + s for x, s in zip(t[0][1][0], last)]
             t[1][0][0] = [x - s for x, s in zip(t[1][0][0], last)]

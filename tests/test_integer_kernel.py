@@ -59,7 +59,7 @@ from hlya.deformation import (
 from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import ONE, FractionOps, divided, eval_sv, inverse_series, svec_add
+from fraction_reference import ONE, FractionOps, dense, divided, eval_sv, inverse_series, svec_add
 from tabulated import numerators, tabulate, to_dense
 
 # --- the Fraction references -------------------------------------------------
@@ -345,11 +345,11 @@ def _random_cocycle(a, rng):
 
 def _corrupted(a):
     """a with one ternary entry shifted: several axioms fail."""
-    d = a.dim
-    t = [[[list(v) for v in col] for col in row] for row in a.ternary]
+    d, (binary, ternary, alpha) = a.dim, dense(a)
+    t = [[[list(v) for v in col] for col in row] for row in ternary]
     t[0][1][0] = [x + int(k == d - 1) for k, x in enumerate(t[0][1][0])]
     t[1][0][0] = [x - int(k == d - 1) for k, x in enumerate(t[1][0][0])]
-    return make_algebra(d, a.binary, t, a.alpha, name=a.name + "_corrupted")
+    return make_algebra(d, binary, t, alpha, name=a.name + "_corrupted")
 
 
 # --- the differential tests ----------------------------------------------------

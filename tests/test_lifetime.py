@@ -58,7 +58,7 @@ from hlya.errors import NotACochainError
 from hlya.exactlin import Matrix
 from hlya.samples import heisenberg_twisted, sl2
 
-from fraction_reference import divided, pair_from_coords
+from fraction_reference import dense, divided, pair_from_coords
 from tabulated import to_dense
 
 
@@ -166,7 +166,7 @@ def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch
     space = build_cochain_space(a, 2)
     coords = [1, 0, 2, 0, Fraction(1, 2), -1, 0, 3, 1]
     c = space.from_coords(coords)
-    copy = make_algebra(a.dim, a.binary, a.ternary, a.alpha, name="sl2_copy")
+    copy = make_algebra(a.dim, *dense(a), name="sl2_copy")
     twist = _fresh_twist()
     log = _log_reads(monkeypatch)
     assert space.coords(c) == coords and log == []
@@ -223,7 +223,7 @@ def test_space_call_forms_share_one_space():
 def test_renamed_copy_gets_its_own_data():
     base = sl2()
     base_dims = cohomology_report(base).dims()
-    copy = make_algebra(base.dim, base.binary, base.ternary, base.alpha, name="sl2_copy")
+    copy = make_algebra(base.dim, *dense(base), name="sl2_copy")
     assert copy == base
     assert "algebra=sl2_copy" in repr(build_cochain_space(copy, 2))
     for level, build in OPERATORS.items():
@@ -418,7 +418,7 @@ def test_twists_of_the_base_brackets_are_built_once_per_algebra(monkeypatch):
     neither call twists a coefficient of the series, whose equations are
     read on coordinates."""
     twist = _fresh_twist()
-    a = make_algebra(twist.dim, twist.binary, twist.ternary, twist.alpha, name="fresh")
+    a = make_algebra(twist.dim, *dense(twist), name="fresh")
     built = _count_twists(monkeypatch)
     d = apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(3)))
     base = (*brackets(a), alpha_table(a, 1))
@@ -523,7 +523,7 @@ def test_one_table_keeps_a_twist_per_algebra():
     for a in (first, second, first):
         contraction = contract(a, {"t": table}, terms)
         value = divided(contraction.probe(), contraction.den)
-        alpha = Matrix(a.alpha)
+        alpha = Matrix(dense(a)[2])
         for i, j in itertools.product(range(3), repeat=2):
             expected = evaluate(table, 3, [alpha.column(i), alpha.column(j)])
             assert to_dense(value((i, j)), 3) == expected, (a.name, i, j)

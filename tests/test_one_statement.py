@@ -22,7 +22,7 @@ from hlya.errors import AxiomError, PreconditionError
 from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import reference_space
+from fraction_reference import dense, reference_space
 
 _VALUES = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
 
@@ -98,7 +98,7 @@ def positive_multiples(got, expected):
 
 
 def commutes_with_alpha(a, m):
-    alpha = Matrix(a.alpha)
+    alpha = Matrix(dense(a)[2])
     return m.matmul(alpha) == alpha.matmul(m)
 
 
@@ -233,7 +233,7 @@ def test_gauge_coefficients_are_the_matrices_commuting_with_alpha(algebras):
     verdicts = set()
     for a in algebras:
         d = a.dim
-        alpha = Matrix(a.alpha)
+        alpha = Matrix(dense(a)[2])
         candidates = [alpha, alpha.matmul(alpha), Matrix.zeros(d, d)]
         candidates += [_random_matrix(rng, d) for _ in range(4)] + [_commuting(rng, a) for _ in range(2)]
         for m in candidates:
@@ -254,7 +254,7 @@ def test_is_endomorphism_agrees_with_composing_every_slot(algebras):
     verdicts = set()
     for a in algebras:
         d = a.dim
-        alpha = Matrix(a.alpha)
+        alpha = Matrix(dense(a)[2])
         candidates = [Matrix.identity(d), Matrix.zeros(d, d), alpha, alpha.matmul(alpha)]
         candidates += [_random_matrix(rng, d) for _ in range(4)] + [_commuting(rng, a) for _ in range(2)]
         for beta in candidates:
@@ -277,10 +277,10 @@ def test_make_algebra_rejects_exactly_the_tensors_the_dense_loop_rejected(algebr
     rng = random.Random(23)
     verdicts = set()
     for a in algebras:
-        d = a.dim
+        d, (binary, ternary, alpha) = a.dim, dense(a)
         for trial in range(6):
-            b = [[list(a.binary[i][j]) for j in range(d)] for i in range(d)]
-            t = [[[list(a.ternary[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
+            b = [[list(binary[i][j]) for j in range(d)] for i in range(d)]
+            t = [[[list(ternary[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
             i, j, k, out = (rng.randrange(d) for _ in range(4))
             x = rng.choice(_VALUES[3:])
             # even trials keep the pair antisymmetric, odd ones break it (unless on a diagonal)
@@ -293,10 +293,10 @@ def test_make_algebra_rejects_exactly_the_tensors_the_dense_loop_rejected(algebr
             expected = antisymmetric(d, b, t)
             verdicts.add(expected)
             if expected:
-                make_algebra(d, b, t, a.alpha)
+                make_algebra(d, b, t, alpha)
             else:
                 with pytest.raises(AxiomError, match=r"is not alternating at basis tuple \("):
-                    make_algebra(d, b, t, a.alpha)
+                    make_algebra(d, b, t, alpha)
     assert verdicts == {True, False}
 
 

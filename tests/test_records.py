@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import hlya
-from hlya.algebra import Algebra, AxiomReport
+from hlya.algebra import Algebra, AxiomReport, IntTable, alpha_table, brackets
 from hlya.coboundary import CoboundaryMap, delta1
 from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.cohomology import CohomologyReport, LevelReport, h1
@@ -41,7 +41,7 @@ RECORDS = {
 
 
 def test_algebra_attributes_cannot_be_set_or_deleted(e1):
-    for name in ("dim", "binary", "ternary", "alpha", "name", "_memo", "unknown"):
+    for name in ("dim", "_tables", "name", "_memo", "unknown"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(e1, name, None)
         with pytest.raises(AttributeError, match="immutable"):
@@ -50,11 +50,15 @@ def test_algebra_attributes_cannot_be_set_or_deleted(e1):
 
 
 def test_renamed_algebra_is_equal_with_the_same_hash(e1, e2):
-    renamed = Algebra(e1.dim, e1.binary, e1.ternary, e1.alpha, "renamed")
+    tables = (*brackets(e1), alpha_table(e1, 1))
+    renamed = Algebra(e1.dim, *tables, "renamed")
     assert renamed == e1 and hash(renamed) == hash(e1) and {e1: 1}[renamed] == 1
-    assert repr(renamed) == "Algebra(renamed, dim=2)" and repr(Algebra(1, (), (), ())) == "Algebra(?, dim=1)"
+    empty = IntTable(1, {})
+    assert repr(renamed) == "Algebra(renamed, dim=2)" and repr(Algebra(1, empty, empty, empty)) == "Algebra(?, dim=1)"
     assert renamed._memo is not e1._memo
-    assert e1 != e2 and e1 != (e1.dim, e1.binary, e1.ternary, e1.alpha)
+    # the copy holds tables of its own, so twists made for it stay off e1's
+    assert not any(t is s for t in (*brackets(renamed), alpha_table(renamed, 1)) for s in tables)
+    assert e1 != e2 and e1 != (e1.dim, *tables)
     assert e1.__eq__(object()) is NotImplemented
 
 
@@ -134,7 +138,7 @@ def test_frozen_equality_and_hash(e1, e2):
     NotImplemented; algebras, cochains, matrices and subspaces hash by
     those fields, deformations and gauges are unhashable, and a cochain
     space is equal only to itself."""
-    assert Algebra(e2.dim, e2.binary, e2.ternary, e2.alpha, "copy") == e2 and hash(e2) == e2._hash
+    assert Algebra(e2.dim, *brackets(e2), alpha_table(e2, 1), "copy") == e2 and hash(e2) == e2._hash
     equal_pairs = [
         (Cochain(1, 2, {(0,): (1, 0), (1,): (0, 0)}), Cochain(1, 2, {(0,): [1, 0]})),
         (Matrix([[1, 0], [0, 1]]), Matrix.identity(2)),

@@ -47,7 +47,7 @@ from hlya.deformation import (
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras, sl2
 
-from fraction_reference import coordinate_row, divided, pair_from_coords
+from fraction_reference import coordinate_row, dense, divided, pair_from_coords
 from tabulated import tabulate
 
 ORDERS = range(4)
@@ -166,15 +166,15 @@ def test_identity_6_is_not_antisymmetric_in_its_second_pair(algebras):
 
 def _corrupted(a):
     """Copies of a with a shifted ternary entry and a shifted twist entry."""
-    d = a.dim
-    t = [[[list(v) for v in col] for col in row] for row in a.ternary]
+    d, (binary, ternary, alpha) = a.dim, dense(a)
+    t = [[[list(v) for v in col] for col in row] for row in ternary]
     t[0][1][d - 1] = [x + int(k == 0) for k, x in enumerate(t[0][1][d - 1])]
     t[1][0][d - 1] = [x - int(k == 0) for k, x in enumerate(t[1][0][d - 1])]
-    alpha = [list(row) for row in a.alpha]
-    alpha[0][d - 1] += 1
+    shifted = [list(row) for row in alpha]
+    shifted[0][d - 1] += 1
     return [
-        make_algebra(d, a.binary, t, a.alpha, name=a.name + "_ternary"),
-        make_algebra(d, a.binary, a.ternary, alpha, name=a.name + "_alpha"),
+        make_algebra(d, binary, t, alpha, name=a.name + "_ternary"),
+        make_algebra(d, binary, ternary, shifted, name=a.name + "_alpha"),
     ]
 
 
@@ -386,7 +386,7 @@ def _copy(a, name):
     """An algebra equal to a with a memo of its own, so its order-0
     verdict is not yet evaluated; make_algebra evaluates 3 and 4 into it,
     so a count that starts before the copy sees every order-0 scan."""
-    return make_algebra(a.dim, a.binary, a.ternary, a.alpha, name=name)
+    return make_algebra(a.dim, *dense(a), name=name)
 
 
 def test_identity_8_on_sl2_is_evaluated_at_27_tuples_per_order(monkeypatch):
@@ -439,7 +439,7 @@ def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
         return original(a, k, n, fs, gs)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
-    bracket, identity = sl2().binary, Matrix.identity(3).data
+    bracket, identity = dense(sl2())[0], Matrix.identity(3).data
     lie = from_lie_algebra(bracket, identity, name="sl2_lie")
     assert check_axioms(lie).all_passed and built == {(k, 0): 1 for k in IDENTITIES}
     built.clear()
@@ -542,7 +542,7 @@ def test_a_second_verification_analyses_no_term(monkeypatch):
     """The plans of one algebra are built by its first verify_deformation;
     a second, on another series of the same order, analyses no term."""
     base = sl2()
-    a = make_algebra(base.dim, base.binary, base.ternary, base.alpha, name="sl2_plans")
+    a = make_algebra(base.dim, *dense(base), name="sl2_plans")
     analysed = []
     original = algebra._analysed
 

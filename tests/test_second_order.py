@@ -35,7 +35,7 @@ from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
 from hlya.exactlin import kernel_basis, rat, solve, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import divided, pair_coords, pair_from_coords
+from fraction_reference import dense, divided, pair_coords, pair_from_coords
 from tabulated import tabulate
 
 
@@ -259,7 +259,7 @@ def test_the_trio_reads_the_first_order_row_once(monkeypatch, e1, e2, twisted_al
 def test_the_second_order_slot_holds_one_entry(e1):
     """50 distinct draws on one algebra leave one second-order entry: the
     memo is no larger than after the first draw."""
-    a = make_algebra(e1.dim, e1.binary, e1.ternary, e1.alpha, name="aff1_slot")
+    a = make_algebra(e1.dim, *dense(e1), name="aff1_slot")
     rng = random.Random(9004)
     seen, sizes = [], []
     while len(seen) < 50:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hlya import cohomology, serialize
+from hlya import cohomology, deformation, serialize
 from hlya.algebra import check_axioms
 from hlya.cli import EXIT_INPUT, EXIT_OK, EXIT_THEOREM, main
 from hlya.coboundary import CoboundaryMap, d2, delta2
@@ -27,7 +27,7 @@ from hlya.errors import NotCocycleError
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.serialize import ParseError
 
-from fraction_reference import pair_from_coords
+from fraction_reference import dense, pair_from_coords
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -256,7 +256,7 @@ def test_cli_json_float_exits_2_and_exact_forms_still_read(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 1, "alpha": [[0.1]]}))
     assert _run(capsys, "check", str(path)) == (EXIT_INPUT, "", f"error: {path}.alpha[0][0]: not a rational: 0.1\n")
     for written, value in ((2, 2), ("1/10", rat("1/10")), ("0.1", rat("1/10")), ("-3", -3)):
-        assert serialize.algebra_from_obj({"dim": 1, "alpha": [[written]]}).alpha == ((value,),)
+        assert dense(serialize.algebra_from_obj({"dim": 1, "alpha": [[written]]}))[2] == ((value,),)
 
 
 def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
@@ -401,6 +401,32 @@ def test_cli_trivialize_obstructed(capsys):
     assert report["trivial"] is False
     assert report["obstructed_at"] == 1
     assert report["representative"]["f"]
+
+
+def test_cli_trivializes_the_gauged_aff1_golden(tmp_path, capsys, monkeypatch):
+    """data/e1_aff1_gauged.json is the null deformation of aff1 at order 3
+    moved by the gauge of data/e1_aff1_gauge.json, id + [[0,1],[0,0]]t +
+    [[1,0],[0,0]]t^2 + [[0,0],[1,0]]t^3.  trivialize finds a gauge back to
+    the null deformation through the gauge action, and equiv confirms the
+    gauge of the file and the one trivialize found."""
+    null, gauged, gauge = (_golden(f"e1_aff1_{name}.json") for name in ("null", "gauged", "gauge"))
+    acted = []
+    act = deformation._act
+
+    def counted(d, phi):
+        acted.append(phi)
+        return act(d, phi)
+
+    monkeypatch.setattr(deformation, "_act", counted)
+    code, out, _ = _run(capsys, "trivialize", gauged)
+    report = json.loads(out)
+    assert code == EXIT_OK and report["trivial"] is True and report["order"] == 3 and acted
+    assert report["gauge"]["phi"] == [[3, [["0", "0"], ["-1", "0"]]]]
+    back = tmp_path / "back.json"
+    back.write_text(json.dumps(report["gauge"]))
+    equivalent = serialize.dumps({"base": "aff1", "command": "equiv", "equivalent": True, "order": 3})
+    assert _run(capsys, "equiv", null, gauged, gauge) == (EXIT_OK, equivalent, "")
+    assert _run(capsys, "equiv", gauged, null, str(back)) == (EXIT_OK, equivalent, "")
 
 
 def test_cli_obstruct(capsys):
