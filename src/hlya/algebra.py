@@ -36,10 +36,10 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError, PreconditionError
-from .exactlin import ZERO, Frozen, Matrix, _pruned, rat
+from .exactlin import ZERO, Frozen, Matrix, _pruned, _transpose, rat
 
 Vec = tuple[Fraction, ...]
 
@@ -190,6 +190,19 @@ def _map_table(m, dim: int) -> IntTable:
     return int_table({(j,): [rows[i,][j] for i in range(dim)] for j in range(dim)})
 
 
+def map_table(m: Matrix) -> IntTable:
+    """A :class:`Matrix` as the table of arity 1 whose entry (j,) is column
+    j, over the lcm of its rows' denominators: canonical, as its rows are."""
+    columns = _transpose(m._rows, m.cols)
+    return IntTable(lcm(*(den for den, _ in m._rows)), {(j,): col for j, (_, col) in enumerate(columns)})
+
+
+def table_map(t: IntTable, dim: int) -> Matrix:
+    """The dim x dim :class:`Matrix` whose column j is entry (j,) of a table
+    of arity 1: the inverse of :func:`map_table`."""
+    return Matrix._of(_transpose([(t.den, t.entries.get((j,), {})) for j in range(dim)], dim), dim)
+
+
 def check_map(a: Algebra, m: Matrix) -> None:
     """PreconditionError unless m is a :class:`Matrix`, DimMismatchError unless it is dim x dim."""
     if not isinstance(m, Matrix):
@@ -248,7 +261,9 @@ class IntTable:
 
     ``entries`` maps a basis-index tuple to a sparse vector {output index:
     numerator}, and the map's value there is numerator / ``den``.  A linear
-    map is a table of arity 1: entry ``(j,)`` is the image of e_j.  A map
+    map is a table of arity 1: entry ``(j,)`` is the image of e_j, column j
+    of its :class:`Matrix` (:func:`map_table`), and :func:`convolve`
+    composes such maps into a table's arguments.  A map
     on the alternating pairs e_i ^ e_j, i < j, is a table of arity 2 whose
     output indices are pairs (:func:`hlya.deformation._pair_maps`).
     Numerators are Python ints; a :class:`FormTable` keeps its unknowns in
@@ -307,33 +322,46 @@ def int_table(table: dict) -> IntTable:
     )
 
 
-def compose_slot(t: IntTable, slot: int, m: IntTable) -> IntTable:
-    """t with the linear map m, a table of arity 1 whose entry (j,) is the
-    image {i: coefficient of e_i} of e_j, applied to the argument at
-    ``slot``: t(.., m e_j, ..)."""
-    rows: dict = {}  # i -> [(j, coefficient of e_i in m e_j)]
-    for (j,), col in m.entries.items():
-        for i, c in col.items():
-            rows.setdefault(i, []).append((j, c))
-    out: dict = {}
-    summed = set()  # keys hit more than once, where terms may cancel
-    for key, vec in t.entries.items():
-        row = rows.get(key[slot])
-        if row is None:
-            continue
-        head, tail = key[:slot], key[slot + 1 :]
-        for j, c in row:
-            new = head + (j,) + tail
-            acc = out.get(new)
-            if acc is None:
-                out[new] = {k: c * x for k, x in vec.items()}
-            else:
-                summed.add(new)
-                for k, x in vec.items():
-                    acc[k] = acc.get(k, 0) + c * x
-    for key in summed:
-        out[key] = _pruned(out[key])
-    return IntTable(t.den * m.den, out)
+def convolve(several: list, maps: list[IntTable], slot: int) -> Iterator[list[IntTable]]:
+    """Yields each series T of ``several`` with the series M of maps composed
+    into the arguments from ``slot`` on, T'_m = sum_{c+j=m} T_j(.., M_c e_J,
+    ..), truncated at T's order; ``[[t]]`` and ``[m]`` give t(.., m e_j, ..).
+    M is indexed once, {I: [(c, J, coefficient of e_I in M_c e_J)]}, I = i
+    for a linear map and (i, j) for a map on pairs; each T'_m is one
+    accumulator over the lcm of T's denominators times M's, and only values
+    hit more than once, where terms may cancel, are pruned."""
+    mden, width, rows = lcm(*[m.den for m in maps]), 1, {}
+    for c, m in enumerate(maps):
+        for jkey, col in m.entries.items():
+            width = len(jkey)
+            for i, x in col.items():
+                rows.setdefault(i, []).append((c, jkey, x * (mden // m.den)))
+    end = slot + width
+    read = itemgetter(slot) if width == 1 else itemgetter(slice(slot, end))
+    for series in several:
+        den, order, out = lcm(*[t.den for t in series]), len(series), [{} for _ in series]
+        summed = []
+        for j, t in enumerate(series):
+            w = den // t.den
+            for key, vec in t.entries.items():
+                terms = rows.get(read(key))
+                if terms is None:
+                    continue
+                head, tail = key[:slot], key[end:]
+                for c, jkey, coefficient in terms:
+                    if j + c >= order:
+                        break
+                    target, new, coefficient = out[j + c], head + jkey + tail, coefficient * w
+                    acc = target.get(new)
+                    if acc is None:
+                        target[new] = {k: coefficient * x for k, x in vec.items()}
+                    else:
+                        summed.append((target, new))
+                        for k, x in vec.items():
+                            acc[k] = acc.get(k, 0) + coefficient * x
+        for target, new in summed:
+            target[new] = _pruned(target[new])
+        yield [IntTable(den * mden, entries) for entries in out]
 
 
 def compose_out(m: IntTable, t: IntTable) -> IntTable:
@@ -375,17 +403,13 @@ def memoised(fn):
     """fn(a, *args), computed once per algebra object and kept in its memo.
 
     The value lives exactly as long as the algebra.  It is keyed by the
-    function and the arguments in positional form; fn takes no defaults,
-    so each argument list has one key.  Only a call with keywords reads
-    fn's signature, so only it imports :mod:`inspect`.
+    function and the positional arguments; fn takes no defaults and the
+    cached function takes no keywords (a keyword is a TypeError), so each
+    argument list has one key.
     """
 
     @wraps(fn)
-    def cached(a, *args, **kwargs):
-        if kwargs:
-            import inspect
-
-            args = inspect.signature(fn).bind(a, *args, **kwargs).args[1:]
+    def cached(a, *args):
         key = (fn, *args)
         try:
             return a._memo[key]
@@ -417,9 +441,10 @@ def evaluate(t: IntTable, dim: int, args: Sequence[Sequence]) -> Vec:
     """The multilinear map t at the vectors ``args``, one per slot.
 
     Each vector is a linear map from a line, an integer table of arity 1,
-    applied to its slot; the value is then the entry at (0, ..., 0)."""
+    composed into its slot (:func:`convolve`); the value is then the entry
+    at (0, ..., 0)."""
     for slot, v in enumerate(args):
-        t = compose_slot(t, slot, int_table({(0,): tuple(map(rat, v))}))
+        [[t]] = convolve([[t]], [int_table({(0,): tuple(map(rat, v))})], slot)
     return t.fractions(dim).get((0,) * len(args), zero_vec(dim))
 
 
@@ -474,8 +499,8 @@ def _is_identity(m: IntTable, dim: int) -> bool:
 
 
 def _twisted(t: IntTable, alphas: Sequence[IntTable | None], pos: int | None) -> tuple[int, dict]:
-    """t with the linear map alphas[q] applied to argument q, unless it is
-    None, and its denominator.
+    """t with the linear map alphas[q] composed into argument q
+    (:func:`convolve`), unless it is None, and its denominator.
 
     Without a nested bracket (``pos`` None) the entries stay keyed by the
     argument tuple.  Otherwise they are grouped as {key of the other
@@ -483,7 +508,7 @@ def _twisted(t: IntTable, alphas: Sequence[IntTable | None], pos: int | None) ->
     """
     for q, m in enumerate(alphas):
         if m is not None:
-            t = compose_slot(t, q, m)
+            [[t]] = convolve([[t]], [m], q)
     if pos is None:
         return t.den, t.entries
     key = _getter([q for q in range(len(alphas)) if q != pos])
@@ -941,7 +966,7 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
     """Does beta, a dim x dim :class:`Matrix` (:func:`check_map`), preserve
     both brackets: identities 1 and 2 with beta as alpha?"""
     check_map(a, beta)
-    b = Algebra(a.dim, *brackets(a), _map_table(beta.data, a.dim))
+    b = Algebra(a.dim, *brackets(a), map_table(beta))
     return all(first_failure(b, k, 0, *bracket_series(b)) is None for k in (1, 2))
 
 
@@ -959,7 +984,7 @@ def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:
     _verified(a, "the base algebra fails axioms {}")
     if not is_endomorphism(a, morphism):
         raise NotMorphismError("the given map does not preserve the brackets")
-    beta, (binary, ternary) = _map_table(morphism.data, a.dim), brackets(a)
+    beta, (binary, ternary) = map_table(morphism), brackets(a)
     binary, ternary = compose_out(beta, binary), compose_out(beta, compose_out(beta, ternary))
     twisted = _built(a.dim, binary, ternary, beta, name or (a.name + "_twisted"))
     return _verified(twisted, "twisted structure fails axioms {}")

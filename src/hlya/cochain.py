@@ -62,10 +62,13 @@ from .algebra import (
     _canonical,
     _is_identity,
     alpha_table,
+    check_map,
     evaluate,
     int_table,
+    map_table,
     memoised,
     rep_tuples,
+    table_map,
     table_sum,
     zero_vec,
 )
@@ -629,22 +632,23 @@ def _cochain_space(algebra: Algebra, arity: int, pairs: int) -> CochainSpace:
 
 
 def cochain_to_matrix(a: Algebra, h: Cochain) -> Matrix:
-    """View a 1-cochain as the d x d matrix sending e_j to h(e_j)."""
-    cols = [list(h.value((j,))) for j in range(a.dim)]
-    return Matrix.from_columns(cols, rows=a.dim)
-
-
-def flat_numerators(h: Cochain) -> dict:
-    """The d x d matrix of a 1-cochain (:func:`cochain_to_matrix`) row by
-    row, entry (i, j), h(e_j)[i], at i * d + j, as the numerators of h's
-    integer table: a positive multiple of the matrix, with its span."""
-    d = h.dim
-    return {i * d + j: x for (j,), vec in h.ints.entries.items() for i, x in vec.items()}
+    """View a 1-cochain of ``a`` as the d x d matrix sending e_j to h(e_j)
+    (:func:`hlya.algebra.table_map`).  PreconditionError unless h is a
+    :class:`Cochain`, ArityError unless its arity is 1 and DimMismatchError
+    unless its dimension is a's."""
+    _require_cochain(h, "the map")
+    if h.arity != 1:
+        raise ArityError(f"the map must be a 1-cochain, got arity {h.arity}")
+    if h.dim != a.dim:
+        raise DimMismatchError(f"the map is a cochain of dimension {h.dim}, expected {a.dim}")
+    return table_map(h.ints, a.dim)
 
 
 def matrix_to_cochain(a: Algebra, m: Matrix) -> Cochain:
-    """View a d x d matrix as the 1-cochain sending e_j to its column j."""
-    return Cochain(1, a.dim, {(j,): tuple(m.column(j)) for j in range(a.dim)})
+    """View a d x d matrix (:func:`hlya.algebra.check_map`) as the 1-cochain
+    sending e_j to its column j (:func:`hlya.algebra.map_table`)."""
+    check_map(a, m)
+    return Cochain._of(1, a.dim, map_table(m))
 
 
 @memoised

@@ -48,6 +48,7 @@ from .algebra import (
     _plan,
     axiom_witnesses,
     brackets,
+    convolve,
     memoised,
     table_sum,
 )
@@ -57,7 +58,7 @@ from .cochain import (
     _canonical,
     _require_cochain,
     build_cochain_space,
-    flat_numerators,
+    cochain_to_matrix,
     identity_cochain,
     matrix_to_cochain,
 )
@@ -404,9 +405,10 @@ class Gauge(Frozen):
 def alpha_commutant_basis(a: Algebra) -> tuple:
     """A basis of {X : X alpha = alpha X}, the legal gauge coefficients, as
     1-cochains: the canonical basis of the span of C1's basis matrices,
-    flattened row-major."""
-    span = Subspace.spanned_by(a.dim**2, map(flat_numerators, build_cochain_space(a, 1).basis_cochains))
-    return tuple(matrix_to_cochain(a, unflatten(span.basis.column(j), a.dim)) for j in range(span.dim))
+    flattened row-major (:meth:`hlya.exactlin.Matrix.flat_row`)."""
+    flat = (cochain_to_matrix(a, h).flat_row()[1] for h in build_cochain_space(a, 1).basis_cochains)
+    span = Subspace.spanned_by(a.dim**2, flat)
+    return tuple(matrix_to_cochain(a, unflatten(row, a.dim)) for row in span.basis.column_rows())
 
 
 def random_gauge(a: Algebra, order: int, rng) -> Gauge:
@@ -434,37 +436,10 @@ def identity_gauge(a: Algebra, order: int = DEFAULT_ORDER) -> Gauge:
 
 def compose_gauges(p: Gauge, q: Gauge) -> Gauge:
     """Series product p * q; acting with p then q equals acting with p * q.
-    (pq)_n = sum_{i=0}^{n} p_i q_{n-i}, a convolution (:func:`_convolve`)."""
+    (pq)_n = sum_{i=0}^{n} p_i q_{n-i}, a convolution
+    (:func:`hlya.algebra.convolve`)."""
     _same_series(p, q)
-    return _gauge(p.base, next(_convolve([[h.ints for h in p.phi]], [h.ints for h in q.phi], 0)))
-
-
-def _convolve(several: list, maps: list[IntTable], slot: int) -> Iterator[list[IntTable]]:
-    """Yields each series T of ``several`` with the series M of maps applied
-    to the arguments from ``slot`` on, T'_m = sum_{c+j=m} T_j(.., M_c e_J,
-    ..), truncated at T's order.  M is indexed once, {I: [(c, J,
-    coefficient of e_I in M_c e_J)]} with I = (i,) for a linear map and the
-    pair (i, j) for a map on pairs; each T'_m is one accumulator, over the
-    lcm of T's denominators times M's."""
-    mden, width, rows = lcm(*(m.den for m in maps)), 1, {}
-    for c, m in enumerate(maps):
-        for jkey, col in m.entries.items():
-            width = len(jkey)
-            for i, x in col.items():
-                rows.setdefault((i,) if width == 1 else i, []).append((c, jkey, x * (mden // m.den)))
-    end = slot + width
-    for series in several:
-        den, out = lcm(*(t.den for t in series)), [{} for _ in series]
-        for j, t in enumerate(series):
-            w = den // t.den
-            for key, vec in t.entries.items():
-                for c, jkey, coefficient in rows.get(key[slot:end], ()):
-                    if j + c >= len(out):
-                        break
-                    acc, coefficient = out[j + c].setdefault(key[:slot] + jkey + key[end:], {}), coefficient * w
-                    for k, x in vec.items():
-                        acc[k] = acc.get(k, 0) + coefficient * x
-        yield [IntTable(den * mden, {key: _pruned(vec) for key, vec in entries.items()}) for entries in out]
+    return _gauge(p.base, next(convolve([[h.ints for h in p.phi]], [h.ints for h in q.phi], 0)))
 
 
 def _divide(several: list, phi: list[IntTable]) -> Iterator[list[IntTable]]:
@@ -575,8 +550,9 @@ def _act(d: Deformation, phi: list[IntTable]) -> Deformation:
     Every coefficient is alternating in its leading pair, so the series are
     kept at the representative tuples, and Phi acts on that pair through
     the pair map Lambda^2 Phi (:func:`_pair_maps`) and on the third
-    argument of the ternary series by Phi itself (:func:`_convolve`); the
-    values are then divided by Phi (:func:`_divide`).  The order-0
+    argument of the ternary series by Phi itself, both through the one
+    composition kernel (:func:`hlya.algebra.convolve`); the values are
+    then divided by Phi (:func:`_divide`).  The order-0
     coefficients come back unchanged, and the cochain spaces build the
     higher ones from their representative values, with their coordinates
     (:meth:`hlya.cochain.CochainSpace.from_rep_values`).
@@ -586,8 +562,8 @@ def _act(d: Deformation, phi: list[IntTable]) -> Deformation:
         [IntTable(c.ints.den, {idx: vec for idx in space.rep_tuples if (vec := c.ints.entries.get(idx))}) for c in seq]
         for seq, space in zip(seqs, spaces)
     )
-    fs, gs = _convolve([fs, gs], _pair_maps(phi, d.base.dim), 0)
-    [gs] = _convolve([gs], phi, 2)
+    fs, gs = convolve([fs, gs], _pair_maps(phi, d.base.dim), 0)
+    [gs] = convolve([gs], phi, 2)
     acted = zip(seqs, spaces, _divide([fs, gs], phi))
     return Deformation(d.base, d.order, *([seq[0], *map(space.from_rep_values, ts[1:])] for seq, space, ts in acted))
 
@@ -628,9 +604,9 @@ def trivialize(d: Deformation) -> TrivializeResult:
 
     The steps and their running product stay series of integer tables,
     acting through :func:`_act` and multiplied as :func:`compose_gauges`
-    multiplies (:func:`_convolve`); only the product is built into a Gauge,
-    once, at the end, and each of its coefficients is checked as a member
-    of C1 then (:func:`_gauge`).
+    multiplies (:func:`hlya.algebra.convolve`); only the product is built
+    into a Gauge, once, at the end, and each of its coefficients is
+    checked as a member of C1 then (:func:`_gauge`).
     """
     report = verify_deformation(d)
     if not report.ok:
@@ -651,7 +627,7 @@ def trivialize(d: Deformation) -> TrivializeResult:
             return TrivializeResult(None, obstructed_at=r, representative=(f_r, g_r))
         step = _single_step(identity, order, h, r)
         previous, current = current, _act(current, step)
-        [total] = _convolve([total], step, 0)
+        [total] = convolve([total], step, 0)
         _check_step(previous, current, r)
         if not current.f_seq[r].is_zero() or not current.g_seq[r].is_zero():
             raise NotCocycleError(f"gauge step failed to clear order {r}", step_order=r)

@@ -4,7 +4,9 @@ A k-twisted derivation is a 1-cochain, a linear map commuting with alpha,
 on which the alpha^k-twisted Leibniz defects vanish: the k-twisted
 derivations are the kernel of :func:`hlya.coboundary.leibniz` (k) on C1.
 Since delta1 is leibniz(0), Der_0 is H1.  Matrices are flattened row-major
-(entry (i, j) at position i * d + j, with D(e_j) = sum_i D[i][j] e_i).
+(entry (i, j) at position i * d + j, with D(e_j) = sum_i D[i][j] e_i), as
+the integer rows of :meth:`hlya.exactlin.Matrix.flat_row`, and
+:func:`hlya.exactlin.unflatten` reads them back.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import NamedTuple
 
 from .algebra import Algebra, check_map, memoised
 from .coboundary import leibniz_defects
-from .cochain import build_cochain_space, flat_numerators
+from .cochain import build_cochain_space, cochain_to_matrix
 from .errors import ClosureViolationError, PreconditionError
-from .exactlin import Matrix, Subspace, kernel_basis, solve, unflatten
+from .exactlin import Matrix, Subspace, kernel_basis, row_blocks, solve, unflatten
 
 DEFAULT_K_MAX = 3
 
@@ -29,7 +31,7 @@ class DerivationSpace(NamedTuple):
         return self.basis.dim
 
     def matrices(self, dim: int) -> list[Matrix]:
-        return [unflatten(self.basis.basis.column(j), dim) for j in range(self.basis.dim)]
+        return [unflatten(row, dim) for row in self.basis.basis.column_rows()]
 
 
 def derivation_space(a: Algebra, k: int) -> DerivationSpace:
@@ -61,7 +63,7 @@ def _derivation_space(a: Algebra, k: int) -> DerivationSpace:
         rows.extend((defect.den, images.get(i, {})) for i in range(space.reduced_dim))
     kernel = kernel_basis(Matrix._of(rows, c1.dim))
     ders = map(c1.from_row, kernel.basis.column_rows())
-    return DerivationSpace(k, Subspace.spanned_by(d * d, map(flat_numerators, ders)))
+    return DerivationSpace(k, Subspace.spanned_by(d * d, (cochain_to_matrix(a, h).flat_row()[1] for h in ders)))
 
 
 def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
@@ -78,18 +80,7 @@ def der_bracket(a: Algebra, d1: Matrix, k: int, d2m: Matrix, s: int) -> Matrix:
     for name, row, twist in (("first", x, k), ("second", y, s)):
         if not derivation_space(a, twist).basis.contains(row):
             raise PreconditionError(f"the {name} map is not in Der_{twist}")
-    den, flat = _closed_commutator(derivation_space(a, k + s), x, k, y, s, a.dim)
-    return Matrix._of([(den, row) for row in _unflattened(flat, a.dim)], a.dim)
-
-
-def _unflattened(flat: dict, dim: int) -> list[dict]:
-    """The rows {j: numerator} of a row-major flattened matrix {i * dim + j:
-    numerator}."""
-    rows: list = [{} for _ in range(dim)]
-    for pos, x in flat.items():
-        i, j = divmod(pos, dim)
-        rows[i][j] = x
-    return rows
+    return unflatten(_closed_commutator(derivation_space(a, k + s), x, k, y, s, a.dim), a.dim)
 
 
 def _closed_commutator(target: DerivationSpace, x: tuple, k: int, y: tuple, s: int, dim: int) -> tuple[int, dict]:
@@ -98,7 +89,7 @@ def _closed_commutator(target: DerivationSpace, x: tuple, k: int, y: tuple, s: i
     as such a row over the product of their denominators, checked to lie
     in target, Der_{k+s}: ClosureViolationError otherwise."""
     (p, xs), (q, ys) = x, y
-    left, right = _unflattened(xs, dim), _unflattened(ys, dim)
+    left, right = row_blocks(xs, dim), row_blocks(ys, dim)
     comm: dict = {}
     for first, second, sign in ((left, right, 1), (right, left, -1)):
         for i, row in enumerate(first):

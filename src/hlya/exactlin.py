@@ -22,8 +22,11 @@ dropped, and a denominator that is not a positive int a
 PreconditionError (:func:`_row_den`).  Fractions are made
 only for a matrix's Fraction view and for dense vectors: the values
 :meth:`Matrix.apply` returns, and :func:`solve` on a dense right-hand
-side.  The contraction kernels of :mod:`hlya.algebra` also work on
-integer numerators over an explicit common denominator.
+side.  A d x d matrix flattened row by row, entry (i, j) at i * d + j,
+has one form, the integer row of :meth:`Matrix.flat_row`, with
+:func:`unflatten` its inverse and :func:`row_blocks` the split into rows
+that both share.  The contraction kernels of :mod:`hlya.algebra` also
+work on integer numerators over an explicit common denominator.
 Everything is exact: there are no floats and no tolerance anywhere.
 """
 
@@ -191,18 +194,6 @@ class Matrix(Frozen):
     def identity(cls, n: int) -> "Matrix":
         return cls._of([(1, {i: 1}) for i in range(n)], n)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        columns = [list(c) for c in columns]
-        if rows is None:
-            if not columns:
-                raise ShapeMismatchError("cannot infer row count from no columns")
-            rows = len(columns[0])
-        for c in columns:
-            if len(c) != rows:
-                raise ShapeMismatchError("column length mismatch")
-        return cls._of(_transpose([_integer_row(c) for c in columns], rows), len(columns))
-
     def _fractions(self) -> list[dict]:
         """The rows as {column: Fraction}, built on first read and kept."""
         if self._view is None:
@@ -352,9 +343,21 @@ class Matrix(Frozen):
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def unflatten(flat: Sequence, cols: int) -> Matrix:
-    """The matrix with ``cols`` columns whose entries, row by row, are ``flat``."""
-    return Matrix([flat[i : i + cols] for i in range(0, len(flat), cols)])
+def row_blocks(flat: dict, d: int) -> list[dict]:
+    """The rows {j: numerator} of a d x d matrix flattened row by row,
+    {i * d + j: numerator}, as :meth:`Matrix.flat_row` lays it out."""
+    rows: list = [{} for _ in range(d)]
+    for pos, x in flat.items():
+        i, j = divmod(pos, d)
+        rows[i][j] = x
+    return rows
+
+
+def unflatten(row: tuple[int, dict], d: int) -> Matrix:
+    """The d x d matrix of a flattened integer row (den, {i * d + j:
+    numerator}), the inverse of :meth:`Matrix.flat_row`."""
+    den, flat = row
+    return Matrix._of([(den, r) for r in row_blocks(flat, d)], d)
 
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:

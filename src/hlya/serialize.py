@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import Algebra, IntTable, algebra_from_sparse, alpha_table, brackets, zero_vec
+from .algebra import Algebra, IntTable, algebra_from_sparse, alpha_table, brackets, table_map
 from .cochain import Cochain, cochain_to_matrix, identity_cochain, matrix_to_cochain
 from .errors import InputError
 from .exactlin import Matrix, rat, rat_str
@@ -96,8 +96,7 @@ def _upper_entries(t: IntTable, dim: int) -> list:
 def algebra_to_obj(a: Algebra) -> dict:
     d = a.dim
     binary, ternary = (_upper_entries(t, d) for t in brackets(a))
-    columns = alpha_table(a, 1).fractions(d)  # alpha(e_j) at (j,)
-    alpha = [[rat_str(columns.get((j,), zero_vec(d))[i]) for j in range(d)] for i in range(d)]
+    alpha = [[rat_str(x) for x in row] for row in table_map(alpha_table(a, 1), d).data]
     return {"name": a.name, "dim": d, "binary": binary, "ternary": ternary, "alpha": alpha}
 
 

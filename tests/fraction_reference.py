@@ -55,6 +55,15 @@ def dense(a):
     return binary, ternary, tuple(tuple(al.get((j,), zero)[i] for j in d) for i in d)
 
 
+def from_columns(columns, rows):
+    """The rows x len(columns) matrix whose column j is ``columns[j]``, a
+    dense vector of ``rows`` rationals; 0 x n for rows = 0."""
+    assert all(len(c) == rows for c in columns)
+    if not rows:
+        return Matrix.zeros(0, len(columns))
+    return Matrix([[c[i] for c in columns] for i in range(rows)])
+
+
 def fraction_read(space, table):
     """Basis coordinates of a raw tabulation over the basis tuples, read as
     a map in one unknown with Fraction values: each nonzero value is the

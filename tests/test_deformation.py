@@ -732,7 +732,7 @@ def test_alpha_commutant_basis_is_the_commutant(bundled, twisted_algebras):
 
     for a in [*bundled, *twisted_algebras, *random_verified_algebras(12345, 20)]:
         kernel = kernel_basis(Matrix(commutant_rows(a)))
-        expected = tuple(matrix_to_cochain(a, unflatten(kernel.basis.column(j), a.dim)) for j in range(kernel.dim))
+        expected = tuple(matrix_to_cochain(a, unflatten(row, a.dim)) for row in kernel.basis.column_rows())
         assert alpha_commutant_basis(a) == expected, a.name
 
 

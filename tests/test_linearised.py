@@ -28,9 +28,9 @@ from hlya.coboundary import (
 )
 from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.errors import NotACochainError
-from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
 
+from fraction_reference import from_columns
 from tabulated import Probed
 
 LEVELS = ("1", "2", "d2", "3")
@@ -56,10 +56,7 @@ def columnwise_assemble(a, level):
             image = target.from_rep_values(IntTable(formula.den, {idx: value(idx) for idx in target.rep_tuples}))
             col.extend(target.coords(image))
         columns.append(col)
-    rows = sum(s.dim for s in codomain)
-    if columns and rows:
-        return Matrix.from_columns(columns, rows=rows)
-    return Matrix.zeros(rows, len(columns))
+    return from_columns(columns, sum(s.dim for s in codomain))
 
 
 def per_cochain_audit(a, level):
