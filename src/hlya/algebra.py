@@ -24,7 +24,10 @@ derivations) probe it one tuple at a time.
 The readers that need every basis tuple (the well-definedness audit,
 :func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
 it: each term's nonzero entries are paired on their shared index, so no
-time goes to the empty entries of sparse bracket tables.  An algebra is
+time goes to the empty entries of sparse bracket tables, and each product
+is added at the integer code of its basis tuple, sum_s idx[s] * d^s, read
+off weights worked out once per algebra (:func:`_weights`) and an index
+of the nested table kept on it, one per weights.  An algebra is
 its tables: each constructor builds them and passes them through one
 builder (:func:`_built`) and one axiom verdict.
 """
@@ -35,7 +38,7 @@ import itertools
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import AxiomError, DimMismatchError, NotHomLieError, NotMorphismError, PreconditionError
@@ -225,9 +228,18 @@ def _built(dim: int, binary: IntTable, ternary: IntTable, alpha: IntTable, name:
     return algebra
 
 
+def _check_dim(dim) -> None:
+    """PreconditionError unless dim is an int of at least 1, not a bool:
+    the rule of the algebra file format, checked before any tensor is read."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise PreconditionError(f"dim must be a positive integer, got {dim!r}")
+
+
 def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
     """Build an Algebra from full tensors, binary[i][j] and ternary[i][j][k]
-    the coordinates of [e_i, e_j] and {e_i e_j e_k}, and row-major alpha."""
+    the coordinates of [e_i, e_j] and {e_i e_j e_k}, and row-major alpha.
+    PreconditionError unless dim is a positive integer (:func:`_check_dim`)."""
+    _check_dim(dim)
     b = int_table(_tensor(binary, 2, dim, "the binary tensor"))
     t = int_table(_tensor(ternary, 3, dim, "the ternary tensor"))
     return _built(dim, b, t, _map_table(alpha, dim), name)
@@ -236,7 +248,9 @@ def make_algebra(dim, binary, ternary, alpha, name="") -> Algebra:
 def algebra_from_sparse(dim, binary_entries, ternary_entries, alpha, name="") -> Algebra:
     """Build from sparse 0-based entries {(i, j): vec} with i < j (binary)
     and {(i, j, k): vec} with i < j (ternary); omitted entries are zero.
-    DimMismatchError for a key that is not a tuple of ints in 0..dim-1."""
+    DimMismatchError for a key that is not a tuple of ints in 0..dim-1,
+    PreconditionError unless dim is a positive integer (:func:`_check_dim`)."""
+    _check_dim(dim)
     tables = []
     for what, arity, entries in (("binary", 2, binary_entries), ("ternary", 3, ternary_entries)):
         full = {}
@@ -270,9 +284,10 @@ class IntTable:
     the output indices instead.  An empty table is the zero map and is false.
     ``twists`` holds the twisted forms :func:`contract` makes of the table,
     keyed by what they are made from (see :class:`_Term`), and
-    ``by_output`` the index :meth:`Contraction.join` reads it by when it is
-    nested (:func:`_by_output`), so both live exactly as long as the table
-    and neither keeps an algebra alive.
+    ``by_output`` the indexes :meth:`Contraction.join` reads it by when it
+    is nested, one per weights of its arguments' slots, each grouping the
+    entries' codes by output index (:func:`_by_output`), so both live
+    exactly as long as the table and neither keeps an algebra alive.
     """
 
     __slots__ = ("den", "entries", "twists", "by_output")
@@ -518,37 +533,77 @@ def _twisted(t: IntTable, alphas: Sequence[IntTable | None], pos: int | None) ->
     return t.den, grouped
 
 
-def _by_output(t: IntTable) -> dict:
-    """t's entries grouped by output index, built once and kept on t:
-    {m: [(key, numerator)]}, or {m: [(key, u, numerator)]} for a
+def _by_output(t: IntTable, weights: tuple) -> dict:
+    """t's entries grouped by output index, each key read as its code under
+    ``weights`` (:func:`_weights`), built once per weights and kept on t:
+    {m: [(code, numerator)]}, or {m: [(code, u, numerator)]} for a
     :class:`FormTable`, whose output indices are pairs (m, u)."""
-    if t.by_output is None:
-        rows: dict = {}
+    indexes = t.by_output
+    if indexes is None:
+        indexes = t.by_output = {}
+    rows = indexes.get(weights)
+    if rows is None:
+        rows = indexes[weights] = {}
         if isinstance(t, FormTable):
             for key, vec in t.entries.items():
+                code = sum(map(mul, key, weights))
                 for (m, u), c in vec.items():
-                    rows.setdefault(m, []).append((key, u, c))
+                    rows.setdefault(m, []).append((code, u, c))
         else:
             for key, vec in t.entries.items():
+                code = sum(map(mul, key, weights))
                 for m, c in vec.items():
-                    rows.setdefault(m, []).append((key, c))
-        t.by_output = rows
-    return t.by_output
+                    rows.setdefault(m, []).append((code, c))
+    return rows
 
 
-def _unjoinable(read: tuple) -> tuple:
-    """The place of a term that does not read every slot exactly once."""
-    raise ValueError("only a term that reads every slot exactly once can be joined")
+@memoised
+def _decoder(a: Algebra, n: int) -> tuple[tuple, tuple, int]:
+    """The basis tuples of arity n by code (:func:`_weights`), split in two
+    halves, kept in a's memo: (low, high, base), the tuple of code c being
+    low[c % base] + high[c // base], so both halves together hold
+    d^(n/2) tuples, not d^n."""
+    k = (n + 1) // 2
+    low, high = (tuple(idx[::-1] for idx in itertools.product(range(a.dim), repeat=m)) for m in (k, n - k))
+    return low, high, a.dim**k
 
 
-def _placer(slots: list) -> Callable[[tuple], tuple] | None:
-    """The map from the arguments a term reads, in the order ``slots``, to
-    the basis tuple where its value lands: None when they come in slot
-    order already, and :func:`_unjoinable` when no such tuple exists."""
-    order = list(range(len(slots)))
-    if sorted(slots) != order:
-        return _unjoinable
-    return None if slots == order else itemgetter(*map(slots.index, order))
+class _Codes(dict):
+    """The codes of argument tuples under the weights of their slots
+    (:func:`_weights`), {tuple: code}, each worked out the first time
+    :meth:`Contraction.join` reads it and kept with the term's analysis."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, key: tuple) -> int:
+        code = self[key] = sum(map(mul, key, self.weights))
+        return code
+
+
+def _weights(a: Algebra, plain: list, nested: Sequence) -> tuple | None:
+    """Where a term's values land, as weights for :meth:`Contraction.join`.
+
+    A basis tuple's code is sum_s idx[s] * d^s.  A term reads its plain
+    arguments and its nested table's arguments at slots ``plain`` and
+    ``nested``, so each argument's weight is d^s at its slot, and a value
+    lands at the sum of its arguments' indices times their weights.  The
+    weights are (heads, nested, decoder): ``heads`` the weight of the one
+    plain argument of a term with a nested table, whose twist is keyed by
+    that argument alone, and otherwise the codes of the twist's keys
+    (:class:`_Codes`); ``nested`` the weights of the nested arguments,
+    which index the nested table (:func:`_by_output`); the decoder that of
+    the term's arity (:func:`_decoder`).  None when the term does not read
+    every slot exactly once: its value has no one tuple to land at."""
+    slots = [*plain, *nested]
+    if sorted(slots) != list(range(len(slots))):
+        return None
+    heads = tuple(a.dim**s for s in plain)
+    heads = heads[0] if nested and len(heads) == 1 else _Codes(heads)
+    return heads, tuple(a.dim**s for s in nested), _decoder(a, len(slots))
 
 
 class _Term(NamedTuple):
@@ -558,11 +613,10 @@ class _Term(NamedTuple):
     algebra's memoised alpha^p applied to it (:func:`alpha_table`), or None
     where alpha^p is the identity, and the nested position.  The tables
     compare by identity, so a twist is built once per algebra and holds no
-    algebra.  ``key`` reads that twist's key off
-    a basis tuple; ``inner`` names the nested table, if any, and
-    ``inner_key`` reads its key.  ``place`` lays the twist's key (as a
-    tuple) followed by the nested key out as the basis tuple, for
-    :meth:`Contraction.join` (see :func:`_placer`)."""
+    algebra.  ``key`` reads that twist's key off a basis tuple; ``inner``
+    names the nested table, if any, and ``inner_key`` reads its key.
+    ``weights`` give the code of the basis tuple where a value lands, for
+    :meth:`Contraction.join` (see :func:`_weights`)."""
 
     sign: int
     outer: object
@@ -570,7 +624,7 @@ class _Term(NamedTuple):
     key: Callable[[tuple], object]
     inner: object
     inner_key: Callable[[tuple], tuple] | None
-    place: Callable[[tuple], tuple] | None
+    weights: tuple | None
 
 
 @memoised
@@ -578,7 +632,7 @@ def _analysed(a: Algebra, terms: tuple) -> tuple[_Term, ...]:
     """The terms of :func:`contract` with everything that depends on the
     algebra alone worked out, once per algebra and term list: a power p
     with alpha^p the identity is not applied, and each term gets its twist
-    key, its getters and its layout."""
+    key, its getters and its weights."""
     effective: dict = {}  # p -> alpha_table(a, p), or None when alpha^p is the identity
     analysed = []
     for sign, outer, args in terms:
@@ -596,10 +650,10 @@ def _analysed(a: Algebra, terms: tuple) -> tuple[_Term, ...]:
                 alphas.append(None)
         twist = (tuple(alphas), pos)
         if inner is None:
-            term = _Term(sign, outer, twist, _key_getter(plain), None, None, _placer(plain))
+            term = _Term(sign, outer, twist, _key_getter(plain), None, None, _weights(a, plain, ()))
         else:
             nested = args[pos][1:]
-            term = _Term(sign, outer, twist, _getter(plain), inner, _key_getter(nested), _placer(plain + list(nested)))
+            term = _Term(sign, outer, twist, _getter(plain), inner, _key_getter(nested), _weights(a, plain, nested))
         analysed.append(term)
     return tuple(analysed)
 
@@ -660,8 +714,8 @@ class Contraction:
     def __init__(self, den: int, terms: list):
         self.den = den
         # (weight, key, twisted table, nested key, nested entries, layout),
-        # the layout being (place, nested IntTable, one plain argument,
-        # nested table a FormTable)
+        # the layout being (slot weights, nested IntTable, nested table a
+        # FormTable)
         self._terms = terms
 
     def probe(self) -> Callable[[tuple], dict]:
@@ -684,7 +738,7 @@ class Contraction:
                 outer = table.get(key(idx))
                 if not outer:
                     continue
-                if layout[3]:  # a nested FormTable: carry its unknown u
+                if layout[2]:  # a nested FormTable: carry its unknown u
                     for (m, u), c in iv.items():
                         vec = outer.get(m)
                         if vec:
@@ -704,61 +758,71 @@ class Contraction:
 
     def join(self) -> dict:
         """The numerators at every basis tuple where they are not all zero:
-        {0-based tuple: sparse vector}.
+        {0-based tuple: sparse vector}, in the order the tuples are first hit.
 
-        A term without a nested table adds each entry of its twisted table
-        where it lands.  A nested term pairs each entry {m: vector} of its
-        twisted outer table with the entries of the nested table whose
-        output index is m (:func:`_by_output`), and adds the product where
-        the pair lands.  ValueError for a term that does not read every
-        slot exactly once: its value has no one tuple to land at.
+        Each value is added at the code of its basis tuple, sum_s idx[s] *
+        dim^s, the sum of its arguments' indices times their slot weights
+        (:func:`_weights`).  A term without a nested table adds each entry
+        of its twisted table at the code of its key.  A nested term pairs
+        each entry {m: vector} of its twisted outer table, whose key has
+        the code ``head``, with the entries of the nested table whose output
+        index is m, indexed by their codes under the nested weights
+        (:func:`_by_output`), and adds the product at head + code.  Each
+        code that holds a nonzero value is decoded to its tuple once, at
+        the end.  ValueError for a term that does not read every slot
+        exactly once: its value has no one tuple to land at.
         """
         out: dict = {}
         get = out.get
-        for w, _, table, _, _, (place, inner, single, forms) in self._terms:
+        for w, _, table, _, _, (weights, inner, forms) in self._terms:
+            if weights is None:
+                raise ValueError("only a term that reads every slot exactly once can be joined")
+            heads, nested, decoder = weights
             if inner is None:
                 for read, vec in table.items():
-                    idx = read if place is None else place(read)
-                    acc = get(idx)
+                    code = heads[read]
+                    acc = get(code)
                     if acc is None:
-                        out[idx] = {j: w * x for j, x in vec.items()}
+                        out[code] = {j: w * x for j, x in vec.items()}
                     else:
                         for j, x in vec.items():
                             acc[j] = acc.get(j, 0) + w * x
                 continue
-            rows = _by_output(inner)
+            rows = _by_output(inner, nested)
+            single = isinstance(heads, int)  # one plain argument's key is no tuple
             for okey, group in table.items():
-                head = (okey,) if single else okey  # one plain argument's key is no tuple
+                head = okey * heads if single else heads[okey]
                 for m, vec in group.items():
                     pairs = rows.get(m)
                     if pairs is None:
                         continue
                     if forms:
-                        for key, u, c in pairs:
-                            read = head + key
-                            idx = read if place is None else place(read)
-                            acc = get(idx)
+                        for code, u, c in pairs:
+                            code += head
+                            acc = get(code)
                             wc = w * c
                             if acc is None:
-                                out[idx] = {(j, u): wc * x for j, x in vec.items()}
+                                out[code] = {(j, u): wc * x for j, x in vec.items()}
                             else:
                                 for j, x in vec.items():
                                     acc[j, u] = acc.get((j, u), 0) + wc * x
                         continue
-                    for key, c in pairs:
-                        read = head + key
-                        idx = read if place is None else place(read)
-                        acc = get(idx)
+                    for code, c in pairs:
+                        code += head
+                        acc = get(code)
                         wc = w * c
                         if acc is None:
-                            out[idx] = {j: wc * x for j, x in vec.items()}
+                            out[code] = {j: wc * x for j, x in vec.items()}
                         else:
                             for j, x in vec.items():
                                 acc[j] = acc.get(j, 0) + wc * x
-        for idx, acc in out.items():
+        if not out:
+            return out
+        for code, acc in out.items():
             if 0 in acc.values():
-                out[idx] = _pruned(acc)
-        return {idx: acc for idx, acc in out.items() if acc}
+                out[code] = _pruned(acc)
+        low, high, base = decoder  # every term reads the same slots
+        return {low[code % base] + high[code // base]: acc for code, acc in out.items() if acc}
 
 
 def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
@@ -767,7 +831,7 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
     Both read orders share this binding: the scans probe the weighted
     terms, the readers of every tuple join them (:class:`Contraction`)."""
     compiled = []
-    for sign, outer, twist, key, inner_name, inner_key, place in analysed:
+    for sign, outer, twist, key, inner_name, inner_key, weights in analysed:
         source = tables.get(outer)
         if not source:
             continue
@@ -781,9 +845,9 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
             entry = source.twists[twist] = _twisted(source, *twist)
         den, table = entry
         if inner is None:
-            compiled.append((sign, den, key, table, None, None, (place, None, False, False)))
+            compiled.append((sign, den, key, table, None, None, (weights, None, False)))
         else:
-            layout = (place, inner, len(twist[0]) == 2, isinstance(inner, FormTable))
+            layout = (weights, inner, isinstance(inner, FormTable))
             compiled.append((sign, den * inner.den, key, table, inner_key, inner.entries, layout))
     common = lcm(*(term[1] for term in compiled))
     return Contraction(common, [(sign * (common // den), *rest) for sign, den, *rest in compiled])

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,26 @@ def test_sparse_entries_must_have_integer_indices_in_range(binary, ternary, mess
     dropped or fails with an error that does not name it."""
     with pytest.raises(DimMismatchError, match=message):
         algebra_from_sparse(2, binary, ternary, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "dim, size",
+    [(True, 1), (2.0, 2), ("2", 2), (0, 0)],
+    ids=["bool", "float", "string", "zero"],
+)
+def test_constructors_refuse_a_dim_that_is_not_a_positive_integer(dim, size):
+    """dim is checked first, by the algebra file's rule, against tensors of
+    the size it stands for: otherwise True builds the dim-1 algebra, 2.0
+    fails on a bare TypeError, "2" blames the tensors' length and 0 builds
+    a dim-0 algebra that no file can hold."""
+    zero = [0] * size
+    binary, ternary = [[zero] * size] * size, [[[zero] * size] * size] * size
+    identity = Matrix.identity(size).data
+    message = rf"^dim must be a positive integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(PreconditionError, match=message):
+        make_algebra(dim, binary, ternary, identity)
+    with pytest.raises(PreconditionError, match=message):
+        algebra_from_sparse(dim, {}, {}, identity)
 
 
 def test_make_algebra_rejects_non_antisymmetric():

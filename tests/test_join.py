@@ -7,7 +7,9 @@ at every tuple at once by the full-tabulation readers (the audit,
 numerators at each tuple where they are not all zero, and no other tuple.
 The inputs are concrete integer tables with denominators and generic
 tables (:class:`hlya.algebra.FormTable`), in the outer and the nested slot,
-on the bundled algebras, the twisted fixtures and the seed-12345 corpus.
+on the bundled algebras, the twisted fixtures and the seed-12345 corpus,
+and on two dim-5 Heisenberg algebras, where each join reads its codes at
+base 5.
 """
 
 import itertools
@@ -21,6 +23,8 @@ from hlya.algebra import (
     bracket_series,
     brackets,
     contract,
+    from_lie_algebra,
+    from_lya_standard,
     identity_values,
     int_table,
 )
@@ -51,6 +55,22 @@ def algebras(bundled, twisted_algebras):
 
 
 @pytest.fixture(scope="module")
+def heisenberg5():
+    """The Heisenberg algebra h5, [x_i, y_i] = z on the basis x1, x2, y1, y2,
+    z, twisted by diag(1/2, 3, 2, 1/3, 1) as a Lie algebra, and its
+    untwisted standard form, whose ternary bracket [[x y] z] is zero as z
+    is central.  Probing every tuple of arity 5 at dim 5 is cheap, of
+    arity 7 (delta3) is not, so these read the identities and delta1."""
+    bracket = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for x, y in ((0, 2), (1, 3)):
+        bracket[x][y][4], bracket[y][x][4] = 1, -1
+    twist = [[0] * 5 for _ in range(5)]
+    for i, x in enumerate(("1/2", 3, 2, "1/3", 1)):
+        twist[i][i] = x
+    return [from_lie_algebra(bracket, twist, name="h5_twist"), from_lya_standard(bracket, name="h5")]
+
+
+@pytest.fixture(scope="module")
 def corpus():
     return random_verified_algebras(12345, 20)
 
@@ -70,10 +90,10 @@ def _generic(a, arities):
     return tables
 
 
-def test_identities_join_as_they_probe_on_random_series(algebras, corpus):
+def test_identities_join_as_they_probe_on_random_series(algebras, corpus, heisenberg5):
     rng = random.Random(2501)
     nonzero = 0
-    for a in algebras + corpus:
+    for a in algebras + corpus + heisenberg5:
         f_higher = [_random_cochain(a, 2, rng) for _ in range(2)]
         g_higher = [_random_cochain(a, 3, rng) for _ in range(2)]
         fs, gs = bracket_series(a, f_higher, g_higher)
@@ -83,9 +103,9 @@ def test_identities_join_as_they_probe_on_random_series(algebras, corpus):
     assert nonzero > 1000
 
 
-def test_identities_join_as_they_probe_on_generic_tables(algebras, corpus):
+def test_identities_join_as_they_probe_on_generic_tables(algebras, corpus, heisenberg5):
     nonzero = 0
-    for a in algebras + corpus:
+    for a in algebras + corpus + heisenberg5:
         f0, g0 = brackets(a)
         f, g = _generic(a, (2, 3))
         for k, identity in IDENTITIES.items():
@@ -94,15 +114,15 @@ def test_identities_join_as_they_probe_on_generic_tables(algebras, corpus):
     assert nonzero > 1000
 
 
-def _formulas(a):
-    """(label, contractions, codomain arities) of delta1, delta3 and the
-    twisted Leibniz rules, on generic domain tables, and of the quadratic
-    parts of identities 5-8; h is read both as an outer and as a nested
-    table, and a quadratic part reads the generic pair of C2 x C3 in both
-    slots of each nested term, so its values carry an unknown from each."""
+def _formulas(a, large=True):
+    """(label, contractions, codomain arities) of delta1 and the twisted
+    Leibniz rules on a generic C1, then, if ``large``, of delta3 on generic
+    domain tables and of the quadratic parts of identities 5-8; h is read
+    both as an outer and as a nested table, and a quadratic part reads the
+    generic pair of C2 x C3 in both slots of each nested term, so its values
+    carry an unknown from each."""
     br, tr = brackets(a)
     (h,) = _generic(a, (1,))
-    f, g = _generic(a, (4, 5))
     with_h = {"br": br, "tr": tr, "h": h}
 
     def bound(components, tables):
@@ -111,15 +131,19 @@ def _formulas(a):
     yield "delta1", bound(DELTA1, with_h), (2, 3)
     for k in (1, 2, 3):
         yield f"leibniz({k})", bound(leibniz(k), with_h), (2, 3)
+    if not large:
+        return
+    f, g = _generic(a, (4, 5))
     yield "delta3", bound(DELTA3, {"br": br, "tr": tr, "f": f, "g": g}), (6, 7)
     for k in (5, 6, 7, 8):
         yield f"quadratic_part({k})", [quadratic_part(a, k)], (IDENTITIES[k].arity,)
 
 
-def test_formulas_join_as_they_probe_on_generic_tables(algebras, corpus):
+def test_formulas_join_as_they_probe_on_generic_tables(algebras, corpus, heisenberg5):
     nonzero = 0
-    for a in algebras + corpus:
-        for label, contractions, arities in _formulas(a):
+    inputs = [(a, True) for a in algebras + corpus] + [(a, False) for a in heisenberg5]
+    for a, large in inputs:
+        for label, contractions, arities in _formulas(a, large):
             for block, (contraction, n) in enumerate(zip(contractions, arities)):
                 nonzero += _assert_join_is_probe(contraction, a.dim, n, (a.name, label, block))
     assert nonzero > 1000

@@ -301,9 +301,10 @@ def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
     """Each level's generic domain tables live in the algebra's memo with
     their twists and join indexes: assembly and repeated audits build them
     once per domain (levels 2 and d2 share C2 x C3) and twist them once,
-    and they are freed with the algebra."""
-    built, twisted = [], []
-    generic, twist = CochainSpace.generic, algebra._twisted
+    the first audits index each nested table once per distinct weights and
+    the later ones reuse those indexes, and they are freed with the algebra."""
+    built, twisted, indexed = [], [], []
+    generic, twist, index = CochainSpace.generic, algebra._twisted, algebra._by_output
 
     def counted_generic(space, offset=0):
         built.append((space.arity, offset))
@@ -313,24 +314,37 @@ def test_generic_tables_are_built_once_per_algebra_and_domain(monkeypatch):
         twisted.append(table)
         return twist(table, alphas, pos)
 
+    def counted_index(table, weights):
+        if weights not in (table.by_output or {}):
+            indexed.append((table, weights))
+        return index(table, weights)
+
     monkeypatch.setattr(CochainSpace, "generic", counted_generic)
     monkeypatch.setattr(algebra, "_twisted", counted_twist)
+    monkeypatch.setattr(algebra, "_by_output", counted_index)
     live = _live(FormTable)
     a = _fresh_twist()
     for build in OPERATORS.values():
         build(a)
-    twists = [sum(isinstance(t, FormTable) for t in twisted)]
+    twists, indexes = [sum(isinstance(t, FormTable) for t in twisted)], [len(indexed)]
     for _ in range(2):
         twisted.clear()
+        before = len(indexed)
         for level in OPERATORS:
             assert verify_well_definedness(a, level) == OPERATORS[level](a).domain_dim
         twists.append(sum(isinstance(t, FormTable) for t in twisted))
+        indexes.append(len(indexed) - before)
     c2, c4 = (build_cochain_space(a, n).dim for n in (2, 4))
     assert sorted(built) == [(1, 0), (2, 0), (3, c2), (4, 0), (5, c4)]
     assert twists[0] > 0 and twists[1:] == [0, 0]  # assembly twists them, audits reuse
+    assert indexes[0] == 0 and indexes[1] > 0 and indexes[2] == 0  # assembly probes, audits join
+    nested = {id(table): table for table, _ in indexed}
+    assert any(isinstance(t, FormTable) for t in nested.values())
+    for key, table in nested.items():  # one index per distinct weights, each built once
+        assert list(table.by_output) == [weights for t, weights in indexed if id(t) == key]
     assert _live(FormTable) - live == len(built)
     ref = weakref.ref(a)
-    del a, twisted[:]
+    del a, twisted[:], indexed[:], nested, table
     gc.collect()
     assert ref() is None
     assert _live(FormTable) == live
