@@ -12,16 +12,16 @@ tables (:class:`IntTable`, :func:`contract`): the brackets and the powers
 of alpha are kept on the algebra as such tables (:func:`brackets`,
 :func:`alpha_table`), and the identities, the coboundary operators, the
 twisted Leibniz rules, bracket and cochain evaluation at vectors, the
-endomorphism test and the constructors all read them.  Each identity is
-analysed once per algebra and order, into a plan kept in the algebra's
-memo, and every other term list once per algebra; each evaluation only
-binds its tables to that analysis (:class:`Contraction`).  A bound
-contraction is read in one of two orders.  The readers that scan some
-tuples (the identity scans of :func:`first_failure`, operator assembly,
-the linear and quadratic parts of the deformation equations, bound once
-per algebra on generic tables and read as forms on coordinates,
-derivations) probe it one tuple at a time.
-The readers that need every basis tuple (the well-definedness audit,
+endomorphism test and the constructors all read them.  Every formula is
+a list of signed terms, the t^n coefficient of an identity among them
+(:func:`series_terms`), analysed once per algebra into the algebra's
+memo; each evaluation only binds its tables to that analysis
+(:class:`Contraction`).  A bound contraction is read in one of two
+orders.  The readers that scan some tuples (the identity scans of
+:func:`first_failure`, operator assembly, the linear and quadratic parts
+of the deformation equations, bound once per algebra on generic tables
+and read as forms on coordinates, derivations) probe it one tuple at a
+time.  The readers that need every basis tuple (the well-definedness audit,
 :func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
 it: each term's nonzero entries are paired on their shared index, so no
 time goes to the empty entries of sparse bracket tables, and each product
@@ -63,8 +63,9 @@ Vec = tuple[Fraction, ...]
 #                          - {a2(z) a2(u) {xyv}}
 # where a2 = alpha^2.  A Hom-Lie-Yamaguti algebra makes all eight vanish.
 # Substituting series f = sum_i f_i t^i and g = sum_i g_i t^i gives the
-# deformation equations as the t^n coefficients; at n = 1 around the base
-# they are the degree-2 coboundary operators (see :mod:`hlya.coboundary`).
+# deformation equations as the t^n coefficients (:func:`series_terms`); at
+# n = 1 around the base they are the degree-2 coboundary operators (see
+# :mod:`hlya.coboundary`).
 #
 # Each identity also records its leading alternating slot pairs: when every
 # f_i is alternating and every g_i alternating in its leading pair, every
@@ -695,10 +696,10 @@ def contract(a: Algebra, tables: dict, terms) -> Contraction:
     nested term records in its layout whether its nested table is one, and
     both read orders branch on that record.
 
-    The terms are analysed against the algebra once per term list
-    (:func:`_analysed`), then bound to the tables (:func:`_bound`); the
-    identities keep their analysis in the algebra's memo as plans
-    (:func:`_plan`).
+    The terms are analysed against the algebra once per term list and
+    kept in its memo (:func:`_analysed`), then bound to the tables
+    (:func:`_bound`); an identity's t^n coefficient is one such term list
+    (:func:`series_terms`).
     """
     return _bound(tables, _analysed(a, tuple(terms)))
 
@@ -853,56 +854,56 @@ def _bound(tables: dict, analysed: Sequence[_Term]) -> Contraction:
     return Contraction(common, [(sign * (common // den), *rest) for sign, den, *rest in compiled])
 
 
-class _Plan(NamedTuple):
-    """Identity k at order n on one algebra, before any series is bound:
-    its analysed terms and the basis tuples :func:`first_failure` scans."""
+def series_terms(k: int, n: int) -> tuple:
+    """The t^n coefficient of identity k as signed terms for :func:`contract`,
+    over the tables named ("f", i) and ("g", i), the t^i coefficients of f
+    and g, and ("alpha", 0), the twist, which is not deformed.
 
-    terms: tuple[_Term, ...]
-    scan: tuple[tuple, ...]
-
-
-@memoised
-def _plan(a: Algebra, k: int, n: int) -> _Plan:
-    """The plan of the t^n coefficient of identity k, kept in a's memo.
-
-    The identity's terms are analysed once, and a term with a nested
-    bracket becomes the convolution sum over i + j = n of
-    outer_i(..., inner_j(...), ...), one term per pair on the tables named
-    ("f", i) and ("g", i), all sharing that analysis.  The scan is the
-    tuples increasing inside the identity's leading block, if it has one,
-    and otherwise inside each of its alternating pairs (:func:`rep_tuples`),
-    in lexicographic order; it does not depend on n, so every order reads
-    that of order 0.
+    A term without a nested bracket reads order n of its outer table.  A
+    term with one becomes the convolution sum over i + j = n of
+    outer_i(..., inner_j(...), ...), i ascending, and i = 0 alone when the
+    outer map is alpha.  A table a binding lacks is the zero map, so the
+    same terms give the t^n coefficient of any truncation of the series.
     """
-    identity = IDENTITIES[k]
     terms = []
-    for term in _analysed(a, identity.terms):
-        if term.inner is None:
-            terms.append(term._replace(outer=(term.outer, n)))
-        else:
-            terms.extend(term._replace(outer=(term.outer, i), inner=(term.inner, n - i)) for i in range(n + 1))
-    if n:
-        scan = _plan(a, k, 0).scan
-    elif identity.block:
-        tails = list(itertools.product(range(a.dim), repeat=identity.arity - identity.block))
-        scan = tuple(head + tail for head in itertools.combinations(range(a.dim), identity.block) for tail in tails)
-    else:
-        scan = rep_tuples(a.dim, identity.arity, identity.pairs)
-    return _Plan(tuple(terms), scan)
+    for sign, outer, args in IDENTITIES[k].terms:
+        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+        if pos is None:
+            terms.append((sign, (outer, n), args))
+            continue
+        inner = args[pos]
+        for i in (0,) if outer == "alpha" else range(n + 1):
+            nested = ((inner[0], n - i), *inner[1:])
+            terms.append((sign, (outer, i), (*args[:pos], nested, *args[pos + 1 :])))
+    return tuple(terms)
 
 
 def identity_values(a: Algebra, k: int, n: int, fs, gs) -> Contraction:
     """The t^n coefficient of identity k in integers, as a :class:`Contraction`.
 
     ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
-    :class:`IntTable` (see :func:`bracket_series`), named ("f", i) and
-    ("g", i) for :func:`contract`; empty ones contribute nothing.  The
-    terms are analysed once per algebra, identity and order (:func:`_plan`),
-    and each table is twisted once for all identities and orders.
+    :class:`IntTable` (see :func:`bracket_series`), bound to the names
+    ("f", i) and ("g", i) of :func:`series_terms`; empty ones contribute
+    nothing.  The terms are analysed once per algebra, identity and order
+    (:func:`contract`), and each table is twisted once for all identities
+    and orders.
     """
     series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
     tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
-    return _bound(tables, _plan(a, k, n).terms)
+    return contract(a, tables, series_terms(k, n))
+
+
+@memoised
+def _scan(a: Algebra, k: int) -> tuple[tuple, ...]:
+    """The basis tuples :func:`first_failure` scans for identity k, at any
+    order, kept in a's memo: the tuples increasing inside the identity's
+    leading block, if it has one, and otherwise inside each of its
+    alternating pairs (:func:`rep_tuples`), in lexicographic order."""
+    identity = IDENTITIES[k]
+    if identity.block:
+        tails = list(itertools.product(range(a.dim), repeat=identity.arity - identity.block))
+        return tuple(head + tail for head in itertools.combinations(range(a.dim), identity.block) for tail in tails)
+    return rep_tuples(a.dim, identity.arity, identity.pairs)
 
 
 def rep_tuples(dim: int, arity: int, pairs: int) -> tuple[tuple, ...]:
@@ -920,7 +921,7 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """First basis tuple (1-based, lexicographic order) at which the t^n
     coefficient of identity k is nonzero; None when it vanishes throughout.
 
-    Only the scan tuples of the identity's plan are evaluated (:func:`_plan`).
+    Only the identity's scan tuples are evaluated (:func:`_scan`).
     That is exact when every f_i is alternating and every g_i alternating
     in its leading pair.  At a tuple with equal arguments in an alternating
     pair the value is its own negative, so 0, and swapping a decreasing
@@ -932,7 +933,7 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     failing tuple has x < y < z.  On an algebra of dimension 2 there is no
     such tuple, and no contraction is built.
     """
-    scan = _plan(a, k, n).scan
+    scan = _scan(a, k)
     if scan:
         value = identity_values(a, k, n, fs, gs).probe()
         for idx in scan:

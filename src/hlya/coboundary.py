@@ -41,14 +41,15 @@ linear and bilinear forms the deformation equations read on coordinates.
 delta1 and delta3 are signed-term data in the same language
 (:data:`DELTA1`, :data:`DELTA3`); delta1 is the untwisted case of the
 alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
-space of k-twisted derivations (:mod:`hlya.derivations`).  All are
-evaluated by the one integer contraction of :func:`hlya.algebra.contract`,
-on the base brackets and the domain cochains as integer tables, each term
-list analysed once per algebra: the formulas of :data:`_LEVELS` take
-integer tables, generic or not, and hand out one
-:class:`hlya.algebra.Contraction` per codomain block, with its
-denominator; :func:`apply_operator` reads the integer tables its
-cochains keep (:attr:`hlya.cochain.Cochain.ints`).
+space of k-twisted derivations (:mod:`hlya.derivations`).  Every formula
+is one term list per codomain block, the identities' coefficients being
+those of :func:`hlya.algebra.series_terms`, and one factory binds them
+all (:func:`_formula`): the base brackets and alpha, and the domain
+tables, generic or not, under the names the terms read, each term list
+analysed once per algebra by :func:`hlya.algebra.contract`.  A formula
+of :data:`_LEVELS` hands out one :class:`hlya.algebra.Contraction` per
+codomain block, with its denominator; :func:`apply_operator` reads the
+integer tables its cochains keep (:attr:`hlya.cochain.Cochain.ints`).
 
 The first component of delta2 and both components of d2 and delta3 couple
 the two domain blocks, so the generic pair carries one set of unknowns per
@@ -65,10 +66,11 @@ from .algebra import (
     Algebra,
     Contraction,
     IntTable,
+    alpha_table,
     brackets,
     contract,
-    identity_values,
     memoised,
+    series_terms,
 )
 from .cochain import Cochain, _require_cochain, build_cochain_space, check_defects
 from .errors import ArityError, NotACochainError, PreconditionError
@@ -167,58 +169,45 @@ DELTA3 = (
 )
 
 
-def _contracted(components, names):
-    """Contractions of the signed-term ``components`` at the base brackets
-    and the domain tables, bound in order to ``names``."""
+def _formula(names, blocks):
+    """The formula of the codomain ``blocks``, one term list each, as one
+    contraction per block: the domain tables are bound in order to
+    ``names``, beside the brackets as "br" and "tr" and as the t^0 tables
+    ("f", 0) and ("g", 0) of :func:`hlya.algebra.series_terms`, one table
+    under both names so that its twists are shared, and alpha as
+    ("alpha", 0)."""
 
     def tables(a: Algebra, *domain: IntTable):
         br, tr = brackets(a)
-        named = {"br": br, "tr": tr, **dict(zip(names, domain))}
-        return [contract(a, named, terms) for terms in components]
-
-    return tables
-
-
-def _linearised(ids):
-    """The codomain (arity, pairs) of each identity in ``ids``, as
-    :data:`IDENTITIES` records it, and the contractions of their t^1
-    coefficients at the base brackets deformed by (t f, t g)."""
-
-    def tables(a: Algebra, f: IntTable, g: IntTable):
-        f0, g0 = brackets(a)
-        fs, gs = (f0, f), (g0, g)
-        return [identity_values(a, k, 1, fs, gs) for k in ids]
-
-    return tuple((IDENTITIES[k].arity, IDENTITIES[k].pairs) for k in ids), tables
-
-
-def _quadratic(k: int):
-    """The contraction of the t^2 coefficient of identity k with (f, g) at
-    order 1 alone: only the terms outer_1(.., inner_1(..), ..) bind, (f, g)
-    being both outer and inner."""
-
-    def tables(a: Algebra, f: IntTable, g: IntTable):
-        empty = IntTable(1, {})
-        return [identity_values(a, k, 2, (empty, f, empty), (empty, g, empty))]
+        named = {"br": br, "tr": tr, ("f", 0): br, ("g", 0): tr, ("alpha", 0): alpha_table(a, 1)}
+        named.update(zip(names, domain))
+        return [contract(a, named, terms) for terms in blocks]
 
     return tables
 
 
 # --- assembly -------------------------------------------------------------
 
-# degree-2 level -> the identities whose t^1 coefficients are its codomain
-# blocks, and identity -> (level, block)
-_LINEARISED = {"2": (7, 8), "d2": (5, 6)}
-_BLOCKS = {k: (level, block) for level, ids in _LINEARISED.items() for block, k in enumerate(ids)}
-_QUADRATIC = {k: _quadratic(k) for k in _BLOCKS}
+# The generic pair of C2 x C3 is bound as the t^1 terms of the brackets;
+# with it alone at order 1, the t^2 coefficient keeps outer_1(inner_1) only
+_SERIES = (("f", 1), ("g", 1))
+
+# degree-2 level -> its name and the identities whose t^1 coefficients are
+# its codomain blocks, and identity -> (level, block)
+_LINEARISED = {"2": ("delta2", (7, 8)), "d2": ("d2", (5, 6))}
+_BLOCKS = {k: (level, block) for level, (_, ids) in _LINEARISED.items() for block, k in enumerate(ids)}
+_QUADRATIC = {k: _formula(_SERIES, [series_terms(k, 2)]) for k in _BLOCKS}
 
 # level -> (name, domain arities, codomain (arity, pairs), formula tables);
 # the degree-2 levels read their codomains off the identities they linearise
 _LEVELS = {
-    "1": ("delta1", (1,), ((2, None), (3, None)), _contracted(DELTA1, ("h",))),
-    "2": ("delta2", (2, 3), *_linearised(_LINEARISED["2"])),
-    "d2": ("d2", (2, 3), *_linearised(_LINEARISED["d2"])),
-    "3": ("delta3", (4, 5), ((6, None), (7, None)), _contracted(DELTA3, ("f", "g"))),
+    "1": ("delta1", (1,), ((2, None), (3, None)), _formula(("h",), DELTA1)),
+    **{
+        level: (name, (2, 3), tuple((IDENTITIES[k].arity, IDENTITIES[k].pairs) for k in ids),
+                _formula(_SERIES, [series_terms(k, 1) for k in ids]))
+        for level, (name, ids) in _LINEARISED.items()
+    },
+    "3": ("delta3", (4, 5), ((6, None), (7, None)), _formula(("f", "g"), DELTA3)),
 }
 
 
@@ -253,7 +242,7 @@ def leibniz_defects(a: Algebra, k: int) -> list[Contraction]:
     its twists, serves delta1 and every twist k.  Their values are linear
     forms {(output index, unknown): coefficient}, unknown u being
     coordinate u of a 1-cochain."""
-    return _contracted(leibniz(k), ("h",))(a, *_generic_inputs(a, (1,)))
+    return _formula(("h",), leibniz(k))(a, *_generic_inputs(a, (1,)))
 
 
 def linear_part(a: Algebra, k: int) -> Contraction:

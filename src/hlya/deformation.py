@@ -45,7 +45,7 @@ from .algebra import (
     IDENTITIES,
     Algebra,
     IntTable,
-    _plan,
+    _scan,
     axiom_witnesses,
     brackets,
     convolve,
@@ -220,17 +220,21 @@ def _failures_from(d: Deformation, start: int, stop: int) -> dict:
     :func:`_quadratic`), the terms i and n-i read as one pair, i <= n-i;
     an order whose coefficient and quadratic part are both zero reads
     nothing.  The coordinate rows c_i of (f_i, g_i) are read once per call,
-    for the orders 1..stop, and put over one denominator.
+    for the orders 1..stop, and put over one denominator, and the orders
+    whose row is nonzero are listed once, so each order pairs only those
+    and a series that is zero above some order costs that order's time.
     """
     base = d.base
     den, xs = _common_rows([_pair_row(base, f, g) for f, g in zip(d.f_seq[1 : stop + 1], d.g_seq[1 : stop + 1])])
     xs = [None, *xs]
+    nonzero = [i for i in range(1, stop + 1) if xs[i]]
     failures = {}
     for n in range(start, stop + 1):
         if n == 0:
             failures.update(((eq, 0), w) for eq, w in axiom_witnesses(base).items())
             continue
-        pairs = tuple((xs[i], xs[n - i]) for i in range(1, n // 2 + 1) if xs[i] and xs[n - i])
+        lower = itertools.takewhile(lambda i: 2 * i <= n, nonzero)
+        pairs = tuple((xs[i], xs[n - i]) for i in lower if xs[n - i])
         found = {}
         if xs[n] or pairs:
             system = _system(base)
@@ -289,7 +293,7 @@ def _system(a: Algebra) -> _System:
     denominators."""
     parts = {}
     for k in _EQUATIONS:
-        scan = _plan(a, k, 0).scan
+        scan = _scan(a, k)
         if scan:
             parts[k] = scan, linear_part(a, k), quadratic_part(a, k)
     den = lcm(*(quadratic.den for _, _, quadratic in parts.values()))

@@ -40,6 +40,7 @@ from hlya.exactlin import ZERO, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import dense
+from draws import random_cocycle
 
 RANDOM_ALGEBRA_SEED = 12345
 RANDOM_ALGEBRA_COUNT = 20
@@ -60,18 +61,6 @@ def _z_basis_pairs(a):
         col = z.basis.column(j)
         pairs.append((c2.from_coords(col[: c2.dim]), c3.from_coords(col[c2.dim :])))
     return pairs
-
-
-def _random_cocycle(a, rng):
-    z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix))
-    coeffs = [rat(rng.randint(-2, 2)) for _ in range(z.dim)]
-    coords = [
-        sum(c * z.basis.data[r][j] for j, c in enumerate(coeffs))
-        for r in range(z.basis.rows)
-    ]
-    c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
 
 
 def test_criterion_01_composition_identities(bundled, random_corpus):
@@ -145,7 +134,7 @@ def test_criterion_06_equivalence_classes(bundled):
     pairs = 0
     while pairs < 50:
         for a in bundled:
-            f1, g1 = _random_cocycle(a, rng)
+            f1, g1 = random_cocycle(a, rng)
             d = first_order_deformation(a, f1, g1)
             p = random_gauge(a, 1, rng)
             d_prime = apply_gauge(d, p)
@@ -182,7 +171,7 @@ def test_criterion_08_obstruction_is_cocycle(bundled):
     draws = 0
     while draws < 100:
         for a in bundled:
-            f1, g1 = _random_cocycle(a, rng)
+            f1, g1 = random_cocycle(a, rng)
             assert obstruction_pair(a, f1, g1).in_z4z5, a.name
             draws += 1
     print(
@@ -197,7 +186,7 @@ def test_criterion_09_second_order_probe(bundled):
     reported = {5: 0, 6: 0}
     for a in bundled:
         for _ in range(12):
-            f1, g1 = _random_cocycle(a, rng)
+            f1, g1 = random_cocycle(a, rng)
             solved = solve_second_order(a, f1, g1)
             if solved is None:
                 continue  # probe preconditions unsatisfiable for this draw

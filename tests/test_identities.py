@@ -23,7 +23,7 @@ import pytest
 
 from hlya.algebra import algebra_from_sparse, check_axioms, make_algebra
 from hlya.coboundary import d2, delta2
-from hlya.cochain import Cochain, build_cochain_space
+from hlya.cochain import Cochain
 from hlya.deformation import (
     Deformation,
     apply_gauge,
@@ -37,10 +37,11 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import Matrix, kernel_basis, rat, vstack
+from hlya.exactlin import Matrix
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import dense
+from draws import random_cochain, random_cocycle
 
 RANDOM_ALGEBRA_SEED = 12345
 RANDOM_ALGEBRA_COUNT = 20
@@ -120,23 +121,6 @@ def _leibniz_breaker():
     return algebra_from_sparse(2, {(0, 1): (1, 0)}, {(0, 1, 0): (0, 1)}, [[1, 0], [0, 1]])
 
 
-def _random_cochain(a, arity, rng):
-    space = build_cochain_space(a, arity)
-    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
-
-
-def _random_cocycle(a, rng):
-    z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix))
-    coeffs = [rat(rng.randint(-2, 2)) for _ in range(z.dim)]
-    coords = [
-        sum(c * z.basis.data[r][j] for j, c in enumerate(coeffs))
-        for r in range(z.basis.rows)
-    ]
-    c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
-
-
 def _axiom_obj(report):
     return [report.passed, report.counterexamples]
 
@@ -162,16 +146,16 @@ def test_verify_deformation_reports_pinned(bundled, corpus):
         null = null_deformation(a, 2)
         out.append(_deformation_obj(null))
         out.append(_deformation_obj(apply_gauge(null, random_gauge(a, 2, rng))))
-        f1, g1 = _random_cocycle(a, rng)
+        f1, g1 = random_cocycle(a, rng)
         out.append(_deformation_obj(first_order_deformation(a, f1, g1, order=2)))
         # random coefficients: fails from order 1 on, pins failure tuples
-        f = [bracket_cochain(a)] + [_random_cochain(a, 2, rng) for _ in range(2)]
-        g = [ternary_cochain(a)] + [_random_cochain(a, 3, rng) for _ in range(2)]
+        f = [bracket_cochain(a)] + [random_cochain(a, 2, rng) for _ in range(2)]
+        g = [ternary_cochain(a)] + [random_cochain(a, 3, rng) for _ in range(2)]
         out.append(_deformation_obj(Deformation(a, 2, f, g)))
     e1 = bundled[1]
     out.append(_deformation_obj(apply_gauge(null_deformation(e1, 3), random_gauge(e1, 3, rng))))
     for a in corpus:
-        f1, g1 = _random_cochain(a, 2, rng), _random_cochain(a, 3, rng)
+        f1, g1 = random_cochain(a, 2, rng), random_cochain(a, 3, rng)
         out.append(_deformation_obj(first_order_deformation(a, f1, g1)))
     for a in bundled:
         out.extend(_deformation_obj(null_deformation(bad, 1)) for bad in _corrupted(a))
@@ -188,8 +172,8 @@ def _cocycle_draws(bundled, corpus):
     rng = random.Random(1202)
     draws = []
     for a in bundled:
-        draws.extend((a, *_random_cocycle(a, rng)) for _ in range(6))
-    draws.extend((a, *_random_cocycle(a, rng)) for a in corpus)
+        draws.extend((a, *random_cocycle(a, rng)) for _ in range(6))
+    draws.extend((a, *random_cocycle(a, rng)) for a in corpus)
     return draws
 
 

@@ -38,7 +38,7 @@ from hlya.algebra import (
     int_table,
     make_algebra,
 )
-from hlya.coboundary import _LEVELS, _assemble, apply_operator, d2, delta2
+from hlya.coboundary import _LEVELS, _assemble, apply_operator
 from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, identity_cochain
 from hlya.deformation import (
     Deformation,
@@ -56,11 +56,11 @@ from hlya.deformation import (
     ternary_cochain,
     verify_deformation,
 )
-from hlya.exactlin import kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras
 
 from fraction_reference import ONE, FractionOps, dense, divided, eval_sv, inverse_series, svec_add
 from tabulated import numerators, tabulate, to_dense
+from draws import random_cocycle
 
 # --- the Fraction references -------------------------------------------------
 
@@ -334,15 +334,6 @@ def _random_deformation(a, order, rng):
     return Deformation(a, order, f, g)
 
 
-def _random_cocycle(a, rng):
-    z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix))
-    coeffs = [rat(rng.randint(-2, 2)) for _ in range(z.dim)]
-    coords = [sum(c * z.basis.data[r][j] for j, c in enumerate(coeffs)) for r in range(z.basis.rows)]
-    c2 = build_cochain_space(a, 2)
-    c3 = build_cochain_space(a, 3)
-    return c2.from_coords(coords[: c2.dim]), c3.from_coords(coords[c2.dim :])
-
-
 def _corrupted(a):
     """a with one ternary entry shifted: several axioms fail."""
     d, (binary, ternary, alpha) = a.dim, dense(a)
@@ -391,7 +382,7 @@ def test_verify_deformation_matches_reference(algebras):
     failing = 0
     for a in algebras:
         order = _order(a)
-        f1, g1 = _random_cocycle(a, rng)
+        f1, g1 = random_cocycle(a, rng)
         cases = [
             apply_gauge(null_deformation(a, order), random_gauge(a, order, rng)),
             first_order_deformation(a, f1, g1, order=2),
@@ -419,7 +410,7 @@ def test_obstruction_pairs_and_probes_match_reference(algebras):
     solved_draws = 0
     for a in algebras[:3]:  # gl2's delta3 costs seconds; its pairs are pinned by digest
         for _ in range(3):
-            f1, g1 = _random_cocycle(a, rng)
+            f1, g1 = random_cocycle(a, rng)
             pair = obstruction_pair(a, f1, g1)
             expected = [Cochain(n, a.dim, table) for n, table in zip((4, 5), reference_obstruction_tables(a, f1, g1))]
             assert all(build_cochain_space(a, c.arity).contains(c) for c in expected), a.name

@@ -30,8 +30,9 @@ from hlya.algebra import (
 )
 from hlya.coboundary import DELTA1, DELTA3, leibniz, quadratic_part
 from hlya.cochain import build_cochain_space
-from hlya.exactlin import rat
 from hlya.samples import random_verified_algebras
+
+from draws import random_cochain
 
 
 def _probed(contraction, dim, arity):
@@ -75,11 +76,6 @@ def corpus():
     return random_verified_algebras(12345, 20)
 
 
-def _random_cochain(a, arity, rng):
-    space = build_cochain_space(a, arity)
-    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
-
-
 def _generic(a, arities):
     """Generic tables of the spaces of ``arities``, unknowns numbered on."""
     tables, offset = [], 0
@@ -94,8 +90,8 @@ def test_identities_join_as_they_probe_on_random_series(algebras, corpus, heisen
     rng = random.Random(2501)
     nonzero = 0
     for a in algebras + corpus + heisenberg5:
-        f_higher = [_random_cochain(a, 2, rng) for _ in range(2)]
-        g_higher = [_random_cochain(a, 3, rng) for _ in range(2)]
+        f_higher = [random_cochain(a, 2, rng) for _ in range(2)]
+        g_higher = [random_cochain(a, 3, rng) for _ in range(2)]
         fs, gs = bracket_series(a, f_higher, g_higher)
         for (k, identity), n in itertools.product(IDENTITIES.items(), range(3)):
             contraction = identity_values(a, k, n, fs, gs)
@@ -177,7 +173,7 @@ def test_a_term_that_skips_a_slot_probes_but_does_not_join(algebras):
     # h(alpha^2 x_1) on pairs reads no x_0: it has a value at each tuple,
     # but no one tuple for the join to put an entry of h at
     a = algebras[4]
-    h = int_table(_random_cochain(a, 1, random.Random(2502)).table)
+    h = int_table(random_cochain(a, 1, random.Random(2502)).table)
     contraction = contract(a, {"h": h}, [(1, "h", ((2, 1),))])
     assert any(contraction.probe()((i, j)) for i, j in itertools.product(range(a.dim), repeat=2))
     with pytest.raises(ValueError, match="every slot"):

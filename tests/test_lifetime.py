@@ -182,26 +182,34 @@ def test_recorded_coordinates_belong_to_the_space_that_recorded_them(monkeypatch
     assert c._recorded(build_cochain_space(copy, 2)) is None
 
 
-def test_identity_plans_are_freed_with_their_algebra():
-    """The evaluation plans of the identities and the linear and bilinear
-    forms of equations 5-8 live in the algebra's memo and go with it.  A
-    plan is kept per identity and order evaluated: order 0 of all eight,
+def test_identity_analyses_are_freed_with_their_algebra():
+    """The analysed identity coefficients, the identities' scan tuples and
+    the linear and bilinear forms of equations 5-8 live in the algebra's
+    memo and go with it.  An analysis is kept per identity and order
+    evaluated, the term list of series_terms(k, n): order 0 of all eight,
     and above it only those of 5-8 bound on the generic tables of C2 x C3,
     which a null deformation never reads: order 1, the linear parts, bound
-    as delta2 and d2 are, and order 2, the quadratic parts.  The forms are
-    kept as one deformation system per algebra, laid out from the first
-    nonzero coefficient on: a null deformation reads none."""
+    as delta2 and d2 are, and order 2, the quadratic parts.  The scan
+    tuples are kept per identity, for every order.  The forms are kept as
+    one deformation system per algebra, laid out from the first nonzero
+    coefficient on: a null deformation reads none."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
+    coefficients = {algebra.series_terms(k, n): (k, n) for k in algebra.IDENTITIES for n in range(3)}
 
     def kept(fn):
         return {key[1:] for key in a._memo if key[0] is fn.__wrapped__}
 
-    assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES}
+    def analysed():
+        return {coefficients[terms] for (terms,) in kept(algebra._analysed) if terms in coefficients}
+
+    assert analysed() == {(k, 0) for k in algebra.IDENTITIES}
+    assert kept(algebra._scan) == {(k,) for k in algebra.IDENTITIES}
     assert kept(deformation._system) == set()
     assert verify_deformation(apply_gauge(null_deformation(a, 2), random_gauge(a, 2, random.Random(2)))).ok
     above = {(k, n) for k in (5, 6, 7, 8) for n in (1, 2)}
-    assert kept(algebra._plan) == {(k, 0) for k in algebra.IDENTITIES} | above
+    assert analysed() == {(k, 0) for k in algebra.IDENTITIES} | above
+    assert kept(algebra._scan) == {(k,) for k in algebra.IDENTITIES}
     assert kept(deformation._system) == {()}
     ref = weakref.ref(a)
     del a
@@ -257,10 +265,10 @@ def _callers(name: str) -> set:
 
 def test_term_lists_are_analysed_once_and_twisted_in_one_binding():
     """_analysed is memoised, so every term list is analysed once per
-    algebra; it is reached from contract and from the identity plans only,
-    and _twisted, whose twists each table keeps, from _bound only."""
+    algebra; it is reached from contract only, and _twisted, whose twists
+    each table keeps, from _bound only."""
     assert algebra._analysed.__wrapped__ is not algebra._analysed
-    assert _callers("_analysed") == {("algebra.py", "_plan"), ("algebra.py", "contract")}
+    assert _callers("_analysed") == {("algebra.py", "contract")}
     assert _callers("_twisted") == {("algebra.py", "_bound")}
     a = _fresh_twist()
     verify_well_definedness(a, "1")

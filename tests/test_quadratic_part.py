@@ -21,10 +21,10 @@ from fractions import Fraction
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hlya import algebra, coboundary, deformation
+from hlya import algebra, deformation
 import pytest
 
-from hlya.algebra import IDENTITIES, _plan, bracket_series, contract, first_failure, from_lie_algebra, identity_values
+from hlya.algebra import IDENTITIES, _scan, bracket_series, contract, first_failure, from_lie_algebra, identity_values
 from hlya.coboundary import d2, delta2, linear_part, quadratic_part
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import h2h3
@@ -43,10 +43,11 @@ from hlya.deformation import (
 )
 from hlya.errors import PreconditionError
 from hlya.exactlin import kernel_basis, rank, rat, vstack
-from hlya.samples import random_verified_algebras
+from hlya.samples import abelian, random_verified_algebras
 
 from fraction_reference import coordinate_row, divided, pair_coords, pair_from_coords
 from tabulated import tabulate
+from draws import combination, random_cochain, random_cocycle
 
 ORDER = 3
 
@@ -55,11 +56,6 @@ def _oracle(d, start=0):
     """Every identity at the orders start..N as the full t^n contraction."""
     fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
     return {(k, n): first_failure(d.base, k, n, fs, gs) for n in range(start, d.order + 1) for k in IDENTITIES}
-
-
-def _random_cochain(a, arity, rng):
-    space = build_cochain_space(a, arity)
-    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
 
 
 def _algebras(bundled, twisted_algebras):
@@ -81,14 +77,14 @@ def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
         series = [gauged]
         for n in range(1, ORDER + 1):
             f_seq, g_seq = list(gauged.f_seq), list(gauged.g_seq)
-            f_seq[n] = f_seq[n].add(_random_cochain(a, 2, rng))
+            f_seq[n] = f_seq[n].add(random_cochain(a, 2, rng))
             if rng.random() < 0.5:
-                g_seq[n] = g_seq[n].add(_random_cochain(a, 3, rng))
+                g_seq[n] = g_seq[n].add(random_cochain(a, 3, rng))
             series.append(Deformation(a, ORDER, f_seq, g_seq))
         f0, g0 = gauged.f_seq[0], gauged.g_seq[0]
         zeros = [Cochain.zero(2, a.dim)] * ORDER, [Cochain.zero(3, a.dim)] * ORDER
-        g_alone = [_random_cochain(a, 3, rng) for _ in range(ORDER)]
-        f_alone = [_random_cochain(a, 2, rng) for _ in range(ORDER)]
+        g_alone = [random_cochain(a, 3, rng) for _ in range(ORDER)]
+        f_alone = [random_cochain(a, 2, rng) for _ in range(ORDER)]
         series.append(Deformation(a, ORDER, [f0, *zeros[0]], [g0, *g_alone]))
         series.append(Deformation(a, ORDER, [f0, *f_alone], [g0, *zeros[1]]))
         for d in series:
@@ -98,6 +94,37 @@ def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
                 assert deformation._failures_from(d, start, ORDER) == _oracle(d, start), (a.name, start)
             outcomes[verify_deformation(d).ok] += 1
     assert outcomes[True] >= 15 and outcomes[False] >= 20, outcomes
+
+
+def test_a_null_deformation_of_high_order_verifies():
+    """Only the orders whose coefficient is nonzero are paired, so the
+    null deformation of abelian2 at order 25600 reads no quadratic part
+    and verifies, with one entry per equation and order."""
+    d = null_deformation(abelian(2), 25600)
+    report = verify_deformation(d)
+    assert report.ok and len(report.failures) == 8 * 25601
+
+
+def test_a_sparse_series_reports_as_the_full_contraction(bundled, twisted_algebras):
+    """A series whose coefficients are nonzero at orders 1 and 3 only,
+    padded with zeros to order 12, gets the report of the full contraction
+    order by order, key for key and in order: Q_4 reads the pair (c_1,
+    c_3), Q_6 the square of c_3, and the other orders above 3 nothing.
+    The coefficients are random cochains, or cocycle pairs of Z2 x Z3, so
+    orders 1 and 3 hold, and orders 2, 4 and 6 may fail."""
+    rng = random.Random(3811)
+    outcomes = {True: 0, False: 0}
+    for a in [*bundled, twisted_algebras[1]]:
+        for draw in (lambda: (random_cochain(a, 2, rng), random_cochain(a, 3, rng)), lambda: random_cocycle(a, rng)):
+            null = null_deformation(a, 12)
+            f_seq, g_seq = list(null.f_seq), list(null.g_seq)
+            for n in (1, 3):
+                f_seq[n], g_seq[n] = draw()
+            d = Deformation(a, 12, f_seq, g_seq)
+            report = verify_deformation(d)
+            assert list(report.failures.items()) == list(_oracle(d).items()), a.name
+            outcomes[report.ok] += 1
+    assert outcomes[True] >= 2 and outcomes[False] >= 5, outcomes
 
 
 def _per_pair_failures(d):
@@ -135,7 +162,7 @@ def test_failures_from_reads_a_pair_and_its_mirror_at_once(monkeypatch, bundled,
         gauged = apply_gauge(null_deformation(a, 4), random_gauge(a, 4, rng))
         f_seq = list(gauged.f_seq)
         n = rng.randint(1, 4)
-        f_seq[n] = f_seq[n].add(_random_cochain(a, 2, rng))
+        f_seq[n] = f_seq[n].add(random_cochain(a, 2, rng))
         for d in (gauged, Deformation(a, 4, f_seq, gauged.g_seq)):
             reads.clear()
             got = deformation._failures_from(d, 0, 4)
@@ -162,7 +189,7 @@ def test_the_stacked_system_has_the_kernel_of_delta2_and_d2(bundled, twisted_alg
         assert system.matrix.cols == stacked.cols and system.matrix.rows == len(system.positions)
         assert rank(system.matrix) == rank(stacked), a.name
         assert kernel_basis(system.matrix) == h2h3(a).cocycles, a.name
-        order = [(k, _plan(a, k, 0).scan.index(idx), j) for k, idx, j in system.positions]
+        order = [(k, _scan(a, k).index(idx), j) for k, idx, j in system.positions]
         assert order == sorted(set(order)), a.name
         sizes[a.name] = system.matrix.rows
     assert sizes["sl2"] == 120 and sizes["aff1"] == 6 and sizes["heisenberg_twisted"] == 0
@@ -183,11 +210,6 @@ def _probe(a, f1, g1, f2, g2):
         return second_order_probe(a, f1, g1, f2, g2)
     except PreconditionError:
         return PreconditionError
-
-
-def _combination(basis, rng):
-    coeffs = [rat(rng.randint(-2, 2)) for _ in range(basis.cols)]
-    return [sum(c * x for c, x in zip(coeffs, row)) for row in basis.data]
 
 
 def _heisenberg():
@@ -211,11 +233,11 @@ def test_second_order_probe_matches_the_full_contraction(bundled, twisted_algebr
     for a in [*_algebras(bundled, twisted_algebras), _heisenberg()]:
         # 7'/8' are read at the scan tuples of identities 7 and 8, the
         # representative tuples of C4 and C5 that fix (F, G)
-        assert [_plan(a, k, 0).scan for k in (7, 8)] == [s.rep_tuples for s in delta2(a).codomain]
+        assert [_scan(a, k) for k in (7, 8)] == [s.rep_tuples for s in delta2(a).codomain]
         z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
         kernel = kernel_basis(delta2(a).matrix).basis
         outside = [kernel.column(j) for j in range(kernel.cols) if any(d2(a).matrix.apply(kernel.column(j)))]
-        cocycles = [_combination(z, rng) for _ in range(2)] + [z.column(rng.randrange(z.cols)) for _ in range(2)]
+        cocycles = [combination(z, rng) for _ in range(2)] + [z.column(rng.randrange(z.cols)) for _ in range(2)]
         if outside:  # where a shift breaks 5'/6' alone, every basis cocycle too
             cocycles += [z.column(j) for j in range(z.cols)]
         for f1, g1 in (pair_from_coords(a, coords) for coords in cocycles):
@@ -284,7 +306,7 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
     # output it leaves out
     system = deformation._system(a)
     stacked = {(idx, j): x for (kk, idx, j), x in zip(system.positions, system.matrix.apply(coords)) if kk == k}
-    for idx in _plan(a, k, 0).scan:
+    for idx in _scan(a, k):
         for j in range(a.dim):
             assert stacked.get((idx, j), 0) == got(idx).get(j, 0), (a.name, k, n, idx, j)
 
@@ -373,7 +395,7 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
     xs = [None, *xs]
     system = deformation._system(a)
-    scan = _plan(a, k, 0).scan
+    scan = _scan(a, k)
     qden = system.den * den * den
     q = deformation._quadratic(system, _unordered(xs, n))
     assert {t: b for t, b in q.items() if b} == _per_pair(system, _ordered(xs, n)), (a.name, k, n)
@@ -434,7 +456,7 @@ def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled
         z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
         c4, c5 = delta2(a).codomain
         for _ in range(8):
-            f1, g1 = pair_from_coords(a, _combination(z, rng))
+            f1, g1 = pair_from_coords(a, combination(z, rng))
             big_f, big_g, row = deformation._second_order_step(a, f1, g1)[:3]
             fs, gs = bracket_series(a, (f1,), (g1,))
             for k, big in ((7, big_f), (8, big_g)):
@@ -450,16 +472,16 @@ def test_a_warm_draw_and_round_trip_bind_and_twist_nothing(monkeypatch, bundled,
     """On an algebra that has run the deformation layer once, a cocycle
     draw (obstruction_pair, solve_second_order, second_order_probe) and a
     gauge round trip (random_gauge, apply_gauge, trivialize,
-    verify_equivalence) call identity_values zero times and twist no
-    table: every equation, the obstruction included, is read off the
-    forms kept in the algebra's memo, and no cochain of a series gains a
-    twist."""
+    verify_equivalence) bind no contraction (algebra._bound, which binds
+    every one, is never called) and twist no table: every equation, the
+    obstruction included, is read off the forms kept in the algebra's
+    memo, and no cochain of a series gains a twist."""
     calls, twisted, probed = [], [], []
-    original_values, original_twisted = algebra.identity_values, algebra._twisted
+    original_bound, original_twisted = algebra._bound, algebra._twisted
 
-    def counted_values(*args):
-        calls.append(args[1:3])
-        return original_values(*args)
+    def counted_bound(tables, analysed):
+        calls.append(analysed)
+        return original_bound(tables, analysed)
 
     def counted_twisted(table, alphas, pos):
         twisted.append(table)
@@ -467,7 +489,7 @@ def test_a_warm_draw_and_round_trip_bind_and_twist_nothing(monkeypatch, bundled,
 
     def session(a, rng):
         z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
-        f1, g1 = pair_from_coords(a, _combination(z, rng))
+        f1, g1 = pair_from_coords(a, combination(z, rng))
         obstruction_pair(a, f1, g1)
         solved = solve_second_order(a, f1, g1)
         if solved is not None:
@@ -482,8 +504,7 @@ def test_a_warm_draw_and_round_trip_bind_and_twist_nothing(monkeypatch, bundled,
     for a in (twisted_algebras[0], bundled[2], bundled[3]):
         rng = random.Random(4002)
         session(a, rng)  # the round trip's verification binds every form the layer reads
-        monkeypatch.setattr(algebra, "identity_values", counted_values)
-        monkeypatch.setattr(coboundary, "identity_values", counted_values)
+        monkeypatch.setattr(algebra, "_bound", counted_bound)
         monkeypatch.setattr(algebra, "_twisted", counted_twisted)
         for _ in range(3):
             series = session(a, rng)

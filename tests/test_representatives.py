@@ -29,6 +29,7 @@ from hlya.algebra import (
     identity_values,
     make_algebra,
     rep_tuples,
+    series_terms,
 )
 from hlya.coboundary import d2, delta2
 from hlya.cochain import Cochain, build_cochain_space
@@ -49,6 +50,7 @@ from hlya.samples import random_verified_algebras, sl2
 
 from fraction_reference import coordinate_row, dense, divided, pair_from_coords
 from tabulated import tabulate
+from draws import random_cochain
 
 ORDERS = range(4)
 
@@ -77,16 +79,11 @@ def full_tabulation_obstruction(a, f1, g1):
     return big_f, big_g, coordinate_row(coords_f + coords_g)
 
 
-def _random_cochain(a, arity, rng):
-    space = build_cochain_space(a, arity)
-    return space.from_coords([rat(rng.randint(-2, 2)) for _ in range(space.dim)])
-
-
 def _random_series(a, order, rng):
     """Random cochains f_1..f_order, g_1..g_order: no deformation, so the
     higher coefficients of the identities do not vanish."""
-    f_higher = [_random_cochain(a, 2, rng) for _ in range(order)]
-    g_higher = [_random_cochain(a, 3, rng) for _ in range(order)]
+    f_higher = [random_cochain(a, 2, rng) for _ in range(order)]
+    g_higher = [random_cochain(a, 3, rng) for _ in range(order)]
     return f_higher, g_higher
 
 
@@ -217,7 +214,7 @@ def test_verify_deformation_reports_match_the_full_scan(algebras):
     for a in algebras[:6]:
         d = apply_gauge(null_deformation(a, 3), random_gauge(a, 3, rng))
         broken = Deformation(
-            a, 3, d.f_seq, (*d.g_seq[:2], d.g_seq[2].add(_random_cochain(a, 3, rng)), d.g_seq[3])
+            a, 3, d.f_seq, (*d.g_seq[:2], d.g_seq[2].add(random_cochain(a, 3, rng)), d.g_seq[3])
         )
         for deformed in (d, broken):
             fs, gs = bracket_series(a, deformed.f_seq[1:], deformed.g_seq[1:])
@@ -253,9 +250,9 @@ def test_the_equations_left_out_hold_on_every_deformation(algebras):
         for n in (1, 2, 3):
             f_seq, g_seq = list(gauged.f_seq), list(gauged.g_seq)
             if rng.random() < 0.5:
-                f_seq[n] = f_seq[n].add(_random_cochain(a, 2, rng))
+                f_seq[n] = f_seq[n].add(random_cochain(a, 2, rng))
             else:
-                g_seq[n] = g_seq[n].add(_random_cochain(a, 3, rng))
+                g_seq[n] = g_seq[n].add(random_cochain(a, 3, rng))
             series.append(Deformation(a, order, f_seq, g_seq))
         f_higher, g_higher = _random_series(a, order, rng)
         series.append(Deformation(a, order, (gauged.f_seq[0], *f_higher), (gauged.g_seq[0], *g_higher)))
@@ -284,14 +281,12 @@ def test_a_round_trip_evaluates_each_condition_once(monkeypatch):
     infinitesimal and a second round trip bind nothing; trivialize builds
     one Gauge, its result."""
     evaluated = Counter()
-    original = algebra.identity_values
 
-    def counted(b, k, n, fs, gs):
-        evaluated[k, n] += 1
-        return original(b, k, n, fs, gs)
+    def counted(key, contraction):
+        evaluated[key] += 1
+        return contraction
 
-    monkeypatch.setattr(algebra, "identity_values", counted)
-    monkeypatch.setattr(coboundary, "identity_values", counted)
+    _wrap_coefficients(monkeypatch, counted)
     a = _copy(sl2(), "sl2_round_trip")
     null = null_deformation(a, 4)
     disguised = apply_gauge(null, random_gauge(a, 4, random.Random(5)))
@@ -327,18 +322,38 @@ def test_obstruction_matches_the_full_tabulation(algebras):
     assert nonzero > 10
 
 
+# the term list of each identity coefficient the tests below meet -> (k, n)
+_COEFFICIENTS = {series_terms(k, n): (k, n) for k in IDENTITIES for n in range(5)}
+
+
+def _wrap_coefficients(monkeypatch, wrap):
+    """Every contraction of an identity coefficient that the package
+    builds, first_failure's (through identity_values) and the linear and
+    quadratic parts that :mod:`hlya.coboundary` binds on the generic
+    tables, handed out as wrap((k, n), contraction): each is one
+    :func:`hlya.algebra.contract` of a term list of series_terms, read back
+    to its (k, n).  Other term lists pass unwrapped."""
+    original = algebra.contract
+
+    def wrapped(a, tables, terms):
+        contraction = original(a, tables, terms)
+        key = _COEFFICIENTS.get(tuple(terms))
+        return contraction if key is None else wrap(key, contraction)
+
+    monkeypatch.setattr(algebra, "contract", wrapped)
+    monkeypatch.setattr(coboundary, "contract", wrapped)
+
+
 def _counted_evaluations(monkeypatch):
-    """Per identity, the tuples at which values of identity_values are read,
-    and the contractions it builds: for first_failure, and for the linear
-    and quadratic parts that :mod:`hlya.coboundary` binds on the generic
-    tables."""
+    """Per identity, the tuples at which values of its coefficients are
+    read, and the contractions of them that are built
+    (:func:`_wrap_coefficients`)."""
     calls = {k: 0 for k in IDENTITIES}
     built = {k: 0 for k in IDENTITIES}
-    original = algebra.identity_values
 
-    def counted(a, k, n, fs, gs):
+    def counted(key, contraction):
+        k = key[0]
         built[k] += 1
-        contraction = original(a, k, n, fs, gs)
         value = contraction.probe()
 
         def counting(idx):
@@ -347,8 +362,7 @@ def _counted_evaluations(monkeypatch):
 
         return SimpleNamespace(probe=lambda: counting, den=contraction.den)
 
-    monkeypatch.setattr(algebra, "identity_values", counted)
-    monkeypatch.setattr(coboundary, "identity_values", counted)
+    _wrap_coefficients(monkeypatch, counted)
     return calls, built
 
 
@@ -539,10 +553,10 @@ def test_first_failure_on_the_block_matches_the_full_scan():
 
 
 def test_a_second_verification_analyses_no_term(monkeypatch):
-    """The plans of one algebra are built by its first verify_deformation;
+    """The analyses of one algebra are built by its first verify_deformation;
     a second, on another series of the same order, analyses no term."""
     base = sl2()
-    a = make_algebra(base.dim, *dense(base), name="sl2_plans")
+    a = make_algebra(base.dim, *dense(base), name="sl2_analyses")
     analysed = []
     original = algebra._analysed
 

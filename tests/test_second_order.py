@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from hlya import algebra, coboundary, deformation
+from hlya import algebra, deformation
 from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
 from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, CochainSpace, build_cochain_space
@@ -37,6 +37,7 @@ from hlya.samples import random_verified_algebras
 
 from fraction_reference import dense, divided, pair_coords, pair_from_coords
 from tabulated import tabulate
+from draws import combination
 
 
 def reference_obstruction_pair(a, f1, g1):
@@ -86,11 +87,6 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _combination(basis, rng):
-    coeffs = [rat(rng.randint(-2, 2)) for _ in range(basis.cols)]
-    return [sum(c * x for c, x in zip(coeffs, row)) for row in basis.data]
-
-
 def _candidates(a, f1, g1, rng):
     c2, c3 = build_cochain_space(a, 2), build_cochain_space(a, 3)
     out = [
@@ -100,7 +96,7 @@ def _candidates(a, f1, g1, rng):
     solved = reference_solve_second_order(a, f1, g1)
     if solved is not None:
         f2, g2 = solved
-        shift = _combination(kernel_basis(delta2(a).matrix).basis, rng)
+        shift = combination(kernel_basis(delta2(a).matrix).basis, rng)
         shifted = [x + y for x, y in zip(pair_coords(a, f2, g2), shift)]
         out += [solved, (f2.scale(rat(-1)), g2.scale(rat(-1))), pair_from_coords(a, shifted)]
     return out
@@ -113,10 +109,10 @@ def draws(bundled, twisted_algebras):
     out = []
     for a in algebras:
         z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
-        out.extend((a, *pair_from_coords(a, _combination(z, rng))) for _ in range(3))
+        out.extend((a, *pair_from_coords(a, combination(z, rng))) for _ in range(3))
     for a in random_verified_algebras(12345, 20):
         z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
-        out.append((a, *pair_from_coords(a, _combination(z, rng))))
+        out.append((a, *pair_from_coords(a, combination(z, rng))))
     return out
 
 
@@ -136,7 +132,7 @@ def test_trio_matches_the_former_trio(draws):
 
 def _draw(a, rng):
     z = kernel_basis(vstack(delta2(a).matrix, d2(a).matrix)).basis
-    return pair_from_coords(a, _combination(z, rng))
+    return pair_from_coords(a, combination(z, rng))
 
 
 def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
@@ -145,18 +141,19 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
     once for all three entry points, and applies delta3 once.  The probe
     reads 5'-8' as one T vector, M_T c_2 plus the B(c, c) the step holds,
     so it evaluates no bilinear form.  On an algebra whose forms are
-    bound, no contraction is built: identity_values is never called."""
+    bound, no contraction is built: algebra._bound, which binds every
+    contraction, is never called."""
     calls = Counter()
-    original_values, original_delta3 = algebra.identity_values, deformation.delta3
+    original_bound, original_delta3 = algebra._bound, deformation.delta3
     original_closed, original_obstruction = deformation._closed, deformation._obstruction
     original_quadratic, original_failures = deformation._quadratic, deformation._first_failures
     f1, g1 = _draw(e2, random.Random(9003))
     system = deformation._system(e2)
     c = dict(deformation._pair_row(e2, f1, g1)[1])
 
-    def counted_values(a, k, n, fs, gs):
-        calls["identity_values"] += 1
-        return original_values(a, k, n, fs, gs)
+    def counted_bound(tables, analysed):
+        calls["contraction"] += 1
+        return original_bound(tables, analysed)
 
     def counted_delta3(a):
         calls["delta3"] += 1
@@ -181,8 +178,7 @@ def test_each_entry_point_evaluates_the_obstruction_once(monkeypatch, e2):
         calls["T vector"] += 1
         return original_failures(s, row, quadratic)
 
-    monkeypatch.setattr(algebra, "identity_values", counted_values)
-    monkeypatch.setattr(coboundary, "identity_values", counted_values)
+    monkeypatch.setattr(algebra, "_bound", counted_bound)
     monkeypatch.setattr(deformation, "delta3", counted_delta3)
     monkeypatch.setattr(deformation, "_closed", counted_closed)
     monkeypatch.setattr(deformation, "_obstruction", counted_obstruction)

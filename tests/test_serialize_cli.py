@@ -369,6 +369,20 @@ def test_cli_deform_check(capsys):
     assert report["ok"] is True and report["failures"] == {}
 
 
+def test_cli_deform_check_reports_the_failures_of_a_first_order_term_that_is_no_cocycle(capsys):
+    # data/e2_sl2_not_cocycle.json: on sl2, g1 = {e1 e2 e1} = e1 with its
+    # alternated copy is a 3-cochain that breaks identities 7 and 8 at
+    # order 1; a failing report is a result, so the exit is 0
+    code, out, err = _run(capsys, "deform-check", _golden("e2_sl2_not_cocycle.json"))
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["ok"] is False and report["order"] == 1
+    assert report["failures"] == {"eq7@n=1": [1, 2, 1, 2], "eq8@n=1": [1, 2, 1, 2, 1]}
+    code, out, err = _run(capsys, "deform-check", "--format", "table", _golden("e2_sl2_not_cocycle.json"))
+    assert code == EXIT_OK and err == ""
+    assert "ok: False" in out.splitlines() and "  eq7@n=1:" in out.splitlines()
+
+
 def test_cli_deform_check_rejects_a_coefficient_listed_at_one_tuple(tmp_path, capsys):
     # f1 given at (1, 2) only: its value at (2, 1) is then zero, not the
     # negative, so f1 is no cochain and the file is an input error
@@ -610,6 +624,8 @@ PINNED_OUTPUTS = {
     ("dump-operator e4_gl2.json 1", "table"): "1020eb73921c0e4b2f011dcb564eab08aca22a96a408926cb6b4f77fb851f59b",
     ("deform-check e0_plus_aff.json", "json"): "b6107d47f365b8a0ae9540c40100d77e4f70b8715bb9d8d1ee89cdf2a3541229",
     ("deform-check e0_plus_aff.json", "table"): "ff23728ddfcb69e0f353e9e170b3ed89ef2a388632a037ca17d9b9fa66c5aebb",
+    ("deform-check e2_sl2_not_cocycle.json", "json"): "d88d4945a9bfa292782721f4ad973b105c7d92922165bb5a129621392038cc56",
+    ("deform-check e2_sl2_not_cocycle.json", "table"): "eb11ae00ef22061b1bd78e2d1da22641f966d2beb93ac8ce7bc413c30e5ee186",
     ("trivialize e0_plus_aff.json", "json"): "58065792bc49792f308bc7fe844da74f9a4b64fcd7d7b6135ff889171d22d9c3",
     ("trivialize e0_plus_aff.json", "table"): "1282ebb95a26e2be2b0467a5fd145f6c28e54cc10c98570fc8a7ab65e2e2c01e",
     ("obstruct e0_plus_aff.json", "json"): "52f2cf8ad861ac2931957cf002ab819f259429aed7dbc9bf1a9039c4fa8aa6a1",
