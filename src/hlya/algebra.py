@@ -13,23 +13,25 @@ of alpha are kept on the algebra as such tables (:func:`brackets`,
 :func:`alpha_table`), and the identities, the coboundary operators, the
 twisted Leibniz rules, bracket and cochain evaluation at vectors, the
 endomorphism test and the constructors all read them.  Every formula is
-a list of signed terms, the t^n coefficient of an identity among them
-(:func:`series_terms`), analysed once per algebra into the algebra's
+a list of signed terms, analysed once per algebra into the algebra's
 memo; each evaluation only binds its tables to that analysis
-(:class:`Contraction`).  A bound contraction is read in one of two
-orders.  The readers that scan some tuples (the identity scans of
-:func:`first_failure`, operator assembly, the linear and quadratic parts
-of the deformation equations, bound once per algebra on generic tables
-and read as forms on coordinates, derivations) probe it one tuple at a
-time.  The readers that need every basis tuple (the well-definedness audit,
-:func:`hlya.coboundary.apply_operator`, :func:`from_lya_standard`) join
-it: each term's nonzero entries are paired on their shared index, so no
-time goes to the empty entries of sparse bracket tables, and each product
-is added at the integer code of its basis tuple, sum_s idx[s] * d^s, read
-off weights worked out once per algebra (:func:`_weights`) and an index
-of the nested table kept on it, one per weights.  An algebra is
-its tables: each constructor builds them and passes them through one
-builder (:func:`_built`) and one axiom verdict.
+(:class:`Contraction`).  The t^n coefficient of an identity is one such
+list (:func:`series_terms`), read at order 0 (:func:`first_failure`), 1
+and, for its terms outer_1(inner_1), 2 (:mod:`hlya.coboundary`).  A
+bound contraction is read in one of two orders.  The readers that scan
+some tuples (the axiom scans of :func:`first_failure`, operator assembly,
+the linear and quadratic parts of the deformation equations, bound once
+per algebra on generic tables and read as forms on coordinates,
+derivations) probe it one tuple at a time.  The readers that need every basis tuple
+(the well-definedness audit, :func:`hlya.coboundary.apply_operator`,
+:func:`from_lya_standard`) join it: each term's nonzero entries are
+paired on their shared index, so no time goes to the empty entries of
+sparse bracket tables, and each product is added at the integer code of
+its basis tuple, sum_s idx[s] * d^s, read off weights worked out once per
+algebra (:func:`_weights`) and an index of the nested table kept on it,
+one per weights.  An algebra is its tables: each constructor builds them
+and passes them through one builder (:func:`_built`) and one axiom
+verdict.
 """
 
 from __future__ import annotations
@@ -487,15 +489,6 @@ def eval_ternary(a: Algebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
 # --- evaluating the identities ---------------------------------------------
 
 
-def bracket_series(a: Algebra, f_higher=(), g_higher=()) -> tuple[tuple, tuple]:
-    """The series f and g for :func:`identity_values`: the base brackets,
-    then the given cochains as the coefficients of t, t^2, ..., each as the
-    integer table it keeps (:attr:`hlya.cochain.Cochain.ints`), so the
-    twists of a cochain are made once for as long as it lives."""
-    f0, g0 = brackets(a)
-    return (f0, *(c.ints for c in f_higher)), (g0, *(c.ints for c in g_higher))
-
-
 def _getter(positions) -> Callable[[tuple], object]:
     """Reads a tuple at ``positions``; the same key for table and basis tuple."""
     return itemgetter(*positions) if positions else (lambda idx: ())
@@ -878,27 +871,23 @@ def series_terms(k: int, n: int) -> tuple:
     return tuple(terms)
 
 
-def identity_values(a: Algebra, k: int, n: int, fs, gs) -> Contraction:
-    """The t^n coefficient of identity k in integers, as a :class:`Contraction`.
-
-    ``fs[i]`` and ``gs[i]`` are the t^i coefficients of f and g as
-    :class:`IntTable` (see :func:`bracket_series`), bound to the names
-    ("f", i) and ("g", i) of :func:`series_terms`; empty ones contribute
-    nothing.  The terms are analysed once per algebra, identity and order
-    (:func:`contract`), and each table is twisted once for all identities
-    and orders.
-    """
-    series = {"f": fs, "g": gs, "alpha": (alpha_table(a, 1),)}
-    tables = {(name, i): t for name, ts in series.items() for i, t in enumerate(ts)}
-    return contract(a, tables, series_terms(k, n))
+def identity_values(a: Algebra, k: int) -> Contraction:
+    """Identity k at the algebra's own tables, in integers, as a
+    :class:`Contraction`: the t^0 coefficient (:func:`series_terms`) bound
+    to the brackets (:func:`brackets`) and alpha (:func:`alpha_table`).
+    The terms are analysed once per algebra and identity (:func:`contract`),
+    and each table is twisted once for all identities."""
+    br, tr = brackets(a)
+    return contract(a, {("f", 0): br, ("g", 0): tr, ("alpha", 0): alpha_table(a, 1)}, series_terms(k, 0))
 
 
 @memoised
 def _scan(a: Algebra, k: int) -> tuple[tuple, ...]:
-    """The basis tuples :func:`first_failure` scans for identity k, at any
-    order, kept in a's memo: the tuples increasing inside the identity's
-    leading block, if it has one, and otherwise inside each of its
-    alternating pairs (:func:`rep_tuples`), in lexicographic order."""
+    """The basis tuples :func:`first_failure` and the deformation system
+    (:func:`hlya.deformation._system`) read identity k at, kept in a's
+    memo: the tuples increasing inside the identity's leading block, if it
+    has one, and otherwise inside each of its alternating pairs
+    (:func:`rep_tuples`), in lexicographic order."""
     identity = IDENTITIES[k]
     if identity.block:
         tails = list(itertools.product(range(a.dim), repeat=identity.arity - identity.block))
@@ -917,13 +906,15 @@ def rep_tuples(dim: int, arity: int, pairs: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
-    """First basis tuple (1-based, lexicographic order) at which the t^n
-    coefficient of identity k is nonzero; None when it vanishes throughout.
+def first_failure(a: Algebra, k: int) -> tuple | None:
+    """First basis tuple (1-based, lexicographic order) at which identity
+    k is nonzero at the algebra's tables (:func:`identity_values`); None
+    when it holds throughout.
 
     Only the identity's scan tuples are evaluated (:func:`_scan`).
-    That is exact when every f_i is alternating and every g_i alternating
-    in its leading pair.  At a tuple with equal arguments in an alternating
+    That is exact when the binary bracket is alternating and the ternary
+    one alternating in its leading pair, as every constructor checks
+    (:func:`_built`).  At a tuple with equal arguments in an alternating
     pair the value is its own negative, so 0, and swapping a decreasing
     pair gives a lexicographically smaller tuple with the negated value, so
     the first failing tuple increases inside every pair.  Identities 5 and 6
@@ -935,7 +926,7 @@ def first_failure(a: Algebra, k: int, n: int, fs, gs) -> tuple | None:
     """
     scan = _scan(a, k)
     if scan:
-        value = identity_values(a, k, n, fs, gs).probe()
+        value = identity_values(a, k).probe()
         for idx in scan:
             if value(idx):
                 return tuple(i + 1 for i in idx)
@@ -964,7 +955,7 @@ def _axiom_witness(a: Algebra, k: int) -> tuple | None:
     """The first failing basis tuple of identity k at the base brackets, or
     None; evaluated once per algebra and kept in its memo, for
     :func:`make_algebra` (identities 3 and 4) and :func:`axiom_witnesses`."""
-    return first_failure(a, k, 0, *bracket_series(a))
+    return first_failure(a, k)
 
 
 def axiom_witnesses(a: Algebra) -> dict:
@@ -1032,7 +1023,7 @@ def is_endomorphism(a: Algebra, beta: Matrix) -> bool:
     both brackets: identities 1 and 2 with beta as alpha?"""
     check_map(a, beta)
     b = Algebra(a.dim, *brackets(a), map_table(beta))
-    return all(first_failure(b, k, 0, *bracket_series(b)) is None for k in (1, 2))
+    return all(first_failure(b, k) is None for k in (1, 2))
 
 
 def yau_twist(a: Algebra, morphism: Matrix, name="") -> Algebra:

@@ -35,9 +35,9 @@ at the base brackets.  Deforming the brackets to (f0 + t f, g0 + t g), the
 t^1 coefficients of identities 7 and 8 are the two components of delta2,
 and those of identities 5 and 6 are the two components of d2; so
 (f, g) is a first-order deformation exactly when it lies in both kernels.
-Those blocks (:func:`linear_part`) and the t^2 coefficients with the
-generic pair as both order-1 tables (:func:`quadratic_part`) are the
-linear and bilinear forms the deformation equations read on coordinates.
+Those blocks (:func:`linear_part`) and the t^2 terms outer_1(inner_1) on
+the generic pair (:func:`quadratic_part`) are the linear and bilinear
+forms the deformation equations read on coordinates.
 delta1 and delta3 are signed-term data in the same language
 (:data:`DELTA1`, :data:`DELTA3`); delta1 is the untwisted case of the
 alpha^k-twisted Leibniz rule :func:`leibniz`, whose kernel on C1 is the
@@ -189,14 +189,18 @@ def _formula(names, blocks):
 # --- assembly -------------------------------------------------------------
 
 # The generic pair of C2 x C3 is bound as the t^1 terms of the brackets;
-# with it alone at order 1, the t^2 coefficient keeps outer_1(inner_1) only
+# the quadratic part is the terms of the t^2 coefficient that read it
+# alone, outer_1(inner_1), so no term is analysed that never binds
 _SERIES = (("f", 1), ("g", 1))
 
 # degree-2 level -> its name and the identities whose t^1 coefficients are
 # its codomain blocks, and identity -> (level, block)
 _LINEARISED = {"2": ("delta2", (7, 8)), "d2": ("d2", (5, 6))}
 _BLOCKS = {k: (level, block) for level, (_, ids) in _LINEARISED.items() for block, k in enumerate(ids)}
-_QUADRATIC = {k: _formula(_SERIES, [series_terms(k, 2)]) for k in _BLOCKS}
+_QUADRATIC = {k: _formula(_SERIES, [tuple(
+    (sign, outer, args) for sign, outer, args in series_terms(k, 2)
+    if {outer, *(arg[0] for arg in args if isinstance(arg[0], tuple))} <= set(_SERIES)
+)]) for k in _BLOCKS}
 
 # level -> (name, domain arities, codomain (arity, pairs), formula tables);
 # the degree-2 levels read their codomains off the identities they linearise
@@ -258,14 +262,13 @@ def linear_part(a: Algebra, k: int) -> Contraction:
 
 
 def quadratic_part(a: Algebra, k: int) -> Contraction:
-    """The t^2 coefficient of identity k, one of 5-8, with the generic
-    pair of C2 x C3 at order 1 and nothing at orders 0 and 2, bound once
-    per algebra (:func:`_bound_generic`) to the tables assembly binds.  Its
-    values are bilinear forms {((output index, u), v): coefficient} over
-    its denominator, u an unknown of the outer pair and v one of the inner
-    pair: at (x, y) it is the sum of the terms outer(.., inner(..), ..)
-    with x outer and y inner, the quadratic part of equation k
-    (:func:`hlya.deformation._failures_from`)."""
+    """The t^2 terms outer_1(inner_1) of identity k, one of 5-8, bound once
+    per algebra (:func:`_bound_generic`) to the generic pair of C2 x C3
+    that assembly binds.  Its values are bilinear forms {((output index,
+    u), v): coefficient} over its denominator, u an unknown of the outer
+    pair and v one of the inner pair: at (x, y) it is the sum of the terms
+    outer(.., inner(..), ..) with x outer and y inner, the quadratic part
+    of equation k (:func:`hlya.deformation._failures_from`)."""
     [formula] = _bound_generic(a, _QUADRATIC[k], (2, 3))
     return formula
 

@@ -187,13 +187,13 @@ def verify_deformation(d: Deformation) -> DeformationReport:
     Order 0 is the base axioms verbatim, evaluated once per algebra.  At
     orders n >= 1 equations 1-4 hold for every deformation, since they are
     the cochain conditions on (f_n, g_n), and equations 5-8 are evaluated,
-    each only at the representative tuples of its alternating pairs, the
-    tuples :func:`hlya.algebra.first_failure` scans, and with the same
-    first failing tuple.  Equation k at order n is L_k(f_n, g_n) +
-    Q_{k,n}, and the four are read together off the system laid out once
-    per algebra (:func:`_system`): M_T at the coordinates of (f_n, g_n)
-    plus sum_{i=1}^{n-1} B(c_i, c_{n-i}) at the coordinates c_i of the
-    lower orders.  No coefficient of the series is contracted, twisted or
+    each only at its scan tuples (:func:`hlya.algebra._scan`), among which
+    is the first failing tuple of all, as for the axioms
+    (:func:`hlya.algebra.first_failure`).  Equation k at order n is
+    L_k(f_n, g_n) + Q_{k,n}, and the four are read together off the system
+    laid out once per algebra (:func:`_system`): M_T at the coordinates of
+    (f_n, g_n) plus sum_{i=1}^{n-1} B(c_i, c_{n-i}) at the coordinates c_i
+    of the lower orders.  No coefficient of the series is contracted, twisted or
     bound.
     """
     return DeformationReport(d.order, _failures_from(d, 0, d.order))
@@ -280,15 +280,15 @@ def _system(a: Algebra) -> _System:
     in place of (f_1, g_1), so L_k is that coefficient on the generic pair
     (:func:`hlya.coboundary.linear_part`).  The other terms are the
     convolution outer_i(.., inner_{n-i}(..), ..), 1 <= i <= n-1, and each
-    of them is the t^2 coefficient with order-1 tables alone, outer from
-    order i and inner from order n-i: B_k is that coefficient on the
-    generic pair as outer and inner table
+    of them is the part of the t^2 coefficient that reads order-1 tables
+    alone, outer from order i and inner from order n-i: B_k is that part
+    on the generic pair as outer and inner table
     (:func:`hlya.coboundary.quadratic_part`).  Both are probed once per
-    scan tuple of identity k (:func:`hlya.algebra.first_failure` scans the
-    same), and their values laid out in that one pass: L_k at a tuple is
-    {(output index, unknown): coefficient}, B_k there {((output index, u),
-    v): coefficient}, x_u read by the outer table of a nested term and y_v
-    by the inner one.  An identity with no scan tuple binds nothing.  B's
+    scan tuple of identity k (:func:`hlya.algebra._scan`), and their
+    values laid out in that one pass: L_k at a tuple is {(output index,
+    unknown): coefficient}, B_k there {((output index, u), v):
+    coefficient}, x_u read by the outer table of a nested term and y_v by
+    the inner one.  An identity with no scan tuple binds nothing.  B's
     coefficients are brought over the lcm of the four quadratic
     denominators."""
     parts = {}
@@ -318,6 +318,8 @@ def _quadratic(system: _System, pairs: tuple) -> dict:
     """The sum over (x, y) in ``pairs`` of B(x, y) + B(y, x) over T, or of
     B(x, x) alone where y is x itself, each {position: numerator} over one
     den: {t: numerator} over system.den * den^2, a t it leaves out being 0.
+    A t it returns can hold a sum that cancelled to 0, so a reader tests
+    the values, never the keys, for a nonzero T vector.
     A pair and its mirror are read together, x_u y_v + y_u x_v, over one
     read of B at each outer unknown u; a square has no mirror, and its
     loop reads x_u x_v alone."""
@@ -350,8 +352,7 @@ def _first_failures(system: _System, row: tuple, quadratic: tuple) -> dict:
     den, d_t the denominator of M_T's row t, so the sum at t is nonzero
     exactly when its numerator times qden plus q_t times d_t * den is.
     The first failure of identity k is the lowest nonzero position in k's
-    block of T, whose tuple is the one :func:`hlya.algebra.first_failure`
-    meets first in the same scan."""
+    block of T, whose tuple is the first failing one of k's scan."""
     den, x = row
     qden, q = quadratic
     if x:

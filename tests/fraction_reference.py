@@ -27,16 +27,30 @@ recursion the package inverted a gauge series with before it divided by
 the series, on dense Fraction matrices.  :func:`dense` is an algebra as
 the nested Fraction tuples it was held as before it was its integer
 tables, the form the oracles below read.
+
+:func:`reference_identity_values` is the t^n coefficient of an identity
+as the evaluator had it before the package read identities at order 0
+alone: each coefficient of the bracket series is a function on sparse
+Fraction vectors (:func:`reference_series`), and the convolution over
+i + j = n is summed here, term by term.  :func:`reference_first_failure`
+reads it at every basis tuple, :func:`reference_obstruction_tables`
+tabulates minus its t^2 coefficients of identities 7 and 8, and
+:func:`reference_failures` and :func:`reference_verify_deformation` read
+every identity at every order of a series: the oracle for the orders the
+package evaluates only as the linear and quadratic parts of the
+deformation equations.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from hlya.algebra import alpha_table, brackets
+from hlya.algebra import IDENTITIES, alpha_table, brackets
 from hlya.cochain import _violation, build_cochain_space
 from hlya.errors import ArityError, DimMismatchError
 from hlya.exactlin import ZERO, Matrix, kernel_basis, rat, reduce_rows
+
+from tabulated import tabulate
 
 ONE = Fraction(1)
 
@@ -172,6 +186,118 @@ class FractionOps:
                     if sv:
                         svec_add(acc, sv, cx * cy * cz)
         return acc
+
+
+# --- the identities at every order of a series -------------------------------
+
+
+def al(ops, k, sv):
+    """alpha^k applied to a sparse vector."""
+    if k == 0:
+        return sv
+    acc = {}
+    cols = ops.A[k]
+    for i, c in sv.items():
+        svec_add(acc, cols[i], c)
+    return acc
+
+
+def reference_identity_values(ops, k, n, fs, gs):
+    """The t^n coefficient of identity k; fs[i], gs[i] are callables or None."""
+    series = {"f": fs, "g": gs, "alpha": (lambda x: al(ops, 1, x),)}
+    A, e = ops.A, ops.e
+    compiled = []
+    for sign, outer, args in IDENTITIES[k][1]:
+        outs = series[outer]
+        plain = [arg for arg in args if not isinstance(arg[0], str)]
+        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
+        if pos is None:
+            slots = None
+            pairs = [(outs[n], None)] if n < len(outs) and outs[n] is not None else []
+        else:
+            slots = args[pos][1:]
+            ins = series[args[pos][0]]
+            pairs = [
+                (outs[i], ins[n - i])
+                for i in range(min(n + 1, len(outs)))
+                if n - i < len(ins) and outs[i] is not None and ins[n - i] is not None
+            ]
+        if pairs:
+            compiled.append((sign, plain, pos, slots, pairs))
+
+    # by multilinearity, outer(.., v, ..) is the sum of v_m outer(.., e_m, ..):
+    # each inner value and each outer value at a basis vector is kept
+    inner_values, outer_values = {}, {}
+
+    def value(idx):
+        acc = {}
+        for t, (sign, plain, pos, slots, pairs) in enumerate(compiled):
+            vals = [A[p][idx[s]] for p, s in plain]
+            if pos is None:
+                svec_add(acc, pairs[0][0](*vals), sign)
+                continue
+            key, at = tuple(idx[s] for s in slots), tuple(idx[s] for _, s in plain)
+            for outer, inner in pairs:
+                v = inner_values.get((inner, key))
+                if v is None:
+                    v = inner_values[inner, key] = inner(*(e[i] for i in key))
+                for m, c in v.items():
+                    w = outer_values.get((t, outer, at, m))
+                    if w is None:
+                        w = outer_values[t, outer, at, m] = outer(*vals[:pos], e[m], *vals[pos:])
+                    svec_add(acc, w, sign * c)
+        return acc
+
+    return value
+
+
+def reference_series(ops, f_higher, g_higher):
+    """The series f and g of :func:`reference_identity_values`: ops's
+    brackets at t^0, then each given cochain as a function on sparse
+    vectors, or None where it is zero."""
+
+    def term(c):
+        return None if c.is_zero() else (lambda *args: eval_sv(c, args))
+
+    return (ops.br, *map(term, f_higher)), (ops.tr, *map(term, g_higher))
+
+
+def reference_first_failure(ops, k, n, fs, gs):
+    """The first basis tuple (1-based, lexicographic order) at which the t^n
+    coefficient of identity k is nonzero, every tuple read; None if none."""
+    value = reference_identity_values(ops, k, n, fs, gs)
+    for idx in itertools.product(range(ops.a.dim), repeat=IDENTITIES[k][0]):
+        if value(idx):
+            return tuple(i + 1 for i in idx)
+    return None
+
+
+def reference_failures(a, f_higher, g_higher, orders, ids=tuple(IDENTITIES)):
+    """{(k, n): first failing tuple or None} of the series with a's brackets
+    at t^0 and the given cochains above, for the orders ``orders`` in turn
+    and each order's identities ``ids`` in turn."""
+    ops = FractionOps(a)
+    fs, gs = reference_series(ops, f_higher, g_higher)
+    return {(k, n): reference_first_failure(ops, k, n, fs, gs) for n in orders for k in ids}
+
+
+def reference_obstruction_tables(a, f1, g1):
+    """The tables of minus the t^2 coefficients of identities 7 and 8 on
+    (f1, g1), with no second-order term, at every basis tuple: the
+    obstruction pair (F, G)."""
+    ops = FractionOps(a)
+    fs, gs = reference_series(ops, (f1,), (g1,))
+    tables = []
+    for k in (7, 8):
+        value = reference_identity_values(ops, k, 2, fs, gs)
+        tables.append(tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()}))
+    return tables
+
+
+def reference_verify_deformation(d):
+    """Every identity at every order 0..N of a deformation, as
+    :func:`hlya.deformation.verify_deformation` reports them."""
+    return reference_failures(d.base, d.f_seq[1:], d.g_seq[1:], range(d.order + 1))
 
 
 # --- the k-twisted derivations as hand-written linear rows --------------------

@@ -1,12 +1,12 @@
 """The integer contraction kernel and the slot-by-slot gauge action against
 their Fraction predecessors.
 
-The reference functions below are the evaluator that called each bracket
-series coefficient as a function on sparse Fraction vectors, the explicit
-delta1 and delta3 formulas on sparse Fraction vectors, and the gauge
-action that summed psi_a f_b(phi_c x, phi_e y) over every composition of
-the order, all on the shared Fraction evaluator of
-``fraction_reference``.  The package evaluates the identities and the delta1/delta3
+The references are the evaluator that called each bracket series
+coefficient as a function on sparse Fraction vectors (kept in
+``fraction_reference``), and below, the explicit delta1 and delta3
+formulas on sparse Fraction vectors and the gauge action that summed
+psi_a f_b(phi_c x, phi_e y) over every composition of the order, all on
+the shared Fraction evaluator of ``fraction_reference``.  The package evaluates the identities and the delta1/delta3
 term data as integer table contractions and acts with a gauge one argument
 slot at a time; both must give equal axiom reports, deformation reports,
 degree-2 images, operator matrices and images, obstruction pairs, probe
@@ -58,24 +58,27 @@ from hlya.deformation import (
 )
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import ONE, FractionOps, dense, divided, eval_sv, inverse_series, svec_add
+from fraction_reference import (
+    ONE,
+    FractionOps,
+    al,
+    dense,
+    divided,
+    eval_sv,
+    inverse_series,
+    reference_first_failure,
+    reference_identity_values,
+    reference_obstruction_tables,
+    reference_series,
+    reference_verify_deformation,
+    svec_add,
+)
 from tabulated import numerators, tabulate, to_dense
 from draws import random_cocycle
 
 # --- the Fraction references -------------------------------------------------
 
 _MINUS = -ONE
-
-
-def al(ops, k, sv):
-    """alpha^k applied to a sparse vector."""
-    if k == 0:
-        return sv
-    acc = {}
-    cols = ops.A[k]
-    for i, c in sv.items():
-        svec_add(acc, cols[i], c)
-    return acc
 
 
 def _acc(*signed_terms):
@@ -178,98 +181,23 @@ def _delta3_tables(a, f, g):
 REFERENCE_FORMULAS = {"1": _delta1_tables, "3": _delta3_tables}
 
 
-def reference_identity_values(ops, k, n, fs, gs):
-    """The t^n coefficient of identity k; fs[i], gs[i] are callables or None."""
-    series = {"f": fs, "g": gs, "alpha": (lambda x: al(ops, 1, x),)}
-    A, e = ops.A, ops.e
-    compiled = []
-    for sign, outer, args in IDENTITIES[k][1]:
-        outs = series[outer]
-        plain = [arg for arg in args if not isinstance(arg[0], str)]
-        pos = next((m for m, arg in enumerate(args) if isinstance(arg[0], str)), None)
-        if pos is None:
-            slots = None
-            pairs = [(outs[n], None)] if n < len(outs) and outs[n] is not None else []
-        else:
-            slots = args[pos][1:]
-            ins = series[args[pos][0]]
-            pairs = [
-                (outs[i], ins[n - i])
-                for i in range(min(n + 1, len(outs)))
-                if n - i < len(ins) and outs[i] is not None and ins[n - i] is not None
-            ]
-        if pairs:
-            compiled.append((sign, plain, pos, slots, pairs))
-
-    def value(idx):
-        acc = {}
-        for sign, plain, pos, slots, pairs in compiled:
-            vals = [A[p][idx[s]] for p, s in plain]
-            if pos is None:
-                svec_add(acc, pairs[0][0](*vals), sign)
-                continue
-            inner_args = [e[idx[s]] for s in slots]
-            for outer, inner in pairs:
-                v = inner(*inner_args)
-                if v:
-                    svec_add(acc, outer(*vals[:pos], v, *vals[pos:]), sign)
-        return acc
-
-    return value
-
-
-def _reference_series(ops, f_higher, g_higher):
-    def term(c):
-        return None if c.is_zero() else (lambda *args: eval_sv(c, args))
-
-    return (ops.br, *map(term, f_higher)), (ops.tr, *map(term, g_higher))
-
-
-def reference_first_failure(ops, k, n, fs, gs):
-    value = reference_identity_values(ops, k, n, fs, gs)
-    for idx in itertools.product(range(ops.a.dim), repeat=IDENTITIES[k][0]):
-        if value(idx):
-            return tuple(i + 1 for i in idx)
-    return None
-
-
 def reference_check_axioms(a):
     ops = FractionOps(a)
     return {k: reference_first_failure(ops, k, 0, (ops.br,), (ops.tr,)) for k in IDENTITIES}
 
 
-def reference_verify_deformation(d):
-    ops = FractionOps(d.base)
-    fs, gs = _reference_series(ops, d.f_seq[1:], d.g_seq[1:])
-    return {
-        (eq, n): reference_first_failure(ops, eq, n, fs, gs)
-        for n in range(d.order + 1)
-        for eq in IDENTITIES
-    }
-
-
 def reference_degree_two(a, ids, f, g):
     ops = FractionOps(a)
-    fs, gs = _reference_series(ops, (f,), (g,))
+    fs, gs = reference_series(ops, (f,), (g,))
     return [
         tabulate(a, IDENTITIES[k][0], reference_identity_values(ops, k, 1, fs, gs))
         for k in ids
     ]
 
 
-def reference_obstruction_tables(a, f1, g1):
-    ops = FractionOps(a)
-    fs, gs = _reference_series(ops, (f1,), (g1,))
-    tables = []
-    for k in (7, 8):
-        value = reference_identity_values(ops, k, 2, fs, gs)
-        tables.append(tabulate(a, IDENTITIES[k][0], lambda idx: {i: -x for i, x in value(idx).items()}))
-    return tables
-
-
 def reference_probe(a, f1, g1, f2, g2):
     ops = FractionOps(a)
-    fs, gs = _reference_series(ops, (f1, f2), (g1, g2))
+    fs, gs = reference_series(ops, (f1, f2), (g1, g2))
     return {eq: reference_first_failure(ops, eq, 2, fs, gs) for eq in (5, 6, 7, 8)}
 
 

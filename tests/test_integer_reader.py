@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from hlya.algebra import IntTable, bracket_series
+from hlya.algebra import IntTable
 from hlya.coboundary import apply_operator, operator_by_level
 from hlya.cochain import Cochain, build_cochain_space, cochain_to_matrix, matrix_to_cochain
 from hlya.cohomology import is_cocycle_2

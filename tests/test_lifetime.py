@@ -60,6 +60,7 @@ from hlya.samples import heisenberg_twisted, sl2
 
 from fraction_reference import dense, divided, pair_from_coords
 from tabulated import to_dense
+from series import order_one_terms
 
 
 def _fresh_twist(s=Fraction(7, 5)):
@@ -186,16 +187,20 @@ def test_identity_analyses_are_freed_with_their_algebra():
     """The analysed identity coefficients, the identities' scan tuples and
     the linear and bilinear forms of equations 5-8 live in the algebra's
     memo and go with it.  An analysis is kept per identity and order
-    evaluated, the term list of series_terms(k, n): order 0 of all eight,
+    evaluated: order 0 of all eight, the term list of series_terms(k, 0),
     and above it only those of 5-8 bound on the generic tables of C2 x C3,
-    which a null deformation never reads: order 1, the linear parts, bound
-    as delta2 and d2 are, and order 2, the quadratic parts.  The scan
-    tuples are kept per identity, for every order.  The forms are kept as
+    which a null deformation never reads: order 1, series_terms(k, 1), the
+    linear parts, bound as delta2 and d2 are, and of order 2 the terms
+    outer_1(inner_1) alone, the quadratic parts.  The scan tuples are kept
+    per identity, for every order.  The forms are kept as
     one deformation system per algebra, laid out from the first nonzero
     coefficient on: a null deformation reads none."""
     a = _fresh_twist()
     assert verify_deformation(null_deformation(a, 2)).ok
-    coefficients = {algebra.series_terms(k, n): (k, n) for k in algebra.IDENTITIES for n in range(3)}
+    coefficients = {
+        **{algebra.series_terms(k, n): (k, n) for k in algebra.IDENTITIES for n in (0, 1)},
+        **{order_one_terms(k): (k, 2) for k in (5, 6, 7, 8)},
+    }
 
     def kept(fn):
         return {key[1:] for key in a._memo if key[0] is fn.__wrapped__}

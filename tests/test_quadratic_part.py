@@ -8,9 +8,10 @@ B_k the bilinear forms of the t^2 coefficient on the generic pair
 (``quadratic_part``) at the coordinates c_i of the orders below n.  The
 four equations are read together as one vector over the system's index
 T, M_T c_n plus the sum of B(c_i, c_{n-i}), identity k its block.  The
-full t^n contraction of ``first_failure`` is the oracle: every (equation,
-order) of ``_failures_from``, every outcome of ``second_order_probe``,
-every value of Q_{k,n} and the obstruction pair must match it.
+t^n coefficient of the Fraction evaluator, read at every basis tuple, is
+the oracle (``fraction_reference``): every (equation, order) of
+``_failures_from``, every outcome of ``second_order_probe``, every value
+of Q_{k,n} and the obstruction pair must match it.
 """
 
 import itertools
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 from hlya import algebra, deformation
 import pytest
 
-from hlya.algebra import IDENTITIES, _scan, bracket_series, contract, first_failure, from_lie_algebra, identity_values
-from hlya.coboundary import d2, delta2, linear_part, quadratic_part
+from hlya.algebra import IDENTITIES, _scan, contract, from_lie_algebra, make_algebra
+from hlya.coboundary import _generic_inputs, d2, delta2, linear_part, quadratic_part
 from hlya.cochain import Cochain, build_cochain_space
 from hlya.cohomology import h2h3
 from hlya.deformation import (
@@ -45,17 +46,35 @@ from hlya.errors import PreconditionError
 from hlya.exactlin import kernel_basis, rank, rat, vstack
 from hlya.samples import abelian, random_verified_algebras
 
-from fraction_reference import coordinate_row, divided, pair_coords, pair_from_coords
-from tabulated import tabulate
+from fraction_reference import (
+    FractionOps,
+    coordinate_row,
+    dense,
+    divided,
+    pair_coords,
+    pair_from_coords,
+    reference_failures,
+    reference_identity_values,
+    reference_obstruction_tables,
+    reference_series,
+    reference_verify_deformation,
+)
 from draws import combination, random_cochain, random_cocycle
+from series import order_one_terms
 
 ORDER = 3
 
 
-def _oracle(d, start=0):
-    """Every identity at the orders start..N as the full t^n contraction."""
-    fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
-    return {(k, n): first_failure(d.base, k, n, fs, gs) for n in range(start, d.order + 1) for k in IDENTITIES}
+def _from(failures, start):
+    """The entries of a report {(k, n): tuple} at the orders start..N."""
+    return {(k, n): w for (k, n), w in failures.items() if n >= start}
+
+
+def _values(a, k, n, f_higher, g_higher):
+    """The t^n coefficient of identity k in Fractions at a basis tuple, on
+    the series with a's brackets at t^0 and the given cochains above."""
+    ops = FractionOps(a)
+    return reference_identity_values(ops, k, n, *reference_series(ops, f_higher, g_higher))
 
 
 def _algebras(bundled, twisted_algebras):
@@ -67,7 +86,7 @@ def _algebras(bundled, twisted_algebras):
 def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
     """On gauged null deformations of order 3, and on the same with a
     random cochain added at order n = 1, 2 or 3, _failures_from equals the
-    full contraction at every (equation, order), key for key and in
+    Fraction oracle at every (equation, order), key for key and in
     order, from every start order; so it does on random series in g alone
     and in f alone, whose quadratic parts bind one bracket's tables."""
     rng = random.Random(3801)
@@ -88,10 +107,11 @@ def test_failures_from_matches_the_full_contraction(bundled, twisted_algebras):
         series.append(Deformation(a, ORDER, [f0, *zeros[0]], [g0, *g_alone]))
         series.append(Deformation(a, ORDER, [f0, *f_alone], [g0, *zeros[1]]))
         for d in series:
+            oracle = reference_verify_deformation(d)
             got = deformation._failures_from(d, 0, ORDER)
-            assert list(got.items()) == list(_oracle(d).items()), a.name
+            assert list(got.items()) == list(oracle.items()), a.name
             for start in range(1, ORDER + 1):
-                assert deformation._failures_from(d, start, ORDER) == _oracle(d, start), (a.name, start)
+                assert deformation._failures_from(d, start, ORDER) == _from(oracle, start), (a.name, start)
             outcomes[verify_deformation(d).ok] += 1
     assert outcomes[True] >= 15 and outcomes[False] >= 20, outcomes
 
@@ -107,7 +127,7 @@ def test_a_null_deformation_of_high_order_verifies():
 
 def test_a_sparse_series_reports_as_the_full_contraction(bundled, twisted_algebras):
     """A series whose coefficients are nonzero at orders 1 and 3 only,
-    padded with zeros to order 12, gets the report of the full contraction
+    padded with zeros to order 12, gets the report of the Fraction oracle
     order by order, key for key and in order: Q_4 reads the pair (c_1,
     c_3), Q_6 the square of c_3, and the other orders above 3 nothing.
     The coefficients are random cochains, or cocycle pairs of Z2 x Z3, so
@@ -122,7 +142,7 @@ def test_a_sparse_series_reports_as_the_full_contraction(bundled, twisted_algebr
                 f_seq[n], g_seq[n] = draw()
             d = Deformation(a, 12, f_seq, g_seq)
             report = verify_deformation(d)
-            assert list(report.failures.items()) == list(_oracle(d).items()), a.name
+            assert list(report.failures.items()) == list(reference_verify_deformation(d).items()), a.name
             outcomes[report.ok] += 1
     assert outcomes[True] >= 2 and outcomes[False] >= 5, outcomes
 
@@ -196,10 +216,9 @@ def test_the_stacked_system_has_the_kernel_of_delta2_and_d2(bundled, twisted_alg
 
 
 def _full_probe(a, f1, g1, f2, g2):
-    """5'-8' as full t^2 contractions: the precondition error when 7' or
-    8' fails, else the report."""
-    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    full = {k: first_failure(a, k, 2, fs, gs) for k in (5, 6, 7, 8)}
+    """5'-8' as Fraction t^2 coefficients read at every tuple: the
+    precondition error when 7' or 8' fails, else the report."""
+    full = {k: w for (k, _), w in reference_failures(a, (f1, f2), (g1, g2), (2,), (5, 6, 7, 8)).items()}
     if full[7] or full[8]:
         return PreconditionError
     return ProbeReport(full)
@@ -224,8 +243,8 @@ def _heisenberg():
 def test_second_order_probe_matches_the_full_contraction(bundled, twisted_algebras):
     """On cocycle draws, random combinations and basis cocycles, the probe
     of the delta2 solution, of its negation and of the solution plus an
-    element of ker delta2 outside ker d2 matches the full t^2
-    contractions: the same rejection, or the same report.  Candidates of
+    element of ker delta2 outside ker d2 matches the Fraction
+    oracle at t^2: the same rejection, or the same report.  Candidates of
     every kind are met: rejected by 7'/8', accepted with 5'-8' holding,
     and accepted but broken in 5'/6' only."""
     rng = random.Random(3802)
@@ -282,9 +301,7 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
     denominators = data.draw(st.lists(st.integers(1, 3), min_size=40, max_size=40))
     f, g = _pair(a, numerators, denominators)
     zeros = [Cochain.zero(2, a.dim)] * (n - 1), [Cochain.zero(3, a.dim)] * (n - 1)
-    fs, gs = bracket_series(a, (*zeros[0], f), (*zeros[1], g))
-    coefficient = identity_values(a, k, n, fs, gs)
-    value = coefficient.probe()
+    got = _values(a, k, n, (*zeros[0], f), (*zeros[1], g))
     coords = pair_coords(a, f, g)
 
     def expected(forms, den):
@@ -292,9 +309,6 @@ def test_a_lone_order_n_pair_is_the_linear_part(bundled, twisted_algebras, data)
         for j, c, u in forms:
             out[j] = out.get(j, 0) + Fraction(c, den) * coords[u]
         return {j: x for j, x in out.items() if x}
-
-    def got(idx):
-        return {j: Fraction(x, coefficient.den) for j, x in value(idx).items()}
 
     generic = linear_part(a, k)
     probe = generic.probe()
@@ -373,7 +387,7 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     every scan tuple, and so has the same first failing tuple; so does the
     sum read off the bound quadratic part at every basis tuple.  With a
     random order-n pair c_n added, the stacked read M_T c_n + Q_n of the
-    broken series fails first at first_failure's tuple.  B(x, y) itself,
+    broken series fails first at the oracle's tuple.  B(x, y) itself,
     on two pairs drawn apart, is the contraction of the nested terms with
     x outer and y inner, so reading the forms with outer and inner swapped
     fails."""
@@ -388,9 +402,8 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
 
     series = [draw_pair() for _ in range(1, n)]  # orders 1..n-1
     zero = (Cochain.zero(2, a.dim), Cochain.zero(3, a.dim))
-    fs, gs = bracket_series(a, [f for f, _ in series] + [zero[0]], [g for _, g in series] + [zero[1]])
-    coefficient = identity_values(a, k, n, fs, gs)
-    expected = divided(coefficient.probe(), coefficient.den)
+    f_higher, g_higher = [f for f, _ in series] + [zero[0]], [g for _, g in series] + [zero[1]]
+    expected = _values(a, k, n, f_higher, g_higher)
 
     den, xs = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in series])
     xs = [None, *xs]
@@ -402,17 +415,18 @@ def test_quadratic_parts_read_off_the_bilinear_forms_are_the_contraction(algebra
     got = _block(system, k, scan, q, qden)
     for idx in scan:
         assert got[idx] == expected(idx), (a.name, k, n, idx)
-    assert deformation._first_failures(system, (den, {}), (qden, q)).get(k) == first_failure(a, k, n, fs, gs)
+    oracle = reference_failures(a, f_higher, g_higher, (n,), (k,))[k, n]
+    assert deformation._first_failures(system, (den, {}), (qden, q)).get(k) == oracle
 
     # with an order-n pair added, the series is broken at order n in
-    # general, and the stacked read M_T c_n + Q finds first_failure's tuple
+    # general, and the stacked read M_T c_n + Q finds the oracle's tuple
     last = draw_pair()
-    fs_n, gs_n = bracket_series(a, [f for f, _ in series] + [last[0]], [g for _, g in series] + [last[1]])
+    f_higher[-1], g_higher[-1] = last
     den_n, ys = deformation._common_rows([deformation._pair_row(a, f, g) for f, g in (*series, last)])
     ys = [None, *ys]
     quadratic = (system.den * den_n * den_n, deformation._quadratic(system, _unordered(ys, n)))
     found = deformation._first_failures(system, (den_n, ys[n]), quadratic)
-    assert found.get(k) == first_failure(a, k, n, fs_n, gs_n), (a.name, k, n)
+    assert found.get(k) == reference_failures(a, f_higher, g_higher, (n,), (k,))[k, n], (a.name, k, n)
 
     coords = [None, *(pair_coords(a, f, g) for f, g in series)]
     bound = quadratic_part(a, k)
@@ -458,11 +472,8 @@ def test_the_obstruction_is_the_full_tabulation_on_both_twisted_fixtures(bundled
         for _ in range(8):
             f1, g1 = pair_from_coords(a, combination(z, rng))
             big_f, big_g, row = deformation._second_order_step(a, f1, g1)[:3]
-            fs, gs = bracket_series(a, (f1,), (g1,))
-            for k, big in ((7, big_f), (8, big_g)):
-                arity = IDENTITIES[k].arity
-                coefficient = identity_values(a, k, 2, fs, gs)
-                assert big == Cochain(arity, a.dim, tabulate(a, arity, divided(coefficient.probe(), -coefficient.den)))
+            tables = reference_obstruction_tables(a, f1, g1)
+            assert [big_f, big_g] == [Cochain(n, a.dim, table) for n, table in zip((4, 5), tables)], a.name
             assert row == coordinate_row(c4.coords(big_f) + c5.coords(big_g)), a.name
             nonzero[a.name] += bool(row[1])
     assert nonzero["sl2_twist_7_11"] >= 4, nonzero
@@ -512,3 +523,29 @@ def test_a_warm_draw_and_round_trip_bind_and_twist_nothing(monkeypatch, bundled,
             assert not any(c.ints.twists for c in series), a.name
         monkeypatch.undo()
     assert len(probed) >= 6, [a.name for a in probed]
+
+
+def test_the_quadratic_parts_analyse_only_the_terms_they_bind(bundled):
+    """quadratic_part binds the generic pair of C2 x C3 as the order-1
+    tables alone, so of the t^2 coefficient of identity k only the terms
+    outer_1(inner_1) can bind: the term list it analyses into the memo
+    reads the tables ("f", 1) and ("g", 1) and no other, 3, 3, 3 and 4
+    terms for k = 5..8, in the order of series_terms(k, 2)."""
+    base = bundled[2]
+    a = make_algebra(base.dim, *dense(base), name="sl2_quadratic")
+    _generic_inputs(a, (2, 3))
+
+    def analysed():
+        return {key[1] for key in a._memo if key[0] is algebra._analysed.__wrapped__}
+
+    sizes = {}
+    for k in (5, 6, 7, 8):
+        before = analysed()
+        quadratic_part(a, k)
+        [terms] = analysed() - before
+        for _, outer, args in terms:
+            tables = [outer, *(arg[0] for arg in args if not isinstance(arg[0], int))]
+            assert len(tables) == 2 and set(tables) <= {("f", 1), ("g", 1)}, (k, outer, args)
+        assert terms == order_one_terms(k), k
+        sizes[k] = len(terms)
+    assert sizes == {5: 3, 6: 3, 7: 3, 8: 4}

@@ -1,12 +1,15 @@
 """Representative-tuple evaluation of the deformation layer.
 
 ``first_failure`` scans only the tuples that increase inside each declared
-alternating pair of an identity, and the obstruction pair is evaluated at
-the representative tuples of C4 and C5 only.  This file checks the
-antisymmetry that makes that exact, and compares both with the full scans
-they replaced, which are kept below as oracles: ``full_scan_first_failure``
-evaluates every basis tuple, and ``full_tabulation_obstruction`` tabulates
-every tuple and reads the coordinates of its cochain with ``coords``.
+alternating pair of an identity, and so do the deformation equations
+above order 0; the obstruction pair is evaluated at the representative
+tuples of C4 and C5 only.  This file checks the antisymmetry that makes
+that exact at every order, on the t^n coefficients of random series, and
+compares the scans with the full scans they replaced.  The oracles read
+every basis tuple in Fractions (``fraction_reference``):
+``reference_first_failure`` the first failing tuple of an identity at any
+order, and ``full_tabulation_obstruction`` tabulates every tuple and
+reads the coordinates of its cochain with ``coords``.
 """
 
 import itertools
@@ -21,12 +24,10 @@ from hlya import algebra, coboundary, deformation
 from hlya.algebra import (
     IDENTITIES,
     algebra_from_sparse,
-    bracket_series,
     brackets,
     check_axioms,
     first_failure,
     from_lie_algebra,
-    identity_values,
     make_algebra,
     rep_tuples,
     series_terms,
@@ -48,31 +49,25 @@ from hlya.deformation import (
 from hlya.exactlin import Matrix, kernel_basis, rat, vstack
 from hlya.samples import random_verified_algebras, sl2
 
-from fraction_reference import coordinate_row, dense, divided, pair_from_coords
-from tabulated import tabulate
+from fraction_reference import (
+    coordinate_row,
+    dense,
+    pair_from_coords,
+    reference_failures,
+    reference_obstruction_tables,
+    reference_verify_deformation,
+)
 from draws import random_cochain
+from series import coefficient, order_one_terms, scanned_first_failure
 
 ORDERS = range(4)
-
-
-def full_scan_first_failure(a, k, n, fs, gs):
-    """First failing tuple over every basis tuple, in lexicographic order."""
-    value = identity_values(a, k, n, fs, gs).probe()
-    for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
-        if value(idx):
-            return tuple(i + 1 for i in idx)
-    return None
 
 
 def full_tabulation_obstruction(a, f1, g1):
     """(F, G) and their coordinate row from tables over every basis tuple,
     the coordinates read as Fractions and made the canonical integer row."""
-    fs, gs = bracket_series(a, (f1,), (g1,))
     parts = []
-    for k in (7, 8):
-        arity = IDENTITIES[k].arity
-        coefficient = identity_values(a, k, 2, fs, gs)
-        table = tabulate(a, arity, divided(coefficient.probe(), -coefficient.den))
+    for arity, table in zip((4, 5), reference_obstruction_tables(a, f1, g1)):
         c = Cochain(arity, a.dim, table)
         parts.append((c, build_cochain_space(a, arity).coords(c)))
     (big_f, coords_f), (big_g, coords_g) = parts
@@ -132,10 +127,10 @@ def test_identity_values_are_antisymmetric_in_their_pairs(algebras):
     rng = random.Random(4101)
     checked = 0
     for a in algebras:
-        fs, gs = bracket_series(a, *_random_series(a, max(ORDERS), rng))
+        series = _random_series(a, max(ORDERS), rng)
         for k, identity in IDENTITIES.items():
             for n in ORDERS:
-                value = identity_values(a, k, n, fs, gs).probe()
+                value = coefficient(a, k, n, *series).probe()
                 for idx in itertools.product(range(a.dim), repeat=identity.arity):
                     vec = value(idx)
                     for p in range(identity.pairs):
@@ -152,8 +147,7 @@ def test_identity_6_is_not_antisymmetric_in_its_second_pair(algebras):
     alternating, so reducing it as well would drop failing tuples."""
     rng = random.Random(4102)
     a = algebras[2]  # sl2
-    fs, gs = bracket_series(a, *_random_series(a, 1, rng))
-    value = identity_values(a, 6, 1, fs, gs).probe()
+    value = coefficient(a, 6, 1, *_random_series(a, 1, rng)).probe()
     assert IDENTITIES[6].pairs == 1
     assert any(
         value(_swapped(idx, 1)) != _negated(value(idx))
@@ -176,33 +170,28 @@ def _corrupted(a):
 
 
 def test_first_failure_matches_the_full_scan(algebras):
-    """On corrupted algebras, on random series that are no deformation, and
-    on second-order candidates that do not solve, the representative scan
-    finds the same first failing tuple as the scan over every tuple."""
+    """first_failure on corrupted algebras, and the scan of each t^n
+    coefficient on random series that are no deformation and on
+    second-order candidates that do not solve, find the first failing
+    tuple of the Fraction scan over every tuple."""
     rng = random.Random(4103)
     failures = 0
     for a in algebras:
         for bad in _corrupted(a):
-            fs, gs = bracket_series(bad)
+            expected = reference_failures(bad, (), (), (0,))
             for k in IDENTITIES:
-                expected = full_scan_first_failure(bad, k, 0, fs, gs)
-                assert first_failure(bad, k, 0, fs, gs) == expected, (bad.name, k)
-                failures += expected is not None
-            assert check_axioms(bad).counterexamples == {
-                k: w for k in IDENTITIES if (w := full_scan_first_failure(bad, k, 0, fs, gs))
-            }
-        fs, gs = bracket_series(a, *_random_series(a, 2, rng))
-        for k in IDENTITIES:
-            for n in range(3):
-                expected = full_scan_first_failure(a, k, n, fs, gs)
-                assert first_failure(a, k, n, fs, gs) == expected, (a.name, k, n)
-                failures += expected is not None
+                assert first_failure(bad, k) == expected[k, 0], (bad.name, k)
+                failures += expected[k, 0] is not None
+            assert check_axioms(bad).counterexamples == {k: w for (k, _), w in expected.items() if w}
+        series = _random_series(a, 2, rng)
+        for (k, n), expected in reference_failures(a, *series, range(3)).items():
+            assert scanned_first_failure(a, k, coefficient(a, k, n, *series)) == expected, (a.name, k, n)
+            failures += expected is not None
         f1, g1 = _cocycle(a, rng)
         f2, g2 = _random_series(a, 1, rng)
-        fs, gs = bracket_series(a, (f1, *f2), (g1, *g2))
-        for k in (5, 6, 7, 8):
-            expected = full_scan_first_failure(a, k, 2, fs, gs)
-            assert first_failure(a, k, 2, fs, gs) == expected, (a.name, k)
+        series = ((f1, *f2), (g1, *g2))
+        for (k, _), expected in reference_failures(a, *series, (2,), (5, 6, 7, 8)).items():
+            assert scanned_first_failure(a, k, coefficient(a, k, 2, *series)) == expected, (a.name, k)
             failures += expected is not None
     assert failures > 50
 
@@ -217,28 +206,16 @@ def test_verify_deformation_reports_match_the_full_scan(algebras):
             a, 3, d.f_seq, (*d.g_seq[:2], d.g_seq[2].add(random_cochain(a, 3, rng)), d.g_seq[3])
         )
         for deformed in (d, broken):
-            fs, gs = bracket_series(a, deformed.f_seq[1:], deformed.g_seq[1:])
-            expected = {
-                (k, n): full_scan_first_failure(a, k, n, fs, gs)
-                for n in range(deformed.order + 1)
-                for k in IDENTITIES
-            }
-            assert verify_deformation(deformed).failures == expected, a.name
+            assert verify_deformation(deformed).failures == reference_verify_deformation(deformed), a.name
         assert verify_deformation(d).ok
-
-
-def _all_eight_at_every_order(d):
-    """The reference verify_deformation: every identity at every order,
-    the cochain conditions 1-4 above order 0 included."""
-    fs, gs = bracket_series(d.base, d.f_seq[1:], d.g_seq[1:])
-    return {(k, n): first_failure(d.base, k, n, fs, gs) for n in range(d.order + 1) for k in IDENTITIES}
 
 
 def test_the_equations_left_out_hold_on_every_deformation(algebras):
     """verify_deformation evaluates identities 1-4 at order 0 only: on
     gauged null deformations, on the same with a cochain added at an order
     >= 1, and on random cochain series, its report equals the evaluation of
-    all eight identities at every order, key for key and in order, and 1-4
+    all eight identities at every order in Fractions, key for key and in
+    order, the cochain conditions 1-4 above order 0 included, and 1-4
     hold at every order >= 1.  On algebras that fail the axioms order 0 is
     the verdict of check_axioms."""
     rng = random.Random(4110)
@@ -262,7 +239,7 @@ def test_the_equations_left_out_hold_on_every_deformation(algebras):
             series += [null, Deformation(bad, 1, (null.f_seq[0], *f_higher), (null.g_seq[0], *g_higher))]
         for d in series:
             got = verify_deformation(d).failures
-            assert list(got.items()) == list(_all_eight_at_every_order(d).items()), d.base.name
+            assert list(got.items()) == list(reference_verify_deformation(d).items()), d.base.name
             assert all(got[(k, n)] is None for k in (1, 2, 3, 4) for n in range(1, d.order + 1))
             axioms = check_axioms(d.base)
             assert {k: got[(k, 0)] for k in IDENTITIES if got[(k, 0)]} == axioms.counterexamples
@@ -322,8 +299,12 @@ def test_obstruction_matches_the_full_tabulation(algebras):
     assert nonzero > 10
 
 
-# the term list of each identity coefficient the tests below meet -> (k, n)
-_COEFFICIENTS = {series_terms(k, n): (k, n) for k in IDENTITIES for n in range(5)}
+# the term list of each identity coefficient the package binds -> (k, n):
+# orders 0 and 1, and of order 2 the terms outer_1(inner_1) of 5-8 alone
+_COEFFICIENTS = {
+    **{series_terms(k, n): (k, n) for k in IDENTITIES for n in (0, 1)},
+    **{order_one_terms(k): (k, 2) for k in (5, 6, 7, 8)},
+}
 
 
 def _wrap_coefficients(monkeypatch, wrap):
@@ -331,8 +312,8 @@ def _wrap_coefficients(monkeypatch, wrap):
     builds, first_failure's (through identity_values) and the linear and
     quadratic parts that :mod:`hlya.coboundary` binds on the generic
     tables, handed out as wrap((k, n), contraction): each is one
-    :func:`hlya.algebra.contract` of a term list of series_terms, read back
-    to its (k, n).  Other term lists pass unwrapped."""
+    :func:`hlya.algebra.contract` of a term list of :data:`_COEFFICIENTS`,
+    read back to its (k, n).  Other term lists pass unwrapped."""
     original = algebra.contract
 
     def wrapped(a, tables, terms):
@@ -448,21 +429,21 @@ def test_each_order_0_identity_is_built_once_per_algebra(monkeypatch):
     built = Counter()
     original = algebra.identity_values
 
-    def counted(a, k, n, fs, gs):
-        built[k, n] += 1
-        return original(a, k, n, fs, gs)
+    def counted(a, k):
+        built[k] += 1
+        return original(a, k)
 
     monkeypatch.setattr(algebra, "identity_values", counted)
     bracket, identity = dense(sl2())[0], Matrix.identity(3).data
     lie = from_lie_algebra(bracket, identity, name="sl2_lie")
-    assert check_axioms(lie).all_passed and built == {(k, 0): 1 for k in IDENTITIES}
+    assert check_axioms(lie).all_passed and built == {k: 1 for k in IDENTITIES}
     built.clear()
     sparse = {(i, j): bracket[i][j] for i, j in itertools.combinations(range(3), 2)}
     a = algebra_from_sparse(3, sparse, {}, identity, name="sl2_sparse")
-    assert built == {(3, 0): 1, (4, 0): 1}
+    assert built == {3: 1, 4: 1}
     assert check_axioms(a).all_passed and check_axioms(a) == check_axioms(lie)
     assert verify_deformation(null_deformation(a, 0)).ok
-    assert built == {(k, 0): 1 for k in IDENTITIES}
+    assert built == {k: 1 for k in IDENTITIES}
 
 
 def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
@@ -475,9 +456,7 @@ def test_identities_5_and_6_evaluate_no_tuple_in_dimension_2(monkeypatch, e1):
     calls, built = _counted_evaluations(monkeypatch)
     rows, quadratic = _counted_reads(monkeypatch)
     order = 2
-    fs, gs = bracket_series(e1, *_random_series(e1, order, random.Random(4106)))
-    for n in range(order + 1):
-        assert first_failure(e1, 5, n, fs, gs) is first_failure(e1, 6, n, fs, gs) is None
+    assert first_failure(e1, 5) is first_failure(e1, 6) is None
     assert calls[5] == calls[6] == built[5] == built[6] == 0
     assert verify_deformation(null_deformation(fresh, order)).ok
     assert calls[5] == calls[6] == built[5] == built[6] == 0
@@ -499,11 +478,11 @@ def test_identities_5_and_6_are_alternating_in_x_y_z(algebras):
     rng = random.Random(4107)
     checked = 0
     for a in algebras:
-        fs, gs = bracket_series(a, *_random_series(a, 2, rng))
+        series = _random_series(a, 2, rng)
         for k in (5, 6):
             assert IDENTITIES[k].block == 3
             for n in range(3):
-                value = identity_values(a, k, n, fs, gs).probe()
+                value = coefficient(a, k, n, *series).probe()
                 for idx in itertools.product(range(a.dim), repeat=IDENTITIES[k].arity):
                     vec = value(idx)
                     if len(set(idx[:3])) < 3:
@@ -541,14 +520,13 @@ def test_first_failure_on_the_block_matches_the_full_scan():
     for draw in range(120):
         dim = 2 + draw % 3
         a, b = _random_structure(rng, dim), _random_structure(rng, dim)
-        base = bracket_series(a)
-        (f0,), (g0,) = base
-        f1, g1 = brackets(b)
-        for n, (fs, gs) in ((0, base), (1, ((f0, f1), (g0, g1)))):
-            for k in (5, 6):
-                expected = full_scan_first_failure(a, k, n, fs, gs)
-                assert first_failure(a, k, n, fs, gs) == expected, (draw, k, n)
-                failures[k] += expected is not None
+        f1, g1 = (Cochain(n, dim, t.fractions(dim)) for n, t in zip((2, 3), brackets(b)))
+        expected = reference_failures(a, (f1,), (g1,), (0, 1), (5, 6))
+        for k in (5, 6):
+            assert first_failure(a, k) == expected[k, 0], (draw, k)
+            assert scanned_first_failure(a, k, coefficient(a, k, 1, (f1,), (g1,))) == expected[k, 1], (draw, k)
+        for (k, _), w in expected.items():
+            failures[k] += w is not None
     assert failures[5] > 80 and failures[6] > 80, failures
 
 

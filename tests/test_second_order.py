@@ -7,11 +7,12 @@ algebra's memo until a call on another pair.  The probe reads its
 precondition, delta2(f2, g2) = (F, G), from equations 7' and 8'
 themselves.  The former trio, in which each function checked the pair and
 recomputed the obstruction and the probe compared delta2 of its candidate
-with it, is kept below as the oracle.  Every cocycle draw on the bundled algebras, the sl2 twist and
-the seed-12345 corpus must give the same outcome (the returned value, or
-the error type and message) on five candidates: zero, a random cochain
-pair, the solution, its negative, and the solution plus an element of
-ker delta2.
+with it, is kept below as the oracle, on the t^2 coefficients of the
+Fraction evaluator (``fraction_reference``).  Every cocycle draw on the
+bundled algebras, the sl2 twist and the seed-12345 corpus must give the
+same outcome (the returned value, or the error type and message) on five
+candidates: zero, a random cochain pair, the solution, its negative, and
+the solution plus an element of ker delta2.
 """
 
 import random
@@ -20,7 +21,7 @@ from collections import Counter
 import pytest
 
 from hlya import algebra, deformation
-from hlya.algebra import IDENTITIES, bracket_series, make_algebra, first_failure, identity_values
+from hlya.algebra import make_algebra
 from hlya.coboundary import apply_operator, d2, delta2, delta3
 from hlya.cochain import Cochain, CochainSpace, build_cochain_space
 from hlya.cohomology import is_cocycle_2
@@ -35,20 +36,20 @@ from hlya.errors import HlyaError, NotInZ2Z3Error, PreconditionError
 from hlya.exactlin import kernel_basis, rat, solve, vstack
 from hlya.samples import random_verified_algebras
 
-from fraction_reference import dense, divided, pair_coords, pair_from_coords
-from tabulated import tabulate
+from fraction_reference import (
+    dense,
+    pair_coords,
+    pair_from_coords,
+    reference_failures,
+    reference_obstruction_tables,
+)
 from draws import combination
 
 
 def reference_obstruction_pair(a, f1, g1):
     if not is_cocycle_2(a, f1, g1):
         raise NotInZ2Z3Error("(f1, g1) must be a 2-/3-cocycle pair")
-    fs, gs = bracket_series(a, (f1,), (g1,))
-    tables = []
-    for k in (7, 8):
-        coefficient = identity_values(a, k, 2, fs, gs)
-        tables.append(tabulate(a, IDENTITIES[k][0], divided(coefficient.probe(), -coefficient.den)))
-    f_table, g_table = tables
+    f_table, g_table = reference_obstruction_tables(a, f1, g1)
     big_f, big_g = Cochain(4, a.dim, f_table), Cochain(5, a.dim, g_table)
     coords_f, coords_g = build_cochain_space(a, 4).coords(big_f), build_cochain_space(a, 5).coords(big_g)
     image = delta3(a).matrix.apply(coords_f + coords_g)
@@ -63,8 +64,8 @@ def reference_probe(a, f1, g1, f2, g2):
             "(f2, g2) does not solve the second-order extension equation: "
             "delta2(f2, g2) must equal the obstruction pair"
         )
-    fs, gs = bracket_series(a, (f1, f2), (g1, g2))
-    return ProbeReport({eq: first_failure(a, eq, 2, fs, gs) for eq in (5, 6, 7, 8)})
+    failures = reference_failures(a, (f1, f2), (g1, g2), (2,), (5, 6, 7, 8))
+    return ProbeReport({eq: w for (eq, _), w in failures.items()})
 
 
 def reference_solve_second_order(a, f1, g1):
